@@ -4,9 +4,10 @@ LEO Earth-observation constellations sharing ground stations.
 The pipeline: a scenario (satellites, stations, captured data units) feeds
 orbit propagation, which feeds per-slot antenna assignment, which yields the
 target's transmissible and attackable slot sets. On top of those sit a
-per-unit FIFO queue simulator, planners that delay a unit past a deadline or
-force it to be dropped, and a Monte-Carlo harness that measures how those
-plans survive estimation noise.
+FIFO queue simulator that counts bytes per slot and reads each data unit's
+downlink or drop off the cumulative byte stream, planners that delay a unit
+past a deadline or force it to be dropped, and a Monte-Carlo harness that
+measures how those plans survive estimation noise.
 """
 
 from .attack import AttackContext, AttackStrategy, save_strategy, save_strategy_summary
@@ -17,8 +18,8 @@ from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, PointResult,
                          SweepResult, TrialRecord, derive_rng, extend_targets,
                          perturb, plan_attack, run_trial, save_aggregate,
                          save_report, sweep)
-from .onboard import (QueueTrace, QueueWorld, evolve, evolve_aggregate,
-                      per_slot_capacity, save_trace, save_trace_events)
+from .onboard import (QueueTrace, QueueWorld, evolve, per_slot_capacity,
+                      save_trace, save_trace_events)
 from .orbit import (ContactWindow, compute_contact_windows, elevation_deg,
                     load_contact_windows, parse_tle, propagate,
                     save_contact_windows)
@@ -47,7 +48,7 @@ __all__ = [
     "TleElements", "TrialRecord", "ValidationError",
     "assign_slot", "attackability", "attackability_for", "build_constellation",
     "build_s0", "build_s0_ovf", "build_schedule", "compute_contact_windows",
-    "derive_rng", "elevation_deg", "evolve", "evolve_aggregate",
+    "derive_rng", "elevation_deg", "evolve",
     "extend_targets", "hungarian", "load_contact_windows", "load_scenario",
     "parse_tle", "per_slot_capacity", "perturb", "plan_attack", "plan_delay",
     "plan_overflow", "propagate", "run_trial", "save_aggregate",

@@ -3,7 +3,7 @@
 An AttackContext bundles the target satellite's queue world with the
 attackable-slot ladder and per-slot prices. Attacking a slot occupies every
 antenna the satellite could use at that slot, so the satellite transmits
-nothing; the queue engines model that as removing the slot from the
+nothing; the queue engine models that as removing the slot from the
 transmissible set.
 """
 
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .onboard import QueueTrace, QueueWorld, evolve_aggregate, per_slot_capacity
+from .onboard import QueueTrace, QueueWorld, evolve, per_slot_capacity
 from .scenario import ConstellationScenario
 
 INF = math.inf
@@ -41,8 +41,7 @@ class AttackContext:
             cost = self.price.get(t)
             if cost is None or not math.isfinite(cost) or cost < 0:
                 raise ValidationError(f"attackable slot {t} needs a finite cost >= 0")
-        order = self.world.unit_order()
-        positions = {uid: i for i, uid in enumerate(order)}
+        positions = {uid: i for i, uid in enumerate(self.world.byte_ranges)}
         last = -1
         for uid in self.targets:
             if uid not in positions:
@@ -64,7 +63,7 @@ class AttackContext:
         return frozenset(slots)
 
     def trace(self, strategy=frozenset()) -> QueueTrace:
-        return evolve_aggregate(self.world, frozenset(strategy), self.targets)
+        return evolve(self.world, frozenset(strategy), self.targets)
 
     def cost_of(self, slots) -> float:
         return sum(self.price[t] for t in slots)
@@ -86,8 +85,11 @@ class AttackContext:
 
         arrivals: dict[int, list[tuple[str, int]]] = {}
         for unit in scenario.trace_for(sat_id):
-            arrivals.setdefault(unit.capture_slot, []).append(
-                (unit.unit_id, unit.size_bytes))
+            # the queue starts at t0; scenario validation rejects earlier
+            # captures, and an unvalidated scenario's are left out
+            if unit.capture_slot >= t0:
+                arrivals.setdefault(unit.capture_slot, []).append(
+                    (unit.unit_id, unit.size_bytes))
         world = QueueWorld(
             initial_units=tuple((u.unit_id, u.size_bytes)
                                 for u in scenario.initial_units(sat_id)),

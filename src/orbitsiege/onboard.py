@@ -1,20 +1,26 @@
 """Onboard FIFO queue evolution.
 
-Two engines compute the same numbers. The per-unit engine walks the actual
-FIFO of (unit, remaining bytes) pairs and yields event-level detail; the
-aggregate engine tracks only the queue length, each target's sub-queue length
-(bytes up to and including the target), and the target's own remaining bytes.
-Both apply, per slot: arrivals, then transmission from the head, then the
-capacity drop from the head with the round-up rule (a positive drop smaller
-than one slot volume is raised to a full slot volume, bounded by what is
-aboard). A unit counts as downlinked at the slot its last byte is transmitted
-and as lost at the slot its first byte is dropped.
+One engine tracks only byte counts. Per slot it applies arrivals, then
+transmission of up to one slot volume from the head, then the capacity drop
+from the head with the round-up rule (a positive drop smaller than one slot
+volume is raised to a full slot volume, bounded by what is aboard).
+
+Every unit's fate follows from those counts, because bytes always leave from
+the head (the cumulative-curve view of a FIFO). Unit k holds bytes
+[P[k-1], P[k]) of the arrival stream, where P is the running total of unit
+sizes. Let a be the first slot whose removals reach past P[k-1] and b the
+first slot whose transmission ends at or past P[k]. The unit is lost at the
+first slot in [a, b) that drops bytes, and otherwise downlinked at b: each
+unit gets exactly one event, at the slot its first byte is dropped or its
+last byte is transmitted, or none if it is still aboard at the horizon.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 from .scenario import ConstellationScenario
@@ -48,128 +54,86 @@ class QueueWorld:
             raise ValidationError("volume_bytes must be positive")
         if not 0 <= self.t0 <= self.horizon:
             raise ValidationError("t0 must lie within [0, horizon]")
+        slots = [t for t, _ in self.arrivals]
+        if slots != sorted(set(slots)):
+            raise ValidationError("arrival slots must be strictly increasing")
+        if slots and not self.t0 <= slots[0] <= slots[-1] <= self.horizon:
+            raise ValidationError("arrival slots must lie within [t0, horizon]")
+        units = [*self.initial_units, *(u for _, group in self.arrivals for u in group)]
+        if any(size <= 0 for _, size in units):
+            raise ValidationError("unit sizes must be positive")
+        if len({uid for uid, _ in units}) != len(units):
+            raise ValidationError("unit ids must be unique")
 
-    def arrivals_map(self) -> dict[int, tuple[tuple[str, int], ...]]:
-        return dict(self.arrivals)
+    @cached_property
+    def byte_ranges(self) -> dict[str, tuple[int, int, int]]:
+        """Unit id -> (slot it joins, first byte, end byte) in the arrival
+        stream, head first; units aboard at t0 join at t0, ahead of that
+        slot's arrivals."""
+        ranges = {}
+        end = 0
+        for t, group in ((self.t0, self.initial_units), *self.arrivals):
+            for uid, size in group:
+                ranges[uid] = (t, end, end + size)
+                end += size
+        return ranges
 
-    def unit_order(self) -> tuple[str, ...]:
-        ids = [uid for uid, _ in self.initial_units]
-        for _, units in sorted(self.arrivals):
-            ids.extend(uid for uid, _ in units)
-        return tuple(ids)
-
-
-@dataclass(frozen=True)
-class QueueState:
-    """FIFO of (unit_id, remaining_bytes) at the end of a slot."""
-
-    units: tuple[tuple[str, int], ...]
-    slot: int
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(rem for _, rem in self.units)
-
-    def subqueue_bytes(self, unit_id: str) -> int:
-        total = 0
-        for uid, rem in self.units:
-            total += rem
-            if uid == unit_id:
-                return total
-        return 0
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    slot: int
-    transmitted_bytes: int
-    dropped_bytes: int
-    transmitted_unit_ids: tuple[str, ...]
-    dropped_unit_ids: tuple[str, ...]
-
-    @property
-    def delta_bytes(self) -> int:
-        return self.transmitted_bytes + self.dropped_bytes
+    @cached_property
+    def inflow(self) -> dict[int, int]:
+        """Bytes joining the queue per slot."""
+        inflow: dict[int, int] = {}
+        for t, start, end in self.byte_ranges.values():
+            inflow[t] = inflow.get(t, 0) + end - start
+        return inflow
 
 
-def _rounded_drop(length: int, capacity: int, volume: int) -> int:
-    """Capacity drop with the round-up rule, bounded by the queue length."""
-    raw = length - capacity
-    if raw <= 0:
-        return 0
-    drop = volume if raw < volume else raw
-    return min(drop, length)
-
-
-def step(state: QueueState, arrivals: list[tuple[str, int]], transmissible: bool,
-         attacked: bool, capacity_bytes: int, volume_bytes: int,
-         ) -> tuple[QueueState, SlotOutcome]:
-    """One slot of the per-unit engine: arrivals, transmission, capacity drop."""
-    slot = state.slot + 1
-    queue = [[uid, rem] for uid, rem in state.units]
-    queue.extend([uid, size] for uid, size in arrivals)
-
-    transmitted = 0
-    done: list[str] = []
-    if transmissible and not attacked:
-        budget = volume_bytes
-        while budget > 0 and queue:
-            uid, rem = queue[0]
-            take = min(budget, rem)
-            queue[0][1] -= take
-            budget -= take
-            transmitted += take
-            if queue[0][1] == 0:
-                done.append(uid)
-                queue.pop(0)
-
-    length = sum(rem for _, rem in queue)
-    drop = _rounded_drop(length, capacity_bytes, volume_bytes)
-    dropped = 0
-    lost: list[str] = []
-    while dropped < drop:
-        uid, rem = queue[0]
-        take = min(drop - dropped, rem)
-        queue[0][1] -= take
-        dropped += take
-        lost.append(uid)
-        if queue[0][1] == 0:
-            queue.pop(0)
-
-    new_state = QueueState(tuple((uid, rem) for uid, rem in queue), slot)
-    outcome = SlotOutcome(slot, transmitted, dropped, tuple(done), tuple(lost))
-    return new_state, outcome
+def _departure(tx_end: list[int], removed: list[int], drops: list[int],
+               start: int, end: int) -> tuple[int, bool]:
+    """Slot index at which the unit holding stream bytes [start, end) leaves,
+    and whether it is dropped there; len(tx_end) if it is still aboard."""
+    a = bisect_right(removed, start)
+    b = bisect_left(tx_end, end)
+    j = bisect_left(drops, a)
+    if j < len(drops) and drops[j] < b:
+        return drops[j], True
+    return b, False
 
 
 @dataclass(frozen=True)
 class QueueTrace:
-    """Evolution over [t0, horizon] plus per-target landmarks.
+    """Evolution over [t0, horizon] plus the tracked units' landmarks.
+
+    Slot t0 + i ends with queue_bytes[i] aboard. tx_end[i] and removed[i]
+    count the stream bytes gone after that slot's transmission and after its
+    drop; drops lists the indices of the slots that dropped bytes.
 
     evacuation maps a tracked unit to the slot its last byte was transmitted,
-    or infinity if any of its bytes were dropped. last_full is the latest slot
-    in [t0, t_e) at which the queue sat exactly at capacity, defaulting to t0.
+    or infinity if it was dropped or is still aboard at the horizon.
+    drop_slot is the slot its first byte was dropped. last_full is the latest
+    slot before the unit leaves, by evacuation or drop, at which the queue sat
+    exactly at capacity, defaulting to t0.
     """
 
-    t0: int
-    horizon: int
-    queue_bytes: tuple[int, ...]
-    outcomes: tuple[SlotOutcome, ...]
-    subqueue: dict[str, tuple[int, ...]]
+    world: QueueWorld
+    queue_bytes: list[int]
+    tx_end: list[int]
+    removed: list[int]
+    drops: list[int]
     evacuation: dict[str, float]
     last_full: dict[str, int]
     dropped: dict[str, bool]
     drop_slot: dict[str, int | None]
-    initial_total: int
-    arrived_total: int
-    transmitted_total: int
-    dropped_total: int
-    remaining_total: int
+
+    @property
+    def tx_bytes(self) -> list[int]:
+        return [end - gone for end, gone in zip(self.tx_end, [0, *self.removed])]
+
+    @property
+    def drop_bytes(self) -> list[int]:
+        return [gone - end for end, gone in zip(self.tx_end, self.removed)]
 
     def queue_at(self, slot: int) -> int:
-        return self.queue_bytes[slot - self.t0]
-
-    def subqueue_at(self, unit_id: str, slot: int) -> int:
-        return self.subqueue[unit_id][slot - self.t0]
+        return self.queue_bytes[slot - self.world.t0]
 
     def t_e(self, unit_id: str) -> float:
         return self.evacuation[unit_id]
@@ -177,184 +141,72 @@ class QueueTrace:
     def t_lb(self, unit_id: str) -> int:
         return self.last_full[unit_id]
 
+    def subqueue(self, unit_id: str) -> list[int]:
+        """Bytes at or ahead of the unit at the end of each slot, from the
+        slot it joins until it leaves; zero outside that span, so a dropped
+        unit's sub-queue is void even if some of its bytes stay aboard."""
+        joins, start, end = self.world.byte_ranges[unit_id]
+        first = joins - self.world.t0
+        leaves, _ = _departure(self.tx_end, self.removed, self.drops, start, end)
+        return ([0] * first + [end - self.removed[i] for i in range(first, leaves)]
+                + [0] * (len(self.queue_bytes) - leaves))
 
-def _landmarks(t0: int, capacity: int, queue_bytes: list[int],
-               evacuation: dict[str, float]) -> dict[str, int]:
-    full_slots = [t0 + i for i, q in enumerate(queue_bytes) if q == capacity]
-    last_full = {}
-    for uid, te in evacuation.items():
-        candidates = [t for t in full_slots if t < te]
-        last_full[uid] = max(candidates) if candidates else t0
-    return last_full
+    def events(self) -> list[tuple[int, str, str]]:
+        """(slot, "transmitted" or "dropped", unit id) for every unit that
+        leaves by the horizon. Units leave in stream order, so the list is
+        ordered by slot, transmissions before drops within a slot."""
+        rows = []
+        for uid, (_, start, end) in self.world.byte_ranges.items():
+            i, lost = _departure(self.tx_end, self.removed, self.drops, start, end)
+            if i == len(self.queue_bytes):
+                break
+            rows.append((self.world.t0 + i, "dropped" if lost else "transmitted", uid))
+        return rows
 
 
 def evolve(world: QueueWorld, attacked: frozenset[int] | set[int],
            tracked: tuple[str, ...]) -> QueueTrace:
-    """Per-unit engine over [t0, horizon] with attacked slots transmitting nothing."""
-    arrivals = world.arrivals_map()
-    state = QueueState(world.initial_units, world.t0 - 1)
-    initial_total = state.total_bytes
-    arrived_total = 0
-    transmitted_total = 0
-    dropped_total = 0
-
+    """Evolve the queue over [t0, horizon]; attacked slots transmit nothing."""
+    inflow, transmissible = world.inflow, world.transmissible
+    capacity, volume = world.capacity_bytes, world.volume_bytes
+    q = gone = 0
     queue_bytes: list[int] = []
-    outcomes: list[SlotOutcome] = []
-    subqueue: dict[str, list[int]] = {uid: [] for uid in tracked}
-    evacuation: dict[str, float] = {}
-    dropped: dict[str, bool] = {uid: False for uid in tracked}
-    drop_slot: dict[str, int | None] = {uid: None for uid in tracked}
-
-    for t in range(world.t0, world.horizon + 1):
-        units_in = list(arrivals.get(t, ()))
-        arrived_total += sum(size for _, size in units_in)
-        state, outcome = step(state, units_in, t in world.transmissible,
-                              t in attacked, world.capacity_bytes, world.volume_bytes)
-        transmitted_total += outcome.transmitted_bytes
-        dropped_total += outcome.dropped_bytes
-        queue_bytes.append(state.total_bytes)
-        outcomes.append(outcome)
-        for uid in tracked:
-            if not dropped[uid] and uid in outcome.dropped_unit_ids:
-                dropped[uid] = True
-                drop_slot[uid] = t
-                evacuation[uid] = INF
-            if uid not in evacuation and uid in outcome.transmitted_unit_ids:
-                evacuation[uid] = t
-            # a partially dropped unit may leave bytes aboard; its sub-queue is void
-            subqueue[uid].append(0 if dropped[uid] else state.subqueue_bytes(uid))
-
-    for uid in tracked:
-        evacuation.setdefault(uid, INF)
-
-    return QueueTrace(
-        t0=world.t0,
-        horizon=world.horizon,
-        queue_bytes=tuple(queue_bytes),
-        outcomes=tuple(outcomes),
-        subqueue={uid: tuple(vals) for uid, vals in subqueue.items()},
-        evacuation=evacuation,
-        last_full=_landmarks(world.t0, world.capacity_bytes, queue_bytes, evacuation),
-        dropped=dropped,
-        drop_slot=drop_slot,
-        initial_total=initial_total,
-        arrived_total=arrived_total,
-        transmitted_total=transmitted_total,
-        dropped_total=dropped_total,
-        remaining_total=state.total_bytes,
-    )
-
-
-def evolve_aggregate(world: QueueWorld, attacked: frozenset[int] | set[int],
-                     tracked: tuple[str, ...]) -> QueueTrace:
-    """Length-arithmetic engine; byte-identical to evolve() on shared fields.
-
-    Event lists are empty here: only lengths, sub-queue lengths, and the
-    per-target landmarks are computed.
-    """
-    inputs: dict[int, int] = {}
-    for t, units in world.arrivals:
-        inputs[t] = sum(size for _, size in units)
-    arrived_total = sum(amount for t, amount in inputs.items()
-                        if world.t0 <= t <= world.horizon)
-
-    # sub-queue length and own size per tracked unit, at t0
-    tracked_set = set(tracked)
-    sub: dict[str, int] = {}
-    own: dict[str, int] = {}
-    running = 0
-    for uid, size in world.initial_units:
-        running += size
-        if uid in tracked_set:
-            sub[uid] = running
-            own[uid] = size
-    arrivals = world.arrivals_map()
-
-    initial_total = running
-    q = running
-    transmitted_total = 0
-    dropped_total = 0
-    queue_bytes: list[int] = []
-    outcomes: list[SlotOutcome] = []
-    subqueue: dict[str, list[int]] = {uid: [] for uid in tracked}
-    evacuation: dict[str, float] = {}
-    dropped: dict[str, bool] = {uid: False for uid in tracked}
-    drop_slot: dict[str, int | None] = {uid: None for uid in tracked}
-    active: list[str] = [uid for uid in tracked if uid in sub]
-
-    for t in range(world.t0, world.horizon + 1):
-        # arrivals join in trace order, each behind the bytes already aboard
-        for uid, size in arrivals.get(t, ()):
-            q += size
-            if uid in tracked_set:
-                sub[uid] = q
-                own[uid] = size
-                active.append(uid)
-        o = min(world.volume_bytes, q) if (t in world.transmissible and t not in attacked) else 0
-        q -= o
-        d = _rounded_drop(q, world.capacity_bytes, world.volume_bytes)
-        q -= d
-        transmitted_total += o
-        dropped_total += d
-
-        for uid in list(active):
-            s = sub[uid]
-            r = own[uid]
-            take = min(s, o)
-            into_own = max(0, take - (s - r))
-            s -= take
-            r -= into_own
-            if r == 0:
-                evacuation[uid] = t
-                sub[uid] = 0
-                active.remove(uid)
-                continue
-            lost = min(s, d)
-            if lost > s - r:
-                dropped[uid] = True
-                drop_slot[uid] = t
-                evacuation[uid] = INF
-                sub[uid] = 0
-                active.remove(uid)
-                continue
-            sub[uid] = s - lost
-            own[uid] = r
-
+    tx_end: list[int] = []
+    removed: list[int] = []
+    drops: list[int] = []
+    full: list[int] = []
+    for i, t in enumerate(range(world.t0, world.horizon + 1)):
+        q += inflow.get(t, 0)
+        if t in transmissible and t not in attacked:
+            o = min(volume, q)
+            q -= o
+            gone += o
+        tx_end.append(gone)
+        if q > capacity:
+            d = min(max(q - capacity, volume), q)
+            q -= d
+            gone += d
+            drops.append(i)
+        removed.append(gone)
+        if q == capacity:
+            full.append(i)
         queue_bytes.append(q)
-        outcomes.append(SlotOutcome(t, o, d, (), ()))
-        for uid in tracked:
-            subqueue[uid].append(sub.get(uid, 0))
 
+    evacuation: dict[str, float] = {}
+    last_full: dict[str, int] = {}
+    dropped: dict[str, bool] = {}
+    drop_slot: dict[str, int | None] = {}
     for uid in tracked:
-        evacuation.setdefault(uid, INF)
+        _, start, end = world.byte_ranges[uid]
+        i, lost = _departure(tx_end, removed, drops, start, end)
+        evacuation[uid] = INF if lost or i == len(queue_bytes) else world.t0 + i
+        dropped[uid] = lost
+        drop_slot[uid] = world.t0 + i if lost else None
+        j = bisect_left(full, i)
+        last_full[uid] = world.t0 + (full[j - 1] if j else 0)
 
-    return QueueTrace(
-        t0=world.t0,
-        horizon=world.horizon,
-        queue_bytes=tuple(queue_bytes),
-        outcomes=tuple(outcomes),
-        subqueue={uid: tuple(vals) for uid, vals in subqueue.items()},
-        evacuation=evacuation,
-        last_full=_landmarks(world.t0, world.capacity_bytes, queue_bytes, evacuation),
-        dropped=dropped,
-        drop_slot=drop_slot,
-        initial_total=initial_total,
-        arrived_total=arrived_total,
-        transmitted_total=transmitted_total,
-        dropped_total=dropped_total,
-        remaining_total=q,
-    )
-
-
-def attack_strength(world: QueueWorld, strategy: frozenset[int], extra_slot: int,
-                    unit_id: str) -> float:
-    """Added evacuation delay from attacking one more slot; inf if it drops the unit."""
-    base = evolve_aggregate(world, strategy, (unit_id,))
-    more = evolve_aggregate(world, frozenset(strategy) | {extra_slot}, (unit_id,))
-    te0, te1 = base.t_e(unit_id), more.t_e(unit_id)
-    if te1 == INF:
-        return INF if te0 != INF else 0
-    return te1 - te0
+    return QueueTrace(world, queue_bytes, tx_end, removed, drops,
+                      evacuation, last_full, dropped, drop_slot)
 
 
 TRACE_EVENT_HEADER = ["slot", "event", "unit_id"]
@@ -369,22 +221,13 @@ def save_trace(path: str, trace: QueueTrace, tracked: tuple[str, ...],
                fmt: str = "csv") -> None:
     from .output import emit
 
-    rows = []
-    for i, outcome in enumerate(trace.outcomes):
-        row = [outcome.slot, trace.queue_bytes[i],
-               outcome.transmitted_bytes, outcome.dropped_bytes]
-        row.extend(trace.subqueue[uid][i] for uid in tracked)
-        rows.append(row)
-    emit(path, trace_header(tracked), rows, fmt)
+    slots = range(trace.world.t0, trace.world.horizon + 1)
+    columns = [slots, trace.queue_bytes, trace.tx_bytes, trace.drop_bytes,
+               *(trace.subqueue(uid) for uid in tracked)]
+    emit(path, trace_header(tracked), [list(row) for row in zip(*columns)], fmt)
 
 
 def save_trace_events(path: str, trace: QueueTrace, fmt: str = "csv") -> None:
     from .output import emit
 
-    rows = []
-    for outcome in trace.outcomes:
-        for uid in outcome.transmitted_unit_ids:
-            rows.append([outcome.slot, "transmitted", uid])
-        for uid in outcome.dropped_unit_ids:
-            rows.append([outcome.slot, "dropped", uid])
-    emit(path, TRACE_EVENT_HEADER, rows, fmt)
+    emit(path, TRACE_EVENT_HEADER, [list(row) for row in trace.events()], fmt)

@@ -105,7 +105,7 @@ def test_verify_overflow_kind(capsys, s0_ovf_path):
     assert json.loads(out)["targets"]["init-003"]["dropped"]
 
 
-def test_simulate_reports_the_target(capsys, s0_path, tmp_path):
+def test_simulate_reports_the_target(capsys, s0_path, s0_ovf_path, tmp_path):
     code, out, _ = run_cli(capsys, "simulate", "--scenario", s0_path)
     assert code == 0
     assert "init-003: evacuates at slot 4" in out
@@ -119,6 +119,14 @@ def test_simulate_reports_the_target(capsys, s0_path, tmp_path):
     events = tmp_path / "trace.events.csv"
     assert events.exists()
     assert events.read_text().splitlines()[0] == "slot,event,unit_id"
+
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", s0_ovf_path,
+                           "--slots", "4,6", "--out", str(trace_path))
+    assert code == 0
+    assert "init-003: dropped at slot 6" in out
+    lines = events.read_text().splitlines()
+    assert len(lines) > 1
+    assert "6,dropped,init-003" in lines
 
 
 def test_strategy_artifacts(capsys, s0_ovf_path, tmp_path):

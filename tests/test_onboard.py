@@ -1,6 +1,7 @@
-"""Queue evolution engines: hand-worked values, conservation, engine parity."""
+"""Queue evolution: hand-worked values, conservation, reference parity."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +9,16 @@ from hypothesis import strategies as st
 
 from oracles import evacuation_slot, fifo_replay, last_full_slot
 from orbitsiege import (
+    AttackContext,
     QueueWorld,
     ValidationError,
     build_s0,
     evolve,
-    evolve_aggregate,
+    load_scenario,
     per_slot_capacity,
+    plan_attack,
 )
-from orbitsiege.onboard import attack_strength, save_trace, save_trace_events, step
-from orbitsiege.onboard import QueueState
+from orbitsiege.onboard import save_trace, save_trace_events
 
 INF = math.inf
 
@@ -50,13 +52,28 @@ def test_world_validation():
         QueueWorld((), (), frozenset(), 1, 1, 6, 5)
 
 
+@pytest.mark.parametrize("initial, arrivals, match", [
+    ((("a", 0),), (), "sizes must be positive"),
+    ((), ((1, (("a", -1),)),), "sizes must be positive"),
+    ((("a", 1),), ((1, (("a", 1),)),), "ids must be unique"),
+    ((), ((1, (("a", 1),)), (1, (("b", 1),))), "strictly increasing"),
+    ((), ((2, (("a", 1),)), (1, (("b", 1),))), "strictly increasing"),
+    ((), ((0, (("a", 1),)),), "within"),
+    ((), ((6, (("a", 1),)),), "within"),
+], ids=["zero-size", "negative-size", "duplicate-id", "repeated-slot",
+        "unordered-slots", "before-t0", "after-horizon"])
+def test_world_rejects_units_the_engine_cannot_place(initial, arrivals, match):
+    with pytest.raises(ValidationError, match=match):
+        QueueWorld(initial, arrivals, frozenset(), 10, 1, 1, 5)
+
+
 def test_desk_baseline_landmarks():
     trace = evolve(desk_world(), frozenset(), (TAU,))
     assert trace.t_e(TAU) == 4
     assert trace.t_lb(TAU) == 0
     assert trace.queue_at(0) == 5
     assert trace.queue_at(2) == 5 and trace.queue_at(3) == 6
-    assert trace.dropped_total == 0
+    assert sum(trace.drop_bytes) == 0
     assert not trace.dropped[TAU]
     assert trace.drop_slot[TAU] is None
 
@@ -64,52 +81,54 @@ def test_desk_baseline_landmarks():
 def test_single_block_adds_two_slots():
     trace = evolve(desk_world(), frozenset({2}), (TAU,))
     assert trace.t_e(TAU) == 6
-    assert trace.dropped_total == 0
+    assert sum(trace.drop_bytes) == 0
 
 
 def test_conservation():
+    world = desk_world(capacity=8)
+    aboard = sum(size for _, size in world.initial_units)
+    arrived = sum(size for _, units in world.arrivals for _, size in units)
     for attacked in (frozenset(), frozenset({2, 4}), frozenset({2, 4, 6, 8})):
-        trace = evolve(desk_world(capacity=8), attacked, (TAU,))
-        moved = trace.transmitted_total + trace.dropped_total + trace.remaining_total
-        assert moved == trace.initial_total + trace.arrived_total
+        trace = evolve(world, attacked, (TAU,))
+        moved = sum(trace.tx_bytes) + sum(trace.drop_bytes) + trace.queue_bytes[-1]
+        assert moved == aboard + arrived
 
 
 def test_rounding_rule_pads_small_drops():
     # a one-byte overflow against a two-byte slot volume drops two bytes
-    state = QueueState((("a", 5), ("b", 5), ("c", 1)), 0)
-    new_state, outcome = step(state, [], transmissible=False, attacked=False,
-                              capacity_bytes=10, volume_bytes=2)
-    assert outcome.dropped_bytes == 2
-    assert new_state.total_bytes == 9
-    assert outcome.dropped_unit_ids == ("a",)
+    world = QueueWorld((("a", 5), ("b", 5), ("c", 1)), (), frozenset(), 10, 2, 0, 0)
+    trace = evolve(world, frozenset(), ())
+    assert trace.drop_bytes == [2]
+    assert trace.queue_bytes == [9]
+    assert trace.events() == [(0, "dropped", "a")]
 
 
 def test_rounding_rule_capped_by_queue():
-    state = QueueState((("a", 1),), 0)
-    new_state, outcome = step(state, [("b", 1)], transmissible=False,
-                              attacked=False, capacity_bytes=1, volume_bytes=5)
+    world = QueueWorld((("a", 1),), ((1, (("b", 1),)),), frozenset(), 1, 5, 1, 1)
+    trace = evolve(world, frozenset(), ())
     # raw overflow 1 rounds up to the 5-byte volume but only 2 are aboard
-    assert outcome.dropped_bytes == 2
-    assert new_state.total_bytes == 0
+    assert trace.drop_bytes == [2]
+    assert trace.queue_bytes == [0]
+    assert trace.events() == [(1, "dropped", "a"), (1, "dropped", "b")]
 
 
 def test_slot_order_arrivals_then_tx_then_drop():
     # the arrival fills the queue to 3; transmission drains 2 before the
     # capacity check, so nothing is dropped
-    state = QueueState((("a", 2),), 1)
-    new_state, outcome = step(state, [("b", 1)], transmissible=True,
-                              attacked=False, capacity_bytes=2, volume_bytes=2)
-    assert outcome.transmitted_bytes == 2
-    assert outcome.dropped_bytes == 0
-    assert outcome.transmitted_unit_ids == ("a",)
-    assert new_state.units == (("b", 1),)
+    world = QueueWorld((("a", 2),), ((2, (("b", 1),)),), frozenset({2}), 2, 2, 2, 2)
+    trace = evolve(world, frozenset(), ("b",))
+    assert trace.tx_bytes == [2]
+    assert trace.drop_bytes == [0]
+    assert trace.events() == [(2, "transmitted", "a")]
+    assert trace.queue_bytes == [1]
+    assert trace.subqueue("b") == [1]
 
 
 def test_attacked_slot_transmits_nothing():
-    state = QueueState((("a", 2),), 1)
-    _, outcome = step(state, [], transmissible=True, attacked=True,
-                      capacity_bytes=10, volume_bytes=2)
-    assert outcome.transmitted_bytes == 0
+    world = QueueWorld((("a", 2),), (), frozenset({1, 2}), 10, 2, 1, 2)
+    trace = evolve(world, frozenset({1}), ("a",))
+    assert trace.tx_bytes == [0, 2]
+    assert trace.t_e("a") == 2
 
 
 def test_drop_voids_evacuation():
@@ -118,7 +137,7 @@ def test_drop_voids_evacuation():
     assert trace.dropped[TAU]
     assert trace.t_e(TAU) == INF
     assert trace.drop_slot[TAU] == 6
-    assert trace.subqueue_at(TAU, 6) == 0
+    assert trace.subqueue(TAU)[6] == 0
 
 
 def test_partial_transmission_is_not_evacuation():
@@ -134,7 +153,7 @@ def test_partial_transmission_is_not_evacuation():
     trace = evolve(world, frozenset(), ("big",))
     # two bytes leave at slot 1, the last byte at slot 2
     assert trace.t_e("big") == 2
-    assert trace.subqueue_at("big", 1) == 1
+    assert trace.subqueue("big")[1] == 1
 
 
 def test_last_full_slot_tracks_capacity_touches():
@@ -149,14 +168,45 @@ def test_last_full_slot_tracks_capacity_touches():
     assert trace.t_lb(TAU) > 0
 
 
+def assert_matches_replay(world, attacked, trace):
+    """Every per-slot count, every tracked unit's landmarks and sub-queue, and
+    every unit's event agree with the naive unit-level FIFO replay."""
+    oracle = fifo_replay(
+        list(world.initial_units),
+        {t: list(units) for t, units in world.arrivals},
+        world.transmissible, attacked,
+        world.capacity_bytes, world.volume_bytes, world.t0, world.horizon)
+    slots = range(world.t0, world.horizon + 1)
+    assert trace.queue_bytes == [oracle["queue"][t] for t in slots]
+    assert trace.tx_bytes == [oracle["o"][t] for t in slots]
+    assert trace.drop_bytes == [oracle["d"][t] for t in slots]
+    for uid in trace.evacuation:
+        # a dropped unit's sub-queue is void from its drop slot on, even
+        # while the replay still holds the rest of its bytes
+        gone = oracle["dropped"].get(uid, INF)
+        subq = oracle["subq"].get(uid, {})
+        assert trace.subqueue(uid) == [subq.get(t, 0) if t < gone else 0
+                                       for t in slots]
+        assert trace.t_e(uid) == evacuation_slot(oracle, uid)
+        assert trace.t_lb(uid) == last_full_slot(
+            oracle, uid, world.capacity_bytes, world.t0)
+        assert trace.dropped[uid] == (uid in oracle["dropped"])
+        assert trace.drop_slot[uid] == oracle["dropped"].get(uid)
+    events = trace.events()
+    assert len({uid for _, _, uid in events}) == len(events)
+    assert {uid: t for t, kind, uid in events if kind == "transmitted"} == oracle["done"]
+    assert {uid: t for t, kind, uid in events if kind == "dropped"} == oracle["dropped"]
+
+
 @st.composite
 def random_world(draw):
-    horizon = draw(st.integers(4, 14))
+    t0 = draw(st.integers(0, 3))
+    horizon = t0 + draw(st.integers(4, 14))
     n_initial = draw(st.integers(0, 6))
     initial = tuple((f"init-{i:03d}", draw(st.integers(1, 4)))
                     for i in range(1, n_initial + 1))
     arrivals = []
-    for t in range(1, horizon + 1):
+    for t in range(t0, horizon + 1):
         units = tuple((f"arr-{t:03d}-{k}", draw(st.integers(1, 4)))
                       for k in range(draw(st.integers(0, 2))))
         if units:
@@ -170,56 +220,57 @@ def random_world(draw):
         transmissible=transmissible,
         capacity_bytes=draw(st.integers(3, 12)),
         volume_bytes=draw(st.integers(1, 5)),
-        t0=0,
+        t0=t0,
         horizon=horizon,
     )
     return world, attacked
 
 
 @settings(max_examples=120, deadline=None)
-@given(random_world())
-def test_engines_agree(world_attacked):
-    """Per-unit and aggregate engines agree on every shared field."""
+@given(random_world(), st.data())
+def test_engines_agree(world_attacked, data):
+    """The engine's answers do not depend on which units it tracks: a random
+    subset sees the same slots, landmarks, sub-queues and events as all."""
     world, attacked = world_attacked
-    tracked = tuple(uid for uid, _ in world.initial_units[:2])
-    tracked += tuple(world.unit_order()[len(world.initial_units):][:1])
-    per_unit = evolve(world, attacked, tracked)
-    aggregate = evolve_aggregate(world, attacked, tracked)
-    assert per_unit.queue_bytes == aggregate.queue_bytes
-    assert per_unit.evacuation == aggregate.evacuation
-    assert per_unit.last_full == aggregate.last_full
-    assert per_unit.dropped == aggregate.dropped
-    assert per_unit.drop_slot == aggregate.drop_slot
-    assert per_unit.subqueue == aggregate.subqueue
-    assert per_unit.transmitted_total == aggregate.transmitted_total
-    assert per_unit.dropped_total == aggregate.dropped_total
-    assert per_unit.remaining_total == aggregate.remaining_total
+    order = list(world.byte_ranges)
+    subset = tuple(uid for uid in order if data.draw(st.booleans()))
+    full = evolve(world, attacked, tuple(order))
+    part = evolve(world, attacked, subset)
+    assert part.queue_bytes == full.queue_bytes
+    assert part.tx_bytes == full.tx_bytes
+    assert part.drop_bytes == full.drop_bytes
+    assert set(part.evacuation) == set(subset)
+    for uid in subset:
+        assert part.t_e(uid) == full.t_e(uid)
+        assert part.t_lb(uid) == full.t_lb(uid)
+        assert part.dropped[uid] == full.dropped[uid]
+        assert part.drop_slot[uid] == full.drop_slot[uid]
+        assert part.subqueue(uid) == full.subqueue(uid)
+    assert part.events() == full.events()
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_world())
-def test_per_unit_engine_matches_reference(world_attacked):
+@settings(max_examples=200, deadline=None)
+@given(random_world(), st.data())
+def test_per_unit_engine_matches_reference(world_attacked, data):
+    """Every unit's fate read off the byte intervals matches the unit-level
+    FIFO replay, for a random set of tracked units."""
     world, attacked = world_attacked
-    tracked = tuple(world.unit_order()[:3])
-    trace = evolve(world, attacked, tracked)
-    oracle = fifo_replay(
-        list(world.initial_units),
-        {t: list(units) for t, units in world.arrivals},
-        world.transmissible, attacked,
-        world.capacity_bytes, world.volume_bytes, world.t0, world.horizon)
-    for t in range(world.t0, world.horizon + 1):
-        assert trace.queue_at(t) == oracle["queue"][t]
-    for uid in tracked:
-        assert trace.t_e(uid) == evacuation_slot(oracle, uid)
+    order = list(world.byte_ranges)
+    tracked = tuple(uid for uid in order if data.draw(st.booleans()))
+    assert_matches_replay(world, attacked, evolve(world, attacked, tracked))
 
 
-def test_attack_strength_measures_added_delay():
-    world = desk_world()
-    assert attack_strength(world, frozenset(), 2, TAU) == 2
-    # attacking past the evacuation slot moves nothing
-    assert attack_strength(world, frozenset(), 10, TAU) == 0
-    strength = attack_strength(desk_world(capacity=8), frozenset({4}), 6, TAU)
-    assert strength == INF
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+@pytest.mark.parametrize("name, kind", [("constellation_24h", "delay"),
+                                        ("s0_ovf", "overflow")])
+def test_bundled_scenario_plan_matches_reference(name, kind):
+    scenario = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
+    ctx = AttackContext.from_scenario(scenario)
+    strategy = plan_attack(scenario, kind, extra_m=0)
+    assert strategy.slots
+    assert_matches_replay(ctx.world, strategy.slot_set, ctx.trace(strategy.slot_set))
 
 
 def test_per_slot_capacity_floor():
@@ -240,4 +291,4 @@ def test_trace_outputs(tmp_path):
     save_trace_events(events, trace)
     text = open(events, encoding="utf-8").read()
     assert text.splitlines()[0] == "slot,event,unit_id"
-    assert any(",dropped," in line for line in text.splitlines()[1:])
+    assert f"6,dropped,{TAU}" in text.splitlines()[1:]

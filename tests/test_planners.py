@@ -140,7 +140,7 @@ def test_delay_matches_exhaustive_cost():
             continue
         # keep to the no-overflow regime
         worst = ctx.trace(set(ctx.attackable))
-        if worst.dropped_total > 0:
+        if sum(worst.drop_bytes) > 0:
             continue
         te0 = base.t_e(tau)
         deadline = int(te0) + int(rng.integers(1, 4))
