@@ -16,8 +16,8 @@ from .errors import (AttackFail, BadChecksum, BadLayout, Infeasible, IoError,
                      ValidationError)
 from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, PointResult,
                          SweepResult, TrialRecord, derive_rng, extend_targets,
-                         perturb, plan_attack, run_trial, save_aggregate,
-                         save_report, sweep)
+                         perturb, plan_attack, save_aggregate, save_report,
+                         sweep)
 from .onboard import (QueueTrace, QueueWorld, evolve, per_slot_capacity,
                       save_trace, save_trace_events)
 from .orbit import (ContactWindow, compute_contact_windows, elevation_deg,
@@ -51,7 +51,7 @@ __all__ = [
     "derive_rng", "elevation_deg", "evolve",
     "extend_targets", "hungarian", "load_contact_windows", "load_scenario",
     "parse_tle", "per_slot_capacity", "perturb", "plan_attack", "plan_delay",
-    "plan_overflow", "propagate", "run_trial", "save_aggregate",
+    "plan_overflow", "propagate", "save_aggregate",
     "save_attackability", "save_contact_windows", "save_report",
     "save_scenario", "save_strategy", "save_strategy_summary", "save_trace",
     "save_trace_events", "scenario_from_dict", "scenario_to_dict", "sweep",

@@ -22,13 +22,14 @@ from .errors import AttackFail, OrbitSiegeError, ValidationError
 from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, aggregate_rows,
                          plan_attack, save_aggregate, save_report, sweep)
 from .onboard import save_trace, save_trace_events
-from .orbit import (compute_contact_windows, load_contact_windows,
-                    save_contact_windows)
+from .orbit import (WINDOW_HEADER, compute_contact_windows,
+                    load_contact_windows, save_contact_windows, window_rows)
 from .output import csv_text, json_text
 from .planner_delay import verify_delay
 from .planner_overflow import verify_overflow
 from .scenario import load_scenario
-from .scheduler import ATTACKABILITY_HEADER, attackability_for, save_attackability
+from .scheduler import (ATTACKABILITY_HEADER, attackability_for,
+                        attackability_rows, save_attackability)
 
 
 def _derived_path(path: str, tag: str, ext: str | None = None) -> str:
@@ -93,11 +94,7 @@ def _cmd_windows(args) -> int:
         save_contact_windows(args.out, windows, args.format)
         print(f"{len(windows)} contact windows -> {args.out}")
     else:
-        from .orbit import WINDOW_HEADER
-
-        rows = [[w.slot, w.satellite_id, w.station_id, w.elevation_deg]
-                for w in windows]
-        sys.stdout.write(csv_text(WINDOW_HEADER, rows))
+        sys.stdout.write(csv_text(WINDOW_HEADER, window_rows(windows)))
     return 0
 
 
@@ -112,9 +109,7 @@ def _cmd_schedule(args) -> int:
         print(f"{transmissible} transmissible / {attackable} attackable slots "
               f"-> {args.out}")
     else:
-        rows = [[r.slot, r.transmissible, r.attackable, r.required_high, r.cost]
-                for r in records]
-        sys.stdout.write(csv_text(ATTACKABILITY_HEADER, rows))
+        sys.stdout.write(csv_text(ATTACKABILITY_HEADER, attackability_rows(records)))
     return 0
 
 

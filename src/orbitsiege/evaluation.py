@@ -4,8 +4,8 @@ enforcement, and parameter sweeps with box statistics.
 The attacker plans on the nominal scenario; each trial then replays the
 planned slots on a perturbed "true world" where the target satellite's unit
 sizes, downlink rate, and initial-queue length differ from the estimate.
-Geometry never varies, so contact windows and attackability are computed once
-and shared across trials.
+Geometry never varies, so each sweep point computes attackability and builds
+one nominal attack context; a trial perturbs only that context's queue world.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import numpy as np
 
 from .attack import AttackContext, AttackStrategy
 from .errors import AttackFail, OrbitSiegeError, ValidationError
+from .onboard import QueueWorld
 from .planner_delay import DelayPlanRequest, plan_delay
 from .planner_overflow import OverflowPlanRequest, plan_overflow
-from .scenario import ConstellationScenario, DataUnit
+from .scenario import ConstellationScenario
 from .scheduler import attackability_for
 
 INF = math.inf
@@ -47,17 +48,11 @@ class NoiseModel:
     size_std_ratio: float = 0.1
     rate_std_ratio: float = 0.1
     queue_len_std_ratio: float = 0.1
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("size_std_ratio", "rate_std_ratio", "queue_len_std_ratio"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name} outside [0, 1]")
-
-    @property
-    def silent(self) -> bool:
-        return (self.size_std_ratio == 0.0 and self.rate_std_ratio == 0.0
-                and self.queue_len_std_ratio == 0.0)
 
 
 @dataclass(frozen=True)
@@ -127,74 +122,52 @@ class SweepResult:
         return tuple((p.value, p.error) for p in self.points if p.error)
 
 
-def _resample(rng, nominal: int, std_ratio: float) -> int:
-    """Gaussian around nominal, clipped at the truncation floor, at least 1."""
+def _resample(rng, nominal, std_ratio: float) -> np.ndarray:
+    """Gaussian around each nominal value, clipped at the truncation floor,
+    at least 1; one draw per element, in order."""
+    nominal = np.asarray(nominal, dtype=float)
     draw = rng.normal(nominal, std_ratio * nominal)
-    return max(1, int(round(max(draw, TRUNCATION_RATIO * nominal))))
+    floor = np.maximum(draw, TRUNCATION_RATIO * nominal)
+    return np.maximum(1, np.rint(floor)).astype(np.int64)
 
 
-def perturb(scenario: ConstellationScenario, noise: NoiseModel,
-            rng=None) -> ConstellationScenario:
-    """The true world behind the attacker's estimate.
+def perturb(scenario: ConstellationScenario, world: QueueWorld,
+            noise: NoiseModel, rng) -> QueueWorld:
+    """The true queue world behind the attacker's estimate of the target.
 
-    Only the target satellite is touched. Draw order is fixed: downlink rate,
-    then the initial-queue length shift, then one size per unit (initial
-    queue head to tail, then capture trace in order), so a given rng state
-    always yields the same world. The shift inserts synthetic units at the
-    HEAD of the initial queue (ahead of any target) or removes head units,
-    never removing a target unit or anything behind the first one.
+    world is the nominal world built from scenario. Draw order is fixed:
+    downlink rate, then the initial-queue length shift, then one size per
+    unit in stream order (initial queue head to tail, then arrivals), so a
+    given rng state always yields the same world. The shift inserts
+    synthetic units at the HEAD of the initial queue (ahead of any target)
+    or removes head units, never removing a target unit or anything behind
+    the first one.
     """
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
-    sat_id = scenario.target.satellite_id
-    sat = scenario.satellite(sat_id)
+    rate = int(_resample(rng, scenario.target_satellite.downlink_rate_bps,
+                         noise.rate_std_ratio))
 
-    rate = _resample(rng, sat.downlink_rate_bps, noise.rate_std_ratio)
-
-    initial = list(scenario.initial_units(sat_id))
+    initial = list(world.initial_units)
+    # an empty queue has std 0, so only a non-empty one ever grows
     shift = int(round(rng.normal(0.0, noise.queue_len_std_ratio * len(initial))))
     if shift > 0:
-        if initial:
-            reference = initial[0].size_bytes
-        else:
-            sizes = [u.size_bytes for u in scenario.trace_for(sat_id)]
-            reference = int(round(sum(sizes) / len(sizes))) if sizes else 0
-        if reference > 0:
-            inserted = [DataUnit(f"jit-{i:03d}", sat_id, 0, reference)
-                        for i in range(1, shift + 1)]
-            initial = inserted + initial
+        reference = initial[0][1]
+        initial = [(f"jit-{i:03d}", reference) for i in range(1, shift + 1)] + initial
     elif shift < 0:
         targets = set(scenario.target.target_unit_ids)
-        removable = len(initial)
-        for i, unit in enumerate(initial):
-            if unit.unit_id in targets:
-                removable = i
-                break
+        removable = next((i for i, (uid, _) in enumerate(initial) if uid in targets),
+                         len(initial))
         initial = initial[min(-shift, removable):]
 
-    initial = [replace(u, size_bytes=_resample(rng, u.size_bytes, noise.size_std_ratio))
-               for u in initial]
-    trace = tuple(
-        replace(u, size_bytes=_resample(rng, u.size_bytes, noise.size_std_ratio))
-        if u.satellite_id == sat_id else u
-        for u in scenario.trace)
-
-    satellites = tuple(
-        replace(s, downlink_rate_bps=rate) if s.id == sat_id else s
-        for s in scenario.satellites)
-    queue = []
-    placed = False
-    for sid, units in scenario.initial_queue:
-        if sid == sat_id:
-            queue.append((sid, tuple(initial)))
-            placed = True
-        else:
-            queue.append((sid, units))
-    if not placed and initial:
-        queue.append((sat_id, tuple(initial)))
-
-    return replace(scenario, satellites=satellites, trace=trace,
-                   initial_queue=tuple(queue))
+    units = initial + [unit for _, group in world.arrivals for unit in group]
+    sizes = _resample(rng, [size for _, size in units], noise.size_std_ratio).tolist()
+    resized = iter(zip((uid for uid, _ in units), sizes))
+    return replace(
+        world,
+        initial_units=tuple(next(resized) for _ in initial),
+        arrivals=tuple((t, tuple(next(resized) for _ in group))
+                       for t, group in world.arrivals),
+        volume_bytes=rate * scenario.time.slot_seconds // 8,
+    )
 
 
 def extend_targets(targets: tuple[str, ...], units, m: int) -> tuple[str, ...]:
@@ -233,11 +206,10 @@ def plan_attack(scenario: ConstellationScenario, kind: str, extra_m: int,
     return plan_overflow(OverflowPlanRequest.from_scenario(plan_scenario, windows, records))
 
 
-def _judge(scenario: ConstellationScenario, kind: str, strategy, budget,
-           noise: NoiseModel, rng, records) -> TrialRecord:
+def _judge(scenario: ConstellationScenario, nominal: AttackContext, kind: str,
+           strategy, budget, noise: NoiseModel, rng) -> TrialRecord:
     """Execute a planned strategy (or a failed plan) against one true world."""
-    true_world = perturb(scenario, noise, rng)
-    ctx = AttackContext.from_scenario(true_world, records=records)
+    ctx = replace(nominal, world=perturb(scenario, nominal.world, noise, rng))
     base = ctx.trace()
     if kind == "delay":
         deadline = scenario.target.target_downlink_slot
@@ -256,23 +228,6 @@ def _judge(scenario: ConstellationScenario, kind: str, strategy, budget,
     else:
         success = all(trace.dropped[uid] for uid in ctx.targets)
     return TrialRecord(success, natural, strategy.cost, strategy.slots)
-
-
-def run_trial(scenario: ConstellationScenario, kind: str, noise: NoiseModel,
-              rng, budget: float | None = None, extra_m: int = 0,
-              windows=None, records=None) -> TrialRecord:
-    """One plan-then-execute trial. Planner failure is data, not an error."""
-    if kind not in KINDS:
-        raise ValidationError(f"kind must be one of {KINDS}")
-    if records is None:
-        records = attackability_for(scenario, windows)
-    try:
-        strategy = plan_attack(scenario, kind, extra_m, records=records)
-    except AttackFail:
-        strategy = None
-    if budget is None:
-        budget = scenario.target.cost_budget
-    return _judge(scenario, kind, strategy, budget, noise, rng, records)
 
 
 def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
@@ -366,6 +321,7 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
                 strategy = None
             if budget is None:
                 budget = point_scenario.target.cost_budget
+            nominal = AttackContext.from_scenario(point_scenario, records=records)
 
             group_count = min(config.seed_groups, config.trials)
             records_out: list[TrialRecord] = []
@@ -377,8 +333,8 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
                 for trial in range(size):
                     rng = derive_rng(config.master_seed, config.axis, value,
                                      group, trial)
-                    record = _judge(point_scenario, config.kind, strategy,
-                                    budget, noise, rng, records)
+                    record = _judge(point_scenario, nominal, config.kind,
+                                    strategy, budget, noise, rng)
                     records_out.append(record)
                     wins += record.success
                 ratios.append(wins / size)

@@ -242,11 +242,14 @@ def compute_contact_windows(scenario: ConstellationScenario) -> list[ContactWind
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]
 
 
+def window_rows(windows: list[ContactWindow]) -> list[list]:
+    return [[w.slot, w.satellite_id, w.station_id, w.elevation_deg] for w in windows]
+
+
 def save_contact_windows(path: str, windows: list[ContactWindow], fmt: str = "csv") -> None:
     from .output import emit
 
-    rows = [[w.slot, w.satellite_id, w.station_id, w.elevation_deg] for w in windows]
-    emit(path, WINDOW_HEADER, rows, fmt)
+    emit(path, WINDOW_HEADER, window_rows(windows), fmt)
 
 
 def load_contact_windows(path: str, scenario: ConstellationScenario) -> list[ContactWindow]:

@@ -223,10 +223,13 @@ def attackability_for(scenario: ConstellationScenario,
 ATTACKABILITY_HEADER = ["slot", "transmissible", "attackable", "required_high", "cost"]
 
 
+def attackability_rows(records: list[AttackabilityRecord]) -> list[list]:
+    return [[r.slot, r.transmissible, r.attackable, r.required_high_priority, r.cost]
+            for r in records]
+
+
 def save_attackability(path: str, records: list[AttackabilityRecord],
                        fmt: str = "csv") -> None:
     from .output import emit
 
-    rows = [[r.slot, r.transmissible, r.attackable, r.required_high_priority, r.cost]
-            for r in records]
-    emit(path, ATTACKABILITY_HEADER, rows, fmt)
+    emit(path, ATTACKABILITY_HEADER, attackability_rows(records), fmt)

@@ -4,7 +4,7 @@ build_s0 / build_s0_ovf produce the desk-sized queue scenarios used across
 the test suite: one-byte units, a two-byte slot volume, and an inline
 attackability table (even slots from 2 on, unit price), so no orbital content
 is involved. build_constellation produces a full 24-hour two-constellation
-world with propagated orbits, used by the evaluation trend tests.
+world with propagated orbits.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """End-to-end command-line checks: output text, artifacts, exit codes."""
 
+import hashlib
 import json
+import os
 import shutil
 import subprocess
 
@@ -24,6 +26,13 @@ def s0_ovf_path(tmp_path):
     path = tmp_path / "s0_ovf.json"
     save_scenario(build_s0_ovf(), str(path))
     return str(path)
+
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+def bundled(name):
+    return os.path.join(SCENARIOS, f"{name}.json")
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +195,18 @@ def test_windows_and_schedule_pipeline(capsys, tmp_path):
     assert lines[1:] == expect
 
 
+@pytest.mark.parametrize("command, name", [("windows", "constellation_24h"),
+                                           ("schedule", "s0"),
+                                           ("schedule", "constellation_24h")])
+def test_stdout_mode_prints_the_artifact(capsys, tmp_path, command, name):
+    code, printed, err = run_cli(capsys, command, "--scenario", bundled(name))
+    assert code == 0 and err == ""
+    out = tmp_path / "artifact.csv"
+    assert run_cli(capsys, command, "--scenario", bundled(name),
+                   "--out", str(out))[0] == 0
+    assert printed.encode("utf-8") == out.read_bytes()
+
+
 def test_sweep_is_byte_identical(capsys, s0_path, tmp_path):
     args = ["sweep", "--scenario", s0_path, "--kind", "delay",
             "--axis", "budget", "--values", "0.5,1", "--trials", "6",
@@ -197,6 +218,36 @@ def test_sweep_is_byte_identical(capsys, s0_path, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert (tmp_path / "a.aggregate.csv").read_bytes() == \
         (tmp_path / "b.aggregate.csv").read_bytes()
+
+
+# SHA-256 of sweep artifacts recorded before the trial loop stopped
+# rebuilding the scenario per trial; both sweeps mix successes, failures
+# and natural outcomes, and noise 0.6 on 30 head units makes the queue
+# shift insert and remove head units and hit the truncation floor
+GOLDEN_SWEEPS = [
+    ("s0_ovf", ["--kind", "overflow", "--values", "0.05,0.15", "--trials", "40"], {
+        "ovf.csv": "a3af31a3d953689d0fb189bd4859cc6d9a0e49bb9e57f6e2594cd260ff594486",
+        "ovf.aggregate.csv":
+            "6273b54076c900d3e272fb3ad755e80ff81ca8972ec0da66c22f161df4087338",
+    }),
+    ("constellation_24h", ["--kind", "delay", "--values", "0.1,0.6", "--trials", "20"], {
+        "c24.csv": "a0b7ff49c57bdf8d7841e970cb290b4f6a3b76b3e1422b7a57855a7e12a906f3",
+        "c24.aggregate.csv":
+            "e4fddbdd0f5c3342f5b390444d919249c480671c499806d9dd63c651ea87d2bc",
+    }),
+]
+
+
+@pytest.mark.parametrize("name, opts, digests", GOLDEN_SWEEPS)
+def test_sweep_matches_golden_digests(capsys, tmp_path, name, opts, digests):
+    out = tmp_path / next(iter(digests))
+    code, _, err = run_cli(capsys, "sweep", "--scenario", bundled(name),
+                           "--axis", "noise_ratio", *opts, "--seed", "7",
+                           "--out", str(out))
+    assert code == 0 and err == ""
+    got = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+           for file in digests}
+    assert got == digests
 
 
 def test_sweep_stdout_mode_prints_aggregate(capsys, s0_path):

@@ -8,8 +8,8 @@ import pytest
 
 from orbitsiege import (AttackContext, EvalConfig, NoiseModel, ValidationError,
                         derive_rng, extend_targets, perturb, plan_attack,
-                        run_trial, save_aggregate, save_report, sweep,
-                        verify_delay, verify_overflow)
+                        save_aggregate, save_report, sweep, verify_delay,
+                        verify_overflow)
 from orbitsiege.evaluation import (TRUNCATION_RATIO, _resample,
                                    aggregate_rows, report_rows)
 from orbitsiege.synth import build_s0, build_s0_ovf
@@ -22,8 +22,6 @@ def test_noise_model_bounds():
         NoiseModel(size_std_ratio=1.5)
     with pytest.raises(ValidationError, match="queue_len_std_ratio"):
         NoiseModel(queue_len_std_ratio=-0.1)
-    assert SILENT.silent
-    assert not NoiseModel(0.0, 0.2, 0.0).silent
 
 
 def test_eval_config_validation():
@@ -46,7 +44,7 @@ def test_eval_config_validation():
 def test_resample_statistics():
     rng = np.random.default_rng(5)
     nominal, ratio = 10_000, 0.2
-    draws = np.array([_resample(rng, nominal, ratio) for _ in range(10_000)])
+    draws = _resample(rng, np.full(10_000, nominal), ratio)
     assert abs(draws.mean() - nominal) < 0.01 * nominal
     assert abs(draws.std() - ratio * nominal) < 0.05 * ratio * nominal
     assert draws.min() >= 1
@@ -55,52 +53,97 @@ def test_resample_statistics():
 def test_resample_truncation_floor():
     rng = np.random.default_rng(6)
     nominal = 100
-    draws = [_resample(rng, nominal, 1.0) for _ in range(10_000)]
-    assert min(draws) >= round(TRUNCATION_RATIO * nominal)
+    draws = _resample(rng, np.full(10_000, nominal), 1.0)
+    assert draws.min() >= round(TRUNCATION_RATIO * nominal)
+
+
+def test_resample_draws_like_scalar_calls():
+    # one array call consumes the stream and rounds exactly as a loop of
+    # scalar draws with Python's round (half to even) does; a 25- or 45-byte
+    # unit clipped at the truncation floor lands on 2.5 or 4.5
+    nominal = [7, 100, 2_000_000_000, 1, 3] + [25, 45] * 10
+    for ratio in (0.0, 0.5, 1.0):
+        batch = _resample(np.random.default_rng(8), nominal, ratio).tolist()
+        rng = np.random.default_rng(8)
+        loop = [max(1, int(round(max(rng.normal(n, ratio * n), TRUNCATION_RATIO * n))))
+                for n in nominal]
+        assert batch == loop
+
+
+def nominal_world(scenario):
+    return AttackContext.from_scenario(scenario).world
+
+
+def unit_ids(units):
+    return [uid for uid, _ in units]
 
 
 def test_perturb_silent_noise_is_identity():
     scenario = build_s0()
-    assert perturb(scenario, SILENT, np.random.default_rng(0)) == scenario
+    world = nominal_world(scenario)
+    assert perturb(scenario, world, SILENT, np.random.default_rng(0)) == world
 
 
 def test_perturb_is_deterministic_per_stream():
     scenario = build_s0()
+    world = nominal_world(scenario)
     noise = NoiseModel(0.3, 0.3, 0.3)
-    a = perturb(scenario, noise, np.random.default_rng(42))
-    b = perturb(scenario, noise, np.random.default_rng(42))
-    c = perturb(scenario, noise, np.random.default_rng(43))
+    a = perturb(scenario, world, noise, np.random.default_rng(42))
+    b = perturb(scenario, world, noise, np.random.default_rng(42))
+    c = perturb(scenario, world, noise, np.random.default_rng(43))
     assert a == b
     assert a != c
 
 
 def test_perturb_touches_only_the_target_satellite():
+    # the true world is the target's queue alone, so other satellites cannot
+    # change; within it only unit sizes, head jit- units and the per-slot
+    # volume may differ from the nominal world
     scenario = build_s0()
-    bystander = replace(scenario.satellites[0], id="obs-2")
-    crowded = replace(scenario, satellites=scenario.satellites + (bystander,))
-    noise = NoiseModel(0.4, 0.4, 0.0)
-    true_world = perturb(crowded, noise, np.random.default_rng(9))
-    assert true_world.satellite("obs-2") == bystander
-    assert true_world.satellite("obs-1").downlink_rate_bps != \
-        crowded.satellite("obs-1").downlink_rate_bps or \
-        [u.size_bytes for u in true_world.initial_units("obs-1")] != \
-        [u.size_bytes for u in crowded.initial_units("obs-1")]
+    world = nominal_world(scenario)
+    head = unit_ids(world.initial_units)
+    # s0 downlinks 2 bytes per slot; more rate noise can stall it (see
+    # test_sweep_flags_a_degenerate_true_world)
+    noise = NoiseModel(0.4, 0.1, 0.4)
+    changed = False
+    for seed in range(20):
+        true_world = perturb(scenario, world, noise, np.random.default_rng(seed))
+        for name in ("transmissible", "capacity_bytes", "t0", "horizon"):
+            assert getattr(true_world, name) == getattr(world, name)
+        assert [(t, unit_ids(group)) for t, group in true_world.arrivals] == \
+            [(t, unit_ids(group)) for t, group in world.arrivals]
+        ids = unit_ids(true_world.initial_units)
+        jits = [uid for uid in ids if uid.startswith("jit-")]
+        kept = ids[len(jits):]
+        assert ids[:len(jits)] == jits
+        assert kept == head[len(head) - len(kept):]
+        assert not jits or kept == head
+        changed |= true_world.volume_bytes != world.volume_bytes or \
+            true_world.initial_units != world.initial_units
+    assert changed
 
 
 def test_perturb_queue_shift_never_eats_the_target():
     # heavy length noise: head insertions show up as jit- units, head
     # removals stop at the first target unit (init-003, two units deep)
     scenario = build_s0()
+    world = nominal_world(scenario)
     noise = NoiseModel(0.0, 0.0, 1.0)
     saw_insert = saw_remove = False
     for seed in range(60):
-        world = perturb(scenario, noise, np.random.default_rng(seed))
-        ids = [u.unit_id for u in world.initial_units("obs-1")]
+        true_world = perturb(scenario, world, noise, np.random.default_rng(seed))
+        ids = unit_ids(true_world.initial_units)
         assert "init-003" in ids
         tail = ids[ids.index("init-003"):]
         assert tail == ["init-003", "init-004", "init-005"]
         jits = [uid for uid in ids if uid.startswith("jit-")]
         assert ids[:len(jits)] == jits, "insertions must sit at the head"
+        # the shift is the second draw of the stream, after the rate's
+        ref = np.random.default_rng(seed)
+        ref.standard_normal()
+        shift = round(5 * ref.standard_normal())
+        assert len(jits) == max(shift, 0)
+        assert ids[len(jits):] == unit_ids(world.initial_units)[min(max(-shift, 0), 2):]
         if jits:
             saw_insert = True
         if "init-001" not in ids:
@@ -137,16 +180,26 @@ def test_plan_attack_widened_band_holds_every_member():
         assert trace.t_e(uid) > 5
 
 
+def one_trial(scenario, kind, **kw):
+    """A single noiseless trial, run as `evaluate` runs it: one sweep point
+    on the extra_M axis."""
+    config = EvalConfig(kind=kind, axis="extra_M", values=(0,), trials=1,
+                        noise=SILENT, **kw)
+    point = sweep(scenario, config).points[0]
+    assert point.error is None
+    return point.records[0]
+
+
 def test_zero_noise_trial_agrees_with_verify():
     scenario = build_s0()
-    record = run_trial(scenario, "delay", SILENT, np.random.default_rng(0))
+    record = one_trial(scenario, "delay")
     assert record.success
     assert record.cost == 1.0
     ok, report = verify_delay(scenario, record.planned_slots)
     assert ok and report["evacuation_slot"] > 5
 
     ovf = build_s0_ovf()
-    record = run_trial(ovf, "overflow", SILENT, np.random.default_rng(0))
+    record = one_trial(ovf, "overflow")
     assert record.success
     ok, report = verify_overflow(ovf, record.planned_slots)
     assert ok and report["targets"]["init-003"]["dropped"]
@@ -154,8 +207,7 @@ def test_zero_noise_trial_agrees_with_verify():
 
 def test_budget_starves_the_planned_strategy():
     scenario = build_s0()
-    record = run_trial(scenario, "delay", SILENT, np.random.default_rng(0),
-                       budget=0.5)
+    record = one_trial(scenario, "delay", cost_budget=0.5)
     assert not record.success
     assert record.cost == 1.0
     assert record.planned_slots  # the plan existed, the budget killed it
@@ -165,7 +217,7 @@ def test_natural_outcome_is_tracked_separately():
     # push the deadline below the natural evacuation of the true world:
     # with zero noise the unit downlinks at 4, deadline 5 is never natural
     scenario = build_s0()
-    record = run_trial(scenario, "delay", SILENT, np.random.default_rng(1))
+    record = one_trial(scenario, "delay", master_seed=1)
     assert not record.natural
 
 
