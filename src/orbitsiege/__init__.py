@@ -20,7 +20,7 @@ from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, PointResult,
                          sweep)
 from .onboard import (QueueTrace, QueueWorld, evolve, per_slot_capacity,
                       save_trace, save_trace_events)
-from .orbit import (ContactWindow, compute_contact_windows, elevation_deg,
+from .orbit import (ContactWindow, compute_contact_windows,
                     load_contact_windows, parse_tle, propagate,
                     save_contact_windows)
 from .planner_delay import DelayPlanRequest, plan_delay, verify_delay
@@ -48,7 +48,7 @@ __all__ = [
     "TleElements", "TrialRecord", "ValidationError",
     "assign_slot", "attackability", "attackability_for", "build_constellation",
     "build_s0", "build_s0_ovf", "build_schedule", "compute_contact_windows",
-    "derive_rng", "elevation_deg", "evolve",
+    "derive_rng", "evolve",
     "extend_targets", "hungarian", "load_contact_windows", "load_scenario",
     "parse_tle", "per_slot_capacity", "perturb", "plan_attack", "plan_delay",
     "plan_overflow", "propagate", "save_aggregate",

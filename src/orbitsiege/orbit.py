@@ -1,11 +1,15 @@
-"""Two-line element parsing, circular two-body propagation, elevation angles,
-and per-slot contact windows.
+"""Two-line element parsing, circular two-body propagation and per-slot
+contact windows.
 
 The propagation model is deliberately simple: near-circular orbits advance at
 their mean motion in a fixed orbital plane, and Earth rotation enters through
 the Greenwich sidereal angle. Contact decisions depend only on which slots a
 satellite is visible, so meter-level fidelity is out of scope; tests bound the
 approximation against a dense-time scan.
+
+`propagate` is the one geometry path: it gives a satellite's Earth-fixed
+position at every slot midpoint as one array. Contact windows take their
+elevations from it, and the scheduler its slant ranges.
 """
 
 from __future__ import annotations
@@ -28,31 +32,6 @@ GMST_RATE_DEG_PER_DAY = 360.98564736629
 MAX_ELEMENT_AGE_DAYS = 31
 LEO_RADIUS_MIN_M = 6_400_000.0
 LEO_RADIUS_MAX_M = 9_000_000.0
-
-
-@dataclass(frozen=True)
-class GeoState:
-    """Earth-centered Earth-fixed position with spherical-Earth geodetics."""
-
-    position_ecef_m: tuple[float, float, float]
-
-    @property
-    def radius_m(self) -> float:
-        x, y, z = self.position_ecef_m
-        return math.sqrt(x * x + y * y + z * z)
-
-    @property
-    def latitude_deg(self) -> float:
-        return math.degrees(math.asin(self.position_ecef_m[2] / self.radius_m))
-
-    @property
-    def longitude_deg(self) -> float:
-        x, y, _ = self.position_ecef_m
-        return math.degrees(math.atan2(y, x))
-
-    @property
-    def altitude_m(self) -> float:
-        return self.radius_m - EARTH_RADIUS_M
 
 
 @dataclass(frozen=True)
@@ -112,47 +91,10 @@ def semi_major_axis_m(elements: TleElements) -> float:
     return (MU_EARTH_M3_S2 / (n_rad_s * n_rad_s)) ** (1.0 / 3.0)
 
 
-def _check_staleness(elements: TleElements, at: datetime) -> float:
+def _check_staleness(elements: TleElements, at: datetime) -> None:
     dt = (at - elements.epoch).total_seconds()
     if abs(dt) > MAX_ELEMENT_AGE_DAYS * 86400.0:
         raise StaleElements(f"elements are {abs(dt) / 86400.0:.1f} days from epoch")
-    return dt
-
-
-def eci_position(elements: TleElements, at: datetime) -> tuple[float, float, float]:
-    """Inertial position: anomaly advanced at mean motion in a fixed plane."""
-    dt = _check_staleness(elements, at)
-    a = semi_major_axis_m(elements)
-    n_rad_s = elements.mean_motion_rev_per_day * 2.0 * math.pi / 86400.0
-    u = math.radians(elements.arg_perigee_deg + elements.mean_anomaly_deg) + n_rad_s * dt
-    inc = math.radians(elements.inclination_deg)
-    raan = math.radians(elements.raan_deg)
-    # Rz(raan) * Rx(inc) applied to the in-plane position (a cos u, a sin u, 0)
-    xp = a * math.cos(u)
-    yp = a * math.sin(u)
-    x = xp * math.cos(raan) - yp * math.cos(inc) * math.sin(raan)
-    y = xp * math.sin(raan) + yp * math.cos(inc) * math.cos(raan)
-    z = yp * math.sin(inc)
-    return (x, y, z)
-
-
-def gmst_deg(at: datetime) -> float:
-    days = (at - J2000).total_seconds() / 86400.0
-    return (GMST_AT_J2000_DEG + GMST_RATE_DEG_PER_DAY * days) % 360.0
-
-
-def propagate(elements: TleElements, at: datetime) -> GeoState:
-    """Earth-fixed state at a UTC instant."""
-    xi, yi, zi = eci_position(elements, at)
-    theta = math.radians(gmst_deg(at))
-    # rotate inertial into Earth-fixed: Rz(-theta)
-    x = xi * math.cos(theta) + yi * math.sin(theta)
-    y = -xi * math.sin(theta) + yi * math.cos(theta)
-    state = GeoState((x, y, zi))
-    if not LEO_RADIUS_MIN_M <= state.radius_m <= LEO_RADIUS_MAX_M:
-        raise ValidationError(
-            f"orbit radius {state.radius_m / 1000.0:.0f} km outside the LEO band")
-    return state
 
 
 def station_ecef_m(station: GroundStationSpec) -> tuple[float, float, float]:
@@ -164,25 +106,12 @@ def station_ecef_m(station: GroundStationSpec) -> tuple[float, float, float]:
             r * math.sin(lat))
 
 
-def elevation_deg(sat: GeoState, station: GroundStationSpec) -> float:
-    """Elevation of the satellite above the station's local horizon."""
-    sx, sy, sz = station_ecef_m(station)
-    px, py, pz = sat.position_ecef_m
-    lx, ly, lz = px - sx, py - sy, pz - sz
-    los_norm = math.sqrt(lx * lx + ly * ly + lz * lz)
-    zenith_norm = math.sqrt(sx * sx + sy * sy + sz * sz)
-    cos_zenith_angle = (lx * sx + ly * sy + lz * sz) / (los_norm * zenith_norm)
-    return math.degrees(math.asin(max(-1.0, min(1.0, cos_zenith_angle))))
+def propagate(elements: TleElements, grid: TimeGrid) -> np.ndarray:
+    """ECEF positions at every slot midpoint of the grid, shape (horizon, 3).
 
-
-def slant_range_m(sat: GeoState, station: GroundStationSpec) -> float:
-    sx, sy, sz = station_ecef_m(station)
-    px, py, pz = sat.position_ecef_m
-    return math.sqrt((px - sx) ** 2 + (py - sy) ** 2 + (pz - sz) ** 2)
-
-
-def _midpoint_states(elements: TleElements, grid: TimeGrid) -> np.ndarray:
-    """ECEF positions at every slot midpoint, shape (horizon, 3)."""
+    Raises StaleElements when the grid reaches further than 31 days from the
+    element epoch, and ValidationError when the orbit leaves the LEO band.
+    """
     a = semi_major_axis_m(elements)
     n_rad_s = elements.mean_motion_rev_per_day * 2.0 * math.pi / 86400.0
     _check_staleness(elements, grid.slot_midpoint(0))
@@ -195,18 +124,24 @@ def _midpoint_states(elements: TleElements, grid: TimeGrid) -> np.ndarray:
          + n_rad_s * dt)
     inc = math.radians(elements.inclination_deg)
     raan = math.radians(elements.raan_deg)
+    # Rz(raan) * Rx(inc) applied to the in-plane position (a cos u, a sin u, 0)
     xp = a * np.cos(u)
     yp = a * np.sin(u)
     xi = xp * math.cos(raan) - yp * math.cos(inc) * math.sin(raan)
     yi = xp * math.sin(raan) + yp * math.cos(inc) * math.cos(raan)
     zi = yp * math.sin(inc)
 
+    # rotate inertial into Earth-fixed by the Greenwich sidereal angle: Rz(-theta)
     j2000_offset = (grid.epoch - J2000).total_seconds()
     theta = np.radians(
         GMST_AT_J2000_DEG
         + GMST_RATE_DEG_PER_DAY * (j2000_offset + (slots + 0.5) * grid.slot_seconds) / 86400.0)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    return np.stack([xi * cos_t + yi * sin_t, -xi * sin_t + yi * cos_t, zi], axis=1)
+    pos = np.stack([xi * cos_t + yi * sin_t, -xi * sin_t + yi * cos_t, zi], axis=1)
+    radii = np.linalg.norm(pos, axis=1)
+    if ((radii < LEO_RADIUS_MIN_M) | (radii > LEO_RADIUS_MAX_M)).any():
+        raise ValidationError("orbit radius outside the LEO band")
+    return pos
 
 
 def compute_contact_windows(scenario: ConstellationScenario) -> list[ContactWindow]:
@@ -221,11 +156,10 @@ def compute_contact_windows(scenario: ConstellationScenario) -> list[ContactWind
     for sat in scenario.satellites:
         if sat.orbit is None:
             raise ValidationError(f"satellite {sat.id}: orbit elements required for windows")
-        pos = _midpoint_states(sat.orbit, scenario.time)
-        radii = np.linalg.norm(pos, axis=1)
-        bad = (radii < LEO_RADIUS_MIN_M) | (radii > LEO_RADIUS_MAX_M)
-        if bad.any():
-            raise ValidationError(f"satellite {sat.id}: orbit radius outside the LEO band")
+        try:
+            pos = propagate(sat.orbit, scenario.time)
+        except ValidationError as exc:
+            raise ValidationError(f"satellite {sat.id}: {exc}") from exc
         los = pos[:, None, :] - station_pos[None, :, :]
         los_norm = np.linalg.norm(los, axis=2)
         sin_elev = np.einsum("tsk,sk->ts", los, zenith) / los_norm
@@ -270,17 +204,24 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> list[Con
             for line_no, row in enumerate(reader, start=2):
                 if len(row) != 4:
                     raise ParseError(f"{path}:{line_no}: expected 4 columns")
-                slot = int(row[0])
+                try:
+                    slot = int(row[0])
+                    elev = float(row[3])
+                except ValueError:
+                    raise ParseError(f"{path}:{line_no}: slot or elevation is not a number")
+                if not math.isfinite(elev):
+                    raise ParseError(f"{path}:{line_no}: elevation is not finite")
                 if not 0 <= slot <= scenario.time.last_slot:
                     raise OutOfHorizon(f"{path}:{line_no}: slot {slot} outside horizon")
                 if row[1] not in sat_ids:
                     raise ValidationError(f"{path}:{line_no}: unknown satellite {row[1]}")
                 if row[2] not in station_min:
                     raise ValidationError(f"{path}:{line_no}: unknown station {row[2]}")
-                elev = float(row[3])
                 if elev < station_min[row[2]]:
                     raise ValidationError(
                         f"{path}:{line_no}: elevation below station threshold")
+                if elev > 90.0:
+                    raise ValidationError(f"{path}:{line_no}: elevation above 90 degrees")
                 windows.append(ContactWindow(row[1], row[2], slot, elev))
     except OSError as exc:
         raise IoError(f"cannot read windows {path}: {exc}") from exc

@@ -6,6 +6,10 @@ preempts: it must fill every idle antenna on the stations the target satellite
 sees, plus the antenna serving the target itself, so the number of distinct
 high-priority satellites visible on those stations bounds which slots are
 attackable and at what cost.
+
+Attackability reads the assignment only where the target has a contact
+window, so `build_schedule` assigns antennas in those slots alone; every
+other slot is non-transmissible by construction.
 """
 
 from __future__ import annotations
@@ -16,32 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import Infeasible, ValidationError
-from .orbit import ContactWindow, propagate, slant_range_m
+from .errors import Infeasible, OutOfHorizon, ValidationError
+from .orbit import ContactWindow, propagate, station_ecef_m
 from .scenario import AttackabilityRecord, ConstellationScenario
 
 _REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class AntennaAssignment:
-    satellite_id: str
-    station_id: str
-    antenna_index: int
-    proximity_cost: float
-
-
-@dataclass(frozen=True)
 class SlotSchedule:
     slot: int
-    assignment: tuple[AntennaAssignment, ...]
+    served: frozenset[str]  # low-priority satellites given an antenna
     idle_antennas: tuple[tuple[str, int], ...]  # (station_id, idle count), visible stations
-
-    def assigned(self, satellite_id: str) -> AntennaAssignment | None:
-        for entry in self.assignment:
-            if entry.satellite_id == satellite_id:
-                return entry
-        return None
 
 
 def _solve(matrix: np.ndarray, big: float) -> tuple[list[tuple[int, int]], float, int]:
@@ -108,12 +98,12 @@ def hungarian(cost_matrix, require_full: bool = True) -> tuple[tuple[tuple[int, 
 
 
 def assign_slot(scenario: ConstellationScenario, windows_at_slot: list[ContactWindow],
-                slot: int) -> SlotSchedule:
+                slot: int, positions: dict[str, np.ndarray]) -> SlotSchedule:
     """Hungarian assignment of visible low-priority satellites to antennas.
 
-    Proximity cost is the slant range at the slot midpoint when orbit elements
-    are available for every visible satellite, else (90 - elevation) from the
-    window rows as a monotone stand-in.
+    Proximity cost is the slant range at the slot midpoint when `positions`
+    (satellite id -> output of `propagate`) holds every visible satellite,
+    else (90 - elevation) from the window rows as a monotone stand-in.
     """
     low_ids = {s.id for s in scenario.low_satellites}
     elev: dict[tuple[str, str], float] = {}
@@ -126,55 +116,54 @@ def assign_slot(scenario: ConstellationScenario, windows_at_slot: list[ContactWi
     sats = sorted({sid for sid, _ in elev})
     stations = [st for st in sorted(scenario.stations, key=lambda s: s.id)
                 if any((sid, st.id) in elev for sid in sats)]
-    if not sats or not stations:
-        return SlotSchedule(slot, (), tuple((st.id, st.antenna_count) for st in stations))
 
-    use_range = all(scenario.satellite(sid).orbit is not None for sid in sats)
-    ranges: dict[tuple[str, str], float] = {}
-    if use_range:
-        midpoint = scenario.time.slot_midpoint(slot)
-        for sid in sats:
-            state = propagate(scenario.satellite(sid).orbit, midpoint)
-            for st in stations:
-                if (sid, st.id) in elev:
-                    ranges[(sid, st.id)] = slant_range_m(state, st)
-
-    columns: list[tuple[str, int]] = []
-    for st in stations:
-        columns.extend((st.id, k) for k in range(st.antenna_count))
-    matrix = np.full((len(sats), len(columns)), math.inf)
+    use_range = all(sid in positions for sid in sats)
+    matrix = np.full((len(sats), len(stations)), math.inf)
     for i, sid in enumerate(sats):
-        for j, (st_id, _) in enumerate(columns):
-            if (sid, st_id) in elev:
-                matrix[i, j] = ranges[(sid, st_id)] if use_range \
-                    else 90.0 - elev[(sid, st_id)]
+        for j, st in enumerate(stations):
+            if (sid, st.id) in elev:
+                matrix[i, j] = (math.dist(positions[sid][slot], station_ecef_m(st))
+                                if use_range else 90.0 - elev[(sid, st.id)])
 
-    pairs, _ = hungarian(matrix, require_full=False)
-    assignment = tuple(
-        AntennaAssignment(sats[r], columns[c][0], columns[c][1], float(matrix[r, c]))
-        for r, c in pairs)
-    used: dict[str, int] = {}
-    for entry in assignment:
-        used[entry.station_id] = used.get(entry.station_id, 0) + 1
-    idle = tuple((st.id, st.antenna_count - used.get(st.id, 0)) for st in stations)
-    return SlotSchedule(slot, assignment, idle)
+    # one column per antenna; a station's antennas are adjacent and identical
+    antennas = [st.antenna_count for st in stations]
+    pairs, _ = hungarian(np.repeat(matrix, antennas, axis=1), require_full=False)
+    owner = np.repeat(np.arange(len(stations)), antennas)
+    used = np.bincount([owner[c] for _, c in pairs], minlength=len(stations))
+    idle = tuple((st.id, st.antenna_count - int(n)) for st, n in zip(stations, used))
+    return SlotSchedule(slot, frozenset(sats[r] for r, _ in pairs), idle)
 
 
 def build_schedule(scenario: ConstellationScenario,
                    windows: list[ContactWindow]) -> list[SlotSchedule]:
-    """Assignments for every slot in the horizon (empty slots included)."""
+    """Assignments for the slots where the target has a contact window.
+
+    Each low-priority satellite visible in those slots is propagated once.
+    """
+    target_id = scenario.target.satellite_id
     by_slot: dict[int, list[ContactWindow]] = {}
     for w in windows:
         by_slot.setdefault(w.slot, []).append(w)
-    return [assign_slot(scenario, by_slot.get(t, []), t)
-            for t in range(scenario.time.horizon_slots)]
+    slots = sorted({w.slot for w in windows if w.satellite_id == target_id})
+
+    orbits = {s.id: s.orbit for s in scenario.low_satellites if s.orbit is not None}
+    visible = {w.satellite_id for t in slots for w in by_slot[t]}
+    positions = {sid: propagate(orbits[sid], scenario.time)
+                 for sid in sorted(visible & orbits.keys())}
+    return [assign_slot(scenario, by_slot[t], t, positions) for t in slots]
 
 
 def attackability(scenario: ConstellationScenario, schedules: list[SlotSchedule],
                   windows: list[ContactWindow]) -> list[AttackabilityRecord]:
-    """Transmissible/attackable flags and attack costs for the target satellite."""
-    if len(schedules) != scenario.time.horizon_slots:
-        raise ValidationError("schedules must cover every slot in the horizon")
+    """Transmissible/attackable flags and attack costs for the target satellite.
+
+    A slot without a schedule is not transmissible.
+    """
+    by_slot = {schedule.slot: schedule for schedule in schedules}
+    if len(by_slot) != len(schedules):
+        raise ValidationError("schedules repeat a slot")
+    if not by_slot.keys() <= set(range(scenario.time.horizon_slots)):
+        raise OutOfHorizon("schedules reach outside the horizon")
     target_id = scenario.target.satellite_id
     high_ids = {s.id for s in scenario.high_satellites}
     price = scenario.costs.unit_task_price
@@ -189,9 +178,9 @@ def attackability(scenario: ConstellationScenario, schedules: list[SlotSchedule]
                 w.satellite_id)
 
     records = []
-    for t, schedule in enumerate(schedules):
-        transmissible = schedule.assigned(target_id) is not None
-        if not transmissible:
+    for t in range(scenario.time.horizon_slots):
+        schedule = by_slot.get(t)
+        if schedule is None or target_id not in schedule.served:
             records.append(AttackabilityRecord(t, False, False, 0, math.inf))
             continue
         visible = target_stations.get(t, set())

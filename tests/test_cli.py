@@ -195,6 +195,56 @@ def test_windows_and_schedule_pipeline(capsys, tmp_path):
     assert lines[1:] == expect
 
 
+# SHA-256 of `windows --out` and of `schedule --windows ... --out`, recorded
+# while schedules still covered every slot and slant ranges came from a
+# scalar propagator; the geometry arithmetic must keep these bytes
+GOLDEN_GEOMETRY = [
+    (None, "142f98837049587696bcb4fd80f73126a838ed165c8e6779b048d44c037c61f0",
+     "5cefeddd32d69a53a245c7463cdfa8e84c4995b84093fbc52b4b51139f6cb90a"),
+    (1, "24dcd0b69dcb8551798016d5e3c2ce939ce85c72e491a5c9a5fc94bdf96a5cc8",
+     "cadd45ff95d9810b9b90caaea58d549a3e2291eaddd14fd3c6f3704b439eee74"),
+    (2, "0635cd57bdfc03dc61baf43dfc684eb730016fac1040961543a2a73e8e152938",
+     "655d13ea5b0050eaaa1bf08b4cb467634770c82e4f71edced3675dd7286eb175"),
+    (3, "6d3d4e56294fd59015cc6c43a303f27fea5de97bd08b17f9fcf9ab9b2d88ce93",
+     "0ea118c87cb47a99c7cb9eef84a3d837b2591452d997762c6c59283b5b923d25"),
+]
+
+
+@pytest.mark.parametrize("seed, windows_digest, schedule_digest", GOLDEN_GEOMETRY,
+                         ids=["constellation_24h", "seed1", "seed2", "seed3"])
+def test_geometry_matches_golden_digests(capsys, tmp_path, seed, windows_digest,
+                                         schedule_digest):
+    """The bundled 24 h scenario (seed None) and three synthetic worlds."""
+    if seed is None:
+        scn = bundled("constellation_24h")
+    else:
+        scn = str(tmp_path / "world.json")
+        save_scenario(build_constellation(seed=seed, n_low=20, n_high=60,
+                                          n_stations=40), scn)
+    windows, table = tmp_path / "windows.csv", tmp_path / "table.csv"
+    assert run_cli(capsys, "windows", "--scenario", scn, "--out", str(windows))[0] == 0
+    assert run_cli(capsys, "schedule", "--scenario", scn, "--windows", str(windows),
+                   "--out", str(table))[0] == 0
+    assert hashlib.sha256(windows.read_bytes()).hexdigest() == windows_digest
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == schedule_digest
+
+
+@pytest.mark.parametrize("column, value", [(0, "x"), (3, "nan"), (3, "400")])
+def test_bad_window_numbers_exit_two(capsys, tmp_path, column, value):
+    scn = bundled("constellation_24h")
+    windows = tmp_path / "windows.csv"
+    assert run_cli(capsys, "windows", "--scenario", scn, "--out", str(windows))[0] == 0
+    lines = windows.read_text().splitlines()
+    row = lines[1].split(",")
+    row[column] = value
+    lines[1] = ",".join(row)
+    windows.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "schedule", "--scenario", scn,
+                             "--windows", str(windows))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "windows.csv:2:" in err
+
+
 @pytest.mark.parametrize("command, name", [("windows", "constellation_24h"),
                                            ("schedule", "s0"),
                                            ("schedule", "constellation_24h")])

@@ -1,6 +1,7 @@
 """Two-body propagation, element parsing, and contact-window derivation."""
 
 import math
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -14,6 +15,7 @@ from orbitsiege import (
     CostModel,
     DataUnit,
     GroundStationSpec,
+    ParseError,
     SatelliteSpec,
     StaleElements,
     TargetSpec,
@@ -21,13 +23,12 @@ from orbitsiege import (
     TleElements,
     ValidationError,
     compute_contact_windows,
-    elevation_deg,
     load_contact_windows,
     parse_tle,
     propagate,
     save_contact_windows,
 )
-from orbitsiege.orbit import J2000, eci_position, gmst_deg, semi_major_axis_m
+from orbitsiege.orbit import EARTH_RADIUS_M, J2000, semi_major_axis_m
 
 EPOCH = datetime(2026, 3, 20, tzinfo=timezone.utc)
 
@@ -103,13 +104,28 @@ def test_semi_major_axis_matches_kepler():
     assert n * n * a ** 3 == pytest.approx(3.986004418e14, rel=1e-12)
 
 
+def position_at(elements, at):
+    """ECEF position at one instant: a one-slot grid whose midpoint is `at`."""
+    grid = TimeGrid(epoch=at - timedelta(seconds=30), slot_seconds=60, horizon_slots=1)
+    return propagate(elements, grid)[0]
+
+
+def undo_earth_rotation(position, seconds):
+    """Rotate an ECEF position back by the sidereal angle swept in `seconds`."""
+    theta = math.radians(360.98564736629 * seconds / 86400.0)
+    x, y, z = position
+    return np.array([x * math.cos(theta) - y * math.sin(theta),
+                     x * math.sin(theta) + y * math.cos(theta), z])
+
+
 def test_inertial_position_is_periodic():
     rng = np.random.default_rng(42)
     for _ in range(20):
         elements = random_elements(rng)
-        period_s = 86400.0 / elements.mean_motion_rev_per_day
-        p0 = np.array(eci_position(elements, EPOCH))
-        p1 = np.array(eci_position(elements, EPOCH + timedelta(seconds=period_s)))
+        later = EPOCH + timedelta(seconds=86400.0 / elements.mean_motion_rev_per_day)
+        p0 = position_at(elements, EPOCH)
+        p1 = undo_earth_rotation(position_at(elements, later),
+                                 (later - EPOCH).total_seconds())
         assert np.linalg.norm(p1 - p0) < 1.0
 
 
@@ -117,27 +133,38 @@ def test_earth_fixed_rotates_under_the_orbit():
     """After one orbit the ECEF point moves by the Earth's rotation alone."""
     elements = random_elements(np.random.default_rng(7))
     period_s = 86400.0 / elements.mean_motion_rev_per_day
-    s0 = propagate(elements, EPOCH)
-    s1 = propagate(elements, EPOCH + timedelta(seconds=period_s))
-    assert s0.radius_m == pytest.approx(s1.radius_m, rel=1e-12)
-    lon_shift = (s1.longitude_deg - s0.longitude_deg) % -360.0
+    s0 = position_at(elements, EPOCH)
+    s1 = position_at(elements, EPOCH + timedelta(seconds=period_s))
+    assert np.linalg.norm(s0) == pytest.approx(np.linalg.norm(s1), rel=1e-12)
+    lon0, lon1 = (math.degrees(math.atan2(p[1], p[0])) for p in (s0, s1))
+    lon_shift = (lon1 - lon0) % -360.0
     expected = -(360.98564736629 * period_s / 86400.0) % -360.0
     assert lon_shift == pytest.approx(expected, abs=1e-6)
 
 
 def test_gmst_reference_value():
-    # one sidereal rate day after J2000, modulo a full turn
-    assert gmst_deg(J2000) == pytest.approx(280.46061837)
-    assert gmst_deg(J2000 + timedelta(days=1)) == pytest.approx(
-        (280.46061837 + 360.98564736629) % 360.0)
+    # an equatorial orbit at u = 0 sits on the inertial x axis, so its ECEF
+    # longitude is minus the sidereal angle; 15 whole revolutions later the
+    # orbit is back there and the angle has grown by one sidereal-rate day
+    elements = TleElements(inclination_deg=0.0, raan_deg=0.0, eccentricity=0.0,
+                           arg_perigee_deg=0.0, mean_anomaly_deg=0.0,
+                           mean_motion_rev_per_day=15.0, epoch=J2000)
+    grid = TimeGrid(epoch=J2000 - timedelta(seconds=30), slot_seconds=60,
+                    horizon_slots=1441)
+    pos = propagate(elements, grid)
+    for slot, theta in ((0, 280.46061837), (1440, 280.46061837 + 360.98564736629)):
+        lon = math.degrees(math.atan2(pos[slot, 1], pos[slot, 0]))
+        assert (lon + theta + 180.0) % 360.0 - 180.0 == pytest.approx(0.0, abs=1e-6)
 
 
 def test_stale_elements_rejected():
     elements = random_elements(np.random.default_rng(1))
+    # the first midpoint is fresh; the grid ends 32 days after epoch
+    month = TimeGrid(epoch=EPOCH, slot_seconds=3600, horizon_slots=32 * 24)
     with pytest.raises(StaleElements):
-        eci_position(elements, EPOCH + timedelta(days=32))
+        propagate(elements, month)
     # within the window both directions are fine
-    eci_position(elements, EPOCH - timedelta(days=30))
+    position_at(elements, EPOCH - timedelta(days=30))
 
 
 def test_leo_band_enforced():
@@ -145,19 +172,37 @@ def test_leo_band_enforced():
                        arg_perigee_deg=0.0, mean_anomaly_deg=0.0,
                        mean_motion_rev_per_day=2.0, epoch=EPOCH)
     with pytest.raises(ValidationError, match="LEO band"):
-        propagate(deep, EPOCH)
+        position_at(deep, EPOCH)
+    station = random_station(np.random.default_rng(2), 1)
+    with pytest.raises(ValidationError, match="obs-1: orbit radius outside the LEO band"):
+        compute_contact_windows(windows_scenario([deep], [station]))
 
 
 def test_elevation_at_zenith_and_horizon():
-    station = GroundStationSpec(id="g", latitude_deg=0.0, longitude_deg=0.0,
-                                altitude_m=0.0, antenna_count=1,
-                                min_elevation_deg=5.0)
-    from orbitsiege.orbit import EARTH_RADIUS_M, GeoState
+    equatorial = TleElements(inclination_deg=0.0, raan_deg=0.0, eccentricity=0.0,
+                             arg_perigee_deg=0.0, mean_anomaly_deg=0.0,
+                             mean_motion_rev_per_day=15.0, epoch=EPOCH)
+    scenario = windows_scenario([equatorial], [], horizon=2, slot_seconds=60)
+    x, y, _ = propagate(equatorial, scenario.time)[0]
+    below = math.degrees(math.atan2(y, x))
 
-    overhead = GeoState((EARTH_RADIUS_M + 700_000.0, 0.0, 0.0))
-    assert elevation_deg(overhead, station) == pytest.approx(90.0)
-    beside = GeoState((EARTH_RADIUS_M, 700_000.0, 0.0))
-    assert elevation_deg(beside, station) < 45.0
+    def station(i, longitude_deg):
+        return GroundStationSpec(id=f"gs-{i}", latitude_deg=0.0,
+                                 longitude_deg=longitude_deg, altitude_m=0.0,
+                                 antenna_count=1, min_elevation_deg=0.0)
+
+    # one station right under the satellite, one 10 degrees of arc along the
+    # equator, where the elevation follows from the triangle Earth centre,
+    # station, satellite
+    stations = [station(1, below), station(2, below + 10.0)]
+    windows = compute_contact_windows(replace(scenario, stations=tuple(stations)))
+    elevation = {w.station_id: w.elevation_deg for w in windows if w.slot == 0}
+    assert elevation["gs-1"] == pytest.approx(90.0, abs=1e-5)
+    ratio = EARTH_RADIUS_M / math.hypot(x, y)
+    gamma = math.radians(10.0)
+    expected = math.degrees(math.atan2(math.cos(gamma) - ratio, math.sin(gamma)))
+    assert elevation["gs-2"] == pytest.approx(expected, abs=1e-9)
+    assert 0.0 < elevation["gs-2"] < 45.0
 
 
 def windows_scenario(satellites, stations, horizon=288, slot_seconds=300):
@@ -241,8 +286,6 @@ def test_windows_need_orbits():
     satellites = (
         SatelliteSpec(id="obs-1", priority="low", orbit=None,
                       capacity_bytes=10, downlink_rate_bps=16),)
-    from dataclasses import replace
-
     bare = replace(scenario, satellites=satellites)
     with pytest.raises(ValidationError, match="orbit elements required"):
         compute_contact_windows(bare)
@@ -281,7 +324,24 @@ def test_window_load_validates(tmp_path):
         load_contact_windows(str(path), scenario)
 
     path.write_text("wrong,header\n", encoding="utf-8")
-    from orbitsiege import ParseError
-
     with pytest.raises(ParseError, match="expected header"):
+        load_contact_windows(str(path), scenario)
+
+
+@pytest.mark.parametrize("row, error, message", [
+    ("x,obs-1,gs-01,45.0", ParseError, "not a number"),
+    ("1.5,obs-1,gs-01,45.0", ParseError, "not a number"),
+    ("1,obs-1,gs-01,high", ParseError, "not a number"),
+    ("1,obs-1,gs-01,nan", ParseError, "not finite"),
+    ("1,obs-1,gs-01,inf", ParseError, "not finite"),
+    ("1,obs-1,gs-01,400", ValidationError, "above 90"),
+])
+def test_window_load_rejects_bad_numbers(tmp_path, row, error, message):
+    scenario = windows_scenario(
+        [random_elements(np.random.default_rng(17))],
+        [random_station(np.random.default_rng(17), 1)])
+    path = tmp_path / "windows.csv"
+    path.write_text(f"slot,satellite_id,station_id,elevation_deg\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(error, match=message):
         load_contact_windows(str(path), scenario)

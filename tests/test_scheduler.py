@@ -13,18 +13,24 @@ from orbitsiege import (
     DataUnit,
     GroundStationSpec,
     Infeasible,
+    OutOfHorizon,
     SatelliteSpec,
+    SlotSchedule,
     TargetSpec,
     TimeGrid,
     ValidationError,
     assign_slot,
     attackability,
     attackability_for,
+    build_constellation,
     build_schedule,
     build_s0,
+    compute_contact_windows,
     hungarian,
+    propagate,
 )
-from orbitsiege.orbit import ContactWindow
+from orbitsiege import scheduler
+from orbitsiege.orbit import ContactWindow, station_ecef_m
 from orbitsiege.scheduler import save_attackability
 
 from datetime import datetime, timezone
@@ -107,43 +113,75 @@ def test_assign_slot_serves_everyone_it_can():
     scenario = two_station_scenario(n_low=2, antenna_counts=(1, 1))
     rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0),
             w("obs-2", "gs-01", 0, 20.0)]
-    schedule = assign_slot(scenario, rows, 0)
-    assert schedule.assigned("obs-1").station_id == "gs-02"
-    assert schedule.assigned("obs-2").station_id == "gs-01"
+    schedule = assign_slot(scenario, rows, 0, {})
+    assert schedule.served == {"obs-1", "obs-2"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 0}
 
 
 def test_assign_slot_picks_the_higher_pass():
     scenario = two_station_scenario(n_low=1, antenna_counts=(1, 1))
     rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0)]
-    schedule = assign_slot(scenario, rows, 0)
-    entry = schedule.assigned("obs-1")
-    assert entry.station_id == "gs-01"
-    assert entry.proximity_cost == pytest.approx(30.0)
+    schedule = assign_slot(scenario, rows, 0, {})
+    assert schedule.served == {"obs-1"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 1}
 
 
+def test_assign_slot_prefers_the_nearer_station():
+    # with positions, slant range replaces the elevation stand-in: obs-1 sits
+    # right above gs-02, so it takes that station despite the lower pass
+    scenario = two_station_scenario(n_low=1, antenna_counts=(1, 1))
+    above = 1.1 * np.array(station_ecef_m(scenario.stations[1]))
+    positions = {"obs-1": np.tile(above, (scenario.time.horizon_slots, 1))}
+    rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0)]
+    schedule = assign_slot(scenario, rows, 0, positions)
+    assert schedule.served == {"obs-1"}
+    assert dict(schedule.idle_antennas) == {"gs-01": 1, "gs-02": 0}
+
+
 def test_assign_slot_spreads_over_antennas():
+    # obs-1 and obs-2 fill gs-01's two antennas, so obs-3 must use gs-02
     scenario = two_station_scenario(n_low=3, antenna_counts=(2, 1))
     rows = [w("obs-1", "gs-01", 1, 50.0), w("obs-2", "gs-01", 1, 40.0),
             w("obs-3", "gs-01", 1, 30.0), w("obs-3", "gs-02", 1, 10.0)]
-    schedule = assign_slot(scenario, rows, 1)
-    assert len(schedule.assignment) == 3
-    assert schedule.assigned("obs-3").station_id == "gs-02"
+    schedule = assign_slot(scenario, rows, 1, {})
+    assert schedule.served == {"obs-1", "obs-2", "obs-3"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 0}
 
 
 def test_assign_slot_rejects_mismatched_rows():
     scenario = two_station_scenario()
     with pytest.raises(ValidationError, match="slot"):
-        assign_slot(scenario, [w("obs-1", "gs-01", 2, 45.0)], 1)
+        assign_slot(scenario, [w("obs-1", "gs-01", 2, 45.0)], 1, {})
 
 
 def test_assign_slot_ignores_high_priority_rows():
     scenario = two_station_scenario(n_low=1, n_high=1)
     rows = [w("obs-1", "gs-01", 0, 45.0), w("rush-1", "gs-01", 0, 80.0)]
-    schedule = assign_slot(scenario, rows, 0)
-    assert [e.satellite_id for e in schedule.assignment] == ["obs-1"]
+    schedule = assign_slot(scenario, rows, 0, {})
+    assert schedule.served == {"obs-1"}
+    assert dict(schedule.idle_antennas) == {"gs-01": 0}
+
+
+def test_build_schedule_covers_only_target_slots(monkeypatch):
+    scenario = build_constellation(n_low=4, n_high=2, n_stations=3, hours=6)
+    windows = compute_contact_windows(scenario)
+    target = scenario.target.satellite_id
+    target_slots = sorted({x.slot for x in windows if x.satellite_id == target})
+    assert 0 < len(target_slots) < scenario.time.horizon_slots
+
+    propagated = []
+
+    def counting(elements, grid):
+        propagated.append(elements)
+        return propagate(elements, grid)
+
+    monkeypatch.setattr(scheduler, "propagate", counting)
+    schedules = build_schedule(scenario, windows)
+    assert [s.slot for s in schedules] == target_slots
+    # each low-priority satellite seen in those slots is propagated once
+    seen = {x.satellite_id for x in windows if x.slot in set(target_slots)}
+    low = [s for s in scenario.low_satellites if s.id in seen]
+    assert sorted(map(id, propagated)) == sorted(id(s.orbit) for s in low)
 
 
 def attack_rows(visible_high):
@@ -187,10 +225,24 @@ def test_attackability_only_counts_stations_seeing_the_target():
     assert records[0].cost == pytest.approx(100.0)
 
 
-def test_attackability_needs_full_coverage():
+def test_attackability_rejects_bad_schedule_slots():
     scenario = two_station_scenario()
-    with pytest.raises(ValidationError, match="every slot"):
-        attackability(scenario, [], [])
+    outside = SlotSchedule(3, frozenset({"obs-1"}), (("gs-01", 0),))
+    with pytest.raises(OutOfHorizon, match="outside the horizon"):
+        attackability(scenario, [outside], [])
+    twice = SlotSchedule(1, frozenset({"obs-1"}), (("gs-01", 0),))
+    with pytest.raises(ValidationError, match="repeat a slot"):
+        attackability(scenario, [twice, twice], [])
+
+
+def test_unscheduled_slot_is_not_transmissible():
+    # the target sees gs-01 in both slots, but only slot 1 has a schedule
+    scenario = two_station_scenario(n_low=1, n_high=0)
+    windows = [w("obs-1", "gs-01", 0, 45.0), w("obs-1", "gs-01", 1, 45.0)]
+    schedules = [assign_slot(scenario, windows[1:], 1, {})]
+    records = attackability(scenario, schedules, windows)
+    assert records[0] == AttackabilityRecord(0, False, False, 0, INF)
+    assert records[1].transmissible
 
 
 def test_attackability_for_honours_inline_table():
