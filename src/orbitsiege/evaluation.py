@@ -4,25 +4,30 @@ enforcement, and parameter sweeps with box statistics.
 The attacker plans on the nominal scenario; each trial then replays the
 planned slots on a perturbed "true world" where the target satellite's unit
 sizes, downlink rate, and initial-queue length differ from the estimate.
-Geometry never varies, so each sweep point computes attackability and builds
-one nominal attack context; a trial perturbs only that context's queue world.
+Geometry never varies, so a sweep builds the antenna schedule once and each
+point derives its attackability and one nominal attack context from it. A
+trial draws its volume, head shift and unit sizes straight into arrays; the
+trials of a point, without and with the attack, then run as the rows of one
+int64 queue recurrence (`onboard.evolve_rows`), BATCH_TRIALS trials a call.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attack import AttackContext, AttackStrategy
 from .errors import AttackFail, OrbitSiegeError, ValidationError
-from .onboard import QueueWorld
+from .onboard import evolve_rows
 from .planner_delay import DelayPlanRequest, plan_delay
 from .planner_overflow import OverflowPlanRequest, plan_overflow
 from .scenario import ConstellationScenario
-from .scheduler import attackability_for
+from .scheduler import attackability, attackability_for, build_schedule
 
 INF = math.inf
 
@@ -32,6 +37,13 @@ AXES = ("image_size", "data_rate", "n_high", "budget", "target_duration",
 
 # Gaussian draws are clipped here so sizes and rates stay physical
 TRUNCATION_RATIO = 0.1
+
+# trials per evolve_rows call; bounds the rows held at once however many
+# trials a point has
+BATCH_TRIALS = 1024
+
+# the ids a positive queue shift of k gives its head units: jit-001 ... jit-k
+_JIT_ID = re.compile(r"jit-(00[1-9]|0[1-9][0-9]|[1-9][0-9]{2,})")
 
 
 @dataclass(frozen=True)
@@ -131,43 +143,112 @@ def _resample(rng, nominal, std_ratio: float) -> np.ndarray:
     return np.maximum(1, np.rint(floor)).astype(np.int64)
 
 
-def perturb(scenario: ConstellationScenario, world: QueueWorld,
-            noise: NoiseModel, rng) -> QueueWorld:
-    """The true queue world behind the attacker's estimate of the target.
+@dataclass(frozen=True)
+class TrialLayout:
+    """What every trial of a sweep point shares, read once from the nominal
+    attack context.
 
-    world is the nominal world built from scenario. Draw order is fixed:
-    downlink rate, then the initial-queue length shift, then one size per
-    unit in stream order (initial queue head to tail, then arrivals), so a
-    given rng state always yields the same world. The shift inserts
-    synthetic units at the HEAD of the initial queue (ahead of any target)
-    or removes head units, never removing a target unit or anything behind
-    the first one.
+    Stream order is the initial queue head to tail, then the arrivals. Units
+    aboard at t0 join at slot index 0 together with any arrivals at t0;
+    slot_ends[g] is the nominal stream index one past the last unit joining
+    at slot index join_slots[g]. A head shift of s moves every index past
+    the head by s, so a trial reads its own boundaries at slot_ends + s and
+    its targets at positions + s.
     """
-    rate = int(_resample(rng, scenario.target_satellite.downlink_rate_bps,
-                         noise.rate_std_ratio))
 
-    initial = list(world.initial_units)
+    rate_bps: int
+    slot_seconds: int
+    sizes: np.ndarray  # nominal unit sizes in stream order
+    initial: int  # units aboard at t0
+    removable: int  # head units ahead of the first target
+    jit_clash: float  # smallest shift whose inserted ids reuse a unit id
+    open_slots: np.ndarray  # transmissible mask over [t0, horizon]
+    join_slots: np.ndarray
+    slot_ends: np.ndarray
+    positions: np.ndarray  # stream index of each target
+
+    @classmethod
+    def from_context(cls, scenario: ConstellationScenario,
+                     nominal: AttackContext) -> "TrialLayout":
+        world = nominal.world
+        units = [*world.initial_units, *(u for _, group in world.arrivals for u in group)]
+        index = {uid: k for k, (uid, _) in enumerate(units)}
+        targets = set(nominal.targets)
+        removable = next((k for k, (uid, _) in enumerate(world.initial_units)
+                          if uid in targets), len(world.initial_units))
+        ends = {0: len(world.initial_units)} if world.initial_units else {}
+        for t, group in world.arrivals:
+            ends[t - world.t0] = index[group[-1][0]] + 1
+        return cls(
+            rate_bps=scenario.target_satellite.downlink_rate_bps,
+            slot_seconds=scenario.time.slot_seconds,
+            sizes=np.array([size for _, size in units], dtype=float),
+            initial=len(world.initial_units),
+            removable=removable,
+            jit_clash=min((int(m[1]) for m in map(_JIT_ID.fullmatch, index) if m),
+                          default=INF),
+            open_slots=np.array([t in world.transmissible
+                                 for t in range(world.t0, world.horizon + 1)]),
+            join_slots=np.fromiter(ends, dtype=np.int64, count=len(ends)),
+            slot_ends=np.fromiter(ends.values(), dtype=np.int64, count=len(ends)),
+            positions=np.array([index[uid] for uid in nominal.targets], dtype=np.int64),
+        )
+
+
+def perturb(layout: TrialLayout, noise: NoiseModel,
+            rng) -> tuple[int, int, np.ndarray]:
+    """One true world behind the attacker's estimate of the target's queue:
+    (volume_bytes, head shift, unit sizes in stream order).
+
+    Draw order is fixed: downlink rate, then the initial-queue length shift,
+    then one size per unit in stream order, so a given rng state always
+    yields the same world. A positive shift puts that many units of the
+    head's nominal size (ids jit-001, jit-002, ...) at the HEAD of the
+    initial queue; a negative one removes head units, never a target or
+    anything behind the first one. The shift returned is the one applied.
+    """
+    rate = int(_resample(rng, layout.rate_bps, noise.rate_std_ratio))
     # an empty queue has std 0, so only a non-empty one ever grows
-    shift = int(round(rng.normal(0.0, noise.queue_len_std_ratio * len(initial))))
+    shift = int(round(rng.normal(0.0, noise.queue_len_std_ratio * layout.initial)))
+    nominal = layout.sizes
     if shift > 0:
-        reference = initial[0][1]
-        initial = [(f"jit-{i:03d}", reference) for i in range(1, shift + 1)] + initial
+        nominal = np.concatenate([np.full(shift, nominal[0]), nominal])
     elif shift < 0:
-        targets = set(scenario.target.target_unit_ids)
-        removable = next((i for i, (uid, _) in enumerate(initial) if uid in targets),
-                         len(initial))
-        initial = initial[min(-shift, removable):]
+        shift = -min(-shift, layout.removable)
+        nominal = nominal[-shift:]
+    sizes = _resample(rng, nominal, noise.size_std_ratio)
+    return rate * layout.slot_seconds // 8, shift, sizes
 
-    units = initial + [unit for _, group in world.arrivals for unit in group]
-    sizes = _resample(rng, [size for _, size in units], noise.size_std_ratio).tolist()
-    resized = iter(zip((uid for uid, _ in units), sizes))
-    return replace(
-        world,
-        initial_units=tuple(next(resized) for _ in initial),
-        arrivals=tuple((t, tuple(next(resized) for _ in group))
-                       for t, group in world.arrivals),
-        volume_bytes=rate * scenario.time.slot_seconds // 8,
-    )
+
+def _trial_rows(layout: TrialLayout, draws, judged: np.ndarray):
+    """Stack the draws of one point into evolve_rows' inputs: per-trial
+    inflow rows, volumes, and the stream bytes [start, end) of the judged
+    targets. Raises on the first trial, in draw order, whose true world is
+    not valid, as building its QueueWorld would."""
+    inflow = np.zeros((len(draws), len(layout.open_slots)), dtype=np.int64)
+    joined = np.zeros((len(draws), len(layout.slot_ends)), dtype=np.int64)
+    start = np.zeros((len(draws), len(judged)), dtype=np.int64)
+    end = np.zeros_like(start)
+    volumes = []
+    for row, (volume, shift, sizes) in enumerate(draws):
+        if volume <= 0:
+            raise ValidationError("volume_bytes must be positive")
+        if sizes.min(initial=1) <= 0:
+            raise ValidationError("unit sizes must be positive")
+        if shift >= layout.jit_clash:
+            raise ValidationError("unit ids must be unique")
+        stream = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=stream[1:])
+        # int64 must not wrap: every running total exceeds the one before
+        if not (stream[1:] > stream[:-1]).all():
+            raise ValidationError("unit sizes overflow the int64 byte stream")
+        joined[row] = stream[layout.slot_ends + shift]
+        start[row] = stream[judged + shift]
+        end[row] = stream[judged + shift + 1]
+        # a volume beyond every byte aboard moves the same bytes as that total
+        volumes.append(min(volume, int(stream[-1])))
+    inflow[:, layout.join_slots] = np.diff(joined, axis=1, prepend=0)
+    return inflow, np.array(volumes, dtype=np.int64), start, end
 
 
 def extend_targets(targets: tuple[str, ...], units, m: int) -> tuple[str, ...]:
@@ -206,30 +287,6 @@ def plan_attack(scenario: ConstellationScenario, kind: str, extra_m: int,
     return plan_overflow(OverflowPlanRequest.from_scenario(plan_scenario, windows, records))
 
 
-def _judge(scenario: ConstellationScenario, nominal: AttackContext, kind: str,
-           strategy, budget, noise: NoiseModel, rng) -> TrialRecord:
-    """Execute a planned strategy (or a failed plan) against one true world."""
-    ctx = replace(nominal, world=perturb(scenario, nominal.world, noise, rng))
-    base = ctx.trace()
-    if kind == "delay":
-        deadline = scenario.target.target_downlink_slot
-        natural = base.t_e(ctx.final_target) > deadline
-    else:
-        natural = all(base.dropped[uid] for uid in ctx.targets)
-
-    if strategy is None:
-        return TrialRecord(False, natural, INF, ())
-    if budget is not None and strategy.cost > budget:
-        return TrialRecord(False, natural, strategy.cost, strategy.slots)
-
-    trace = ctx.trace(ctx.require_subset(strategy.slots))
-    if kind == "delay":
-        success = trace.t_e(ctx.final_target) > scenario.target.target_downlink_slot
-    else:
-        success = all(trace.dropped[uid] for uid in ctx.targets)
-    return TrialRecord(success, natural, strategy.cost, strategy.slots)
-
-
 def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
     """Deterministic per-trial stream; equal axis values share streams."""
     text = f"{master_seed}|{axis}|{value!r}|{group}|{trial}"
@@ -238,8 +295,9 @@ def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
 
 
 def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
-                windows) -> tuple[ConstellationScenario, float | None, int, NoiseModel]:
-    """Rebuild the point's scenario and effective knobs for one axis value."""
+                ladder) -> tuple[ConstellationScenario, float | None, int, NoiseModel]:
+    """Rebuild the point's scenario and effective knobs for one axis value;
+    ladder(scenario) gives a scenario's attackability records."""
     budget = config.cost_budget
     extra_m = config.extra_m
     noise = config.noise
@@ -280,7 +338,7 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
         hours = float(value)
         if hours <= 0:
             raise ValidationError("target_duration must be positive hours")
-        ctx = AttackContext.from_scenario(scenario, windows)
+        ctx = AttackContext.from_scenario(scenario, records=ladder(scenario))
         te0 = ctx.trace().t_e(ctx.final_target)
         if te0 == INF:
             raise ValidationError("target never downlinks naturally; no deadline anchor")
@@ -300,20 +358,57 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
     return scenario, budget, extra_m, noise
 
 
+def _outcomes(layout: TrialLayout, nominal: AttackContext, kind: str, deadline: int,
+              draws, attacked) -> np.ndarray:
+    """Whether the attack's aim holds in each trial: row 0 without an
+    attack (natural), row 1, if attacked is not None, under those slots.
+    All draws and both runs go through one evolve_rows call."""
+    judged = layout.positions if kind == "overflow" else layout.positions[-1:]
+    inflow, volume, start, end = _trial_rows(layout, draws, judged)
+    masks = [layout.open_slots]
+    if attacked is not None:
+        blocked = layout.open_slots.copy()
+        blocked[np.array(sorted(attacked), dtype=np.int64) - nominal.world.t0] = False
+        masks.append(blocked)
+    runs = len(masks)
+    slot, lost = evolve_rows(
+        np.tile(inflow, (runs, 1)), np.repeat(masks, len(draws), axis=0),
+        np.tile(volume, runs), min(nominal.world.capacity_bytes, int(inflow.sum(axis=1).max())),
+        np.tile(start, (runs, 1)), np.tile(end, (runs, 1)))
+    if kind == "delay":
+        # never downlinked (lost, or aboard at the horizon) is past any deadline
+        success = (lost | (slot == inflow.shape[1])
+                   | (nominal.world.t0 + slot > deadline))[:, 0]
+    else:
+        success = lost.all(axis=1)
+    return success.reshape(runs, len(draws))
+
+
 def sweep(scenario: ConstellationScenario, config: EvalConfig,
           windows=None) -> SweepResult:
-    """Run every axis point; per-point errors are recorded, not raised."""
+    """Run every axis point; per-point errors are recorded, not raised.
+
+    No axis changes what the antenna schedule reads (low-priority
+    satellites, their orbits and the stations), so it is built once, on
+    first use, and each point derives only its attackability from it.
+    """
     if windows is None and scenario.attackability is None:
         from .orbit import compute_contact_windows
 
         windows = compute_contact_windows(scenario)
+    schedule = functools.cache(lambda: build_schedule(scenario, windows))
+
+    def ladder(point_scenario):
+        if scenario.attackability is not None:
+            return attackability_for(point_scenario)
+        return attackability(point_scenario, schedule(), windows)
 
     points = []
     for value in config.values:
         try:
             point_scenario, budget, extra_m, noise = _apply_axis(
-                scenario, config, value, windows)
-            records = attackability_for(point_scenario, windows)
+                scenario, config, value, ladder)
+            records = ladder(point_scenario)
             try:
                 strategy = plan_attack(point_scenario, config.kind, extra_m,
                                  records=records)
@@ -322,23 +417,39 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
             if budget is None:
                 budget = point_scenario.target.cost_budget
             nominal = AttackContext.from_scenario(point_scenario, records=records)
+            layout = TrialLayout.from_context(point_scenario, nominal)
 
             group_count = min(config.seed_groups, config.trials)
-            records_out: list[TrialRecord] = []
-            ratios = []
-            for group in range(group_count):
-                size = config.trials // group_count + (
-                    1 if group < config.trials % group_count else 0)
-                wins = 0
-                for trial in range(size):
-                    rng = derive_rng(config.master_seed, config.axis, value,
-                                     group, trial)
-                    record = _judge(point_scenario, nominal, config.kind,
-                                    strategy, budget, noise, rng)
-                    records_out.append(record)
-                    wins += record.success
-                ratios.append(wins / size)
-            points.append(PointResult(value, tuple(records_out), tuple(ratios)))
+            group_sizes = [config.trials // group_count
+                           + (1 if group < config.trials % group_count else 0)
+                           for group in range(group_count)]
+            keys = [(group, trial) for group, size in enumerate(group_sizes)
+                    for trial in range(size)]
+            attacks = strategy is not None and (budget is None or strategy.cost <= budget)
+            attacked = nominal.require_subset(strategy.slots) if attacks else None
+            batches = []
+            for first in range(0, len(keys), BATCH_TRIALS):
+                draws = [perturb(layout, noise, derive_rng(config.master_seed, config.axis,
+                                                           value, group, trial))
+                         for group, trial in keys[first:first + BATCH_TRIALS]]
+                batches.append(_outcomes(layout, nominal, config.kind,
+                                         point_scenario.target.target_downlink_slot,
+                                         draws, attacked))
+            outcomes = np.concatenate(batches, axis=1)
+            natural = outcomes[0]
+            success = outcomes[1] if attacks else np.zeros_like(natural)
+            if strategy is None:
+                cost, slots = INF, ()
+            else:
+                cost, slots = strategy.cost, strategy.slots
+            records_out = tuple(
+                TrialRecord(bool(success[k]), bool(natural[k]), cost, slots)
+                for k in range(len(keys)))
+            ratios, first = [], 0
+            for size in group_sizes:
+                ratios.append(sum(r.success for r in records_out[first:first + size]) / size)
+                first += size
+            points.append(PointResult(value, records_out, tuple(ratios)))
         except OrbitSiegeError as exc:
             points.append(PointResult(value, (), (), error=str(exc)))
     return SweepResult(config=config, points=tuple(points))

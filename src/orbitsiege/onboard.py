@@ -13,6 +13,12 @@ first slot whose transmission ends at or past P[k]. The unit is lost at the
 first slot in [a, b) that drops bytes, and otherwise downlinked at b: each
 unit gets exactly one event, at the slot its first byte is dropped or its
 last byte is transmitted, or none if it is still aboard at the horizon.
+
+`evolve` runs that recurrence on one world with Python integers and keeps
+the curves, for the planners and `simulate`. `evolve_rows` runs the same
+rule on many worlds at once, one int64 row each, and reads the fates of a
+few units per row as it goes without storing any curve; the Monte-Carlo
+sweep judges all trials of a point in one call.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import ValidationError
 from .scenario import ConstellationScenario
@@ -207,6 +215,56 @@ def evolve(world: QueueWorld, attacked: frozenset[int] | set[int],
 
     return QueueTrace(world, queue_bytes, tx_end, removed, drops,
                       evacuation, last_full, dropped, drop_slot)
+
+
+def evolve_rows(inflow, open_slots, volume, capacity: int, start, end
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """`evolve`'s per-slot rule on B queues at once, in int64.
+
+    inflow is (B, T): bytes joining each row's queue in each of T slots.
+    open_slots is a bool mask broadcastable to (B, T) of the slots that may
+    transmit. volume is each row's per-slot volume and capacity the shared
+    store size. start and end are (B, K): the stream bytes [start, end) of K
+    units per row. The caller keeps every running total below 2**63.
+
+    Returns (slot, lost), both (B, K). A lost unit's slot is the index of
+    the slot its first byte was dropped; any other unit's is the index of the
+    slot its last byte was transmitted, or T if it is still aboard. Only
+    slots that receive bytes or may transmit in some row can change anything,
+    so the others are skipped.
+    """
+    inflow = np.asarray(inflow, dtype=np.int64)
+    rows, slots = inflow.shape
+    open_slots = np.broadcast_to(np.asarray(open_slots, dtype=bool), inflow.shape)
+    volume = np.asarray(volume, dtype=np.int64)
+    start = np.asarray(start, dtype=np.int64)
+    end = np.asarray(end, dtype=np.int64)
+    q = np.zeros(rows, dtype=np.int64)
+    gone = np.zeros(rows, dtype=np.int64)
+    slot = np.full(start.shape, slots, dtype=np.int64)
+    lost = np.zeros(start.shape, dtype=bool)
+    can_open = open_slots.any(axis=0)
+    for i in np.flatnonzero(inflow.any(axis=0) | can_open):
+        q += inflow[:, i]
+        if can_open[i]:
+            o = np.minimum(volume, q)
+            if not open_slots[:, i].all():
+                o *= open_slots[:, i]
+            q -= o
+            gone += o
+            # the first slot whose transmission reaches the unit's end
+            slot[(gone[:, None] >= end) & (slot == slots)] = i
+        over = q > capacity
+        if over.any():
+            d = np.minimum(np.maximum(q - capacity, volume), q) * over
+            q -= d
+            gone += d
+            # a drop that reaches past the unit's start before its end is
+            # sent: a unit whose end went out has its slot set already
+            hit = over[:, None] & (gone[:, None] > start) & (slot == slots)
+            slot[hit] = i
+            lost |= hit
+    return slot, lost
 
 
 TRACE_EVENT_HEADER = ["slot", "event", "unit_id"]

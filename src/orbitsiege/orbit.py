@@ -225,5 +225,7 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> list[Con
                 windows.append(ContactWindow(row[1], row[2], slot, elev))
     except OSError as exc:
         raise IoError(f"cannot read windows {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     windows.sort(key=lambda w: (w.slot, w.satellite_id, w.station_id))
     return windows

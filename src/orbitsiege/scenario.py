@@ -317,9 +317,15 @@ def _load_trace_csv(path: str, grid: TimeGrid) -> list[DataUnit]:
                 if len(row) != 4:
                     raise ParseError(f"{path}:{line_no}: expected 4 columns")
                 slot = grid.slot_of(_parse_utc(row[2], f"{path}:{line_no}"))
-                units.append(DataUnit(row[0], row[1], slot, int(row[3])))
+                try:
+                    size = int(row[3])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{line_no}: size_bytes is not an integer") from exc
+                units.append(DataUnit(row[0], row[1], slot, size))
     except OSError as exc:
         raise IoError(f"cannot read trace file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return units
 
 
@@ -494,6 +500,8 @@ def load_scenario(path: str) -> ConstellationScenario:
         raise IoError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return scenario_from_dict(obj, base_dir=os.path.dirname(path) or ".")
 
 

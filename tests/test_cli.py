@@ -245,6 +245,43 @@ def test_bad_window_numbers_exit_two(capsys, tmp_path, column, value):
     assert err.startswith("error:") and "windows.csv:2:" in err
 
 
+def test_windows_that_are_not_utf8_exit_two(capsys, tmp_path):
+    scn = bundled("constellation_24h")
+    windows = tmp_path / "windows.csv"
+    assert run_cli(capsys, "windows", "--scenario", scn, "--out", str(windows))[0] == 0
+    lines = windows.read_bytes().splitlines()
+    row = lines[1].split(b",")
+    row[3] = b"\xff\xfe"
+    lines[1] = b",".join(row)
+    windows.write_bytes(b"\n".join(lines) + b"\n")
+    code, out, err = run_cli(capsys, "schedule", "--scenario", scn,
+                             "--windows", str(windows))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "windows.csv" in err
+
+
+def test_scenario_that_is_not_utf8_exits_two(capsys, tmp_path):
+    path = tmp_path / "s0.json"
+    text = open(bundled("s0"), "rb").read()
+    path.write_bytes(text.replace(b'"obs-1"', b'"obs-\xff"', 1))
+    code, out, err = run_cli(capsys, "plan-delay", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "s0.json" in err
+
+
+def test_trace_csv_size_that_is_not_a_number_exits_two(capsys, tmp_path):
+    obj = json.loads(open(bundled("s0"), encoding="utf-8").read())
+    obj["trace"] = "trace.csv"
+    (tmp_path / "trace.csv").write_text(
+        "unit_id,satellite_id,capture_iso8601,size_bytes\n"
+        "arr-001,obs-1,2026-01-01T00:00:01Z,x\n", encoding="utf-8")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run_cli(capsys, "plan-delay", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "trace.csv:2: size_bytes" in err
+
+
 @pytest.mark.parametrize("command, name", [("windows", "constellation_24h"),
                                            ("schedule", "s0"),
                                            ("schedule", "constellation_24h")])
@@ -275,15 +312,47 @@ def test_sweep_is_byte_identical(capsys, s0_path, tmp_path):
 # and natural outcomes, and noise 0.6 on 30 head units makes the queue
 # shift insert and remove head units and hit the truncation floor
 GOLDEN_SWEEPS = [
-    ("s0_ovf", ["--kind", "overflow", "--values", "0.05,0.15", "--trials", "40"], {
+    ("s0_ovf", ["--kind", "overflow", "--axis", "noise_ratio", "--values", "0.05,0.15",
+                "--trials", "40"], {
         "ovf.csv": "a3af31a3d953689d0fb189bd4859cc6d9a0e49bb9e57f6e2594cd260ff594486",
         "ovf.aggregate.csv":
             "6273b54076c900d3e272fb3ad755e80ff81ca8972ec0da66c22f161df4087338",
     }),
-    ("constellation_24h", ["--kind", "delay", "--values", "0.1,0.6", "--trials", "20"], {
+    ("constellation_24h", ["--kind", "delay", "--axis", "noise_ratio",
+                           "--values", "0.1,0.6", "--trials", "20"], {
         "c24.csv": "a0b7ff49c57bdf8d7841e970cb290b4f6a3b76b3e1422b7a57855a7e12a906f3",
         "c24.aggregate.csv":
             "e4fddbdd0f5c3342f5b390444d919249c480671c499806d9dd63c651ea87d2bc",
+    }),
+    ("constellation_24h", ["--kind", "delay", "--axis", "n_high", "--values", "2,6,20",
+                           "--trials", "20"], {
+        "high.csv": "2632318a9ee956d547ef4f266c14994a5182b713274e0d9c6e3aeee4453aa173",
+        "high.aggregate.csv":
+            "14f2d626a0c05f1d4e97e58e0a2fc23135ddef3fcf4f1a42c33a3ce4dc4647d6",
+    }),
+    ("constellation_24h", ["--kind", "delay", "--axis", "target_duration",
+                           "--values", "1,3", "--trials", "20"], {
+        "duration.csv": "8969ea0c62d86aa7b5cc35d5f44d62ae7d05c3cc0430e3aaeb0e13ca7cef9c45",
+        "duration.aggregate.csv":
+            "68fe47f28908d3f65d077141854f276e3f938c73e8113e9505e004a41f167255",
+    }),
+    ("constellation_24h", ["--kind", "delay", "--axis", "data_rate",
+                           "--values", "60000000,80000000", "--trials", "20"], {
+        "rate.csv": "a0f70fd4244f8f4543d525703bb8b1b1a099c82c1302b2bde00995d5ebd7aea9",
+        "rate.aggregate.csv":
+            "dad4ec64d48cd008f907fa78fcf5968e0ddefb4767926be102eedef56801d9a6",
+    }),
+    ("constellation_24h", ["--kind", "delay", "--axis", "image_size",
+                           "--values", "400000000,600000000", "--trials", "20"], {
+        "size.csv": "94694e5d22cdb270dbd43c809e715a3729139440164ed9f568716be9622cf110",
+        "size.aggregate.csv":
+            "69d2757c736b3a2cb486acfc36767220a324a173b082baac1615a3c807f7ae39",
+    }),
+    ("s0_ovf", ["--kind", "overflow", "--axis", "extra_M", "--values", "0,2",
+                "--trials", "40", "--noise", "0.15"], {
+        "widen.csv": "394c415be350638240bc4b43ab4e90e8b8a06c7717bec21ae5b5e6a3b0cd4e6d",
+        "widen.aggregate.csv":
+            "dd962ad305749be93268f54bd04ddd07293d738e3242d3c93a09c8b64b6187f6",
     }),
 ]
 
@@ -291,9 +360,8 @@ GOLDEN_SWEEPS = [
 @pytest.mark.parametrize("name, opts, digests", GOLDEN_SWEEPS)
 def test_sweep_matches_golden_digests(capsys, tmp_path, name, opts, digests):
     out = tmp_path / next(iter(digests))
-    code, _, err = run_cli(capsys, "sweep", "--scenario", bundled(name),
-                           "--axis", "noise_ratio", *opts, "--seed", "7",
-                           "--out", str(out))
+    code, _, err = run_cli(capsys, "sweep", "--scenario", bundled(name), *opts,
+                           "--seed", "7", "--out", str(out))
     assert code == 0 and err == ""
     got = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
            for file in digests}

@@ -1,20 +1,22 @@
 """Monte-Carlo harness: noise statistics, trial judging, sweep plumbing."""
 
-import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from orbitsiege import (AttackContext, EvalConfig, NoiseModel, ValidationError,
-                        derive_rng, extend_targets, perturb, plan_attack,
-                        save_aggregate, save_report, sweep, verify_delay,
-                        verify_overflow)
-from orbitsiege.evaluation import (TRUNCATION_RATIO, _resample,
+                        derive_rng, extend_targets, load_scenario, perturb,
+                        plan_attack, save_aggregate, save_report, sweep,
+                        verify_delay, verify_overflow)
+from orbitsiege import evaluation
+from orbitsiege.evaluation import (TRUNCATION_RATIO, TrialLayout, _resample,
                                    aggregate_rows, report_rows)
 from orbitsiege.synth import build_s0, build_s0_ovf
 
 SILENT = NoiseModel(0.0, 0.0, 0.0)
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def test_noise_model_bounds():
@@ -70,85 +72,143 @@ def test_resample_draws_like_scalar_calls():
         assert batch == loop
 
 
-def nominal_world(scenario):
-    return AttackContext.from_scenario(scenario).world
+def with_sizes(scenario, sizes):
+    """scenario with the target's initial queue resized head to tail."""
+    sat_id = scenario.target.satellite_id
+    queue = tuple(
+        (sid, tuple(replace(u, size_bytes=size) for u, size in zip(units, sizes))
+         if sid == sat_id else units)
+        for sid, units in scenario.initial_queue)
+    return replace(scenario, initial_queue=queue)
 
 
-def unit_ids(units):
-    return [uid for uid, _ in units]
+def distinct_s0():
+    """s0 with head units of distinct sizes, so a unit is known by its size."""
+    return with_sizes(build_s0(), [11, 12, 13, 14, 15])
+
+
+def layout_of(scenario):
+    ctx = AttackContext.from_scenario(scenario)
+    return ctx, TrialLayout.from_context(scenario, ctx)
+
+
+def nominal_sizes(ctx):
+    return [end - start for _, start, end in ctx.world.byte_ranges.values()]
 
 
 def test_perturb_silent_noise_is_identity():
-    scenario = build_s0()
-    world = nominal_world(scenario)
-    assert perturb(scenario, world, SILENT, np.random.default_rng(0)) == world
+    ctx, layout = layout_of(distinct_s0())
+    volume, shift, sizes = perturb(layout, SILENT, np.random.default_rng(0))
+    assert volume == ctx.world.volume_bytes
+    assert shift == 0
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == nominal_sizes(ctx)
 
 
 def test_perturb_is_deterministic_per_stream():
-    scenario = build_s0()
-    world = nominal_world(scenario)
+    _, layout = layout_of(distinct_s0())
     noise = NoiseModel(0.3, 0.3, 0.3)
-    a = perturb(scenario, world, noise, np.random.default_rng(42))
-    b = perturb(scenario, world, noise, np.random.default_rng(42))
-    c = perturb(scenario, world, noise, np.random.default_rng(43))
-    assert a == b
-    assert a != c
+
+    def draw(seed):
+        volume, shift, sizes = perturb(layout, noise, np.random.default_rng(seed))
+        return volume, shift, sizes.tolist()
+
+    assert draw(42) == draw(42)
+    assert draw(42) != draw(43)
 
 
 def test_perturb_touches_only_the_target_satellite():
-    # the true world is the target's queue alone, so other satellites cannot
-    # change; within it only unit sizes, head jit- units and the per-slot
-    # volume may differ from the nominal world
-    scenario = build_s0()
-    world = nominal_world(scenario)
-    head = unit_ids(world.initial_units)
+    # the true world is the target's queue alone: a trial draws its volume,
+    # a head shift and one size per unit of the shifted stream, and head
+    # insertions come first, at the head's nominal size
+    ctx, layout = layout_of(distinct_s0())
+    nominal = nominal_sizes(ctx)
     # s0 downlinks 2 bytes per slot; more rate noise can stall it (see
     # test_sweep_flags_a_degenerate_true_world)
     noise = NoiseModel(0.4, 0.1, 0.4)
     changed = False
     for seed in range(20):
-        true_world = perturb(scenario, world, noise, np.random.default_rng(seed))
-        for name in ("transmissible", "capacity_bytes", "t0", "horizon"):
-            assert getattr(true_world, name) == getattr(world, name)
-        assert [(t, unit_ids(group)) for t, group in true_world.arrivals] == \
-            [(t, unit_ids(group)) for t, group in world.arrivals]
-        ids = unit_ids(true_world.initial_units)
-        jits = [uid for uid in ids if uid.startswith("jit-")]
-        kept = ids[len(jits):]
-        assert ids[:len(jits)] == jits
-        assert kept == head[len(head) - len(kept):]
-        assert not jits or kept == head
-        changed |= true_world.volume_bytes != world.volume_bytes or \
-            true_world.initial_units != world.initial_units
+        volume, shift, sizes = perturb(layout, noise, np.random.default_rng(seed))
+        assert len(sizes) == len(nominal) + shift
+        assert -2 <= shift, "init-003 is two units deep"
+        _, _, kept = perturb(layout, replace(noise, size_std_ratio=0.0),
+                             np.random.default_rng(seed))
+        assert kept.tolist() == [11] * max(shift, 0) + nominal[max(-shift, 0):]
+        changed |= volume != ctx.world.volume_bytes or sizes.tolist() != nominal
     assert changed
 
 
 def test_perturb_queue_shift_never_eats_the_target():
-    # heavy length noise: head insertions show up as jit- units, head
-    # removals stop at the first target unit (init-003, two units deep)
-    scenario = build_s0()
-    world = nominal_world(scenario)
+    # heavy length noise: head insertions show up as head-sized units in
+    # front, head removals stop at the first target unit (init-003, two
+    # units deep)
+    ctx, layout = layout_of(distinct_s0())
+    nominal = nominal_sizes(ctx)
     noise = NoiseModel(0.0, 0.0, 1.0)
     saw_insert = saw_remove = False
     for seed in range(60):
-        true_world = perturb(scenario, world, noise, np.random.default_rng(seed))
-        ids = unit_ids(true_world.initial_units)
-        assert "init-003" in ids
-        tail = ids[ids.index("init-003"):]
-        assert tail == ["init-003", "init-004", "init-005"]
-        jits = [uid for uid in ids if uid.startswith("jit-")]
-        assert ids[:len(jits)] == jits, "insertions must sit at the head"
+        _, shift, sizes = perturb(layout, noise, np.random.default_rng(seed))
+        sizes = sizes.tolist()
         # the shift is the second draw of the stream, after the rate's
         ref = np.random.default_rng(seed)
         ref.standard_normal()
-        shift = round(5 * ref.standard_normal())
-        assert len(jits) == max(shift, 0)
-        assert ids[len(jits):] == unit_ids(world.initial_units)[min(max(-shift, 0), 2):]
-        if jits:
-            saw_insert = True
-        if "init-001" not in ids:
-            saw_remove = True
+        drawn = round(5 * ref.standard_normal())
+        assert shift == max(drawn, -2)
+        # init-003 and everything behind it survive, in place behind the head
+        assert sizes[2 + shift:] == nominal[2:]
+        assert sizes == [11] * max(shift, 0) + nominal[max(-shift, 0):], \
+            "insertions must sit at the head"
+        saw_insert |= shift > 0
+        saw_remove |= shift < 0
     assert saw_insert and saw_remove
+
+
+def judge_one(scenario, kind, strategy, draw):
+    """One trial judged the slow way: its QueueWorld rebuilt from the draw
+    and run through evolve with and without the strategy."""
+    ctx = AttackContext.from_scenario(scenario)
+    volume, shift, sizes = draw
+    head = list(ctx.world.initial_units)
+    if shift > 0:
+        head = [(f"jit-{i:03d}", head[0][1]) for i in range(1, shift + 1)] + head
+    head = head[max(-shift, 0):]
+    resized = iter(sizes.tolist())
+    world = replace(
+        ctx.world,
+        initial_units=tuple((uid, next(resized)) for uid, _ in head),
+        arrivals=tuple((t, tuple((uid, next(resized)) for uid, _ in group))
+                       for t, group in ctx.world.arrivals),
+        volume_bytes=volume)
+    true_ctx = replace(ctx, world=world)
+
+    def hit(trace):
+        if kind == "delay":
+            return trace.t_e(ctx.final_target) > scenario.target.target_downlink_slot
+        return all(trace.dropped[uid] for uid in ctx.targets)
+
+    return hit(true_ctx.trace(strategy.slot_set)), hit(true_ctx.trace())
+
+
+@pytest.mark.parametrize("name, kind, noise", [("constellation_24h", "delay", 0.6),
+                                               ("s0_ovf", "overflow", 0.15)])
+def test_batched_trials_match_per_trial_evolve(name, kind, noise):
+    # every trial of a point, judged in one batch, agrees with rebuilding
+    # its true world and running evolve twice
+    scenario = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
+    config = EvalConfig(kind=kind, axis="noise_ratio", values=(noise,), trials=40,
+                        master_seed=7, seed_groups=4)
+    point = sweep(scenario, config).points[0]
+    assert point.error is None
+    strategy = plan_attack(scenario, kind, extra_m=0)
+    _, layout = layout_of(scenario)
+    model = NoiseModel(noise, noise, noise)
+    outcomes = set()
+    for k, record in enumerate(point.records):
+        group, trial = divmod(k, 10)
+        draw = perturb(layout, model, derive_rng(7, "noise_ratio", noise, group, trial))
+        assert (record.success, record.natural) == judge_one(scenario, kind, strategy, draw)
+        outcomes.add(record.success)
+    assert outcomes == {True, False}
 
 
 def test_extend_targets_clips_at_the_ends():
@@ -268,6 +328,38 @@ def test_sweep_flags_a_degenerate_true_world():
     point = result.points[0]
     assert point.error == "volume_bytes must be positive"
     assert point.records == ()
+
+
+def test_sweep_rejects_true_worlds_it_cannot_hold():
+    # a head unit named like an inserted one clashes once a trial inserts
+    # two units, as a QueueWorld holding both would
+    s0 = build_s0()
+    sat_id = s0.target.satellite_id
+    queue = tuple((sid, tuple(replace(u, unit_id="jit-002") if u.unit_id == "init-001" else u
+                              for u in units) if sid == sat_id else units)
+                  for sid, units in s0.initial_queue)
+    clash = replace(s0, initial_queue=queue)
+    config = make_config(values=(0.0,), noise=NoiseModel(0.0, 0.0, 1.0), axis="budget")
+    assert sweep(clash, config).points[0].error == "unit ids must be unique"
+    # the trials run in int64, so a stream past 2**63 bytes is refused
+    # rather than wrapped
+    huge = with_sizes(s0, [2**62] * 5)
+    point = sweep(huge, make_config(values=(1.0,), noise=SILENT, axis="budget")).points[0]
+    assert point.error == "unit sizes overflow the int64 byte stream"
+
+
+def test_sweep_batches_do_not_change_the_records(monkeypatch):
+    # a point's trials run BATCH_TRIALS at a time; smaller batches, one that
+    # splits a seed group included, give the same records and ratios
+    scenario = load_scenario(os.path.join(SCENARIOS, "s0_ovf.json"))
+    config = EvalConfig(kind="overflow", axis="noise_ratio", values=(0.15,),
+                        trials=23, master_seed=2, seed_groups=4)
+    whole = sweep(scenario, config)
+    monkeypatch.setattr(evaluation, "BATCH_TRIALS", 5)
+    batched = sweep(scenario, config)
+    assert report_rows(batched) == report_rows(whole)
+    assert batched.points[0].group_ratios == whole.points[0].group_ratios
+    assert {r.success for r in whole.points[0].records} == {True, False}
 
 
 def test_sweep_budget_axis_brackets_the_plan_cost():

@@ -2,9 +2,10 @@
 
 import math
 import os
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import evacuation_slot, fifo_replay, last_full_slot
@@ -18,7 +19,7 @@ from orbitsiege import (
     per_slot_capacity,
     plan_attack,
 )
-from orbitsiege.onboard import save_trace, save_trace_events
+from orbitsiege.onboard import evolve_rows, save_trace, save_trace_events
 
 INF = math.inf
 
@@ -258,6 +259,57 @@ def test_per_unit_engine_matches_reference(world_attacked, data):
     order = list(world.byte_ranges)
     tracked = tuple(uid for uid in order if data.draw(st.booleans()))
     assert_matches_replay(world, attacked, evolve(world, attacked, tracked))
+
+
+@st.composite
+def random_rows(draw):
+    """1-5 worlds that share unit ids, arrival slots, transmissible slots and
+    capacity, each with its own unit sizes, volume and attacked slots."""
+    world, _ = draw(random_world())
+    assume(world.byte_ranges)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        def resize(units):
+            return tuple((uid, draw(st.integers(1, 4))) for uid, _ in units)
+
+        row = replace(world, initial_units=resize(world.initial_units),
+                      arrivals=tuple((t, resize(group)) for t, group in world.arrivals),
+                      volume_bytes=draw(st.integers(1, 5)))
+        rows.append((row, frozenset(t for t in world.transmissible if draw(st.booleans()))))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_rows(), st.data())
+def test_batched_rows_match_evolve_and_reference(rows, data):
+    """Each row of one evolve_rows call gives its tracked units the departure
+    slot and lost flag that evolve and the unit-level FIFO replay give."""
+    first = rows[0][0]
+    order = list(first.byte_ranges)
+    tracked = tuple(uid for uid in order if data.draw(st.booleans())) or (order[-1],)
+    slots = range(first.t0, first.horizon + 1)
+    slot, lost = evolve_rows(
+        [[world.inflow.get(t, 0) for t in slots] for world, _ in rows],
+        [[t in world.transmissible and t not in attacked for t in slots]
+         for world, attacked in rows],
+        [world.volume_bytes for world, _ in rows], first.capacity_bytes,
+        [[world.byte_ranges[uid][1] for uid in tracked] for world, _ in rows],
+        [[world.byte_ranges[uid][2] for uid in tracked] for world, _ in rows])
+    assert slot.shape == lost.shape == (len(rows), len(tracked))
+    for r, (world, attacked) in enumerate(rows):
+        trace = evolve(world, attacked, tracked)
+        oracle = fifo_replay(
+            list(world.initial_units), {t: list(units) for t, units in world.arrivals},
+            world.transmissible, attacked, world.capacity_bytes, world.volume_bytes,
+            world.t0, world.horizon)
+        for k, uid in enumerate(tracked):
+            at = world.t0 + int(slot[r, k])
+            assert bool(lost[r, k]) == trace.dropped[uid] == (uid in oracle["dropped"])
+            if lost[r, k]:
+                assert at == trace.drop_slot[uid] == oracle["dropped"][uid]
+            else:
+                left = at if at <= world.horizon else INF
+                assert left == trace.t_e(uid) == evacuation_slot(oracle, uid)
 
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
