@@ -11,7 +11,7 @@ measures how those plans survive estimation noise.
 """
 
 from .attack import AttackContext, AttackStrategy, save_strategy, save_strategy_summary
-from .errors import (AttackFail, BadChecksum, BadLayout, Infeasible, IoError,
+from .errors import (AttackFail, BadChecksum, BadLayout, IoError,
                      OrbitSiegeError, OutOfHorizon, ParseError, StaleElements,
                      ValidationError)
 from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, PointResult,
@@ -23,8 +23,8 @@ from .onboard import (QueueTrace, QueueWorld, evolve, per_slot_capacity,
 from .orbit import (ContactWindow, compute_contact_windows,
                     load_contact_windows, parse_tle, propagate,
                     save_contact_windows)
-from .planner_delay import DelayPlanRequest, plan_delay, verify_delay
-from .planner_overflow import OverflowPlanRequest, plan_overflow, verify_overflow
+from .planner_delay import plan_delay, verify_delay
+from .planner_overflow import plan_overflow, verify_overflow
 from .scenario import (AttackabilityRecord, ConstellationScenario, CostModel,
                        DataUnit, GroundStationSpec, SatelliteSpec, TargetSpec,
                        TimeGrid, TleElements, load_scenario, save_scenario,
@@ -40,9 +40,9 @@ __all__ = [
     "AXES", "KINDS",
     "AttackContext", "AttackStrategy", "AttackFail", "AttackabilityRecord",
     "BadChecksum", "BadLayout", "ConstellationScenario", "ContactWindow",
-    "CostModel", "DataUnit", "DelayPlanRequest", "EvalConfig",
-    "GroundStationSpec", "Infeasible", "IoError", "NoiseModel",
-    "OrbitSiegeError", "OutOfHorizon", "OverflowPlanRequest", "ParseError",
+    "CostModel", "DataUnit", "EvalConfig",
+    "GroundStationSpec", "IoError", "NoiseModel",
+    "OrbitSiegeError", "OutOfHorizon", "ParseError",
     "PointResult", "QueueTrace", "QueueWorld", "SatelliteSpec",
     "SlotSchedule", "StaleElements", "SweepResult", "TargetSpec", "TimeGrid",
     "TleElements", "TrialRecord", "ValidationError",

@@ -69,15 +69,10 @@ class AttackContext:
         return sum(self.price[t] for t in slots)
 
     @classmethod
-    def from_scenario(cls, scenario: ConstellationScenario, windows=None,
-                      records=None) -> "AttackContext":
-        """Build from a scenario; pass windows or precomputed attackability
-        records to skip propagation and antenna assignment (the geometry does
-        not change across noise realizations, the queue inputs do)."""
-        from .scheduler import attackability_for
-
-        if records is None:
-            records = attackability_for(scenario, windows)
+    def from_scenario(cls, scenario: ConstellationScenario,
+                      records) -> "AttackContext":
+        """Build from a scenario and its attackability records, as
+        `scheduler.attackability_for` gives them."""
         target = scenario.target
         sat_id = target.satellite_id
         t0 = target.attack_start_slot
@@ -97,7 +92,7 @@ class AttackContext:
                            for t, units in sorted(arrivals.items())),
             transmissible=frozenset(r.slot for r in records if r.transmissible),
             capacity_bytes=scenario.satellite(sat_id).capacity_bytes,
-            volume_bytes=per_slot_capacity(scenario, sat_id),
+            volume_bytes=per_slot_capacity(scenario),
             t0=t0,
             horizon=horizon,
         )

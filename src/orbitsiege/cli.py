@@ -12,7 +12,6 @@ trouble (reported on standard error).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -80,11 +79,10 @@ def _load(args):
     return scenario, windows
 
 
-def _need_windows(scenario, windows):
-    # an attackability table baked into the scenario stands in for geometry
-    if windows is None and scenario.attackability is None:
-        windows = compute_contact_windows(scenario)
-    return windows
+def _context(args):
+    """The scenario and the attack context on its attackability ladder."""
+    scenario, windows = _load(args)
+    return scenario, AttackContext.from_scenario(scenario, attackability_for(scenario, windows))
 
 
 def _cmd_windows(args) -> int:
@@ -100,7 +98,6 @@ def _cmd_windows(args) -> int:
 
 def _cmd_schedule(args) -> int:
     scenario, windows = _load(args)
-    windows = _need_windows(scenario, windows)
     records = attackability_for(scenario, windows)
     transmissible = sum(r.transmissible for r in records)
     attackable = sum(r.attackable for r in records)
@@ -114,8 +111,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario, windows = _load(args)
-    ctx = AttackContext.from_scenario(scenario, windows)
+    _, ctx = _context(args)
     attacked = ctx.require_subset(_parse_slots(args.slots)) if args.slots else frozenset()
     trace = ctx.trace(attacked)
     for uid in ctx.targets:
@@ -132,6 +128,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _deadline(args, scenario) -> int | None:
+    return args.target_slot if args.target_slot is not None \
+        else scenario.target.target_downlink_slot
+
+
 def _write_strategy(args, strategy) -> None:
     if args.out:
         save_strategy(args.out, strategy, args.format)
@@ -141,12 +142,8 @@ def _write_strategy(args, strategy) -> None:
 
 
 def _cmd_plan_delay(args) -> int:
-    scenario, windows = _load(args)
-    if args.target_slot is not None:
-        scenario = dataclasses.replace(
-            scenario, target=dataclasses.replace(
-                scenario.target, target_downlink_slot=args.target_slot))
-    strategy = plan_attack(scenario, "delay", args.extra_m, windows)
+    scenario, ctx = _context(args)
+    strategy = plan_attack(ctx, "delay", args.extra_m, _deadline(args, scenario))
     slots = ",".join(str(s) for s in sorted(strategy.slots))
     print(f"strategy {{{slots}}}, cost {strategy.cost:g}")
     _write_strategy(args, strategy)
@@ -154,8 +151,8 @@ def _cmd_plan_delay(args) -> int:
 
 
 def _cmd_plan_overflow(args) -> int:
-    scenario, windows = _load(args)
-    strategy = plan_attack(scenario, "overflow", args.extra_m, windows)
+    _, ctx = _context(args)
+    strategy = plan_attack(ctx, "overflow", args.extra_m, None)
     slots = ",".join(str(s) for s in sorted(strategy.slots))
     drops = [slot for slot in strategy.drop_slot.values() if slot is not None]
     drop_note = f", drop slot {min(drops)}" if drops else ""
@@ -165,12 +162,12 @@ def _cmd_plan_overflow(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scenario, windows = _load(args)
+    scenario, ctx = _context(args)
     slots = _parse_slots(args.slots)
     if args.kind == "delay":
-        ok, report = verify_delay(scenario, slots, args.target_slot, windows)
+        ok, report = verify_delay(ctx, slots, _deadline(args, scenario))
     else:
-        ok, report = verify_overflow(scenario, slots, windows)
+        ok, report = verify_overflow(ctx, slots)
     text = json_text(report)
     if args.out:
         from .output import write_text_atomic

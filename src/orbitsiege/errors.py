@@ -33,10 +33,6 @@ class StaleElements(OrbitSiegeError):
     """Orbital elements are too old for the propagation model."""
 
 
-class Infeasible(OrbitSiegeError):
-    """No full assignment exists under the forbidden-pair mask."""
-
-
 class AttackFail(OrbitSiegeError):
     """Planner exhausted its moves; the attack goal is unreachable.
 

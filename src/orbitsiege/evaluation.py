@@ -24,8 +24,8 @@ import numpy as np
 from .attack import AttackContext, AttackStrategy
 from .errors import AttackFail, OrbitSiegeError, ValidationError
 from .onboard import evolve_rows
-from .planner_delay import DelayPlanRequest, plan_delay
-from .planner_overflow import OverflowPlanRequest, plan_overflow
+from .planner_delay import plan_delay
+from .planner_overflow import plan_overflow
 from .scenario import ConstellationScenario
 from .scheduler import attackability, attackability_for, build_schedule
 
@@ -136,11 +136,15 @@ class SweepResult:
 
 def _resample(rng, nominal, std_ratio: float) -> np.ndarray:
     """Gaussian around each nominal value, clipped at the truncation floor,
-    at least 1; one draw per element, in order."""
+    at least 1; one draw per element, in order. Raises rather than wrap a
+    value past the int64 range."""
     nominal = np.asarray(nominal, dtype=float)
     draw = rng.normal(nominal, std_ratio * nominal)
     floor = np.maximum(draw, TRUNCATION_RATIO * nominal)
-    return np.maximum(1, np.rint(floor)).astype(np.int64)
+    value = np.maximum(1, np.rint(floor))
+    if value.max(initial=1) >= 2.0**63:
+        raise ValidationError("resampled value exceeds the int64 byte range")
+    return value.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -251,40 +255,31 @@ def _trial_rows(layout: TrialLayout, draws, judged: np.ndarray):
     return inflow, np.array(volumes, dtype=np.int64), start, end
 
 
-def extend_targets(targets: tuple[str, ...], units, m: int) -> tuple[str, ...]:
-    """Widen the target set by m units on each side, clipped at the ends."""
+def extend_targets(targets: tuple[str, ...], ids, m: int) -> tuple[str, ...]:
+    """Widen the target set by m units on each side, clipped at the ends;
+    ids lists every unit id in stream order."""
     if m < 0:
         raise ValidationError("m must be >= 0")
-    ids = [u.unit_id for u in units]
+    ids = list(ids)
     positions = {uid: i for i, uid in enumerate(ids)}
     missing = [uid for uid in targets if uid not in positions]
     if missing:
         raise ValidationError(f"targets not aboard: {missing}")
-    if m == 0:
-        return tuple(targets)
     first = positions[targets[0]]
     last = positions[targets[-1]]
-    pre = ids[max(0, first - m):first]
-    post = ids[last + 1:last + 1 + m]
-    return tuple(pre) + tuple(targets) + tuple(post)
+    return (*ids[max(0, first - m):first], *targets, *ids[last + 1:last + 1 + m])
 
 
-def plan_attack(scenario: ConstellationScenario, kind: str, extra_m: int,
-          windows=None, records=None) -> AttackStrategy:
-    """Plan on the nominal scenario, optionally with a widened target set."""
-    plan_scenario = scenario
+def plan_attack(ctx: AttackContext, kind: str, extra_m: int,
+                deadline: int | None) -> AttackStrategy:
+    """Plan on the nominal context, optionally with a widened target set."""
     if extra_m > 0:
-        widened = extend_targets(
-            scenario.target.target_unit_ids,
-            scenario.fifo_units(scenario.target.satellite_id), extra_m)
-        plan_scenario = replace(
-            scenario, target=replace(scenario.target, target_unit_ids=widened))
+        ctx = replace(ctx, targets=extend_targets(ctx.targets, ctx.world.byte_ranges, extra_m))
     if kind == "delay":
         # a widened band only hedges if every member could stand in for the
         # true target, so each one must outlast the deadline on its own
-        return plan_delay(DelayPlanRequest.from_scenario(
-            plan_scenario, windows, records, per_unit_deadline=extra_m > 0))
-    return plan_overflow(OverflowPlanRequest.from_scenario(plan_scenario, windows, records))
+        return plan_delay(ctx, deadline, per_unit_deadline=extra_m > 0)
+    return plan_overflow(ctx)
 
 
 def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
@@ -295,12 +290,14 @@ def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
 
 
 def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
-                ladder) -> tuple[ConstellationScenario, float | None, int, NoiseModel]:
+                ) -> tuple[ConstellationScenario, float | None, int, NoiseModel, float | None]:
     """Rebuild the point's scenario and effective knobs for one axis value;
-    ladder(scenario) gives a scenario's attackability records."""
+    the last is the target_duration in hours, which `sweep` anchors at the
+    nominal natural evacuation slot."""
     budget = config.cost_budget
     extra_m = config.extra_m
     noise = config.noise
+    hours = None
     axis = config.axis
     sat_id = scenario.target.satellite_id
 
@@ -338,15 +335,6 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
         hours = float(value)
         if hours <= 0:
             raise ValidationError("target_duration must be positive hours")
-        ctx = AttackContext.from_scenario(scenario, records=ladder(scenario))
-        te0 = ctx.trace().t_e(ctx.final_target)
-        if te0 == INF:
-            raise ValidationError("target never downlinks naturally; no deadline anchor")
-        deadline = int(te0) + math.ceil(3600.0 * hours / scenario.time.slot_seconds)
-        if deadline > scenario.time.last_slot:
-            raise ValidationError(f"deadline slot {deadline} beyond horizon")
-        scenario = replace(scenario,
-                           target=replace(scenario.target, target_downlink_slot=deadline))
     elif axis == "noise_ratio":
         ratio = float(value)
         noise = replace(noise, size_std_ratio=ratio, rate_std_ratio=ratio,
@@ -355,7 +343,7 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
         extra_m = int(value)
         if extra_m < 0:
             raise ValidationError("extra_M must be >= 0")
-    return scenario, budget, extra_m, noise
+    return scenario, budget, extra_m, noise, hours
 
 
 def _outcomes(layout: TrialLayout, nominal: AttackContext, kind: str, deadline: int,
@@ -406,17 +394,23 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
     points = []
     for value in config.values:
         try:
-            point_scenario, budget, extra_m, noise = _apply_axis(
-                scenario, config, value, ladder)
-            records = ladder(point_scenario)
+            point_scenario, budget, extra_m, noise, hours = _apply_axis(
+                scenario, config, value)
+            nominal = AttackContext.from_scenario(point_scenario, ladder(point_scenario))
+            deadline = point_scenario.target.target_downlink_slot
+            if hours is not None:
+                te0 = nominal.trace().t_e(nominal.final_target)
+                if te0 == INF:
+                    raise ValidationError("target never downlinks naturally; no deadline anchor")
+                deadline = int(te0) + math.ceil(3600.0 * hours / scenario.time.slot_seconds)
+                if deadline > scenario.time.last_slot:
+                    raise ValidationError(f"deadline slot {deadline} beyond horizon")
             try:
-                strategy = plan_attack(point_scenario, config.kind, extra_m,
-                                 records=records)
+                strategy = plan_attack(nominal, config.kind, extra_m, deadline)
             except AttackFail:
                 strategy = None
             if budget is None:
                 budget = point_scenario.target.cost_budget
-            nominal = AttackContext.from_scenario(point_scenario, records=records)
             layout = TrialLayout.from_context(point_scenario, nominal)
 
             group_count = min(config.seed_groups, config.trials)
@@ -426,14 +420,13 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
             keys = [(group, trial) for group, size in enumerate(group_sizes)
                     for trial in range(size)]
             attacks = strategy is not None and (budget is None or strategy.cost <= budget)
-            attacked = nominal.require_subset(strategy.slots) if attacks else None
+            attacked = strategy.slot_set if attacks else None
             batches = []
             for first in range(0, len(keys), BATCH_TRIALS):
                 draws = [perturb(layout, noise, derive_rng(config.master_seed, config.axis,
                                                            value, group, trial))
                          for group, trial in keys[first:first + BATCH_TRIALS]]
-                batches.append(_outcomes(layout, nominal, config.kind,
-                                         point_scenario.target.target_downlink_slot,
+                batches.append(_outcomes(layout, nominal, config.kind, deadline,
                                          draws, attacked))
             outcomes = np.concatenate(batches, axis=1)
             natural = outcomes[0]

@@ -36,11 +36,9 @@ from .scenario import ConstellationScenario
 INF = math.inf
 
 
-def per_slot_capacity(scenario: ConstellationScenario, satellite_id: str | None = None) -> int:
-    """Transmissible bytes per slot: floor(rate * slot_seconds / 8)."""
-    sat_id = satellite_id or scenario.target.satellite_id
-    sat = scenario.satellite(sat_id)
-    return sat.downlink_rate_bps * scenario.time.slot_seconds // 8
+def per_slot_capacity(scenario: ConstellationScenario) -> int:
+    """The target's transmissible bytes per slot: floor(rate * slot_seconds / 8)."""
+    return scenario.target_satellite.downlink_rate_bps * scenario.time.slot_seconds // 8
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,9 @@ delay exceeds the deadline's demanded delay, or fails when the window empties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .attack import AttackContext, AttackStrategy
 from .errors import AttackFail, ValidationError
-from .scenario import ConstellationScenario
 
 INF = math.inf
 
@@ -30,66 +28,42 @@ def _delay_achieved(te_now: float, te_base: float) -> float:
     return te_now - te_base
 
 
-@dataclass(frozen=True)
-class DelayPlanRequest:
-    """Planning inputs: context plus the deadline slot for the final target.
+def plan_delay(ctx: AttackContext, target_slot: int | None,
+               per_unit_deadline: bool = False) -> AttackStrategy:
+    """Greedy cheapest-in-window planning, one target unit at a time.
 
-    In the default mode the deadline must lie strictly after the final
-    target's natural evacuation slot; a deadline at or before it asks for
-    no delay at all. When the unit never evacuates naturally the demand is
-    already met and planning degenerates to the empty strategy.
+    The deadline target_slot must lie strictly after the final target's
+    natural evacuation slot; a deadline at or before it asks for no delay
+    at all. When the unit never evacuates naturally the demand is already
+    met and planning degenerates to the empty strategy.
 
     By default every target unit is pushed back by the same demanded delay,
     measured on the final unit. With per_unit_deadline each unit must
     instead individually outlast the deadline slot, which is what a widened
     target band wants: a plan that works with any band member standing in
-    for the true target.
-    """
-
-    context: AttackContext
-    target_slot: int
-    per_unit_deadline: bool = False
-
-    def __post_init__(self) -> None:
-        world = self.context.world
-        if not world.t0 < self.target_slot <= world.horizon:
-            raise ValidationError("target_slot outside (attack start, horizon]")
-        if self.per_unit_deadline:
-            # Band members may already outlast the deadline naturally; the
-            # planner simply finds no work for them.
-            return
-        te_base = self.context.trace().t_e(self.context.final_target)
-        if te_base != INF and self.target_slot <= te_base:
-            raise ValidationError(
-                f"target_slot {self.target_slot} not after natural "
-                f"evacuation slot {te_base:.0f}")
-
-    @classmethod
-    def from_scenario(cls, scenario: ConstellationScenario, windows=None,
-                      records=None, per_unit_deadline: bool = False,
-                      ) -> "DelayPlanRequest":
-        if scenario.target.target_downlink_slot is None:
-            raise ValidationError("target.target_downlink_slot required for delay planning")
-        return cls(context=AttackContext.from_scenario(scenario, windows, records),
-                   target_slot=scenario.target.target_downlink_slot,
-                   per_unit_deadline=per_unit_deadline)
-
-
-def plan_delay(request: DelayPlanRequest) -> AttackStrategy:
-    """Greedy cheapest-in-window planning, one target unit at a time.
+    for the true target. Band members may already outlast it naturally; the
+    planner simply finds no work for them.
 
     Raises AttackFail when some unit's window empties before its demanded
     delay is reached. Returns early, with the strategy built so far, if a
     target unit is dropped: nothing can downlink it after that.
     """
-    ctx = request.context
+    if target_slot is None:
+        raise ValidationError("target.target_downlink_slot required for delay planning")
+    if not ctx.world.t0 < target_slot <= ctx.world.horizon:
+        raise ValidationError("target_slot outside (attack start, horizon]")
     base = ctx.trace()
-    demanded = (request.target_slot - base.t_e(ctx.final_target)
-                if base.t_e(ctx.final_target) != INF else -INF)
-    if request.per_unit_deadline:
+    te_base = base.t_e(ctx.final_target)
+    if per_unit_deadline:
         def needs_more(te: float, te0: float) -> bool:
-            return te != INF and te <= request.target_slot
+            return te != INF and te <= target_slot
+    elif te_base != INF and target_slot <= te_base:
+        raise ValidationError(
+            f"target_slot {target_slot} not after natural "
+            f"evacuation slot {te_base:.0f}")
     else:
+        demanded = target_slot - te_base if te_base != INF else -INF
+
         def needs_more(te: float, te0: float) -> bool:
             return _delay_achieved(te, te0) <= demanded
 
@@ -98,7 +72,6 @@ def plan_delay(request: DelayPlanRequest) -> AttackStrategy:
     members: set[int] = set()
     trace = base
     for tau in ctx.targets:
-        trace = ctx.trace(members)
         if trace.dropped[tau]:
             return AttackStrategy.from_trace(ctx, chosen, motivating, trace)
         te = trace.t_e(tau)
@@ -121,13 +94,9 @@ def plan_delay(request: DelayPlanRequest) -> AttackStrategy:
     return AttackStrategy.from_trace(ctx, chosen, motivating, trace)
 
 
-def verify_delay(scenario: ConstellationScenario, slots,
-                 target_slot: int | None = None, windows=None,
-                 ) -> tuple[bool, dict]:
+def verify_delay(ctx: AttackContext, slots,
+                 target_slot: int | None) -> tuple[bool, dict]:
     """Replay a strategy and check the final target outlives the deadline."""
-    ctx = AttackContext.from_scenario(scenario, windows)
-    if target_slot is None:
-        target_slot = scenario.target.target_downlink_slot
     if target_slot is None:
         raise ValidationError("target_downlink_slot required to verify a delay")
     strategy = ctx.require_subset(slots)

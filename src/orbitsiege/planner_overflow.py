@@ -13,41 +13,26 @@ absorbed attacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .attack import AttackContext, AttackStrategy
 from .errors import AttackFail
-from .scenario import ConstellationScenario
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class OverflowPlanRequest:
-    """Planning inputs; dropping every target unit is the goal, cost is free."""
-
-    context: AttackContext
-
-    @classmethod
-    def from_scenario(cls, scenario: ConstellationScenario, windows=None,
-                      records=None) -> "OverflowPlanRequest":
-        return cls(context=AttackContext.from_scenario(scenario, windows, records))
-
-
-def plan_overflow(request: OverflowPlanRequest) -> AttackStrategy:
-    """Forward-then-backward ladder walk per target unit, in arrival order.
+def plan_overflow(ctx: AttackContext) -> AttackStrategy:
+    """Forward-then-backward ladder walk per target unit, in arrival order;
+    dropping every target unit is the goal, cost is free.
 
     Raises AttackFail when both ladders are exhausted or blocked while the
     unit still downlinks. Success leaves every target unit dropped.
     """
-    ctx = request.context
     chosen: list[int] = []
     motivating: list[str] = []
     members: set[int] = set()
 
-    trace = ctx.trace(members)
+    trace = ctx.trace()
     for tau in ctx.targets:
-        trace = ctx.trace(members)
         te = trace.t_e(tau)
         tlb = trace.t_lb(tau)
         forward = [t for t in ctx.attackable if t >= te and t not in members]
@@ -101,10 +86,8 @@ def plan_overflow(request: OverflowPlanRequest) -> AttackStrategy:
     return AttackStrategy.from_trace(ctx, chosen, motivating, trace)
 
 
-def verify_overflow(scenario: ConstellationScenario, slots,
-                    windows=None) -> tuple[bool, dict]:
+def verify_overflow(ctx: AttackContext, slots) -> tuple[bool, dict]:
     """Replay a strategy and check every target unit's bytes left via drops."""
-    ctx = AttackContext.from_scenario(scenario, windows)
     strategy = ctx.require_subset(slots)
     trace = ctx.trace(strategy)
     ok = all(trace.dropped[uid] for uid in ctx.targets)

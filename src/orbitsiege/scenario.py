@@ -30,7 +30,7 @@ def _parse_utc(text: str, where: str) -> datetime:
     """Parse an ISO 8601 timestamp; naive values are taken as UTC."""
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ParseError(f"{where}: bad timestamp {text!r}") from exc
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
@@ -68,9 +68,6 @@ class TimeGrid:
             raise OutOfHorizon(f"timestamp {_iso(timestamp)} outside grid")
         return int(delta // self.slot_seconds)
 
-    def slot_start(self, slot: int) -> datetime:
-        return self.epoch + timedelta(seconds=slot * self.slot_seconds)
-
     def slot_midpoint(self, slot: int) -> datetime:
         return self.epoch + timedelta(seconds=(slot + 0.5) * self.slot_seconds)
 
@@ -95,10 +92,6 @@ class TleElements:
         # model validity bound: near-circular orbits only
         if not 0.0 <= self.eccentricity <= 0.05:
             raise ValidationError("orbit.eccentricity: outside [0, 0.05]")
-
-    @property
-    def period_seconds(self) -> float:
-        return 86400.0 / self.mean_motion_rev_per_day
 
 
 @dataclass(frozen=True)
@@ -255,16 +248,63 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _obj(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{where}: expected true or false, got {type(value).__name__}")
+    return value
+
+
+def _float(value, where: str) -> float:
+    """A JSON number as a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: must be finite")
+    return number
+
+
+def _int(value, where: str) -> int:
+    """A JSON integer; a float is accepted only if it has no fraction."""
+    if type(value) is int:  # not a bool, which is an int subclass
+        return value
+    number = _float(value, where)
+    if not number.is_integer():
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def _parse_orbit(obj: dict | None, where: str) -> TleElements | None:
     if obj is None:
         return None
+    obj = _obj(obj, where)
+
+    def number(key, default=None):
+        value = _require(obj, key, where) if default is None else obj.get(key, default)
+        return _float(value, f"{where}.{key}")
+
     return TleElements(
-        inclination_deg=float(_require(obj, "inclination_deg", where)),
-        raan_deg=float(_require(obj, "raan_deg", where)),
-        eccentricity=float(obj.get("eccentricity", 0.0)),
-        arg_perigee_deg=float(obj.get("arg_perigee_deg", 0.0)),
-        mean_anomaly_deg=float(_require(obj, "mean_anomaly_deg", where)),
-        mean_motion_rev_per_day=float(_require(obj, "mean_motion_rev_per_day", where)),
+        inclination_deg=number("inclination_deg"),
+        raan_deg=number("raan_deg"),
+        eccentricity=number("eccentricity", 0.0),
+        arg_perigee_deg=number("arg_perigee_deg", 0.0),
+        mean_anomaly_deg=number("mean_anomaly_deg"),
+        mean_motion_rev_per_day=number("mean_motion_rev_per_day"),
         epoch=_parse_utc(_require(obj, "epoch", where), where),
     )
 
@@ -273,11 +313,13 @@ def _parse_initial_queue(obj: dict | None, sat_id: str) -> tuple[DataUnit, ...]:
     if obj is None:
         return ()
     where = f"satellite {sat_id}.initial_queue"
+    obj = _obj(obj, where)
     if "unit_sizes" in obj:
-        sizes = [int(s) for s in obj["unit_sizes"]]
+        label = f"{where}.unit_sizes"
+        sizes = [_int(s, label) for s in _list(obj["unit_sizes"], label)]
     else:
-        count = int(_require(obj, "count", where))
-        size = int(_require(obj, "unit_size_bytes", where))
+        count = _int(_require(obj, "count", where), f"{where}.count")
+        size = _int(_require(obj, "unit_size_bytes", where), f"{where}.unit_size_bytes")
         if count < 0:
             raise ValidationError(f"{where}.count: must be >= 0")
         sizes = [size] * count
@@ -289,17 +331,18 @@ def _parse_initial_queue(obj: dict | None, sat_id: str) -> tuple[DataUnit, ...]:
 
 def _parse_trace_rows(rows: list, grid: TimeGrid) -> list[DataUnit]:
     units = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_list(rows, "trace")):
         where = f"trace[{i}]"
+        row = _obj(row, where)
         if "capture_slot" in row:
-            slot = int(row["capture_slot"])
+            slot = _int(row["capture_slot"], where)
         else:
             slot = grid.slot_of(_parse_utc(_require(row, "capture_iso8601", where), where))
         units.append(DataUnit(
             unit_id=str(_require(row, "unit_id", where)),
             satellite_id=str(_require(row, "satellite_id", where)),
             capture_slot=slot,
-            size_bytes=int(_require(row, "size_bytes", where)),
+            size_bytes=_int(_require(row, "size_bytes", where), where),
         ))
     return units
 
@@ -333,15 +376,16 @@ def _parse_attackability(rows: list | None) -> tuple[AttackabilityRecord, ...] |
     if rows is None:
         return None
     records = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_list(rows, "attackability")):
         where = f"attackability[{i}]"
+        row = _obj(row, where)
         cost = row.get("cost")
         records.append(AttackabilityRecord(
-            slot=int(_require(row, "slot", where)),
-            transmissible=bool(row.get("transmissible", False)),
-            attackable=bool(row.get("attackable", False)),
-            required_high_priority=int(row.get("required_high", 0)),
-            cost=float(cost) if cost is not None else math.inf,
+            slot=_int(_require(row, "slot", where), f"{where}.slot"),
+            transmissible=_bool(row.get("transmissible", False), f"{where}.transmissible"),
+            attackable=_bool(row.get("attackable", False), f"{where}.attackable"),
+            required_high_priority=_int(row.get("required_high", 0), f"{where}.required_high"),
+            cost=_float(cost, f"{where}.cost") if cost is not None else math.inf,
         ))
     records.sort(key=lambda r: r.slot)
     return tuple(records)
@@ -386,16 +430,15 @@ def _validate(scenario: ConstellationScenario) -> None:
         raise ValidationError("target.satellite_id: must be a low-priority satellite")
     if not 0 <= target.attack_start_slot <= grid.last_slot:
         raise ValidationError("target.attack_start_slot: outside horizon")
-    aboard = {u.unit_id for u in scenario.fifo_units(target.satellite_id)}
+    order = {u.unit_id: i for i, u in enumerate(scenario.fifo_units(target.satellite_id))}
     for uid in target.target_unit_ids:
-        if uid not in aboard:
+        if uid not in order:
             raise ValidationError(f"target unit {uid}: not in trace of {target.satellite_id}")
     # pre-start captures on the target satellite belong to the initial queue
     for unit in scenario.trace_for(target.satellite_id):
         if unit.capture_slot < target.attack_start_slot:
             raise ValidationError(
                 f"unit {unit.unit_id}: captured before attack_start_slot on target satellite")
-    order = {u.unit_id: i for i, u in enumerate(scenario.fifo_units(target.satellite_id))}
     positions = [order[uid] for uid in target.target_unit_ids]
     if positions != sorted(positions):
         raise ValidationError("target.target_unit_ids: not in capture order")
@@ -417,17 +460,19 @@ def scenario_from_dict(obj: dict, base_dir: str = ".") -> ConstellationScenario:
     """Build and validate a scenario from a parsed JSON object."""
     if not isinstance(obj, dict):
         raise ParseError("scenario: top level must be an object")
-    time_obj = _require(obj, "time", "scenario")
+    time_obj = _obj(_require(obj, "time", "scenario"), "time")
     grid = TimeGrid(
         epoch=_parse_utc(_require(time_obj, "epoch", "time"), "time.epoch"),
-        slot_seconds=int(time_obj.get("slot_seconds", DEFAULT_SLOT_SECONDS)),
-        horizon_slots=int(_require(time_obj, "horizon_slots", "time")),
+        slot_seconds=_int(time_obj.get("slot_seconds", DEFAULT_SLOT_SECONDS),
+                          "time.slot_seconds"),
+        horizon_slots=_int(_require(time_obj, "horizon_slots", "time"), "time.horizon_slots"),
     )
 
     satellites = []
     initial_queue = []
-    for i, sat_obj in enumerate(_require(obj, "satellites", "scenario")):
+    for i, sat_obj in enumerate(_list(_require(obj, "satellites", "scenario"), "satellites")):
         where = f"satellites[{i}]"
+        sat_obj = _obj(sat_obj, where)
         sat_id = str(_require(sat_obj, "id", where))
         priority = str(sat_obj.get("priority", "low"))
         default_capacity = DEFAULT_CAPACITY_BYTES if priority == "low" else 0
@@ -435,23 +480,29 @@ def scenario_from_dict(obj: dict, base_dir: str = ".") -> ConstellationScenario:
             id=sat_id,
             priority=priority,
             orbit=_parse_orbit(sat_obj.get("orbit"), f"{where}.orbit"),
-            capacity_bytes=int(sat_obj.get("capacity_bytes", default_capacity)),
-            downlink_rate_bps=int(sat_obj.get("downlink_rate_bps", DEFAULT_DOWNLINK_RATE_BPS)),
+            capacity_bytes=_int(sat_obj.get("capacity_bytes", default_capacity),
+                                f"{where}.capacity_bytes"),
+            downlink_rate_bps=_int(sat_obj.get("downlink_rate_bps", DEFAULT_DOWNLINK_RATE_BPS),
+                                   f"{where}.downlink_rate_bps"),
         ))
         units = _parse_initial_queue(sat_obj.get("initial_queue"), sat_id)
         if units:
             initial_queue.append((sat_id, units))
 
     stations = []
-    for i, st_obj in enumerate(obj.get("stations", [])):
+    for i, st_obj in enumerate(_list(obj.get("stations", []), "stations")):
         where = f"stations[{i}]"
+        st_obj = _obj(st_obj, where)
         stations.append(GroundStationSpec(
             id=str(_require(st_obj, "id", where)),
-            latitude_deg=float(_require(st_obj, "latitude_deg", where)),
-            longitude_deg=float(_require(st_obj, "longitude_deg", where)),
-            altitude_m=float(st_obj.get("altitude_m", 0.0)),
-            antenna_count=int(st_obj.get("antenna_count", DEFAULT_ANTENNA_COUNT)),
-            min_elevation_deg=float(st_obj.get("min_elevation_deg", DEFAULT_MIN_ELEVATION_DEG)),
+            latitude_deg=_float(_require(st_obj, "latitude_deg", where), f"{where}.latitude_deg"),
+            longitude_deg=_float(_require(st_obj, "longitude_deg", where),
+                                 f"{where}.longitude_deg"),
+            altitude_m=_float(st_obj.get("altitude_m", 0.0), f"{where}.altitude_m"),
+            antenna_count=_int(st_obj.get("antenna_count", DEFAULT_ANTENNA_COUNT),
+                               f"{where}.antenna_count"),
+            min_elevation_deg=_float(st_obj.get("min_elevation_deg", DEFAULT_MIN_ELEVATION_DEG),
+                                     f"{where}.min_elevation_deg"),
         ))
 
     trace_obj = _require(obj, "trace", "scenario")
@@ -460,21 +511,22 @@ def scenario_from_dict(obj: dict, base_dir: str = ".") -> ConstellationScenario:
     else:
         trace = _parse_trace_rows(trace_obj, grid)
 
-    target_obj = _require(obj, "target", "scenario")
+    target_obj = _obj(_require(obj, "target", "scenario"), "target")
     budget = target_obj.get("cost_budget")
+    deadline = target_obj.get("target_downlink_slot")
     target = TargetSpec(
         satellite_id=str(_require(target_obj, "satellite_id", "target")),
-        target_unit_ids=tuple(str(u) for u in _require(target_obj, "target_unit_ids", "target")),
-        attack_start_slot=int(target_obj.get("attack_start_slot", 0)),
-        target_downlink_slot=(
-            int(target_obj["target_downlink_slot"])
-            if target_obj.get("target_downlink_slot") is not None else None),
-        cost_budget=float(budget) if budget is not None else None,
+        target_unit_ids=tuple(str(u) for u in _list(
+            _require(target_obj, "target_unit_ids", "target"), "target.target_unit_ids")),
+        attack_start_slot=_int(target_obj.get("attack_start_slot", 0), "target.attack_start_slot"),
+        target_downlink_slot=(_int(deadline, "target.target_downlink_slot")
+                              if deadline is not None else None),
+        cost_budget=_float(budget, "target.cost_budget") if budget is not None else None,
     )
 
-    costs_obj = obj.get("costs", {})
-    costs = CostModel(unit_task_price=float(
-        costs_obj.get("unit_task_price", DEFAULT_UNIT_TASK_PRICE)))
+    costs_obj = _obj(obj.get("costs", {}), "costs")
+    costs = CostModel(unit_task_price=_float(
+        costs_obj.get("unit_task_price", DEFAULT_UNIT_TASK_PRICE), "costs.unit_task_price"))
 
     scenario = ConstellationScenario(
         time=grid,
@@ -483,7 +535,7 @@ def scenario_from_dict(obj: dict, base_dir: str = ".") -> ConstellationScenario:
         trace=tuple(trace),
         target=target,
         costs=costs,
-        seed=int(obj.get("seed", 0)),
+        seed=_int(obj.get("seed", 0), "seed"),
         initial_queue=tuple(initial_queue),
         attackability=_parse_attackability(obj.get("attackability")),
     )

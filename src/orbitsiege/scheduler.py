@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import Infeasible, OutOfHorizon, ValidationError
+from .errors import OutOfHorizon, ValidationError
 from .orbit import ContactWindow, propagate, station_ecef_m
 from .scenario import AttackabilityRecord, ConstellationScenario
 
@@ -49,12 +49,12 @@ def _costs_close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_REL_TOL)
 
 
-def hungarian(cost_matrix, require_full: bool = True) -> tuple[tuple[tuple[int, int], ...], float]:
+def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     """Minimum-cost maximum-cardinality assignment with a deterministic tie-break.
 
-    `inf` entries mark forbidden pairs. Among all optimal assignments the
-    lexicographically smallest (row, col) sequence is returned. With
-    require_full, fewer than min(n, m) matched pairs raises Infeasible.
+    `inf` entries mark forbidden pairs; rows or columns left unmatched by
+    them are simply absent. Among all optimal assignments the
+    lexicographically smallest (row, col) sequence is returned.
     """
     matrix = np.asarray(cost_matrix, dtype=float)
     if matrix.ndim != 2:
@@ -68,8 +68,6 @@ def hungarian(cost_matrix, require_full: bool = True) -> tuple[tuple[tuple[int, 
     big = float(finite.sum()) + 1.0 if finite.size else 1.0
 
     _, best_cost, best_card = _solve(matrix, big)
-    if require_full and best_card < min(n, m):
-        raise Infeasible(f"only {best_card} of {min(n, m)} pairs assignable")
 
     # pin pairs greedily to the lexicographically smallest optimal sequence
     pinned: list[tuple[int, int]] = []
@@ -127,7 +125,7 @@ def assign_slot(scenario: ConstellationScenario, windows_at_slot: list[ContactWi
 
     # one column per antenna; a station's antennas are adjacent and identical
     antennas = [st.antenna_count for st in stations]
-    pairs, _ = hungarian(np.repeat(matrix, antennas, axis=1), require_full=False)
+    pairs, _ = hungarian(np.repeat(matrix, antennas, axis=1))
     owner = np.repeat(np.arange(len(stations)), antennas)
     used = np.bincount([owner[c] for _, c in pairs], minlength=len(stations))
     idle = tuple((st.id, st.antenna_count - int(n)) for st, n in zip(stations, used))

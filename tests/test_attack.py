@@ -10,6 +10,7 @@ from orbitsiege import (
     AttackStrategy,
     QueueWorld,
     ValidationError,
+    attackability_for,
     build_s0,
 )
 from orbitsiege.attack import save_strategy, save_strategy_summary
@@ -85,7 +86,7 @@ def test_from_scenario_clips_to_attack_window():
 
     late = replace(scenario, target=replace(scenario.target,
                                             attack_start_slot=3))
-    ctx = AttackContext.from_scenario(late)
+    ctx = AttackContext.from_scenario(late, attackability_for(late))
     assert ctx.attackable == (4, 6, 8, 10, 12)
     assert ctx.world.t0 == 3
     assert set(ctx.price) == {4, 6, 8, 10, 12}
@@ -94,7 +95,8 @@ def test_from_scenario_clips_to_attack_window():
 
 
 def test_from_scenario_baseline_matches_desk_numbers():
-    ctx = AttackContext.from_scenario(build_s0())
+    scenario = build_s0()
+    ctx = AttackContext.from_scenario(scenario, attackability_for(scenario))
     trace = ctx.trace()
     assert trace.t_e("init-003") == 4
     assert ctx.attackable == (2, 4, 6, 8, 10, 12)
@@ -123,12 +125,14 @@ def test_strategy_summary_and_outputs(tmp_path):
 
     csv_path = str(tmp_path / "strategy.csv")
     save_strategy(csv_path, strategy)
-    lines = open(csv_path, encoding="utf-8").read().splitlines()
+    with open(csv_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     assert lines == ["slot,cost,motivating_unit", "4,1,u-2", "2,1,u-2"]
 
     json_path = str(tmp_path / "strategy.summary.json")
     save_strategy_summary(json_path, strategy)
-    loaded = json.load(open(json_path, encoding="utf-8"))
+    with open(json_path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
     # non-finite floats become null so the file stays strict JSON
     assert loaded["targets"]["u-2"]["evacuation_slot"] is None
 

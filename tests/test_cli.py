@@ -64,7 +64,8 @@ def test_plan_delay_target_slot_override(capsys, s0_path):
 
 def test_infeasible_plan_exits_one(capsys, tmp_path, s0_path):
     # leave a single attackable slot: the ladder is too short for deadline 8
-    doc = json.load(open(s0_path))
+    with open(s0_path) as fh:
+        doc = json.load(fh)
     for row in doc["attackability"]:
         if row["slot"] != 2:
             row["attackable"] = False
@@ -146,7 +147,7 @@ def test_strategy_artifacts(capsys, s0_ovf_path, tmp_path):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "slot,cost,motivating_unit"
     assert len(lines) == 3
-    summary = json.load(open(tmp_path / "plan.summary.json"))
+    summary = json.loads((tmp_path / "plan.summary.json").read_text())
     assert summary["slots"] == [4, 6]
     assert summary["total_cost"] == 2
 
@@ -158,7 +159,8 @@ def test_windows_without_stations_is_empty(capsys, s0_path):
 
 
 def test_windows_need_orbits(capsys, tmp_path, s0_path):
-    doc = json.load(open(s0_path))
+    with open(s0_path) as fh:
+        doc = json.load(fh)
     doc["stations"] = [{"id": "gs-01", "latitude_deg": 10.0,
                         "longitude_deg": 20.0, "altitude_m": 0.0,
                         "antenna_count": 1, "min_elevation_deg": 5.0}]
@@ -262,7 +264,8 @@ def test_windows_that_are_not_utf8_exit_two(capsys, tmp_path):
 
 def test_scenario_that_is_not_utf8_exits_two(capsys, tmp_path):
     path = tmp_path / "s0.json"
-    text = open(bundled("s0"), "rb").read()
+    with open(bundled("s0"), "rb") as fh:
+        text = fh.read()
     path.write_bytes(text.replace(b'"obs-1"', b'"obs-\xff"', 1))
     code, out, err = run_cli(capsys, "plan-delay", "--scenario", str(path))
     assert code == 2 and out == ""
@@ -270,7 +273,8 @@ def test_scenario_that_is_not_utf8_exits_two(capsys, tmp_path):
 
 
 def test_trace_csv_size_that_is_not_a_number_exits_two(capsys, tmp_path):
-    obj = json.loads(open(bundled("s0"), encoding="utf-8").read())
+    with open(bundled("s0"), encoding="utf-8") as fh:
+        obj = json.load(fh)
     obj["trace"] = "trace.csv"
     (tmp_path / "trace.csv").write_text(
         "unit_id,satellite_id,capture_iso8601,size_bytes\n"
@@ -280,6 +284,80 @@ def test_trace_csv_size_that_is_not_a_number_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "plan-delay", "--scenario", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "trace.csv:2: size_bytes" in err
+
+
+# s0 with an orbit and a station added, so that their fields can be broken
+# too; its inline attackability means neither is ever propagated
+ORBIT = {"inclination_deg": 97.6, "raan_deg": 40.0, "mean_anomaly_deg": 0.0,
+         "mean_motion_rev_per_day": 14.9, "epoch": "2026-01-01T00:00:00Z"}
+STATION = {"id": "gs-01", "latitude_deg": 10.0, "longitude_deg": 20.0, "altitude_m": 0.0}
+
+MALFORMED = [
+    (("satellites",), "5"),
+    (("stations",), "3"),
+    (("time",), "null"),
+    (("target",), "[1]"),
+    (("trace",), "[1, 2]"),
+    (("attackability",), "[5]"),
+    (("attackability", 2, "attackable"), '"false"'),
+    (("time", "horizon_slots"), '"x"'),
+    (("seed",), '"x"'),
+    (("satellites", 0, "initial_queue", "unit_sizes"), '["a"]'),
+    (("satellites", 0, "capacity_bytes"), "1e400"),
+    (("satellites", 0, "orbit", "raan_deg"), "NaN"),
+    (("stations", 0, "altitude_m"), "NaN"),
+    (("target", "cost_budget"), "NaN"),
+    (("costs", "unit_task_price"), "NaN"),
+]
+
+
+@pytest.mark.parametrize("path, raw", MALFORMED,
+                         ids=[".".join(map(str, p)) + "=" + raw for p, raw in MALFORMED])
+def test_malformed_scenario_fields_exit_two(capsys, tmp_path, path, raw):
+    with open(bundled("s0"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["satellites"][0]["orbit"] = dict(ORBIT)
+    doc["stations"] = [dict(STATION)]
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(capsys, "plan-delay", "--scenario", str(good))[0] == 0
+
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    # the raw JSON text replaces a placeholder, so 1e400 and NaN stay literal
+    node[path[-1]] = "@RAW@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"@RAW@"', raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, "plan-delay", "--scenario", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+WINDOWS_PARITY = [
+    ["simulate", "--slots", "3,4"],
+    ["plan-delay"],
+    ["plan-overflow", "--extra-m", "2"],
+    ["verify", "--slots", "3,4,8"],
+    ["sweep", "--axis", "n_high", "--values", "2,20", "--trials", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", WINDOWS_PARITY, ids=lambda argv: argv[0])
+def test_precomputed_windows_change_nothing(capsys, tmp_path, argv):
+    scn = bundled("constellation_24h")
+    windows = tmp_path / "windows.csv"
+    assert run_cli(capsys, "windows", "--scenario", scn, "--out", str(windows))[0] == 0
+    runs = []
+    for tag, extra in (("computed", []), ("loaded", ["--windows", str(windows)])):
+        folder = tmp_path / tag
+        folder.mkdir()
+        code, out, err = run_cli(capsys, argv[0], "--scenario", scn, *extra, *argv[1:],
+                                 "--out", str(folder / "artifact.csv"))
+        files = {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+        runs.append((code, out.replace(str(folder), "<out>"), err, files))
+    assert runs[0] == runs[1]
+    assert runs[0][1]
 
 
 @pytest.mark.parametrize("command, name", [("windows", "constellation_24h"),
@@ -406,7 +484,7 @@ def test_json_format_artifacts(capsys, s0_path, tmp_path):
     code, _, _ = run_cli(capsys, "plan-delay", "--scenario", s0_path,
                          "--out", str(out_path), "--format", "json")
     assert code == 0
-    rows = json.load(open(out_path))
+    rows = json.loads(out_path.read_text())
     assert rows == [{"slot": 2, "cost": 1.0, "motivating_unit": "init-003"}]
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from orbitsiege import (AttackContext, EvalConfig, NoiseModel, ValidationError,
-                        derive_rng, extend_targets, load_scenario, perturb,
-                        plan_attack, save_aggregate, save_report, sweep,
-                        verify_delay, verify_overflow)
+                        attackability_for, derive_rng, extend_targets,
+                        load_scenario, perturb, plan_attack, save_aggregate,
+                        save_report, sweep, verify_delay, verify_overflow)
 from orbitsiege import evaluation
 from orbitsiege.evaluation import (TRUNCATION_RATIO, TrialLayout, _resample,
                                    aggregate_rows, report_rows)
@@ -72,6 +72,18 @@ def test_resample_draws_like_scalar_calls():
         assert batch == loop
 
 
+@pytest.mark.parametrize("axis, nominal", [("data_rate", 16), ("image_size", 1)])
+def test_resample_refuses_values_past_int64(axis, nominal):
+    # a rate or unit size past 2**63 would wrap to a negative int64
+    with pytest.raises(ValidationError, match="int64 byte range"):
+        _resample(np.random.default_rng(0), [2.0**63], 0.0)
+    config = EvalConfig(kind="delay", axis=axis, values=(10**20, nominal), trials=4)
+    points = sweep(build_s0(), config).points
+    assert points[0].error == "resampled value exceeds the int64 byte range"
+    assert points[0].records == ()
+    assert points[1].error is None
+
+
 def with_sizes(scenario, sizes):
     """scenario with the target's initial queue resized head to tail."""
     sat_id = scenario.target.satellite_id
@@ -87,8 +99,12 @@ def distinct_s0():
     return with_sizes(build_s0(), [11, 12, 13, 14, 15])
 
 
+def context(scenario):
+    return AttackContext.from_scenario(scenario, attackability_for(scenario))
+
+
 def layout_of(scenario):
-    ctx = AttackContext.from_scenario(scenario)
+    ctx = context(scenario)
     return ctx, TrialLayout.from_context(scenario, ctx)
 
 
@@ -166,7 +182,7 @@ def test_perturb_queue_shift_never_eats_the_target():
 def judge_one(scenario, kind, strategy, draw):
     """One trial judged the slow way: its QueueWorld rebuilt from the draw
     and run through evolve with and without the strategy."""
-    ctx = AttackContext.from_scenario(scenario)
+    ctx = context(scenario)
     volume, shift, sizes = draw
     head = list(ctx.world.initial_units)
     if shift > 0:
@@ -199,8 +215,8 @@ def test_batched_trials_match_per_trial_evolve(name, kind, noise):
                         master_seed=7, seed_groups=4)
     point = sweep(scenario, config).points[0]
     assert point.error is None
-    strategy = plan_attack(scenario, kind, extra_m=0)
-    _, layout = layout_of(scenario)
+    ctx, layout = layout_of(scenario)
+    strategy = plan_attack(ctx, kind, 0, scenario.target.target_downlink_slot)
     model = NoiseModel(noise, noise, noise)
     outcomes = set()
     for k, record in enumerate(point.records):
@@ -212,30 +228,29 @@ def test_batched_trials_match_per_trial_evolve(name, kind, noise):
 
 
 def test_extend_targets_clips_at_the_ends():
-    units = build_s0().fifo_units("obs-1")
-    ids = tuple(u.unit_id for u in units)
+    ids = tuple(u.unit_id for u in build_s0().fifo_units("obs-1"))
     assert ids[:5] == ("init-001", "init-002", "init-003", "init-004", "init-005")
 
-    assert extend_targets(("init-003",), units, 0) == ("init-003",)
-    assert extend_targets(("init-003",), units, 1) == \
+    assert extend_targets(("init-003",), ids, 0) == ("init-003",)
+    assert extend_targets(("init-003",), ids, 1) == \
         ("init-002", "init-003", "init-004")
-    assert extend_targets(("init-001",), units, 2) == \
+    assert extend_targets(("init-001",), ids, 2) == \
         ("init-001", "init-002", "init-003")
-    wide = extend_targets(("init-003",), units, 100)
+    wide = extend_targets(("init-003",), ids, 100)
     assert wide[0] == "init-001" and wide[-1] == ids[-1]
     with pytest.raises(ValidationError, match="not aboard"):
-        extend_targets(("ghost",), units, 1)
+        extend_targets(("ghost",), ids, 1)
     with pytest.raises(ValidationError, match="m must be"):
-        extend_targets(("init-003",), units, -1)
+        extend_targets(("init-003",), ids, -1)
 
 
 def test_plan_attack_widened_band_holds_every_member():
     scenario = build_s0()
-    strategy = plan_attack(scenario, "delay", extra_m=1)
-    band = extend_targets(("init-003",), scenario.fifo_units("obs-1"), 1)
+    strategy = plan_attack(context(scenario), "delay", 1, 5)
+    band = extend_targets(("init-003",), (u.unit_id for u in scenario.fifo_units("obs-1")), 1)
     widened = replace(scenario, target=replace(scenario.target,
                                                target_unit_ids=band))
-    trace = AttackContext.from_scenario(widened).trace(strategy.slot_set)
+    trace = context(widened).trace(strategy.slot_set)
     for uid in band:
         assert trace.t_e(uid) > 5
 
@@ -255,13 +270,13 @@ def test_zero_noise_trial_agrees_with_verify():
     record = one_trial(scenario, "delay")
     assert record.success
     assert record.cost == 1.0
-    ok, report = verify_delay(scenario, record.planned_slots)
+    ok, report = verify_delay(context(scenario), record.planned_slots, 5)
     assert ok and report["evacuation_slot"] > 5
 
     ovf = build_s0_ovf()
     record = one_trial(ovf, "overflow")
     assert record.success
-    ok, report = verify_overflow(ovf, record.planned_slots)
+    ok, report = verify_overflow(context(ovf), record.planned_slots)
     assert ok and report["targets"]["init-003"]["dropped"]
 
 
@@ -360,6 +375,26 @@ def test_sweep_batches_do_not_change_the_records(monkeypatch):
     assert report_rows(batched) == report_rows(whole)
     assert batched.points[0].group_ratios == whole.points[0].group_ratios
     assert {r.success for r in whole.points[0].records} == {True, False}
+
+
+@pytest.mark.parametrize("axis, values", [("noise_ratio", (0.0, 0.2)),
+                                          ("extra_M", (0, 1)),
+                                          ("target_duration", (0.001, 0.002)),
+                                          ("image_size", (1, 2))])
+def test_sweep_builds_one_context_per_point(monkeypatch, axis, values):
+    # the plan, the deadline anchor and the trials all read the point's
+    # nominal context; a widened target band reuses it too
+    built = []
+    build = AttackContext.from_scenario
+
+    def counted(scenario, records):
+        built.append(scenario)
+        return build(scenario, records)
+
+    monkeypatch.setattr(AttackContext, "from_scenario", staticmethod(counted))
+    result = sweep(build_s0(), make_config(axis=axis, values=values))
+    assert result.errors == ()
+    assert len(built) == len(values)
 
 
 def test_sweep_budget_axis_brackets_the_plan_cost():

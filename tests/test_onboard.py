@@ -13,6 +13,7 @@ from orbitsiege import (
     AttackContext,
     QueueWorld,
     ValidationError,
+    attackability_for,
     build_s0,
     evolve,
     load_scenario,
@@ -319,8 +320,8 @@ SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
                                         ("s0_ovf", "overflow")])
 def test_bundled_scenario_plan_matches_reference(name, kind):
     scenario = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
-    ctx = AttackContext.from_scenario(scenario)
-    strategy = plan_attack(scenario, kind, extra_m=0)
+    ctx = AttackContext.from_scenario(scenario, attackability_for(scenario))
+    strategy = plan_attack(ctx, kind, 0, scenario.target.target_downlink_slot)
     assert strategy.slots
     assert_matches_replay(ctx.world, strategy.slot_set, ctx.trace(strategy.slot_set))
 
@@ -335,12 +336,14 @@ def test_trace_outputs(tmp_path):
     trace = evolve(desk_world(capacity=8), frozenset({4, 6}), (TAU,))
     path = str(tmp_path / "trace.csv")
     save_trace(path, trace, (TAU,))
-    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == f"slot,queue_bytes,tx_bytes,drop_bytes,subq_{TAU}_bytes"
     assert len(lines) == 2 + HORIZON
 
     events = str(tmp_path / "events.csv")
     save_trace_events(events, trace)
-    text = open(events, encoding="utf-8").read()
+    with open(events, encoding="utf-8") as fh:
+        text = fh.read()
     assert text.splitlines()[0] == "slot,event,unit_id"
     assert f"6,dropped,{TAU}" in text.splitlines()[1:]

@@ -15,9 +15,8 @@ from oracles import (
 from orbitsiege import (
     AttackContext,
     AttackFail,
-    DelayPlanRequest,
-    OverflowPlanRequest,
     ValidationError,
+    attackability_for,
     build_s0,
     build_s0_ovf,
     plan_delay,
@@ -30,14 +29,19 @@ from orbitsiege.onboard import QueueWorld
 INF = math.inf
 
 
+def context(scenario):
+    return AttackContext.from_scenario(scenario, attackability_for(scenario))
+
+
 def test_delay_on_the_desk_scenario():
     scenario = build_s0()
-    strategy = plan_delay(DelayPlanRequest.from_scenario(scenario))
+    ctx = context(scenario)
+    strategy = plan_delay(ctx, scenario.target.target_downlink_slot)
     assert strategy.slot_set == frozenset({2})
     assert strategy.cost == pytest.approx(1.0)
     assert strategy.motivating == ("init-003",)
     assert strategy.evacuation["init-003"] == 6
-    ok, report = verify_delay(scenario, strategy.slots)
+    ok, report = verify_delay(ctx, strategy.slots, scenario.target.target_downlink_slot)
     assert ok
     assert report["evacuation_slot"] == 6
     assert report["delay_slots"] == 2
@@ -46,37 +50,35 @@ def test_delay_on_the_desk_scenario():
 
 def test_overflow_on_the_desk_scenario():
     scenario = build_s0_ovf()
-    strategy = plan_overflow(OverflowPlanRequest.from_scenario(scenario))
+    ctx = context(scenario)
+    strategy = plan_overflow(ctx)
     assert strategy.slot_set == frozenset({4, 6})
     assert strategy.dropped["init-003"]
     assert strategy.drop_slot["init-003"] == 6
-    ok, report = verify_overflow(scenario, strategy.slots)
+    ok, report = verify_overflow(ctx, strategy.slots)
     assert ok
     assert report["targets"]["init-003"]["dropped"]
     assert report["targets"]["init-003"]["drop_slot"] == 6
 
 
 def test_delay_deadline_validation():
-    scenario = build_s0()
+    ctx = context(build_s0())
     with pytest.raises(ValidationError, match="required"):
-        plan_delay(DelayPlanRequest.from_scenario(
-            replace(scenario, target=replace(scenario.target,
-                                             target_downlink_slot=None))))
-    ctx = AttackContext.from_scenario(scenario)
+        plan_delay(ctx, None)
     with pytest.raises(ValidationError, match="not after natural"):
-        DelayPlanRequest(context=ctx, target_slot=4)
+        plan_delay(ctx, 4)
     with pytest.raises(ValidationError, match="outside"):
-        DelayPlanRequest(context=ctx, target_slot=14)
+        plan_delay(ctx, 14)
 
 
 def test_delay_fails_when_ladder_is_too_short():
     scenario = build_s0()
     # deadline at the horizon needs more blocked slots than the ladder has
-    ctx = AttackContext.from_scenario(scenario)
+    ctx = context(scenario)
     trimmed = AttackContext(
         world=ctx.world, attackable=(2,), price={2: 1.0}, targets=ctx.targets)
     with pytest.raises(AttackFail, match="no attackable slot left"):
-        plan_delay(DelayPlanRequest(context=trimmed, target_slot=8))
+        plan_delay(trimmed, 8)
 
 
 def test_overflow_fails_without_capacity_pressure():
@@ -86,7 +88,7 @@ def test_overflow_fails_without_capacity_pressure():
         replace(sat, capacity_bytes=30) if sat.id == "obs-1" else sat
         for sat in scenario.satellites))
     with pytest.raises(AttackFail, match="never reaches capacity"):
-        plan_overflow(OverflowPlanRequest.from_scenario(roomy))
+        plan_overflow(context(roomy))
 
 
 def random_ladder_context(rng, horizon=14):
@@ -149,12 +151,11 @@ def test_delay_matches_exhaustive_cost():
         best_cost, best_subset = exhaustive_min_cost_delay(
             ctx.attackable, ctx.price, deadline, tau,
             lambda y: oracle_replay(ctx, y))
-        request = DelayPlanRequest(context=ctx, target_slot=deadline)
         if best_subset is None:
             with pytest.raises(AttackFail):
-                plan_delay(request)
+                plan_delay(ctx, deadline)
         else:
-            strategy = plan_delay(request)
+            strategy = plan_delay(ctx, deadline)
             rep = oracle_replay(ctx, strategy.slot_set)
             assert evacuation_slot(rep, tau) > deadline
             assert strategy.cost == pytest.approx(best_cost)
@@ -176,12 +177,11 @@ def test_overflow_matches_exhaustive_reachability():
         tau = ctx.final_target
         exhaustive = exhaustive_overflow(
             ctx.attackable, tau, lambda y: oracle_replay(ctx, y))
-        request = OverflowPlanRequest(context=ctx)
         if not exhaustive:
             with pytest.raises(AttackFail):
-                plan_overflow(request)
+                plan_overflow(ctx)
         else:
-            strategy = plan_overflow(request)
+            strategy = plan_overflow(ctx)
             assert strategy.dropped[tau]
             rep = oracle_replay(ctx, strategy.slot_set)
             assert evacuation_slot(rep, tau) == INF
@@ -189,26 +189,24 @@ def test_overflow_matches_exhaustive_reachability():
 
 
 def test_verify_rejects_non_attackable_slots():
-    scenario = build_s0()
+    ctx = context(build_s0())
     with pytest.raises(ValidationError, match="not attackable"):
-        verify_delay(scenario, [3])
-    ok, report = verify_delay(scenario, [])
+        verify_delay(ctx, [3], 5)
+    ok, report = verify_delay(ctx, [], 5)
     assert not ok
     assert report["evacuation_slot"] == 4
 
 
 def test_verify_delay_needs_a_deadline():
-    scenario = replace(build_s0(), target=replace(build_s0().target,
-                                                  target_downlink_slot=None))
+    ctx = context(build_s0())
     with pytest.raises(ValidationError, match="required"):
-        verify_delay(scenario, [2])
-    ok, _ = verify_delay(scenario, [2], target_slot=5)
+        verify_delay(ctx, [2], None)
+    ok, _ = verify_delay(ctx, [2], target_slot=5)
     assert ok
 
 
 def test_verify_overflow_reports_partial_failure():
-    scenario = build_s0_ovf()
-    ok, report = verify_overflow(scenario, [4])
+    ok, report = verify_overflow(context(build_s0_ovf()), [4])
     assert not ok
     assert not report["targets"]["init-003"]["dropped"]
 
@@ -217,9 +215,10 @@ def test_multi_target_plan_covers_all_units():
     scenario = build_s0()
     widened = replace(scenario, target=replace(
         scenario.target, target_unit_ids=("init-002", "init-003")))
-    strategy = plan_delay(DelayPlanRequest.from_scenario(widened))
-    trace = AttackContext.from_scenario(widened).trace(strategy.slot_set)
-    base = AttackContext.from_scenario(widened).trace()
+    ctx = context(widened)
+    strategy = plan_delay(ctx, 5)
+    trace = ctx.trace(strategy.slot_set)
+    base = ctx.trace()
     demanded = 5 - base.t_e("init-003")
     for uid in ("init-002", "init-003"):
         assert trace.t_e(uid) - base.t_e(uid) > demanded
@@ -231,11 +230,11 @@ def test_per_unit_deadline_mode():
     scenario = build_s0()
     widened = replace(scenario, target=replace(
         scenario.target, target_unit_ids=("init-002", "init-003", "arr-001")))
+    ctx = context(widened)
     with pytest.raises(ValidationError, match="not after natural"):
-        DelayPlanRequest.from_scenario(widened)
-    strategy = plan_delay(DelayPlanRequest.from_scenario(
-        widened, per_unit_deadline=True))
-    trace = AttackContext.from_scenario(widened).trace(strategy.slot_set)
+        plan_delay(ctx, 5)
+    strategy = plan_delay(ctx, 5, per_unit_deadline=True)
+    trace = ctx.trace(strategy.slot_set)
     for uid in ("init-002", "init-003", "arr-001"):
         assert trace.t_e(uid) > 5
 
@@ -245,8 +244,9 @@ def test_plan_returns_early_when_target_drops():
     # which satisfies any deadline trivially
     scenario = replace(build_s0_ovf(), target=replace(
         build_s0_ovf().target, target_downlink_slot=12))
-    strategy = plan_delay(DelayPlanRequest.from_scenario(scenario))
-    ok, report = verify_delay(scenario, strategy.slots)
+    ctx = context(scenario)
+    strategy = plan_delay(ctx, 12)
+    ok, report = verify_delay(ctx, strategy.slots, 12)
     assert ok
     assert report["targets"]["init-003"]["dropped"] or \
         report["evacuation_slot"] > 12

@@ -12,7 +12,6 @@ from orbitsiege import (
     CostModel,
     DataUnit,
     GroundStationSpec,
-    Infeasible,
     OutOfHorizon,
     SatelliteSpec,
     SlotSchedule,
@@ -48,7 +47,7 @@ def test_hungarian_against_brute_force():
         # sprinkle forbidden pairs, but keep some rows assignable
         mask = rng.random((n, m)) < 0.25
         matrix[mask] = INF
-        pairs, cost = hungarian(matrix, require_full=False)
+        pairs, cost = hungarian(matrix)
         expected_pairs, expected_cost = brute_force_assignment(matrix.tolist())
         assert pairs == tuple(expected_pairs)
         assert cost == pytest.approx(expected_cost)
@@ -63,9 +62,7 @@ def test_hungarian_tie_break_is_lexicographic():
 
 def test_hungarian_forbidden_and_full_requirement():
     matrix = [[INF, 3.0], [INF, 1.0]]
-    with pytest.raises(Infeasible):
-        hungarian(matrix, require_full=True)
-    pairs, cost = hungarian(matrix, require_full=False)
+    pairs, cost = hungarian(matrix)
     assert pairs == ((1, 1),)
     assert cost == pytest.approx(1.0)
 
@@ -270,7 +267,8 @@ def test_save_attackability(tmp_path):
                AttackabilityRecord(1, True, True, 2, 200.0)]
     path = str(tmp_path / "ladder.csv")
     save_attackability(path, records)
-    text = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     assert text.splitlines()[0] == "slot,transmissible,attackable,required_high,cost"
     assert text.splitlines()[1] == "0,0,0,0,inf"
     assert text.splitlines()[2] == "1,1,1,2,200"
