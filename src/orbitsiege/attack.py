@@ -9,6 +9,7 @@ transmissible set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +63,12 @@ class AttackContext:
                 f"slots not attackable: {sorted(extra)}")
         return frozenset(slots)
 
-    def trace(self, strategy=frozenset()) -> QueueTrace:
+    @functools.cached_property
+    def baseline(self) -> QueueTrace:
+        """The no-attack trace, evolved once per context."""
+        return self.trace(frozenset())
+
+    def trace(self, strategy) -> QueueTrace:
         return evolve(self.world, frozenset(strategy), self.targets)
 
     def cost_of(self, slots) -> float:

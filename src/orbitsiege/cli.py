@@ -74,7 +74,7 @@ def _parse_slots(text: str) -> tuple[int, ...]:
 def _load(args):
     scenario = load_scenario(args.scenario)
     windows = None
-    if getattr(args, "windows", None):
+    if args.windows:
         windows = load_contact_windows(args.windows, scenario)
     return scenario, windows
 
@@ -86,8 +86,7 @@ def _context(args):
 
 
 def _cmd_windows(args) -> int:
-    scenario, _ = _load(args)
-    windows = compute_contact_windows(scenario)
+    windows = compute_contact_windows(load_scenario(args.scenario))
     if args.out:
         save_contact_windows(args.out, windows, args.format)
         print(f"{len(windows)} contact windows -> {args.out}")
@@ -112,8 +111,9 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _, ctx = _context(args)
-    attacked = ctx.require_subset(_parse_slots(args.slots)) if args.slots else frozenset()
-    trace = ctx.trace(attacked)
+    trace = ctx.baseline
+    if args.slots:
+        trace = ctx.trace(ctx.require_subset(_parse_slots(args.slots)))
     for uid in ctx.targets:
         te = trace.t_e(uid)
         state = (f"dropped at slot {trace.drop_slot[uid]}" if trace.dropped[uid]
@@ -221,13 +221,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(p, windows=True, out=True) -> None:
+def _add_common(p, windows=True) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     if windows:
         p.add_argument("--windows", help="precomputed contact windows (skips propagation)")
-    if out:
-        p.add_argument("--out", help="output artifact path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", help="output artifact path")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_eval_opts(p) -> None:
@@ -249,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("windows", help="compute satellite-station contact windows")
-    _add_common(p)
+    _add_common(p, windows=False)
     p.set_defaults(func=_cmd_windows)
 
     p = sub.add_parser("schedule", help="per-slot assignment and attackability table")

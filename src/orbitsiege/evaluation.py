@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,9 +40,6 @@ TRUNCATION_RATIO = 0.1
 # trials per evolve_rows call; bounds the rows held at once however many
 # trials a point has
 BATCH_TRIALS = 1024
-
-# the ids a positive queue shift of k gives its head units: jit-001 ... jit-k
-_JIT_ID = re.compile(r"jit-(00[1-9]|0[1-9][0-9]|[1-9][0-9]{2,})")
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,6 @@ class TrialLayout:
     sizes: np.ndarray  # nominal unit sizes in stream order
     initial: int  # units aboard at t0
     removable: int  # head units ahead of the first target
-    jit_clash: float  # smallest shift whose inserted ids reuse a unit id
     open_slots: np.ndarray  # transmissible mask over [t0, horizon]
     join_slots: np.ndarray
     slot_ends: np.ndarray
@@ -189,8 +184,6 @@ class TrialLayout:
             sizes=np.array([size for _, size in units], dtype=float),
             initial=len(world.initial_units),
             removable=removable,
-            jit_clash=min((int(m[1]) for m in map(_JIT_ID.fullmatch, index) if m),
-                          default=INF),
             open_slots=np.array([t in world.transmissible
                                  for t in range(world.t0, world.horizon + 1)]),
             join_slots=np.fromiter(ends, dtype=np.int64, count=len(ends)),
@@ -207,9 +200,10 @@ def perturb(layout: TrialLayout, noise: NoiseModel,
     Draw order is fixed: downlink rate, then the initial-queue length shift,
     then one size per unit in stream order, so a given rng state always
     yields the same world. A positive shift puts that many units of the
-    head's nominal size (ids jit-001, jit-002, ...) at the HEAD of the
-    initial queue; a negative one removes head units, never a target or
-    anything behind the first one. The shift returned is the one applied.
+    head's nominal size at the HEAD of the initial queue; they carry no ids,
+    so no unit name can clash with them. A negative shift removes head
+    units, never a target or anything behind the first one. The shift
+    returned is the one applied.
     """
     rate = int(_resample(rng, layout.rate_bps, noise.rate_std_ratio))
     # an empty queue has std 0, so only a non-empty one ever grows
@@ -239,8 +233,6 @@ def _trial_rows(layout: TrialLayout, draws, judged: np.ndarray):
             raise ValidationError("volume_bytes must be positive")
         if sizes.min(initial=1) <= 0:
             raise ValidationError("unit sizes must be positive")
-        if shift >= layout.jit_clash:
-            raise ValidationError("unit ids must be unique")
         stream = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=stream[1:])
         # int64 must not wrap: every running total exceeds the one before
@@ -399,7 +391,7 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
             nominal = AttackContext.from_scenario(point_scenario, ladder(point_scenario))
             deadline = point_scenario.target.target_downlink_slot
             if hours is not None:
-                te0 = nominal.trace().t_e(nominal.final_target)
+                te0 = nominal.baseline.t_e(nominal.final_target)
                 if te0 == INF:
                     raise ValidationError("target never downlinks naturally; no deadline anchor")
                 deadline = int(te0) + math.ceil(3600.0 * hours / scenario.time.slot_seconds)

@@ -52,7 +52,7 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
         raise ValidationError("target.target_downlink_slot required for delay planning")
     if not ctx.world.t0 < target_slot <= ctx.world.horizon:
         raise ValidationError("target_slot outside (attack start, horizon]")
-    base = ctx.trace()
+    base = ctx.baseline
     te_base = base.t_e(ctx.final_target)
     if per_unit_deadline:
         def needs_more(te: float, te0: float) -> bool:
@@ -100,7 +100,7 @@ def verify_delay(ctx: AttackContext, slots,
     if target_slot is None:
         raise ValidationError("target_downlink_slot required to verify a delay")
     strategy = ctx.require_subset(slots)
-    base = ctx.trace()
+    base = ctx.baseline
     trace = ctx.trace(strategy)
     tau = ctx.final_target
     ok = trace.t_e(tau) > target_slot

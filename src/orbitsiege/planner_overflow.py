@@ -31,7 +31,7 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
     motivating: list[str] = []
     members: set[int] = set()
 
-    trace = ctx.trace()
+    trace = ctx.baseline
     for tau in ctx.targets:
         te = trace.t_e(tau)
         tlb = trace.t_lb(tau)

@@ -1,7 +1,10 @@
 """Per-slot antenna assignment and attackability derivation.
 
-Low-priority satellites compete for antennas on stations they can see; the
-assignment minimizes total proximity cost (Hungarian). High-priority tasking
+Low-priority satellites compete for antennas on stations they can see; one
+assignment solve per slot serves as many as possible at the least total
+proximity cost (Hungarian). A station's antennas are identical columns, so
+optima that differ only in antenna numbering give the same `served` set and
+idle counts, which is all attackability reads. High-priority tasking
 preempts: it must fill every idle antenna on the stations the target satellite
 sees, plus the antenna serving the target itself, so the number of distinct
 high-priority satellites visible on those stations bounds which slots are
@@ -24,8 +27,6 @@ from .errors import OutOfHorizon, ValidationError
 from .orbit import ContactWindow, propagate, station_ecef_m
 from .scenario import AttackabilityRecord, ConstellationScenario
 
-_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SlotSchedule:
@@ -34,65 +35,28 @@ class SlotSchedule:
     idle_antennas: tuple[tuple[str, int], ...]  # (station_id, idle count), visible stations
 
 
-def _solve(matrix: np.ndarray, big: float) -> tuple[list[tuple[int, int]], float, int]:
-    """Max-cardinality min-cost pairs of one matrix; inf encoded as `big`."""
-    if matrix.size == 0:
-        return [], 0.0, 0
-    work = np.where(np.isinf(matrix), big, matrix)
-    rows, cols = linear_sum_assignment(work)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols) if math.isfinite(matrix[r, c])]
-    cost = float(sum(matrix[r, c] for r, c in pairs))
-    return pairs, cost, len(pairs)
-
-
-def _costs_close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_REL_TOL)
-
-
 def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
-    """Minimum-cost maximum-cardinality assignment with a deterministic tie-break.
+    """Minimum-cost maximum-cardinality assignment, one SciPy solve.
 
     `inf` entries mark forbidden pairs; rows or columns left unmatched by
-    them are simply absent. Among all optimal assignments the
-    lexicographically smallest (row, col) sequence is returned.
+    them are simply absent. Forbidden pairs are solved at a cost above any
+    sum of allowed ones, so a larger matching always wins. Among tied optima
+    the one SciPy's solver gives is returned, which is the same for the
+    same matrix.
     """
     matrix = np.asarray(cost_matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValidationError("cost matrix must be two-dimensional")
-    n, m = matrix.shape
-    if n == 0 or m == 0:
+    if matrix.size == 0:
         return (), 0.0
     finite = matrix[np.isfinite(matrix)]
-    if finite.size and (finite < 0).any():
+    if (finite < 0).any():
         raise ValidationError("cost matrix entries must be non-negative")
-    big = float(finite.sum()) + 1.0 if finite.size else 1.0
-
-    _, best_cost, best_card = _solve(matrix, big)
-
-    # pin pairs greedily to the lexicographically smallest optimal sequence
-    pinned: list[tuple[int, int]] = []
-    pinned_cost = 0.0
-    free_cols = list(range(m))
-    for r in range(n):
-        remaining_rows = list(range(r + 1, n))
-        chosen = None
-        for c in free_cols:
-            if not math.isfinite(matrix[r, c]):
-                continue
-            sub_cols = [cc for cc in free_cols if cc != c]
-            sub = matrix[np.ix_(remaining_rows, sub_cols)] if remaining_rows and sub_cols \
-                else np.empty((0, 0))
-            _, sub_cost, sub_card = _solve(sub, big)
-            total = pinned_cost + matrix[r, c] + sub_cost
-            if len(pinned) + 1 + sub_card == best_card and _costs_close(total, best_cost):
-                chosen = c
-                break
-        if chosen is not None:
-            pinned.append((r, chosen))
-            pinned_cost += float(matrix[r, chosen])
-            free_cols.remove(chosen)
-        # else: row r is unmatched in the canonical optimum
-    return tuple(pinned), pinned_cost
+    forbidden = np.isinf(matrix)
+    big = float(finite.sum()) + 1.0
+    rows, cols = linear_sum_assignment(np.where(forbidden, big, matrix))
+    pairs = tuple((int(r), int(c)) for r, c in zip(rows, cols) if not forbidden[r, c])
+    return pairs, float(sum(matrix[r, c] for r, c in pairs))
 
 
 def assign_slot(scenario: ConstellationScenario, windows_at_slot: list[ContactWindow],

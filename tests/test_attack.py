@@ -44,7 +44,7 @@ def test_context_accepts_well_formed():
     ctx = make_context()
     assert ctx.final_target == "u-2"
     assert ctx.cost_of([2, 4]) == pytest.approx(2.0)
-    assert ctx.trace().t_e("u-2") == 4
+    assert ctx.baseline.t_e("u-2") == 4
 
 
 def test_context_rejects_bad_slots():
@@ -97,7 +97,7 @@ def test_from_scenario_clips_to_attack_window():
 def test_from_scenario_baseline_matches_desk_numbers():
     scenario = build_s0()
     ctx = AttackContext.from_scenario(scenario, attackability_for(scenario))
-    trace = ctx.trace()
+    trace = ctx.baseline
     assert trace.t_e("init-003") == 4
     assert ctx.attackable == (2, 4, 6, 8, 10, 12)
 

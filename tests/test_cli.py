@@ -171,6 +171,20 @@ def test_windows_need_orbits(capsys, tmp_path, s0_path):
     assert "orbit elements required" in err
 
 
+def test_windows_takes_no_windows_option(capsys, s0_path, tmp_path):
+    # `windows` always computes its windows, so it has no file to read
+    with pytest.raises(SystemExit) as exc:
+        main(["windows", "--scenario", s0_path, "--windows",
+              str(tmp_path / "missing.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --windows" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        main(["windows", "--help"])
+    assert exc.value.code == 0
+    assert "--windows" not in capsys.readouterr().out
+
+
 def test_windows_and_schedule_pipeline(capsys, tmp_path):
     scenario = build_constellation(n_low=1, n_high=2, n_stations=2, hours=2)
     scn = tmp_path / "constellation.json"
@@ -199,30 +213,38 @@ def test_windows_and_schedule_pipeline(capsys, tmp_path):
 
 # SHA-256 of `windows --out` and of `schedule --windows ... --out`, recorded
 # while schedules still covered every slot and slant ranges came from a
-# scalar propagator; the geometry arithmetic must keep these bytes
+# scalar propagator; the geometry arithmetic must keep these bytes. Each
+# synthetic world is `build_constellation` at a seed with these arguments;
+# the last one is the benchmark's 1440-slot world, recorded while
+# `hungarian` still pinned the lexicographically smallest optimum
+WORLD = dict(n_low=20, n_high=60, n_stations=40)
+GEOMETRY_1440 = dict(WORLD, slot_seconds=60, target_downlink_slot=300)
 GOLDEN_GEOMETRY = [
-    (None, "142f98837049587696bcb4fd80f73126a838ed165c8e6779b048d44c037c61f0",
+    (None, None, "142f98837049587696bcb4fd80f73126a838ed165c8e6779b048d44c037c61f0",
      "5cefeddd32d69a53a245c7463cdfa8e84c4995b84093fbc52b4b51139f6cb90a"),
-    (1, "24dcd0b69dcb8551798016d5e3c2ce939ce85c72e491a5c9a5fc94bdf96a5cc8",
+    (1, WORLD, "24dcd0b69dcb8551798016d5e3c2ce939ce85c72e491a5c9a5fc94bdf96a5cc8",
      "cadd45ff95d9810b9b90caaea58d549a3e2291eaddd14fd3c6f3704b439eee74"),
-    (2, "0635cd57bdfc03dc61baf43dfc684eb730016fac1040961543a2a73e8e152938",
+    (2, WORLD, "0635cd57bdfc03dc61baf43dfc684eb730016fac1040961543a2a73e8e152938",
      "655d13ea5b0050eaaa1bf08b4cb467634770c82e4f71edced3675dd7286eb175"),
-    (3, "6d3d4e56294fd59015cc6c43a303f27fea5de97bd08b17f9fcf9ab9b2d88ce93",
+    (3, WORLD, "6d3d4e56294fd59015cc6c43a303f27fea5de97bd08b17f9fcf9ab9b2d88ce93",
      "0ea118c87cb47a99c7cb9eef84a3d837b2591452d997762c6c59283b5b923d25"),
+    (1, GEOMETRY_1440,
+     "7fcb023ce666a7355fcbc9b0ddc282240eaed39846c5fb261672fb4522a09483",
+     "72ebf77b50acaaeefdff582b04f1058cdcb4ae7f32dc39c197e54f85beb330d7"),
 ]
 
 
-@pytest.mark.parametrize("seed, windows_digest, schedule_digest", GOLDEN_GEOMETRY,
-                         ids=["constellation_24h", "seed1", "seed2", "seed3"])
-def test_geometry_matches_golden_digests(capsys, tmp_path, seed, windows_digest,
+@pytest.mark.parametrize("seed, build, windows_digest, schedule_digest", GOLDEN_GEOMETRY,
+                         ids=["constellation_24h", "seed1", "seed2", "seed3",
+                              "geometry_1440"])
+def test_geometry_matches_golden_digests(capsys, tmp_path, seed, build, windows_digest,
                                          schedule_digest):
-    """The bundled 24 h scenario (seed None) and three synthetic worlds."""
+    """The bundled 24 h scenario (seed None) and four synthetic worlds."""
     if seed is None:
         scn = bundled("constellation_24h")
     else:
         scn = str(tmp_path / "world.json")
-        save_scenario(build_constellation(seed=seed, n_low=20, n_high=60,
-                                          n_stations=40), scn)
+        save_scenario(build_constellation(seed=seed, **build), scn)
     windows, table = tmp_path / "windows.csv", tmp_path / "table.csv"
     assert run_cli(capsys, "windows", "--scenario", scn, "--out", str(windows))[0] == 0
     assert run_cli(capsys, "schedule", "--scenario", scn, "--windows", str(windows),

@@ -202,7 +202,7 @@ def judge_one(scenario, kind, strategy, draw):
             return trace.t_e(ctx.final_target) > scenario.target.target_downlink_slot
         return all(trace.dropped[uid] for uid in ctx.targets)
 
-    return hit(true_ctx.trace(strategy.slot_set)), hit(true_ctx.trace())
+    return hit(true_ctx.trace(strategy.slot_set)), hit(true_ctx.baseline)
 
 
 @pytest.mark.parametrize("name, kind, noise", [("constellation_24h", "delay", 0.6),
@@ -346,16 +346,18 @@ def test_sweep_flags_a_degenerate_true_world():
 
 
 def test_sweep_rejects_true_worlds_it_cannot_hold():
-    # a head unit named like an inserted one clashes once a trial inserts
-    # two units, as a QueueWorld holding both would
+    # units a trial inserts at the head carry no ids, so a head unit named
+    # like "jit-002" runs exactly as under its own name
     s0 = build_s0()
     sat_id = s0.target.satellite_id
     queue = tuple((sid, tuple(replace(u, unit_id="jit-002") if u.unit_id == "init-001" else u
                               for u in units) if sid == sat_id else units)
                   for sid, units in s0.initial_queue)
-    clash = replace(s0, initial_queue=queue)
+    renamed = replace(s0, initial_queue=queue)
     config = make_config(values=(0.0,), noise=NoiseModel(0.0, 0.0, 1.0), axis="budget")
-    assert sweep(clash, config).points[0].error == "unit ids must be unique"
+    point = sweep(renamed, config).points[0]
+    assert point.error is None
+    assert point.records == sweep(s0, config).points[0].records
     # the trials run in int64, so a stream past 2**63 bytes is refused
     # rather than wrapped
     huge = with_sizes(s0, [2**62] * 5)
@@ -395,6 +397,25 @@ def test_sweep_builds_one_context_per_point(monkeypatch, axis, values):
     result = sweep(build_s0(), make_config(axis=axis, values=values))
     assert result.errors == ()
     assert len(built) == len(values)
+
+
+def test_duration_sweep_traces_the_no_attack_queue_once(monkeypatch):
+    # the deadline anchor and the delay planner share the context's baseline
+    from orbitsiege import attack
+
+    sizes = []
+    evolve = attack.evolve
+
+    def counted(world, strategy, targets):
+        sizes.append(len(strategy))
+        return evolve(world, strategy, targets)
+
+    monkeypatch.setattr(attack, "evolve", counted)
+    scenario = load_scenario(os.path.join(SCENARIOS, "constellation_24h.json"))
+    result = sweep(scenario, make_config(axis="target_duration", values=(1.0,), trials=2))
+    assert result.errors == ()
+    assert sizes.count(0) == 1 and sizes[0] == 0
+    assert len(sizes) > 1
 
 
 def test_sweep_budget_axis_brackets_the_plan_cost():

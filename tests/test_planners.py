@@ -137,7 +137,7 @@ def test_delay_matches_exhaustive_cost():
     while checked < 40:
         ctx = random_ladder_context(rng)
         tau = ctx.final_target
-        base = ctx.trace()
+        base = ctx.baseline
         if base.t_e(tau) == INF:
             continue
         # keep to the no-overflow regime
@@ -218,7 +218,7 @@ def test_multi_target_plan_covers_all_units():
     ctx = context(widened)
     strategy = plan_delay(ctx, 5)
     trace = ctx.trace(strategy.slot_set)
-    base = ctx.trace()
+    base = ctx.baseline
     demanded = 5 - base.t_e("init-003")
     for uid in ("init-002", "init-003"):
         assert trace.t_e(uid) - base.t_e(uid) > demanded

@@ -38,26 +38,36 @@ EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 INF = math.inf
 
 
+def random_matrix(rng, draw):
+    """A cost matrix of 1-5 rows and columns with about a quarter forbidden."""
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(1, 6))
+    matrix = draw((n, m))
+    matrix[rng.random((n, m)) < 0.25] = INF
+    return matrix
+
+
 def test_hungarian_against_brute_force():
+    # integer costs tie often: any optimum will do, so check its value,
+    # its size and that it is a matching on allowed pairs
     rng = np.random.default_rng(23)
     for _ in range(60):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        matrix = rng.integers(0, 10, size=(n, m)).astype(float)
-        # sprinkle forbidden pairs, but keep some rows assignable
-        mask = rng.random((n, m)) < 0.25
-        matrix[mask] = INF
+        matrix = random_matrix(rng, lambda shape: rng.integers(0, 10, size=shape)
+                               .astype(float))
+        pairs, cost = hungarian(matrix)
+        expected_pairs, expected_cost = brute_force_assignment(matrix.tolist())
+        assert cost == pytest.approx(expected_cost)
+        assert len(pairs) == len(expected_pairs)
+        assert all(math.isfinite(matrix[r, c]) for r, c in pairs)
+        assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+
+    # continuous costs have a single optimum, so the pairs must match it
+    for _ in range(60):
+        matrix = random_matrix(rng, lambda shape: rng.random(shape) * 10.0)
         pairs, cost = hungarian(matrix)
         expected_pairs, expected_cost = brute_force_assignment(matrix.tolist())
         assert pairs == tuple(expected_pairs)
         assert cost == pytest.approx(expected_cost)
-
-
-def test_hungarian_tie_break_is_lexicographic():
-    # both diagonals cost 2; the smaller (row, col) sequence wins
-    pairs, cost = hungarian([[1.0, 1.0], [1.0, 1.0]])
-    assert pairs == ((0, 0), (1, 1))
-    assert cost == pytest.approx(2.0)
 
 
 def test_hungarian_forbidden_and_full_requirement():
@@ -143,6 +153,36 @@ def test_assign_slot_spreads_over_antennas():
     schedule = assign_slot(scenario, rows, 1, {})
     assert schedule.served == {"obs-1", "obs-2", "obs-3"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 0}
+
+
+def test_assign_slot_matches_brute_force_by_station():
+    # several antennas per station and slant-range costs: whichever antennas
+    # the solver picks, the served satellites and the idle antennas per
+    # station must be the brute-force optimum's
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        counts = tuple(int(c) for c in rng.integers(1, 3, size=3))
+        scenario = two_station_scenario(n_low=int(rng.integers(1, 5)),
+                                        antenna_counts=counts)
+        stations = scenario.stations
+        sats = [s.id for s in scenario.low_satellites]
+        rows = [w(sid, st.id, 1, float(rng.uniform(5.0, 90.0)))
+                for sid in sats for st in stations if rng.random() < 0.5]
+        positions = {sid: rng.normal(size=(scenario.time.horizon_slots, 3)) * 7e6
+                     for sid in sats}
+        schedule = assign_slot(scenario, rows, 1, positions)
+
+        seen = {(r.satellite_id, r.station_id) for r in rows}
+        owner = [st for st in stations for _ in range(st.antenna_count)]
+        cost = [[math.dist(positions[sid][1], station_ecef_m(st))
+                 if (sid, st.id) in seen else INF for st in owner] for sid in sats]
+        pairs, _ = brute_force_assignment(cost)
+        visible = {st_id for _, st_id in seen}
+        idle = {st.id: st.antenna_count for st in stations if st.id in visible}
+        for _, c in pairs:
+            idle[owner[c].id] -= 1
+        assert schedule.served == {sats[r] for r, _ in pairs}
+        assert dict(schedule.idle_antennas) == idle
 
 
 def test_assign_slot_rejects_mismatched_rows():
