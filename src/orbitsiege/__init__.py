@@ -11,18 +11,16 @@ measures how those plans survive estimation noise.
 """
 
 from .attack import AttackContext, AttackStrategy, save_strategy, save_strategy_summary
-from .errors import (AttackFail, BadChecksum, BadLayout, IoError,
-                     OrbitSiegeError, OutOfHorizon, ParseError, StaleElements,
-                     ValidationError)
+from .errors import (AttackFail, IoError, OrbitSiegeError, OutOfHorizon,
+                     ParseError, StaleElements, ValidationError)
 from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, PointResult,
                          SweepResult, TrialRecord, derive_rng, extend_targets,
                          perturb, plan_attack, save_aggregate, save_report,
                          sweep)
 from .onboard import (QueueTrace, QueueWorld, evolve, per_slot_capacity,
                       save_trace, save_trace_events)
-from .orbit import (ContactWindow, compute_contact_windows,
-                    load_contact_windows, parse_tle, propagate,
-                    save_contact_windows)
+from .orbit import (ContactWindows, compute_contact_windows,
+                    load_contact_windows, propagate, save_contact_windows)
 from .planner_delay import plan_delay, verify_delay
 from .planner_overflow import plan_overflow, verify_overflow
 from .scenario import (AttackabilityRecord, ConstellationScenario, CostModel,
@@ -39,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AXES", "KINDS",
     "AttackContext", "AttackStrategy", "AttackFail", "AttackabilityRecord",
-    "BadChecksum", "BadLayout", "ConstellationScenario", "ContactWindow",
+    "ConstellationScenario", "ContactWindows",
     "CostModel", "DataUnit", "EvalConfig",
     "GroundStationSpec", "IoError", "NoiseModel",
     "OrbitSiegeError", "OutOfHorizon", "ParseError",
@@ -50,7 +48,7 @@ __all__ = [
     "build_s0", "build_s0_ovf", "build_schedule", "compute_contact_windows",
     "derive_rng", "evolve",
     "extend_targets", "hungarian", "load_contact_windows", "load_scenario",
-    "parse_tle", "per_slot_capacity", "perturb", "plan_attack", "plan_delay",
+    "per_slot_capacity", "perturb", "plan_attack", "plan_delay",
     "plan_overflow", "propagate", "save_aggregate",
     "save_attackability", "save_contact_windows", "save_report",
     "save_scenario", "save_strategy", "save_strategy_summary", "save_trace",

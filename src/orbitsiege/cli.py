@@ -21,8 +21,8 @@ from .errors import AttackFail, OrbitSiegeError, ValidationError
 from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, aggregate_rows,
                          plan_attack, save_aggregate, save_report, sweep)
 from .onboard import save_trace, save_trace_events
-from .orbit import (WINDOW_HEADER, compute_contact_windows,
-                    load_contact_windows, save_contact_windows, window_rows)
+from .orbit import (compute_contact_windows, load_contact_windows,
+                    save_contact_windows, windows_csv_text)
 from .output import csv_text, json_text
 from .planner_delay import verify_delay
 from .planner_overflow import verify_overflow
@@ -91,7 +91,7 @@ def _cmd_windows(args) -> int:
         save_contact_windows(args.out, windows, args.format)
         print(f"{len(windows)} contact windows -> {args.out}")
     else:
-        sys.stdout.write(csv_text(WINDOW_HEADER, window_rows(windows)))
+        sys.stdout.write(windows_csv_text(windows))
     return 0
 
 

@@ -21,14 +21,6 @@ class OutOfHorizon(OrbitSiegeError):
     """Timestamp or slot index falls outside the scenario time grid."""
 
 
-class BadLayout(OrbitSiegeError):
-    """Two-line element text does not match the fixed-column layout."""
-
-
-class BadChecksum(OrbitSiegeError):
-    """Two-line element line fails its modulo-10 checksum."""
-
-
 class StaleElements(OrbitSiegeError):
     """Orbital elements are too old for the propagation model."""
 

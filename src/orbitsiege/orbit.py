@@ -1,5 +1,4 @@
-"""Two-line element parsing, circular two-body propagation and per-slot
-contact windows.
+"""Circular two-body propagation and per-slot contact windows.
 
 The propagation model is deliberately simple: near-circular orbits advance at
 their mean motion in a fixed orbital plane, and Earth rotation enters through
@@ -10,17 +9,25 @@ approximation against a dense-time scan.
 `propagate` is the one geometry path: it gives a satellite's Earth-fixed
 position at every slot midpoint as one array. Contact windows take their
 elevations from it, and the scheduler its slant ranges.
+
+Contact windows are one `ContactWindows` value of parallel columns, built,
+written, read and grouped by slot without a Python object per window.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
-from .errors import BadChecksum, BadLayout, OutOfHorizon, StaleElements, ValidationError
+from .errors import IoError, OutOfHorizon, ParseError, StaleElements, ValidationError
+from .output import emit, fmt_floats, write_text_atomic
 from .scenario import ConstellationScenario, GroundStationSpec, TimeGrid, TleElements
 
 MU_EARTH_M3_S2 = 3.986004418e14
@@ -34,56 +41,64 @@ LEO_RADIUS_MIN_M = 6_400_000.0
 LEO_RADIUS_MAX_M = 9_000_000.0
 
 
-@dataclass(frozen=True)
-class ContactWindow:
-    satellite_id: str
-    station_id: str
-    slot: int
-    elevation_deg: float
+def _ranks(ids: tuple[str, ...]) -> np.ndarray:
+    """Each id's place in sorted order, so integer order is string order."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
 
 
-def _tle_checksum(line: str) -> int:
-    total = 0
-    for ch in line[:68]:
-        if ch.isdigit():
-            total += int(ch)
-        elif ch == "-":
-            total += 1
-    return total % 10
+@dataclass(frozen=True, eq=False)
+class ContactWindows:
+    """Contact windows as parallel columns, one row per satellite, station
+    and slot in contact, sorted by slot, then satellite id, then station id.
 
+    `satellite` and `station` index into `satellite_ids` and `station_ids`,
+    which the value carries: a scenario that keeps only some satellites
+    (the n_high sweep axis) still reads the right ids.
+    """
 
-def parse_tle(text: str) -> TleElements:
-    """Parse a two-line element set (optional name line allowed)."""
-    lines = [ln.rstrip("\r\n") for ln in text.strip().splitlines()]
-    if len(lines) == 3:
-        lines = lines[1:]
-    if len(lines) != 2:
-        raise BadLayout("expected two element lines")
-    l1, l2 = lines
-    if len(l1) != 69 or len(l2) != 69:
-        raise BadLayout("element lines must be 69 characters")
-    if l1[0] != "1" or l2[0] != "2":
-        raise BadLayout("line numbers must be 1 and 2")
-    for ln in (l1, l2):
-        if not ln[68].isdigit() or int(ln[68]) != _tle_checksum(ln):
-            raise BadChecksum(f"checksum mismatch on line {ln[0]}")
-    try:
-        year = int(l1[18:20])
-        year += 2000 if year < 57 else 1900
-        day_of_year = float(l1[20:32])
-        epoch = (datetime(year, 1, 1, tzinfo=timezone.utc)
-                 + timedelta(days=day_of_year - 1.0))
-        return TleElements(
-            inclination_deg=float(l2[8:16]),
-            raan_deg=float(l2[17:25]),
-            eccentricity=float("0." + l2[26:33].strip()),
-            arg_perigee_deg=float(l2[34:42]),
-            mean_anomaly_deg=float(l2[43:51]),
-            mean_motion_rev_per_day=float(l2[52:63]),
-            epoch=epoch,
-        )
-    except ValueError as exc:
-        raise BadLayout(f"unparseable element field: {exc}") from exc
+    satellite_ids: tuple[str, ...]
+    station_ids: tuple[str, ...]
+    slot: np.ndarray  # int64
+    satellite: np.ndarray  # intp
+    station: np.ndarray  # intp
+    elevation_deg: np.ndarray  # float64
+
+    @classmethod
+    def sorted(cls, satellite_ids, station_ids, slot, satellite, station,
+               elevation_deg) -> ContactWindows:
+        """Columns in any order, stably sorted by (slot, satellite id, station id)."""
+        satellite_ids, station_ids = tuple(satellite_ids), tuple(station_ids)
+        slot = np.asarray(slot, dtype=np.int64)
+        satellite = np.asarray(satellite, dtype=np.intp)
+        station = np.asarray(station, dtype=np.intp)
+        order = np.lexsort((_ranks(station_ids)[station], _ranks(satellite_ids)[satellite],
+                            slot))
+        return cls(satellite_ids, station_ids, slot[order], satellite[order], station[order],
+                   np.asarray(elevation_deg, dtype=float)[order])
+
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def __getitem__(self, rows) -> ContactWindows:
+        """The rows a slice, mask or index array selects, under the same ids."""
+        return ContactWindows(self.satellite_ids, self.station_ids, self.slot[rows],
+                              self.satellite[rows], self.station[rows],
+                              self.elevation_deg[rows])
+
+    def of_satellite(self, satellite_id: str) -> np.ndarray:
+        """Mask of the rows of one satellite (none if the id is not carried)."""
+        if satellite_id not in self.satellite_ids:
+            return np.zeros(len(self), dtype=bool)
+        return self.satellite == self.satellite_ids.index(satellite_id)
+
+    def rows(self) -> list[tuple[int, str, str, float]]:
+        """(slot, satellite id, station id, elevation) per row, as WINDOW_HEADER."""
+        return list(zip(self.slot.tolist(),
+                        map(self.satellite_ids.__getitem__, self.satellite.tolist()),
+                        map(self.station_ids.__getitem__, self.station.tolist()),
+                        self.elevation_deg.tolist()))
 
 
 def semi_major_axis_m(elements: TleElements) -> float:
@@ -144,88 +159,222 @@ def propagate(elements: TleElements, grid: TimeGrid) -> np.ndarray:
     return pos
 
 
-def compute_contact_windows(scenario: ConstellationScenario) -> list[ContactWindow]:
+def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
     """Per-slot visibility for every satellite/station pair, at slot midpoints."""
-    windows: list[ContactWindow] = []
-    if not scenario.stations:
-        return windows
-    station_pos = np.array([station_ecef_m(st) for st in scenario.stations])
-    zenith = station_pos / np.linalg.norm(station_pos, axis=1, keepdims=True)
-    thresholds = np.array([st.min_elevation_deg for st in scenario.stations])
-
-    for sat in scenario.satellites:
-        if sat.orbit is None:
-            raise ValidationError(f"satellite {sat.id}: orbit elements required for windows")
-        try:
-            pos = propagate(sat.orbit, scenario.time)
-        except ValidationError as exc:
-            raise ValidationError(f"satellite {sat.id}: {exc}") from exc
-        los = pos[:, None, :] - station_pos[None, :, :]
-        los_norm = np.linalg.norm(los, axis=2)
-        sin_elev = np.einsum("tsk,sk->ts", los, zenith) / los_norm
-        elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
-        slot_idx, st_idx = np.nonzero(elev >= thresholds[None, :])
-        for t, s in zip(slot_idx.tolist(), st_idx.tolist()):
-            windows.append(ContactWindow(
-                sat.id, scenario.stations[s].id, t, float(elev[t, s])))
-
-    windows.sort(key=lambda w: (w.slot, w.satellite_id, w.station_id))
-    return windows
+    # slot, satellite, station, elevation: each starts with an empty part,
+    # so a world without contacts concatenates too
+    columns: tuple[list, ...] = ([np.empty(0, np.intp)], [np.empty(0, np.intp)],
+                                 [np.empty(0, np.intp)], [np.empty(0)])
+    if scenario.stations:
+        station_pos = np.array([station_ecef_m(st) for st in scenario.stations])
+        zenith = station_pos / np.linalg.norm(station_pos, axis=1, keepdims=True)
+        thresholds = np.array([st.min_elevation_deg for st in scenario.stations])
+        for index, sat in enumerate(scenario.satellites):
+            if sat.orbit is None:
+                raise ValidationError(
+                    f"satellite {sat.id}: orbit elements required for windows")
+            try:
+                pos = propagate(sat.orbit, scenario.time)
+            except ValidationError as exc:
+                raise ValidationError(f"satellite {sat.id}: {exc}") from exc
+            los = pos[:, None, :] - station_pos[None, :, :]
+            los_norm = np.linalg.norm(los, axis=2)
+            sin_elev = np.einsum("tsk,sk->ts", los, zenith) / los_norm
+            elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
+            slot_idx, st_idx = np.nonzero(elev >= thresholds[None, :])
+            for column, part in zip(columns, (slot_idx, np.full(len(slot_idx), index),
+                                              st_idx, elev[slot_idx, st_idx])):
+                column.append(part)
+    return ContactWindows.sorted(
+        [s.id for s in scenario.satellites], [st.id for st in scenario.stations],
+        *(np.concatenate(column) for column in columns))
 
 
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]
+HEADER_LINE = ",".join(WINDOW_HEADER)
+CHUNK_ROWS = 1 << 15
 
 
-def window_rows(windows: list[ContactWindow]) -> list[list]:
-    return [[w.slot, w.satellite_id, w.station_id, w.elevation_deg] for w in windows]
+def _csv_cell(text: str) -> str:
+    """One string as csv.writer renders it in a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
-def save_contact_windows(path: str, windows: list[ContactWindow], fmt: str = "csv") -> None:
-    from .output import emit
+def windows_csv_text(windows: ContactWindows) -> str:
+    """The windows CSV, byte for byte what `csv_text` writes for `rows()`,
+    built CHUNK_ROWS rows at a time."""
+    satellites = [_csv_cell(sid) for sid in windows.satellite_ids]
+    stations = [_csv_cell(sid) for sid in windows.station_ids]
+    pieces = [HEADER_LINE + "\n"]
+    for first in range(0, len(windows), CHUNK_ROWS):
+        part = windows[first:first + CHUNK_ROWS]
+        pieces.append("\n".join(map(",".join, zip(
+            map(str, part.slot.tolist()),
+            map(satellites.__getitem__, part.satellite.tolist()),
+            map(stations.__getitem__, part.station.tolist()),
+            fmt_floats(part.elevation_deg)))) + "\n")
+    return "".join(pieces)
 
-    emit(path, WINDOW_HEADER, window_rows(windows), fmt)
+
+def save_contact_windows(path: str, windows: ContactWindows, fmt: str = "csv") -> None:
+    if fmt == "csv":
+        write_text_atomic(path, windows_csv_text(windows))
+    else:
+        emit(path, WINDOW_HEADER, windows.rows(), fmt)
 
 
-def load_contact_windows(path: str, scenario: ConstellationScenario) -> list[ContactWindow]:
-    """Read a window CSV, validating ids and horizon against the scenario."""
-    import csv as _csv
+def _header_error(path: str, text: str) -> ParseError:
+    if text.lstrip().startswith("["):
+        return ParseError(f"{path}: this is a JSON windows file; --windows reads only "
+                          f"the CSV form (windows --format csv)")
+    return ParseError(f"{path}: expected header {HEADER_LINE}")
 
-    from .errors import IoError, ParseError
 
-    sat_ids = {s.id for s in scenario.satellites}
-    station_min = {st.id: st.min_elevation_deg for st in scenario.stations}
-    windows = []
+def _four_columns(lines: str) -> list[list[str]]:
+    """The cells of lines of four comma-separated cells, column by column."""
+    cells = lines.replace("\n", ",").split(",")
+    return [cells[k::4] for k in range(4)]
+
+
+def _chunks_by_line(path: str, raw: bytes) -> Iterator[list[list[str]]]:
+    """The four cell columns of the rows, CHUNK_ROWS rows at a time, up to
+    the first row that has not four cells, whose error is raised after.
+
+    `raw` is UTF-8 without a quote or carriage return, so a row is a line
+    and a cell lies between commas; both are single bytes that no
+    multi-byte character holds, so they are found on the bytes.
+    """
+    if raw != HEADER_LINE.encode() and not raw.startswith(HEADER_LINE.encode() + b"\n"):
+        raise _header_error(path, raw.decode("utf-8"))
+    start = len(HEADER_LINE) + 1
+    if start >= len(raw):
+        return
+    data = np.frombuffer(raw, dtype=np.uint8)[start:]
+    data = data[:-1] if data[-1] == ord("\n") else data
+    ends = np.append(np.flatnonzero(data == ord("\n")), len(data)) + start
+    commas = np.searchsorted(np.flatnonzero(data == ord(",")) + start, ends)
+    short = np.flatnonzero(np.diff(commas, prepend=0) != 3)
+    good = int(short[0]) if len(short) else len(ends)
+    del data, commas
+    for first in range(0, good, CHUNK_ROWS):
+        last = min(first + CHUNK_ROWS, good) - 1
+        text = raw[start if first == 0 else int(ends[first - 1]) + 1:int(ends[last])]
+        yield _four_columns(text.decode("utf-8"))
+    if len(short):
+        raise ParseError(f"{path}:{good + 2}: expected 4 columns")
+
+
+def _chunks_by_csv(path: str, text: str) -> Iterator[list[list[str]]]:
+    """`_chunks_by_line` for any text, through csv.reader."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    columns: list[list[str]] = [[], [], [], []]
+    line_no = 0  # of the last row read
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header != WINDOW_HEADER:
-                raise ParseError(f"{path}: expected header {','.join(WINDOW_HEADER)}")
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != 4:
-                    raise ParseError(f"{path}:{line_no}: expected 4 columns")
-                try:
-                    slot = int(row[0])
-                    elev = float(row[3])
-                except ValueError:
-                    raise ParseError(f"{path}:{line_no}: slot or elevation is not a number")
-                if not math.isfinite(elev):
-                    raise ParseError(f"{path}:{line_no}: elevation is not finite")
-                if not 0 <= slot <= scenario.time.last_slot:
-                    raise OutOfHorizon(f"{path}:{line_no}: slot {slot} outside horizon")
-                if row[1] not in sat_ids:
-                    raise ValidationError(f"{path}:{line_no}: unknown satellite {row[1]}")
-                if row[2] not in station_min:
-                    raise ValidationError(f"{path}:{line_no}: unknown station {row[2]}")
-                if elev < station_min[row[2]]:
-                    raise ValidationError(
-                        f"{path}:{line_no}: elevation below station threshold")
-                if elev > 90.0:
-                    raise ValidationError(f"{path}:{line_no}: elevation above 90 degrees")
-                windows.append(ContactWindow(row[1], row[2], slot, elev))
+        if next(reader, None) != WINDOW_HEADER:
+            raise _header_error(path, text)
+        line_no = 1
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                yield columns
+                raise ParseError(f"{path}:{line_no}: expected 4 columns")
+            for column, cell in zip(columns, row):
+                column.append(cell)
+            if len(columns[0]) == CHUNK_ROWS:
+                yield columns
+                columns = [[], [], [], []]
+    except csv.Error as exc:  # such as a cell past csv.field_size_limit()
+        yield columns
+        raise ParseError(f"{path}:{line_no + 1}: {exc}") from exc
+    yield columns
+
+
+def _each(convert, cells: list[str], dtype, fill) -> tuple[np.ndarray, np.ndarray]:
+    """`convert` of every cell, `fill` where it raises ValueError, and the
+    mask of those cells."""
+    values, bad = [], np.zeros(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
+        try:
+            values.append(convert(cell))
+        except ValueError:
+            values.append(fill)
+            bad[i] = True
+    return np.array(values, dtype=dtype), bad
+
+
+def _checked(path: str, scenario: ConstellationScenario, cells: list[list[str]],
+             first_line: int) -> tuple[np.ndarray, ...]:
+    """Slot, satellite index, station index and elevation columns of rows
+    whose cells are `cells` and whose first line is `first_line`. Raises
+    the error a row-by-row reader raises at the first bad row."""
+    slot_cells, sat_cells, station_cells, elev_cells = cells
+    n = len(slot_cells)
+    last_slot = scenario.time.last_slot
+    try:
+        slot, bad_slot = np.fromiter(map(int, slot_cells), np.int64, n), np.zeros(n, bool)
+    except (ValueError, OverflowError):  # not integers, or past int64 (outside the horizon)
+        slot, bad_slot = _each(lambda cell: min(max(int(cell), -1), last_slot + 1),
+                               slot_cells, np.int64, 0)
+    try:
+        elevation, bad_elev = np.fromiter(map(float, elev_cells), float, n), np.zeros(n, bool)
+    except ValueError:
+        elevation, bad_elev = _each(float, elev_cells, float, math.nan)
+    satellite = np.fromiter(map({s.id: i for i, s in enumerate(scenario.satellites)}.get,
+                                sat_cells, repeat(-1)), np.intp, n)
+    station = np.fromiter(map({st.id: i for i, st in enumerate(scenario.stations)}.get,
+                              station_cells, repeat(-1)), np.intp, n)
+    # index -1, an unknown station, reads a threshold no elevation is below
+    thresholds = np.array([st.min_elevation_deg for st in scenario.stations] + [-math.inf])
+
+    checks = (  # in the order a row-by-row reader applies them
+        (bad_slot | bad_elev, ParseError, lambda row: "slot or elevation is not a number"),
+        (~np.isfinite(elevation), ParseError, lambda row: "elevation is not finite"),
+        ((slot < 0) | (slot > last_slot), OutOfHorizon,
+         lambda row: f"slot {int(slot_cells[row])} outside horizon"),
+        (satellite < 0, ValidationError, lambda row: f"unknown satellite {sat_cells[row]}"),
+        (station < 0, ValidationError, lambda row: f"unknown station {station_cells[row]}"),
+        (elevation < thresholds[station], ValidationError,
+         lambda row: "elevation below station threshold"),
+        (elevation > 90.0, ValidationError, lambda row: "elevation above 90 degrees"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if bad.any():
+        row = int(np.argmax(bad))
+        _, error, message = next(check for check in checks if check[0][row])
+        raise error(f"{path}:{first_line + row}: {message(row)}")
+    return slot, satellite, station, elevation
+
+
+def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactWindows:
+    """Read a window CSV, validating ids and horizon against the scenario.
+
+    The rows are checked as columns, a chunk of rows at a time; the first
+    bad row is reported with its line number and the error a row-by-row
+    reader would raise there.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read windows {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    windows.sort(key=lambda w: (w.slot, w.satellite_id, w.station_id))
-    return windows
+    if '"' in text or "\r" in text:
+        del raw
+        chunks = _chunks_by_csv(path, text)
+    else:
+        del text  # the rows are decoded again a chunk at a time
+        chunks = _chunks_by_line(path, raw)
+    # an empty part first, so a file without rows concatenates too
+    parts = [(np.empty(0, np.int64), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    rows = 0
+    for cells in chunks:
+        parts.append(_checked(path, scenario, cells, 2 + rows))
+        rows += len(cells[0])
+        del cells
+    return ContactWindows.sorted([s.id for s in scenario.satellites],
+                                 [st.id for st in scenario.stations],
+                                 *map(np.concatenate, zip(*parts)))

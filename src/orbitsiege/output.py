@@ -14,6 +14,8 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 from .errors import IoError
 
 
@@ -46,6 +48,15 @@ def fmt_cell(value) -> str:
             return str(int(value))
         return format(value, ".6g")
     return str(value)
+
+
+def fmt_floats(values: np.ndarray) -> list[str]:
+    """`fmt_cell` of every float of a column."""
+    cells = list(map("{:.6g}".format, values.tolist()))
+    integral = (values == np.trunc(values)) & (np.abs(values) < 1e15)
+    for i in np.flatnonzero(integral).tolist():
+        cells[i] = str(int(values[i]))
+    return cells
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:

@@ -18,13 +18,14 @@ other slot is non-transmissible by construction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfHorizon, ValidationError
-from .orbit import ContactWindow, propagate, station_ecef_m
+from .orbit import ContactWindows, propagate, station_ecef_m
 from .scenario import AttackabilityRecord, ConstellationScenario
 
 
@@ -59,7 +60,7 @@ def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     return pairs, float(sum(matrix[r, c] for r, c in pairs))
 
 
-def assign_slot(scenario: ConstellationScenario, windows_at_slot: list[ContactWindow],
+def assign_slot(scenario: ConstellationScenario, windows_at_slot: ContactWindows,
                 slot: int, positions: dict[str, np.ndarray]) -> SlotSchedule:
     """Hungarian assignment of visible low-priority satellites to antennas.
 
@@ -67,25 +68,27 @@ def assign_slot(scenario: ConstellationScenario, windows_at_slot: list[ContactWi
     (satellite id -> output of `propagate`) holds every visible satellite,
     else (90 - elevation) from the window rows as a monotone stand-in.
     """
+    elsewhere = np.flatnonzero(windows_at_slot.slot != slot)
+    if len(elsewhere):
+        raise ValidationError(f"window at slot {windows_at_slot.slot[elsewhere[0]]} "
+                              f"passed to slot {slot}")
     low_ids = {s.id for s in scenario.low_satellites}
-    elev: dict[tuple[str, str], float] = {}
-    for w in windows_at_slot:
-        if w.slot != slot:
-            raise ValidationError(f"window at slot {w.slot} passed to slot {slot}")
-        if w.satellite_id in low_ids:
-            elev[(w.satellite_id, w.station_id)] = w.elevation_deg
+    elev = {(sid, st_id): e for _, sid, st_id, e in windows_at_slot.rows() if sid in low_ids}
 
     sats = sorted({sid for sid, _ in elev})
-    stations = [st for st in sorted(scenario.stations, key=lambda s: s.id)
-                if any((sid, st.id) in elev for sid in sats)]
+    seen = {st_id for _, st_id in elev}
+    stations = [st for st in sorted(scenario.stations, key=lambda s: s.id) if st.id in seen]
 
     use_range = all(sid in positions for sid in sats)
+    station_pos = [station_ecef_m(st) for st in stations] if use_range else []
+    row = {sid: i for i, sid in enumerate(sats)}
+    column = {st.id: j for j, st in enumerate(stations)}
     matrix = np.full((len(sats), len(stations)), math.inf)
-    for i, sid in enumerate(sats):
-        for j, st in enumerate(stations):
-            if (sid, st.id) in elev:
-                matrix[i, j] = (math.dist(positions[sid][slot], station_ecef_m(st))
-                                if use_range else 90.0 - elev[(sid, st.id)])
+    for (sid, st_id), e in elev.items():
+        if st_id in column:
+            j = column[st_id]
+            matrix[row[sid], j] = (math.dist(positions[sid][slot], station_pos[j])
+                                   if use_range else 90.0 - e)
 
     # one column per antenna; a station's antennas are adjacent and identical
     antennas = [st.antenna_count for st in stations]
@@ -97,26 +100,26 @@ def assign_slot(scenario: ConstellationScenario, windows_at_slot: list[ContactWi
 
 
 def build_schedule(scenario: ConstellationScenario,
-                   windows: list[ContactWindow]) -> list[SlotSchedule]:
+                   windows: ContactWindows) -> list[SlotSchedule]:
     """Assignments for the slots where the target has a contact window.
 
     Each low-priority satellite visible in those slots is propagated once.
     """
-    target_id = scenario.target.satellite_id
-    by_slot: dict[int, list[ContactWindow]] = {}
-    for w in windows:
-        by_slot.setdefault(w.slot, []).append(w)
-    slots = sorted({w.slot for w in windows if w.satellite_id == target_id})
+    slots = np.unique(windows.slot[windows.of_satellite(scenario.target.satellite_id)])
+    starts = np.searchsorted(windows.slot, slots, side="left")
+    ends = np.searchsorted(windows.slot, slots, side="right")
 
     orbits = {s.id: s.orbit for s in scenario.low_satellites if s.orbit is not None}
-    visible = {w.satellite_id for t in slots for w in by_slot[t]}
+    seen = np.unique(windows.satellite[np.isin(windows.slot, slots)])
+    visible = {windows.satellite_ids[i] for i in seen.tolist()}
     positions = {sid: propagate(orbits[sid], scenario.time)
                  for sid in sorted(visible & orbits.keys())}
-    return [assign_slot(scenario, by_slot[t], t, positions) for t in slots]
+    return [assign_slot(scenario, windows[start:end], t, positions)
+            for t, start, end in zip(slots.tolist(), starts.tolist(), ends.tolist())]
 
 
 def attackability(scenario: ConstellationScenario, schedules: list[SlotSchedule],
-                  windows: list[ContactWindow]) -> list[AttackabilityRecord]:
+                  windows: ContactWindows) -> list[AttackabilityRecord]:
     """Transmissible/attackable flags and attack costs for the target satellite.
 
     A slot without a schedule is not transmissible.
@@ -124,41 +127,39 @@ def attackability(scenario: ConstellationScenario, schedules: list[SlotSchedule]
     by_slot = {schedule.slot: schedule for schedule in schedules}
     if len(by_slot) != len(schedules):
         raise ValidationError("schedules repeat a slot")
-    if not by_slot.keys() <= set(range(scenario.time.horizon_slots)):
+    horizon = scenario.time.horizon_slots
+    if not by_slot.keys() <= set(range(horizon)):
         raise OutOfHorizon("schedules reach outside the horizon")
     target_id = scenario.target.satellite_id
     high_ids = {s.id for s in scenario.high_satellites}
     price = scenario.costs.unit_task_price
 
-    target_stations: dict[int, set[str]] = {}
-    high_visible: dict[int, dict[str, set[str]]] = {}
-    for w in windows:
-        if w.satellite_id == target_id:
-            target_stations.setdefault(w.slot, set()).add(w.station_id)
-        elif w.satellite_id in high_ids:
-            high_visible.setdefault(w.slot, {}).setdefault(w.station_id, set()).add(
-                w.satellite_id)
+    target = windows.of_satellite(target_id)
+    visible = set(zip(windows.slot[target].tolist(),
+                      map(windows.station_ids.__getitem__, windows.station[target].tolist())))
+    # the distinct high-priority satellites over a target-visible station, per slot
+    pair = windows.slot * len(windows.station_ids) + windows.station  # (slot, station)
+    high = np.isin(windows.satellite, [i for i, sid in enumerate(windows.satellite_ids)
+                                       if sid in high_ids]) & np.isin(pair, pair[target])
+    highs = Counter(t for t, _ in set(zip(windows.slot[high].tolist(),
+                                          windows.satellite[high].tolist())))
 
     records = []
-    for t in range(scenario.time.horizon_slots):
+    for t in range(horizon):
         schedule = by_slot.get(t)
         if schedule is None or target_id not in schedule.served:
             records.append(AttackabilityRecord(t, False, False, 0, math.inf))
             continue
-        visible = target_stations.get(t, set())
-        idle = sum(count for st_id, count in schedule.idle_antennas if st_id in visible)
+        idle = sum(count for st_id, count in schedule.idle_antennas if (t, st_id) in visible)
         required = idle + 1
-        highs: set[str] = set()
-        for st_id in visible:
-            highs |= high_visible.get(t, {}).get(st_id, set())
-        attackable = len(highs) >= required
+        attackable = highs[t] >= required
         cost = price * required if attackable else math.inf
         records.append(AttackabilityRecord(t, True, attackable, required, cost))
     return records
 
 
 def attackability_for(scenario: ConstellationScenario,
-                      windows: list[ContactWindow] | None = None) -> list[AttackabilityRecord]:
+                      windows: ContactWindows | None = None) -> list[AttackabilityRecord]:
     """Full per-slot attackability, honoring a scenario's inline override."""
     if scenario.attackability is not None:
         by_slot = {r.slot: r for r in scenario.attackability}

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: unit-level FIFO replay, exhaustive
-subset search, permutation brute force, dense-grid geometry. These trade
+subset search, permutation brute force, dense-grid geometry, a row-by-row
+window CSV reader. These trade
 speed for obviousness and serve as ground truth for the fast paths in
 ``orbitsiege``. None of them import the package.
 """
@@ -218,3 +219,96 @@ def scan_contact_slots(inclination_deg, raan_deg, arg_perigee_deg,
         if best >= min_elev_deg:
             out[slot] = best
     return out
+
+
+WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]
+
+
+class RowError(Exception):
+    """The reference window loader's verdict on a bad file: `kind` names the
+    package error type the fast loader must raise, with the same message."""
+
+    def __init__(self, kind, message):
+        super().__init__(message)
+        self.kind = kind
+
+
+def load_window_rows(path, satellite_ids, station_min, last_slot):
+    """Read a contact-window CSV one row at a time through csv.reader.
+
+    satellite_ids: the ids a row may name; station_min: station id ->
+    minimum elevation in degrees; last_slot: the last slot of the horizon.
+    Returns (slot, satellite_id, station_id, elevation_deg) tuples stably
+    sorted by their first three fields, or raises RowError for the first
+    bad row.
+    """
+    import csv
+
+    windows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != WINDOW_HEADER:
+                raise RowError("ParseError",
+                               f"{path}: expected header {','.join(WINDOW_HEADER)}")
+            for line_no, row in enumerate(reader, start=2):
+                where = f"{path}:{line_no}"
+                if len(row) != 4:
+                    raise RowError("ParseError", f"{where}: expected 4 columns")
+                try:
+                    slot = int(row[0])
+                    elev = float(row[3])
+                except ValueError:
+                    raise RowError("ParseError",
+                                   f"{where}: slot or elevation is not a number")
+                if not math.isfinite(elev):
+                    raise RowError("ParseError", f"{where}: elevation is not finite")
+                if not 0 <= slot <= last_slot:
+                    raise RowError("OutOfHorizon", f"{where}: slot {slot} outside horizon")
+                if row[1] not in satellite_ids:
+                    raise RowError("ValidationError", f"{where}: unknown satellite {row[1]}")
+                if row[2] not in station_min:
+                    raise RowError("ValidationError", f"{where}: unknown station {row[2]}")
+                if elev < station_min[row[2]]:
+                    raise RowError("ValidationError",
+                                   f"{where}: elevation below station threshold")
+                if elev > 90.0:
+                    raise RowError("ValidationError",
+                                   f"{where}: elevation above 90 degrees")
+                windows.append((slot, row[1], row[2], elev))
+    except OSError as exc:
+        raise RowError("IoError", f"cannot read windows {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise RowError("ParseError", f"{path}: not UTF-8 text: {exc}")
+    windows.sort(key=lambda w: w[:3])
+    return windows
+
+
+def count_ladder(rows, schedules, target_id, high_ids, horizon, price):
+    """Attackability by the distinct-high-satellite count, slot by slot.
+
+    rows: (slot, satellite_id, station_id, elevation_deg) contact windows.
+    schedules: (slot, served satellite ids, ((station_id, idle), ...)).
+    Returns (slot, transmissible, attackable, required, cost) per slot.
+    """
+    target_stations = {}
+    high_visible = {}
+    for slot, sat, station, _ in rows:
+        if sat == target_id:
+            target_stations.setdefault(slot, set()).add(station)
+        elif sat in high_ids:
+            high_visible.setdefault((slot, station), set()).add(sat)
+    by_slot = {slot: (served, idle) for slot, served, idle in schedules}
+    ladder = []
+    for t in range(horizon):
+        if t not in by_slot or target_id not in by_slot[t][0]:
+            ladder.append((t, False, False, 0, INF))
+            continue
+        visible = target_stations.get(t, set())
+        required = 1 + sum(n for station, n in by_slot[t][1] if station in visible)
+        highs = set()
+        for station in visible:
+            highs |= high_visible.get((t, station), set())
+        attackable = len(highs) >= required
+        ladder.append((t, True, attackable, required, price * required if attackable else INF))
+    return ladder

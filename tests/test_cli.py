@@ -269,6 +269,34 @@ def test_bad_window_numbers_exit_two(capsys, tmp_path, column, value):
     assert err.startswith("error:") and "windows.csv:2:" in err
 
 
+def test_json_windows_file_exits_two(capsys, tmp_path):
+    # `windows --format json` writes a file `--windows` cannot read
+    scn = bundled("constellation_24h")
+    windows = tmp_path / "windows.json"
+    assert run_cli(capsys, "windows", "--scenario", scn, "--format", "json",
+                   "--out", str(windows))[0] == 0
+    code, out, err = run_cli(capsys, "schedule", "--scenario", scn,
+                             "--windows", str(windows))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--windows reads only the CSV form" in err
+
+
+def test_window_cell_past_the_csv_field_limit_exits_two(capsys, tmp_path):
+    # csv.reader refuses a cell longer than its field limit (128 KiB)
+    scn = bundled("constellation_24h")
+    windows = tmp_path / "windows.csv"
+    assert run_cli(capsys, "windows", "--scenario", scn, "--out", str(windows))[0] == 0
+    lines = windows.read_text().splitlines()
+    row = lines[3].split(",")
+    row[1] = '"' + "x" * 200_000 + '"'
+    lines[3] = ",".join(row)
+    windows.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "schedule", "--scenario", scn,
+                             "--windows", str(windows))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "windows.csv:4: field larger than field limit" in err
+
+
 def test_windows_that_are_not_utf8_exit_two(capsys, tmp_path):
     scn = bundled("constellation_24h")
     windows = tmp_path / "windows.csv"

@@ -1,20 +1,26 @@
-"""Two-body propagation, element parsing, and contact-window derivation."""
+"""Two-body propagation and contact-window derivation, storage and loading."""
 
+import functools
 import math
+import os
+import random
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import scan_contact_slots
+from oracles import RowError, load_window_rows, scan_contact_slots
 from orbitsiege import (
-    BadChecksum,
-    BadLayout,
     ConstellationScenario,
+    ContactWindows,
     CostModel,
     DataUnit,
     GroundStationSpec,
+    OrbitSiegeError,
     ParseError,
     SatelliteSpec,
     StaleElements,
@@ -24,26 +30,15 @@ from orbitsiege import (
     ValidationError,
     compute_contact_windows,
     load_contact_windows,
-    parse_tle,
+    load_scenario,
     propagate,
     save_contact_windows,
 )
-from orbitsiege.orbit import EARTH_RADIUS_M, J2000, semi_major_axis_m
+from orbitsiege import orbit
+from orbitsiege.orbit import EARTH_RADIUS_M, J2000, semi_major_axis_m, windows_csv_text
+from orbitsiege.output import csv_text, fmt_cell, fmt_floats
 
 EPOCH = datetime(2026, 3, 20, tzinfo=timezone.utc)
-
-
-def checksummed(line68: str) -> str:
-    total = sum(int(c) for c in line68 if c.isdigit()) + line68.count("-")
-    return line68 + str(total % 10)
-
-
-def tle_text(incl="097.6000", raan="040.0000", ecc="0001000",
-             argp="000.0000", anomaly="025.0000", motion="14.90000000",
-             year="26", day="079.50000000"):
-    l1 = f"1 25544U 98067A   {year}{day}".ljust(68)
-    l2 = (f"2 25544 {incl} {raan} {ecc} {argp} {anomaly} {motion}").ljust(68)
-    return checksummed(l1) + "\n" + checksummed(l2)
 
 
 def random_elements(rng):
@@ -57,44 +52,6 @@ def random_elements(rng):
         mean_motion_rev_per_day=float(rng.uniform(11.5, 16.3)),
         epoch=EPOCH,
     )
-
-
-def test_parse_tle_fields():
-    elements = parse_tle(tle_text())
-    assert elements.inclination_deg == pytest.approx(97.6)
-    assert elements.raan_deg == pytest.approx(40.0)
-    assert elements.eccentricity == pytest.approx(1e-4)
-    assert elements.mean_anomaly_deg == pytest.approx(25.0)
-    assert elements.mean_motion_rev_per_day == pytest.approx(14.9)
-    # day 79.5 of 2026 lands at noon on March 20
-    assert elements.epoch == datetime(2026, 3, 20, 12, tzinfo=timezone.utc)
-
-
-def test_parse_tle_name_line_and_year_window():
-    elements = parse_tle("SAT-1\n" + tle_text())
-    assert elements.inclination_deg == pytest.approx(97.6)
-    old = parse_tle(tle_text(year="98", day="001.00000000"))
-    assert old.epoch.year == 1998
-    recent = parse_tle(tle_text(year="00", day="001.00000000"))
-    assert recent.epoch.year == 2000
-
-
-def test_parse_tle_layout_errors():
-    with pytest.raises(BadLayout, match="two element lines"):
-        parse_tle("only one line")
-    lines = tle_text().splitlines()
-    with pytest.raises(BadLayout, match="69 characters"):
-        parse_tle(lines[0][:-1] + "\n" + lines[1])
-    swapped = lines[1] + "\n" + lines[0]
-    with pytest.raises(BadLayout, match="line numbers"):
-        parse_tle(swapped)
-
-
-def test_parse_tle_checksum():
-    lines = tle_text().splitlines()
-    bad = lines[0][:-1] + str((int(lines[0][-1]) + 1) % 10)
-    with pytest.raises(BadChecksum, match="line 1"):
-        parse_tle(bad + "\n" + lines[1])
 
 
 def test_semi_major_axis_matches_kepler():
@@ -196,7 +153,7 @@ def test_elevation_at_zenith_and_horizon():
     # station, satellite
     stations = [station(1, below), station(2, below + 10.0)]
     windows = compute_contact_windows(replace(scenario, stations=tuple(stations)))
-    elevation = {w.station_id: w.elevation_deg for w in windows if w.slot == 0}
+    elevation = {st: e for slot, _, st, e in windows.rows() if slot == 0}
     assert elevation["gs-1"] == pytest.approx(90.0, abs=1e-5)
     ratio = EARTH_RADIUS_M / math.hypot(x, y)
     gamma = math.radians(10.0)
@@ -249,9 +206,9 @@ def test_windows_match_scalar_scan():
             elements.mean_motion_rev_per_day, epoch_to_j2000,
             station.latitude_deg, station.longitude_deg, station.altitude_m,
             300, 288, station.min_elevation_deg)
-        assert {w.slot for w in windows} == set(expected)
-        for w in windows:
-            assert w.elevation_deg == pytest.approx(expected[w.slot], abs=1e-6)
+        assert set(windows.slot.tolist()) == set(expected)
+        for slot, _, _, elevation in windows.rows():
+            assert elevation == pytest.approx(expected[slot], abs=1e-6)
 
 
 def test_windows_sorted_and_thresholded():
@@ -260,11 +217,11 @@ def test_windows_sorted_and_thresholded():
     stations = [random_station(rng, i) for i in range(3)]
     scenario = windows_scenario(sats, stations)
     windows = compute_contact_windows(scenario)
-    assert windows, "random day produced no contacts at all"
-    keys = [(w.slot, w.satellite_id, w.station_id) for w in windows]
+    assert len(windows), "random day produced no contacts at all"
+    keys = [row[:3] for row in windows.rows()]
     assert keys == sorted(keys)
     threshold = {st.id: st.min_elevation_deg for st in stations}
-    assert all(w.elevation_deg >= threshold[w.station_id] for w in windows)
+    assert all(e >= threshold[st] for _, _, st, e in windows.rows())
 
 
 def test_raising_threshold_only_removes_slots():
@@ -277,7 +234,7 @@ def test_raising_threshold_only_removes_slots():
         antenna_count=1, min_elevation_deg=low.min_elevation_deg + 10.0)
     loose = compute_contact_windows(windows_scenario([elements], [low]))
     strict = compute_contact_windows(windows_scenario([elements], [lifted]))
-    assert {w.slot for w in strict} <= {w.slot for w in loose}
+    assert set(strict.slot.tolist()) <= set(loose.slot.tolist())
 
 
 def test_windows_need_orbits():
@@ -289,22 +246,46 @@ def test_windows_need_orbits():
     bare = replace(scenario, satellites=satellites)
     with pytest.raises(ValidationError, match="orbit elements required"):
         compute_contact_windows(bare)
-    assert compute_contact_windows(replace(scenario, stations=())) == []
+    assert len(compute_contact_windows(replace(scenario, stations=()))) == 0
 
 
 def test_window_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(13)
-    scenario = windows_scenario([random_elements(rng)],
-                                [random_station(rng, 1)])
+    scenario = windows_scenario([random_elements(rng) for _ in range(3)],
+                                [random_station(rng, i) for i in range(3)])
     windows = compute_contact_windows(scenario)
-    path = str(tmp_path / "windows.csv")
-    save_contact_windows(path, windows)
-    again = load_contact_windows(path, scenario)
+    assert len(windows), "the world must have contacts to round-trip"
+    path = tmp_path / "windows.csv"
+    save_contact_windows(str(path), windows)
+    again = load_contact_windows(str(path), scenario)
     assert len(again) == len(windows)
-    for a, b in zip(again, windows):
-        assert (a.slot, a.satellite_id, a.station_id) == (
-            b.slot, b.satellite_id, b.station_id)
-        assert a.elevation_deg == pytest.approx(b.elevation_deg, abs=1e-9)
+    for a, b in zip(again.rows(), windows.rows()):
+        assert a[:3] == b[:3]
+        # the file holds six significant digits
+        assert a[3] == float(format(b[3], ".6g"))
+    second = tmp_path / "again.csv"
+    save_contact_windows(str(second), again)
+    assert second.read_bytes() == path.read_bytes()
+
+
+def test_fmt_floats_is_fmt_cell():
+    rng = np.random.default_rng(19)
+    values = np.concatenate([
+        rng.uniform(-90.0, 90.0, 200), np.round(rng.uniform(-90.0, 90.0, 50)),
+        [0.0, -0.0, 90.0, 1e-7, 123456.5, 1e15 - 1.0, 1e15, -1e16, 2.5e20,
+         math.inf, -math.inf]])
+    assert fmt_floats(values) == [fmt_cell(v) for v in values.tolist()]
+
+
+def test_windows_csv_text_is_csv_text():
+    # ids that csv.writer must quote, and more rows than one chunk
+    windows = ContactWindows.sorted(
+        ["obs,1", 'rush "2"', "plain"], ["gs-01", "gs\n02"],
+        [3, 1, 2, 1, 0] * 3, [0, 1, 2, 0, 1] * 3, [1, 0, 1, 1, 0] * 3,
+        [45.0, 12.345678, -0.0, 90.0, 7.25] * 3)
+    with mock.patch.object(orbit, "CHUNK_ROWS", 4):
+        text = windows_csv_text(windows)
+    assert text == csv_text(orbit.WINDOW_HEADER, windows.rows())
 
 
 def test_window_load_validates(tmp_path):
@@ -345,3 +326,122 @@ def test_window_load_rejects_bad_numbers(tmp_path, row, error, message):
                     encoding="utf-8")
     with pytest.raises(error, match=message):
         load_contact_windows(str(path), scenario)
+
+
+def test_window_load_names_a_json_file(tmp_path):
+    rng = np.random.default_rng(13)
+    scenario = windows_scenario([random_elements(rng) for _ in range(3)],
+                                [random_station(rng, i) for i in range(3)])
+    path = tmp_path / "windows.json"
+    save_contact_windows(str(path), compute_contact_windows(scenario), "json")
+    with pytest.raises(ParseError, match="--windows reads only the CSV form"):
+        load_contact_windows(str(path), scenario)
+
+
+@functools.cache
+def bundled_windows():
+    """The bundled 24 h scenario and its window file as header and row lines."""
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir,
+                                          "scenarios", "constellation_24h.json"))
+    lines = windows_csv_text(compute_contact_windows(scenario)).splitlines()
+    return scenario, lines[0], tuple(lines[1:])
+
+
+def cell_values(scenario):
+    """Per column, cells that break one check or pass in an unusual form."""
+    last = scenario.time.last_slot
+    threshold = scenario.stations[0].min_elevation_deg
+    return (
+        ["x", "1.5", "", " 7", "+3", "-1", str(last), str(last + 1), "1_0", "\u0663",
+         "1e3", "99999999999999999999999"],
+        ["ghost", "", " obs-1", scenario.satellites[0].id, scenario.satellites[-1].id],
+        ["gs-99", "", scenario.stations[0].id, scenario.stations[-1].id],
+        ["nan", "inf", "-inf", "1e400", "95", "90", "90.0000001", "0", "high", "",
+         " 45 ", "4_5.5", repr(threshold - 0.5), repr(threshold), "45"],
+    )
+
+
+@st.composite
+def mutated_window_files(draw):
+    scenario, header, rows = bundled_windows()
+    rows = list(rows)
+    values = cell_values(scenario)
+    edits = ["cell"] * 4 + ["row"] * 2 + ["short", "long", "blank", "quote", "duplicate"]
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=3)):
+        i = draw(st.integers(0, len(rows) - 1))
+        cells = rows[i].split(",")
+        if edit == "cell":
+            column = draw(st.integers(0, min(len(cells), 4) - 1))
+            cells[column] = draw(st.sampled_from(values[column]))
+            rows[i] = ",".join(cells)
+        elif edit == "row":
+            rows[i] = ",".join(draw(st.sampled_from(pool)) for pool in values)
+        elif edit == "short":
+            rows[i] = ",".join(cells[:3])
+        elif edit == "long":
+            rows[i] = ",".join(cells + ["x"])
+        elif edit == "blank":
+            rows.insert(i, "")
+        elif edit == "quote":
+            column = draw(st.integers(0, len(cells) - 1))
+            cells[column] = '"' + draw(st.sampled_from([cells[column], "a,b"])) + '"'
+            rows[i] = ",".join(cells)
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), rows[i])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        rng.shuffle(rows)
+    endings = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n", "\r"]]))
+    text = "".join(line + rng.choice(endings) for line in [header, *rows])
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS):
+    """The loader, reading `chunk_rows` rows at a time, and the row-by-row
+    reference give the same windows, or the same error type and message,
+    on this file text."""
+    scenario, _, _ = bundled_windows()
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = ("windows", load_window_rows(
+            str(path), {s.id for s in scenario.satellites},
+            {st.id: st.min_elevation_deg for st in scenario.stations},
+            scenario.time.last_slot))
+    except RowError as exc:
+        expected = (exc.kind, str(exc))
+    try:
+        with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows):
+            got = ("windows", load_contact_windows(str(path), scenario).rows())
+    except OrbitSiegeError as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_window_files(), chunk_rows=st.sampled_from([7, 1000, orbit.CHUNK_ROWS]))
+def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, chunk_rows):
+    """Bad cells, short, long, blank, quoted, duplicate and shuffled rows,
+    CR, LF and CRLF line ends, with and without a final newline, read in
+    chunks of several sizes."""
+    assert_loaders_agree(tmp_path_factory.mktemp("windows") / "windows.csv", text,
+                         chunk_rows)
+
+
+@pytest.mark.parametrize("column, value", [
+    (0, "0"), (0, "last"), (0, "past"), (3, "90"), (3, "90.0"), (3, "threshold"),
+    (3, "below"), (3, "-0.0"),
+])
+def test_window_loader_matches_reference_at_the_bounds(tmp_path, column, value):
+    scenario, header, rows = bundled_windows()
+    cells = rows[7].split(",")
+    threshold = next(st.min_elevation_deg for st in scenario.stations if st.id == cells[2])
+    cells[column] = {
+        "last": str(scenario.time.last_slot),
+        "past": str(scenario.time.last_slot + 1),
+        "threshold": repr(threshold),
+        "below": repr(threshold - 1e-9),
+    }.get(value, value)
+    text = "\n".join([header, *rows[:7], ",".join(cells), *rows[8:]]) + "\n"
+    assert_loaders_agree(tmp_path / "windows.csv", text)

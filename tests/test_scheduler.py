@@ -1,14 +1,16 @@
 """Antenna assignment and the attackability ladder it induces."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, count_ladder
 from orbitsiege import (
     AttackabilityRecord,
     ConstellationScenario,
+    ContactWindows,
     CostModel,
     DataUnit,
     GroundStationSpec,
@@ -29,7 +31,7 @@ from orbitsiege import (
     propagate,
 )
 from orbitsiege import scheduler
-from orbitsiege.orbit import ContactWindow, station_ecef_m
+from orbitsiege.orbit import station_ecef_m
 from orbitsiege.scheduler import save_attackability
 
 from datetime import datetime, timezone
@@ -110,8 +112,22 @@ def two_station_scenario(n_low=3, n_high=2, antenna_counts=(1, 1)):
     )
 
 
+Row = namedtuple("Row", "satellite_id station_id slot elevation_deg")
+
+
 def w(sat, station, slot, elev):
-    return ContactWindow(sat, station, slot, elev)
+    return Row(sat, station, slot, elev)
+
+
+def windows_of(scenario, rows):
+    """The rows as ContactWindows over the scenario's satellite and station ids."""
+    sat_ids = [s.id for s in scenario.satellites]
+    station_ids = [st.id for st in scenario.stations]
+    return ContactWindows.sorted(
+        sat_ids, station_ids, [r.slot for r in rows],
+        [sat_ids.index(r.satellite_id) for r in rows],
+        [station_ids.index(r.station_id) for r in rows],
+        [r.elevation_deg for r in rows])
 
 
 def test_assign_slot_serves_everyone_it_can():
@@ -120,7 +136,7 @@ def test_assign_slot_serves_everyone_it_can():
     scenario = two_station_scenario(n_low=2, antenna_counts=(1, 1))
     rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0),
             w("obs-2", "gs-01", 0, 20.0)]
-    schedule = assign_slot(scenario, rows, 0, {})
+    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, {})
     assert schedule.served == {"obs-1", "obs-2"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 0}
 
@@ -128,7 +144,7 @@ def test_assign_slot_serves_everyone_it_can():
 def test_assign_slot_picks_the_higher_pass():
     scenario = two_station_scenario(n_low=1, antenna_counts=(1, 1))
     rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0)]
-    schedule = assign_slot(scenario, rows, 0, {})
+    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, {})
     assert schedule.served == {"obs-1"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 1}
 
@@ -140,7 +156,7 @@ def test_assign_slot_prefers_the_nearer_station():
     above = 1.1 * np.array(station_ecef_m(scenario.stations[1]))
     positions = {"obs-1": np.tile(above, (scenario.time.horizon_slots, 1))}
     rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0)]
-    schedule = assign_slot(scenario, rows, 0, positions)
+    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, positions)
     assert schedule.served == {"obs-1"}
     assert dict(schedule.idle_antennas) == {"gs-01": 1, "gs-02": 0}
 
@@ -150,7 +166,7 @@ def test_assign_slot_spreads_over_antennas():
     scenario = two_station_scenario(n_low=3, antenna_counts=(2, 1))
     rows = [w("obs-1", "gs-01", 1, 50.0), w("obs-2", "gs-01", 1, 40.0),
             w("obs-3", "gs-01", 1, 30.0), w("obs-3", "gs-02", 1, 10.0)]
-    schedule = assign_slot(scenario, rows, 1, {})
+    schedule = assign_slot(scenario, windows_of(scenario, rows), 1, {})
     assert schedule.served == {"obs-1", "obs-2", "obs-3"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 0}
 
@@ -170,7 +186,7 @@ def test_assign_slot_matches_brute_force_by_station():
                 for sid in sats for st in stations if rng.random() < 0.5]
         positions = {sid: rng.normal(size=(scenario.time.horizon_slots, 3)) * 7e6
                      for sid in sats}
-        schedule = assign_slot(scenario, rows, 1, positions)
+        schedule = assign_slot(scenario, windows_of(scenario, rows), 1, positions)
 
         seen = {(r.satellite_id, r.station_id) for r in rows}
         owner = [st for st in stations for _ in range(st.antenna_count)]
@@ -188,13 +204,13 @@ def test_assign_slot_matches_brute_force_by_station():
 def test_assign_slot_rejects_mismatched_rows():
     scenario = two_station_scenario()
     with pytest.raises(ValidationError, match="slot"):
-        assign_slot(scenario, [w("obs-1", "gs-01", 2, 45.0)], 1, {})
+        assign_slot(scenario, windows_of(scenario, [w("obs-1", "gs-01", 2, 45.0)]), 1, {})
 
 
 def test_assign_slot_ignores_high_priority_rows():
     scenario = two_station_scenario(n_low=1, n_high=1)
     rows = [w("obs-1", "gs-01", 0, 45.0), w("rush-1", "gs-01", 0, 80.0)]
-    schedule = assign_slot(scenario, rows, 0, {})
+    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, {})
     assert schedule.served == {"obs-1"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0}
 
@@ -203,7 +219,8 @@ def test_build_schedule_covers_only_target_slots(monkeypatch):
     scenario = build_constellation(n_low=4, n_high=2, n_stations=3, hours=6)
     windows = compute_contact_windows(scenario)
     target = scenario.target.satellite_id
-    target_slots = sorted({x.slot for x in windows if x.satellite_id == target})
+    rows = [w(sat, st, slot, e) for slot, sat, st, e in windows.rows()]
+    target_slots = sorted({x.slot for x in rows if x.satellite_id == target})
     assert 0 < len(target_slots) < scenario.time.horizon_slots
 
     propagated = []
@@ -216,7 +233,7 @@ def test_build_schedule_covers_only_target_slots(monkeypatch):
     schedules = build_schedule(scenario, windows)
     assert [s.slot for s in schedules] == target_slots
     # each low-priority satellite seen in those slots is propagated once
-    seen = {x.satellite_id for x in windows if x.slot in set(target_slots)}
+    seen = {x.satellite_id for x in rows if x.slot in set(target_slots)}
     low = [s for s in scenario.low_satellites if s.id in seen]
     assert sorted(map(id, propagated)) == sorted(id(s.orbit) for s in low)
 
@@ -232,7 +249,7 @@ def test_attackability_counts_idle_antennas():
     # two antennas on the visible station: one serves the target, one idles,
     # so blocking needs two high birds
     scenario = two_station_scenario(n_low=1, n_high=2, antenna_counts=(2, 1))
-    windows = attack_rows(2) + [w("obs-1", "gs-01", 1, 45.0)]
+    windows = windows_of(scenario, attack_rows(2) + [w("obs-1", "gs-01", 1, 45.0)])
     schedules = build_schedule(scenario, windows)
     records = attackability(scenario, schedules, windows)
     assert records[0].transmissible and records[0].attackable
@@ -247,7 +264,7 @@ def test_attackability_counts_idle_antennas():
 
 def test_attackability_requires_enough_high_birds():
     scenario = two_station_scenario(n_low=1, n_high=2, antenna_counts=(2, 1))
-    windows = attack_rows(1)
+    windows = windows_of(scenario, attack_rows(1))
     records = attackability(scenario, build_schedule(scenario, windows), windows)
     assert records[0].transmissible and not records[0].attackable
 
@@ -255,27 +272,49 @@ def test_attackability_requires_enough_high_birds():
 def test_attackability_only_counts_stations_seeing_the_target():
     scenario = two_station_scenario(n_low=1, n_high=1, antenna_counts=(1, 3))
     # the idle antennas on gs-02 are irrelevant: the target cannot use them
-    windows = attack_rows(1) + [w("rush-1", "gs-02", 0, 70.0)]
+    windows = windows_of(scenario, attack_rows(1) + [w("rush-1", "gs-02", 0, 70.0)])
     records = attackability(scenario, build_schedule(scenario, windows), windows)
     assert records[0].attackable
     assert records[0].required_high_priority == 1
     assert records[0].cost == pytest.approx(100.0)
 
 
+def test_attackability_matches_the_slot_by_slot_count():
+    # random visibility over three slots, several antennas per station,
+    # repeated rows: the column ladder equals the loop over the rows
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        counts = tuple(int(c) for c in rng.integers(1, 3, size=3))
+        scenario = two_station_scenario(n_low=3, n_high=4, antenna_counts=counts)
+        rows = [w(sat.id, st.id, int(t), float(rng.uniform(5.0, 90.0)))
+                for sat in scenario.satellites for st in scenario.stations
+                for t in range(scenario.time.horizon_slots) if rng.random() < 0.4]
+        rows += [rows[i] for i in rng.integers(0, len(rows), size=3)] if rows else []
+        windows = windows_of(scenario, rows)
+        schedules = build_schedule(scenario, windows)
+        records = attackability(scenario, schedules, windows)
+        expected = count_ladder(
+            [(r.slot, r.satellite_id, r.station_id, r.elevation_deg) for r in rows],
+            [(s.slot, s.served, s.idle_antennas) for s in schedules], "obs-1",
+            {s.id for s in scenario.high_satellites}, scenario.time.horizon_slots, 100.0)
+        assert [(r.slot, r.transmissible, r.attackable, r.required_high_priority, r.cost)
+                for r in records] == expected
+
+
 def test_attackability_rejects_bad_schedule_slots():
     scenario = two_station_scenario()
     outside = SlotSchedule(3, frozenset({"obs-1"}), (("gs-01", 0),))
     with pytest.raises(OutOfHorizon, match="outside the horizon"):
-        attackability(scenario, [outside], [])
+        attackability(scenario, [outside], windows_of(scenario, []))
     twice = SlotSchedule(1, frozenset({"obs-1"}), (("gs-01", 0),))
     with pytest.raises(ValidationError, match="repeat a slot"):
-        attackability(scenario, [twice, twice], [])
+        attackability(scenario, [twice, twice], windows_of(scenario, []))
 
 
 def test_unscheduled_slot_is_not_transmissible():
     # the target sees gs-01 in both slots, but only slot 1 has a schedule
     scenario = two_station_scenario(n_low=1, n_high=0)
-    windows = [w("obs-1", "gs-01", 0, 45.0), w("obs-1", "gs-01", 1, 45.0)]
+    windows = windows_of(scenario, [w("obs-1", "gs-01", 0, 45.0), w("obs-1", "gs-01", 1, 45.0)])
     schedules = [assign_slot(scenario, windows[1:], 1, {})]
     records = attackability(scenario, schedules, windows)
     assert records[0] == AttackabilityRecord(0, False, False, 0, INF)
