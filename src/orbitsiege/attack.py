@@ -144,14 +144,7 @@ class AttackStrategy:
         return {
             "slots": list(self.slots),
             "total_cost": self.cost,
-            "targets": {
-                uid: {
-                    "evacuation_slot": self.evacuation[uid],
-                    "dropped": self.dropped[uid],
-                    "drop_slot": self.drop_slot[uid],
-                }
-                for uid in self.evacuation
-            },
+            "targets": unit_outcomes(self),
         }
 
     @classmethod
@@ -165,6 +158,19 @@ class AttackStrategy:
             dropped=dict(trace.dropped),
             drop_slot=dict(trace.drop_slot),
         )
+
+
+def unit_outcomes(fates: QueueTrace | AttackStrategy) -> dict[str, dict]:
+    """{unit id: {"evacuation_slot", "dropped", "drop_slot"}} for every unit
+    a trace tracks, or a strategy's final trace tracked, in tracking order."""
+    return {
+        uid: {
+            "evacuation_slot": te,
+            "dropped": fates.dropped[uid],
+            "drop_slot": fates.drop_slot[uid],
+        }
+        for uid, te in fates.evacuation.items()
+    }
 
 
 STRATEGY_HEADER = ["slot", "cost", "motivating_unit"]

@@ -22,10 +22,10 @@ import numpy as np
 
 from .attack import AttackContext, AttackStrategy
 from .errors import AttackFail, OrbitSiegeError, ValidationError
-from .onboard import evolve_rows
+from .onboard import evolve_rows, slot_volume
 from .planner_delay import plan_delay
 from .planner_overflow import plan_overflow
-from .scenario import ConstellationScenario
+from .scenario import ConstellationScenario, _float, _int
 from .scheduler import attackability, attackability_for, build_schedule
 
 INF = math.inf
@@ -40,6 +40,10 @@ TRUNCATION_RATIO = 0.1
 # trials per evolve_rows call; bounds the rows held at once however many
 # trials a point has
 BATCH_TRIALS = 1024
+
+# a point's trials split into this many seed groups (fewer if there are
+# fewer trials); the box statistics are over the groups' success ratios
+SEED_GROUPS = 10
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,6 @@ class EvalConfig:
     cost_budget: float | None = None
     extra_m: int = 0
     noise: NoiseModel = NoiseModel()
-    seed_groups: int = 10
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -88,8 +91,8 @@ class EvalConfig:
             raise ValidationError("trials must be >= 1")
         if self.extra_m < 0:
             raise ValidationError("extra_m must be >= 0")
-        if self.seed_groups < 1:
-            raise ValidationError("seed_groups must be >= 1")
+        if self.cost_budget is not None:
+            _budget(self.cost_budget, "cost_budget")
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,14 @@ class SweepResult:
     @property
     def errors(self) -> tuple[tuple[object, str], ...]:
         return tuple((p.value, p.error) for p in self.points if p.error)
+
+
+def _budget(value, where: str) -> float:
+    """A cost budget: a finite number >= 0, as `target.cost_budget` is read."""
+    budget = _float(value, where)
+    if budget < 0:
+        raise ValidationError(f"{where}: must be >= 0")
+    return budget
 
 
 def _resample(rng, nominal, std_ratio: float) -> np.ndarray:
@@ -215,7 +226,7 @@ def perturb(layout: TrialLayout, noise: NoiseModel,
         shift = -min(-shift, layout.removable)
         nominal = nominal[-shift:]
     sizes = _resample(rng, nominal, noise.size_std_ratio)
-    return rate * layout.slot_seconds // 8, shift, sizes
+    return slot_volume(rate, layout.slot_seconds), shift, sizes
 
 
 def _trial_rows(layout: TrialLayout, draws, judged: np.ndarray):
@@ -265,6 +276,8 @@ def extend_targets(targets: tuple[str, ...], ids, m: int) -> tuple[str, ...]:
 def plan_attack(ctx: AttackContext, kind: str, extra_m: int,
                 deadline: int | None) -> AttackStrategy:
     """Plan on the nominal context, optionally with a widened target set."""
+    if extra_m < 0:
+        raise ValidationError("extra_m must be >= 0")
     if extra_m > 0:
         ctx = replace(ctx, targets=extend_targets(ctx.targets, ctx.world.byte_ranges, extra_m))
     if kind == "delay":
@@ -285,7 +298,8 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
                 ) -> tuple[ConstellationScenario, float | None, int, NoiseModel, float | None]:
     """Rebuild the point's scenario and effective knobs for one axis value;
     the last is the target_duration in hours, which `sweep` anchors at the
-    nominal natural evacuation slot."""
+    nominal natural evacuation slot. The value is read as the scenario
+    loader reads a field: finite, and whole on the integer axes."""
     budget = config.cost_budget
     extra_m = config.extra_m
     noise = config.noise
@@ -294,7 +308,7 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
     sat_id = scenario.target.satellite_id
 
     if axis == "image_size":
-        size = int(value)
+        size = _int(value, axis)
         if size < 1:
             raise ValidationError("image_size must be >= 1 byte")
         queue = tuple(
@@ -305,14 +319,14 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
                       for u in scenario.trace)
         scenario = replace(scenario, initial_queue=queue, trace=trace)
     elif axis == "data_rate":
-        rate = int(value)
+        rate = _int(value, axis)
         if rate < 1:
             raise ValidationError("data_rate must be >= 1 bit/s")
         satellites = tuple(replace(s, downlink_rate_bps=rate) if s.id == sat_id else s
                            for s in scenario.satellites)
         scenario = replace(scenario, satellites=satellites)
     elif axis == "n_high":
-        count = int(value)
+        count = _int(value, axis)
         highs = scenario.high_satellites
         if count < 0 or count > len(highs):
             raise ValidationError(
@@ -322,17 +336,17 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
                            if s.priority == "low" or s.id in keep)
         scenario = replace(scenario, satellites=satellites)
     elif axis == "budget":
-        budget = float(value)
+        budget = _budget(value, axis)
     elif axis == "target_duration":
-        hours = float(value)
+        hours = _float(value, axis)
         if hours <= 0:
             raise ValidationError("target_duration must be positive hours")
     elif axis == "noise_ratio":
-        ratio = float(value)
+        ratio = _float(value, axis)
         noise = replace(noise, size_std_ratio=ratio, rate_std_ratio=ratio,
                         queue_len_std_ratio=ratio)
     elif axis == "extra_M":
-        extra_m = int(value)
+        extra_m = _int(value, axis)
         if extra_m < 0:
             raise ValidationError("extra_M must be >= 0")
     return scenario, budget, extra_m, noise, hours
@@ -405,7 +419,7 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
                 budget = point_scenario.target.cost_budget
             layout = TrialLayout.from_context(point_scenario, nominal)
 
-            group_count = min(config.seed_groups, config.trials)
+            group_count = min(SEED_GROUPS, config.trials)
             group_sizes = [config.trials // group_count
                            + (1 if group < config.trials % group_count else 0)
                            for group in range(group_count)]

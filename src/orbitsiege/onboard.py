@@ -36,9 +36,14 @@ from .scenario import ConstellationScenario
 INF = math.inf
 
 
+def slot_volume(rate_bps: int, slot_seconds: int) -> int:
+    """Bytes a downlink of rate_bps moves in one slot: floor(rate * slot_seconds / 8)."""
+    return rate_bps * slot_seconds // 8
+
+
 def per_slot_capacity(scenario: ConstellationScenario) -> int:
-    """The target's transmissible bytes per slot: floor(rate * slot_seconds / 8)."""
-    return scenario.target_satellite.downlink_rate_bps * scenario.time.slot_seconds // 8
+    """The target's transmissible bytes per slot."""
+    return slot_volume(scenario.target_satellite.downlink_rate_bps, scenario.time.slot_seconds)
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,6 @@ class QueueTrace:
     @property
     def drop_bytes(self) -> list[int]:
         return [gone - end for end, gone in zip(self.tx_end, self.removed)]
-
-    def queue_at(self, slot: int) -> int:
-        return self.queue_bytes[slot - self.world.t0]
 
     def t_e(self, unit_id: str) -> float:
         return self.evacuation[unit_id]

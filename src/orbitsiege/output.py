@@ -68,10 +68,6 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
-    write_text_atomic(path, csv_text(header, rows))
-
-
 def json_ready(value):
     """Map values to strict-JSON equivalents (non-finite floats to None)."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -87,20 +83,12 @@ def json_text(obj) -> str:
     return json.dumps(json_ready(obj), indent=2) + "\n"
 
 
-def write_json_atomic(path: str, obj) -> None:
-    write_text_atomic(path, json_text(obj))
-
-
-def rows_as_json(header: list[str], rows: list[list]) -> list[dict]:
-    """Mirror CSV rows as a list of objects under the same column names."""
-    return [dict(zip(header, row)) for row in rows]
-
-
 def emit(path: str, header: list[str], rows: list[list], fmt: str = "csv") -> None:
-    """Write tabular data as CSV or as a JSON array of row objects."""
+    """Write tabular data as CSV, or as a JSON array of objects that mirror
+    the CSV rows under the same column names."""
     if fmt == "csv":
-        write_csv_atomic(path, header, rows)
+        write_text_atomic(path, csv_text(header, rows))
     elif fmt == "json":
-        write_json_atomic(path, rows_as_json(header, rows))
+        write_text_atomic(path, json_text([dict(zip(header, row)) for row in rows]))
     else:
         raise ValueError(f"unknown format {fmt!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .attack import AttackContext, AttackStrategy
+from .attack import AttackContext, AttackStrategy, unit_outcomes
 from .errors import AttackFail, ValidationError
 
 INF = math.inf
@@ -112,13 +112,6 @@ def verify_delay(ctx: AttackContext, slots,
         "baseline_evacuation_slot": base.t_e(tau),
         "delay_slots": _delay_achieved(trace.t_e(tau), base.t_e(tau)),
         "total_cost": ctx.cost_of(strategy),
-        "targets": {
-            uid: {
-                "evacuation_slot": trace.t_e(uid),
-                "dropped": trace.dropped[uid],
-                "drop_slot": trace.drop_slot[uid],
-            }
-            for uid in ctx.targets
-        },
+        "targets": unit_outcomes(trace),
     }
     return ok, report

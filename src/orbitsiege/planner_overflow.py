@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .attack import AttackContext, AttackStrategy
+from .attack import AttackContext, AttackStrategy, unit_outcomes
 from .errors import AttackFail
 
 INF = math.inf
@@ -94,13 +94,6 @@ def verify_overflow(ctx: AttackContext, slots) -> tuple[bool, dict]:
     report = {
         "ok": ok,
         "total_cost": ctx.cost_of(strategy),
-        "targets": {
-            uid: {
-                "evacuation_slot": trace.t_e(uid),
-                "dropped": trace.dropped[uid],
-                "drop_slot": trace.drop_slot[uid],
-            }
-            for uid in ctx.targets
-        },
+        "targets": unit_outcomes(trace),
     }
     return ok, report

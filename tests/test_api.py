@@ -1,0 +1,71 @@
+"""The package's public surface: what `orbitsiege` exports, where the rest
+lives, and the README's Library example run as written."""
+
+import os
+import re
+
+import pytest
+
+import orbitsiege
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+PUBLIC = {
+    "AttackContext", "ContactWindows", "EvalConfig", "attackability_for",
+    "compute_contact_windows", "load_contact_windows", "load_scenario",
+    "plan_attack", "plan_delay", "plan_overflow", "sweep", "verify_delay",
+    "verify_overflow",
+    "AttackFail", "IoError", "OrbitSiegeError", "OutOfHorizon", "ParseError",
+    "StaleElements", "ValidationError",
+}
+
+# names the package exported before its surface was cut, by defining module
+SUBMODULE_ONLY = {
+    "attack": ("AttackStrategy", "save_strategy", "save_strategy_summary"),
+    "evaluation": ("AXES", "KINDS", "NoiseModel", "PointResult", "SweepResult",
+                   "TrialRecord", "derive_rng", "extend_targets", "perturb",
+                   "save_aggregate", "save_report"),
+    "onboard": ("QueueTrace", "QueueWorld", "evolve", "per_slot_capacity",
+                "save_trace", "save_trace_events"),
+    "orbit": ("propagate", "save_contact_windows"),
+    "scenario": ("AttackabilityRecord", "ConstellationScenario", "CostModel",
+                 "DataUnit", "GroundStationSpec", "SatelliteSpec", "TargetSpec",
+                 "TimeGrid", "TleElements", "save_scenario", "scenario_from_dict",
+                 "scenario_to_dict"),
+    "scheduler": ("SlotSchedule", "assign_slot", "attackability", "build_schedule",
+                  "hungarian", "save_attackability"),
+    "synth": ("build_constellation", "build_s0", "build_s0_ovf"),
+}
+
+
+def test_all_is_the_public_surface():
+    assert len(orbitsiege.__all__) == len(PUBLIC) == 20
+    assert set(orbitsiege.__all__) == PUBLIC
+
+
+def test_star_import_binds_only_the_public_names():
+    namespace = {}
+    exec("from orbitsiege import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+@pytest.mark.parametrize("module", sorted(SUBMODULE_ONLY))
+def test_internal_names_live_in_their_submodule(module):
+    names = SUBMODULE_ONLY[module]
+    namespace = {}
+    exec(f"from orbitsiege.{module} import {', '.join(names)}", namespace)
+    assert set(names) <= set(namespace)
+    assert not any(hasattr(orbitsiege, name) for name in names)
+
+
+def test_readme_library_example_runs(monkeypatch):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["strategy"].slots
+    assert len(namespace["result"].points) == 2

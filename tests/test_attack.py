@@ -5,15 +5,10 @@ import math
 
 import pytest
 
-from orbitsiege import (
-    AttackContext,
-    AttackStrategy,
-    QueueWorld,
-    ValidationError,
-    attackability_for,
-    build_s0,
-)
-from orbitsiege.attack import save_strategy, save_strategy_summary
+from orbitsiege import AttackContext, ValidationError, attackability_for
+from orbitsiege.attack import AttackStrategy, save_strategy, save_strategy_summary
+from orbitsiege.onboard import QueueWorld
+from orbitsiege.synth import build_s0
 
 INF = math.inf
 

@@ -512,6 +512,25 @@ def test_sweep_reports_skipped_points_on_stderr(capsys, s0_path):
     assert "note: point 5 skipped" in err
 
 
+@pytest.mark.parametrize("command", ["plan-delay", "plan-overflow"])
+def test_negative_extra_m_exits_two(capsys, s0_path, command):
+    code, out, err = run_cli(capsys, command, "--scenario", s0_path, "--extra-m", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: extra_m must be >= 0\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+@pytest.mark.parametrize("budget, error", [("-1", "must be >= 0"), ("nan", "must be finite")])
+def test_bad_budget_exits_two(capsys, s0_path, command, budget, error):
+    axis = ["--axis", "noise_ratio", "--values", "0.1"] if command == "sweep" else []
+    code, out, err = run_cli(capsys, command, "--scenario", s0_path, *axis,
+                             "--trials", "2", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cost_budget: {error}\n"
+
+
 def test_evaluate_reads_seed_from_environment(capsys, s0_path, monkeypatch):
     args = ["evaluate", "--scenario", s0_path, "--trials", "8",
             "--noise", "0.2"]

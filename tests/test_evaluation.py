@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbitsiege import (AttackContext, EvalConfig, NoiseModel, ValidationError,
-                        attackability_for, derive_rng, extend_targets,
-                        load_scenario, perturb, plan_attack, save_aggregate,
-                        save_report, sweep, verify_delay, verify_overflow)
+from orbitsiege import (AttackContext, EvalConfig, ValidationError,
+                        attackability_for, load_scenario, plan_attack, sweep,
+                        verify_delay, verify_overflow)
 from orbitsiege import evaluation
-from orbitsiege.evaluation import (TRUNCATION_RATIO, TrialLayout, _resample,
-                                   aggregate_rows, report_rows)
+from orbitsiege.evaluation import (TRUNCATION_RATIO, NoiseModel, TrialLayout,
+                                   _resample, aggregate_rows, derive_rng,
+                                   extend_targets, perturb, report_rows,
+                                   save_aggregate, save_report)
 from orbitsiege.synth import build_s0, build_s0_ovf
 
 SILENT = NoiseModel(0.0, 0.0, 0.0)
@@ -39,8 +40,12 @@ def test_eval_config_validation():
         EvalConfig(**good, trials=0)
     with pytest.raises(ValidationError, match="extra_m"):
         EvalConfig(**good, extra_m=-1)
-    with pytest.raises(ValidationError, match="seed_groups"):
-        EvalConfig(**good, seed_groups=0)
+    # a budget is read as the loader reads target.cost_budget
+    EvalConfig(**good, cost_budget=0.0)
+    for budget, error in ((-1.0, "must be >= 0"), (float("nan"), "must be finite"),
+                          (float("inf"), "must be finite")):
+        with pytest.raises(ValidationError, match=f"cost_budget: {error}"):
+            EvalConfig(**good, cost_budget=budget)
 
 
 def test_resample_statistics():
@@ -82,6 +87,26 @@ def test_resample_refuses_values_past_int64(axis, nominal):
     assert points[0].error == "resampled value exceeds the int64 byte range"
     assert points[0].records == ()
     assert points[1].error is None
+
+
+INTEGER_AXES = ("image_size", "data_rate", "n_high", "extra_M")
+BAD_AXIS_VALUES = [
+    pytest.param(axis, value, error, id=f"{axis}={value}")
+    for axis, value, error in (
+        [(axis, value, f"{axis}: must be finite")
+         for axis in evaluation.AXES for value in (float("inf"), float("nan"))]
+        + [(axis, 1.5, f"{axis}: expected an integer, got 1.5") for axis in INTEGER_AXES]
+        + [("budget", -1, "budget: must be >= 0"), ("budget", -0.5, "budget: must be >= 0")])]
+
+
+@pytest.mark.parametrize("axis, value, error", BAD_AXIS_VALUES)
+def test_sweep_reads_axis_values_as_the_loader_reads_fields(axis, value, error):
+    # a non-finite value, a fraction on an integer axis and a negative
+    # budget are the point's error, not a crash or a silently rounded plan
+    config = EvalConfig(kind="delay", axis=axis, values=(value,), trials=4)
+    point = sweep(build_s0(), config).points[0]
+    assert point.error == error
+    assert point.records == ()
 
 
 def with_sizes(scenario, sizes):
@@ -212,7 +237,7 @@ def test_batched_trials_match_per_trial_evolve(name, kind, noise):
     # its true world and running evolve twice
     scenario = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
     config = EvalConfig(kind=kind, axis="noise_ratio", values=(noise,), trials=40,
-                        master_seed=7, seed_groups=4)
+                        master_seed=7)
     point = sweep(scenario, config).points[0]
     assert point.error is None
     ctx, layout = layout_of(scenario)
@@ -220,7 +245,7 @@ def test_batched_trials_match_per_trial_evolve(name, kind, noise):
     model = NoiseModel(noise, noise, noise)
     outcomes = set()
     for k, record in enumerate(point.records):
-        group, trial = divmod(k, 10)
+        group, trial = divmod(k, 40 // evaluation.SEED_GROUPS)
         draw = perturb(layout, model, derive_rng(7, "noise_ratio", noise, group, trial))
         assert (record.success, record.natural) == judge_one(scenario, kind, strategy, draw)
         outcomes.add(record.success)
@@ -308,7 +333,7 @@ def test_derive_rng_streams_are_stable_and_distinct():
 
 def make_config(**kw):
     base = dict(kind="delay", axis="noise_ratio", values=(0.0, 0.2),
-                trials=12, master_seed=3, seed_groups=4)
+                trials=12, master_seed=3)
     base.update(kw)
     return EvalConfig(**base)
 
@@ -328,16 +353,18 @@ def test_sweep_zero_noise_point_is_exact():
     clean = result.points[0]
     assert clean.value == 0.0
     assert clean.success_ratio == 1.0
-    assert clean.group_ratios == (1.0,) * 4
+    assert clean.group_ratios == (1.0,) * evaluation.SEED_GROUPS
     assert clean.median == 1.0
     noisy = result.points[1]
     assert len(noisy.records) == 12
     assert all(0.0 <= r <= 1.0 for r in noisy.group_ratios)
 
 
-def test_sweep_flags_a_degenerate_true_world():
+def test_sweep_flags_a_degenerate_true_world(monkeypatch):
     # 16 bit/s moves 2 bytes per slot; heavy rate noise can push the true
-    # world below 1 byte per slot, which is a modeling error, not a miss
+    # world below 1 byte per slot, which is a modeling error, not a miss.
+    # Four seed groups give the trial streams that draw such a world.
+    monkeypatch.setattr(evaluation, "SEED_GROUPS", 4)
     scenario = build_s0()
     result = sweep(scenario, make_config(values=(0.3,)))
     point = result.points[0]
@@ -370,7 +397,7 @@ def test_sweep_batches_do_not_change_the_records(monkeypatch):
     # splits a seed group included, give the same records and ratios
     scenario = load_scenario(os.path.join(SCENARIOS, "s0_ovf.json"))
     config = EvalConfig(kind="overflow", axis="noise_ratio", values=(0.15,),
-                        trials=23, master_seed=2, seed_groups=4)
+                        trials=23, master_seed=2)
     whole = sweep(scenario, config)
     monkeypatch.setattr(evaluation, "BATCH_TRIALS", 5)
     batched = sweep(scenario, config)
@@ -439,12 +466,12 @@ def test_sweep_captures_per_point_errors():
 
 
 def test_sweep_group_sizes_split_the_trials():
+    # SEED_GROUPS groups, or one per trial when there are fewer trials
     scenario = build_s0()
-    result = sweep(scenario, make_config(values=(0.2,), trials=7,
-                                         seed_groups=3))
-    point = result.points[0]
-    assert len(point.records) == 7
-    assert len(point.group_ratios) == 3
+    for trials, groups in ((23, evaluation.SEED_GROUPS), (7, 7)):
+        point = sweep(scenario, make_config(values=(0.2,), trials=trials)).points[0]
+        assert len(point.records) == trials
+        assert len(point.group_ratios) == groups
 
 
 def test_duration_axis_needs_room_before_the_horizon():
@@ -456,8 +483,7 @@ def test_duration_axis_needs_room_before_the_horizon():
 
 def test_report_files_round_trip(tmp_path):
     scenario = build_s0()
-    result = sweep(scenario, make_config(values=(0.0,), trials=4,
-                                         seed_groups=2))
+    result = sweep(scenario, make_config(values=(0.0,), trials=4))
     report = tmp_path / "report.csv"
     aggregate = tmp_path / "aggregate.csv"
     save_report(str(report), result)

@@ -9,18 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import evacuation_slot, fifo_replay, last_full_slot
-from orbitsiege import (
-    AttackContext,
-    QueueWorld,
-    ValidationError,
-    attackability_for,
-    build_s0,
-    evolve,
-    load_scenario,
-    per_slot_capacity,
-    plan_attack,
-)
-from orbitsiege.onboard import evolve_rows, save_trace, save_trace_events
+from orbitsiege import (AttackContext, ValidationError, attackability_for,
+                        load_scenario, plan_attack)
+from orbitsiege.onboard import (QueueWorld, evolve, evolve_rows, per_slot_capacity,
+                                save_trace, save_trace_events)
+from orbitsiege.synth import build_s0
 
 INF = math.inf
 
@@ -73,8 +66,9 @@ def test_desk_baseline_landmarks():
     trace = evolve(desk_world(), frozenset(), (TAU,))
     assert trace.t_e(TAU) == 4
     assert trace.t_lb(TAU) == 0
-    assert trace.queue_at(0) == 5
-    assert trace.queue_at(2) == 5 and trace.queue_at(3) == 6
+    # t0 is 0, so queue_bytes[i] is the queue at the end of slot i
+    assert trace.queue_bytes[0] == 5
+    assert trace.queue_bytes[2] == 5 and trace.queue_bytes[3] == 6
     assert sum(trace.drop_bytes) == 0
     assert not trace.dropped[TAU]
     assert trace.drop_slot[TAU] is None

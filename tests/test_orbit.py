@@ -15,27 +15,21 @@ from hypothesis import strategies as st
 
 from oracles import RowError, load_window_rows, scan_contact_slots
 from orbitsiege import (
-    ConstellationScenario,
     ContactWindows,
-    CostModel,
-    DataUnit,
-    GroundStationSpec,
     OrbitSiegeError,
     ParseError,
-    SatelliteSpec,
     StaleElements,
-    TargetSpec,
-    TimeGrid,
-    TleElements,
     ValidationError,
     compute_contact_windows,
     load_contact_windows,
     load_scenario,
-    propagate,
-    save_contact_windows,
 )
 from orbitsiege import orbit
-from orbitsiege.orbit import EARTH_RADIUS_M, J2000, semi_major_axis_m, windows_csv_text
+from orbitsiege.orbit import (EARTH_RADIUS_M, J2000, propagate, save_contact_windows,
+                              semi_major_axis_m, windows_csv_text)
+from orbitsiege.scenario import (ConstellationScenario, CostModel, DataUnit,
+                                 GroundStationSpec, SatelliteSpec, TargetSpec,
+                                 TimeGrid, TleElements)
 from orbitsiege.output import csv_text, fmt_cell, fmt_floats
 
 EPOCH = datetime(2026, 3, 20, tzinfo=timezone.utc)

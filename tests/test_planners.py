@@ -17,14 +17,13 @@ from orbitsiege import (
     AttackFail,
     ValidationError,
     attackability_for,
-    build_s0,
-    build_s0_ovf,
     plan_delay,
     plan_overflow,
     verify_delay,
     verify_overflow,
 )
 from orbitsiege.onboard import QueueWorld
+from orbitsiege.synth import build_s0, build_s0_ovf
 
 INF = math.inf
 

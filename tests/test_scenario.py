@@ -6,26 +6,12 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from orbitsiege import (
-    AttackabilityRecord,
-    ConstellationScenario,
-    CostModel,
-    DataUnit,
-    GroundStationSpec,
-    OutOfHorizon,
-    ParseError,
-    SatelliteSpec,
-    TargetSpec,
-    TimeGrid,
-    TleElements,
-    ValidationError,
-    build_s0,
-    build_s0_ovf,
-    load_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from orbitsiege import OutOfHorizon, ParseError, ValidationError, load_scenario
+from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
+                                 CostModel, DataUnit, GroundStationSpec,
+                                 SatelliteSpec, TargetSpec, TimeGrid, TleElements,
+                                 save_scenario, scenario_from_dict, scenario_to_dict)
+from orbitsiege.synth import build_s0, build_s0_ovf
 
 EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
@@ -279,7 +265,7 @@ def test_round_trip_structural(tmp_path):
 
 
 def test_round_trip_with_orbits(tmp_path):
-    from orbitsiege import build_constellation
+    from orbitsiege.synth import build_constellation
 
     scenario = build_constellation(n_low=2, n_high=2, n_stations=3, hours=2)
     path = str(tmp_path / "constellation.json")

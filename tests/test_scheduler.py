@@ -7,32 +7,16 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_assignment, count_ladder
-from orbitsiege import (
-    AttackabilityRecord,
-    ConstellationScenario,
-    ContactWindows,
-    CostModel,
-    DataUnit,
-    GroundStationSpec,
-    OutOfHorizon,
-    SatelliteSpec,
-    SlotSchedule,
-    TargetSpec,
-    TimeGrid,
-    ValidationError,
-    assign_slot,
-    attackability,
-    attackability_for,
-    build_constellation,
-    build_schedule,
-    build_s0,
-    compute_contact_windows,
-    hungarian,
-    propagate,
-)
+from orbitsiege import (ContactWindows, OutOfHorizon, ValidationError,
+                        attackability_for, compute_contact_windows)
 from orbitsiege import scheduler
-from orbitsiege.orbit import station_ecef_m
-from orbitsiege.scheduler import save_attackability
+from orbitsiege.orbit import propagate, station_ecef_m
+from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
+                                 CostModel, DataUnit, GroundStationSpec,
+                                 SatelliteSpec, TargetSpec, TimeGrid)
+from orbitsiege.scheduler import (SlotSchedule, assign_slot, attackability,
+                                  build_schedule, hungarian, save_attackability)
+from orbitsiege.synth import build_constellation, build_s0
 
 from datetime import datetime, timezone
 
