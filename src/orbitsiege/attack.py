@@ -22,25 +22,27 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class AttackContext:
-    """Queue world plus attackable slots, prices, and the ordered target units."""
+    """Queue world, the attackable-slot ladder, and the ordered target units.
+
+    price maps each attackable slot to its cost, in slot order; its keys are
+    the ladder.
+    """
 
     world: QueueWorld
-    attackable: tuple[int, ...]
     price: dict[int, float]
     targets: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.targets:
             raise ValidationError("targets must be non-empty")
-        if list(self.attackable) != sorted(set(self.attackable)):
-            raise ValidationError("attackable slots must be sorted and unique")
-        for t in self.attackable:
+        if list(self.price) != sorted(self.price):
+            raise ValidationError("attackable slots must be in slot order")
+        for t, cost in self.price.items():
             if not self.world.t0 <= t <= self.world.horizon:
                 raise ValidationError(f"attackable slot {t} outside plan window")
             if t not in self.world.transmissible:
                 raise ValidationError(f"attackable slot {t} is not transmissible")
-            cost = self.price.get(t)
-            if cost is None or not math.isfinite(cost) or cost < 0:
+            if not math.isfinite(cost) or cost < 0:
                 raise ValidationError(f"attackable slot {t} needs a finite cost >= 0")
         positions = {uid: i for i, uid in enumerate(self.world.byte_ranges)}
         last = -1
@@ -52,12 +54,17 @@ class AttackContext:
             last = positions[uid]
 
     @property
+    def attackable(self) -> tuple[int, ...]:
+        """The attackable slots, ascending."""
+        return tuple(self.price)
+
+    @property
     def final_target(self) -> str:
         """The last target unit in arrival order; deadlines refer to it."""
         return self.targets[-1]
 
     def require_subset(self, slots) -> frozenset[int]:
-        extra = frozenset(slots) - frozenset(self.attackable)
+        extra = frozenset(slots) - self.price.keys()
         if extra:
             raise ValidationError(
                 f"slots not attackable: {sorted(extra)}")
@@ -102,29 +109,23 @@ class AttackContext:
             t0=t0,
             horizon=horizon,
         )
-        attackable = tuple(r.slot for r in records
-                           if r.attackable and t0 <= r.slot <= horizon)
-        price = {r.slot: r.cost for r in records
-                 if r.attackable and t0 <= r.slot <= horizon}
-        return cls(world=world, attackable=attackable, price=price,
-                   targets=target.target_unit_ids)
+        price = {r.slot: r.cost for r in records if r.attackable and t0 <= r.slot <= horizon}
+        return cls(world=world, price=price, targets=target.target_unit_ids)
 
 
 @dataclass(frozen=True)
 class AttackStrategy:
-    """Attacked slots in the order they were chosen, with costs and outcomes.
+    """Attacked slots in the order they were chosen, with their costs, and
+    the queue trace under the full strategy.
 
     motivating aligns with slots: the target unit being worked on when the
-    slot was added. evacuation/dropped/drop_slot describe the final trace
-    under the full strategy.
+    slot was added. The trace tracks the context's target units.
     """
 
     slots: tuple[int, ...]
     slot_costs: tuple[float, ...]
     motivating: tuple[str, ...]
-    evacuation: dict[str, float]
-    dropped: dict[str, bool]
-    drop_slot: dict[str, int | None]
+    trace: QueueTrace
 
     def __post_init__(self) -> None:
         if len(set(self.slots)) != len(self.slots):
@@ -144,47 +145,32 @@ class AttackStrategy:
         return {
             "slots": list(self.slots),
             "total_cost": self.cost,
-            "targets": unit_outcomes(self),
+            "targets": unit_outcomes(self.trace),
         }
 
     @classmethod
     def from_trace(cls, context: AttackContext, slots, motivating,
                    trace: QueueTrace) -> "AttackStrategy":
-        return cls(
-            slots=tuple(slots),
-            slot_costs=tuple(context.price[t] for t in slots),
-            motivating=tuple(motivating),
-            evacuation=dict(trace.evacuation),
-            dropped=dict(trace.dropped),
-            drop_slot=dict(trace.drop_slot),
-        )
+        return cls(slots=tuple(slots),
+                   slot_costs=tuple(context.price[t] for t in slots),
+                   motivating=tuple(motivating), trace=trace)
 
 
-def unit_outcomes(fates: QueueTrace | AttackStrategy) -> dict[str, dict]:
+def unit_outcomes(trace: QueueTrace) -> dict[str, dict]:
     """{unit id: {"evacuation_slot", "dropped", "drop_slot"}} for every unit
-    a trace tracks, or a strategy's final trace tracked, in tracking order."""
+    the trace tracks, in tracking order."""
     return {
         uid: {
             "evacuation_slot": te,
-            "dropped": fates.dropped[uid],
-            "drop_slot": fates.drop_slot[uid],
+            "dropped": trace.dropped[uid],
+            "drop_slot": trace.drop_slot[uid],
         }
-        for uid, te in fates.evacuation.items()
+        for uid, te in trace.evacuation.items()
     }
 
 
-STRATEGY_HEADER = ["slot", "cost", "motivating_unit"]
-
-
-def save_strategy(path: str, strategy: AttackStrategy, fmt: str = "csv") -> None:
-    from .output import emit
-
-    rows = [list(row) for row in zip(strategy.slots, strategy.slot_costs,
-                                     strategy.motivating)]
-    emit(path, STRATEGY_HEADER, rows, fmt)
-
-
-def save_strategy_summary(path: str, strategy: AttackStrategy) -> None:
-    from .output import json_text, write_text_atomic
-
-    write_text_atomic(path, json_text(strategy.summary()))
+def strategy_table(strategy: AttackStrategy) -> tuple[list[str], list[list]]:
+    """The strategy artifact: one row per attacked slot, in choice order."""
+    return (["slot", "cost", "motivating_unit"],
+            [list(row) for row in zip(strategy.slots, strategy.slot_costs,
+                                      strategy.motivating)])

@@ -16,19 +16,18 @@ import math
 import os
 import sys
 
-from .attack import AttackContext, save_strategy, save_strategy_summary
+from .attack import AttackContext, strategy_table
 from .errors import AttackFail, OrbitSiegeError, ValidationError
-from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, aggregate_rows,
-                         plan_attack, save_aggregate, save_report, sweep)
-from .onboard import save_trace, save_trace_events
+from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, aggregate_table,
+                         plan_attack, report_table, sweep)
+from .onboard import trace_events_table, trace_table
 from .orbit import (compute_contact_windows, load_contact_windows,
                     save_contact_windows, windows_csv_text)
-from .output import csv_text, json_text
+from .output import csv_text, emit, json_text, write_text_atomic
 from .planner_delay import verify_delay
 from .planner_overflow import verify_overflow
 from .scenario import load_scenario
-from .scheduler import (ATTACKABILITY_HEADER, attackability_for,
-                        attackability_rows, save_attackability)
+from .scheduler import attackability_for, attackability_table
 
 
 def _derived_path(path: str, tag: str, ext: str | None = None) -> str:
@@ -101,11 +100,11 @@ def _cmd_schedule(args) -> int:
     transmissible = sum(r.transmissible for r in records)
     attackable = sum(r.attackable for r in records)
     if args.out:
-        save_attackability(args.out, records, args.format)
+        emit(args.out, *attackability_table(records), args.format)
         print(f"{transmissible} transmissible / {attackable} attackable slots "
               f"-> {args.out}")
     else:
-        sys.stdout.write(csv_text(ATTACKABILITY_HEADER, attackability_rows(records)))
+        sys.stdout.write(csv_text(*attackability_table(records)))
     return 0
 
 
@@ -121,9 +120,9 @@ def _cmd_simulate(args) -> int:
                  else "still aboard at horizon")
         print(f"{uid}: {state}")
     if args.out:
-        save_trace(args.out, trace, ctx.targets, args.format)
+        emit(args.out, *trace_table(trace, ctx.targets), args.format)
         events_path = _derived_path(args.out, "events")
-        save_trace_events(events_path, trace, args.format)
+        emit(events_path, *trace_events_table(trace), args.format)
         print(f"trace -> {args.out}, events -> {events_path}")
     return 0
 
@@ -135,9 +134,9 @@ def _deadline(args, scenario) -> int | None:
 
 def _write_strategy(args, strategy) -> None:
     if args.out:
-        save_strategy(args.out, strategy, args.format)
+        emit(args.out, *strategy_table(strategy), args.format)
         summary_path = _derived_path(args.out, "summary", ".json")
-        save_strategy_summary(summary_path, strategy)
+        write_text_atomic(summary_path, json_text(strategy.summary()))
         print(f"strategy -> {args.out}, summary -> {summary_path}")
 
 
@@ -154,7 +153,7 @@ def _cmd_plan_overflow(args) -> int:
     _, ctx = _context(args)
     strategy = plan_attack(ctx, "overflow", args.extra_m, None)
     slots = ",".join(str(s) for s in sorted(strategy.slots))
-    drops = [slot for slot in strategy.drop_slot.values() if slot is not None]
+    drops = [slot for slot in strategy.trace.drop_slot.values() if slot is not None]
     drop_note = f", drop slot {min(drops)}" if drops else ""
     print(f"strategy {{{slots}}}, cost {strategy.cost:g}{drop_note}")
     _write_strategy(args, strategy)
@@ -170,8 +169,6 @@ def _cmd_verify(args) -> int:
         ok, report = verify_overflow(ctx, slots)
     text = json_text(report)
     if args.out:
-        from .output import write_text_atomic
-
         write_text_atomic(args.out, text)
         print(f"report -> {args.out}")
     sys.stdout.write(text)
@@ -198,7 +195,7 @@ def _cmd_evaluate(args) -> int:
     print(f"success_ratio {point.success_ratio:g} over {len(point.records)} trials "
           f"(median {point.median:g}, natural {natural})")
     if args.out:
-        save_report(args.out, result, args.format)
+        emit(args.out, *report_table(result), args.format)
         print(f"report -> {args.out}")
     return 0
 
@@ -210,14 +207,12 @@ def _cmd_sweep(args) -> int:
     for value, error in result.errors:
         print(f"note: point {value} skipped: {error}", file=sys.stderr)
     if args.out:
-        save_report(args.out, result, args.format)
+        emit(args.out, *report_table(result), args.format)
         agg_path = _derived_path(args.out, "aggregate")
-        save_aggregate(agg_path, result, args.format)
+        emit(agg_path, *aggregate_table(result), args.format)
         print(f"report -> {args.out}, aggregate -> {agg_path}")
     else:
-        from .evaluation import AGGREGATE_HEADER
-
-        sys.stdout.write(csv_text(AGGREGATE_HEADER, aggregate_rows(result)))
+        sys.stdout.write(csv_text(*aggregate_table(result)))
     return 0
 
 
@@ -226,7 +221,6 @@ def _add_common(p, windows=True) -> None:
     if windows:
         p.add_argument("--windows", help="precomputed contact windows (skips propagation)")
     p.add_argument("--out", help="output artifact path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_eval_opts(p) -> None:
@@ -290,6 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.set_defaults(func=_cmd_sweep)
 
+    for name, p in sub.choices.items():
+        if name != "verify":  # verify always writes its JSON report
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

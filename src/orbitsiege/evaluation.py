@@ -99,17 +99,19 @@ class EvalConfig:
 class TrialRecord:
     success: bool
     natural: bool
-    cost: float
-    planned_slots: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class PointResult:
-    """All trials at one axis value; error set when the point never ran."""
+    """All trials at one axis value, and the plan they replayed: its cost
+    and slots in choice order, or infinity and no slots if planning failed.
+    error is set when the point never ran."""
 
     value: object
     records: tuple[TrialRecord, ...]
     group_ratios: tuple[float, ...]
+    cost: float = INF
+    planned_slots: tuple[int, ...] = ()
     error: str | None = None
 
     @property
@@ -181,20 +183,19 @@ class TrialLayout:
     def from_context(cls, scenario: ConstellationScenario,
                      nominal: AttackContext) -> "TrialLayout":
         world = nominal.world
-        units = [*world.initial_units, *(u for _, group in world.arrivals for u in group)]
-        index = {uid: k for k, (uid, _) in enumerate(units)}
-        targets = set(nominal.targets)
-        removable = next((k for k, (uid, _) in enumerate(world.initial_units)
-                          if uid in targets), len(world.initial_units))
-        ends = {0: len(world.initial_units)} if world.initial_units else {}
-        for t, group in world.arrivals:
-            ends[t - world.t0] = index[group[-1][0]] + 1
+        ranges = world.byte_ranges
+        index = {uid: k for k, uid in enumerate(ranges)}
+        ends = {}  # units join in stream order, so the last write per slot wins
+        for k, (t, _, _) in enumerate(ranges.values()):
+            ends[t - world.t0] = k + 1
+        initial = len(world.initial_units)
         return cls(
             rate_bps=scenario.target_satellite.downlink_rate_bps,
             slot_seconds=scenario.time.slot_seconds,
-            sizes=np.array([size for _, size in units], dtype=float),
-            initial=len(world.initial_units),
-            removable=removable,
+            sizes=np.array([end - start for _, start, end in ranges.values()], dtype=float),
+            initial=initial,
+            # targets follow stream order, so the first one is the shallowest
+            removable=min(index[nominal.targets[0]], initial),
             open_slots=np.array([t in world.transmissible
                                  for t in range(world.t0, world.horizon + 1)]),
             join_slots=np.fromiter(ends, dtype=np.int64, count=len(ends)),
@@ -288,7 +289,17 @@ def plan_attack(ctx: AttackContext, kind: str, extra_m: int,
 
 
 def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
-    """Deterministic per-trial stream; equal axis values share streams."""
+    """Deterministic per-trial stream; equal axis values share streams.
+
+    An int keys the stream by its repr. A float or numpy scalar keys it as
+    that int when it is integral, else by its Python float repr, so 1, 1.0
+    and np.float64(1.0) draw the same worlds. An int never goes through
+    float, where values past 2**53 would collide.
+    """
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     text = f"{master_seed}|{axis}|{value!r}|{group}|{trial}"
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return np.random.default_rng(np.random.SeedSequence(int.from_bytes(digest, "big")))
@@ -437,42 +448,32 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
             outcomes = np.concatenate(batches, axis=1)
             natural = outcomes[0]
             success = outcomes[1] if attacks else np.zeros_like(natural)
-            if strategy is None:
-                cost, slots = INF, ()
-            else:
-                cost, slots = strategy.cost, strategy.slots
             records_out = tuple(
-                TrialRecord(bool(success[k]), bool(natural[k]), cost, slots)
-                for k in range(len(keys)))
+                TrialRecord(bool(success[k]), bool(natural[k])) for k in range(len(keys)))
             ratios, first = [], 0
             for size in group_sizes:
                 ratios.append(sum(r.success for r in records_out[first:first + size]) / size)
                 first += size
-            points.append(PointResult(value, records_out, tuple(ratios)))
+            cost, slots = (INF, ()) if strategy is None else (strategy.cost, strategy.slots)
+            points.append(PointResult(value, records_out, tuple(ratios), cost, slots))
         except OrbitSiegeError as exc:
             points.append(PointResult(value, (), (), error=str(exc)))
     return SweepResult(config=config, points=tuple(points))
 
 
-REPORT_HEADER = ["axis", "value", "trial", "success", "natural", "cost",
-                 "planned_slots"]
-AGGREGATE_HEADER = ["axis", "value", "q1", "median", "q3", "min", "max",
-                    "success_ratio"]
-
-
-def report_rows(result: SweepResult) -> list[list]:
+def report_table(result: SweepResult) -> tuple[list[str], list[list]]:
+    """The sweep report: one row per trial, with its point's plan."""
     rows = []
     for point in result.points:
+        slots = " ".join(str(s) for s in point.planned_slots)
         for i, record in enumerate(point.records):
-            rows.append([
-                result.config.axis, point.value, i, record.success,
-                record.natural, record.cost,
-                " ".join(str(s) for s in record.planned_slots),
-            ])
-    return rows
+            rows.append([result.config.axis, point.value, i, record.success,
+                         record.natural, point.cost, slots])
+    return ["axis", "value", "trial", "success", "natural", "cost", "planned_slots"], rows
 
 
-def aggregate_rows(result: SweepResult) -> list[list]:
+def aggregate_table(result: SweepResult) -> tuple[list[str], list[list]]:
+    """The sweep aggregate: box statistics of each point's group ratios."""
     rows = []
     for point in result.points:
         if point.error or not point.group_ratios:
@@ -484,16 +485,4 @@ def aggregate_rows(result: SweepResult) -> list[list]:
             float(q3), float(ratios.min()), float(ratios.max()),
             point.success_ratio,
         ])
-    return rows
-
-
-def save_report(path: str, result: SweepResult, fmt: str = "csv") -> None:
-    from .output import emit
-
-    emit(path, REPORT_HEADER, report_rows(result), fmt)
-
-
-def save_aggregate(path: str, result: SweepResult, fmt: str = "csv") -> None:
-    from .output import emit
-
-    emit(path, AGGREGATE_HEADER, aggregate_rows(result), fmt)
+    return ["axis", "value", "q1", "median", "q3", "min", "max", "success_ratio"], rows

@@ -267,25 +267,16 @@ def evolve_rows(inflow, open_slots, volume, capacity: int, start, end
     return slot, lost
 
 
-TRACE_EVENT_HEADER = ["slot", "event", "unit_id"]
+def trace_table(trace: QueueTrace, tracked: tuple[str, ...]) -> tuple[list[str], list[list]]:
+    """The trace artifact: per slot, the bytes aboard, transmitted and
+    dropped, and each tracked unit's sub-queue."""
+    header = (["slot", "queue_bytes", "tx_bytes", "drop_bytes"]
+              + [f"subq_{uid}_bytes" for uid in tracked])
+    columns = [range(trace.world.t0, trace.world.horizon + 1), trace.queue_bytes,
+               trace.tx_bytes, trace.drop_bytes, *(trace.subqueue(uid) for uid in tracked)]
+    return header, [list(row) for row in zip(*columns)]
 
 
-def trace_header(tracked: tuple[str, ...]) -> list[str]:
-    return (["slot", "queue_bytes", "tx_bytes", "drop_bytes"]
-            + [f"subq_{uid}_bytes" for uid in tracked])
-
-
-def save_trace(path: str, trace: QueueTrace, tracked: tuple[str, ...],
-               fmt: str = "csv") -> None:
-    from .output import emit
-
-    slots = range(trace.world.t0, trace.world.horizon + 1)
-    columns = [slots, trace.queue_bytes, trace.tx_bytes, trace.drop_bytes,
-               *(trace.subqueue(uid) for uid in tracked)]
-    emit(path, trace_header(tracked), [list(row) for row in zip(*columns)], fmt)
-
-
-def save_trace_events(path: str, trace: QueueTrace, fmt: str = "csv") -> None:
-    from .output import emit
-
-    emit(path, TRACE_EVENT_HEADER, [list(row) for row in trace.events()], fmt)
+def trace_events_table(trace: QueueTrace) -> tuple[list[str], list[list]]:
+    """The events artifact: one row per unit that leaves by the horizon."""
+    return ["slot", "event", "unit_id"], [list(row) for row in trace.events()]

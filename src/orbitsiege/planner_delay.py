@@ -28,6 +28,14 @@ def _delay_achieved(te_now: float, te_base: float) -> float:
     return te_now - te_base
 
 
+def _check_deadline(ctx: AttackContext, target_slot: int | None) -> None:
+    """A delay deadline must be given and lie in (attack start, horizon]."""
+    if target_slot is None:
+        raise ValidationError("target.target_downlink_slot required for delay planning")
+    if not ctx.world.t0 < target_slot <= ctx.world.horizon:
+        raise ValidationError("target_slot outside (attack start, horizon]")
+
+
 def plan_delay(ctx: AttackContext, target_slot: int | None,
                per_unit_deadline: bool = False) -> AttackStrategy:
     """Greedy cheapest-in-window planning, one target unit at a time.
@@ -48,10 +56,7 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
     delay is reached. Returns early, with the strategy built so far, if a
     target unit is dropped: nothing can downlink it after that.
     """
-    if target_slot is None:
-        raise ValidationError("target.target_downlink_slot required for delay planning")
-    if not ctx.world.t0 < target_slot <= ctx.world.horizon:
-        raise ValidationError("target_slot outside (attack start, horizon]")
+    _check_deadline(ctx, target_slot)
     base = ctx.baseline
     te_base = base.t_e(ctx.final_target)
     if per_unit_deadline:
@@ -96,9 +101,9 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
 
 def verify_delay(ctx: AttackContext, slots,
                  target_slot: int | None) -> tuple[bool, dict]:
-    """Replay a strategy and check the final target outlives the deadline."""
-    if target_slot is None:
-        raise ValidationError("target_downlink_slot required to verify a delay")
+    """Replay a strategy and check the final target outlives the deadline,
+    which must lie where `plan_delay` accepts one."""
+    _check_deadline(ctx, target_slot)
     strategy = ctx.require_subset(slots)
     base = ctx.baseline
     trace = ctx.trace(strategy)

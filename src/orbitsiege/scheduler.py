@@ -172,16 +172,8 @@ def attackability_for(scenario: ConstellationScenario,
     return attackability(scenario, build_schedule(scenario, windows), windows)
 
 
-ATTACKABILITY_HEADER = ["slot", "transmissible", "attackable", "required_high", "cost"]
-
-
-def attackability_rows(records: list[AttackabilityRecord]) -> list[list]:
-    return [[r.slot, r.transmissible, r.attackable, r.required_high_priority, r.cost]
-            for r in records]
-
-
-def save_attackability(path: str, records: list[AttackabilityRecord],
-                       fmt: str = "csv") -> None:
-    from .output import emit
-
-    emit(path, ATTACKABILITY_HEADER, attackability_rows(records), fmt)
+def attackability_table(records: list[AttackabilityRecord]) -> tuple[list[str], list[list]]:
+    """The schedule artifact: one row per slot of the ladder."""
+    return (["slot", "transmissible", "attackable", "required_high", "cost"],
+            [[r.slot, r.transmissible, r.attackable, r.required_high_priority, r.cost]
+             for r in records])

@@ -21,19 +21,17 @@ PUBLIC = {
 
 # names the package exported before its surface was cut, by defining module
 SUBMODULE_ONLY = {
-    "attack": ("AttackStrategy", "save_strategy", "save_strategy_summary"),
+    "attack": ("AttackStrategy",),
     "evaluation": ("AXES", "KINDS", "NoiseModel", "PointResult", "SweepResult",
-                   "TrialRecord", "derive_rng", "extend_targets", "perturb",
-                   "save_aggregate", "save_report"),
-    "onboard": ("QueueTrace", "QueueWorld", "evolve", "per_slot_capacity",
-                "save_trace", "save_trace_events"),
+                   "TrialRecord", "derive_rng", "extend_targets", "perturb"),
+    "onboard": ("QueueTrace", "QueueWorld", "evolve", "per_slot_capacity"),
     "orbit": ("propagate", "save_contact_windows"),
     "scenario": ("AttackabilityRecord", "ConstellationScenario", "CostModel",
                  "DataUnit", "GroundStationSpec", "SatelliteSpec", "TargetSpec",
                  "TimeGrid", "TleElements", "save_scenario", "scenario_from_dict",
                  "scenario_to_dict"),
     "scheduler": ("SlotSchedule", "assign_slot", "attackability", "build_schedule",
-                  "hungarian", "save_attackability"),
+                  "hungarian"),
     "synth": ("build_constellation", "build_s0", "build_s0_ovf"),
 }
 

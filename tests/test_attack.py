@@ -6,8 +6,9 @@ import math
 import pytest
 
 from orbitsiege import AttackContext, ValidationError, attackability_for
-from orbitsiege.attack import AttackStrategy, save_strategy, save_strategy_summary
+from orbitsiege.attack import AttackStrategy, strategy_table
 from orbitsiege.onboard import QueueWorld
+from orbitsiege.output import csv_text, json_text
 from orbitsiege.synth import build_s0
 
 INF = math.inf
@@ -27,34 +28,34 @@ def small_world(**overrides):
     return QueueWorld(**kw)
 
 
-def make_context(attackable=(2, 4), price=None, targets=("u-2",), **world_kw):
+def make_context(price=None, targets=("u-2",), **world_kw):
     if price is None:
-        price = {t: 1.0 for t in attackable}
-    return AttackContext(world=small_world(**world_kw),
-                         attackable=tuple(attackable), price=price,
+        price = {2: 1.0, 4: 1.0}
+    return AttackContext(world=small_world(**world_kw), price=price,
                          targets=tuple(targets))
 
 
 def test_context_accepts_well_formed():
     ctx = make_context()
     assert ctx.final_target == "u-2"
+    assert ctx.attackable == (2, 4)
     assert ctx.cost_of([2, 4]) == pytest.approx(2.0)
     assert ctx.baseline.t_e("u-2") == 4
 
 
 def test_context_rejects_bad_slots():
-    with pytest.raises(ValidationError, match="sorted and unique"):
-        make_context(attackable=(4, 2))
+    # the ladder is the price map's keys, so a repeated or unpriced slot
+    # cannot be written down; only their order can be wrong
+    with pytest.raises(ValidationError, match="slot order"):
+        make_context(price={4: 1.0, 2: 1.0})
     with pytest.raises(ValidationError, match="not transmissible"):
-        make_context(attackable=(3,), price={3: 1.0})
+        make_context(price={3: 1.0})
     with pytest.raises(ValidationError, match="outside plan window"):
-        make_context(attackable=(2,), price={2: 1.0}, t0=3)
+        make_context(price={2: 1.0}, t0=3)
     with pytest.raises(ValidationError, match="finite cost"):
         make_context(price={2: INF, 4: 1.0})
     with pytest.raises(ValidationError, match="finite cost"):
         make_context(price={2: -1.0, 4: 1.0})
-    with pytest.raises(ValidationError, match="finite cost"):
-        make_context(price={4: 1.0})
 
 
 def test_context_rejects_bad_targets():
@@ -98,37 +99,30 @@ def test_from_scenario_baseline_matches_desk_numbers():
 
 
 def test_strategy_invariants():
+    trace = make_context().baseline
     with pytest.raises(ValidationError, match="unique"):
         AttackStrategy(slots=(2, 2), slot_costs=(1.0, 1.0),
-                       motivating=("a", "a"), evacuation={}, dropped={},
-                       drop_slot={})
+                       motivating=("a", "a"), trace=trace)
     with pytest.raises(ValidationError, match="align"):
-        AttackStrategy(slots=(2,), slot_costs=(), motivating=("a",),
-                       evacuation={}, dropped={}, drop_slot={})
+        AttackStrategy(slots=(2,), slot_costs=(), motivating=("a",), trace=trace)
 
 
-def test_strategy_summary_and_outputs(tmp_path):
-    strategy = AttackStrategy(
-        slots=(4, 2), slot_costs=(1.0, 1.0), motivating=("u-2", "u-2"),
-        evacuation={"u-2": INF}, dropped={"u-2": True}, drop_slot={"u-2": 6})
+def test_strategy_summary_and_outputs():
+    # a one-byte store: with slot 2 blocked, the unit arriving at slot 3
+    # pushes u-2 out
+    ctx = make_context(capacity_bytes=1)
+    strategy = AttackStrategy.from_trace(ctx, [4, 2], ["u-2", "u-2"], ctx.trace({2, 4}))
     assert strategy.slot_set == frozenset({2, 4})
     assert strategy.cost == pytest.approx(2.0)
     summary = strategy.summary()
     assert summary["slots"] == [4, 2]
     assert summary["targets"]["u-2"]["dropped"] is True
-    assert summary["targets"]["u-2"]["drop_slot"] == 6
+    assert summary["targets"]["u-2"]["drop_slot"] == 3
 
-    csv_path = str(tmp_path / "strategy.csv")
-    save_strategy(csv_path, strategy)
-    with open(csv_path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert lines == ["slot,cost,motivating_unit", "4,1,u-2", "2,1,u-2"]
-
-    json_path = str(tmp_path / "strategy.summary.json")
-    save_strategy_summary(json_path, strategy)
-    with open(json_path, encoding="utf-8") as fh:
-        loaded = json.load(fh)
-    # non-finite floats become null so the file stays strict JSON
+    assert csv_text(*strategy_table(strategy)).splitlines() == [
+        "slot,cost,motivating_unit", "4,1,u-2", "2,1,u-2"]
+    # non-finite floats become null so the summary stays strict JSON
+    loaded = json.loads(json_text(summary))
     assert loaded["targets"]["u-2"]["evacuation_slot"] is None
 
 
@@ -138,4 +132,4 @@ def test_strategy_from_trace():
     strategy = AttackStrategy.from_trace(ctx, [2], ["u-2"], trace)
     assert strategy.slots == (2,)
     assert strategy.slot_costs == (1.0,)
-    assert strategy.evacuation["u-2"] == trace.t_e("u-2")
+    assert strategy.trace is trace

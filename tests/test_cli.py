@@ -1,12 +1,16 @@
 """End-to-end command-line checks: output text, artifacts, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitsiege.cli import main
 from orbitsiege.scenario import load_scenario, save_scenario
@@ -106,6 +110,37 @@ def test_verify_judges_both_ways(capsys, s0_path):
                            "--slots", "")
     assert code == 1
     assert not json.loads(out)["ok"]
+
+
+def test_verify_has_no_format_option(capsys, s0_path):
+    # verify always writes its report as JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scenario", s0_path, "--slots", "2", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+S0 = load_scenario(bundled("s0"))
+ATTACK_START, HORIZON = S0.target.attack_start_slot, S0.time.last_slot
+
+
+@settings(max_examples=40, deadline=None)
+@given(target_slot=st.integers(ATTACK_START - 3, HORIZON + 3))
+@example(target_slot=-5)
+def test_delay_deadline_rule_is_shared(target_slot):
+    """plan-delay and verify refuse the same deadlines, and only those."""
+    outside = not ATTACK_START < target_slot <= HORIZON
+    for argv in (["plan-delay"], ["verify", "--slots", "2"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--scenario", bundled("s0"),
+                         "--target-slot", str(target_slot)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        refused = "target_slot outside (attack start, horizon]" in err.getvalue()
+        assert refused == outside
+        if outside:
+            assert code == 2
 
 
 def test_verify_overflow_kind(capsys, s0_ovf_path):

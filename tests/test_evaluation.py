@@ -11,9 +11,9 @@ from orbitsiege import (AttackContext, EvalConfig, ValidationError,
                         verify_delay, verify_overflow)
 from orbitsiege import evaluation
 from orbitsiege.evaluation import (TRUNCATION_RATIO, NoiseModel, TrialLayout,
-                                   _resample, aggregate_rows, derive_rng,
-                                   extend_targets, perturb, report_rows,
-                                   save_aggregate, save_report)
+                                   _resample, aggregate_table, derive_rng,
+                                   extend_targets, perturb, report_table)
+from orbitsiege.output import emit
 from orbitsiege.synth import build_s0, build_s0_ovf
 
 SILENT = NoiseModel(0.0, 0.0, 0.0)
@@ -281,44 +281,45 @@ def test_plan_attack_widened_band_holds_every_member():
 
 
 def one_trial(scenario, kind, **kw):
-    """A single noiseless trial, run as `evaluate` runs it: one sweep point
-    on the extra_M axis."""
+    """The point of a single noiseless trial, run as `evaluate` runs it: one
+    sweep point on the extra_M axis."""
     config = EvalConfig(kind=kind, axis="extra_M", values=(0,), trials=1,
                         noise=SILENT, **kw)
     point = sweep(scenario, config).points[0]
     assert point.error is None
-    return point.records[0]
+    assert len(point.records) == 1
+    return point
 
 
 def test_zero_noise_trial_agrees_with_verify():
     scenario = build_s0()
-    record = one_trial(scenario, "delay")
-    assert record.success
-    assert record.cost == 1.0
-    ok, report = verify_delay(context(scenario), record.planned_slots, 5)
+    point = one_trial(scenario, "delay")
+    assert point.records[0].success
+    assert point.cost == 1.0
+    ok, report = verify_delay(context(scenario), point.planned_slots, 5)
     assert ok and report["evacuation_slot"] > 5
 
     ovf = build_s0_ovf()
-    record = one_trial(ovf, "overflow")
-    assert record.success
-    ok, report = verify_overflow(context(ovf), record.planned_slots)
+    point = one_trial(ovf, "overflow")
+    assert point.records[0].success
+    ok, report = verify_overflow(context(ovf), point.planned_slots)
     assert ok and report["targets"]["init-003"]["dropped"]
 
 
 def test_budget_starves_the_planned_strategy():
     scenario = build_s0()
-    record = one_trial(scenario, "delay", cost_budget=0.5)
-    assert not record.success
-    assert record.cost == 1.0
-    assert record.planned_slots  # the plan existed, the budget killed it
+    point = one_trial(scenario, "delay", cost_budget=0.5)
+    assert not point.records[0].success
+    assert point.cost == 1.0
+    assert point.planned_slots  # the plan existed, the budget killed it
 
 
 def test_natural_outcome_is_tracked_separately():
     # push the deadline below the natural evacuation of the true world:
     # with zero noise the unit downlinks at 4, deadline 5 is never natural
     scenario = build_s0()
-    record = one_trial(scenario, "delay", master_seed=1)
-    assert not record.natural
+    point = one_trial(scenario, "delay", master_seed=1)
+    assert not point.records[0].natural
 
 
 def test_derive_rng_streams_are_stable_and_distinct():
@@ -329,6 +330,28 @@ def test_derive_rng_streams_are_stable_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+    # equal axis values share a stream: an integral float or numpy scalar
+    # keys it as its int, and an int never passes through float, where
+    # 2**53 + 1 would meet 2**53
+    def draws(value):
+        return derive_rng(7, "budget", value, 0, 0).random(4)
+
+    assert np.array_equal(draws(1), a)
+    assert np.array_equal(draws(np.float64(1.0)), a)
+    assert np.array_equal(draws(0.1), draws(np.float64(0.1)))
+    assert not np.array_equal(draws(2**53), draws(2**53 + 1))
+    assert not np.array_equal(draws(1.5), a)
+
+
+def test_equal_axis_values_give_equal_records():
+    scenario = load_scenario(os.path.join(SCENARIOS, "constellation_24h.json"))
+    config = EvalConfig(kind="delay", axis="extra_M", values=(1, 1.0), trials=200,
+                        noise=NoiseModel(0.3, 0.3, 0.3))
+    one, one_float = sweep(scenario, config).points
+    assert one.error is None
+    assert one.records == one_float.records
+    assert one.group_ratios == one_float.group_ratios
 
 
 def make_config(**kw):
@@ -343,8 +366,8 @@ def test_sweep_is_deterministic():
     config = make_config()
     first = sweep(scenario, config)
     second = sweep(scenario, config)
-    assert report_rows(first) == report_rows(second)
-    assert aggregate_rows(first) == aggregate_rows(second)
+    assert report_table(first) == report_table(second)
+    assert aggregate_table(first) == aggregate_table(second)
 
 
 def test_sweep_zero_noise_point_is_exact():
@@ -401,7 +424,7 @@ def test_sweep_batches_do_not_change_the_records(monkeypatch):
     whole = sweep(scenario, config)
     monkeypatch.setattr(evaluation, "BATCH_TRIALS", 5)
     batched = sweep(scenario, config)
-    assert report_rows(batched) == report_rows(whole)
+    assert report_table(batched) == report_table(whole)
     assert batched.points[0].group_ratios == whole.points[0].group_ratios
     assert {r.success for r in whole.points[0].records} == {True, False}
 
@@ -462,7 +485,7 @@ def test_sweep_captures_per_point_errors():
     assert result.errors == ((1, result.points[1].error),)
     # errored points carry no trials and are skipped by the aggregate
     assert result.points[1].records == ()
-    assert len(aggregate_rows(result)) == 1
+    assert len(aggregate_table(result)[1]) == 1
 
 
 def test_sweep_group_sizes_split_the_trials():
@@ -486,12 +509,13 @@ def test_report_files_round_trip(tmp_path):
     result = sweep(scenario, make_config(values=(0.0,), trials=4))
     report = tmp_path / "report.csv"
     aggregate = tmp_path / "aggregate.csv"
-    save_report(str(report), result)
-    save_aggregate(str(aggregate), result)
+    emit(str(report), *report_table(result))
+    emit(str(aggregate), *aggregate_table(result))
 
     lines = report.read_text().strip().splitlines()
     assert lines[0] == "axis,value,trial,success,natural,cost,planned_slots"
     assert len(lines) == 5
+    assert lines[1].endswith(",1,2")  # every trial repeats the point's plan: cost 1, slot 2
     agg = aggregate.read_text().strip().splitlines()
     assert agg[0] == "axis,value,q1,median,q3,min,max,success_ratio"
     assert len(agg) == 2

@@ -12,7 +12,8 @@ from oracles import evacuation_slot, fifo_replay, last_full_slot
 from orbitsiege import (AttackContext, ValidationError, attackability_for,
                         load_scenario, plan_attack)
 from orbitsiege.onboard import (QueueWorld, evolve, evolve_rows, per_slot_capacity,
-                                save_trace, save_trace_events)
+                                trace_events_table, trace_table)
+from orbitsiege.output import emit
 from orbitsiege.synth import build_s0
 
 INF = math.inf
@@ -329,14 +330,14 @@ def test_per_slot_capacity_floor():
 def test_trace_outputs(tmp_path):
     trace = evolve(desk_world(capacity=8), frozenset({4, 6}), (TAU,))
     path = str(tmp_path / "trace.csv")
-    save_trace(path, trace, (TAU,))
+    emit(path, *trace_table(trace, (TAU,)))
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines[0] == f"slot,queue_bytes,tx_bytes,drop_bytes,subq_{TAU}_bytes"
     assert len(lines) == 2 + HORIZON
 
     events = str(tmp_path / "events.csv")
-    save_trace_events(events, trace)
+    emit(events, *trace_events_table(trace))
     with open(events, encoding="utf-8") as fh:
         text = fh.read()
     assert text.splitlines()[0] == "slot,event,unit_id"

@@ -39,7 +39,7 @@ def test_delay_on_the_desk_scenario():
     assert strategy.slot_set == frozenset({2})
     assert strategy.cost == pytest.approx(1.0)
     assert strategy.motivating == ("init-003",)
-    assert strategy.evacuation["init-003"] == 6
+    assert strategy.trace.t_e("init-003") == 6
     ok, report = verify_delay(ctx, strategy.slots, scenario.target.target_downlink_slot)
     assert ok
     assert report["evacuation_slot"] == 6
@@ -52,8 +52,8 @@ def test_overflow_on_the_desk_scenario():
     ctx = context(scenario)
     strategy = plan_overflow(ctx)
     assert strategy.slot_set == frozenset({4, 6})
-    assert strategy.dropped["init-003"]
-    assert strategy.drop_slot["init-003"] == 6
+    assert strategy.trace.dropped["init-003"]
+    assert strategy.trace.drop_slot["init-003"] == 6
     ok, report = verify_overflow(ctx, strategy.slots)
     assert ok
     assert report["targets"]["init-003"]["dropped"]
@@ -75,7 +75,7 @@ def test_delay_fails_when_ladder_is_too_short():
     # deadline at the horizon needs more blocked slots than the ladder has
     ctx = context(scenario)
     trimmed = AttackContext(
-        world=ctx.world, attackable=(2,), price={2: 1.0}, targets=ctx.targets)
+        world=ctx.world, price={2: 1.0}, targets=ctx.targets)
     with pytest.raises(AttackFail, match="no attackable slot left"):
         plan_delay(trimmed, 8)
 
@@ -112,11 +112,9 @@ def random_ladder_context(rng, horizon=14):
         t0=0,
         horizon=horizon,
     )
-    attackable = tuple(sorted(transmissible))
-    price = {t: float(rng.integers(1, 4)) for t in attackable}
+    price = {t: float(rng.integers(1, 4)) for t in sorted(transmissible)}
     tau = initial[int(rng.integers(0, len(initial)))][0]
-    return AttackContext(world=world, attackable=attackable, price=price,
-                         targets=(tau,))
+    return AttackContext(world=world, price=price, targets=(tau,))
 
 
 def oracle_replay(ctx, attacked):
@@ -181,7 +179,7 @@ def test_overflow_matches_exhaustive_reachability():
                 plan_overflow(ctx)
         else:
             strategy = plan_overflow(ctx)
-            assert strategy.dropped[tau]
+            assert strategy.trace.dropped[tau]
             rep = oracle_replay(ctx, strategy.slot_set)
             assert evacuation_slot(rep, tau) == INF
         checked += 1

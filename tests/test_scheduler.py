@@ -11,11 +11,12 @@ from orbitsiege import (ContactWindows, OutOfHorizon, ValidationError,
                         attackability_for, compute_contact_windows)
 from orbitsiege import scheduler
 from orbitsiege.orbit import propagate, station_ecef_m
+from orbitsiege.output import csv_text
 from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
                                  CostModel, DataUnit, GroundStationSpec,
                                  SatelliteSpec, TargetSpec, TimeGrid)
 from orbitsiege.scheduler import (SlotSchedule, assign_slot, attackability,
-                                  build_schedule, hungarian, save_attackability)
+                                  attackability_table, build_schedule, hungarian)
 from orbitsiege.synth import build_constellation, build_s0
 
 from datetime import datetime, timezone
@@ -325,13 +326,10 @@ def test_attackability_for_fills_missing_slots():
     assert not records[0].transmissible and not records[11].transmissible
 
 
-def test_save_attackability(tmp_path):
+def test_attackability_table():
     records = [AttackabilityRecord(0, False, False, 0, INF),
                AttackabilityRecord(1, True, True, 2, 200.0)]
-    path = str(tmp_path / "ladder.csv")
-    save_attackability(path, records)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = csv_text(*attackability_table(records))
     assert text.splitlines()[0] == "slot,transmissible,attackable,required_high,cost"
     assert text.splitlines()[1] == "0,0,0,0,inf"
     assert text.splitlines()[2] == "1,1,1,2,200"
