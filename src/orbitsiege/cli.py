@@ -18,8 +18,8 @@ import sys
 
 from .attack import AttackContext, strategy_table
 from .errors import AttackFail, OrbitSiegeError, ValidationError
-from .evaluation import (AXES, KINDS, EvalConfig, NoiseModel, aggregate_table,
-                         plan_attack, report_table, sweep)
+from .evaluation import (AXES, KINDS, EvalConfig, aggregate_table, plan_attack,
+                         report_table, sweep)
 from .onboard import trace_events_table, trace_table
 from .orbit import (compute_contact_windows, load_contact_windows,
                     save_contact_windows, windows_csv_text)
@@ -33,18 +33,6 @@ from .scheduler import attackability_for, attackability_table
 def _derived_path(path: str, tag: str, ext: str | None = None) -> str:
     base, old_ext = os.path.splitext(path)
     return f"{base}.{tag}{ext if ext is not None else old_ext}"
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ORBITSIEGE_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"ORBITSIEGE_SEED is not an integer: {env!r}")
-    return 0
 
 
 def _parse_values(text: str) -> tuple:
@@ -176,11 +164,10 @@ def _cmd_verify(args) -> int:
 
 
 def _eval_config(args, axis: str, values: tuple) -> EvalConfig:
-    noise = NoiseModel(args.noise, args.noise, args.noise)
     return EvalConfig(kind=args.kind, axis=axis, values=values,
-                      trials=args.trials, master_seed=_resolve_seed(args),
+                      trials=args.trials, master_seed=args.seed,
                       cost_budget=args.budget, extra_m=args.extra_m,
-                      noise=noise)
+                      noise=args.noise)
 
 
 def _cmd_evaluate(args) -> int:
@@ -226,12 +213,11 @@ def _add_common(p, windows=True) -> None:
 def _add_eval_opts(p) -> None:
     p.add_argument("--kind", choices=KINDS, default="delay")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (falls back to ORBITSIEGE_SEED, then 0)")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--budget", type=float, default=None)
     p.add_argument("--extra-m", type=int, default=0, dest="extra_m")
     p.add_argument("--noise", type=float, default=0.1,
-                   help="std ratio applied to sizes, rate, and queue length")
+                   help="one std ratio for unit sizes, downlink rate and queue length")
 
 
 def build_parser() -> argparse.ArgumentParser:

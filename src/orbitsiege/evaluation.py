@@ -47,29 +47,16 @@ SEED_GROUPS = 10
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Estimation error between the attacker's view and the true world.
+class EvalConfig:
+    """One sweep: an axis, its values, and everything held fixed.
 
-    All three knobs are Gaussian standard deviations given as ratios: unit
-    sizes and the downlink rate vary around their nominal values, and the
+    noise is the estimation error between the attacker's view and the true
+    world, one Gaussian standard deviation given as a ratio: unit sizes and
+    the downlink rate vary around their nominal values by it, and the
     initial queue length shifts by a draw whose std is the ratio times the
     queue's unit count. A positive shift pushes synthetic units in at the
     head; a negative one consumes head units.
     """
-
-    size_std_ratio: float = 0.1
-    rate_std_ratio: float = 0.1
-    queue_len_std_ratio: float = 0.1
-
-    def __post_init__(self) -> None:
-        for name in ("size_std_ratio", "rate_std_ratio", "queue_len_std_ratio"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValidationError(f"{name} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """One sweep: an axis, its values, and everything held fixed."""
 
     kind: str
     axis: str
@@ -78,7 +65,7 @@ class EvalConfig:
     master_seed: int = 0
     cost_budget: float | None = None
     extra_m: int = 0
-    noise: NoiseModel = NoiseModel()
+    noise: float = 0.1
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -93,6 +80,7 @@ class EvalConfig:
             raise ValidationError("extra_m must be >= 0")
         if self.cost_budget is not None:
             _budget(self.cost_budget, "cost_budget")
+        _noise(self.noise, "noise")
 
 
 @dataclass(frozen=True)
@@ -141,6 +129,14 @@ def _budget(value, where: str) -> float:
     if budget < 0:
         raise ValidationError(f"{where}: must be >= 0")
     return budget
+
+
+def _noise(value, where: str) -> float:
+    """A noise ratio: a finite number in [0, 1]."""
+    ratio = _float(value, where)
+    if not 0.0 <= ratio <= 1.0:
+        raise ValidationError(f"{where}: outside [0, 1]")
+    return ratio
 
 
 def _resample(rng, nominal, std_ratio: float) -> np.ndarray:
@@ -204,29 +200,28 @@ class TrialLayout:
         )
 
 
-def perturb(layout: TrialLayout, noise: NoiseModel,
-            rng) -> tuple[int, int, np.ndarray]:
+def perturb(layout: TrialLayout, noise: float, rng) -> tuple[int, int, np.ndarray]:
     """One true world behind the attacker's estimate of the target's queue:
     (volume_bytes, head shift, unit sizes in stream order).
 
-    Draw order is fixed: downlink rate, then the initial-queue length shift,
-    then one size per unit in stream order, so a given rng state always
-    yields the same world. A positive shift puts that many units of the
-    head's nominal size at the HEAD of the initial queue; they carry no ids,
-    so no unit name can clash with them. A negative shift removes head
-    units, never a target or anything behind the first one. The shift
-    returned is the one applied.
+    Every draw has the std ratio noise. Draw order is fixed: downlink rate,
+    then the initial-queue length shift, then one size per unit in stream
+    order, so a given rng state always yields the same world. A positive
+    shift puts that many units of the head's nominal size at the HEAD of the
+    initial queue; they carry no ids, so no unit name can clash with them. A
+    negative shift removes head units, never a target or anything behind the
+    first one. The shift returned is the one applied.
     """
-    rate = int(_resample(rng, layout.rate_bps, noise.rate_std_ratio))
+    rate = int(_resample(rng, layout.rate_bps, noise))
     # an empty queue has std 0, so only a non-empty one ever grows
-    shift = int(round(rng.normal(0.0, noise.queue_len_std_ratio * layout.initial)))
+    shift = int(round(rng.normal(0.0, noise * layout.initial)))
     nominal = layout.sizes
     if shift > 0:
         nominal = np.concatenate([np.full(shift, nominal[0]), nominal])
     elif shift < 0:
         shift = -min(-shift, layout.removable)
         nominal = nominal[-shift:]
-    sizes = _resample(rng, nominal, noise.size_std_ratio)
+    sizes = _resample(rng, nominal, noise)
     return slot_volume(rate, layout.slot_seconds), shift, sizes
 
 
@@ -306,7 +301,7 @@ def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
 
 
 def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
-                ) -> tuple[ConstellationScenario, float | None, int, NoiseModel, float | None]:
+                ) -> tuple[ConstellationScenario, float | None, int, float, float | None]:
     """Rebuild the point's scenario and effective knobs for one axis value;
     the last is the target_duration in hours, which `sweep` anchors at the
     nominal natural evacuation slot. The value is read as the scenario
@@ -353,9 +348,7 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
         if hours <= 0:
             raise ValidationError("target_duration must be positive hours")
     elif axis == "noise_ratio":
-        ratio = _float(value, axis)
-        noise = replace(noise, size_std_ratio=ratio, rate_std_ratio=ratio,
-                        queue_len_std_ratio=ratio)
+        noise = _noise(value, axis)
     elif axis == "extra_M":
         extra_m = _int(value, axis)
         if extra_m < 0:

@@ -30,11 +30,12 @@ def _parse_utc(text: str, where: str) -> datetime:
     """Parse an ISO 8601 timestamp; naive values are taken as UTC."""
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except (ValueError, TypeError, AttributeError) as exc:
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        # an offset can carry a date such as 0001-01-01 out of range in UTC
+        return ts.astimezone(timezone.utc)
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{where}: bad timestamp {text!r}") from exc
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
 
 
 def _iso(ts: datetime) -> str:
@@ -266,6 +267,12 @@ def _bool(value, where: str) -> bool:
     return value
 
 
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {type(value).__name__}")
+    return value
+
+
 def _float(value, where: str) -> float:
     """A JSON number as a finite float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -339,8 +346,8 @@ def _parse_trace_rows(rows: list, grid: TimeGrid) -> list[DataUnit]:
         else:
             slot = grid.slot_of(_parse_utc(_require(row, "capture_iso8601", where), where))
         units.append(DataUnit(
-            unit_id=str(_require(row, "unit_id", where)),
-            satellite_id=str(_require(row, "satellite_id", where)),
+            unit_id=_str(_require(row, "unit_id", where), f"{where}.unit_id"),
+            satellite_id=_str(_require(row, "satellite_id", where), f"{where}.satellite_id"),
             capture_slot=slot,
             size_bytes=_int(_require(row, "size_bytes", where), where),
         ))
@@ -369,6 +376,8 @@ def _load_trace_csv(path: str, grid: TimeGrid) -> list[DataUnit]:
         raise IoError(f"cannot read trace file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:  # such as a cell past csv.field_size_limit()
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     return units
 
 
@@ -473,8 +482,8 @@ def scenario_from_dict(obj: dict, base_dir: str = ".") -> ConstellationScenario:
     for i, sat_obj in enumerate(_list(_require(obj, "satellites", "scenario"), "satellites")):
         where = f"satellites[{i}]"
         sat_obj = _obj(sat_obj, where)
-        sat_id = str(_require(sat_obj, "id", where))
-        priority = str(sat_obj.get("priority", "low"))
+        sat_id = _str(_require(sat_obj, "id", where), f"{where}.id")
+        priority = _str(sat_obj.get("priority", "low"), f"{where}.priority")
         default_capacity = DEFAULT_CAPACITY_BYTES if priority == "low" else 0
         satellites.append(SatelliteSpec(
             id=sat_id,
@@ -494,7 +503,7 @@ def scenario_from_dict(obj: dict, base_dir: str = ".") -> ConstellationScenario:
         where = f"stations[{i}]"
         st_obj = _obj(st_obj, where)
         stations.append(GroundStationSpec(
-            id=str(_require(st_obj, "id", where)),
+            id=_str(_require(st_obj, "id", where), f"{where}.id"),
             latitude_deg=_float(_require(st_obj, "latitude_deg", where), f"{where}.latitude_deg"),
             longitude_deg=_float(_require(st_obj, "longitude_deg", where),
                                  f"{where}.longitude_deg"),
@@ -515,8 +524,8 @@ def scenario_from_dict(obj: dict, base_dir: str = ".") -> ConstellationScenario:
     budget = target_obj.get("cost_budget")
     deadline = target_obj.get("target_downlink_slot")
     target = TargetSpec(
-        satellite_id=str(_require(target_obj, "satellite_id", "target")),
-        target_unit_ids=tuple(str(u) for u in _list(
+        satellite_id=_str(_require(target_obj, "satellite_id", "target"), "target.satellite_id"),
+        target_unit_ids=tuple(_str(u, "target.target_unit_ids") for u in _list(
             _require(target_obj, "target_unit_ids", "target"), "target.target_unit_ids")),
         attack_start_slot=_int(target_obj.get("attack_start_slot", 0), "target.attack_start_slot"),
         target_downlink_slot=(_int(deadline, "target.target_downlink_slot")
@@ -552,6 +561,8 @@ def load_scenario(path: str) -> ConstellationScenario:
         raise IoError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return scenario_from_dict(obj, base_dir=os.path.dirname(path) or ".")

@@ -1,10 +1,6 @@
-"""Builders for the bundled scenarios.
-
-build_s0 / build_s0_ovf produce the desk-sized queue scenarios used across
-the test suite: one-byte units, a two-byte slot volume, and an inline
-attackability table (even slots from 2 on, unit price), so no orbital content
-is involved. build_constellation produces a full 24-hour two-constellation
-world with propagated orbits.
+"""Synthetic worlds: build_constellation produces a two-constellation
+scenario with propagated orbits. The bundled constellation_24h scenario is
+build_constellation(target_downlink_slot=61).
 """
 
 from __future__ import annotations
@@ -14,7 +10,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .scenario import (
-    AttackabilityRecord,
     ConstellationScenario,
     CostModel,
     DataUnit,
@@ -25,79 +20,28 @@ from .scenario import (
     TleElements,
 )
 
-S0_HORIZON = 13
-S0_EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
-
-
-def _s0_scenario(capacity_bytes: int, target_downlink_slot: int | None,
-                 ) -> ConstellationScenario:
-    grid = TimeGrid(epoch=S0_EPOCH, slot_seconds=1, horizon_slots=S0_HORIZON)
-    sat = SatelliteSpec(
-        id="obs-1", priority="low", orbit=None,
-        capacity_bytes=capacity_bytes, downlink_rate_bps=16)
-    initial = tuple(DataUnit(f"init-{i:03d}", "obs-1", 0, 1) for i in range(1, 6))
-    trace = tuple(DataUnit(f"arr-{t:03d}", "obs-1", t, 1)
-                  for t in range(1, S0_HORIZON))
-    records = []
-    for t in range(S0_HORIZON):
-        if t >= 2 and t % 2 == 0:
-            records.append(AttackabilityRecord(t, True, True, 1, 1.0))
-        else:
-            records.append(AttackabilityRecord(t, False, False, 0, float("inf")))
-    return ConstellationScenario(
-        time=grid,
-        satellites=(sat,),
-        stations=(),
-        trace=trace,
-        target=TargetSpec(
-            satellite_id="obs-1",
-            target_unit_ids=("init-003",),
-            attack_start_slot=0,
-            target_downlink_slot=target_downlink_slot,
-        ),
-        costs=CostModel(unit_task_price=1),
-        seed=0,
-        initial_queue=(("obs-1", initial),),
-        attackability=tuple(records),
-    )
-
-
-def build_s0() -> ConstellationScenario:
-    """Five one-byte units queued, one arriving per slot, draining two bytes
-    on even slots into a ten-byte store; the third unit is the target and the
-    deadline is slot 5."""
-    return _s0_scenario(capacity_bytes=10, target_downlink_slot=5)
-
-
-def build_s0_ovf() -> ConstellationScenario:
-    """Same world with an eight-byte store, so two blocked slots overflow it."""
-    return _s0_scenario(capacity_bytes=8, target_downlink_slot=None)
-
-
 CONSTELLATION_EPOCH = datetime(2026, 3, 20, tzinfo=timezone.utc)
+QUEUE_UNITS = 30  # units aboard the target at t0
+TARGET_POSITION = 25  # 1-based place of the target unit in that queue
+UNIT_SIZE_BYTES = 1_000_000_000
+DOWNLINK_RATE_BPS = 80_000_000
+UNIT_TASK_PRICE = 100.0
 
 
 def build_constellation(n_low: int = 4, n_high: int = 20, n_stations: int = 12,
                         seed: int = 7, slot_seconds: int = 300, hours: int = 24,
-                        queue_units: int = 30, unit_size_bytes: int = 1_000_000_000,
-                        downlink_rate_bps: int = 80_000_000,
                         capacity_bytes: int = 2_000_000_000_000,
-                        target_position: int = 25,
                         target_downlink_slot: int | None = None,
-                        capture_every_slots: int = 1,
-                        unit_task_price: float = 100.0,
                         ) -> ConstellationScenario:
     """A day of mixed-priority traffic over a shared station network.
 
     The first low-priority satellite is the target. Its queue holds
-    queue_units equal units with the target unit at target_position
-    (1-based), and it captures one more unit every capture_every_slots
-    slots, so the queue never runs dry within the horizon. The high-priority
-    constellation flies in the target's orbital plane with staggered phases;
-    contention for the target's passes is what makes its slots attackable.
+    QUEUE_UNITS equal units with the target unit at TARGET_POSITION, and it
+    captures one more unit every slot, so the queue never runs dry within
+    the horizon. The high-priority constellation flies in the target's
+    orbital plane with staggered phases; contention for the target's passes
+    is what makes its slots attackable.
     """
-    if not 1 <= target_position <= queue_units:
-        raise ValueError("target_position must index into the initial queue")
     rng = np.random.default_rng(seed)
     grid = TimeGrid(epoch=CONSTELLATION_EPOCH, slot_seconds=slot_seconds,
                     horizon_slots=hours * 3600 // slot_seconds)
@@ -123,7 +67,7 @@ def build_constellation(n_low: int = 4, n_high: int = 20, n_stations: int = 12,
             arg_perigee_deg=0.0, mean_anomaly_deg=0.0,
             mean_motion_rev_per_day=target_motion, epoch=CONSTELLATION_EPOCH),
         capacity_bytes=capacity_bytes,
-        downlink_rate_bps=downlink_rate_bps,
+        downlink_rate_bps=DOWNLINK_RATE_BPS,
     )]
     for i in range(1, n_low):
         satellites.append(SatelliteSpec(
@@ -136,7 +80,7 @@ def build_constellation(n_low: int = 4, n_high: int = 20, n_stations: int = 12,
                 mean_motion_rev_per_day=float(round(rng.uniform(14.6, 15.2), 4)),
                 epoch=CONSTELLATION_EPOCH),
             capacity_bytes=capacity_bytes,
-            downlink_rate_bps=downlink_rate_bps,
+            downlink_rate_bps=DOWNLINK_RATE_BPS,
         ))
     # high birds ride the target's plane at phases fanning out around it,
     # so they cross the target's stations in overlapping slots; each extra
@@ -154,14 +98,13 @@ def build_constellation(n_low: int = 4, n_high: int = 20, n_stations: int = 12,
                 mean_motion_rev_per_day=target_motion,
                 epoch=CONSTELLATION_EPOCH),
             capacity_bytes=0,
-            downlink_rate_bps=downlink_rate_bps,
+            downlink_rate_bps=DOWNLINK_RATE_BPS,
         ))
 
-    initial = tuple(DataUnit(f"init-{i:03d}", "obs-1", 0, unit_size_bytes)
-                    for i in range(1, queue_units + 1))
-    trace = tuple(
-        DataUnit(f"cap-{t:03d}", "obs-1", t, unit_size_bytes)
-        for t in range(capture_every_slots, grid.horizon_slots, capture_every_slots))
+    initial = tuple(DataUnit(f"init-{i:03d}", "obs-1", 0, UNIT_SIZE_BYTES)
+                    for i in range(1, QUEUE_UNITS + 1))
+    trace = tuple(DataUnit(f"cap-{t:03d}", "obs-1", t, UNIT_SIZE_BYTES)
+                  for t in range(1, grid.horizon_slots))
 
     return ConstellationScenario(
         time=grid,
@@ -170,11 +113,11 @@ def build_constellation(n_low: int = 4, n_high: int = 20, n_stations: int = 12,
         trace=trace,
         target=TargetSpec(
             satellite_id="obs-1",
-            target_unit_ids=(f"init-{target_position:03d}",),
+            target_unit_ids=(f"init-{TARGET_POSITION:03d}",),
             attack_start_slot=0,
             target_downlink_slot=target_downlink_slot,
         ),
-        costs=CostModel(unit_task_price=unit_task_price),
+        costs=CostModel(unit_task_price=UNIT_TASK_PRICE),
         seed=seed,
         initial_queue=(("obs-1", initial),),
         attackability=None,

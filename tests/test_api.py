@@ -22,7 +22,7 @@ PUBLIC = {
 # names the package exported before its surface was cut, by defining module
 SUBMODULE_ONLY = {
     "attack": ("AttackStrategy",),
-    "evaluation": ("AXES", "KINDS", "NoiseModel", "PointResult", "SweepResult",
+    "evaluation": ("AXES", "KINDS", "PointResult", "SweepResult",
                    "TrialRecord", "derive_rng", "extend_targets", "perturb"),
     "onboard": ("QueueTrace", "QueueWorld", "evolve", "per_slot_capacity"),
     "orbit": ("propagate", "save_contact_windows"),
@@ -32,7 +32,7 @@ SUBMODULE_ONLY = {
                  "scenario_to_dict"),
     "scheduler": ("SlotSchedule", "assign_slot", "attackability", "build_schedule",
                   "hungarian"),
-    "synth": ("build_constellation", "build_s0", "build_s0_ovf"),
+    "synth": ("build_constellation",),
 }
 
 

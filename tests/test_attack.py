@@ -5,11 +5,11 @@ import math
 
 import pytest
 
+from bundled import load_bundled
 from orbitsiege import AttackContext, ValidationError, attackability_for
 from orbitsiege.attack import AttackStrategy, strategy_table
 from orbitsiege.onboard import QueueWorld
 from orbitsiege.output import csv_text, json_text
-from orbitsiege.synth import build_s0
 
 INF = math.inf
 
@@ -76,7 +76,7 @@ def test_require_subset():
 
 
 def test_from_scenario_clips_to_attack_window():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     # move the attack start past the first rung of the ladder
     from dataclasses import replace
 
@@ -91,7 +91,7 @@ def test_from_scenario_clips_to_attack_window():
 
 
 def test_from_scenario_baseline_matches_desk_numbers():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     ctx = AttackContext.from_scenario(scenario, attackability_for(scenario))
     trace = ctx.baseline
     assert trace.t_e("init-003") == 4

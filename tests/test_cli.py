@@ -4,7 +4,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import shutil
 import subprocess
 
@@ -12,31 +11,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bundled import bundled_path as bundled
 from orbitsiege.cli import main
 from orbitsiege.scenario import load_scenario, save_scenario
 from orbitsiege.scheduler import attackability_for
-from orbitsiege.synth import build_constellation, build_s0, build_s0_ovf
+from orbitsiege.synth import build_constellation
 
 
 @pytest.fixture()
-def s0_path(tmp_path):
-    path = tmp_path / "s0.json"
-    save_scenario(build_s0(), str(path))
-    return str(path)
+def s0_path():
+    return bundled("s0")
 
 
 @pytest.fixture()
-def s0_ovf_path(tmp_path):
-    path = tmp_path / "s0_ovf.json"
-    save_scenario(build_s0_ovf(), str(path))
-    return str(path)
-
-
-SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
-
-
-def bundled(name):
-    return os.path.join(SCENARIOS, f"{name}.json")
+def s0_ovf_path():
+    return bundled("s0_ovf")
 
 
 def run_cli(capsys, *argv):
@@ -357,18 +346,98 @@ def test_scenario_that_is_not_utf8_exits_two(capsys, tmp_path):
     assert err.startswith("error:") and "s0.json" in err
 
 
-def test_trace_csv_size_that_is_not_a_number_exits_two(capsys, tmp_path):
+def test_deeply_nested_scenario_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+TRACE_HEADER = b"unit_id,satellite_id,capture_iso8601,size_bytes"
+
+
+def s0_trace_rows():
+    """s0's arrivals as trace CSV cells (s0 has one-second slots)."""
+    return [[u.unit_id.encode(), u.satellite_id.encode(),
+             f"2026-01-01T00:00:{u.capture_slot:02d}Z".encode(), str(u.size_bytes).encode()]
+            for u in S0.trace]
+
+
+def s0_with_trace_csv(directory, data: bytes) -> str:
+    """s0 reading its arrivals from a trace CSV holding data; the
+    scenario's path."""
     with open(bundled("s0"), encoding="utf-8") as fh:
         obj = json.load(fh)
     obj["trace"] = "trace.csv"
-    (tmp_path / "trace.csv").write_text(
-        "unit_id,satellite_id,capture_iso8601,size_bytes\n"
-        "arr-001,obs-1,2026-01-01T00:00:01Z,x\n", encoding="utf-8")
-    path = tmp_path / "scenario.json"
+    (directory / "trace.csv").write_bytes(data)
+    path = directory / "scenario.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    code, out, err = run_cli(capsys, "plan-delay", "--scenario", str(path))
+    return str(path)
+
+
+def test_trace_csv_size_that_is_not_a_number_exits_two(capsys, tmp_path):
+    path = s0_with_trace_csv(tmp_path, TRACE_HEADER + b"\narr-001,obs-1,2026-01-01T00:00:01Z,x\n")
+    code, out, err = run_cli(capsys, "plan-delay", "--scenario", path)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "trace.csv:2: size_bytes" in err
+
+
+def test_trace_cell_past_the_csv_field_limit_exits_two(capsys, tmp_path):
+    rows = [b",".join(row) for row in s0_trace_rows()]
+    rows[2] = b'"' + b"x" * 200_000 + b'"' + rows[2][len(b"arr-003"):]
+    path = s0_with_trace_csv(tmp_path, b"\n".join([TRACE_HEADER, *rows, b""]))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "trace.csv:4: field larger than field limit" in err
+
+
+# cells a mutated trace row may hold: huge, NUL, non-UTF-8, bad numbers,
+# timestamps outside the horizon (some only in UTC), and None for a cell
+# taken out of the row
+TRACE_CELLS = st.one_of(
+    st.sampled_from([None, b"", b"x" * 200_000, b"a\x00b", b"\x00", b"\xff\xfe", b"-1", b"0",
+                     b"1.5", b"9" * 30, b"9" * 5000, b"2025-12-31T23:59:59Z",
+                     b"2026-01-01T00:00:13Z", b"0001-01-01T00:00:00+23:59",
+                     b"9999-12-31T23:59:59-23:59"]),
+    st.binary(max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 4), TRACE_CELLS,
+                                st.booleans()), max_size=3),
+       newline=st.sampled_from([b"\n", b"\r\n"]))
+@example(edits=[(0, 0, b"x" * 200_000, True)], newline=b"\n")
+@example(edits=[(3, 2, b"0001-01-01T00:00:00+23:59", False)], newline=b"\r\n")
+def test_mutated_trace_csv_exits_zero_or_two(tmp_path_factory, edits, newline):
+    """A trace CSV with cells replaced (quoted or not), removed or added
+    either loads or is refused with exit code 2 and an error message."""
+    rows = s0_trace_rows()
+    quoted = set()
+    for row, column, cell, quote in edits:
+        cells = rows[row]
+        if cell is None:
+            del cells[column:column + 1]
+        elif column < len(cells):
+            cells[column] = cell
+        else:
+            cells.append(cell)
+        if quote and cell is not None:
+            quoted.add((row, min(column, len(cells) - 1)))
+    lines = [TRACE_HEADER]
+    for r, cells in enumerate(rows):
+        lines.append(b",".join(b'"' + c.replace(b'"', b'""') + b'"' if (r, k) in quoted else c
+                               for k, c in enumerate(cells)))
+    path = s0_with_trace_csv(tmp_path_factory.mktemp("trace"), newline.join([*lines, b""]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--scenario", path])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 # s0 with an orbit and a station added, so that their fields can be broken
@@ -393,6 +462,13 @@ MALFORMED = [
     (("stations", 0, "altitude_m"), "NaN"),
     (("target", "cost_budget"), "NaN"),
     (("costs", "unit_task_price"), "NaN"),
+    (("satellites", 0, "id"), "5"),
+    (("satellites", 0, "priority"), "null"),
+    (("stations", 0, "id"), "[1]"),
+    (("trace", 0, "unit_id"), '{"a": 1}'),
+    (("trace", 0, "satellite_id"), "1"),
+    (("target", "satellite_id"), "true"),
+    (("target", "target_unit_ids", 0), "3"),
 ]
 
 
@@ -566,21 +642,12 @@ def test_bad_budget_exits_two(capsys, s0_path, command, budget, error):
     assert err == f"error: cost_budget: {error}\n"
 
 
-def test_evaluate_reads_seed_from_environment(capsys, s0_path, monkeypatch):
-    args = ["evaluate", "--scenario", s0_path, "--trials", "8",
-            "--noise", "0.2"]
-    code, flagged, _ = run_cli(capsys, *args, "--seed", "77")
+def test_evaluate_seed_defaults_to_zero(capsys, s0_path):
+    args = ["evaluate", "--scenario", s0_path, "--trials", "8", "--noise", "0.2"]
+    code, unseeded, _ = run_cli(capsys, *args)
     assert code == 0
-
-    monkeypatch.setenv("ORBITSIEGE_SEED", "77")
-    code, from_env, _ = run_cli(capsys, *args)
-    assert code == 0
-    assert from_env == flagged
-
-    monkeypatch.setenv("ORBITSIEGE_SEED", "seven")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2
-    assert "ORBITSIEGE_SEED" in err
+    assert run_cli(capsys, *args, "--seed", "0")[1] == unseeded
+    assert run_cli(capsys, *args, "--seed", "77")[1] != unseeded
 
 
 def test_json_format_artifacts(capsys, s0_path, tmp_path):

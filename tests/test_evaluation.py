@@ -1,30 +1,31 @@
 """Monte-Carlo harness: noise statistics, trial judging, sweep plumbing."""
 
-import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bundled import load_bundled
 from orbitsiege import (AttackContext, EvalConfig, ValidationError,
-                        attackability_for, load_scenario, plan_attack, sweep,
-                        verify_delay, verify_overflow)
+                        attackability_for, plan_attack, sweep, verify_delay,
+                        verify_overflow)
 from orbitsiege import evaluation
-from orbitsiege.evaluation import (TRUNCATION_RATIO, NoiseModel, TrialLayout,
-                                   _resample, aggregate_table, derive_rng,
-                                   extend_targets, perturb, report_table)
+from orbitsiege.evaluation import (TRUNCATION_RATIO, TrialLayout, _resample,
+                                   aggregate_table, derive_rng, extend_targets,
+                                   perturb, report_table)
+from orbitsiege.onboard import slot_volume
 from orbitsiege.output import emit
-from orbitsiege.synth import build_s0, build_s0_ovf
-
-SILENT = NoiseModel(0.0, 0.0, 0.0)
-SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def test_noise_model_bounds():
-    with pytest.raises(ValidationError, match="size_std_ratio"):
-        NoiseModel(size_std_ratio=1.5)
-    with pytest.raises(ValidationError, match="queue_len_std_ratio"):
-        NoiseModel(queue_len_std_ratio=-0.1)
+    # the noise model is one std ratio, a finite number in [0, 1]
+    good = dict(kind="delay", axis="budget", values=(1.0,))
+    assert EvalConfig(**good).noise == 0.1
+    EvalConfig(**good, noise=0.0)
+    EvalConfig(**good, noise=1.0)
+    for noise, error in ((1.5, "outside"), (-0.1, "outside"), (float("nan"), "must be finite")):
+        with pytest.raises(ValidationError, match=f"noise: {error}"):
+            EvalConfig(**good, noise=noise)
 
 
 def test_eval_config_validation():
@@ -83,7 +84,7 @@ def test_resample_refuses_values_past_int64(axis, nominal):
     with pytest.raises(ValidationError, match="int64 byte range"):
         _resample(np.random.default_rng(0), [2.0**63], 0.0)
     config = EvalConfig(kind="delay", axis=axis, values=(10**20, nominal), trials=4)
-    points = sweep(build_s0(), config).points
+    points = sweep(load_bundled("s0"), config).points
     assert points[0].error == "resampled value exceeds the int64 byte range"
     assert points[0].records == ()
     assert points[1].error is None
@@ -96,7 +97,8 @@ BAD_AXIS_VALUES = [
         [(axis, value, f"{axis}: must be finite")
          for axis in evaluation.AXES for value in (float("inf"), float("nan"))]
         + [(axis, 1.5, f"{axis}: expected an integer, got 1.5") for axis in INTEGER_AXES]
-        + [("budget", -1, "budget: must be >= 0"), ("budget", -0.5, "budget: must be >= 0")])]
+        + [("budget", -1, "budget: must be >= 0"), ("budget", -0.5, "budget: must be >= 0")]
+        + [("noise_ratio", ratio, "noise_ratio: outside [0, 1]") for ratio in (-0.1, 1.5)])]
 
 
 @pytest.mark.parametrize("axis, value, error", BAD_AXIS_VALUES)
@@ -104,7 +106,7 @@ def test_sweep_reads_axis_values_as_the_loader_reads_fields(axis, value, error):
     # a non-finite value, a fraction on an integer axis and a negative
     # budget are the point's error, not a crash or a silently rounded plan
     config = EvalConfig(kind="delay", axis=axis, values=(value,), trials=4)
-    point = sweep(build_s0(), config).points[0]
+    point = sweep(load_bundled("s0"), config).points[0]
     assert point.error == error
     assert point.records == ()
 
@@ -121,7 +123,7 @@ def with_sizes(scenario, sizes):
 
 def distinct_s0():
     """s0 with head units of distinct sizes, so a unit is known by its size."""
-    return with_sizes(build_s0(), [11, 12, 13, 14, 15])
+    return with_sizes(load_bundled("s0"), [11, 12, 13, 14, 15])
 
 
 def context(scenario):
@@ -139,7 +141,7 @@ def nominal_sizes(ctx):
 
 def test_perturb_silent_noise_is_identity():
     ctx, layout = layout_of(distinct_s0())
-    volume, shift, sizes = perturb(layout, SILENT, np.random.default_rng(0))
+    volume, shift, sizes = perturb(layout, 0.0, np.random.default_rng(0))
     assert volume == ctx.world.volume_bytes
     assert shift == 0
     assert sizes.dtype == np.int64
@@ -148,7 +150,7 @@ def test_perturb_silent_noise_is_identity():
 
 def test_perturb_is_deterministic_per_stream():
     _, layout = layout_of(distinct_s0())
-    noise = NoiseModel(0.3, 0.3, 0.3)
+    noise = 0.3
 
     def draw(seed):
         volume, shift, sizes = perturb(layout, noise, np.random.default_rng(seed))
@@ -161,20 +163,24 @@ def test_perturb_is_deterministic_per_stream():
 def test_perturb_touches_only_the_target_satellite():
     # the true world is the target's queue alone: a trial draws its volume,
     # a head shift and one size per unit of the shifted stream, and head
-    # insertions come first, at the head's nominal size
+    # insertions come first, at the head's nominal size. Replaying those
+    # draws from the same stream rebuilds the whole world.
     ctx, layout = layout_of(distinct_s0())
     nominal = nominal_sizes(ctx)
-    # s0 downlinks 2 bytes per slot; more rate noise can stall it (see
-    # test_sweep_flags_a_degenerate_true_world)
-    noise = NoiseModel(0.4, 0.1, 0.4)
+    # s0 downlinks 2 bytes per slot at 16 bit/s; at ratio 0.1 only a
+    # 5-sigma rate draw stalls it (see test_sweep_flags_a_degenerate_true_world)
+    noise = 0.1
     changed = False
     for seed in range(20):
         volume, shift, sizes = perturb(layout, noise, np.random.default_rng(seed))
         assert len(sizes) == len(nominal) + shift
         assert -2 <= shift, "init-003 is two units deep"
-        _, _, kept = perturb(layout, replace(noise, size_std_ratio=0.0),
-                             np.random.default_rng(seed))
-        assert kept.tolist() == [11] * max(shift, 0) + nominal[max(-shift, 0):]
+        ref = np.random.default_rng(seed)
+        rate = int(_resample(ref, 16, noise))
+        assert volume == slot_volume(rate, 1) > 0
+        assert shift == max(round(ref.normal(0.0, noise * 5)), -2)
+        stream = [11] * max(shift, 0) + nominal[max(-shift, 0):]
+        assert sizes.tolist() == _resample(ref, stream, noise).tolist()
         changed |= volume != ctx.world.volume_bytes or sizes.tolist() != nominal
     assert changed
 
@@ -185,19 +191,20 @@ def test_perturb_queue_shift_never_eats_the_target():
     # units deep)
     ctx, layout = layout_of(distinct_s0())
     nominal = nominal_sizes(ctx)
-    noise = NoiseModel(0.0, 0.0, 1.0)
+    noise = 1.0
     saw_insert = saw_remove = False
     for seed in range(60):
         _, shift, sizes = perturb(layout, noise, np.random.default_rng(seed))
-        sizes = sizes.tolist()
         # the shift is the second draw of the stream, after the rate's
         ref = np.random.default_rng(seed)
         ref.standard_normal()
         drawn = round(5 * ref.standard_normal())
         assert shift == max(drawn, -2)
-        # init-003 and everything behind it survive, in place behind the head
-        assert sizes[2 + shift:] == nominal[2:]
-        assert sizes == [11] * max(shift, 0) + nominal[max(-shift, 0):], \
+        # the size draws that follow are those of this nominal stream:
+        # init-003 and everything behind it in place behind the head, and
+        # insertions at the head
+        stream = [11] * max(shift, 0) + nominal[max(-shift, 0):]
+        assert sizes.tolist() == _resample(ref, stream, noise).tolist(), \
             "insertions must sit at the head"
         saw_insert |= shift > 0
         saw_remove |= shift < 0
@@ -235,25 +242,24 @@ def judge_one(scenario, kind, strategy, draw):
 def test_batched_trials_match_per_trial_evolve(name, kind, noise):
     # every trial of a point, judged in one batch, agrees with rebuilding
     # its true world and running evolve twice
-    scenario = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
+    scenario = load_bundled(name)
     config = EvalConfig(kind=kind, axis="noise_ratio", values=(noise,), trials=40,
                         master_seed=7)
     point = sweep(scenario, config).points[0]
     assert point.error is None
     ctx, layout = layout_of(scenario)
     strategy = plan_attack(ctx, kind, 0, scenario.target.target_downlink_slot)
-    model = NoiseModel(noise, noise, noise)
     outcomes = set()
     for k, record in enumerate(point.records):
         group, trial = divmod(k, 40 // evaluation.SEED_GROUPS)
-        draw = perturb(layout, model, derive_rng(7, "noise_ratio", noise, group, trial))
+        draw = perturb(layout, noise, derive_rng(7, "noise_ratio", noise, group, trial))
         assert (record.success, record.natural) == judge_one(scenario, kind, strategy, draw)
         outcomes.add(record.success)
     assert outcomes == {True, False}
 
 
 def test_extend_targets_clips_at_the_ends():
-    ids = tuple(u.unit_id for u in build_s0().fifo_units("obs-1"))
+    ids = tuple(u.unit_id for u in load_bundled("s0").fifo_units("obs-1"))
     assert ids[:5] == ("init-001", "init-002", "init-003", "init-004", "init-005")
 
     assert extend_targets(("init-003",), ids, 0) == ("init-003",)
@@ -270,7 +276,7 @@ def test_extend_targets_clips_at_the_ends():
 
 
 def test_plan_attack_widened_band_holds_every_member():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     strategy = plan_attack(context(scenario), "delay", 1, 5)
     band = extend_targets(("init-003",), (u.unit_id for u in scenario.fifo_units("obs-1")), 1)
     widened = replace(scenario, target=replace(scenario.target,
@@ -284,7 +290,7 @@ def one_trial(scenario, kind, **kw):
     """The point of a single noiseless trial, run as `evaluate` runs it: one
     sweep point on the extra_M axis."""
     config = EvalConfig(kind=kind, axis="extra_M", values=(0,), trials=1,
-                        noise=SILENT, **kw)
+                        noise=0.0, **kw)
     point = sweep(scenario, config).points[0]
     assert point.error is None
     assert len(point.records) == 1
@@ -292,14 +298,14 @@ def one_trial(scenario, kind, **kw):
 
 
 def test_zero_noise_trial_agrees_with_verify():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     point = one_trial(scenario, "delay")
     assert point.records[0].success
     assert point.cost == 1.0
     ok, report = verify_delay(context(scenario), point.planned_slots, 5)
     assert ok and report["evacuation_slot"] > 5
 
-    ovf = build_s0_ovf()
+    ovf = load_bundled("s0_ovf")
     point = one_trial(ovf, "overflow")
     assert point.records[0].success
     ok, report = verify_overflow(context(ovf), point.planned_slots)
@@ -307,7 +313,7 @@ def test_zero_noise_trial_agrees_with_verify():
 
 
 def test_budget_starves_the_planned_strategy():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     point = one_trial(scenario, "delay", cost_budget=0.5)
     assert not point.records[0].success
     assert point.cost == 1.0
@@ -317,7 +323,7 @@ def test_budget_starves_the_planned_strategy():
 def test_natural_outcome_is_tracked_separately():
     # push the deadline below the natural evacuation of the true world:
     # with zero noise the unit downlinks at 4, deadline 5 is never natural
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     point = one_trial(scenario, "delay", master_seed=1)
     assert not point.records[0].natural
 
@@ -345,9 +351,9 @@ def test_derive_rng_streams_are_stable_and_distinct():
 
 
 def test_equal_axis_values_give_equal_records():
-    scenario = load_scenario(os.path.join(SCENARIOS, "constellation_24h.json"))
+    scenario = load_bundled("constellation_24h")
     config = EvalConfig(kind="delay", axis="extra_M", values=(1, 1.0), trials=200,
-                        noise=NoiseModel(0.3, 0.3, 0.3))
+                        noise=0.3)
     one, one_float = sweep(scenario, config).points
     assert one.error is None
     assert one.records == one_float.records
@@ -362,7 +368,7 @@ def make_config(**kw):
 
 
 def test_sweep_is_deterministic():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     config = make_config()
     first = sweep(scenario, config)
     second = sweep(scenario, config)
@@ -371,7 +377,7 @@ def test_sweep_is_deterministic():
 
 
 def test_sweep_zero_noise_point_is_exact():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     result = sweep(scenario, make_config())
     clean = result.points[0]
     assert clean.value == 0.0
@@ -388,7 +394,7 @@ def test_sweep_flags_a_degenerate_true_world(monkeypatch):
     # world below 1 byte per slot, which is a modeling error, not a miss.
     # Four seed groups give the trial streams that draw such a world.
     monkeypatch.setattr(evaluation, "SEED_GROUPS", 4)
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     result = sweep(scenario, make_config(values=(0.3,)))
     point = result.points[0]
     assert point.error == "volume_bytes must be positive"
@@ -398,27 +404,36 @@ def test_sweep_flags_a_degenerate_true_world(monkeypatch):
 def test_sweep_rejects_true_worlds_it_cannot_hold():
     # units a trial inserts at the head carry no ids, so a head unit named
     # like "jit-002" runs exactly as under its own name
-    s0 = build_s0()
+    s0 = load_bundled("s0")
     sat_id = s0.target.satellite_id
     queue = tuple((sid, tuple(replace(u, unit_id="jit-002") if u.unit_id == "init-001" else u
                               for u in units) if sid == sat_id else units)
                   for sid, units in s0.initial_queue)
     renamed = replace(s0, initial_queue=queue)
-    config = make_config(values=(0.0,), noise=NoiseModel(0.0, 0.0, 1.0), axis="budget")
+    config = make_config(values=(0.0,), noise=0.3, axis="budget")
+    # replay each trial's rate and shift draws: no trial stalls s0's 2-byte
+    # slot volume (16 bit/s), and some insert two units at the head
+    shifts = []
+    for group, size in enumerate([2, 2] + [1] * 8):  # 12 trials in 10 seed groups
+        for trial in range(size):
+            rng = derive_rng(3, "budget", 0.0, group, trial)
+            assert _resample(rng, 16, 0.3) >= 8
+            shifts.append(round(rng.normal(0.0, 0.3 * 5)))
+    assert max(shifts) >= 2
     point = sweep(renamed, config).points[0]
     assert point.error is None
     assert point.records == sweep(s0, config).points[0].records
     # the trials run in int64, so a stream past 2**63 bytes is refused
     # rather than wrapped
     huge = with_sizes(s0, [2**62] * 5)
-    point = sweep(huge, make_config(values=(1.0,), noise=SILENT, axis="budget")).points[0]
+    point = sweep(huge, make_config(values=(1.0,), noise=0.0, axis="budget")).points[0]
     assert point.error == "unit sizes overflow the int64 byte stream"
 
 
 def test_sweep_batches_do_not_change_the_records(monkeypatch):
     # a point's trials run BATCH_TRIALS at a time; smaller batches, one that
     # splits a seed group included, give the same records and ratios
-    scenario = load_scenario(os.path.join(SCENARIOS, "s0_ovf.json"))
+    scenario = load_bundled("s0_ovf")
     config = EvalConfig(kind="overflow", axis="noise_ratio", values=(0.15,),
                         trials=23, master_seed=2)
     whole = sweep(scenario, config)
@@ -444,7 +459,7 @@ def test_sweep_builds_one_context_per_point(monkeypatch, axis, values):
         return build(scenario, records)
 
     monkeypatch.setattr(AttackContext, "from_scenario", staticmethod(counted))
-    result = sweep(build_s0(), make_config(axis=axis, values=values))
+    result = sweep(load_bundled("s0"), make_config(axis=axis, values=values))
     assert result.errors == ()
     assert len(built) == len(values)
 
@@ -461,7 +476,7 @@ def test_duration_sweep_traces_the_no_attack_queue_once(monkeypatch):
         return evolve(world, strategy, targets)
 
     monkeypatch.setattr(attack, "evolve", counted)
-    scenario = load_scenario(os.path.join(SCENARIOS, "constellation_24h.json"))
+    scenario = load_bundled("constellation_24h")
     result = sweep(scenario, make_config(axis="target_duration", values=(1.0,), trials=2))
     assert result.errors == ()
     assert sizes.count(0) == 1 and sizes[0] == 0
@@ -469,15 +484,15 @@ def test_duration_sweep_traces_the_no_attack_queue_once(monkeypatch):
 
 
 def test_sweep_budget_axis_brackets_the_plan_cost():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     result = sweep(scenario, make_config(axis="budget", values=(0.5, 1.0),
-                                         noise=SILENT))
+                                         noise=0.0))
     assert result.points[0].success_ratio == 0.0
     assert result.points[1].success_ratio == 1.0
 
 
 def test_sweep_captures_per_point_errors():
-    scenario = build_s0()  # no high-priority satellites aboard
+    scenario = load_bundled("s0")  # no high-priority satellites aboard
     result = sweep(scenario, make_config(axis="n_high", values=(0, 1)))
     assert result.points[0].error is None
     assert result.points[1].error is not None
@@ -490,7 +505,7 @@ def test_sweep_captures_per_point_errors():
 
 def test_sweep_group_sizes_split_the_trials():
     # SEED_GROUPS groups, or one per trial when there are fewer trials
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     for trials, groups in ((23, evaluation.SEED_GROUPS), (7, 7)):
         point = sweep(scenario, make_config(values=(0.2,), trials=trials)).points[0]
         assert len(point.records) == trials
@@ -498,14 +513,14 @@ def test_sweep_group_sizes_split_the_trials():
 
 
 def test_duration_axis_needs_room_before_the_horizon():
-    scenario = build_s0()  # 13 one-second slots: even a minute is too long
+    scenario = load_bundled("s0")  # 13 one-second slots: even a minute is too long
     result = sweep(scenario, make_config(axis="target_duration", values=(1.0,)))
     assert result.points[0].error is not None
     assert "beyond horizon" in result.points[0].error
 
 
 def test_report_files_round_trip(tmp_path):
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     result = sweep(scenario, make_config(values=(0.0,), trials=4))
     report = tmp_path / "report.csv"
     aggregate = tmp_path / "aggregate.csv"

@@ -1,20 +1,18 @@
 """Queue evolution: hand-worked values, conservation, reference parity."""
 
 import math
-import os
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bundled import load_bundled
 from oracles import evacuation_slot, fifo_replay, last_full_slot
-from orbitsiege import (AttackContext, ValidationError, attackability_for,
-                        load_scenario, plan_attack)
+from orbitsiege import AttackContext, ValidationError, attackability_for, plan_attack
 from orbitsiege.onboard import (QueueWorld, evolve, evolve_rows, per_slot_capacity,
                                 trace_events_table, trace_table)
 from orbitsiege.output import emit
-from orbitsiege.synth import build_s0
 
 INF = math.inf
 
@@ -308,13 +306,10 @@ def test_batched_rows_match_evolve_and_reference(rows, data):
                 assert left == trace.t_e(uid) == evacuation_slot(oracle, uid)
 
 
-SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
-
-
 @pytest.mark.parametrize("name, kind", [("constellation_24h", "delay"),
                                         ("s0_ovf", "overflow")])
 def test_bundled_scenario_plan_matches_reference(name, kind):
-    scenario = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
+    scenario = load_bundled(name)
     ctx = AttackContext.from_scenario(scenario, attackability_for(scenario))
     strategy = plan_attack(ctx, kind, 0, scenario.target.target_downlink_slot)
     assert strategy.slots
@@ -322,7 +317,7 @@ def test_bundled_scenario_plan_matches_reference(name, kind):
 
 
 def test_per_slot_capacity_floor():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     # 16 bit/s over 1 s slots is 2 bytes
     assert per_slot_capacity(scenario) == 2
 

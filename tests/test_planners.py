@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bundled import load_bundled
 from oracles import (
     evacuation_slot,
     exhaustive_min_cost_delay,
@@ -23,7 +24,6 @@ from orbitsiege import (
     verify_overflow,
 )
 from orbitsiege.onboard import QueueWorld
-from orbitsiege.synth import build_s0, build_s0_ovf
 
 INF = math.inf
 
@@ -33,7 +33,7 @@ def context(scenario):
 
 
 def test_delay_on_the_desk_scenario():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     ctx = context(scenario)
     strategy = plan_delay(ctx, scenario.target.target_downlink_slot)
     assert strategy.slot_set == frozenset({2})
@@ -48,7 +48,7 @@ def test_delay_on_the_desk_scenario():
 
 
 def test_overflow_on_the_desk_scenario():
-    scenario = build_s0_ovf()
+    scenario = load_bundled("s0_ovf")
     ctx = context(scenario)
     strategy = plan_overflow(ctx)
     assert strategy.slot_set == frozenset({4, 6})
@@ -61,7 +61,7 @@ def test_overflow_on_the_desk_scenario():
 
 
 def test_delay_deadline_validation():
-    ctx = context(build_s0())
+    ctx = context(load_bundled("s0"))
     with pytest.raises(ValidationError, match="required"):
         plan_delay(ctx, None)
     with pytest.raises(ValidationError, match="not after natural"):
@@ -71,7 +71,7 @@ def test_delay_deadline_validation():
 
 
 def test_delay_fails_when_ladder_is_too_short():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     # deadline at the horizon needs more blocked slots than the ladder has
     ctx = context(scenario)
     trimmed = AttackContext(
@@ -82,7 +82,7 @@ def test_delay_fails_when_ladder_is_too_short():
 
 def test_overflow_fails_without_capacity_pressure():
     # widen the store past every byte the scenario will ever hold
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     roomy = replace(scenario, satellites=tuple(
         replace(sat, capacity_bytes=30) if sat.id == "obs-1" else sat
         for sat in scenario.satellites))
@@ -186,7 +186,7 @@ def test_overflow_matches_exhaustive_reachability():
 
 
 def test_verify_rejects_non_attackable_slots():
-    ctx = context(build_s0())
+    ctx = context(load_bundled("s0"))
     with pytest.raises(ValidationError, match="not attackable"):
         verify_delay(ctx, [3], 5)
     ok, report = verify_delay(ctx, [], 5)
@@ -195,7 +195,7 @@ def test_verify_rejects_non_attackable_slots():
 
 
 def test_verify_delay_needs_a_deadline():
-    ctx = context(build_s0())
+    ctx = context(load_bundled("s0"))
     with pytest.raises(ValidationError, match="required"):
         verify_delay(ctx, [2], None)
     ok, _ = verify_delay(ctx, [2], target_slot=5)
@@ -203,13 +203,13 @@ def test_verify_delay_needs_a_deadline():
 
 
 def test_verify_overflow_reports_partial_failure():
-    ok, report = verify_overflow(context(build_s0_ovf()), [4])
+    ok, report = verify_overflow(context(load_bundled("s0_ovf")), [4])
     assert not ok
     assert not report["targets"]["init-003"]["dropped"]
 
 
 def test_multi_target_plan_covers_all_units():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     widened = replace(scenario, target=replace(
         scenario.target, target_unit_ids=("init-002", "init-003")))
     ctx = context(widened)
@@ -224,7 +224,7 @@ def test_multi_target_plan_covers_all_units():
 def test_per_unit_deadline_mode():
     # arr-001 evacuates at 6 > 5 naturally: the relative-delay mode would
     # reject the request outright, the per-unit mode just skips the unit
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     widened = replace(scenario, target=replace(
         scenario.target, target_unit_ids=("init-002", "init-003", "arr-001")))
     ctx = context(widened)
@@ -239,8 +239,8 @@ def test_per_unit_deadline_mode():
 def test_plan_returns_early_when_target_drops():
     # the overflow scenario with a delay deadline: blocking drops the unit,
     # which satisfies any deadline trivially
-    scenario = replace(build_s0_ovf(), target=replace(
-        build_s0_ovf().target, target_downlink_slot=12))
+    scenario = replace(load_bundled("s0_ovf"), target=replace(
+        load_bundled("s0_ovf").target, target_downlink_slot=12))
     ctx = context(scenario)
     strategy = plan_delay(ctx, 12)
     ok, report = verify_delay(ctx, strategy.slots, 12)

@@ -6,12 +6,12 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from bundled import bundled_path, load_bundled
 from orbitsiege import OutOfHorizon, ParseError, ValidationError, load_scenario
 from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
                                  CostModel, DataUnit, GroundStationSpec,
                                  SatelliteSpec, TargetSpec, TimeGrid, TleElements,
                                  save_scenario, scenario_from_dict, scenario_to_dict)
-from orbitsiege.synth import build_s0, build_s0_ovf
 
 EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
@@ -254,8 +254,11 @@ def test_attackability_rows_sorted_and_defaulted():
 
 
 def test_round_trip_structural(tmp_path):
-    for build in (build_s0, build_s0_ovf):
-        scenario = build()
+    for name in ("s0", "s0_ovf"):
+        scenario = load_bundled(name)
+        # the bundled files are in canonical form
+        with open(bundled_path(name), encoding="utf-8") as fh:
+            assert scenario_to_dict(scenario) == json.load(fh)
         path = str(tmp_path / "scenario.json")
         save_scenario(scenario, path)
         again = load_scenario(path)
@@ -295,7 +298,7 @@ def test_trace_csv_form(tmp_path):
 
 def test_replace_keeps_validation_separate():
     """dataclasses.replace skips scenario-level checks; loaders are the gate."""
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     broken = replace(scenario, target=replace(scenario.target,
                                               target_unit_ids=("init-003",)))
     assert isinstance(broken, ConstellationScenario)

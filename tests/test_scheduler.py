@@ -6,6 +6,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from bundled import load_bundled
 from oracles import brute_force_assignment, count_ladder
 from orbitsiege import (ContactWindows, OutOfHorizon, ValidationError,
                         attackability_for, compute_contact_windows)
@@ -17,7 +18,7 @@ from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
                                  SatelliteSpec, TargetSpec, TimeGrid)
 from orbitsiege.scheduler import (SlotSchedule, assign_slot, attackability,
                                   attackability_table, build_schedule, hungarian)
-from orbitsiege.synth import build_constellation, build_s0
+from orbitsiege.synth import build_constellation
 
 from datetime import datetime, timezone
 
@@ -307,7 +308,7 @@ def test_unscheduled_slot_is_not_transmissible():
 
 
 def test_attackability_for_honours_inline_table():
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     records = attackability_for(scenario)
     assert len(records) == scenario.time.horizon_slots
     attackable = [r.slot for r in records if r.attackable]
@@ -318,7 +319,7 @@ def test_attackability_for_honours_inline_table():
 def test_attackability_for_fills_missing_slots():
     from dataclasses import replace
 
-    scenario = build_s0()
+    scenario = load_bundled("s0")
     sparse = replace(scenario, attackability=scenario.attackability[2:3])
     records = attackability_for(sparse)
     assert len(records) == sparse.time.horizon_slots
