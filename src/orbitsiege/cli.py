@@ -163,34 +163,14 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _eval_config(args, axis: str, values: tuple) -> EvalConfig:
-    return EvalConfig(kind=args.kind, axis=axis, values=values,
-                      trials=args.trials, master_seed=args.seed,
-                      cost_budget=args.budget, extra_m=args.extra_m,
-                      noise=args.noise)
-
-
-def _cmd_evaluate(args) -> int:
-    scenario, windows = _load(args)
-    # a one-point sweep on the extra_M axis leaves the scenario untouched
-    config = _eval_config(args, "extra_M", (args.extra_m,))
-    result = sweep(scenario, config, windows)
-    point = result.points[0]
-    if point.error:
-        raise ValidationError(point.error)
-    natural = sum(r.natural for r in point.records)
-    print(f"success_ratio {point.success_ratio:g} over {len(point.records)} trials "
-          f"(median {point.median:g}, natural {natural})")
-    if args.out:
-        emit(args.out, *report_table(result), args.format)
-        print(f"report -> {args.out}")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     scenario, windows = _load(args)
-    config = _eval_config(args, args.axis, _parse_values(args.values))
+    config = EvalConfig(kind=args.kind, axis=args.axis, values=_parse_values(args.values),
+                        trials=args.trials, master_seed=args.seed,
+                        cost_budget=args.budget, extra_m=args.extra_m, noise=args.noise)
     result = sweep(scenario, config, windows)
+    if len(result.errors) == len(result.points):  # no point ran: nothing to write
+        raise ValidationError(result.points[0].error)
     for value, error in result.errors:
         print(f"note: point {value} skipped: {error}", file=sys.stderr)
     if args.out:
@@ -208,16 +188,6 @@ def _add_common(p, windows=True) -> None:
     if windows:
         p.add_argument("--windows", help="precomputed contact windows (skips propagation)")
     p.add_argument("--out", help="output artifact path")
-
-
-def _add_eval_opts(p) -> None:
-    p.add_argument("--kind", choices=KINDS, default="delay")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--extra-m", type=int, default=0, dest="extra_m")
-    p.add_argument("--noise", type=float, default=0.1,
-                   help="one std ratio for unit sizes, downlink rate and queue length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,14 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-slot", type=int, default=None, dest="target_slot")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("evaluate", help="Monte-Carlo trials at one configuration")
-    _add_common(p)
-    _add_eval_opts(p)
-    p.set_defaults(func=_cmd_evaluate)
-
     p = sub.add_parser("sweep", help="Monte-Carlo sweep along one axis")
     _add_common(p)
-    _add_eval_opts(p)
+    p.add_argument("--kind", choices=KINDS, default="delay")
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--extra-m", type=int, default=0, dest="extra_m")
+    p.add_argument("--noise", type=float, default=0.1,
+                   help="one std ratio for unit sizes, downlink rate and queue length")
     p.add_argument("--axis", choices=AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.set_defaults(func=_cmd_sweep)

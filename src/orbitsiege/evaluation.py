@@ -23,6 +23,7 @@ import numpy as np
 from .attack import AttackContext, AttackStrategy
 from .errors import AttackFail, OrbitSiegeError, ValidationError
 from .onboard import evolve_rows, slot_volume
+from .orbit import compute_contact_windows
 from .planner_delay import plan_delay
 from .planner_overflow import plan_overflow
 from .scenario import ConstellationScenario, _float, _int
@@ -107,10 +108,6 @@ class PointResult:
         if not self.records:
             return 0.0
         return sum(r.success for r in self.records) / len(self.records)
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.group_ratios)) if self.group_ratios else 0.0
 
 
 @dataclass(frozen=True)
@@ -391,8 +388,6 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
     first use, and each point derives only its attackability from it.
     """
     if windows is None and scenario.attackability is None:
-        from .orbit import compute_contact_windows
-
         windows = compute_contact_windows(scenario)
     schedule = functools.cache(lambda: build_schedule(scenario, windows))
 

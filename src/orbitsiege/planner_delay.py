@@ -40,10 +40,11 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
                per_unit_deadline: bool = False) -> AttackStrategy:
     """Greedy cheapest-in-window planning, one target unit at a time.
 
-    The deadline target_slot must lie strictly after the final target's
-    natural evacuation slot; a deadline at or before it asks for no delay
-    at all. When the unit never evacuates naturally the demand is already
-    met and planning degenerates to the empty strategy.
+    The deadline target_slot must not lie before the final target's
+    natural evacuation slot: success means evacuating after the deadline,
+    so the no-attack run already meets an earlier one, and misses one equal
+    to it by a slot. When the unit never evacuates naturally the demand is
+    already met and planning degenerates to the empty strategy.
 
     By default every target unit is pushed back by the same demanded delay,
     measured on the final unit. With per_unit_deadline each unit must
@@ -62,9 +63,9 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
     if per_unit_deadline:
         def needs_more(te: float, te0: float) -> bool:
             return te != INF and te <= target_slot
-    elif te_base != INF and target_slot <= te_base:
+    elif te_base != INF and target_slot < te_base:
         raise ValidationError(
-            f"target_slot {target_slot} not after natural "
+            f"target_slot {target_slot} before natural "
             f"evacuation slot {te_base:.0f}")
     else:
         demanded = target_slot - te_base if te_base != INF else -INF

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 from .errors import IoError, OutOfHorizon, ParseError, ValidationError
+from .output import write_text_atomic
 
 DEFAULT_SLOT_SECONDS = 60
 DEFAULT_DOWNLINK_RATE_BPS = 160_000_000
@@ -24,6 +25,19 @@ DEFAULT_CAPACITY_BYTES = 2_000_000_000_000
 DEFAULT_ANTENNA_COUNT = 4
 DEFAULT_MIN_ELEVATION_DEG = 5.0
 DEFAULT_UNIT_TASK_PRICE = 1
+
+# the longest grid a scenario may hold: the sweep's largest per-slot array,
+# one batch of 2 x 1024 int64 trial rows, then takes at most 512 MiB
+MAX_HORIZON_SLOTS = 32_768
+# the assignment matrix holds one column per antenna; no real ground
+# station comes near this many
+MAX_ANTENNA_COUNT = 1024
+# the most units an initial_queue count may expand to: a sweep batch of
+# 1024 trials then draws at most 512 MiB of int64 unit sizes
+MAX_QUEUE_UNITS = 65_536
+# a ground station stands between the deepest ocean floor and the highest
+# summit; far outside, its position overflows in the elevation geometry
+STATION_ALTITUDE_RANGE_M = (-11_000.0, 9_000.0)
 
 
 def _parse_utc(text: str, where: str) -> datetime:
@@ -57,6 +71,13 @@ class TimeGrid:
             raise ValidationError("time.slot_seconds: must be positive")
         if self.horizon_slots < 1:
             raise ValidationError("time.horizon_slots: must be >= 1")
+        if self.horizon_slots > MAX_HORIZON_SLOTS:
+            raise ValidationError(f"time.horizon_slots: must be <= {MAX_HORIZON_SLOTS}")
+        try:
+            self.epoch + timedelta(seconds=self.horizon_slots * self.slot_seconds)
+        except OverflowError:
+            raise ValidationError("time.slot_seconds: the grid ends past the last "
+                                  "UTC datetime") from None
 
     @property
     def last_slot(self) -> int:
@@ -128,8 +149,12 @@ class GroundStationSpec:
             raise ValidationError(f"station {self.id}: latitude outside [-90, 90]")
         if not math.isfinite(self.longitude_deg):
             raise ValidationError(f"station {self.id}: longitude must be finite")
-        if self.antenna_count < 1:
-            raise ValidationError(f"station {self.id}: antenna_count must be >= 1")
+        low, high = STATION_ALTITUDE_RANGE_M
+        if not low <= self.altitude_m <= high:
+            raise ValidationError(f"station {self.id}: altitude_m outside [{low:g}, {high:g}]")
+        if not 1 <= self.antenna_count <= MAX_ANTENNA_COUNT:
+            raise ValidationError(
+                f"station {self.id}: antenna_count outside [1, {MAX_ANTENNA_COUNT}]")
         if not 0.0 <= self.min_elevation_deg < 90.0:
             raise ValidationError(f"station {self.id}: min_elevation_deg outside [0, 90)")
 
@@ -327,8 +352,8 @@ def _parse_initial_queue(obj: dict | None, sat_id: str) -> tuple[DataUnit, ...]:
     else:
         count = _int(_require(obj, "count", where), f"{where}.count")
         size = _int(_require(obj, "unit_size_bytes", where), f"{where}.unit_size_bytes")
-        if count < 0:
-            raise ValidationError(f"{where}.count: must be >= 0")
+        if not 0 <= count <= MAX_QUEUE_UNITS:
+            raise ValidationError(f"{where}.count: outside [0, {MAX_QUEUE_UNITS}]")
         sizes = [size] * count
     return tuple(
         DataUnit(f"init-{i:03d}", sat_id, 0, size)
@@ -644,7 +669,5 @@ def scenario_to_dict(scenario: ConstellationScenario) -> dict:
 
 def save_scenario(scenario: ConstellationScenario, path: str) -> None:
     """Write the canonical JSON form atomically."""
-    from .output import write_text_atomic
-
     text = json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
     write_text_atomic(path, text)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfHorizon, ValidationError
-from .orbit import ContactWindows, propagate, station_ecef_m
+from .orbit import ContactWindows, compute_contact_windows, propagate, station_ecef_m
 from .scenario import AttackabilityRecord, ConstellationScenario
 
 
@@ -166,8 +166,6 @@ def attackability_for(scenario: ConstellationScenario,
         return [by_slot.get(t, AttackabilityRecord(t, False, False, 0, math.inf))
                 for t in range(scenario.time.horizon_slots)]
     if windows is None:
-        from .orbit import compute_contact_windows
-
         windows = compute_contact_windows(scenario)
     return attackability(scenario, build_schedule(scenario, windows), windows)
 

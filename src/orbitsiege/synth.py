@@ -26,10 +26,11 @@ TARGET_POSITION = 25  # 1-based place of the target unit in that queue
 UNIT_SIZE_BYTES = 1_000_000_000
 DOWNLINK_RATE_BPS = 80_000_000
 UNIT_TASK_PRICE = 100.0
+HOURS = 24  # the horizon; slot_seconds sets how many slots it holds
 
 
 def build_constellation(n_low: int = 4, n_high: int = 20, n_stations: int = 12,
-                        seed: int = 7, slot_seconds: int = 300, hours: int = 24,
+                        seed: int = 7, slot_seconds: int = 300,
                         capacity_bytes: int = 2_000_000_000_000,
                         target_downlink_slot: int | None = None,
                         ) -> ConstellationScenario:
@@ -44,7 +45,7 @@ def build_constellation(n_low: int = 4, n_high: int = 20, n_stations: int = 12,
     """
     rng = np.random.default_rng(seed)
     grid = TimeGrid(epoch=CONSTELLATION_EPOCH, slot_seconds=slot_seconds,
-                    horizon_slots=hours * 3600 // slot_seconds)
+                    horizon_slots=HOURS * 3600 // slot_seconds)
 
     stations = []
     for i in range(n_stations):

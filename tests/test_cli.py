@@ -1,9 +1,11 @@
 """End-to-end command-line checks: output text, artifacts, exit codes."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
+import math
 import shutil
 import subprocess
 
@@ -26,6 +28,12 @@ def s0_path():
 @pytest.fixture()
 def s0_ovf_path():
     return bundled("s0_ovf")
+
+
+def bundled_doc(name):
+    """A bundled scenario as parsed JSON."""
+    with open(bundled(name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def run_cli(capsys, *argv):
@@ -210,7 +218,7 @@ def test_windows_takes_no_windows_option(capsys, s0_path, tmp_path):
 
 
 def test_windows_and_schedule_pipeline(capsys, tmp_path):
-    scenario = build_constellation(n_low=1, n_high=2, n_stations=2, hours=2)
+    scenario = build_constellation(n_low=1, n_high=2, n_stations=2, slot_seconds=3600)
     scn = tmp_path / "constellation.json"
     save_scenario(scenario, str(scn))
 
@@ -367,8 +375,7 @@ def s0_trace_rows():
 def s0_with_trace_csv(directory, data: bytes) -> str:
     """s0 reading its arrivals from a trace CSV holding data; the
     scenario's path."""
-    with open(bundled("s0"), encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = bundled_doc("s0")
     obj["trace"] = "trace.csv"
     (directory / "trace.csv").write_bytes(data)
     path = directory / "scenario.json"
@@ -475,8 +482,7 @@ MALFORMED = [
 @pytest.mark.parametrize("path, raw", MALFORMED,
                          ids=[".".join(map(str, p)) + "=" + raw for p, raw in MALFORMED])
 def test_malformed_scenario_fields_exit_two(capsys, tmp_path, path, raw):
-    with open(bundled("s0"), encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = bundled_doc("s0")
     doc["satellites"][0]["orbit"] = dict(ORBIT)
     doc["stations"] = [dict(STATION)]
     good = tmp_path / "good.json"
@@ -493,6 +499,111 @@ def test_malformed_scenario_fields_exit_two(capsys, tmp_path, path, raw):
     code, out, err = run_cli(capsys, "plan-delay", "--scenario", str(bad))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def field_paths(node, path=()):
+    """The key and index paths of every field below node; of a list, only
+    its first and last members."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = [(i, node[i]) for i in sorted({0, len(node) - 1})] if node else []
+    else:
+        return
+    for key, child in items:
+        yield (*path, key)
+        yield from field_paths(child, (*path, key))
+
+
+FUZZED = {name: bundled_doc(name) for name in ("s0", "s0_ovf", "constellation_24h")}
+FUZZED_FIELDS = {name: list(field_paths(doc)) for name, doc in FUZZED.items()}
+
+REMOVED = object()  # the key or list member is taken out
+# wrong types, then huge, negative, zero, fractional and non-finite numbers
+FIELD_VALUES = st.sampled_from([
+    REMOVED, "x", [], {}, None, True, [1],
+    10**12, 10**30, 10**400, -1, -10**12, 0, 0.5, 1e308, -1e308,
+    math.nan, math.inf, -math.inf])
+
+
+def mutated(name, edits):
+    """The bundled scenario with each (path, value) edit applied in turn; an
+    edit whose path an earlier edit took away is skipped."""
+    doc = copy.deepcopy(FUZZED[name])
+    for path, value in edits:
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if value is REMOVED:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def scenario_edits(draw):
+    name = draw(st.sampled_from(sorted(FUZZED)))
+    return name, draw(st.lists(st.tuples(st.sampled_from(FUZZED_FIELDS[name]), FIELD_VALUES),
+                               min_size=1, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scenario_edits(), command=st.sampled_from(["simulate", "plan-delay",
+                                                       "plan-overflow"]))
+@example(case=("constellation_24h", [(("stations", 0, "antenna_count"), 10**12)]),
+         command="simulate")
+@example(case=("constellation_24h", [(("stations", 11, "antenna_count"), 1e308)]),
+         command="plan-delay")
+@example(case=("constellation_24h", [(("stations", 0, "altitude_m"), 1e308)]),
+         command="simulate")
+@example(case=("constellation_24h", [(("satellites", 0, "orbit", "mean_motion_rev_per_day"),
+                                      1e308)]),
+         command="plan-overflow")
+def test_mutated_scenario_fields_keep_the_exit_code_contract(tmp_path_factory, case, command):
+    """A scenario with fields removed or replaced by wrong types and extreme
+    numbers runs, is found infeasible, or is refused with exit code 2."""
+    path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+    path.write_text(json.dumps(mutated(*case)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--scenario", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue().startswith("attack infeasible:")
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+
+
+# time grids that once broke the exit-code contract: the first hung
+# plan-delay, the other two raised OverflowError at a slot midpoint
+GRID_PROBES = [
+    ("s0", "plan-delay", {"horizon_slots": 10**12}),
+    ("constellation_24h", "windows", {"horizon_slots": 10**9}),
+    ("constellation_24h", "plan-overflow", {"horizon_slots": 2, "slot_seconds": 10**15}),
+]
+
+
+@pytest.mark.parametrize("name, command, grid", GRID_PROBES,
+                         ids=[f"{name}-{command}" for name, command, _ in GRID_PROBES])
+def test_unbounded_time_grid_exits_two(capsys, tmp_path, name, command, grid):
+    doc = bundled_doc(name)
+    doc["time"].update(grid)
+    # units and deadline stay inside the grid, so that only the grid is at fault
+    horizon = grid["horizon_slots"]
+    doc["trace"] = [u for u in doc["trace"] if u["capture_slot"] < horizon]
+    if (doc["target"]["target_downlink_slot"] or 0) >= horizon:
+        doc["target"]["target_downlink_slot"] = None
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: time.") and "Traceback" not in err
 
 
 WINDOWS_PARITY = [
@@ -593,14 +704,24 @@ GOLDEN_SWEEPS = [
         "widen.aggregate.csv":
             "dd962ad305749be93268f54bd04ddd07293d738e3242d3c93a09c8b64b6187f6",
     }),
+    # the reports of the former `evaluate --extra-m M`, which was this
+    # one-point sweep
+    ("s0_ovf", ["--kind", "overflow", "--axis", "extra_M", "--values", "2",
+                "--trials", "40", "--noise", "0.15"], {
+        "point.csv": "d98d8476c1e8289df64ef02257ffa7d22632d98b621460a3534034b7f882f243",
+    }),
+    ("constellation_24h", ["--kind", "delay", "--axis", "extra_M", "--values", "0",
+                           "--trials", "50", "--noise", "0.3", "--seed", "3"], {
+        "point.csv": "423951c194c2d98eb7b36a8b5043cc5bfbb05a9077e6e5e4a6090149f9140fc7",
+    }),
 ]
 
 
 @pytest.mark.parametrize("name, opts, digests", GOLDEN_SWEEPS)
 def test_sweep_matches_golden_digests(capsys, tmp_path, name, opts, digests):
     out = tmp_path / next(iter(digests))
-    code, _, err = run_cli(capsys, "sweep", "--scenario", bundled(name), *opts,
-                           "--seed", "7", "--out", str(out))
+    code, _, err = run_cli(capsys, "sweep", "--scenario", bundled(name), "--seed", "7",
+                           *opts, "--out", str(out))
     assert code == 0 and err == ""
     got = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
            for file in digests}
@@ -631,23 +752,36 @@ def test_negative_extra_m_exits_two(capsys, s0_path, command):
     assert err == "error: extra_m must be >= 0\n"
 
 
-@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+@pytest.mark.parametrize("command", ["sweep"])
 @pytest.mark.parametrize("budget, error", [("-1", "must be >= 0"), ("nan", "must be finite")])
 def test_bad_budget_exits_two(capsys, s0_path, command, budget, error):
-    axis = ["--axis", "noise_ratio", "--values", "0.1"] if command == "sweep" else []
-    code, out, err = run_cli(capsys, command, "--scenario", s0_path, *axis,
-                             "--trials", "2", "--budget", budget)
+    code, out, err = run_cli(capsys, command, "--scenario", s0_path, "--axis", "noise_ratio",
+                             "--values", "0.1", "--trials", "2", "--budget", budget)
     assert code == 2
     assert out == ""
     assert err == f"error: cost_budget: {error}\n"
 
 
-def test_evaluate_seed_defaults_to_zero(capsys, s0_path):
-    args = ["evaluate", "--scenario", s0_path, "--trials", "8", "--noise", "0.2"]
-    code, unseeded, _ = run_cli(capsys, *args)
-    assert code == 0
-    assert run_cli(capsys, *args, "--seed", "0")[1] == unseeded
-    assert run_cli(capsys, *args, "--seed", "77")[1] != unseeded
+def test_sweep_seed_defaults_to_zero(capsys, s0_path, tmp_path):
+    def report(name, *seed):
+        out = tmp_path / name
+        assert run_cli(capsys, "sweep", "--scenario", s0_path, "--axis", "extra_M",
+                       "--values", "0", "--trials", "8", "--noise", "0.2", *seed,
+                       "--out", str(out))[0] == 0
+        return out.read_bytes()
+
+    unseeded = report("a.csv")
+    assert report("b.csv", "--seed", "0") == unseeded
+    assert report("c.csv", "--seed", "77") != unseeded
+
+
+def test_sweep_with_no_point_run_exits_two(capsys, s0_path, tmp_path):
+    out = tmp_path / "r.csv"
+    code, printed, err = run_cli(capsys, "sweep", "--scenario", s0_path, "--axis", "n_high",
+                                 "--values", "5,7", "--trials", "4", "--out", str(out))
+    assert code == 2 and printed == ""
+    assert err == "error: n_high 5 outside [0, 0]\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_format_artifacts(capsys, s0_path, tmp_path):

@@ -287,8 +287,8 @@ def test_plan_attack_widened_band_holds_every_member():
 
 
 def one_trial(scenario, kind, **kw):
-    """The point of a single noiseless trial, run as `evaluate` runs it: one
-    sweep point on the extra_M axis."""
+    """The point of a single noiseless trial: one sweep point on the
+    extra_M axis."""
     config = EvalConfig(kind=kind, axis="extra_M", values=(0,), trials=1,
                         noise=0.0, **kw)
     point = sweep(scenario, config).points[0]
@@ -383,7 +383,6 @@ def test_sweep_zero_noise_point_is_exact():
     assert clean.value == 0.0
     assert clean.success_ratio == 1.0
     assert clean.group_ratios == (1.0,) * evaluation.SEED_GROUPS
-    assert clean.median == 1.0
     noisy = result.points[1]
     assert len(noisy.records) == 12
     assert all(0.0 <= r <= 1.0 for r in noisy.group_ratios)

@@ -122,8 +122,10 @@ def test_leo_band_enforced():
     deep = TleElements(inclination_deg=0.0, raan_deg=0.0, eccentricity=0.0,
                        arg_perigee_deg=0.0, mean_anomaly_deg=0.0,
                        mean_motion_rev_per_day=2.0, epoch=EPOCH)
-    with pytest.raises(ValidationError, match="LEO band"):
-        position_at(deep, EPOCH)
+    runaway = replace(deep, mean_motion_rev_per_day=1e308)
+    for elements in (deep, runaway):
+        with pytest.raises(ValidationError, match="LEO band"):
+            position_at(elements, EPOCH)
     station = random_station(np.random.default_rng(2), 1)
     with pytest.raises(ValidationError, match="obs-1: orbit radius outside the LEO band"):
         compute_contact_windows(windows_scenario([deep], [station]))

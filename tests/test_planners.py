@@ -64,8 +64,12 @@ def test_delay_deadline_validation():
     ctx = context(load_bundled("s0"))
     with pytest.raises(ValidationError, match="required"):
         plan_delay(ctx, None)
-    with pytest.raises(ValidationError, match="not after natural"):
-        plan_delay(ctx, 4)
+    # the unit evacuates at slot 4 naturally, which misses a deadline of 4
+    # (success is evacuating after it) but meets one of 3
+    with pytest.raises(ValidationError, match="before natural"):
+        plan_delay(ctx, 3)
+    strategy = plan_delay(ctx, 4)
+    assert verify_delay(ctx, strategy.slots, 4)[0]
     with pytest.raises(ValidationError, match="outside"):
         plan_delay(ctx, 14)
 
@@ -228,7 +232,7 @@ def test_per_unit_deadline_mode():
     widened = replace(scenario, target=replace(
         scenario.target, target_unit_ids=("init-002", "init-003", "arr-001")))
     ctx = context(widened)
-    with pytest.raises(ValidationError, match="not after natural"):
+    with pytest.raises(ValidationError, match="before natural"):
         plan_delay(ctx, 5)
     strategy = plan_delay(ctx, 5, per_unit_deadline=True)
     trace = ctx.trace(strategy.slot_set)

@@ -8,7 +8,8 @@ import pytest
 
 from bundled import bundled_path, load_bundled
 from orbitsiege import OutOfHorizon, ParseError, ValidationError, load_scenario
-from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
+from orbitsiege.scenario import (MAX_ANTENNA_COUNT, MAX_HORIZON_SLOTS, MAX_QUEUE_UNITS,
+                                 AttackabilityRecord, ConstellationScenario,
                                  CostModel, DataUnit, GroundStationSpec,
                                  SatelliteSpec, TargetSpec, TimeGrid, TleElements,
                                  save_scenario, scenario_from_dict, scenario_to_dict)
@@ -70,6 +71,15 @@ def test_time_grid_validation():
         TimeGrid(epoch=EPOCH, slot_seconds=0, horizon_slots=5)
     with pytest.raises(ValidationError, match="horizon"):
         TimeGrid(epoch=EPOCH, slot_seconds=60, horizon_slots=0)
+    TimeGrid(epoch=EPOCH, slot_seconds=60, horizon_slots=MAX_HORIZON_SLOTS)
+    with pytest.raises(ValidationError, match="horizon_slots: must be <="):
+        TimeGrid(epoch=EPOCH, slot_seconds=60, horizon_slots=MAX_HORIZON_SLOTS + 1)
+    # the grid's end must be a UTC datetime, however it gets out of range
+    late = datetime(9999, 12, 31, tzinfo=timezone.utc)
+    TimeGrid(epoch=late, slot_seconds=60, horizon_slots=1)
+    for epoch, slot_seconds in ((late, 86_400), (EPOCH, 10**15), (EPOCH, 10**400)):
+        with pytest.raises(ValidationError, match="past the last UTC datetime"):
+            TimeGrid(epoch=epoch, slot_seconds=slot_seconds, horizon_slots=2)
 
 
 def test_tle_elements_bounds():
@@ -111,9 +121,14 @@ def test_station_bounds():
     with pytest.raises(ValidationError):
         GroundStationSpec(id="g", latitude_deg=91.0, longitude_deg=0.0,
                           altitude_m=0.0, antenna_count=1, min_elevation_deg=5.0)
-    with pytest.raises(ValidationError):
-        GroundStationSpec(id="g", latitude_deg=0.0, longitude_deg=0.0,
-                          altitude_m=0.0, antenna_count=0, min_elevation_deg=5.0)
+    for antennas in (0, MAX_ANTENNA_COUNT + 1):
+        with pytest.raises(ValidationError, match="antenna_count"):
+            GroundStationSpec(id="g", latitude_deg=0.0, longitude_deg=0.0,
+                              altitude_m=0.0, antenna_count=antennas, min_elevation_deg=5.0)
+    for altitude in (-11_001.0, 9_001.0, 1e308):
+        with pytest.raises(ValidationError, match="altitude_m"):
+            GroundStationSpec(id="g", latitude_deg=0.0, longitude_deg=0.0,
+                              altitude_m=altitude, antenna_count=1, min_elevation_deg=5.0)
     with pytest.raises(ValidationError):
         GroundStationSpec(id="g", latitude_deg=0.0, longitude_deg=0.0,
                           altitude_m=0.0, antenna_count=1, min_elevation_deg=90.0)
@@ -160,9 +175,10 @@ def test_initial_queue_count_form():
     assert len(units) == 4
     assert all(u.size_bytes == 2 for u in units)
 
-    obj["satellites"][0]["initial_queue"] = {"count": -1, "unit_size_bytes": 2}
-    with pytest.raises(ValidationError, match="count"):
-        scenario_from_dict(obj)
+    for count in (-1, MAX_QUEUE_UNITS + 1):
+        obj["satellites"][0]["initial_queue"] = {"count": count, "unit_size_bytes": 2}
+        with pytest.raises(ValidationError, match="count"):
+            scenario_from_dict(obj)
 
 
 def test_accessors():
@@ -270,7 +286,7 @@ def test_round_trip_structural(tmp_path):
 def test_round_trip_with_orbits(tmp_path):
     from orbitsiege.synth import build_constellation
 
-    scenario = build_constellation(n_low=2, n_high=2, n_stations=3, hours=2)
+    scenario = build_constellation(n_low=2, n_high=2, n_stations=3, slot_seconds=3600)
     path = str(tmp_path / "constellation.json")
     save_scenario(scenario, path)
     again = load_scenario(path)

@@ -202,7 +202,7 @@ def test_assign_slot_ignores_high_priority_rows():
 
 
 def test_build_schedule_covers_only_target_slots(monkeypatch):
-    scenario = build_constellation(n_low=4, n_high=2, n_stations=3, hours=6)
+    scenario = build_constellation(n_low=4, n_high=2, n_stations=3, slot_seconds=1200)
     windows = compute_contact_windows(scenario)
     target = scenario.target.satellite_id
     rows = [w(sat, st, slot, e) for slot, sat, st, e in windows.rows()]
