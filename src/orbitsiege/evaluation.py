@@ -334,6 +334,12 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
         if count < 0 or count > len(highs):
             raise ValidationError(
                 f"n_high {count} outside [0, {len(highs)}]")
+        if scenario.attackability is not None and count < len(highs):
+            # an inline ladder is not derived from geometry, so it would not
+            # change with the satellites dropped
+            raise ValidationError(
+                f"n_high {count} drops high-priority satellites, which an inline "
+                f"attackability ladder does not depend on")
         keep = {s.id for s in highs[:count]}
         satellites = tuple(s for s in scenario.satellites
                            if s.priority == "low" or s.id in keep)

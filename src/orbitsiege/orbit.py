@@ -10,6 +10,13 @@ approximation against a dense-time scan.
 position at every slot midpoint as one array. Contact windows take their
 elevations from it, and the scheduler its slant ranges.
 
+Elevations are computed only where a station can see the satellite: the
+(slot, station) pairs below the station's horizon plane are culled first,
+with a plane test of one matrix product. That is exact because every
+station's `min_elevation_deg` is at least 0, so a culled pair could not
+pass; the test is offset by HORIZON_MARGIN_M so that rounding cannot cull
+a pair at the horizon itself.
+
 Contact windows are one `ContactWindows` value of parallel columns, built,
 written, read and grouped by slot without a Python object per window.
 """
@@ -39,6 +46,9 @@ GMST_RATE_DEG_PER_DAY = 360.98564736629
 MAX_ELEMENT_AGE_DAYS = 31
 LEO_RADIUS_MIN_M = 6_400_000.0
 LEO_RADIUS_MAX_M = 9_000_000.0
+# how far below a station's horizon plane a satellite may lie and still have
+# its elevation computed; rounding in the plane test is nanometres at LEO radii
+HORIZON_MARGIN_M = 1_000.0
 
 
 def _ranks(ids: tuple[str, ...]) -> np.ndarray:
@@ -46,6 +56,17 @@ def _ranks(ids: tuple[str, ...]) -> np.ndarray:
     ranks = np.empty(len(ids), dtype=np.intp)
     ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return ranks
+
+
+def _non_decreasing(keys: tuple[np.ndarray, ...]) -> bool:
+    """Whether the rows of these key columns, most significant first, are
+    in lexicographic order, ties allowed."""
+    before = np.zeros(max(len(keys[0]) - 1, 0), dtype=bool)
+    tied = np.ones_like(before)
+    for key in keys:
+        before |= tied & (key[:-1] < key[1:])
+        tied &= key[:-1] == key[1:]
+    return bool((before | tied).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,15 +89,19 @@ class ContactWindows:
     @classmethod
     def sorted(cls, satellite_ids, station_ids, slot, satellite, station,
                elevation_deg) -> ContactWindows:
-        """Columns in any order, stably sorted by (slot, satellite id, station id)."""
+        """Columns in any order, stably sorted by (slot, satellite id, station id);
+        columns already in that order are taken as they are."""
         satellite_ids, station_ids = tuple(satellite_ids), tuple(station_ids)
         slot = np.asarray(slot, dtype=np.int64)
         satellite = np.asarray(satellite, dtype=np.intp)
         station = np.asarray(station, dtype=np.intp)
-        order = np.lexsort((_ranks(station_ids)[station], _ranks(satellite_ids)[satellite],
-                            slot))
+        elevation_deg = np.asarray(elevation_deg, dtype=float)
+        keys = (slot, _ranks(satellite_ids)[satellite], _ranks(station_ids)[station])
+        if _non_decreasing(keys):  # as a file this module wrote reads back
+            return cls(satellite_ids, station_ids, slot, satellite, station, elevation_deg)
+        order = np.lexsort(keys[::-1])
         return cls(satellite_ids, station_ids, slot[order], satellite[order], station[order],
-                   np.asarray(elevation_deg, dtype=float)[order])
+                   elevation_deg[order])
 
     def __len__(self) -> int:
         return len(self.slot)
@@ -160,14 +185,26 @@ def propagate(elements: TleElements, grid: TimeGrid) -> np.ndarray:
 
 
 def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
-    """Per-slot visibility for every satellite/station pair, at slot midpoints."""
+    """Per-slot visibility for every satellite/station pair, at slot midpoints.
+
+    Pairs below the station's horizon plane are culled first: a pair is
+    kept when the satellite's position, projected on the station's zenith,
+    exceeds the station's radius less HORIZON_MARGIN_M. Every station's
+    `min_elevation_deg` is at least 0, so no culled pair could pass its
+    threshold; the margin keeps a pair at the horizon itself that rounding
+    in the projection would put just below. The kept pairs' elevations are
+    computed element by element as for the full grid, so the windows are
+    the same to the bit.
+    """
     # slot, satellite, station, elevation: each starts with an empty part,
     # so a world without contacts concatenates too
     columns: tuple[list, ...] = ([np.empty(0, np.intp)], [np.empty(0, np.intp)],
                                  [np.empty(0, np.intp)], [np.empty(0)])
     if scenario.stations:
         station_pos = np.array([station_ecef_m(st) for st in scenario.stations])
-        zenith = station_pos / np.linalg.norm(station_pos, axis=1, keepdims=True)
+        station_norm = np.linalg.norm(station_pos, axis=1, keepdims=True)
+        zenith = station_pos / station_norm
+        horizon = station_norm[:, 0] - HORIZON_MARGIN_M
         thresholds = np.array([st.min_elevation_deg for st in scenario.stations])
         for index, sat in enumerate(scenario.satellites):
             if sat.orbit is None:
@@ -177,13 +214,15 @@ def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
                 pos = propagate(sat.orbit, scenario.time)
             except ValidationError as exc:
                 raise ValidationError(f"satellite {sat.id}: {exc}") from exc
-            los = pos[:, None, :] - station_pos[None, :, :]
-            los_norm = np.linalg.norm(los, axis=2)
-            sin_elev = np.einsum("tsk,sk->ts", los, zenith) / los_norm
+            slot_idx, st_idx = np.nonzero(pos @ zenith.T > horizon)
+            los = pos[slot_idx] - station_pos[st_idx]
+            los_norm = np.linalg.norm(los, axis=1)
+            sin_elev = np.einsum("pk,pk->p", los, zenith[st_idx]) / los_norm
             elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
-            slot_idx, st_idx = np.nonzero(elev >= thresholds[None, :])
+            seen = elev >= thresholds[st_idx]
+            slot_idx, st_idx = slot_idx[seen], st_idx[seen]
             for column, part in zip(columns, (slot_idx, np.full(len(slot_idx), index),
-                                              st_idx, elev[slot_idx, st_idx])):
+                                              st_idx, elev[seen])):
                 column.append(part)
     return ContactWindows.sorted(
         [s.id for s in scenario.satellites], [st.id for st in scenario.stations],
@@ -207,11 +246,14 @@ def windows_csv_text(windows: ContactWindows) -> str:
     built CHUNK_ROWS rows at a time."""
     satellites = [_csv_cell(sid) for sid in windows.satellite_ids]
     stations = [_csv_cell(sid) for sid in windows.station_ids]
+    # each distinct slot is formatted once
+    slots, slot_of_row = np.unique(windows.slot, return_inverse=True)
+    slot_texts = list(map(str, slots.tolist()))
     pieces = [HEADER_LINE + "\n"]
     for first in range(0, len(windows), CHUNK_ROWS):
         part = windows[first:first + CHUNK_ROWS]
         pieces.append("\n".join(map(",".join, zip(
-            map(str, part.slot.tolist()),
+            map(slot_texts.__getitem__, slot_of_row[first:first + CHUNK_ROWS].tolist()),
             map(satellites.__getitem__, part.satellite.tolist()),
             map(stations.__getitem__, part.station.tolist()),
             fmt_floats(part.elevation_deg)))) + "\n")

@@ -4,7 +4,9 @@ Everything here is deliberately naive: unit-level FIFO replay, exhaustive
 subset search, permutation brute force, dense-grid geometry, a row-by-row
 window CSV reader. These trade
 speed for obviousness and serve as ground truth for the fast paths in
-``orbitsiege``. None of them import the package.
+``orbitsiege``. None of them import the package, except
+``dense_contact_windows``, which takes its positions from the package's
+propagation (``scan_contact_slots`` checks that on its own).
 """
 
 import itertools
@@ -219,6 +221,40 @@ def scan_contact_slots(inclination_deg, raan_deg, arg_perigee_deg,
         if best >= min_elev_deg:
             out[slot] = best
     return out
+
+
+def dense_contact_windows(scenario):
+    """Contact windows from the elevation of every (slot, station) pair of
+    every satellite, none culled: the slot, satellite index, station index
+    and elevation columns, sorted by slot, satellite id and station id.
+    """
+    import numpy as np
+
+    from orbitsiege.orbit import propagate, station_ecef_m
+
+    columns = ([np.empty(0, np.intp)], [np.empty(0, np.intp)],
+               [np.empty(0, np.intp)], [np.empty(0)])
+    if scenario.stations:
+        station_pos = np.array([station_ecef_m(st) for st in scenario.stations])
+        zenith = station_pos / np.linalg.norm(station_pos, axis=1, keepdims=True)
+        thresholds = np.array([st.min_elevation_deg for st in scenario.stations])
+        for index, sat in enumerate(scenario.satellites):
+            pos = propagate(sat.orbit, scenario.time)
+            los = pos[:, None, :] - station_pos[None, :, :]
+            los_norm = np.linalg.norm(los, axis=2)
+            sin_elev = np.einsum("tsk,sk->ts", los, zenith) / los_norm
+            elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
+            slot_idx, st_idx = np.nonzero(elev >= thresholds[None, :])
+            for column, part in zip(columns, (slot_idx, np.full(len(slot_idx), index),
+                                              st_idx, elev[slot_idx, st_idx])):
+                column.append(part)
+    slot, satellite, station, elevation = map(np.concatenate, columns)
+    sat_ids = [s.id for s in scenario.satellites]
+    st_ids = [st.id for st in scenario.stations]
+    sat_rank = np.array([sorted(sat_ids).index(sid) for sid in sat_ids], dtype=np.intp)
+    st_rank = np.array([sorted(st_ids).index(sid) for sid in st_ids], dtype=np.intp)
+    order = np.lexsort((st_rank[station], sat_rank[satellite], slot))
+    return slot[order], satellite[order], station[order], elevation[order]
 
 
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]

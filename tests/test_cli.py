@@ -8,6 +8,7 @@ import json
 import math
 import shutil
 import subprocess
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -782,6 +783,22 @@ def test_sweep_with_no_point_run_exits_two(capsys, s0_path, tmp_path):
     assert code == 2 and printed == ""
     assert err == "error: n_high 5 outside [0, 0]\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_n_high_that_drops_satellites_on_an_inline_ladder_is_skipped(capsys, tmp_path):
+    scenario = load_scenario(bundled("constellation_24h"))
+    inline = tmp_path / "inline.json"
+    save_scenario(replace(scenario, attackability=tuple(attackability_for(scenario))),
+                  str(inline))
+    error = "n_high 0 drops high-priority satellites, which an inline attackability " \
+            "ladder does not depend on"
+    code, printed, err = run_cli(capsys, "sweep", "--scenario", str(inline), "--axis",
+                                 "n_high", "--values", "20,0", "--trials", "4")
+    assert code == 0 and printed.count("\nn_high,20,") == 1
+    assert err == f"note: point 0 skipped: {error}\n"
+    code, printed, err = run_cli(capsys, "sweep", "--scenario", str(inline), "--axis",
+                                 "n_high", "--values", "0", "--trials", "4")
+    assert (code, printed, err) == (2, "", f"error: {error}\n")
 
 
 def test_json_format_artifacts(capsys, s0_path, tmp_path):

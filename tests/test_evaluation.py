@@ -502,6 +502,18 @@ def test_sweep_captures_per_point_errors():
     assert len(aggregate_table(result)[1]) == 1
 
 
+def test_n_high_that_drops_satellites_is_refused_on_an_inline_ladder():
+    # constellation_24h with its own ladder inlined: a point that drops
+    # high-priority satellites would replay the same ladder, so it is refused
+    scenario = load_bundled("constellation_24h")
+    inline = replace(scenario, attackability=tuple(attackability_for(scenario)))
+    result = sweep(inline, make_config(axis="n_high", values=(20, 0), trials=4))
+    assert result.points[0].error is None
+    assert result.points[0].cost == 1500.0
+    assert result.errors == ((0, "n_high 0 drops high-priority satellites, which an "
+                                 "inline attackability ladder does not depend on"),)
+
+
 def test_sweep_group_sizes_split_the_trials():
     # SEED_GROUPS groups, or one per trial when there are fewer trials
     scenario = load_bundled("s0")

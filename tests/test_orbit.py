@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RowError, load_window_rows, scan_contact_slots
+from oracles import RowError, dense_contact_windows, load_window_rows, scan_contact_slots
 from orbitsiege import (
     ContactWindows,
     OrbitSiegeError,
@@ -25,10 +25,11 @@ from orbitsiege import (
     load_scenario,
 )
 from orbitsiege import orbit
-from orbitsiege.orbit import (EARTH_RADIUS_M, J2000, propagate, save_contact_windows,
+from orbitsiege.orbit import (EARTH_RADIUS_M, J2000, LEO_RADIUS_MAX_M, LEO_RADIUS_MIN_M,
+                              MU_EARTH_M3_S2, propagate, save_contact_windows,
                               semi_major_axis_m, windows_csv_text)
-from orbitsiege.scenario import (ConstellationScenario, CostModel, DataUnit,
-                                 GroundStationSpec, SatelliteSpec, TargetSpec,
+from orbitsiege.scenario import (STATION_ALTITUDE_RANGE_M, ConstellationScenario,
+                                 CostModel, DataUnit, GroundStationSpec, SatelliteSpec, TargetSpec,
                                  TimeGrid, TleElements)
 from orbitsiege.output import csv_text, fmt_cell, fmt_floats
 
@@ -207,6 +208,50 @@ def test_windows_match_scalar_scan():
             assert elevation == pytest.approx(expected[slot], abs=1e-6)
 
 
+def mean_motion_at(radius_m):
+    """The mean motion in rev/day of a circular orbit of this radius."""
+    return math.sqrt(MU_EARTH_M3_S2 / radius_m ** 3) * 86400.0 / (2.0 * math.pi)
+
+
+@st.composite
+def culled_worlds(draw):
+    """Small worlds whose pairs sit near the cull's edges: stations at the
+    altitude bounds, at the poles and on the equator, thresholds of 0, and
+    orbits just inside either edge of the LEO band."""
+    angle = st.floats(0.0, 360.0)
+    radius = st.one_of(st.sampled_from([LEO_RADIUS_MIN_M + 1.0, LEO_RADIUS_MAX_M - 1.0]),
+                       st.floats(LEO_RADIUS_MIN_M + 1.0, LEO_RADIUS_MAX_M - 1.0))
+    satellites = [TleElements(
+        inclination_deg=draw(st.floats(0.0, 180.0)), raan_deg=draw(angle), eccentricity=0.0,
+        arg_perigee_deg=draw(angle), mean_anomaly_deg=draw(angle),
+        mean_motion_rev_per_day=mean_motion_at(draw(radius)), epoch=EPOCH)
+        for _ in range(draw(st.integers(1, 3)))]
+    stations = [GroundStationSpec(
+        id=f"gs-{i}",
+        latitude_deg=draw(st.one_of(st.sampled_from([-90.0, 0.0, 90.0]),
+                                    st.floats(-90.0, 90.0))),
+        longitude_deg=draw(st.floats(-180.0, 180.0)),
+        altitude_m=draw(st.one_of(st.sampled_from(STATION_ALTITUDE_RANGE_M),
+                                  st.floats(*STATION_ALTITUDE_RANGE_M))),
+        antenna_count=1,
+        min_elevation_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0))))
+        for i in range(draw(st.integers(1, 4)))]
+    return windows_scenario(satellites, stations, horizon=draw(st.integers(1, 200)),
+                            slot_seconds=draw(st.sampled_from([20, 60, 300])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=culled_worlds())
+def test_culled_windows_equal_the_dense_grid(scenario):
+    """The horizon cull drops no window and changes no bit of an elevation."""
+    windows = compute_contact_windows(scenario)
+    slot, satellite, station, elevation = dense_contact_windows(scenario)
+    assert np.array_equal(windows.slot, slot)
+    assert np.array_equal(windows.satellite, satellite)
+    assert np.array_equal(windows.station, station)
+    assert np.array_equal(windows.elevation_deg.view(np.int64), elevation.view(np.int64))
+
+
 def test_windows_sorted_and_thresholded():
     rng = np.random.default_rng(9)
     sats = [random_elements(rng) for _ in range(3)]
@@ -273,15 +318,44 @@ def test_fmt_floats_is_fmt_cell():
     assert fmt_floats(values) == [fmt_cell(v) for v in values.tolist()]
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-2, 3), st.integers(0, 2), st.integers(0, 2),
+                               st.sampled_from([0.0, 5.5, 45.0])), max_size=12),
+       presort=st.sampled_from(["none", "slot", "index", "ids"]))
+def test_sorted_orders_rows_by_slot_and_ids(rows, presort):
+    """Rows already in order, in slot order only, in index order (which is
+    not id order here) or in no order all come out stably sorted by
+    (slot, satellite id, station id)."""
+    satellite_ids, station_ids = ("obs-b", "obs-c", "obs-a"), ("gs-2", "gs-1", "gs-3")
+
+    def ids(row):
+        return row[0], satellite_ids[row[1]], station_ids[row[2]]
+
+    key = {"none": None, "slot": lambda row: row[0], "index": lambda row: row[:3],
+           "ids": ids}[presort]
+    if key is not None:
+        rows = sorted(rows, key=key)
+    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
+    windows = ContactWindows.sorted(satellite_ids, station_ids, *columns)
+    expected = [(*ids(row), row[3]) for row in sorted(rows, key=ids)]
+    assert windows.rows() == expected
+    assert (windows.slot.dtype, windows.satellite.dtype, windows.station.dtype,
+            windows.elevation_deg.dtype) == (np.int64, np.intp, np.intp, np.float64)
+
+
 def test_windows_csv_text_is_csv_text():
-    # ids that csv.writer must quote, and more rows than one chunk
+    # ids that csv.writer must quote, more rows than one chunk, a negative
+    # slot, the last slot a grid may hold, and slots 0 and 1 repeated across
+    # chunk boundaries; the rows reversed are out of slot order
     windows = ContactWindows.sorted(
         ["obs,1", 'rush "2"', "plain"], ["gs-01", "gs\n02"],
-        [3, 1, 2, 1, 0] * 3, [0, 1, 2, 0, 1] * 3, [1, 0, 1, 1, 0] * 3,
-        [45.0, 12.345678, -0.0, 90.0, 7.25] * 3)
-    with mock.patch.object(orbit, "CHUNK_ROWS", 4):
-        text = windows_csv_text(windows)
-    assert text == csv_text(orbit.WINDOW_HEADER, windows.rows())
+        [3, 1, 2, 1, 0] * 3 + [-7, 32_767, 32_767, -7],
+        [0, 1, 2, 0, 1] * 3 + [2, 0, 1, 1], [1, 0, 1, 1, 0] * 3 + [0, 1, 0, 1],
+        [45.0, 12.345678, -0.0, 90.0, 7.25] * 3 + [3.5, 0.0, 89.999999, 1e-7])
+    for rows in (windows, windows[::-1]):
+        with mock.patch.object(orbit, "CHUNK_ROWS", 4):
+            text = windows_csv_text(rows)
+        assert text == csv_text(orbit.WINDOW_HEADER, rows.rows())
 
 
 def test_window_load_validates(tmp_path):
