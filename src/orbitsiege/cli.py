@@ -186,7 +186,7 @@ def _cmd_sweep(args) -> int:
 def _add_common(p, windows=True) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     if windows:
-        p.add_argument("--windows", help="precomputed contact windows (skips propagation)")
+        p.add_argument("--windows", help="windows CSV (skips the contact-window computation)")
     p.add_argument("--out", help="output artifact path")
 
 

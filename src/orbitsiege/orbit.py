@@ -8,7 +8,9 @@ approximation against a dense-time scan.
 
 `propagate` is the one geometry path: it gives a satellite's Earth-fixed
 position at every slot midpoint as one array. Contact windows take their
-elevations from it, and the scheduler its slant ranges.
+elevations from it, and the scheduler its slant ranges. It also states the
+one rule of geometry, that it needs orbit elements: a satellite without
+them is refused there, and every error it raises names the satellite.
 
 Elevations are computed only where a station can see the satellite: the
 (slot, station) pairs below the station's horizon plane are culled first,
@@ -35,7 +37,8 @@ import numpy as np
 
 from .errors import IoError, OutOfHorizon, ParseError, StaleElements, ValidationError
 from .output import emit, fmt_floats, write_text_atomic
-from .scenario import ConstellationScenario, GroundStationSpec, TimeGrid, TleElements
+from .scenario import (ConstellationScenario, GroundStationSpec, SatelliteSpec, TimeGrid,
+                       TleElements)
 
 MU_EARTH_M3_S2 = 3.986004418e14
 EARTH_RADIUS_M = 6_371_000.0
@@ -131,12 +134,6 @@ def semi_major_axis_m(elements: TleElements) -> float:
     return (MU_EARTH_M3_S2 / (n_rad_s * n_rad_s)) ** (1.0 / 3.0)
 
 
-def _check_staleness(elements: TleElements, at: datetime) -> None:
-    dt = (at - elements.epoch).total_seconds()
-    if abs(dt) > MAX_ELEMENT_AGE_DAYS * 86400.0:
-        raise StaleElements(f"elements are {abs(dt) / 86400.0:.1f} days from epoch")
-
-
 def station_ecef_m(station: GroundStationSpec) -> tuple[float, float, float]:
     lat = math.radians(station.latitude_deg)
     lon = math.radians(station.longitude_deg)
@@ -146,20 +143,28 @@ def station_ecef_m(station: GroundStationSpec) -> tuple[float, float, float]:
             r * math.sin(lat))
 
 
-def propagate(elements: TleElements, grid: TimeGrid) -> np.ndarray:
-    """ECEF positions at every slot midpoint of the grid, shape (horizon, 3).
+def propagate(sat: SatelliteSpec, grid: TimeGrid) -> np.ndarray:
+    """The satellite's ECEF positions at every slot midpoint of the grid,
+    shape (horizon, 3).
 
-    Raises StaleElements when the grid reaches further than 31 days from the
-    element epoch, and ValidationError when the orbit leaves the LEO band.
+    Every error names the satellite. Raises ValidationError when it has no
+    orbit elements or its orbit leaves the LEO band, and StaleElements when
+    the grid reaches further than 31 days from the element epoch.
     """
+    elements = sat.orbit
+    if elements is None:
+        raise ValidationError(f"satellite {sat.id}: orbit elements required")
     a = semi_major_axis_m(elements)
     n_rad_s = elements.mean_motion_rev_per_day * 2.0 * math.pi / 86400.0
-    _check_staleness(elements, grid.slot_midpoint(0))
-    _check_staleness(elements, grid.slot_midpoint(grid.last_slot))
+    for at in (grid.slot_midpoint(0), grid.slot_midpoint(grid.last_slot)):
+        age_s = abs((at - elements.epoch).total_seconds())
+        if age_s > MAX_ELEMENT_AGE_DAYS * 86400.0:
+            raise StaleElements(
+                f"satellite {sat.id}: elements are {age_s / 86400.0:.1f} days from epoch")
     # the model's orbits are circles of radius a, so the band check needs no
     # positions, and a mean motion far out of band never reaches the trig
     if not LEO_RADIUS_MIN_M <= a <= LEO_RADIUS_MAX_M:
-        raise ValidationError("orbit radius outside the LEO band")
+        raise ValidationError(f"satellite {sat.id}: orbit radius outside the LEO band")
 
     slots = np.arange(grid.horizon_slots)
     offset = (grid.epoch - elements.epoch).total_seconds()
@@ -207,13 +212,7 @@ def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
         horizon = station_norm[:, 0] - HORIZON_MARGIN_M
         thresholds = np.array([st.min_elevation_deg for st in scenario.stations])
         for index, sat in enumerate(scenario.satellites):
-            if sat.orbit is None:
-                raise ValidationError(
-                    f"satellite {sat.id}: orbit elements required for windows")
-            try:
-                pos = propagate(sat.orbit, scenario.time)
-            except ValidationError as exc:
-                raise ValidationError(f"satellite {sat.id}: {exc}") from exc
+            pos = propagate(sat, scenario.time)
             slot_idx, st_idx = np.nonzero(pos @ zenith.T > horizon)
             los = pos[slot_idx] - station_pos[st_idx]
             los_norm = np.linalg.norm(los, axis=1)

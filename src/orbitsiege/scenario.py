@@ -32,8 +32,8 @@ MAX_HORIZON_SLOTS = 32_768
 # the assignment matrix holds one column per antenna; no real ground
 # station comes near this many
 MAX_ANTENNA_COUNT = 1024
-# the most units an initial_queue count may expand to: a sweep batch of
-# 1024 trials then draws at most 512 MiB of int64 unit sizes
+# the most units an initial_queue may hold, as a count or a list: a sweep
+# batch of 1024 trials then draws at most 512 MiB of int64 unit sizes
 MAX_QUEUE_UNITS = 65_536
 # a ground station stands between the deepest ocean floor and the highest
 # summit; far outside, its position overflows in the elevation geometry
@@ -348,13 +348,15 @@ def _parse_initial_queue(obj: dict | None, sat_id: str) -> tuple[DataUnit, ...]:
     obj = _obj(obj, where)
     if "unit_sizes" in obj:
         label = f"{where}.unit_sizes"
-        sizes = [_int(s, label) for s in _list(obj["unit_sizes"], label)]
+        cells = _list(obj["unit_sizes"], label)
+        count = len(cells)
     else:
-        count = _int(_require(obj, "count", where), f"{where}.count")
+        label = f"{where}.count"
+        count = _int(_require(obj, "count", where), label)
         size = _int(_require(obj, "unit_size_bytes", where), f"{where}.unit_size_bytes")
-        if not 0 <= count <= MAX_QUEUE_UNITS:
-            raise ValidationError(f"{where}.count: outside [0, {MAX_QUEUE_UNITS}]")
-        sizes = [size] * count
+    if not 0 <= count <= MAX_QUEUE_UNITS:
+        raise ValidationError(f"{label}: {count} units, outside [0, {MAX_QUEUE_UNITS}]")
+    sizes = [_int(s, label) for s in cells] if "unit_sizes" in obj else [size] * count
     return tuple(
         DataUnit(f"init-{i:03d}", sat_id, 0, size)
         for i, size in enumerate(sizes, start=1)

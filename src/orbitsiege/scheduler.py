@@ -2,13 +2,14 @@
 
 Low-priority satellites compete for antennas on stations they can see; one
 assignment solve per slot serves as many as possible at the least total
-proximity cost (Hungarian). A station's antennas are identical columns, so
-optima that differ only in antenna numbering give the same `served` set and
-idle counts, which is all attackability reads. High-priority tasking
-preempts: it must fill every idle antenna on the stations the target satellite
-sees, plus the antenna serving the target itself, so the number of distinct
-high-priority satellites visible on those stations bounds which slots are
-attackable and at what cost.
+slant range (Hungarian), from the positions `orbit.propagate` gives, so a
+visible low-priority satellite needs orbit elements. A station's antennas
+are identical columns, so optima that differ only in antenna numbering give
+the same `served` set and idle counts, which is all attackability reads.
+High-priority tasking preempts: it must fill every idle antenna on the
+stations the target satellite sees, plus the antenna serving the target
+itself, so the number of distinct high-priority satellites visible on those
+stations bounds which slots are attackable and at what cost.
 
 Attackability reads the assignment only where the target has a contact
 window, so `build_schedule` assigns antennas in those slots alone; every
@@ -64,31 +65,28 @@ def assign_slot(scenario: ConstellationScenario, windows_at_slot: ContactWindows
                 slot: int, positions: dict[str, np.ndarray]) -> SlotSchedule:
     """Hungarian assignment of visible low-priority satellites to antennas.
 
-    Proximity cost is the slant range at the slot midpoint when `positions`
-    (satellite id -> output of `propagate`) holds every visible satellite,
-    else (90 - elevation) from the window rows as a monotone stand-in.
+    The cost of a pair is its slant range at the slot midpoint, from
+    `positions` (satellite id -> output of `propagate`), which must hold
+    every visible low-priority satellite.
     """
     elsewhere = np.flatnonzero(windows_at_slot.slot != slot)
     if len(elsewhere):
         raise ValidationError(f"window at slot {windows_at_slot.slot[elsewhere[0]]} "
                               f"passed to slot {slot}")
     low_ids = {s.id for s in scenario.low_satellites}
-    elev = {(sid, st_id): e for _, sid, st_id, e in windows_at_slot.rows() if sid in low_ids}
+    visible = {(sid, st_id) for _, sid, st_id, _ in windows_at_slot.rows() if sid in low_ids}
 
-    sats = sorted({sid for sid, _ in elev})
-    seen = {st_id for _, st_id in elev}
+    sats = sorted({sid for sid, _ in visible})
+    seen = {st_id for _, st_id in visible}
     stations = [st for st in sorted(scenario.stations, key=lambda s: s.id) if st.id in seen]
 
-    use_range = all(sid in positions for sid in sats)
-    station_pos = [station_ecef_m(st) for st in stations] if use_range else []
+    station_pos = [station_ecef_m(st) for st in stations]
     row = {sid: i for i, sid in enumerate(sats)}
     column = {st.id: j for j, st in enumerate(stations)}
     matrix = np.full((len(sats), len(stations)), math.inf)
-    for (sid, st_id), e in elev.items():
-        if st_id in column:
-            j = column[st_id]
-            matrix[row[sid], j] = (math.dist(positions[sid][slot], station_pos[j])
-                                   if use_range else 90.0 - e)
+    for sid, st_id in visible:
+        j = column[st_id]
+        matrix[row[sid], j] = math.dist(positions[sid][slot], station_pos[j])
 
     # one column per antenna; a station's antennas are adjacent and identical
     antennas = [st.antenna_count for st in stations]
@@ -103,17 +101,17 @@ def build_schedule(scenario: ConstellationScenario,
                    windows: ContactWindows) -> list[SlotSchedule]:
     """Assignments for the slots where the target has a contact window.
 
-    Each low-priority satellite visible in those slots is propagated once.
+    Each low-priority satellite visible in those slots is propagated once,
+    so each must have orbit elements, windows read from a file included.
     """
     slots = np.unique(windows.slot[windows.of_satellite(scenario.target.satellite_id)])
     starts = np.searchsorted(windows.slot, slots, side="left")
     ends = np.searchsorted(windows.slot, slots, side="right")
 
-    orbits = {s.id: s.orbit for s in scenario.low_satellites if s.orbit is not None}
     seen = np.unique(windows.satellite[np.isin(windows.slot, slots)])
     visible = {windows.satellite_ids[i] for i in seen.tolist()}
-    positions = {sid: propagate(orbits[sid], scenario.time)
-                 for sid in sorted(visible & orbits.keys())}
+    positions = {s.id: propagate(s, scenario.time)
+                 for s in scenario.low_satellites if s.id in visible}
     return [assign_slot(scenario, windows[start:end], t, positions)
             for t, start, end in zip(slots.tolist(), starts.tolist(), ends.tolist())]
 

@@ -239,7 +239,7 @@ def dense_contact_windows(scenario):
         zenith = station_pos / np.linalg.norm(station_pos, axis=1, keepdims=True)
         thresholds = np.array([st.min_elevation_deg for st in scenario.stations])
         for index, sat in enumerate(scenario.satellites):
-            pos = propagate(sat.orbit, scenario.time)
+            pos = propagate(sat, scenario.time)
             los = pos[:, None, :] - station_pos[None, :, :]
             los_norm = np.linalg.norm(los, axis=2)
             sin_elev = np.einsum("tsk,sk->ts", los, zenith) / los_norm

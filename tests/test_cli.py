@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bundled import bundled_path as bundled
 from orbitsiege.cli import main
+from orbitsiege.orbit import compute_contact_windows, windows_csv_text
 from orbitsiege.scenario import load_scenario, save_scenario
 from orbitsiege.scheduler import attackability_for
 from orbitsiege.synth import build_constellation
@@ -191,17 +192,26 @@ def test_windows_without_stations_is_empty(capsys, s0_path):
     assert out.splitlines() == ["slot,satellite_id,station_id,elevation_deg"]
 
 
-def test_windows_need_orbits(capsys, tmp_path, s0_path):
-    with open(s0_path) as fh:
-        doc = json.load(fh)
+@pytest.mark.parametrize("command", [["windows"], ["schedule", "--windows", "{hand_written}"]],
+                         ids=["windows", "schedule-windows"])
+def test_windows_need_orbits(capsys, tmp_path, command):
+    # s0 without its inline ladder and with one station: obs-1 has no orbit
+    # elements, so its geometry is refused whether the windows are computed
+    # or read from a hand-written file the schedule would cost
+    doc = bundled_doc("s0")
+    del doc["attackability"]
     doc["stations"] = [{"id": "gs-01", "latitude_deg": 10.0,
                         "longitude_deg": 20.0, "altitude_m": 0.0,
                         "antenna_count": 1, "min_elevation_deg": 5.0}]
     grounded = tmp_path / "grounded.json"
     grounded.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "windows", "--scenario", str(grounded))
-    assert code == 2
-    assert "orbit elements required" in err
+    hand_written = tmp_path / "windows.csv"
+    hand_written.write_text("slot,satellite_id,station_id,elevation_deg\n"
+                            "0,obs-1,gs-01,45\n1,obs-1,gs-01,45\n")
+    argv = [arg.format(hand_written=hand_written) for arg in command]
+    code, out, err = run_cli(capsys, *argv, "--scenario", str(grounded))
+    assert code == 2 and out == ""
+    assert err == "error: satellite obs-1: orbit elements required\n"
 
 
 def test_windows_takes_no_windows_option(capsys, s0_path, tmp_path):
@@ -553,9 +563,33 @@ def scenario_edits(draw):
                                min_size=1, max_size=2))
 
 
+def assert_exit_code_contract(argv):
+    """Run the CLI in-process: it exits 0, 1 or 2 and prints no traceback;
+    1 only for an infeasible attack or a verify report that is not ok, 2
+    only with an error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and argv[0] == "verify":
+        assert json.loads(out.getvalue())["ok"] is False
+    elif code == 1:
+        assert out.getvalue().startswith("attack infeasible:")
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+
+
+# each command that reads a scenario, with the options it needs
+FUZZED_COMMANDS = {
+    "simulate": [], "plan-delay": [], "plan-overflow": [],
+    "sweep": ["--axis", "extra_M", "--values", "0", "--trials", "4"],
+    "verify": ["--slots", "3,4"],
+}
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=scenario_edits(), command=st.sampled_from(["simulate", "plan-delay",
-                                                       "plan-overflow"]))
+@given(case=scenario_edits(), command=st.sampled_from(sorted(FUZZED_COMMANDS)))
 @example(case=("constellation_24h", [(("stations", 0, "antenna_count"), 10**12)]),
          command="simulate")
 @example(case=("constellation_24h", [(("stations", 11, "antenna_count"), 1e308)]),
@@ -567,18 +601,56 @@ def scenario_edits(draw):
          command="plan-overflow")
 def test_mutated_scenario_fields_keep_the_exit_code_contract(tmp_path_factory, case, command):
     """A scenario with fields removed or replaced by wrong types and extreme
-    numbers runs, is found infeasible, or is refused with exit code 2."""
+    numbers runs, is found infeasible or fails verification, or is refused
+    with exit code 2."""
     path = tmp_path_factory.mktemp("scenario") / "scenario.json"
     path.write_text(json.dumps(mutated(*case)), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--scenario", str(path)])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 1:
-        assert out.getvalue().startswith("attack infeasible:")
-    if code == 2:
-        assert err.getvalue().startswith("error:")
+    assert_exit_code_contract([command, "--scenario", str(path), *FUZZED_COMMANDS[command]])
+
+
+# the rows of constellation_24h's windows CSV, as `windows --out` writes them
+WINDOW_LINES = windows_csv_text(compute_contact_windows(
+    load_scenario(bundled("constellation_24h")))).splitlines()
+# wrong types, huge, negative and non-finite numbers, an unknown id, and
+# cells that break the row's shape or its quoting
+WINDOW_CELLS = st.sampled_from([
+    "x", "", "1.5", "9" * 30, "-9" + "9" * 30, "-1", "-45", "1e308", "-1e308", "1e400",
+    "nan", "inf", "-inf", "ghost", "a,b", '"'])
+ROW = st.integers(0, len(WINDOW_LINES) - 2)
+# (what, row, other row, column, cell): a cell replaced, a row removed,
+# duplicated to another place, or swapped with another row
+WINDOW_EDITS = st.lists(st.tuples(st.sampled_from(["cell", "remove", "duplicate", "swap"]),
+                                  ROW, ROW, st.integers(0, 3), WINDOW_CELLS),
+                        min_size=1, max_size=3)
+
+
+def mutated_windows(edits):
+    """The windows CSV with each edit applied in turn."""
+    rows = WINDOW_LINES[1:]
+    for what, i, j, column, cell in edits:
+        i, j = i % len(rows), j % len(rows)
+        if what == "cell":
+            cells = rows[i].split(",")
+            cells[column] = cell
+            rows[i] = ",".join(cells)
+        elif what == "remove":
+            del rows[i]
+        elif what == "duplicate":
+            rows.insert(j, rows[i])
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    return "\n".join([WINDOW_LINES[0], *rows, ""])
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=WINDOW_EDITS, command=st.sampled_from(["schedule", "plan-delay"]))
+def test_mutated_window_rows_keep_the_exit_code_contract(tmp_path_factory, edits, command):
+    """A windows file with cells replaced or rows removed, duplicated or
+    swapped is read, or refused with exit code 2."""
+    path = tmp_path_factory.mktemp("windows") / "windows.csv"
+    path.write_text(mutated_windows(edits), encoding="utf-8")
+    assert_exit_code_contract([command, "--scenario", bundled("constellation_24h"),
+                               "--windows", str(path)])
 
 
 # time grids that once broke the exit-code contract: the first hung

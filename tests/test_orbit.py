@@ -20,6 +20,7 @@ from orbitsiege import (
     ParseError,
     StaleElements,
     ValidationError,
+    attackability_for,
     compute_contact_windows,
     load_contact_windows,
     load_scenario,
@@ -56,10 +57,16 @@ def test_semi_major_axis_matches_kepler():
     assert n * n * a ** 3 == pytest.approx(3.986004418e14, rel=1e-12)
 
 
+def satellite(elements):
+    """A low-priority satellite on these elements, as `propagate` takes it."""
+    return SatelliteSpec(id="obs-1", priority="low", orbit=elements, capacity_bytes=10,
+                         downlink_rate_bps=16)
+
+
 def position_at(elements, at):
     """ECEF position at one instant: a one-slot grid whose midpoint is `at`."""
     grid = TimeGrid(epoch=at - timedelta(seconds=30), slot_seconds=60, horizon_slots=1)
-    return propagate(elements, grid)[0]
+    return propagate(satellite(elements), grid)[0]
 
 
 def undo_earth_rotation(position, seconds):
@@ -103,7 +110,7 @@ def test_gmst_reference_value():
                            mean_motion_rev_per_day=15.0, epoch=J2000)
     grid = TimeGrid(epoch=J2000 - timedelta(seconds=30), slot_seconds=60,
                     horizon_slots=1441)
-    pos = propagate(elements, grid)
+    pos = propagate(satellite(elements), grid)
     for slot, theta in ((0, 280.46061837), (1440, 280.46061837 + 360.98564736629)):
         lon = math.degrees(math.atan2(pos[slot, 1], pos[slot, 0]))
         assert (lon + theta + 180.0) % 360.0 - 180.0 == pytest.approx(0.0, abs=1e-6)
@@ -113,8 +120,8 @@ def test_stale_elements_rejected():
     elements = random_elements(np.random.default_rng(1))
     # the first midpoint is fresh; the grid ends 32 days after epoch
     month = TimeGrid(epoch=EPOCH, slot_seconds=3600, horizon_slots=32 * 24)
-    with pytest.raises(StaleElements):
-        propagate(elements, month)
+    with pytest.raises(StaleElements, match="satellite obs-1: elements are 32.0 days"):
+        propagate(satellite(elements), month)
     # within the window both directions are fine
     position_at(elements, EPOCH - timedelta(days=30))
 
@@ -128,8 +135,14 @@ def test_leo_band_enforced():
         with pytest.raises(ValidationError, match="LEO band"):
             position_at(elements, EPOCH)
     station = random_station(np.random.default_rng(2), 1)
+    scenario = windows_scenario([deep], [station])
     with pytest.raises(ValidationError, match="obs-1: orbit radius outside the LEO band"):
-        compute_contact_windows(windows_scenario([deep], [station]))
+        compute_contact_windows(scenario)
+    # windows read from a file skip that computation, but the schedule still
+    # propagates the satellites it costs, and names the one at fault
+    hand_written = ContactWindows.sorted(["obs-1"], [station.id], [0], [0], [0], [45.0])
+    with pytest.raises(ValidationError, match="obs-1: orbit radius outside the LEO band"):
+        attackability_for(scenario, hand_written)
 
 
 def test_elevation_at_zenith_and_horizon():
@@ -137,7 +150,7 @@ def test_elevation_at_zenith_and_horizon():
                              arg_perigee_deg=0.0, mean_anomaly_deg=0.0,
                              mean_motion_rev_per_day=15.0, epoch=EPOCH)
     scenario = windows_scenario([equatorial], [], horizon=2, slot_seconds=60)
-    x, y, _ = propagate(equatorial, scenario.time)[0]
+    x, y, _ = propagate(satellite(equatorial), scenario.time)[0]
     below = math.degrees(math.atan2(y, x))
 
     def station(i, longitude_deg):

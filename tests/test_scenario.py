@@ -179,6 +179,10 @@ def test_initial_queue_count_form():
         obj["satellites"][0]["initial_queue"] = {"count": count, "unit_size_bytes": 2}
         with pytest.raises(ValidationError, match="count"):
             scenario_from_dict(obj)
+    # the list form is held to the same bound
+    obj["satellites"][0]["initial_queue"] = {"unit_sizes": [1] * (MAX_QUEUE_UNITS + 1)}
+    with pytest.raises(ValidationError, match=f"unit_sizes: {MAX_QUEUE_UNITS + 1} units"):
+        scenario_from_dict(obj)
 
 
 def test_accessors():

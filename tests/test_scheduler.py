@@ -15,7 +15,7 @@ from orbitsiege.orbit import propagate, station_ecef_m
 from orbitsiege.output import csv_text
 from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
                                  CostModel, DataUnit, GroundStationSpec,
-                                 SatelliteSpec, TargetSpec, TimeGrid)
+                                 SatelliteSpec, TargetSpec, TimeGrid, TleElements)
 from orbitsiege.scheduler import (SlotSchedule, assign_slot, attackability,
                                   attackability_table, build_schedule, hungarian)
 from orbitsiege.synth import build_constellation
@@ -73,9 +73,15 @@ def test_hungarian_input_validation():
     assert hungarian(np.empty((0, 3))) == ((), 0.0)
 
 
+# a valid LEO orbit, so the schedule can propagate the low-priority satellites
+ORBIT = TleElements(inclination_deg=53.0, raan_deg=0.0, eccentricity=0.0, arg_perigee_deg=0.0,
+                    mean_anomaly_deg=0.0, mean_motion_rev_per_day=15.0, epoch=EPOCH)
+
+
 def two_station_scenario(n_low=3, n_high=2, antenna_counts=(1, 1)):
-    """No orbits; visibility is injected through explicit window rows."""
-    sats = [SatelliteSpec(id=f"obs-{i + 1}", priority="low", orbit=None,
+    """Visibility is injected through explicit window rows, which need not
+    match the low-priority satellites' orbit; the high-priority ones have none."""
+    sats = [SatelliteSpec(id=f"obs-{i + 1}", priority="low", orbit=ORBIT,
                           capacity_bytes=10, downlink_rate_bps=16)
             for i in range(n_low)]
     sats += [SatelliteSpec(id=f"rush-{i + 1}", priority="high", orbit=None,
@@ -116,31 +122,31 @@ def windows_of(scenario, rows):
         [r.elevation_deg for r in rows])
 
 
+def positions_above(scenario, station_of):
+    """Positions that hold each satellite right above its station in every
+    slot, for `station_of` = {satellite id: station id}."""
+    ecef = {st.id: 1.1 * np.array(station_ecef_m(st)) for st in scenario.stations}
+    return {sid: np.tile(ecef[st_id], (scenario.time.horizon_slots, 1))
+            for sid, st_id in station_of.items()}
+
+
 def test_assign_slot_serves_everyone_it_can():
     # obs-1 would rather take gs-01, but obs-2 has no alternative;
-    # cardinality beats cost, so obs-1 is pushed to its lower pass
+    # cardinality beats cost, so obs-1 is pushed to the farther gs-02
     scenario = two_station_scenario(n_low=2, antenna_counts=(1, 1))
     rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0),
             w("obs-2", "gs-01", 0, 20.0)]
-    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, {})
+    positions = positions_above(scenario, {"obs-1": "gs-01", "obs-2": "gs-01"})
+    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, positions)
     assert schedule.served == {"obs-1", "obs-2"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 0}
 
 
-def test_assign_slot_picks_the_higher_pass():
-    scenario = two_station_scenario(n_low=1, antenna_counts=(1, 1))
-    rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0)]
-    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, {})
-    assert schedule.served == {"obs-1"}
-    assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 1}
-
-
 def test_assign_slot_prefers_the_nearer_station():
-    # with positions, slant range replaces the elevation stand-in: obs-1 sits
-    # right above gs-02, so it takes that station despite the lower pass
+    # the cost is slant range, not the rows' elevations: obs-1 sits right
+    # above gs-02, so it takes that station despite the lower pass
     scenario = two_station_scenario(n_low=1, antenna_counts=(1, 1))
-    above = 1.1 * np.array(station_ecef_m(scenario.stations[1]))
-    positions = {"obs-1": np.tile(above, (scenario.time.horizon_slots, 1))}
+    positions = positions_above(scenario, {"obs-1": "gs-02"})
     rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0)]
     schedule = assign_slot(scenario, windows_of(scenario, rows), 0, positions)
     assert schedule.served == {"obs-1"}
@@ -152,7 +158,8 @@ def test_assign_slot_spreads_over_antennas():
     scenario = two_station_scenario(n_low=3, antenna_counts=(2, 1))
     rows = [w("obs-1", "gs-01", 1, 50.0), w("obs-2", "gs-01", 1, 40.0),
             w("obs-3", "gs-01", 1, 30.0), w("obs-3", "gs-02", 1, 10.0)]
-    schedule = assign_slot(scenario, windows_of(scenario, rows), 1, {})
+    positions = positions_above(scenario, dict.fromkeys(["obs-1", "obs-2", "obs-3"], "gs-01"))
+    schedule = assign_slot(scenario, windows_of(scenario, rows), 1, positions)
     assert schedule.served == {"obs-1", "obs-2", "obs-3"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 0}
 
@@ -189,14 +196,18 @@ def test_assign_slot_matches_brute_force_by_station():
 
 def test_assign_slot_rejects_mismatched_rows():
     scenario = two_station_scenario()
+    positions = positions_above(scenario, {"obs-1": "gs-01"})
     with pytest.raises(ValidationError, match="slot"):
-        assign_slot(scenario, windows_of(scenario, [w("obs-1", "gs-01", 2, 45.0)]), 1, {})
+        assign_slot(scenario, windows_of(scenario, [w("obs-1", "gs-01", 2, 45.0)]), 1,
+                    positions)
 
 
 def test_assign_slot_ignores_high_priority_rows():
     scenario = two_station_scenario(n_low=1, n_high=1)
     rows = [w("obs-1", "gs-01", 0, 45.0), w("rush-1", "gs-01", 0, 80.0)]
-    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, {})
+    # rush-1 has no orbit, and needs none: only low-priority rows are costed
+    schedule = assign_slot(scenario, windows_of(scenario, rows), 0,
+                           positions_above(scenario, {"obs-1": "gs-01"}))
     assert schedule.served == {"obs-1"}
     assert dict(schedule.idle_antennas) == {"gs-01": 0}
 
@@ -211,9 +222,9 @@ def test_build_schedule_covers_only_target_slots(monkeypatch):
 
     propagated = []
 
-    def counting(elements, grid):
-        propagated.append(elements)
-        return propagate(elements, grid)
+    def counting(sat, grid):
+        propagated.append(sat.id)
+        return propagate(sat, grid)
 
     monkeypatch.setattr(scheduler, "propagate", counting)
     schedules = build_schedule(scenario, windows)
@@ -221,7 +232,7 @@ def test_build_schedule_covers_only_target_slots(monkeypatch):
     # each low-priority satellite seen in those slots is propagated once
     seen = {x.satellite_id for x in rows if x.slot in set(target_slots)}
     low = [s for s in scenario.low_satellites if s.id in seen]
-    assert sorted(map(id, propagated)) == sorted(id(s.orbit) for s in low)
+    assert sorted(propagated) == sorted(s.id for s in low)
 
 
 def attack_rows(visible_high):
@@ -301,7 +312,8 @@ def test_unscheduled_slot_is_not_transmissible():
     # the target sees gs-01 in both slots, but only slot 1 has a schedule
     scenario = two_station_scenario(n_low=1, n_high=0)
     windows = windows_of(scenario, [w("obs-1", "gs-01", 0, 45.0), w("obs-1", "gs-01", 1, 45.0)])
-    schedules = [assign_slot(scenario, windows[1:], 1, {})]
+    schedules = [assign_slot(scenario, windows[1:], 1,
+                             positions_above(scenario, {"obs-1": "gs-01"}))]
     records = attackability(scenario, schedules, windows)
     assert records[0] == AttackabilityRecord(0, False, False, 0, INF)
     assert records[1].transmissible
