@@ -413,9 +413,10 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
                 te0 = nominal.baseline.t_e(nominal.final_target)
                 if te0 == INF:
                     raise ValidationError("target never downlinks naturally; no deadline anchor")
-                deadline = int(te0) + math.ceil(3600.0 * hours / scenario.time.slot_seconds)
-                if deadline > scenario.time.last_slot:
-                    raise ValidationError(f"deadline slot {deadline} beyond horizon")
+                ahead = 3600.0 * hours / scenario.time.slot_seconds  # inf if hours is huge
+                if ahead > scenario.time.last_slot - int(te0):
+                    raise ValidationError(f"target_duration {hours:g} h: deadline beyond horizon")
+                deadline = int(te0) + math.ceil(ahead)
             try:
                 strategy = plan_attack(nominal, config.kind, extra_m, deadline)
             except AttackFail:

@@ -312,8 +312,10 @@ def _float(value, where: str) -> float:
 
 
 def _int(value, where: str) -> int:
-    """A JSON integer; a float is accepted only if it has no fraction."""
+    """A JSON integer that is finite as a float; a float must have no fraction."""
     if type(value) is int:  # not a bool, which is an int subclass
+        if value.bit_length() > 1023:  # from 2**1023 on, it may overflow a float
+            _float(value, where)
         return value
     number = _float(value, where)
     if not number.is_integer():

@@ -1,40 +1,36 @@
 """Per-slot antenna assignment and attackability derivation.
 
-Low-priority satellites compete for antennas on stations they can see; one
-assignment solve per slot serves as many as possible at the least total
-slant range (Hungarian), from the positions `orbit.propagate` gives, so a
-visible low-priority satellite needs orbit elements. A station's antennas
-are identical columns, so optima that differ only in antenna numbering give
-the same `served` set and idle counts, which is all attackability reads.
-High-priority tasking preempts: it must fill every idle antenna on the
-stations the target satellite sees, plus the antenna serving the target
-itself, so the number of distinct high-priority satellites visible on those
-stations bounds which slots are attackable and at what cost.
-
-Attackability reads the assignment only where the target has a contact
-window, so `build_schedule` assigns antennas in those slots alone; every
-other slot is non-transmissible by construction.
+High-priority tasking preempts: to block the target satellite in a slot, it
+must fill the antenna serving the target and every idle antenna on the
+stations the target sees. So the schedule records, per slot where the target
+has a contact window, the station serving the target and the idle antennas
+it could use, from one Hungarian solve that serves as many low-priority
+satellites as possible at the least total slant range (from `orbit.propagate`,
+so they need orbit elements). Optima that differ only in antenna numbering
+record the same. The distinct high-priority satellites over the target's
+stations bound which slots are attackable and at what cost; every other slot
+is non-transmissible.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfHorizon, ValidationError
-from .orbit import ContactWindows, compute_contact_windows, propagate, station_ecef_m
+from .orbit import (ContactWindows, _ranks, compute_contact_windows, propagate,
+                    station_ecef_m)
 from .scenario import AttackabilityRecord, ConstellationScenario
 
 
 @dataclass(frozen=True)
 class SlotSchedule:
     slot: int
-    served: frozenset[str]  # low-priority satellites given an antenna
-    idle_antennas: tuple[tuple[str, int], ...]  # (station_id, idle count), visible stations
+    target_station: str | None  # the station whose antenna serves the target
+    idle_antennas: tuple[tuple[str, int], ...]  # (station_id, idle count), target's stations
 
 
 def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -61,97 +57,96 @@ def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     return pairs, float(sum(matrix[r, c] for r, c in pairs))
 
 
-def assign_slot(scenario: ConstellationScenario, windows_at_slot: ContactWindows,
-                slot: int, positions: dict[str, np.ndarray]) -> SlotSchedule:
-    """Hungarian assignment of visible low-priority satellites to antennas.
-
-    The cost of a pair is its slant range at the slot midpoint, from
-    `positions` (satellite id -> output of `propagate`), which must hold
-    every visible low-priority satellite.
-    """
-    elsewhere = np.flatnonzero(windows_at_slot.slot != slot)
-    if len(elsewhere):
-        raise ValidationError(f"window at slot {windows_at_slot.slot[elsewhere[0]]} "
-                              f"passed to slot {slot}")
-    low_ids = {s.id for s in scenario.low_satellites}
-    visible = {(sid, st_id) for _, sid, st_id, _ in windows_at_slot.rows() if sid in low_ids}
-
-    sats = sorted({sid for sid, _ in visible})
-    seen = {st_id for _, st_id in visible}
-    stations = [st for st in sorted(scenario.stations, key=lambda s: s.id) if st.id in seen]
-
-    station_pos = [station_ecef_m(st) for st in stations]
-    row = {sid: i for i, sid in enumerate(sats)}
-    column = {st.id: j for j, st in enumerate(stations)}
-    matrix = np.full((len(sats), len(stations)), math.inf)
-    for sid, st_id in visible:
-        j = column[st_id]
-        matrix[row[sid], j] = math.dist(positions[sid][slot], station_pos[j])
-
-    # one column per antenna; a station's antennas are adjacent and identical
-    antennas = [st.antenna_count for st in stations]
-    pairs, _ = hungarian(np.repeat(matrix, antennas, axis=1))
-    owner = np.repeat(np.arange(len(stations)), antennas)
-    used = np.bincount([owner[c] for _, c in pairs], minlength=len(stations))
-    idle = tuple((st.id, st.antenna_count - int(n)) for st, n in zip(stations, used))
-    return SlotSchedule(slot, frozenset(sats[r] for r, _ in pairs), idle)
-
-
 def build_schedule(scenario: ConstellationScenario,
                    windows: ContactWindows) -> list[SlotSchedule]:
-    """Assignments for the slots where the target has a contact window.
+    """Per target window slot, the station serving the target and the idle
+    antennas on the stations it sees.
 
-    Each low-priority satellite visible in those slots is propagated once,
-    so each must have orbit elements, windows read from a file included.
+    Each slot is one Hungarian solve: a row per low-priority satellite in
+    contact and a column per antenna of each station they see, both in id
+    order, costed by slant range. Each of those satellites is propagated
+    once, so needs orbit elements, windows read from a file included.
     """
-    slots = np.unique(windows.slot[windows.of_satellite(scenario.target.satellite_id)])
-    starts = np.searchsorted(windows.slot, slots, side="left")
-    ends = np.searchsorted(windows.slot, slots, side="right")
+    target = windows.of_satellite(scenario.target.satellite_id)
+    slots = np.unique(windows.slot[target])
+    if not len(slots):
+        return []
+    low = {s.id: s for s in scenario.low_satellites}
+    costed = np.isin(windows.slot, slots) & np.isin(
+        windows.satellite, [i for i, sid in enumerate(windows.satellite_ids) if sid in low])
+    slot, sat, target = windows.slot[costed], windows.satellite[costed], target[costed]
+    station = _ranks(windows.station_ids)[windows.station[costed]]  # into `ids`
+    ids = sorted(windows.station_ids)
+    by_id = {st.id: st for st in scenario.stations}
+    antennas = np.array([by_id[i].antenna_count for i in ids])
+    station_pos = np.array([station_ecef_m(by_id[i]) for i in ids])
+    seen = np.unique(sat)
+    tracks = np.stack([propagate(low[windows.satellite_ids[i]], scenario.time)
+                       for i in seen.tolist()])
+    cost = np.array([math.dist(p, q) for p, q in zip(
+        tracks[np.searchsorted(seen, sat), slot].tolist(), station_pos[station].tolist())])
 
-    seen = np.unique(windows.satellite[np.isin(windows.slot, slots)])
-    visible = {windows.satellite_ids[i] for i in seen.tolist()}
-    positions = {s.id: propagate(s, scenario.time)
-                 for s in scenario.low_satellites if s.id in visible}
-    return [assign_slot(scenario, windows[start:end], t, positions)
-            for t, start, end in zip(slots.tolist(), starts.tolist(), ends.tolist())]
+    # each row's place in its slot's matrix: rows come sorted by slot, then
+    # satellite id, then station id
+    row = np.cumsum(np.diff(slot * len(windows.satellite_ids) + sat, prepend=-1) != 0)
+    row -= row[np.searchsorted(slot, slot)]
+    keys, col = np.unique(slot * len(ids) + station, return_inverse=True)
+    col -= np.searchsorted(keys, slot * len(ids))
+    columns = np.split(keys % len(ids), np.searchsorted(keys, slots[1:] * len(ids)))
+    target_row = dict(zip(slot[target].tolist(), row[target].tolist()))
+    cuts = np.searchsorted(slot, slots[1:])
+    schedules = []
+    for t, cols, r, c, d in zip(slots.tolist(), columns,
+                                *(np.split(x, cuts) for x in (row, col, cost))):
+        counts = antennas[cols]
+        matrix = np.full((r[-1] + 1, len(cols)), math.inf)
+        matrix[r, c] = d
+        pairs, _ = hungarian(np.repeat(matrix, counts, axis=1))
+        owner = np.repeat(np.arange(len(cols)), counts).tolist()
+        idle = counts.tolist()
+        serving = None
+        for i, j in pairs:
+            idle[owner[j]] -= 1
+            serving = ids[cols[owner[j]]] if i == target_row[t] else serving
+        sees = np.isfinite(matrix[target_row[t]]).tolist()
+        schedules.append(SlotSchedule(t, serving, tuple(
+            (ids[j], n) for j, n, v in zip(cols.tolist(), idle, sees) if v)))
+    return schedules
 
 
 def attackability(scenario: ConstellationScenario, schedules: list[SlotSchedule],
                   windows: ContactWindows) -> list[AttackabilityRecord]:
     """Transmissible/attackable flags and attack costs for the target satellite.
 
-    A slot without a schedule is not transmissible.
-    """
+    A slot is transmissible when its schedule has an antenna serving the
+    target, and attackable when enough distinct high-priority satellites see
+    the target's stations to fill that antenna and every idle one there."""
     by_slot = {schedule.slot: schedule for schedule in schedules}
     if len(by_slot) != len(schedules):
         raise ValidationError("schedules repeat a slot")
     horizon = scenario.time.horizon_slots
     if not by_slot.keys() <= set(range(horizon)):
         raise OutOfHorizon("schedules reach outside the horizon")
-    target_id = scenario.target.satellite_id
     high_ids = {s.id for s in scenario.high_satellites}
-    price = scenario.costs.unit_task_price
 
-    target = windows.of_satellite(target_id)
-    visible = set(zip(windows.slot[target].tolist(),
-                      map(windows.station_ids.__getitem__, windows.station[target].tolist())))
     # the distinct high-priority satellites over a target-visible station, per slot
+    target = windows.of_satellite(scenario.target.satellite_id)
     pair = windows.slot * len(windows.station_ids) + windows.station  # (slot, station)
     high = np.isin(windows.satellite, [i for i, sid in enumerate(windows.satellite_ids)
                                        if sid in high_ids]) & np.isin(pair, pair[target])
-    highs = Counter(t for t, _ in set(zip(windows.slot[high].tolist(),
-                                          windows.satellite[high].tolist())))
+    n_sat = len(windows.satellite_ids)
+    distinct = np.unique(windows.slot[high] * n_sat + windows.satellite[high])
+    highs = np.bincount(distinct // n_sat, minlength=horizon).tolist()
 
     records = []
     for t in range(horizon):
         schedule = by_slot.get(t)
-        if schedule is None or target_id not in schedule.served:
+        if schedule is None or schedule.target_station is None:
             records.append(AttackabilityRecord(t, False, False, 0, math.inf))
             continue
-        idle = sum(count for st_id, count in schedule.idle_antennas if (t, st_id) in visible)
-        required = idle + 1
+        required = 1 + sum(idle for _, idle in schedule.idle_antennas)
         attackable = highs[t] >= required
-        cost = price * required if attackable else math.inf
+        cost = scenario.costs.unit_task_price * required if attackable else math.inf
         records.append(AttackabilityRecord(t, True, attackable, required, cost))
     return records
 

@@ -324,7 +324,8 @@ def count_ladder(rows, schedules, target_id, high_ids, horizon, price):
     """Attackability by the distinct-high-satellite count, slot by slot.
 
     rows: (slot, satellite_id, station_id, elevation_deg) contact windows.
-    schedules: (slot, served satellite ids, ((station_id, idle), ...)).
+    schedules: (slot, station serving the target or None,
+    ((station_id, idle), ...)).
     Returns (slot, transmissible, attackable, required, cost) per slot.
     """
     target_stations = {}
@@ -334,10 +335,10 @@ def count_ladder(rows, schedules, target_id, high_ids, horizon, price):
             target_stations.setdefault(slot, set()).add(station)
         elif sat in high_ids:
             high_visible.setdefault((slot, station), set()).add(sat)
-    by_slot = {slot: (served, idle) for slot, served, idle in schedules}
+    by_slot = {slot: (serving, idle) for slot, serving, idle in schedules}
     ladder = []
     for t in range(horizon):
-        if t not in by_slot or target_id not in by_slot[t][0]:
+        if t not in by_slot or by_slot[t][0] is None:
             ladder.append((t, False, False, 0, INF))
             continue
         visible = target_stations.get(t, set())

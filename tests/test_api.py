@@ -30,8 +30,7 @@ SUBMODULE_ONLY = {
                  "DataUnit", "GroundStationSpec", "SatelliteSpec", "TargetSpec",
                  "TimeGrid", "TleElements", "save_scenario", "scenario_from_dict",
                  "scenario_to_dict"),
-    "scheduler": ("SlotSchedule", "assign_slot", "attackability", "build_schedule",
-                  "hungarian"),
+    "scheduler": ("SlotSchedule", "attackability", "build_schedule", "hungarian"),
     "synth": ("build_constellation",),
 }
 

@@ -599,6 +599,10 @@ FUZZED_COMMANDS = {
 @example(case=("constellation_24h", [(("satellites", 0, "orbit", "mean_motion_rev_per_day"),
                                       1e308)]),
          command="plan-overflow")
+@example(case=("s0", [(("satellites", 0, "downlink_rate_bps"), 10**400)]), command="sweep")
+@example(case=("constellation_24h", [(("satellites", 0, "initial_queue", "unit_sizes", 0),
+                                      10**400)]),
+         command="sweep")
 def test_mutated_scenario_fields_keep_the_exit_code_contract(tmp_path_factory, case, command):
     """A scenario with fields removed or replaced by wrong types and extreme
     numbers runs, is found infeasible or fails verification, or is refused
@@ -643,7 +647,8 @@ def mutated_windows(edits):
 
 
 @settings(max_examples=100, deadline=None)
-@given(edits=WINDOW_EDITS, command=st.sampled_from(["schedule", "plan-delay"]))
+@given(edits=WINDOW_EDITS,
+       command=st.sampled_from(["schedule", "plan-delay", "plan-overflow", "simulate"]))
 def test_mutated_window_rows_keep_the_exit_code_contract(tmp_path_factory, edits, command):
     """A windows file with cells replaced or rows removed, duplicated or
     swapped is read, or refused with exit code 2."""

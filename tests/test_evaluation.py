@@ -98,13 +98,17 @@ BAD_AXIS_VALUES = [
          for axis in evaluation.AXES for value in (float("inf"), float("nan"))]
         + [(axis, 1.5, f"{axis}: expected an integer, got 1.5") for axis in INTEGER_AXES]
         + [("budget", -1, "budget: must be >= 0"), ("budget", -0.5, "budget: must be >= 0")]
-        + [("noise_ratio", ratio, "noise_ratio: outside [0, 1]") for ratio in (-0.1, 1.5)])]
+        + [("noise_ratio", ratio, "noise_ratio: outside [0, 1]") for ratio in (-0.1, 1.5)]
+        # finite durations whose seconds overflow, or whose slot count has 300 digits
+        + [("target_duration", hours, f"target_duration {hours:g} h: deadline beyond horizon")
+           for hours in (1e308, 1e300)])]
 
 
 @pytest.mark.parametrize("axis, value, error", BAD_AXIS_VALUES)
 def test_sweep_reads_axis_values_as_the_loader_reads_fields(axis, value, error):
-    # a non-finite value, a fraction on an integer axis and a negative
-    # budget are the point's error, not a crash or a silently rounded plan
+    # a non-finite value, a fraction on an integer axis, a negative budget
+    # and a huge duration are the point's error, not a crash or a silently
+    # rounded plan
     config = EvalConfig(kind="delay", axis=axis, values=(value,), trials=4)
     point = sweep(load_bundled("s0"), config).points[0]
     assert point.error == error

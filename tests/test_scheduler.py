@@ -16,8 +16,8 @@ from orbitsiege.output import csv_text
 from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
                                  CostModel, DataUnit, GroundStationSpec,
                                  SatelliteSpec, TargetSpec, TimeGrid, TleElements)
-from orbitsiege.scheduler import (SlotSchedule, assign_slot, attackability,
-                                  attackability_table, build_schedule, hungarian)
+from orbitsiege.scheduler import (SlotSchedule, attackability, attackability_table,
+                                  build_schedule, hungarian)
 from orbitsiege.synth import build_constellation
 
 from datetime import datetime, timezone
@@ -130,85 +130,89 @@ def positions_above(scenario, station_of):
             for sid, st_id in station_of.items()}
 
 
-def test_assign_slot_serves_everyone_it_can():
-    # obs-1 would rather take gs-01, but obs-2 has no alternative;
-    # cardinality beats cost, so obs-1 is pushed to the farther gs-02
+def schedule_at(monkeypatch, scenario, rows, positions):
+    """The schedule of the rows' one slot, with `positions` (satellite id ->
+    positions per slot) standing in for propagation."""
+    monkeypatch.setattr(scheduler, "propagate", lambda sat, grid: positions[sat.id])
+    (schedule,) = build_schedule(scenario, windows_of(scenario, rows))
+    return schedule
+
+
+def test_assign_slot_serves_everyone_it_can(monkeypatch):
+    # obs-1 (the target) would rather take gs-01, but obs-2 has no
+    # alternative; cardinality beats cost, so obs-1 is pushed to gs-02
     scenario = two_station_scenario(n_low=2, antenna_counts=(1, 1))
     rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0),
             w("obs-2", "gs-01", 0, 20.0)]
     positions = positions_above(scenario, {"obs-1": "gs-01", "obs-2": "gs-01"})
-    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, positions)
-    assert schedule.served == {"obs-1", "obs-2"}
+    schedule = schedule_at(monkeypatch, scenario, rows, positions)
+    assert schedule.target_station == "gs-02"
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 0}
 
 
-def test_assign_slot_prefers_the_nearer_station():
+def test_assign_slot_prefers_the_nearer_station(monkeypatch):
     # the cost is slant range, not the rows' elevations: obs-1 sits right
     # above gs-02, so it takes that station despite the lower pass
     scenario = two_station_scenario(n_low=1, antenna_counts=(1, 1))
     positions = positions_above(scenario, {"obs-1": "gs-02"})
     rows = [w("obs-1", "gs-01", 0, 60.0), w("obs-1", "gs-02", 0, 30.0)]
-    schedule = assign_slot(scenario, windows_of(scenario, rows), 0, positions)
-    assert schedule.served == {"obs-1"}
+    schedule = schedule_at(monkeypatch, scenario, rows, positions)
+    assert schedule.target_station == "gs-02"
     assert dict(schedule.idle_antennas) == {"gs-01": 1, "gs-02": 0}
 
 
-def test_assign_slot_spreads_over_antennas():
-    # obs-1 and obs-2 fill gs-01's two antennas, so obs-3 must use gs-02
+def test_assign_slot_spreads_over_antennas(monkeypatch):
+    # obs-2 and obs-3 fill gs-01's two antennas, so obs-1 must use gs-02
     scenario = two_station_scenario(n_low=3, antenna_counts=(2, 1))
-    rows = [w("obs-1", "gs-01", 1, 50.0), w("obs-2", "gs-01", 1, 40.0),
-            w("obs-3", "gs-01", 1, 30.0), w("obs-3", "gs-02", 1, 10.0)]
+    rows = [w("obs-1", "gs-01", 1, 50.0), w("obs-1", "gs-02", 1, 10.0),
+            w("obs-2", "gs-01", 1, 40.0), w("obs-3", "gs-01", 1, 30.0)]
     positions = positions_above(scenario, dict.fromkeys(["obs-1", "obs-2", "obs-3"], "gs-01"))
-    schedule = assign_slot(scenario, windows_of(scenario, rows), 1, positions)
-    assert schedule.served == {"obs-1", "obs-2", "obs-3"}
+    schedule = schedule_at(monkeypatch, scenario, rows, positions)
+    assert schedule.slot == 1
+    assert schedule.target_station == "gs-02"
     assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 0}
 
 
-def test_assign_slot_matches_brute_force_by_station():
-    # several antennas per station and slant-range costs: whichever antennas
-    # the solver picks, the served satellites and the idle antennas per
-    # station must be the brute-force optimum's
+def test_assign_slot_matches_brute_force_by_station(monkeypatch):
+    # several antennas per station and satellites at distinct positions, so
+    # the optimum is unique: whichever antennas the solver picks, the
+    # target's station and the idle antennas on the stations it sees must
+    # be the brute-force optimum's
     rng = np.random.default_rng(5)
-    for _ in range(40):
+    positions = {}
+    monkeypatch.setattr(scheduler, "propagate", lambda sat, grid: positions[sat.id])
+    for _ in range(60):
         counts = tuple(int(c) for c in rng.integers(1, 3, size=3))
         scenario = two_station_scenario(n_low=int(rng.integers(1, 5)),
                                         antenna_counts=counts)
         stations = scenario.stations
         sats = [s.id for s in scenario.low_satellites]
-        rows = [w(sid, st.id, 1, float(rng.uniform(5.0, 90.0)))
-                for sid in sats for st in stations if rng.random() < 0.5]
+        seen = {(sid, st.id) for sid in sats for st in stations if rng.random() < 0.5}
+        seen.add(("obs-1", stations[int(rng.integers(0, len(stations)))].id))
+        rows = [w(sid, st_id, 1, float(rng.uniform(5.0, 90.0))) for sid, st_id in seen]
         positions = {sid: rng.normal(size=(scenario.time.horizon_slots, 3)) * 7e6
                      for sid in sats}
-        schedule = assign_slot(scenario, windows_of(scenario, rows), 1, positions)
+        (schedule,) = build_schedule(scenario, windows_of(scenario, rows))
 
-        seen = {(r.satellite_id, r.station_id) for r in rows}
         owner = [st for st in stations for _ in range(st.antenna_count)]
         cost = [[math.dist(positions[sid][1], station_ecef_m(st))
                  if (sid, st.id) in seen else INF for st in owner] for sid in sats]
         pairs, _ = brute_force_assignment(cost)
-        visible = {st_id for _, st_id in seen}
-        idle = {st.id: st.antenna_count for st in stations if st.id in visible}
+        idle = {st.id: st.antenna_count for st in stations if ("obs-1", st.id) in seen}
         for _, c in pairs:
-            idle[owner[c].id] -= 1
-        assert schedule.served == {sats[r] for r, _ in pairs}
+            if owner[c].id in idle:
+                idle[owner[c].id] -= 1
+        assert schedule.target_station == next(
+            (owner[c].id for r, c in pairs if sats[r] == "obs-1"), None)
         assert dict(schedule.idle_antennas) == idle
-
-
-def test_assign_slot_rejects_mismatched_rows():
-    scenario = two_station_scenario()
-    positions = positions_above(scenario, {"obs-1": "gs-01"})
-    with pytest.raises(ValidationError, match="slot"):
-        assign_slot(scenario, windows_of(scenario, [w("obs-1", "gs-01", 2, 45.0)]), 1,
-                    positions)
 
 
 def test_assign_slot_ignores_high_priority_rows():
     scenario = two_station_scenario(n_low=1, n_high=1)
     rows = [w("obs-1", "gs-01", 0, 45.0), w("rush-1", "gs-01", 0, 80.0)]
     # rush-1 has no orbit, and needs none: only low-priority rows are costed
-    schedule = assign_slot(scenario, windows_of(scenario, rows), 0,
-                           positions_above(scenario, {"obs-1": "gs-01"}))
-    assert schedule.served == {"obs-1"}
+    (schedule,) = build_schedule(scenario, windows_of(scenario, rows))
+    assert schedule.target_station == "gs-01"
     assert dict(schedule.idle_antennas) == {"gs-01": 0}
 
 
@@ -292,7 +296,7 @@ def test_attackability_matches_the_slot_by_slot_count():
         records = attackability(scenario, schedules, windows)
         expected = count_ladder(
             [(r.slot, r.satellite_id, r.station_id, r.elevation_deg) for r in rows],
-            [(s.slot, s.served, s.idle_antennas) for s in schedules], "obs-1",
+            [(s.slot, s.target_station, s.idle_antennas) for s in schedules], "obs-1",
             {s.id for s in scenario.high_satellites}, scenario.time.horizon_slots, 100.0)
         assert [(r.slot, r.transmissible, r.attackable, r.required_high_priority, r.cost)
                 for r in records] == expected
@@ -300,10 +304,10 @@ def test_attackability_matches_the_slot_by_slot_count():
 
 def test_attackability_rejects_bad_schedule_slots():
     scenario = two_station_scenario()
-    outside = SlotSchedule(3, frozenset({"obs-1"}), (("gs-01", 0),))
+    outside = SlotSchedule(3, "gs-01", (("gs-01", 0),))
     with pytest.raises(OutOfHorizon, match="outside the horizon"):
         attackability(scenario, [outside], windows_of(scenario, []))
-    twice = SlotSchedule(1, frozenset({"obs-1"}), (("gs-01", 0),))
+    twice = SlotSchedule(1, "gs-01", (("gs-01", 0),))
     with pytest.raises(ValidationError, match="repeat a slot"):
         attackability(scenario, [twice, twice], windows_of(scenario, []))
 
@@ -312,8 +316,7 @@ def test_unscheduled_slot_is_not_transmissible():
     # the target sees gs-01 in both slots, but only slot 1 has a schedule
     scenario = two_station_scenario(n_low=1, n_high=0)
     windows = windows_of(scenario, [w("obs-1", "gs-01", 0, 45.0), w("obs-1", "gs-01", 1, 45.0)])
-    schedules = [assign_slot(scenario, windows[1:], 1,
-                             positions_above(scenario, {"obs-1": "gs-01"}))]
+    schedules = [s for s in build_schedule(scenario, windows) if s.slot == 1]
     records = attackability(scenario, schedules, windows)
     assert records[0] == AttackabilityRecord(0, False, False, 0, INF)
     assert records[1].transmissible
