@@ -5,10 +5,13 @@ The attacker plans on the nominal scenario; each trial then replays the
 planned slots on a perturbed "true world" where the target satellite's unit
 sizes, downlink rate, and initial-queue length differ from the estimate.
 Geometry never varies, so a sweep builds the antenna schedule once and each
-point derives its attackability and one nominal attack context from it. A
-trial draws its volume, head shift and unit sizes straight into arrays; the
-trials of a point, without and with the attack, then run as the rows of one
-int64 queue recurrence (`onboard.evolve_rows`), BATCH_TRIALS trials a call.
+point derives its attackability and one nominal attack context from it.
+A point's trials run BATCH_TRIALS at a time. Per trial, only its own
+SHA-256-seeded stream and that stream's standard normal draws run in
+Python; one `perturb` call turns a batch's draws into its true worlds with
+(trials x units) array operations, and the batch's trials, without and with
+the attack, run as the rows of one int64 queue recurrence
+(`onboard.evolve_rows`).
 """
 
 from __future__ import annotations
@@ -136,17 +139,17 @@ def _noise(value, where: str) -> float:
     return ratio
 
 
-def _resample(rng, nominal, std_ratio: float) -> np.ndarray:
+def _resample(z: np.ndarray, nominal, std_ratio: float) -> np.ndarray:
     """Gaussian around each nominal value, clipped at the truncation floor,
-    at least 1; one draw per element, in order. Raises rather than wrap a
-    value past the int64 range."""
+    at least 1, from one standard normal draw per element, written over z.
+    `Generator.normal(loc, scale)` draws loc + scale * z, so this rounds
+    exactly as a normal draw on the same stream would."""
     nominal = np.asarray(nominal, dtype=float)
-    draw = rng.normal(nominal, std_ratio * nominal)
-    floor = np.maximum(draw, TRUNCATION_RATIO * nominal)
-    value = np.maximum(1, np.rint(floor))
-    if value.max(initial=1) >= 2.0**63:
-        raise ValidationError("resampled value exceeds the int64 byte range")
-    return value.astype(np.int64)
+    z *= std_ratio * nominal
+    z += nominal
+    np.maximum(z, TRUNCATION_RATIO * nominal, out=z)
+    np.rint(z, out=z)
+    return np.maximum(z, 1, out=z)
 
 
 @dataclass(frozen=True)
@@ -197,58 +200,78 @@ class TrialLayout:
         )
 
 
-def perturb(layout: TrialLayout, noise: float, rng) -> tuple[int, int, np.ndarray]:
-    """One true world behind the attacker's estimate of the target's queue:
-    (volume_bytes, head shift, unit sizes in stream order).
+def perturb(layout: TrialLayout, noise: float, rngs) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The true worlds behind the attacker's estimate of the target's queue,
+    one per rng of a batch: (volume_bytes per trial, head shift per trial,
+    unit sizes).
 
-    Every draw has the std ratio noise. Draw order is fixed: downlink rate,
-    then the initial-queue length shift, then one size per unit in stream
-    order, so a given rng state always yields the same world. A positive
-    shift puts that many units of the head's nominal size at the HEAD of the
-    initial queue; they carry no ids, so no unit name can clash with them. A
-    negative shift removes head units, never a target or anything behind the
-    first one. The shift returned is the one applied.
+    Every draw has the std ratio noise. Each trial's stream is read in a
+    fixed order: downlink rate, then the initial-queue length shift, then one
+    size per unit of the shifted stream in stream order, so a given rng state
+    always yields the same world. Only those standard normal draws run trial
+    by trial; rounding, clipping and the checks run once over the batch.
+
+    A positive shift puts that many units of the head's nominal size at the
+    HEAD of the initial queue; they carry no ids, so no unit name can clash
+    with them. A negative shift removes head units, never a target or
+    anything behind the first one. The shifts returned are the ones applied.
+
+    sizes is (trials, lead + units), lead being the largest shift: nominal
+    stream index k sits at column lead + k in every row, and the columns
+    ahead of a trial's first unit hold 0. Volumes stay Python ints, so no
+    rate wraps on its way to bytes per slot.
     """
-    rate = int(_resample(rng, layout.rate_bps, noise))
-    # an empty queue has std 0, so only a non-empty one ever grows
-    shift = int(round(rng.normal(0.0, noise * layout.initial)))
     nominal = layout.sizes
-    if shift > 0:
-        nominal = np.concatenate([np.full(shift, nominal[0]), nominal])
-    elif shift < 0:
-        shift = -min(-shift, layout.removable)
-        nominal = nominal[-shift:]
-    sizes = _resample(rng, nominal, noise)
-    return slot_volume(rate, layout.slot_seconds), shift, sizes
+    heads = np.array([rng.standard_normal(2) for rng in rngs])  # rate, shift
+    # an empty queue has std 0, so only a non-empty one ever grows
+    shifts = np.rint((noise * layout.initial) * heads[:, 1]).astype(np.int64)
+    np.maximum(shifts, -layout.removable, out=shifts)
+    lead = max(int(shifts.max()), 0)
+    firsts = lead - shifts
+    sizes = np.zeros((len(shifts), lead + len(nominal)))
+    for rng, row, first in zip(rngs, sizes, firsts.tolist()):
+        rng.standard_normal(out=row[first:])
+    rates = _resample(heads[:, 0], layout.rate_bps, noise)
+    _resample(sizes, np.concatenate([np.full(lead, nominal[0]), nominal]), noise)
+    sizes[np.arange(sizes.shape[1]) < firsts[:, None]] = 0
+    if max(rates.max(), sizes.max()) >= 2.0**63:
+        raise ValidationError("resampled value exceeds the int64 byte range")
+    volumes = [slot_volume(int(rate), layout.slot_seconds) for rate in rates.tolist()]
+    return volumes, shifts, sizes.astype(np.int64)
+
+
+# what _trial_rows refuses, in the order a trial is checked
+_TRIAL_ERRORS = ("volume_bytes must be positive", "unit sizes must be positive",
+                 "unit sizes overflow the int64 byte stream")
 
 
 def _trial_rows(layout: TrialLayout, draws, judged: np.ndarray):
-    """Stack the draws of one point into evolve_rows' inputs: per-trial
-    inflow rows, volumes, and the stream bytes [start, end) of the judged
-    targets. Raises on the first trial, in draw order, whose true world is
-    not valid, as building its QueueWorld would."""
-    inflow = np.zeros((len(draws), len(layout.open_slots)), dtype=np.int64)
-    joined = np.zeros((len(draws), len(layout.slot_ends)), dtype=np.int64)
-    start = np.zeros((len(draws), len(judged)), dtype=np.int64)
-    end = np.zeros_like(start)
-    volumes = []
-    for row, (volume, shift, sizes) in enumerate(draws):
-        if volume <= 0:
-            raise ValidationError("volume_bytes must be positive")
-        if sizes.min(initial=1) <= 0:
-            raise ValidationError("unit sizes must be positive")
-        stream = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=stream[1:])
-        # int64 must not wrap: every running total exceeds the one before
-        if not (stream[1:] > stream[:-1]).all():
-            raise ValidationError("unit sizes overflow the int64 byte stream")
-        joined[row] = stream[layout.slot_ends + shift]
-        start[row] = stream[judged + shift]
-        end[row] = stream[judged + shift + 1]
-        # a volume beyond every byte aboard moves the same bytes as that total
-        volumes.append(min(volume, int(stream[-1])))
-    inflow[:, layout.join_slots] = np.diff(joined, axis=1, prepend=0)
-    return inflow, np.array(volumes, dtype=np.int64), start, end
+    """Stack a batch's draws into evolve_rows' inputs: per-trial inflow
+    rows, volumes, and the stream bytes [start, end) of the judged targets.
+    Raises on the first trial, in draw order, whose true world is not
+    valid, as building its QueueWorld would."""
+    volumes, shifts, sizes = draws
+    lead = sizes.shape[1] - len(layout.sizes)
+    # running byte totals: column lead + k ends nominal unit k in every trial
+    stream = np.cumsum(sizes, axis=1)
+    bad = np.stack([
+        [volume <= 0 for volume in volumes],
+        np.count_nonzero(sizes > 0, axis=1) < len(layout.sizes) + shifts,
+        # int64 must not wrap: a running total of positive sizes that
+        # passes 2**63 turns negative first
+        stream.min(axis=1) < 0])
+    if bad.any():
+        raise ValidationError(_TRIAL_ERRORS[bad[:, bad.any(axis=0).argmax()].argmax()])
+    inflow = np.zeros((len(sizes), len(layout.open_slots)), dtype=np.int64)
+    # each join slot takes its units' bytes; the first also takes the
+    # insertions at the head
+    inflow[:, layout.join_slots] = np.add.reduceat(
+        sizes, np.r_[0, lead + layout.slot_ends[:-1]], axis=1)
+    # a volume beyond every byte aboard moves the same bytes as that total
+    volume = np.array([min(v, total) for v, total in zip(volumes, stream[:, -1].tolist())],
+                      dtype=np.int64)
+    end = stream[:, lead + judged]
+    return inflow, volume, end - sizes[:, lead + judged], end
 
 
 def extend_targets(targets: tuple[str, ...], ids, m: int) -> tuple[str, ...]:
@@ -371,18 +394,13 @@ def _outcomes(layout: TrialLayout, nominal: AttackContext, kind: str, deadline: 
         blocked = layout.open_slots.copy()
         blocked[np.array(sorted(attacked), dtype=np.int64) - nominal.world.t0] = False
         masks.append(blocked)
-    runs = len(masks)
     slot, lost = evolve_rows(
-        np.tile(inflow, (runs, 1)), np.repeat(masks, len(draws), axis=0),
-        np.tile(volume, runs), min(nominal.world.capacity_bytes, int(inflow.sum(axis=1).max())),
-        np.tile(start, (runs, 1)), np.tile(end, (runs, 1)))
+        inflow, np.array(masks), volume,
+        min(nominal.world.capacity_bytes, int(inflow.sum(axis=1).max())), start, end)
     if kind == "delay":
         # never downlinked (lost, or aboard at the horizon) is past any deadline
-        success = (lost | (slot == inflow.shape[1])
-                   | (nominal.world.t0 + slot > deadline))[:, 0]
-    else:
-        success = lost.all(axis=1)
-    return success.reshape(runs, len(draws))
+        return (lost | (slot == inflow.shape[1]) | (nominal.world.t0 + slot > deadline))[..., 0]
+    return lost.all(axis=2)
 
 
 def sweep(scenario: ConstellationScenario, config: EvalConfig,
@@ -435,9 +453,9 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
             attacked = strategy.slot_set if attacks else None
             batches = []
             for first in range(0, len(keys), BATCH_TRIALS):
-                draws = [perturb(layout, noise, derive_rng(config.master_seed, config.axis,
-                                                           value, group, trial))
-                         for group, trial in keys[first:first + BATCH_TRIALS]]
+                draws = perturb(layout, noise, [
+                    derive_rng(config.master_seed, config.axis, value, group, trial)
+                    for group, trial in keys[first:first + BATCH_TRIALS]])
                 batches.append(_outcomes(layout, nominal, config.kind, deadline,
                                          draws, attacked))
             outcomes = np.concatenate(batches, axis=1)

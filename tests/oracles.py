@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: unit-level FIFO replay, exhaustive
 subset search, permutation brute force, dense-grid geometry, a row-by-row
-window CSV reader. These trade
+window CSV reader, one Monte-Carlo trial drawn on its own. These trade
 speed for obviousness and serve as ground truth for the fast paths in
 ``orbitsiege``. None of them import the package, except
 ``dense_contact_windows``, which takes its positions from the package's
@@ -11,6 +11,8 @@ propagation (``scan_contact_slots`` checks that on its own).
 
 import itertools
 import math
+
+import numpy as np
 
 INF = math.inf
 
@@ -228,8 +230,6 @@ def dense_contact_windows(scenario):
     every satellite, none culled: the slot, satellite index, station index
     and elevation columns, sorted by slot, satellite id and station id.
     """
-    import numpy as np
-
     from orbitsiege.orbit import propagate, station_ecef_m
 
     columns = ([np.empty(0, np.intp)], [np.empty(0, np.intp)],
@@ -349,3 +349,65 @@ def count_ladder(rows, schedules, target_id, high_ids, horizon, price):
         attackable = len(highs) >= required
         ladder.append((t, True, attackable, required, price * required if attackable else INF))
     return ladder
+
+
+# sweep draws are clipped at this ratio of their nominal value
+TRUNCATION_RATIO = 0.1
+
+
+def resample(rng, nominal, std_ratio):
+    """Gaussian around each nominal value, clipped at the truncation floor,
+    at least 1; one rng.normal draw per element, in order. Raises
+    ValueError rather than wrap a value past the int64 range."""
+    nominal = np.asarray(nominal, dtype=float)
+    draw = rng.normal(nominal, std_ratio * nominal)
+    floor = np.maximum(draw, TRUNCATION_RATIO * nominal)
+    value = np.maximum(1, np.rint(floor))
+    if value.max(initial=1) >= 2.0**63:
+        raise ValueError("resampled value exceeds the int64 byte range")
+    return value.astype(np.int64)
+
+
+def perturb_trial(layout, noise, rng):
+    """One Monte-Carlo trial's true world, drawn on its own from rng:
+    (volume_bytes, head shift, unit sizes in stream order).
+
+    layout has the fields of `evaluation.TrialLayout`. Draw order: downlink
+    rate, then the initial-queue length shift, then one size per unit of the
+    shifted stream. A positive shift puts units of the head's nominal size
+    at the head; a negative one removes head units, at most
+    layout.removable. The shift returned is the one applied.
+    """
+    rate = int(resample(rng, layout.rate_bps, noise))
+    # an empty queue has std 0, so only a non-empty one ever grows
+    shift = int(round(rng.normal(0.0, noise * layout.initial)))
+    nominal = layout.sizes
+    if shift > 0:
+        nominal = np.concatenate([np.full(shift, nominal[0]), nominal])
+    elif shift < 0:
+        shift = -min(-shift, layout.removable)
+        nominal = nominal[-shift:]
+    sizes = resample(rng, nominal, noise)
+    return rate * layout.slot_seconds // 8, shift, sizes
+
+
+def trial_row(layout, draw, judged):
+    """One trial's row of the queue recurrence: (inflow per slot, volume,
+    start, end), where [start, end) are the stream bytes of the units at
+    nominal stream indices judged. Raises ValueError, as building the
+    trial's queue world would, for a world it cannot hold."""
+    volume, shift, sizes = draw
+    if volume <= 0:
+        raise ValueError("volume_bytes must be positive")
+    if sizes.min(initial=1) <= 0:
+        raise ValueError("unit sizes must be positive")
+    stream = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=stream[1:])
+    # int64 must not wrap: every running total exceeds the one before
+    if not (stream[1:] > stream[:-1]).all():
+        raise ValueError("unit sizes overflow the int64 byte stream")
+    inflow = np.zeros(len(layout.open_slots), dtype=np.int64)
+    inflow[layout.join_slots] = np.diff(stream[layout.slot_ends + shift], prepend=0)
+    # a volume beyond every byte aboard moves the same bytes as that total
+    return (inflow, min(volume, int(stream[-1])), stream[judged + shift],
+            stream[judged + shift + 1])

@@ -647,15 +647,14 @@ def mutated_windows(edits):
 
 
 @settings(max_examples=100, deadline=None)
-@given(edits=WINDOW_EDITS,
-       command=st.sampled_from(["schedule", "plan-delay", "plan-overflow", "simulate"]))
+@given(edits=WINDOW_EDITS, command=st.sampled_from(["schedule", *sorted(FUZZED_COMMANDS)]))
 def test_mutated_window_rows_keep_the_exit_code_contract(tmp_path_factory, edits, command):
     """A windows file with cells replaced or rows removed, duplicated or
     swapped is read, or refused with exit code 2."""
     path = tmp_path_factory.mktemp("windows") / "windows.csv"
     path.write_text(mutated_windows(edits), encoding="utf-8")
     assert_exit_code_contract([command, "--scenario", bundled("constellation_24h"),
-                               "--windows", str(path)])
+                               "--windows", str(path), *FUZZED_COMMANDS.get(command, [])])
 
 
 # time grids that once broke the exit-code contract: the first hung

@@ -4,15 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from bundled import load_bundled
 from orbitsiege import (AttackContext, EvalConfig, ValidationError,
                         attackability_for, plan_attack, sweep, verify_delay,
                         verify_overflow)
 from orbitsiege import evaluation
-from orbitsiege.evaluation import (TRUNCATION_RATIO, TrialLayout, _resample,
+from orbitsiege.evaluation import (TRUNCATION_RATIO, TrialLayout, _resample, _trial_rows,
                                    aggregate_table, derive_rng, extend_targets,
                                    perturb, report_table)
+from orbitsiege.errors import AttackFail
 from orbitsiege.onboard import slot_volume
 from orbitsiege.output import emit
 
@@ -49,40 +53,77 @@ def test_eval_config_validation():
             EvalConfig(**good, cost_budget=budget)
 
 
+def resampled(seed, nominal, ratio):
+    """_resample on fresh standard normals from seed, as int64."""
+    nominal = np.asarray(nominal, dtype=float)
+    z = np.random.default_rng(seed).standard_normal(nominal.shape)
+    return _resample(z, nominal, ratio).astype(np.int64)
+
+
 def test_resample_statistics():
-    rng = np.random.default_rng(5)
     nominal, ratio = 10_000, 0.2
-    draws = _resample(rng, np.full(10_000, nominal), ratio)
+    draws = resampled(5, np.full(10_000, nominal), ratio)
     assert abs(draws.mean() - nominal) < 0.01 * nominal
     assert abs(draws.std() - ratio * nominal) < 0.05 * ratio * nominal
     assert draws.min() >= 1
 
 
 def test_resample_truncation_floor():
-    rng = np.random.default_rng(6)
     nominal = 100
-    draws = _resample(rng, np.full(10_000, nominal), 1.0)
+    draws = resampled(6, np.full(10_000, nominal), 1.0)
     assert draws.min() >= round(TRUNCATION_RATIO * nominal)
 
 
 def test_resample_draws_like_scalar_calls():
-    # one array call consumes the stream and rounds exactly as a loop of
-    # scalar draws with Python's round (half to even) does; a 25- or 45-byte
-    # unit clipped at the truncation floor lands on 2.5 or 4.5
+    # standard normals drawn in one array call round exactly as a loop of
+    # scalar normal draws with Python's round (half to even) does; a 25- or
+    # 45-byte unit clipped at the truncation floor lands on 2.5 or 4.5
     nominal = [7, 100, 2_000_000_000, 1, 3] + [25, 45] * 10
     for ratio in (0.0, 0.5, 1.0):
-        batch = _resample(np.random.default_rng(8), nominal, ratio).tolist()
+        batch = resampled(8, nominal, ratio).tolist()
         rng = np.random.default_rng(8)
         loop = [max(1, int(round(max(rng.normal(n, ratio * n), TRUNCATION_RATIO * n))))
                 for n in nominal]
         assert batch == loop
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def test_normal_draws_are_loc_plus_scale_times_standard_normals():
+    # perturb draws standard normals and scales them itself, which gives
+    # Generator.normal's bits only while numpy computes loc + scale * z
+    # without a fused multiply-add
+    locs = np.array([0.0, 1.0, 16.0, 7.5, 2e9, 1e20, 3.0])
+    scales = np.array([0.0, 0.1, 1.6, 7.5, 6e8, 1e20, 3e-9])
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        # scalar draws
+        for loc, scale in zip(locs.tolist(), scales.tolist()):
+            assert bits(rng.normal(loc, scale)) == bits(loc + scale * ref.standard_normal())
+        # an array draw
+        assert bits(rng.normal(locs, scales)) == bits(locs + scales * ref.standard_normal(7))
+        # split consumption: two scalar normals and an array of n, against
+        # two standard normals and then n written into a row's tail
+        first, second = rng.normal(16.0, 1.6), rng.normal(0.0, 2.5)
+        tail = rng.normal(locs, scales)
+        heads = ref.standard_normal(2)
+        row = np.zeros(10)
+        ref.standard_normal(out=row[3:])
+        assert bits(first) == bits(16.0 + 1.6 * heads[0])
+        assert bits(second) == bits(2.5 * heads[1])
+        assert bits(tail) == bits(locs + scales * row[3:])
+
+
 @pytest.mark.parametrize("axis, nominal", [("data_rate", 16), ("image_size", 1)])
 def test_resample_refuses_values_past_int64(axis, nominal):
     # a rate or unit size past 2**63 would wrap to a negative int64
-    with pytest.raises(ValidationError, match="int64 byte range"):
-        _resample(np.random.default_rng(0), [2.0**63], 0.0)
+    _, layout = layout_of(distinct_s0())
+    for huge in (replace(layout, rate_bps=2**63),
+                 replace(layout, sizes=np.full(len(layout.sizes), 2.0**63))):
+        with pytest.raises(ValidationError, match="int64 byte range"):
+            perturb(huge, 0.0, [np.random.default_rng(0)])
     config = EvalConfig(kind="delay", axis=axis, values=(10**20, nominal), trials=4)
     points = sweep(load_bundled("s0"), config).points
     assert points[0].error == "resampled value exceeds the int64 byte range"
@@ -143,13 +184,30 @@ def nominal_sizes(ctx):
     return [end - start for _, start, end in ctx.world.byte_ranges.values()]
 
 
+def trials_of(layout, draws):
+    """A batch's draws trial by trial: (volume, shift, sizes in stream
+    order), as `oracles.perturb_trial` returns one."""
+    volumes, shifts, sizes = draws
+    lead = sizes.shape[1] - len(layout.sizes)
+    assert (shifts <= lead).all()
+    for row, shift in zip(sizes, shifts.tolist()):
+        assert not row[:lead - shift].any(), "columns ahead of a trial's stream hold 0"
+    return [(volume, shift, row[lead - shift:])
+            for volume, shift, row in zip(volumes, shifts.tolist(), sizes)]
+
+
+def perturb_seeds(layout, noise, seeds):
+    """One perturb batch over fresh rngs seeded by seeds, trial by trial."""
+    return trials_of(layout, perturb(layout, noise, [np.random.default_rng(s) for s in seeds]))
+
+
 def test_perturb_silent_noise_is_identity():
     ctx, layout = layout_of(distinct_s0())
-    volume, shift, sizes = perturb(layout, 0.0, np.random.default_rng(0))
-    assert volume == ctx.world.volume_bytes
-    assert shift == 0
+    volumes, shifts, sizes = perturb(layout, 0.0, [np.random.default_rng(0)])
+    assert volumes == [ctx.world.volume_bytes]
+    assert shifts.tolist() == [0]
     assert sizes.dtype == np.int64
-    assert sizes.tolist() == nominal_sizes(ctx)
+    assert sizes.tolist() == [nominal_sizes(ctx)]
 
 
 def test_perturb_is_deterministic_per_stream():
@@ -157,11 +215,14 @@ def test_perturb_is_deterministic_per_stream():
     noise = 0.3
 
     def draw(seed):
-        volume, shift, sizes = perturb(layout, noise, np.random.default_rng(seed))
+        [(volume, shift, sizes)] = perturb_seeds(layout, noise, [seed])
         return volume, shift, sizes.tolist()
 
     assert draw(42) == draw(42)
     assert draw(42) != draw(43)
+    # a trial's world does not depend on the batch it is drawn in
+    batch = perturb_seeds(layout, noise, [43, 42, 44])
+    assert (batch[1][0], batch[1][1], batch[1][2].tolist()) == draw(42)
 
 
 def test_perturb_touches_only_the_target_satellite():
@@ -175,16 +236,15 @@ def test_perturb_touches_only_the_target_satellite():
     # 5-sigma rate draw stalls it (see test_sweep_flags_a_degenerate_true_world)
     noise = 0.1
     changed = False
-    for seed in range(20):
-        volume, shift, sizes = perturb(layout, noise, np.random.default_rng(seed))
+    for seed, (volume, shift, sizes) in enumerate(perturb_seeds(layout, noise, range(20))):
         assert len(sizes) == len(nominal) + shift
         assert -2 <= shift, "init-003 is two units deep"
         ref = np.random.default_rng(seed)
-        rate = int(_resample(ref, 16, noise))
+        rate = int(oracles.resample(ref, 16, noise))
         assert volume == slot_volume(rate, 1) > 0
         assert shift == max(round(ref.normal(0.0, noise * 5)), -2)
         stream = [11] * max(shift, 0) + nominal[max(-shift, 0):]
-        assert sizes.tolist() == _resample(ref, stream, noise).tolist()
+        assert sizes.tolist() == oracles.resample(ref, stream, noise).tolist()
         changed |= volume != ctx.world.volume_bytes or sizes.tolist() != nominal
     assert changed
 
@@ -197,8 +257,7 @@ def test_perturb_queue_shift_never_eats_the_target():
     nominal = nominal_sizes(ctx)
     noise = 1.0
     saw_insert = saw_remove = False
-    for seed in range(60):
-        _, shift, sizes = perturb(layout, noise, np.random.default_rng(seed))
+    for seed, (_, shift, sizes) in enumerate(perturb_seeds(layout, noise, range(60))):
         # the shift is the second draw of the stream, after the rate's
         ref = np.random.default_rng(seed)
         ref.standard_normal()
@@ -208,16 +267,86 @@ def test_perturb_queue_shift_never_eats_the_target():
         # init-003 and everything behind it in place behind the head, and
         # insertions at the head
         stream = [11] * max(shift, 0) + nominal[max(-shift, 0):]
-        assert sizes.tolist() == _resample(ref, stream, noise).tolist(), \
+        assert sizes.tolist() == oracles.resample(ref, stream, noise).tolist(), \
             "insertions must sit at the head"
         saw_insert |= shift > 0
         saw_remove |= shift < 0
     assert saw_insert and saw_remove
 
 
-def judge_one(scenario, kind, strategy, draw):
+@st.composite
+def trial_layouts(draw):
+    """A TrialLayout of 1-12 units joining over 1-8 slots, and the targets
+    it judges. The initial queue may be empty; units may be large enough
+    to wrap the int64 stream or to be refused, and the rate slow enough to
+    stall or fast enough to be refused."""
+    count = draw(st.integers(1, 12))
+    unit = draw(st.sampled_from([1, 1_000, 2**60, 10**19]))
+    sizes = [unit * k for k in draw(st.lists(st.integers(1, 7), min_size=count,
+                                             max_size=count))]
+    initial = draw(st.integers(0, count))
+    first = draw(st.integers(0, count - 1))
+    positions = sorted({first, *draw(st.sets(st.integers(first, count - 1)))})
+    slots = draw(st.integers(1, 8))
+    # the initial units all join at slot index 0, in the first group
+    low = max(initial, 1)
+    cuts = sorted(draw(st.sets(st.integers(low, count - 1), max_size=slots - 1))
+                  if low < count else ())
+    ends = [*cuts, count]
+    joins = sorted(draw(st.lists(st.integers(0, slots - 1), min_size=len(ends),
+                                 max_size=len(ends), unique=True)))
+    if initial:
+        joins[0] = 0  # units aboard at t0 join at slot index 0
+    layout = TrialLayout(
+        rate_bps=draw(st.sampled_from([1, 16, 80, 10**6, 2**63])),
+        slot_seconds=draw(st.sampled_from([1, 60])),
+        sizes=np.array(sizes, dtype=float),
+        initial=initial,
+        removable=min(first, initial),
+        open_slots=np.array(draw(st.lists(st.booleans(), min_size=slots, max_size=slots))),
+        join_slots=np.array(joins, dtype=np.int64),
+        slot_ends=np.array(ends, dtype=np.int64),
+        positions=np.array(positions, dtype=np.int64))
+    judged = layout.positions if draw(st.booleans()) else layout.positions[-1:]
+    return layout, judged
+
+
+@settings(max_examples=300, deadline=None)
+@given(trial_layouts(),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+def test_batched_perturb_and_rows_match_the_per_trial_oracle(layout_judged, noise, seeds):
+    """perturb on a batch of rngs, and the rows built from it, equal the
+    per-trial oracle trial by trial; a batch the oracle refuses is refused
+    with the oracle's first message: any resampled value past int64 before
+    the first trial, in draw order, that no queue world can hold."""
+    layout, judged = layout_judged
+    try:
+        expected = [oracles.perturb_trial(layout, noise, np.random.default_rng(s))
+                    for s in seeds]
+        rows = [oracles.trial_row(layout, draw, judged) for draw in expected]
+    except ValueError as exc:
+        with pytest.raises(ValidationError) as refused:
+            _trial_rows(layout, perturb(layout, noise, [np.random.default_rng(s)
+                                                        for s in seeds]), judged)
+        assert str(refused.value) == str(exc)
+        return
+    draws = perturb(layout, noise, [np.random.default_rng(s) for s in seeds])
+    for got, want in zip(trials_of(layout, draws), expected, strict=True):
+        assert got[:2] == want[:2]
+        assert got[2].tolist() == want[2].tolist()
+    inflow, volume, start, end = _trial_rows(layout, draws, judged)
+    for r, (row_inflow, row_volume, row_start, row_end) in enumerate(rows):
+        assert inflow[r].tolist() == row_inflow.tolist()
+        assert volume[r] == row_volume
+        assert start[r].tolist() == row_start.tolist()
+        assert end[r].tolist() == row_end.tolist()
+
+
+def judge_one(scenario, kind, attacked, draw):
     """One trial judged the slow way: its QueueWorld rebuilt from the draw
-    and run through evolve with and without the strategy."""
+    and run through evolve without an attack and, unless attacked is None,
+    under the attacked slots. Returns (success, natural)."""
     ctx = context(scenario)
     volume, shift, sizes = draw
     head = list(ctx.world.initial_units)
@@ -238,7 +367,8 @@ def judge_one(scenario, kind, strategy, draw):
             return trace.t_e(ctx.final_target) > scenario.target.target_downlink_slot
         return all(trace.dropped[uid] for uid in ctx.targets)
 
-    return hit(true_ctx.trace(strategy.slot_set)), hit(true_ctx.baseline)
+    success = attacked is not None and hit(true_ctx.trace(attacked))
+    return success, hit(true_ctx.baseline)
 
 
 @pytest.mark.parametrize("name, kind, noise", [("constellation_24h", "delay", 0.6),
@@ -253,13 +383,98 @@ def test_batched_trials_match_per_trial_evolve(name, kind, noise):
     assert point.error is None
     ctx, layout = layout_of(scenario)
     strategy = plan_attack(ctx, kind, 0, scenario.target.target_downlink_slot)
+    rngs = [derive_rng(7, "noise_ratio", noise, *divmod(k, 40 // evaluation.SEED_GROUPS))
+            for k in range(40)]
+    draws = trials_of(layout, perturb(layout, noise, rngs))
     outcomes = set()
-    for k, record in enumerate(point.records):
-        group, trial = divmod(k, 40 // evaluation.SEED_GROUPS)
-        draw = perturb(layout, noise, derive_rng(7, "noise_ratio", noise, group, trial))
-        assert (record.success, record.natural) == judge_one(scenario, kind, strategy, draw)
+    for record, draw in zip(point.records, draws, strict=True):
+        assert (record.success, record.natural) == judge_one(scenario, kind,
+                                                             strategy.slot_set, draw)
         outcomes.add(record.success)
     assert outcomes == {True, False}
+
+
+def reference_point(scenario, config):
+    """The one noise_ratio point of config, trial by trial from the oracle,
+    BATCH_TRIALS trials at a time: every trial of a batch is drawn before
+    any is checked, and each trial is judged by rebuilding its queue world.
+    Returns the (success, natural) records, or the first refusal's message."""
+    [noise] = config.values
+    ctx, layout = layout_of(scenario)
+    judged = layout.positions if config.kind == "overflow" else layout.positions[-1:]
+    try:
+        strategy = plan_attack(ctx, config.kind, 0, scenario.target.target_downlink_slot)
+    except AttackFail:
+        strategy = None
+    budget = scenario.target.cost_budget
+    attacked = (strategy.slot_set if strategy is not None
+                and (budget is None or strategy.cost <= budget) else None)
+    groups = min(evaluation.SEED_GROUPS, config.trials)
+    keys = [(group, trial) for group in range(groups)
+            for trial in range(config.trials // groups + (group < config.trials % groups))]
+    records = []
+    try:
+        for first in range(0, len(keys), evaluation.BATCH_TRIALS):
+            draws = [oracles.perturb_trial(layout, noise, derive_rng(
+                config.master_seed, "noise_ratio", noise, group, trial))
+                for group, trial in keys[first:first + evaluation.BATCH_TRIALS]]
+            for draw in draws:
+                oracles.trial_row(layout, draw, judged)
+            records += [judge_one(scenario, config.kind, attacked, draw) for draw in draws]
+    except ValueError as exc:
+        return str(exc)
+    return records
+
+
+# (scenario, kind, noise, trials, master seed, what the point shows)
+BATCHED_POINTS = [
+    ("constellation_24h", "delay", 0.6, 23, 7, "records"),
+    ("s0_ovf", "overflow", 0.15, 23, 2, "records"),
+    ("empty_queue", "delay", 0.3, 12, 1, "records"),
+    ("s0", "delay", 0.3, 12, 3, "volume_bytes must be positive"),
+    ("s0", "delay", 1.0, 30, 0, "volume_bytes must be positive"),
+    ("wide_s0", "delay", 0.0, 12, 3, "unit sizes overflow the int64 byte stream"),
+    ("huge_s0", "delay", 0.0, 12, 3, "resampled value exceeds the int64 byte range"),
+]
+
+
+def batched_scenario(name):
+    """A bundled scenario, or s0 resized: units that wrap int64 between
+    them (wide), units each past int64 (huge), or none aboard at t0."""
+    s0 = load_bundled("s0")
+    if name == "wide_s0":
+        return with_sizes(s0, [2**62] * 5)
+    if name == "huge_s0":
+        return with_sizes(s0, [2**63] * 5)
+    if name == "empty_queue":
+        sat_id = s0.target.satellite_id
+        return replace(s0, initial_queue=tuple((sid, ()) if sid == sat_id else (sid, units)
+                                               for sid, units in s0.initial_queue),
+                       target=replace(s0.target, target_unit_ids=("arr-003",)))
+    return load_bundled(name)
+
+
+@pytest.mark.parametrize("name, kind, noise, trials, seed, shows", BATCHED_POINTS)
+@pytest.mark.parametrize("batch", [5, evaluation.BATCH_TRIALS])
+def test_sweep_points_match_the_per_trial_oracle(monkeypatch, name, kind, noise, trials, seed,
+                                                 shows, batch):
+    # a point's trials, judged a batch at a time, give the records or the
+    # refusal that drawing, checking and judging each trial on its own gives;
+    # batches of five split the seed groups
+    monkeypatch.setattr(evaluation, "BATCH_TRIALS", batch)
+    if name == "s0" and noise == 0.3:
+        monkeypatch.setattr(evaluation, "SEED_GROUPS", 4)
+    scenario = batched_scenario(name)
+    config = EvalConfig(kind=kind, axis="noise_ratio", values=(noise,), trials=trials,
+                        master_seed=seed)
+    point = sweep(scenario, config).points[0]
+    expected = reference_point(scenario, config)
+    if shows == "records":
+        assert point.error is None
+        assert [(r.success, r.natural) for r in point.records] == expected
+    else:
+        assert point.error == expected == shows
+        assert point.records == ()
 
 
 def test_extend_targets_clips_at_the_ends():
@@ -420,7 +635,7 @@ def test_sweep_rejects_true_worlds_it_cannot_hold():
     for group, size in enumerate([2, 2] + [1] * 8):  # 12 trials in 10 seed groups
         for trial in range(size):
             rng = derive_rng(3, "budget", 0.0, group, trial)
-            assert _resample(rng, 16, 0.3) >= 8
+            assert oracles.resample(rng, 16, 0.3) >= 8
             shifts.append(round(rng.normal(0.0, 0.3 * 5)))
     assert max(shifts) >= 2
     point = sweep(renamed, config).points[0]
