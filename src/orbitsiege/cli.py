@@ -22,8 +22,8 @@ from .evaluation import (AXES, KINDS, EvalConfig, aggregate_table, plan_attack,
                          report_table, sweep)
 from .onboard import trace_events_table, trace_table
 from .orbit import (compute_contact_windows, load_contact_windows,
-                    save_contact_windows, windows_csv_text)
-from .output import csv_text, emit, json_text, write_text_atomic
+                    save_contact_windows, windows_text)
+from .output import emit, json_text, table_text, write_text_atomic
 from .planner_delay import verify_delay
 from .planner_overflow import verify_overflow
 from .scenario import load_scenario
@@ -78,7 +78,7 @@ def _cmd_windows(args) -> int:
         save_contact_windows(args.out, windows, args.format)
         print(f"{len(windows)} contact windows -> {args.out}")
     else:
-        sys.stdout.write(windows_csv_text(windows))
+        sys.stdout.write(windows_text(windows, args.format))
     return 0
 
 
@@ -92,7 +92,7 @@ def _cmd_schedule(args) -> int:
         print(f"{transmissible} transmissible / {attackable} attackable slots "
               f"-> {args.out}")
     else:
-        sys.stdout.write(csv_text(*attackability_table(records)))
+        sys.stdout.write(table_text(*attackability_table(records), args.format))
     return 0
 
 
@@ -179,7 +179,7 @@ def _cmd_sweep(args) -> int:
         emit(agg_path, *aggregate_table(result), args.format)
         print(f"report -> {args.out}, aggregate -> {agg_path}")
     else:
-        sys.stdout.write(csv_text(*aggregate_table(result)))
+        sys.stdout.write(table_text(*aggregate_table(result), args.format))
     return 0
 
 

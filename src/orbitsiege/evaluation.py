@@ -6,12 +6,19 @@ planned slots on a perturbed "true world" where the target satellite's unit
 sizes, downlink rate, and initial-queue length differ from the estimate.
 Geometry never varies, so a sweep builds the antenna schedule once and each
 point derives its attackability and one nominal attack context from it.
-A point's trials run BATCH_TRIALS at a time. Per trial, only its own
-SHA-256-seeded stream and that stream's standard normal draws run in
-Python; one `perturb` call turns a batch's draws into its true worlds with
-(trials x units) array operations, and the batch's trials, without and with
-the attack, run as the rows of one int64 queue recurrence
-(`onboard.evolve_rows`).
+The points of an axis that leaves the scenario as it is (budget,
+noise_ratio, extra_M, target_duration) share one nominal context and trial
+layout, and plan once per (extra_M, deadline).
+
+A point's trials run BATCH_TRIALS at a time. Each trial draws from the
+stream `derive_rng` defines. A batch's streams are seeded at once
+(`_pcg64_states` reproduces numpy's SeedSequence and PCG64 seeding with
+uint32 array operations), and one reused generator is set to each trial's
+state in turn, so per trial only a SHA-256 digest, a state assignment and
+that stream's standard normal draws run in Python. One `perturb` call turns
+a batch's draws into its true worlds with (trials x units) array
+operations, and the batch's trials, without and with the attack, run as the
+rows of one int64 queue recurrence (`onboard.evolve_rows`).
 """
 
 from __future__ import annotations
@@ -49,6 +56,20 @@ BATCH_TRIALS = 1024
 # fewer trials); the box statistics are over the groups' success ratios
 SEED_GROUPS = 10
 
+# trials per point; a point's (group, trial) keys and its records are held
+# at once, so a larger count is refused before anything is drawn
+MAX_TRIALS = 65_536
+
+# numpy's SeedSequence (NEP 19) hash and mix constants and pool size in
+# uint32 words, and PCG64's 128-bit LCG multiplier, as `_pcg64_states`
+# reproduces numpy's seeding with them
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -80,6 +101,8 @@ class EvalConfig:
             raise ValidationError("values must be non-empty")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ValidationError(f"trials must be <= {MAX_TRIALS}")
         if self.extra_m < 0:
             raise ValidationError("extra_m must be >= 0")
         if self.cost_budget is not None:
@@ -208,8 +231,10 @@ def perturb(layout: TrialLayout, noise: float, rngs) -> tuple[list[int], np.ndar
     Every draw has the std ratio noise. Each trial's stream is read in a
     fixed order: downlink rate, then the initial-queue length shift, then one
     size per unit of the shifted stream in stream order, so a given rng state
-    always yields the same world. Only those standard normal draws run trial
-    by trial; rounding, clipping and the checks run once over the batch.
+    always yields the same world. A trial's whole stream is drawn before the
+    next rng is taken, so rngs may yield one generator set to each trial's
+    state in turn. Only those standard normal draws run trial by trial;
+    rounding, clipping and the checks run once over the batch.
 
     A positive shift puts that many units of the head's nominal size at the
     HEAD of the initial queue; they carry no ids, so no unit name can clash
@@ -222,18 +247,24 @@ def perturb(layout: TrialLayout, noise: float, rngs) -> tuple[list[int], np.ndar
     rate wraps on its way to bytes per slot.
     """
     nominal = layout.sizes
-    heads = np.array([rng.standard_normal(2) for rng in rngs])  # rate, shift
     # an empty queue has std 0, so only a non-empty one ever grows
-    shifts = np.rint((noise * layout.initial) * heads[:, 1]).astype(np.int64)
-    np.maximum(shifts, -layout.removable, out=shifts)
+    scale = noise * layout.initial
+    rate_draws, shifts, size_draws = [], [], []
+    for rng in rngs:
+        rate, shift = rng.standard_normal(2).tolist()
+        shift = max(round(scale * shift), -layout.removable)
+        rate_draws.append(rate)
+        shifts.append(shift)
+        size_draws.append(rng.standard_normal(len(nominal) + shift))
+    shifts = np.array(shifts, dtype=np.int64)
     lead = max(int(shifts.max()), 0)
-    firsts = lead - shifts
-    sizes = np.zeros((len(shifts), lead + len(nominal)))
-    for rng, row, first in zip(rngs, sizes, firsts.tolist()):
-        rng.standard_normal(out=row[first:])
-    rates = _resample(heads[:, 0], layout.rate_bps, noise)
+    # each row's draws fill its columns from lead - shift on
+    drawn = np.arange(lead + len(nominal)) >= (lead - shifts)[:, None]
+    sizes = np.zeros(drawn.shape)
+    sizes[drawn] = np.concatenate(size_draws)
+    rates = _resample(np.array(rate_draws), layout.rate_bps, noise)
     _resample(sizes, np.concatenate([np.full(lead, nominal[0]), nominal]), noise)
-    sizes[np.arange(sizes.shape[1]) < firsts[:, None]] = 0
+    sizes[~drawn] = 0
     if max(rates.max(), sizes.max()) >= 2.0**63:
         raise ValidationError("resampled value exceeds the int64 byte range")
     volumes = [slot_volume(int(rate), layout.slot_seconds) for rate in rates.tolist()]
@@ -303,8 +334,9 @@ def plan_attack(ctx: AttackContext, kind: str, extra_m: int,
     return plan_overflow(ctx)
 
 
-def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
-    """Deterministic per-trial stream; equal axis values share streams.
+def _trial_digests(master_seed: int, axis: str, value, keys) -> list[bytes]:
+    """The SHA-256 digest that keys each (group, trial) stream of one axis
+    value; equal axis values share digests.
 
     An int keys the stream by its repr. A float or numpy scalar keys it as
     that int when it is integral, else by its Python float repr, so 1, 1.0
@@ -315,9 +347,100 @@ def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
         value = value.item()
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    text = f"{master_seed}|{axis}|{value!r}|{group}|{trial}"
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    prefix = f"{master_seed}|{axis}|{value!r}"
+    return [hashlib.sha256(f"{prefix}|{group}|{trial}".encode("utf-8")).digest()
+            for group, trial in keys]
+
+
+def derive_rng(master_seed: int, axis: str, value, group: int, trial: int):
+    """Deterministic per-trial stream: numpy's PCG64 generator seeded by
+    SeedSequence from the trial's digest (`_trial_digests`) read as a
+    big-endian int. This defines every trial's stream; a sweep seeds its
+    batches through `_pcg64_states`, which gives the same states."""
+    [digest] = _trial_digests(master_seed, axis, value, [(group, trial)])
     return np.random.default_rng(np.random.SeedSequence(int.from_bytes(digest, "big")))
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """The (xor, multiplier) pairs of count successive SeedSequence hashes:
+    each one xors its input with the running constant, steps the constant
+    by mult, and multiplies by the stepped constant."""
+    pairs = []
+    for _ in range(count):
+        stepped = init * mult & _MASK32
+        pairs.append((np.uint32(init), np.uint32(stepped)))
+        init = stepped
+    return pairs
+
+
+# 8 entropy words take 4 hashes to fill the pool, 12 to mix it and 16 to
+# mix in the other 4 words; generate_state(4, np.uint64) takes 8
+_MIX_HASHES = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 16)
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashed(words: np.ndarray, pair) -> np.ndarray:
+    xor, mult = pair
+    words = (words ^ xor) * mult
+    return words ^ (words >> np.uint32(16))
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return mixed ^ (mixed >> np.uint32(16))
+
+
+def _pcg64_states(digests: list[bytes]) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that `derive_rng` starts each 32-byte digest's
+    stream from, for a batch of digests at once.
+
+    `SeedSequence(n)` hashes the uint32 words of n, least significant
+    first, into a pool of 4 words and mixes them; `generate_state(4,
+    np.uint64)` hashes the pool out to a 128-bit seed and a 128-bit
+    sequence; PCG64 then sets inc = 2 * sequence + 1 and state = (inc +
+    seed) * multiplier + inc, mod 2**128 (O'Neill, HMC-CS-2014-0905). The
+    hash constants depend only on the step, so the hashing runs as uint32
+    array operations over the batch. A digest whose top word is zero has
+    fewer than 8 words to hash, so numpy seeds it itself.
+    """
+    words = np.frombuffer(b"".join(digests), dtype=">u4").reshape(-1, 8)
+    entropy = words[:, ::-1].T.astype(np.uint32)  # (8, trials), low word first
+    hashes = iter(_MIX_HASHES)
+    pool = [_hashed(entropy[i], next(hashes)) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mixed(pool[dst], _hashed(pool[src], next(hashes)))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mixed(pool[dst], _hashed(word, next(hashes)))
+    # generate_state's uint32 words, read in little-endian pairs as uint64
+    out = [_hashed(pool[k % _POOL_WORDS], pair).astype(np.uint64)
+           for k, pair in enumerate(_STATE_HASHES)]
+    words64 = [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    states = []
+    for digest, seed_hi, seed_lo, seq_hi, seq_lo in zip(digests, *words64):
+        if not any(digest[:4]):
+            state = np.random.PCG64(
+                np.random.SeedSequence(int.from_bytes(digest, "big"))).state["state"]
+            states.append((state["state"], state["inc"]))
+            continue
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        seed = seed_hi << 64 | seed_lo
+        states.append((((inc + seed) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _streams(states):
+    """One generator, set to each PCG64 (state, inc) in turn as it is
+    yielded; each trial's draws must end before the next is taken."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in states:
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
@@ -403,29 +526,56 @@ def _outcomes(layout: TrialLayout, nominal: AttackContext, kind: str, deadline: 
     return lost.all(axis=2)
 
 
+def _plan(nominal: AttackContext, kind: str, extra_m: int,
+          deadline: int | None) -> AttackStrategy | None:
+    """The point's plan, or None if the attack is infeasible."""
+    try:
+        return plan_attack(nominal, kind, extra_m, deadline)
+    except AttackFail:
+        return None
+
+
 def sweep(scenario: ConstellationScenario, config: EvalConfig,
           windows=None) -> SweepResult:
     """Run every axis point; per-point errors are recorded, not raised.
 
     No axis changes what the antenna schedule reads (low-priority
     satellites, their orbits and the stations), so it is built once, on
-    first use, and each point derives only its attackability from it.
+    first use, and each point derives only its attackability from it. The
+    points of an axis that leaves the scenario as it is share its nominal
+    context and trial layout, and one plan per (extra_m, deadline); nothing
+    is kept past this call.
     """
     if windows is None and scenario.attackability is None:
         windows = compute_contact_windows(scenario)
     schedule = functools.cache(lambda: build_schedule(scenario, windows))
 
-    def ladder(point_scenario):
+    def nominal_world(point_scenario):
+        """The point's nominal attack context and its trial layout."""
         if scenario.attackability is not None:
-            return attackability_for(point_scenario)
-        return attackability(point_scenario, schedule(), windows)
+            ladder = attackability_for(point_scenario)
+        else:
+            ladder = attackability(point_scenario, schedule(), windows)
+        nominal = AttackContext.from_scenario(point_scenario, ladder)
+        return nominal, TrialLayout.from_context(point_scenario, nominal)
 
+    own_world = functools.cache(lambda: nominal_world(scenario))
+    own_plan = functools.cache(
+        lambda extra_m, deadline: _plan(own_world()[0], config.kind, extra_m, deadline))
+
+    group_count = min(SEED_GROUPS, config.trials)
+    group_sizes = [config.trials // group_count
+                   + (1 if group < config.trials % group_count else 0)
+                   for group in range(group_count)]
+    keys = [(group, trial) for group, size in enumerate(group_sizes)
+            for trial in range(size)]
     points = []
     for value in config.values:
         try:
             point_scenario, budget, extra_m, noise, hours = _apply_axis(
                 scenario, config, value)
-            nominal = AttackContext.from_scenario(point_scenario, ladder(point_scenario))
+            unchanged = point_scenario is scenario
+            nominal, layout = own_world() if unchanged else nominal_world(point_scenario)
             deadline = point_scenario.target.target_downlink_slot
             if hours is not None:
                 te0 = nominal.baseline.t_e(nominal.final_target)
@@ -435,27 +585,17 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
                 if ahead > scenario.time.last_slot - int(te0):
                     raise ValidationError(f"target_duration {hours:g} h: deadline beyond horizon")
                 deadline = int(te0) + math.ceil(ahead)
-            try:
-                strategy = plan_attack(nominal, config.kind, extra_m, deadline)
-            except AttackFail:
-                strategy = None
+            strategy = (own_plan(extra_m, deadline) if unchanged
+                        else _plan(nominal, config.kind, extra_m, deadline))
             if budget is None:
                 budget = point_scenario.target.cost_budget
-            layout = TrialLayout.from_context(point_scenario, nominal)
-
-            group_count = min(SEED_GROUPS, config.trials)
-            group_sizes = [config.trials // group_count
-                           + (1 if group < config.trials % group_count else 0)
-                           for group in range(group_count)]
-            keys = [(group, trial) for group, size in enumerate(group_sizes)
-                    for trial in range(size)]
             attacks = strategy is not None and (budget is None or strategy.cost <= budget)
             attacked = strategy.slot_set if attacks else None
             batches = []
             for first in range(0, len(keys), BATCH_TRIALS):
-                draws = perturb(layout, noise, [
-                    derive_rng(config.master_seed, config.axis, value, group, trial)
-                    for group, trial in keys[first:first + BATCH_TRIALS]])
+                digests = _trial_digests(config.master_seed, config.axis, value,
+                                         keys[first:first + BATCH_TRIALS])
+                draws = perturb(layout, noise, _streams(_pcg64_states(digests)))
                 batches.append(_outcomes(layout, nominal, config.kind, deadline,
                                          draws, attacked))
             outcomes = np.concatenate(batches, axis=1)

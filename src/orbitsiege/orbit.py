@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import IoError, OutOfHorizon, ParseError, StaleElements, ValidationError
-from .output import emit, fmt_floats, write_text_atomic
+from .output import fmt_floats, table_text, write_text_atomic
 from .scenario import (ConstellationScenario, GroundStationSpec, SatelliteSpec, TimeGrid,
                        TleElements)
 
@@ -259,11 +259,15 @@ def windows_csv_text(windows: ContactWindows) -> str:
     return "".join(pieces)
 
 
-def save_contact_windows(path: str, windows: ContactWindows, fmt: str = "csv") -> None:
+def windows_text(windows: ContactWindows, fmt: str = "csv") -> str:
+    """The windows table as CSV (`windows_csv_text`) or JSON."""
     if fmt == "csv":
-        write_text_atomic(path, windows_csv_text(windows))
-    else:
-        emit(path, WINDOW_HEADER, windows.rows(), fmt)
+        return windows_csv_text(windows)
+    return table_text(WINDOW_HEADER, windows.rows(), fmt)
+
+
+def save_contact_windows(path: str, windows: ContactWindows, fmt: str = "csv") -> None:
+    write_text_atomic(path, windows_text(windows, fmt))
 
 
 def _header_error(path: str, text: str) -> ParseError:

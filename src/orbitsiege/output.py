@@ -83,12 +83,16 @@ def json_text(obj) -> str:
     return json.dumps(json_ready(obj), indent=2) + "\n"
 
 
-def emit(path: str, header: list[str], rows: list[list], fmt: str = "csv") -> None:
-    """Write tabular data as CSV, or as a JSON array of objects that mirror
-    the CSV rows under the same column names."""
+def table_text(header: list[str], rows: list[list], fmt: str = "csv") -> str:
+    """Tabular data as CSV, or as a JSON array of objects that mirror the
+    CSV rows under the same column names."""
     if fmt == "csv":
-        write_text_atomic(path, csv_text(header, rows))
-    elif fmt == "json":
-        write_text_atomic(path, json_text([dict(zip(header, row)) for row in rows]))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        return csv_text(header, rows)
+    if fmt == "json":
+        return json_text([dict(zip(header, row)) for row in rows])
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def emit(path: str, header: list[str], rows: list[list], fmt: str = "csv") -> None:
+    """Write `table_text` to path."""
+    write_text_atomic(path, table_text(header, rows, fmt))

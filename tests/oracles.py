@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: unit-level FIFO replay, exhaustive
-subset search, permutation brute force, dense-grid geometry, a row-by-row
-window CSV reader, one Monte-Carlo trial drawn on its own. These trade
+subset search, the delay cost read off cumulative curves, permutation
+brute force, dense-grid geometry, a row-by-row window CSV reader, one
+Monte-Carlo trial drawn on its own. These trade
 speed for obviousness and serve as ground truth for the fast paths in
 ``orbitsiege``. None of them import the package, except
 ``dense_contact_windows``, which takes its positions from the package's
@@ -122,6 +123,39 @@ def exhaustive_min_cost_delay(attackable, costs, target_slot, unit_id,
                 if best_cost is None or cost < best_cost:
                     best_cost, best = cost, combo
     return best_cost, best
+
+
+def min_plus_delay_cost(inflow, transmissible, price, volume, end_byte, t0,
+                        target_slot):
+    """The least cost of blocking slots so the unit whose last byte is
+    stream byte end_byte - 1 is still aboard after target_slot, from the
+    cumulative curves; exact while no blocking set drops bytes.
+
+    inflow maps each slot to the bytes joining the queue there (units
+    aboard at t0 join at t0), transmissible lists the slots that may send
+    volume bytes, and price maps each attackable slot to its cost. With
+    A(s) the bytes joined through slot s (A(t0 - 1) = 0) and N(s, D] the
+    open slots in (s, D], a FIFO queue has sent min over s in [t0 - 1, D]
+    of A(s) + volume * N(s, D] bytes by the end of slot D (Lindley's
+    recursion in min-plus form). So the unit outlasts D exactly when, for
+    some s with A(s) < end_byte, at least k_s = N(s, D] - ceil((end_byte -
+    A(s)) / volume) + 1 slots of (s, D] are blocked; the least cost is the
+    least, over s, of the k_s cheapest attackable slots in (s, D].
+    Returns None if no s has enough attackable slots.
+    """
+    best = None
+    joined = 0
+    for s in range(t0 - 1, target_slot + 1):
+        joined += inflow.get(s, 0) if s >= t0 else 0
+        if joined >= end_byte:
+            break  # A only grows: no later s can hold the unit back
+        opened = sum(1 for t in transmissible if s < t <= target_slot)
+        needed = opened + 1 - -(-(end_byte - joined) // volume)
+        prices = sorted(cost for t, cost in price.items() if s < t <= target_slot)
+        if needed <= len(prices):
+            cost = float(sum(prices[:max(needed, 0)]))
+            best = cost if best is None else min(best, cost)
+    return best
 
 
 def exhaustive_overflow(attackable, unit_id, replay_fn):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bundled import bundled_path as bundled
 from orbitsiege.cli import main
+from orbitsiege.evaluation import MAX_TRIALS
 from orbitsiege.orbit import compute_contact_windows, windows_csv_text
 from orbitsiege.scenario import load_scenario, save_scenario
 from orbitsiege.scheduler import attackability_for
@@ -709,16 +710,27 @@ def test_precomputed_windows_change_nothing(capsys, tmp_path, argv):
     assert runs[0][1]
 
 
-@pytest.mark.parametrize("command, name", [("windows", "constellation_24h"),
-                                           ("schedule", "s0"),
-                                           ("schedule", "constellation_24h")])
-def test_stdout_mode_prints_the_artifact(capsys, tmp_path, command, name):
-    code, printed, err = run_cli(capsys, command, "--scenario", bundled(name))
+@pytest.mark.parametrize("command, name, options, written", [
+    pytest.param("windows", "constellation_24h", [], "artifact.csv",
+                 id="windows-constellation_24h"),
+    pytest.param("schedule", "s0", [], "artifact.csv", id="schedule-s0"),
+    pytest.param("schedule", "constellation_24h", [], "artifact.csv",
+                 id="schedule-constellation_24h"),
+    pytest.param("windows", "constellation_24h", ["--format", "json"], "artifact.csv",
+                 id="windows-json"),
+    pytest.param("schedule", "s0", ["--format", "json"], "artifact.csv", id="schedule-json"),
+    pytest.param("sweep", "s0", ["--axis", "budget", "--values", "0.5,1", "--trials", "4",
+                                 "--noise", "0.2", "--format", "json"],
+                 "artifact.aggregate.csv", id="sweep-json"),
+])
+def test_stdout_mode_prints_the_artifact(capsys, tmp_path, command, name, options, written):
+    # without --out, standard output holds the bytes --out writes (for
+    # sweep, the aggregate), in the format --format names
+    argv = [command, "--scenario", bundled(name), *options]
+    code, printed, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
-    out = tmp_path / "artifact.csv"
-    assert run_cli(capsys, command, "--scenario", bundled(name),
-                   "--out", str(out))[0] == 0
-    assert printed.encode("utf-8") == out.read_bytes()
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "artifact.csv"))[0] == 0
+    assert printed.encode("utf-8") == (tmp_path / written).read_bytes()
 
 
 def test_sweep_is_byte_identical(capsys, s0_path, tmp_path):
@@ -837,6 +849,17 @@ def test_bad_budget_exits_two(capsys, s0_path, command, budget, error):
     assert code == 2
     assert out == ""
     assert err == f"error: cost_budget: {error}\n"
+
+
+def test_sweep_refuses_more_trials_than_its_bound(capsys, s0_path, tmp_path):
+    # refused while the config is read, before any trial key is built
+    out = tmp_path / "r.csv"
+    code, printed, err = run_cli(capsys, "sweep", "--scenario", s0_path, "--axis",
+                                 "noise_ratio", "--values", "0.1", "--trials",
+                                 str(MAX_TRIALS + 1), "--out", str(out))
+    assert (code, printed) == (2, "")
+    assert err == f"error: trials must be <= {MAX_TRIALS}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_seed_defaults_to_zero(capsys, s0_path, tmp_path):

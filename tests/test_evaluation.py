@@ -43,6 +43,9 @@ def test_eval_config_validation():
         EvalConfig(**{**good, "values": ()})
     with pytest.raises(ValidationError, match="trials"):
         EvalConfig(**good, trials=0)
+    EvalConfig(**good, trials=evaluation.MAX_TRIALS)
+    with pytest.raises(ValidationError, match=f"trials must be <= {evaluation.MAX_TRIALS}"):
+        EvalConfig(**good, trials=evaluation.MAX_TRIALS + 1)
     with pytest.raises(ValidationError, match="extra_m"):
         EvalConfig(**good, extra_m=-1)
     # a budget is read as the loader reads target.cost_budget
@@ -569,6 +572,62 @@ def test_derive_rng_streams_are_stable_and_distinct():
     assert not np.array_equal(draws(1.5), a)
 
 
+def streams_of(digests):
+    """The generator the sweep sets to each digest's stream, with its
+    state, one entry per digest."""
+    return [(rng.bit_generator.state, rng.standard_normal(3))
+            for rng in evaluation._streams(evaluation._pcg64_states(digests))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(master_seed=st.integers(0, 2**64),
+       axis=st.sampled_from(evaluation.AXES),
+       value=st.one_of(st.sampled_from([1, 1.0, np.float64(1.0), 0.1, 2**53 + 1]),
+                       st.integers(-2**70, 2**70),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+       trials=st.integers(1, 40),
+       batch=st.integers(1, 16))
+def test_batch_seeder_matches_derive_rng(master_seed, axis, value, trials, batch):
+    # a sweep seeds a batch's streams at once and sets one generator to
+    # each; every trial, in whatever batch, starts where derive_rng starts
+    # and draws what it draws
+    keys = [divmod(k, 7) for k in range(trials)]
+    got = []
+    for first in range(0, trials, batch):
+        got += streams_of(evaluation._trial_digests(master_seed, axis, value,
+                                                    keys[first:first + batch]))
+    for (state, draws), key in zip(got, keys, strict=True):
+        rng = derive_rng(master_seed, axis, value, *key)
+        assert state == rng.bit_generator.state
+        assert np.array_equal(draws, rng.standard_normal(3))
+
+
+def entropy_of_words(words):
+    """256-bit entropies that SeedSequence reads as exactly `words` uint32
+    words (0 reads as one word, 0), low and high extremes of each length."""
+    if words == 0:
+        return [0]
+    return [2**(32 * (words - 1)), 2**(32 * words) - 1, 0x9E3779B9 << (32 * (words - 1))]
+
+
+CRAFTED = [x for words in range(9) for x in entropy_of_words(words)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(extra=st.lists(st.one_of(st.integers(0, 2**256 - 1),
+                                st.integers(0, 8).flatmap(
+                                    lambda n: st.integers(0, 2**(32 * n) - 1))),
+                      max_size=8))
+def test_batch_seeder_matches_numpy_seeding(extra):
+    # crafted entropies of 0 to 8 words in one batch: fewer than 8 words
+    # hash differently, so the seeder hands those to numpy
+    entropies = CRAFTED + extra
+    states = evaluation._pcg64_states([x.to_bytes(32, "big") for x in entropies])
+    for x, (state, inc) in zip(entropies, states, strict=True):
+        expected = np.random.PCG64(np.random.SeedSequence(x)).state["state"]
+        assert expected == {"state": state, "inc": inc}
+
+
 def test_equal_axis_values_give_equal_records():
     scenario = load_bundled("constellation_24h")
     config = EvalConfig(kind="delay", axis="extra_M", values=(1, 1.0), trials=200,
@@ -668,7 +727,8 @@ def test_sweep_batches_do_not_change_the_records(monkeypatch):
                                           ("image_size", (1, 2))])
 def test_sweep_builds_one_context_per_point(monkeypatch, axis, values):
     # the plan, the deadline anchor and the trials all read the point's
-    # nominal context; a widened target band reuses it too
+    # nominal context; a widened target band reuses it too, and the points
+    # of an axis that leaves the scenario as it is share one
     built = []
     build = AttackContext.from_scenario
 
@@ -679,7 +739,33 @@ def test_sweep_builds_one_context_per_point(monkeypatch, axis, values):
     monkeypatch.setattr(AttackContext, "from_scenario", staticmethod(counted))
     result = sweep(load_bundled("s0"), make_config(axis=axis, values=values))
     assert result.errors == ()
-    assert len(built) == len(values)
+    assert len(built) == (len(values) if axis == "image_size" else 1)
+
+
+@pytest.mark.parametrize("name, kind, axis, values, plans", [
+    ("s0", "delay", "noise_ratio", (0.0, 0.2, 0.1), 1),
+    ("s0", "delay", "budget", (0.5, 1.0, 2.0), 1),
+    ("s0_ovf", "overflow", "extra_M", (0, 2, 0, 2.0, 1), 3),
+    ("constellation_24h", "delay", "target_duration", (1, 3, 1.0), 2),
+])
+def test_sweep_plans_once_per_distinct_plan(monkeypatch, name, kind, axis, values, plans):
+    # points on the unchanged scenario plan once per (extra_M, deadline),
+    # and their records equal those of planning each point on its own
+    scenario = load_bundled(name)
+    config = make_config(kind=kind, axis=axis, values=values, noise=0.15, trials=20)
+    alone = [sweep(scenario, replace(config, values=(value,))).points[0] for value in values]
+    calls = []
+    plan = evaluation.plan_attack
+
+    def counted(ctx, kind, extra_m, deadline):
+        calls.append((extra_m, deadline))
+        return plan(ctx, kind, extra_m, deadline)
+
+    monkeypatch.setattr(evaluation, "plan_attack", counted)
+    result = sweep(scenario, config)
+    assert result.errors == ()
+    assert len(calls) == len(set(calls)) == plans
+    assert result.points == tuple(alone)
 
 
 def test_duration_sweep_traces_the_no_attack_queue_once(monkeypatch):

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from bundled import load_bundled
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import (
     evacuation_slot,
     exhaustive_min_cost_delay,
     exhaustive_overflow,
     fifo_replay,
+    min_plus_delay_cost,
 )
 from orbitsiege import (
     AttackContext,
@@ -24,6 +28,8 @@ from orbitsiege import (
     verify_overflow,
 )
 from orbitsiege.onboard import QueueWorld
+from orbitsiege.synth import build_constellation
+from test_cli import GOLDEN_GEOMETRY
 
 INF = math.inf
 
@@ -161,6 +167,56 @@ def test_delay_matches_exhaustive_cost():
             assert evacuation_slot(rep, tau) > deadline
             assert strategy.cost == pytest.approx(best_cost)
         checked += 1
+
+
+def closed_form_cost(ctx, deadline):
+    """`oracles.min_plus_delay_cost` for the context's final target."""
+    world = ctx.world
+    return min_plus_delay_cost(world.inflow, world.transmissible, ctx.price,
+                               world.volume_bytes, world.byte_ranges[ctx.final_target][2],
+                               world.t0, deadline)
+
+
+def drops_nothing(ctx):
+    """No blocking set drops bytes: blocking every attackable slot holds the
+    most bytes aboard in every slot, and it drops none."""
+    return sum(ctx.trace(set(ctx.attackable)).drop_bytes) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), deadline=st.integers(1, 14))
+def test_closed_form_delay_cost_matches_exhaustive_search(seed, deadline):
+    # small worlds whose store never fills, so no blocking set drops bytes
+    ctx = random_ladder_context(np.random.default_rng(seed))
+    ctx = replace(ctx, world=replace(ctx.world, capacity_bytes=10**6))
+    assert drops_nothing(ctx)
+    best_cost, _ = exhaustive_min_cost_delay(
+        ctx.attackable, ctx.price, deadline, ctx.final_target,
+        lambda y: oracle_replay(ctx, y))
+    assert closed_form_cost(ctx, deadline) == best_cost
+
+
+@pytest.mark.parametrize("seed, build", [(seed, build) for seed, build, _, _ in GOLDEN_GEOMETRY],
+                         ids=["constellation_24h", "seed1", "seed2", "seed3", "geometry_1440"])
+def test_delay_plan_cost_equals_the_closed_form(seed, build):
+    # the bundled 24 h scenario and the synthetic worlds of the geometry
+    # digests: at its own deadline, if it has one, and at deadlines 1 to 80
+    # slots past the natural evacuation, the greedy plan is optimal, and it
+    # fails exactly where no blocking set works
+    scenario = (load_bundled("constellation_24h") if seed is None
+                else build_constellation(seed=seed, **build))
+    ctx = context(scenario)
+    assert drops_nothing(ctx)
+    te0 = int(ctx.baseline.t_e(ctx.final_target))
+    deadlines = {te0 + ahead for ahead in (1, 10, 40, 80)} | {
+        scenario.target.target_downlink_slot or te0}
+    for deadline in sorted(d for d in deadlines if d <= ctx.world.horizon):
+        cost = closed_form_cost(ctx, deadline)
+        if cost is None:
+            with pytest.raises(AttackFail):
+                plan_delay(ctx, deadline)
+        else:
+            assert plan_delay(ctx, deadline).cost == cost
 
 
 def test_overflow_matches_exhaustive_reachability():
