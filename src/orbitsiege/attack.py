@@ -78,6 +78,12 @@ class AttackContext:
     def trace(self, strategy) -> QueueTrace:
         return evolve(self.world, frozenset(strategy), self.targets)
 
+    def landmarks(self, strategy) -> QueueTrace:
+        """The trace under strategy, stopped once every target unit has
+        left: the planners read only the targets' landmarks, which equal the
+        whole trace's."""
+        return evolve(self.world, frozenset(strategy), self.targets, until_gone=True)
+
     def cost_of(self, slots) -> float:
         return sum(self.price[t] for t in slots)
 
@@ -154,6 +160,14 @@ class AttackStrategy:
         return cls(slots=tuple(slots),
                    slot_costs=tuple(context.price[t] for t in slots),
                    motivating=tuple(motivating), trace=trace)
+
+    @classmethod
+    def replay(cls, context: AttackContext, slots, motivating) -> "AttackStrategy":
+        """The planned slots with their whole trace: a planner decides on
+        stopped traces, and the strategy keeps one that runs to the
+        horizon."""
+        trace = context.trace(slots) if slots else context.baseline
+        return cls.from_trace(context, slots, motivating, trace)
 
 
 def unit_outcomes(trace: QueueTrace) -> dict[str, dict]:

@@ -18,7 +18,8 @@ state in turn, so per trial only a SHA-256 digest, a state assignment and
 that stream's standard normal draws run in Python. One `perturb` call turns
 a batch's draws into its true worlds with (trials x units) array
 operations, and the batch's trials, without and with the attack, run as the
-rows of one int64 queue recurrence (`onboard.evolve_rows`).
+rows of one int64 queue recurrence (`onboard.evolve_rows`), which stops
+once every trial's judged units have left the queue.
 """
 
 from __future__ import annotations

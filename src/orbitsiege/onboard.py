@@ -20,6 +20,13 @@ rule on many worlds at once, one int64 row each, under one or more slot
 masks, and reads the fates of a few units per row as it goes without storing
 any curve; the Monte-Carlo sweep judges a batch of trials, without and with
 the attack, in one call.
+
+Once the removals reach the last end byte among the units a run tracks,
+every one of them has left, so nothing later can change its fate.
+`evolve_rows` always stops there, and `evolve` does when asked
+(`until_gone`), as the planners ask for the traces they only read
+landmarks from. A run in which some tracked unit stays aboard still runs
+to the horizon.
 """
 
 from __future__ import annotations
@@ -115,6 +122,11 @@ def _departure(tx_end: list[int], removed: list[int], drops: list[int],
 class QueueTrace:
     """Evolution over [t0, horizon] plus the tracked units' landmarks.
 
+    A trace evolved with until_gone may end earlier, at the slot where the
+    last tracked unit's end byte has left: its landmarks are the whole
+    trace's, its curves a prefix of the whole trace's, so only a whole
+    trace feeds the artifacts.
+
     Slot t0 + i ends with queue_bytes[i] aboard. tx_end[i] and removed[i]
     count the stream bytes gone after that slot's transmission and after its
     drop; drops lists the indices of the slots that dropped bytes.
@@ -174,10 +186,16 @@ class QueueTrace:
 
 
 def evolve(world: QueueWorld, attacked: frozenset[int] | set[int],
-           tracked: tuple[str, ...]) -> QueueTrace:
-    """Evolve the queue over [t0, horizon]; attacked slots transmit nothing."""
+           tracked: tuple[str, ...], *, until_gone: bool = False) -> QueueTrace:
+    """Evolve the queue over [t0, horizon]; attacked slots transmit nothing.
+
+    With until_gone, stop after the first slot whose removals reach every
+    tracked unit's end byte: each of them has left by then.
+    """
     inflow, transmissible = world.inflow, world.transmissible
     capacity, volume = world.capacity_bytes, world.volume_bytes
+    stop = (max((world.byte_ranges[uid][2] for uid in tracked), default=0)
+            if until_gone else INF)
     q = gone = 0
     queue_bytes: list[int] = []
     tx_end: list[int] = []
@@ -200,6 +218,8 @@ def evolve(world: QueueWorld, attacked: frozenset[int] | set[int],
         if q == capacity:
             full.append(i)
         queue_bytes.append(q)
+        if gone >= stop:
+            break
 
     evacuation: dict[str, float] = {}
     last_full: dict[str, int] = {}
@@ -227,14 +247,17 @@ def evolve_rows(inflow, open_slots, volume, capacity: int, start, end
     open_slots is (R, T): each run's mask of the slots that may transmit;
     every row runs under every mask. volume is each row's per-slot volume
     and capacity the shared store size. start and end are (B, K): the
-    stream bytes [start, end) of K units per row. The caller keeps every
-    running total below 2**63.
+    stream bytes [start, end), start < end, of K units per row. The caller
+    keeps every running total below 2**63.
 
     Returns (slot, lost), both (R, B, K). A lost unit's slot is the index
     of the slot its first byte was dropped; any other unit's is the index of
     the slot its last byte was transmitted, or T if it is still aboard. Only
     slots that receive bytes or may transmit in some run can change
-    anything, so the others are skipped.
+    anything, so the others are skipped, and the loop stops once every
+    run's row has removed its last unit's end byte: every slot and lost
+    flag is set by then. A row whose unit stays aboard keeps it running to
+    slot T - 1.
     """
     inflow = np.asarray(inflow, dtype=np.int64)
     rows, slots = inflow.shape
@@ -247,6 +270,7 @@ def evolve_rows(inflow, open_slots, volume, capacity: int, start, end
     gone = np.zeros((runs, rows), dtype=np.int64)
     slot = np.full((runs, *start.shape), slots, dtype=np.int64)
     lost = np.zeros(slot.shape, dtype=bool)
+    last_end = end.max(axis=1, initial=0)
     can_open = open_slots.any(axis=0)
     for i in np.flatnonzero(inflow.any(axis=0) | can_open):
         q += inflow[:, i]
@@ -268,6 +292,8 @@ def evolve_rows(inflow, open_slots, volume, capacity: int, start, end
             hit = over[..., None] & (gone[..., None] > start) & (slot == slots)
             slot[hit] = i
             lost |= hit
+        if (gone >= last_end).all():
+            break
     return slot, lost
 
 

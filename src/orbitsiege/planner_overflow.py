@@ -48,12 +48,12 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
                 members.add(t_n)
                 chosen.append(t_n)
                 motivating.append(tau)
-                trace = ctx.trace(members)
+                trace = ctx.landmarks(members)
                 te = trace.t_e(tau)
                 fwd_i += 1
             elif t_p is not None and t_p > tlb:
                 members.add(t_p)
-                candidate = ctx.trace(members)
+                candidate = ctx.landmarks(members)
                 if candidate.dropped[tau]:
                     chosen.append(t_p)
                     motivating.append(tau)
@@ -83,7 +83,7 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
                 raise AttackFail(
                     f"no slot can keep {tau} aboard past slot {te}")
 
-    return AttackStrategy.from_trace(ctx, chosen, motivating, trace)
+    return AttackStrategy.replay(ctx, chosen, motivating)
 
 
 def verify_overflow(ctx: AttackContext, slots) -> tuple[bool, dict]:

@@ -775,9 +775,9 @@ def test_duration_sweep_traces_the_no_attack_queue_once(monkeypatch):
     sizes = []
     evolve = attack.evolve
 
-    def counted(world, strategy, targets):
+    def counted(world, strategy, targets, **stop):
         sizes.append(len(strategy))
-        return evolve(world, strategy, targets)
+        return evolve(world, strategy, targets, **stop)
 
     monkeypatch.setattr(attack, "evolve", counted)
     scenario = load_bundled("constellation_24h")

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from orbitsiege import AttackContext, ValidationError, attackability_for, plan_a
 from orbitsiege.onboard import (QueueWorld, evolve, evolve_rows, per_slot_capacity,
                                 trace_events_table, trace_table)
 from orbitsiege.output import emit
+from test_planners import random_ladder_context
 
 INF = math.inf
 
@@ -255,6 +257,48 @@ def test_per_unit_engine_matches_reference(world_attacked, data):
     assert_matches_replay(world, attacked, evolve(world, attacked, tracked))
 
 
+def assert_stopped_matches_whole(world, attacked, tracked):
+    """A run stopped once its tracked units have left gives them the whole
+    run's landmarks, its curves are a prefix of the whole run's, and it
+    ends at the first slot whose removals reach every tracked end byte, or
+    at the horizon if none does."""
+    whole = evolve(world, attacked, tracked)
+    stopped = evolve(world, attacked, tracked, until_gone=True)
+    for uid in tracked:
+        assert stopped.t_e(uid) == whole.t_e(uid)
+        assert stopped.t_lb(uid) == whole.t_lb(uid)
+        assert stopped.dropped[uid] == whole.dropped[uid]
+        assert stopped.drop_slot[uid] == whole.drop_slot[uid]
+    ran = len(stopped.queue_bytes)
+    assert stopped.queue_bytes == whole.queue_bytes[:ran]
+    assert stopped.tx_end == whole.tx_end[:ran]
+    assert stopped.removed == whole.removed[:ran]
+    assert stopped.drops == [i for i in whole.drops if i < ran]
+    last = max((world.byte_ranges[uid][2] for uid in tracked), default=0)
+    reached = [i for i, gone in enumerate(whole.removed) if gone >= last]
+    assert ran == (reached[0] + 1 if reached else len(whole.queue_bytes))
+    if any(whole.t_e(uid) == INF and not whole.dropped[uid] for uid in tracked):
+        # a unit still aboard at the horizon keeps the run whole
+        assert ran == len(whole.queue_bytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_world(), st.data())
+def test_stopped_evolve_matches_whole(world_attacked, data):
+    world, attacked = world_attacked
+    tracked = tuple(uid for uid in world.byte_ranges if data.draw(st.booleans()))
+    assert_stopped_matches_whole(world, attacked, tracked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stopped_evolve_matches_whole_on_ladder_worlds(seed, data):
+    ctx = random_ladder_context(np.random.default_rng(seed))
+    tracked = tuple(uid for uid in ctx.world.byte_ranges if data.draw(st.booleans()))
+    attacked = frozenset(t for t in ctx.attackable if data.draw(st.booleans()))
+    assert_stopped_matches_whole(ctx.world, attacked, tracked)
+
+
 @st.composite
 def random_rows(draw):
     """1-5 worlds that share unit ids, arrival slots, transmissible slots and
@@ -309,6 +353,40 @@ def test_batched_rows_match_evolve_and_reference(rows_attacks, data):
                 else:
                     left = at if at <= world.horizon else INF
                     assert left == trace.t_e(uid) == evacuation_slot(oracle, uid)
+
+
+# capacity 10, eight slots; each row's judged unit is its first 3 or 4 bytes.
+# With slot 0 open every row sends its unit there. With no slot open, row 0
+# drops it at slot 0 and row 1 at slot 2, while row 2 keeps it to the end.
+UNRESOLVED_ROWS = [
+    QueueWorld((("a", 4), ("b", 8)), (), frozenset({0}), 10, 12, 0, 7),
+    QueueWorld((("a", 4),), ((2, (("b", 20),)),), frozenset({0}), 10, 5, 0, 7),
+    QueueWorld((("a", 3),), (), frozenset({0}), 10, 3, 0, 7),
+]
+
+
+@pytest.mark.parametrize("attacks", [
+    (frozenset(), frozenset({0})), (frozenset(),), (frozenset({0}),)],
+    ids=["both-masks", "every-row-resolves-at-0", "one-row-never-resolves"])
+def test_batched_rows_keep_running_for_unresolved_rows(attacks):
+    rows = UNRESOLVED_ROWS
+    slots = range(8)
+    slot, lost = evolve_rows(
+        [[world.inflow.get(t, 0) for t in slots] for world in rows],
+        [[t == 0 and t not in attacked for t in slots] for attacked in attacks],
+        [world.volume_bytes for world in rows], 10,
+        [[world.byte_ranges["a"][1]] for world in rows],
+        [[world.byte_ranges["a"][2]] for world in rows])
+    expected = {frozenset(): ([0, 0, 0], [False, False, False]),
+                frozenset({0}): ([0, 2, 8], [True, True, False])}
+    for a, attacked in enumerate(attacks):
+        assert slot[a, :, 0].tolist() == expected[attacked][0]
+        assert lost[a, :, 0].tolist() == expected[attacked][1]
+        for r, world in enumerate(rows):
+            trace = evolve(world, attacked, ("a",))
+            assert bool(lost[a, r, 0]) == trace.dropped["a"]
+            left = trace.drop_slot["a"] if trace.dropped["a"] else trace.t_e("a")
+            assert (int(slot[a, r, 0]) if slot[a, r, 0] < len(slots) else INF) == left
 
 
 @pytest.mark.parametrize("name, kind", [("constellation_24h", "delay"),

@@ -22,11 +22,13 @@ from orbitsiege import (
     AttackFail,
     ValidationError,
     attackability_for,
+    plan_attack,
     plan_delay,
     plan_overflow,
     verify_delay,
     verify_overflow,
 )
+from orbitsiege.evaluation import extend_targets
 from orbitsiege.onboard import QueueWorld
 from orbitsiege.synth import build_constellation
 from test_cli import GOLDEN_GEOMETRY
@@ -217,6 +219,35 @@ def test_delay_plan_cost_equals_the_closed_form(seed, build):
                 plan_delay(ctx, deadline)
         else:
             assert plan_delay(ctx, deadline).cost == cost
+
+
+@pytest.mark.parametrize("seed, build", [(seed, build) for seed, build, _, _ in GOLDEN_GEOMETRY],
+                         ids=["constellation_24h", "seed1", "seed2", "seed3", "geometry_1440"])
+def test_widened_delay_plan_costs_at_least_each_members_closed_form(seed, build):
+    # every member of a widened band must outlast the deadline on its own,
+    # so the dearest member's least cost bounds the plan's from below, and
+    # the plan fails exactly where some member cannot be held back at all
+    scenario = (load_bundled("constellation_24h") if seed is None
+                else build_constellation(seed=seed, **build))
+    ctx = context(scenario)
+    world = ctx.world
+    te0 = int(ctx.baseline.t_e(ctx.final_target))
+    deadlines = {te0 + ahead for ahead in (1, 10, 40, 80)} | {
+        scenario.target.target_downlink_slot or te0}
+    for extra_m in range(1, 5):
+        band = replace(ctx, targets=extend_targets(ctx.targets, world.byte_ranges, extra_m))
+        assert drops_nothing(band)
+        for deadline in sorted(d for d in deadlines if d <= world.horizon):
+            # members that already outlast the deadline need no blocking
+            costs = [min_plus_delay_cost(world.inflow, world.transmissible, ctx.price,
+                                         world.volume_bytes, world.byte_ranges[uid][2],
+                                         world.t0, deadline)
+                     for uid in band.targets if band.baseline.t_e(uid) <= deadline]
+            if None in costs:
+                with pytest.raises(AttackFail):
+                    plan_attack(ctx, "delay", extra_m, deadline)
+            else:
+                assert plan_attack(ctx, "delay", extra_m, deadline).cost >= max(costs, default=0)
 
 
 def test_overflow_matches_exhaustive_reachability():
