@@ -76,12 +76,10 @@ class AttackContext:
         return self.trace(frozenset())
 
     def trace(self, strategy) -> QueueTrace:
-        return evolve(self.world, frozenset(strategy), self.targets)
-
-    def landmarks(self, strategy) -> QueueTrace:
         """The trace under strategy, stopped once every target unit has
-        left: the planners read only the targets' landmarks, which equal the
-        whole trace's."""
+        left. The planners, the verifiers and the strategy summary read only
+        the targets' landmarks, which equal the whole run's; `onboard.evolve`
+        without until_gone gives the curves to the horizon."""
         return evolve(self.world, frozenset(strategy), self.targets, until_gone=True)
 
     def cost_of(self, slots) -> float:
@@ -125,7 +123,8 @@ class AttackStrategy:
     the queue trace under the full strategy.
 
     motivating aligns with slots: the target unit being worked on when the
-    slot was added. The trace tracks the context's target units.
+    slot was added. The trace tracks the context's target units and, as
+    `AttackContext.trace` gives it, stops once they have all left.
     """
 
     slots: tuple[int, ...]
@@ -160,14 +159,6 @@ class AttackStrategy:
         return cls(slots=tuple(slots),
                    slot_costs=tuple(context.price[t] for t in slots),
                    motivating=tuple(motivating), trace=trace)
-
-    @classmethod
-    def replay(cls, context: AttackContext, slots, motivating) -> "AttackStrategy":
-        """The planned slots with their whole trace: a planner decides on
-        stopped traces, and the strategy keeps one that runs to the
-        horizon."""
-        trace = context.trace(slots) if slots else context.baseline
-        return cls.from_trace(context, slots, motivating, trace)
 
 
 def unit_outcomes(trace: QueueTrace) -> dict[str, dict]:

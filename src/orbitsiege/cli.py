@@ -20,7 +20,7 @@ from .attack import AttackContext, strategy_table
 from .errors import AttackFail, OrbitSiegeError, ValidationError
 from .evaluation import (AXES, KINDS, EvalConfig, aggregate_table, plan_attack,
                          report_table, sweep)
-from .onboard import trace_events_table, trace_table
+from .onboard import evolve, trace_events_table, trace_table
 from .orbit import (compute_contact_windows, load_contact_windows,
                     save_contact_windows, windows_text)
 from .output import emit, json_text, table_text, write_text_atomic
@@ -98,9 +98,8 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _, ctx = _context(args)
-    trace = ctx.baseline
-    if args.slots:
-        trace = ctx.trace(ctx.require_subset(_parse_slots(args.slots)))
+    slots = ctx.require_subset(_parse_slots(args.slots)) if args.slots else frozenset()
+    trace = evolve(ctx.world, slots, ctx.targets)
     for uid in ctx.targets:
         te = trace.t_e(uid)
         state = (f"dropped at slot {trace.drop_slot[uid]}" if trace.dropped[uid]

@@ -6,9 +6,10 @@ planned slots on a perturbed "true world" where the target satellite's unit
 sizes, downlink rate, and initial-queue length differ from the estimate.
 Geometry never varies, so a sweep builds the antenna schedule once and each
 point derives its attackability and one nominal attack context from it.
-The points of an axis that leaves the scenario as it is (budget,
-noise_ratio, extra_M, target_duration) share one nominal context and trial
-layout, and plan once per (extra_M, deadline).
+Points with equal scenarios, as every point of an axis that leaves the
+scenario as it is (budget, noise_ratio, extra_M, target_duration) has,
+share one nominal context and trial layout, and plan once per (extra_M,
+deadline).
 
 A point's trials run BATCH_TRIALS at a time. Each trial draws from the
 stream `derive_rng` defines. A batch's streams are seeded at once
@@ -527,15 +528,6 @@ def _outcomes(layout: TrialLayout, nominal: AttackContext, kind: str, deadline: 
     return lost.all(axis=2)
 
 
-def _plan(nominal: AttackContext, kind: str, extra_m: int,
-          deadline: int | None) -> AttackStrategy | None:
-    """The point's plan, or None if the attack is infeasible."""
-    try:
-        return plan_attack(nominal, kind, extra_m, deadline)
-    except AttackFail:
-        return None
-
-
 def sweep(scenario: ConstellationScenario, config: EvalConfig,
           windows=None) -> SweepResult:
     """Run every axis point; per-point errors are recorded, not raised.
@@ -543,14 +535,15 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
     No axis changes what the antenna schedule reads (low-priority
     satellites, their orbits and the stations), so it is built once, on
     first use, and each point derives only its attackability from it. The
-    points of an axis that leaves the scenario as it is share its nominal
-    context and trial layout, and one plan per (extra_m, deadline); nothing
-    is kept past this call.
+    nominal context, with its trial layout, and the plan are cached by the
+    point's scenario: points with equal scenarios share one context, and
+    one plan per (extra_m, deadline). Nothing is kept past this call.
     """
     if windows is None and scenario.attackability is None:
         windows = compute_contact_windows(scenario)
     schedule = functools.cache(lambda: build_schedule(scenario, windows))
 
+    @functools.cache
     def nominal_world(point_scenario):
         """The point's nominal attack context and its trial layout."""
         if scenario.attackability is not None:
@@ -560,9 +553,14 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
         nominal = AttackContext.from_scenario(point_scenario, ladder)
         return nominal, TrialLayout.from_context(point_scenario, nominal)
 
-    own_world = functools.cache(lambda: nominal_world(scenario))
-    own_plan = functools.cache(
-        lambda extra_m, deadline: _plan(own_world()[0], config.kind, extra_m, deadline))
+    @functools.cache
+    def plan(point_scenario, extra_m, deadline) -> AttackStrategy | None:
+        """The point's plan, or None if the attack is infeasible."""
+        try:
+            return plan_attack(nominal_world(point_scenario)[0], config.kind,
+                               extra_m, deadline)
+        except AttackFail:
+            return None
 
     group_count = min(SEED_GROUPS, config.trials)
     group_sizes = [config.trials // group_count
@@ -575,8 +573,7 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
         try:
             point_scenario, budget, extra_m, noise, hours = _apply_axis(
                 scenario, config, value)
-            unchanged = point_scenario is scenario
-            nominal, layout = own_world() if unchanged else nominal_world(point_scenario)
+            nominal, layout = nominal_world(point_scenario)
             deadline = point_scenario.target.target_downlink_slot
             if hours is not None:
                 te0 = nominal.baseline.t_e(nominal.final_target)
@@ -586,8 +583,7 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
                 if ahead > scenario.time.last_slot - int(te0):
                     raise ValidationError(f"target_duration {hours:g} h: deadline beyond horizon")
                 deadline = int(te0) + math.ceil(ahead)
-            strategy = (own_plan(extra_m, deadline) if unchanged
-                        else _plan(nominal, config.kind, extra_m, deadline))
+            strategy = plan(point_scenario, extra_m, deadline)
             if budget is None:
                 budget = point_scenario.target.cost_budget
             attacks = strategy is not None and (budget is None or strategy.cost <= budget)

@@ -15,7 +15,7 @@ unit gets exactly one event, at the slot its first byte is dropped or its
 last byte is transmitted, or none if it is still aboard at the horizon.
 
 `evolve` runs that recurrence on one world with Python integers and keeps
-the curves, for the planners and `simulate`. `evolve_rows` runs the same
+the curves, for the attack layer and `simulate`. `evolve_rows` runs the same
 rule on many worlds at once, one int64 row each, under one or more slot
 masks, and reads the fates of a few units per row as it goes without storing
 any curve; the Monte-Carlo sweep judges a batch of trials, without and with
@@ -24,9 +24,11 @@ the attack, in one call.
 Once the removals reach the last end byte among the units a run tracks,
 every one of them has left, so nothing later can change its fate.
 `evolve_rows` always stops there, and `evolve` does when asked
-(`until_gone`), as the planners ask for the traces they only read
-landmarks from. A run in which some tracked unit stays aboard still runs
-to the horizon.
+(`until_gone`). `AttackContext.trace` asks for every trace the planners,
+the verifiers and the strategy summary read, as they read only landmarks;
+only `simulate`, which writes the per-slot curves and every unit's event,
+runs `evolve` to the horizon. A run in which some tracked unit stays
+aboard still runs to the horizon.
 """
 
 from __future__ import annotations
@@ -122,10 +124,11 @@ def _departure(tx_end: list[int], removed: list[int], drops: list[int],
 class QueueTrace:
     """Evolution over [t0, horizon] plus the tracked units' landmarks.
 
-    A trace evolved with until_gone may end earlier, at the slot where the
-    last tracked unit's end byte has left: its landmarks are the whole
-    trace's, its curves a prefix of the whole trace's, so only a whole
-    trace feeds the artifacts.
+    A trace evolved with until_gone, as `AttackContext.trace` gives every
+    trace, may end earlier, at the slot where the last tracked unit's end
+    byte has left: its landmarks are the whole trace's, and its curves and
+    events a prefix of the whole trace's. The trace and events artifacts
+    come from a whole trace.
 
     Slot t0 + i ends with queue_bytes[i] aboard. tx_end[i] and removed[i]
     count the stream bytes gone after that slot's transmission and after its

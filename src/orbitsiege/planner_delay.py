@@ -54,8 +54,8 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
     planner simply finds no work for them.
 
     Raises AttackFail when some unit's window empties before its demanded
-    delay is reached. Returns early, with the strategy built so far, if a
-    target unit is dropped: nothing can downlink it after that.
+    delay is reached. A unit that no longer downlinks, dropped or aboard at
+    the horizon, needs no work, and the planner goes on to the next one.
 
     While no blocking set drops bytes, the plan costs the least any
     blocking set does (the closed form of Lindley's recursion in min-plus
@@ -71,7 +71,7 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
     te_base = base.t_e(ctx.final_target)
     if per_unit_deadline:
         def needs_more(te: float, te0: float) -> bool:
-            return te != INF and te <= target_slot
+            return te <= target_slot
     elif te_base != INF and target_slot < te_base:
         raise ValidationError(
             f"target_slot {target_slot} before natural "
@@ -87,11 +87,9 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
     members: set[int] = set()
     trace = base
     for tau in ctx.targets:
-        if trace.dropped[tau]:
-            return AttackStrategy.replay(ctx, chosen, motivating)
         te = trace.t_e(tau)
         tlb = trace.t_lb(tau)
-        while needs_more(te, base.t_e(tau)):
+        while te != INF and needs_more(te, base.t_e(tau)):
             window = [t for t in ctx.attackable
                       if tlb < t <= te and t not in members]
             if not window:
@@ -101,12 +99,10 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
             chosen.append(best)
             motivating.append(tau)
             members.add(best)
-            trace = ctx.landmarks(members)
+            trace = ctx.trace(members)
             te = trace.t_e(tau)
-            if te == INF:
-                return AttackStrategy.replay(ctx, chosen, motivating)
             tlb = trace.t_lb(tau)
-    return AttackStrategy.replay(ctx, chosen, motivating)
+    return AttackStrategy.from_trace(ctx, chosen, motivating, trace)
 
 
 def verify_delay(ctx: AttackContext, slots,

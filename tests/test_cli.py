@@ -15,9 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bundled import bundled_path as bundled
+from orbitsiege.attack import AttackContext
 from orbitsiege.cli import main
 from orbitsiege.evaluation import MAX_TRIALS
+from orbitsiege.onboard import evolve, trace_events_table, trace_table
 from orbitsiege.orbit import compute_contact_windows, windows_csv_text
+from orbitsiege.output import table_text
 from orbitsiege.scenario import load_scenario, save_scenario
 from orbitsiege.scheduler import attackability_for
 from orbitsiege.synth import build_constellation
@@ -56,6 +59,18 @@ def test_plan_overflow_canonical_line(capsys, s0_ovf_path):
     code, out, err = run_cli(capsys, "plan-overflow", "--scenario", s0_ovf_path)
     assert code == 0
     assert out.strip() == "strategy {4,6}, cost 2, drop slot 6"
+
+
+def test_plan_delay_keeps_working_past_a_dropped_band_member(capsys, s0_ovf_path):
+    # blocking slots 2 and 4 drops init-002 at slot 4, yet init-003 still
+    # downlinks at slot 6; the planner must go on and hold it back too
+    code, out, _ = run_cli(capsys, "plan-delay", "--scenario", s0_ovf_path,
+                           "--target-slot", "12", "--extra-m", "1")
+    assert code == 0
+    assert out.strip() == "strategy {2,4,6}, cost 3"
+    code, out, _ = run_cli(capsys, "verify", "--scenario", s0_ovf_path,
+                           "--slots", "2,4,6", "--target-slot", "12")
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_plan_delay_target_slot_override(capsys, s0_path):
@@ -172,6 +187,31 @@ def test_simulate_reports_the_target(capsys, s0_path, s0_ovf_path, tmp_path):
     lines = events.read_text().splitlines()
     assert len(lines) > 1
     assert "6,dropped,init-003" in lines
+
+
+@pytest.mark.parametrize("name, slots", [
+    ("s0", ""), ("s0", "2,4"), ("s0_ovf", ""), ("s0_ovf", "4,6"),
+    ("constellation_24h", ""), ("constellation_24h", "3,4,8,16,34,35,47,53,54,60,61"),
+])
+def test_simulate_writes_whole_curves_and_every_event(capsys, tmp_path, name, slots):
+    # the trace file has a row for every slot up to the horizon and the
+    # events file logs every unit that leaves by then, targets or not
+    scenario = load_scenario(bundled(name))
+    ctx = AttackContext.from_scenario(scenario, attackability_for(scenario))
+    attacked = frozenset(int(slot) for slot in slots.split(",") if slot)
+    out = tmp_path / "trace.csv"
+    code, _, err = run_cli(capsys, "simulate", "--scenario", bundled(name),
+                           *(["--slots", slots] if slots else []), "--out", str(out))
+    assert code == 0 and err == ""
+    whole = evolve(ctx.world, attacked, ctx.targets)
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(
+        range(ctx.world.t0, ctx.world.horizon + 1))
+    assert out.read_bytes() == table_text(*trace_table(whole, ctx.targets)).encode("utf-8")
+    header, events = trace_events_table(whole)
+    assert ((tmp_path / "trace.events.csv").read_bytes()
+            == table_text(header, events).encode("utf-8"))
+    assert {uid for _, _, uid in events} - set(ctx.targets)
 
 
 def test_strategy_artifacts(capsys, s0_ovf_path, tmp_path):

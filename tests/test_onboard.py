@@ -396,7 +396,8 @@ def test_bundled_scenario_plan_matches_reference(name, kind):
     ctx = AttackContext.from_scenario(scenario, attackability_for(scenario))
     strategy = plan_attack(ctx, kind, 0, scenario.target.target_downlink_slot)
     assert strategy.slots
-    assert_matches_replay(ctx.world, strategy.slot_set, ctx.trace(strategy.slot_set))
+    assert_matches_replay(ctx.world, strategy.slot_set,
+                          evolve(ctx.world, strategy.slot_set, ctx.targets))
 
 
 def test_per_slot_capacity_floor():

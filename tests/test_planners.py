@@ -1,5 +1,6 @@
 """Both planners against the desk scenario, exhaustive search, and verifiers."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -28,8 +29,9 @@ from orbitsiege import (
     verify_delay,
     verify_overflow,
 )
+from orbitsiege.attack import unit_outcomes
 from orbitsiege.evaluation import extend_targets
-from orbitsiege.onboard import QueueWorld
+from orbitsiege.onboard import QueueWorld, evolve
 from orbitsiege.synth import build_constellation
 from test_cli import GOLDEN_GEOMETRY
 
@@ -273,7 +275,44 @@ def test_overflow_matches_exhaustive_reachability():
             assert strategy.trace.dropped[tau]
             rep = oracle_replay(ctx, strategy.slot_set)
             assert evacuation_slot(rep, tau) == INF
+            assert strategy.summary()["targets"] == unit_outcomes(
+                evolve(ctx.world, strategy.slot_set, ctx.targets))
         checked += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_delay_plan_meets_its_goal_on_multi_target_worlds(seed, data):
+    # small stores overflow, so a target may be dropped, or never leave,
+    # before the planner reaches a later one; every plan must still meet
+    # its goal, and its summary must hold the whole run's outcomes
+    ctx = random_ladder_context(np.random.default_rng(seed))
+    ids = list(ctx.world.byte_ranges)
+    count = data.draw(st.integers(2, min(3, len(ids))))
+    first = data.draw(st.integers(0, len(ids) - count))
+    ctx = replace(ctx, targets=tuple(ids[first:first + count]))
+    per_unit = data.draw(st.booleans())
+    te0 = ctx.baseline.t_e(ctx.final_target)
+    earliest = ctx.world.t0 + 1 if per_unit or te0 == INF else max(int(te0), ctx.world.t0 + 1)
+    deadline = data.draw(st.integers(earliest, ctx.world.horizon))
+    # a unit that never downlinks, dropped or aboard at the horizon, is past
+    # any deadline
+    judged = ctx.targets if per_unit else (ctx.final_target,)
+
+    def meets_goal(slots):
+        trace = evolve(ctx.world, frozenset(slots), ctx.targets)
+        return all(trace.t_e(uid) > deadline for uid in judged)
+
+    try:
+        strategy = plan_delay(ctx, deadline, per_unit_deadline=per_unit)
+    except AttackFail:
+        assert not any(meets_goal(subset) for size in range(len(ctx.attackable) + 1)
+                       for subset in itertools.combinations(ctx.attackable, size))
+        return
+    assert meets_goal(strategy.slots)
+    assert per_unit or verify_delay(ctx, strategy.slots, deadline)[0]
+    assert strategy.summary()["targets"] == unit_outcomes(
+        evolve(ctx.world, strategy.slot_set, ctx.targets))
 
 
 def test_verify_rejects_non_attackable_slots():
