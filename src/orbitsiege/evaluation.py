@@ -6,10 +6,10 @@ planned slots on a perturbed "true world" where the target satellite's unit
 sizes, downlink rate, and initial-queue length differ from the estimate.
 Geometry never varies, so a sweep builds the antenna schedule once and each
 point derives its attackability and one nominal attack context from it.
-Points with equal scenarios, as every point of an axis that leaves the
-scenario as it is (budget, noise_ratio, extra_M, target_duration) has,
-share one nominal context and trial layout, and plan once per (extra_M,
-deadline).
+Consecutive points with equal scenarios, as every point of an axis that
+leaves the scenario as it is (budget, noise_ratio, extra_M,
+target_duration) has, share one nominal context and trial layout, and plan
+once per (extra_M, deadline).
 
 A point's trials run BATCH_TRIALS at a time. Each trial draws from the
 stream `derive_rng` defines. A batch's streams are seeded at once
@@ -535,32 +535,34 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
     No axis changes what the antenna schedule reads (low-priority
     satellites, their orbits and the stations), so it is built once, on
     first use, and each point derives only its attackability from it. The
-    nominal context, with its trial layout, and the plan are cached by the
-    point's scenario: points with equal scenarios share one context, and
-    one plan per (extra_m, deadline). Nothing is kept past this call.
+    nominal context, with its trial layout and plans, is kept while the
+    points' scenario stays equal: such points share one context, and one
+    plan per (extra_m, deadline). Only the latest scenario's are kept, and
+    nothing past this call.
     """
     if windows is None and scenario.attackability is None:
         windows = compute_contact_windows(scenario)
     schedule = functools.cache(lambda: build_schedule(scenario, windows))
 
-    @functools.cache
+    @functools.lru_cache(maxsize=1)
     def nominal_world(point_scenario):
-        """The point's nominal attack context and its trial layout."""
+        """The point's nominal attack context, its trial layout and its
+        planner, which plans once per (extra_m, deadline)."""
         if scenario.attackability is not None:
             ladder = attackability_for(point_scenario)
         else:
             ladder = attackability(point_scenario, schedule(), windows)
         nominal = AttackContext.from_scenario(point_scenario, ladder)
-        return nominal, TrialLayout.from_context(point_scenario, nominal)
 
-    @functools.cache
-    def plan(point_scenario, extra_m, deadline) -> AttackStrategy | None:
-        """The point's plan, or None if the attack is infeasible."""
-        try:
-            return plan_attack(nominal_world(point_scenario)[0], config.kind,
-                               extra_m, deadline)
-        except AttackFail:
-            return None
+        @functools.cache
+        def plan(extra_m, deadline) -> AttackStrategy | None:
+            """The plan, or None if the attack is infeasible."""
+            try:
+                return plan_attack(nominal, config.kind, extra_m, deadline)
+            except AttackFail:
+                return None
+
+        return nominal, TrialLayout.from_context(point_scenario, nominal), plan
 
     group_count = min(SEED_GROUPS, config.trials)
     group_sizes = [config.trials // group_count
@@ -573,7 +575,7 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
         try:
             point_scenario, budget, extra_m, noise, hours = _apply_axis(
                 scenario, config, value)
-            nominal, layout = nominal_world(point_scenario)
+            nominal, layout, plan = nominal_world(point_scenario)
             deadline = point_scenario.target.target_downlink_slot
             if hours is not None:
                 te0 = nominal.baseline.t_e(nominal.final_target)
@@ -583,7 +585,7 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
                 if ahead > scenario.time.last_slot - int(te0):
                     raise ValidationError(f"target_duration {hours:g} h: deadline beyond horizon")
                 deadline = int(te0) + math.ceil(ahead)
-            strategy = plan(point_scenario, extra_m, deadline)
+            strategy = plan(extra_m, deadline)
             if budget is None:
                 budget = point_scenario.target.cost_budget
             attacks = strategy is not None and (budget is None or strategy.cost <= budget)

@@ -27,8 +27,9 @@ every one of them has left, so nothing later can change its fate.
 (`until_gone`). `AttackContext.trace` asks for every trace the planners,
 the verifiers and the strategy summary read, as they read only landmarks;
 only `simulate`, which writes the per-slot curves and every unit's event,
-runs `evolve` to the horizon. A run in which some tracked unit stays
-aboard still runs to the horizon.
+runs `evolve` to the horizon, and the artifact tables refuse a stopped
+run. A run in which some tracked unit stays aboard still runs to the
+horizon.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ class QueueTrace:
     A trace evolved with until_gone, as `AttackContext.trace` gives every
     trace, may end earlier, at the slot where the last tracked unit's end
     byte has left: its landmarks are the whole trace's, and its curves and
-    events a prefix of the whole trace's. The trace and events artifacts
-    come from a whole trace.
+    events a prefix of the whole trace's. `trace_table` and
+    `trace_events_table` refuse such a trace.
 
     Slot t0 + i ends with queue_bytes[i] aboard. tx_end[i] and removed[i]
     count the stream bytes gone after that slot's transmission and after its
@@ -300,9 +301,18 @@ def evolve_rows(inflow, open_slots, volume, capacity: int, start, end
     return slot, lost
 
 
+def _require_whole(trace: QueueTrace) -> None:
+    """Refuse a trace stopped before the horizon: its curves and events are
+    a prefix of the run's."""
+    if len(trace.queue_bytes) != trace.world.horizon - trace.world.t0 + 1:
+        raise ValueError("the trace stops before the horizon; "
+                         "evolve without until_gone for the artifacts")
+
+
 def trace_table(trace: QueueTrace, tracked: tuple[str, ...]) -> tuple[list[str], list[list]]:
     """The trace artifact: per slot, the bytes aboard, transmitted and
     dropped, and each tracked unit's sub-queue."""
+    _require_whole(trace)
     header = (["slot", "queue_bytes", "tx_bytes", "drop_bytes"]
               + [f"subq_{uid}_bytes" for uid in tracked])
     columns = [range(trace.world.t0, trace.world.horizon + 1), trace.queue_bytes,
@@ -312,4 +322,5 @@ def trace_table(trace: QueueTrace, tracked: tuple[str, ...]) -> tuple[list[str],
 
 def trace_events_table(trace: QueueTrace) -> tuple[list[str], list[list]]:
     """The events artifact: one row per unit that leaves by the horizon."""
+    _require_whole(trace)
     return ["slot", "event", "unit_id"], [list(row) for row in trace.events()]

@@ -421,3 +421,12 @@ def test_trace_outputs(tmp_path):
         text = fh.read()
     assert text.splitlines()[0] == "slot,event,unit_id"
     assert f"6,dropped,{TAU}" in text.splitlines()[1:]
+
+
+def test_trace_outputs_refuse_a_stopped_trace():
+    # the stopped run's curves and events are a prefix of the whole run's
+    trace = evolve(desk_world(capacity=8), frozenset({4, 6}), (TAU,), until_gone=True)
+    assert len(trace.queue_bytes) < HORIZON + 1
+    for table in (lambda: trace_table(trace, (TAU,)), lambda: trace_events_table(trace)):
+        with pytest.raises(ValueError, match="stops before the horizon"):
+            table()

@@ -152,7 +152,7 @@ def test_delay_matches_exhaustive_cost():
         if base.t_e(tau) == INF:
             continue
         # keep to the no-overflow regime
-        worst = ctx.trace(set(ctx.attackable))
+        worst = evolve(ctx.world, frozenset(ctx.attackable), ctx.targets)
         if sum(worst.drop_bytes) > 0:
             continue
         te0 = base.t_e(tau)
@@ -184,7 +184,7 @@ def closed_form_cost(ctx, deadline):
 def drops_nothing(ctx):
     """No blocking set drops bytes: blocking every attackable slot holds the
     most bytes aboard in every slot, and it drops none."""
-    return sum(ctx.trace(set(ctx.attackable)).drop_bytes) == 0
+    return sum(evolve(ctx.world, frozenset(ctx.attackable), ctx.targets).drop_bytes) == 0
 
 
 @settings(max_examples=40, deadline=None)
