@@ -4,12 +4,18 @@ High-priority tasking preempts: to block the target satellite in a slot, it
 must fill the antenna serving the target and every idle antenna on the
 stations the target sees. So the schedule records, per slot where the target
 has a contact window, the station serving the target and the idle antennas
-it could use, from one Hungarian solve that serves as many low-priority
+it could use, from the assignment that serves as many low-priority
 satellites as possible at the least total slant range (from `orbit.propagate`,
 so they need orbit elements). Optima that differ only in antenna numbering
 record the same. The distinct high-priority satellites over the target's
 stations bound which slots are attackable and at what cost; every other slot
 is non-transmissible.
+
+Most slots need no solve. Where, in the target's part of the slot's contact
+graph, every satellite has one clearly nearest station and no station is
+nearest to more satellites than it has antennas, that nearest-station
+assignment is the optimum there, and the schedule is read off it for all
+such slots at once. Only the other slots are one Hungarian solve each.
 """
 
 from __future__ import annotations
@@ -26,6 +32,11 @@ from .orbit import (ContactWindows, _ranks, compute_contact_windows, propagate,
 from .scenario import AttackabilityRecord, ConstellationScenario
 
 
+# a nearest station is certified when it beats the next by more than this
+# share of the slot's summed cost: far above the rounding of any solve
+TIE_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class SlotSchedule:
     slot: int
@@ -37,21 +48,22 @@ def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     """Minimum-cost maximum-cardinality assignment, one SciPy solve.
 
     `inf` entries mark forbidden pairs; rows or columns left unmatched by
-    them are simply absent. Forbidden pairs are solved at a cost above any
-    sum of allowed ones, so a larger matching always wins. Among tied optima
-    the one SciPy's solver gives is returned, which is the same for the
-    same matrix.
+    them are simply absent. NaN and `-inf` are refused. Forbidden pairs are
+    solved at a cost above any sum of allowed ones, so a larger matching
+    always wins. Among tied optima the one SciPy's solver gives is returned,
+    which is the same for the same matrix.
     """
     matrix = np.asarray(cost_matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValidationError("cost matrix must be two-dimensional")
     if matrix.size == 0:
         return (), 0.0
-    finite = matrix[np.isfinite(matrix)]
-    if (finite < 0).any():
+    if np.isnan(matrix).any():
+        raise ValidationError("cost matrix entries must not be NaN")
+    if (matrix < 0).any():
         raise ValidationError("cost matrix entries must be non-negative")
     forbidden = np.isinf(matrix)
-    big = float(finite.sum()) + 1.0
+    big = float(matrix[~forbidden].sum()) + 1.0
     rows, cols = linear_sum_assignment(np.where(forbidden, big, matrix))
     pairs = tuple((int(r), int(c)) for r, c in zip(rows, cols) if not forbidden[r, c])
     return pairs, float(sum(matrix[r, c] for r, c in pairs))
@@ -62,11 +74,28 @@ def build_schedule(scenario: ConstellationScenario,
     """Per target window slot, the station serving the target and the idle
     antennas on the stations it sees.
 
-    Each slot is one Hungarian solve: a row per low-priority satellite in
-    contact and a column per antenna of each station they see, both in id
-    order, costed by slant range. Each of those satellites is propagated
-    once, so needs orbit elements, windows read from a file included.
+    A slot's assignment has a row per low-priority satellite in contact and
+    a column per antenna of each station they see, both in id order, costed
+    by slant range. Each of those satellites is propagated once, so needs
+    orbit elements, windows read from a file included. Every station the
+    windows carry must be one of the scenario's.
+
+    The slots are first certified all at once. In the target's connected
+    component of the slot's satellite-station contact graph, if every
+    satellite's nearest station beats its next by more than `TIE_TOLERANCE`
+    times the slot's summed cost, and no station is nearest to more
+    satellites than it has antennas, then sending each satellite to its
+    nearest station serves all of them at the least cost any assignment
+    could, and any other way to serve them costs more by a margin above
+    rounding. So it is the component's one optimum up to antenna numbering,
+    which is what every optimum of the whole slot does there: the components
+    share no rows or columns, so optima split into theirs. Every other slot
+    is one `hungarian` solve over its whole matrix.
     """
+    by_id = {st.id: st for st in scenario.stations}
+    missing = sorted(set(windows.station_ids) - by_id.keys())
+    if missing:
+        raise ValidationError(f"windows name station {missing[0]}, which the scenario lacks")
     target = windows.of_satellite(scenario.target.satellite_id)
     slots = np.unique(windows.slot[target])
     if not len(slots):
@@ -76,42 +105,89 @@ def build_schedule(scenario: ConstellationScenario,
         windows.satellite, [i for i, sid in enumerate(windows.satellite_ids) if sid in low])
     slot, sat, target = windows.slot[costed], windows.satellite[costed], target[costed]
     station = _ranks(windows.station_ids)[windows.station[costed]]  # into `ids`
+    # rows come sorted by slot, then satellite id, then station id, so each
+    # (slot, satellite) matrix row is a run of them; a repeated row is one
+    # contact
+    new_row = np.diff(slot * len(windows.satellite_ids) + sat, prepend=-1) != 0
+    once = new_row | (np.diff(station, prepend=-1) != 0)
+    slot, sat, station, target, new_row = (x[once] for x in (slot, sat, station, target,
+                                                             new_row))
     ids = sorted(windows.station_ids)
-    by_id = {st.id: st for st in scenario.stations}
     antennas = np.array([by_id[i].antenna_count for i in ids])
     station_pos = np.array([station_ecef_m(by_id[i]) for i in ids])
     seen = np.unique(sat)
     tracks = np.stack([propagate(low[windows.satellite_ids[i]], scenario.time)
                        for i in seen.tolist()])
-    cost = np.array([math.dist(p, q) for p, q in zip(
-        tracks[np.searchsorted(seen, sat), slot].tolist(), station_pos[station].tolist())])
+    sat_pos = tracks[np.searchsorted(seen, sat), slot]
+    cost = np.sqrt(((sat_pos - station_pos[station]) ** 2).sum(axis=1))
 
-    # each row's place in its slot's matrix: rows come sorted by slot, then
-    # satellite id, then station id
-    row = np.cumsum(np.diff(slot * len(windows.satellite_ids) + sat, prepend=-1) != 0)
-    row -= row[np.searchsorted(slot, slot)]
+    # number the (slot, satellite) rows and the (slot, station) columns of
+    # all slots' matrices at once
+    index = np.searchsorted(slots, slot)
+    past = np.append(slots, slots[-1] + 1)
+    bounds = np.searchsorted(slot, past)  # each slot's window rows
+    starts = np.flatnonzero(new_row)
+    row = np.cumsum(new_row) - 1
     keys, col = np.unique(slot * len(ids) + station, return_inverse=True)
-    col -= np.searchsorted(keys, slot * len(ids))
-    columns = np.split(keys % len(ids), np.searchsorted(keys, slots[1:] * len(ids)))
-    target_row = dict(zip(slot[target].tolist(), row[target].tolist()))
-    cuts = np.searchsorted(slot, slots[1:])
-    schedules = []
-    for t, cols, r, c, d in zip(slots.tolist(), columns,
-                                *(np.split(x, cuts) for x in (row, col, cost))):
+    col_station = keys % len(ids)
+    col_bounds = np.searchsorted(keys, past * len(ids))
+
+    # certify: in the target's component, each row has one nearest column,
+    # and no column is nearest to more rows than its station has antennas
+    member, reached = _component(row, col, col[target], len(starts), len(keys))
+    nearest = cost <= (np.minimum.reduceat(cost, starts)[row]
+                       + TIE_TOLERANCE * np.add.reduceat(cost, bounds[:-1])[index])
+    tied = np.add.reduceat(nearest, starts, dtype=np.intp) != 1
+    load = np.bincount(col[nearest & reached[col]], minlength=len(keys))
+    solve = np.zeros(len(slots), dtype=bool)
+    solve[index[starts[member & tied]]] = True
+    solve[np.searchsorted(slots, keys // len(ids))[load > antennas[col_station]]] = True
+
+    idle = (antennas[col_station] - load)[col[target]].tolist()
+    visible = dict.fromkeys(slots.tolist(), ())
+    serving = {}
+    for t, j, n, near in zip(slot[target].tolist(), station[target].tolist(), idle,
+                             nearest[target].tolist()):
+        visible[t] += ((ids[j], n),)
+        if near:
+            serving[t] = ids[j]
+    schedules = [SlotSchedule(t, serving.get(t), visible[t]) for t in slots.tolist()]
+    for i in np.flatnonzero(solve).tolist():
+        e = slice(bounds[i], bounds[i + 1])
+        r, c = row[e] - row[e][0], col[e] - col_bounds[i]
+        cols = col_station[col_bounds[i]:col_bounds[i + 1]]
         counts = antennas[cols]
         matrix = np.full((r[-1] + 1, len(cols)), math.inf)
-        matrix[r, c] = d
+        matrix[r, c] = [math.dist(p, q) for p, q in zip(
+            sat_pos[e].tolist(), station_pos[station[e]].tolist())]
         pairs, _ = hungarian(np.repeat(matrix, counts, axis=1))
         owner = np.repeat(np.arange(len(cols)), counts).tolist()
-        idle = counts.tolist()
-        serving = None
-        for i, j in pairs:
-            idle[owner[j]] -= 1
-            serving = ids[cols[owner[j]]] if i == target_row[t] else serving
-        sees = np.isfinite(matrix[target_row[t]]).tolist()
-        schedules.append(SlotSchedule(t, serving, tuple(
-            (ids[j], n) for j, n, v in zip(cols.tolist(), idle, sees) if v)))
+        used = counts.tolist()
+        target_row = r[target[e]][0]
+        serves = None
+        for k, j in pairs:
+            used[owner[j]] -= 1
+            serves = ids[cols[owner[j]]] if k == target_row else serves
+        sees = np.isfinite(matrix[target_row]).tolist()
+        schedules[i] = SlotSchedule(schedules[i].slot, serves, tuple(
+            (ids[j], n) for j, n, v in zip(cols.tolist(), used, sees) if v))
     return schedules
+
+
+def _component(row: np.ndarray, col: np.ndarray, seeds: np.ndarray, n_rows: int,
+               n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows and columns connected to the seed columns through
+    the entries (row[k], col[k])."""
+    cols = np.zeros(n_cols, dtype=bool)
+    cols[seeds] = True
+    while True:
+        rows = np.zeros(n_rows, dtype=bool)
+        rows[row[cols[col]]] = True
+        grown = np.zeros(n_cols, dtype=bool)
+        grown[col[rows[row]]] = True
+        if np.array_equal(grown, cols):
+            return rows, cols
+        cols = grown
 
 
 def attackability(scenario: ConstellationScenario, schedules: list[SlotSchedule],

@@ -3,11 +3,13 @@
 Everything here is deliberately naive: unit-level FIFO replay, exhaustive
 subset search, the delay cost read off cumulative curves, permutation
 brute force, dense-grid geometry, a row-by-row window CSV reader, one
-Monte-Carlo trial drawn on its own. These trade
-speed for obviousness and serve as ground truth for the fast paths in
-``orbitsiege``. None of them import the package, except
+Hungarian solve per schedule slot, one Monte-Carlo trial drawn on its own.
+These trade speed for obviousness and serve as ground truth for the fast
+paths in ``orbitsiege``. None of them import the package, except
 ``dense_contact_windows``, which takes its positions from the package's
-propagation (``scan_contact_slots`` checks that on its own).
+propagation (``scan_contact_slots`` checks that on its own), and
+``hungarian_schedule``, which takes its positions and its solver from the
+package's scheduler module (``brute_force_assignment`` checks the solver).
 """
 
 import itertools
@@ -195,6 +197,52 @@ def brute_force_assignment(cost):
         if best is not None:
             return list(best[1]), best[0]
     return [], 0
+
+
+def hungarian_schedule(scenario, windows):
+    """The antenna schedule as one Hungarian solve per target window slot.
+
+    For each slot where the target has a contact window: a row per
+    low-priority satellite in contact, a column per antenna of each station
+    they see, both in id order, costed by `math.dist` slant range, and
+    `inf` where a satellite does not see a station. Positions come from
+    `scheduler.propagate` and the solve from `scheduler.hungarian`, read at
+    call time, so a monkeypatch of either reaches this too.
+    Returns (slot, station serving the target or None,
+    ((station_id, idle antennas), ...) over the target's stations) per slot.
+    """
+    from orbitsiege import scheduler
+
+    low = {s.id: s for s in scenario.low_satellites}
+    stations = {st.id: st for st in scenario.stations}
+    target_id = scenario.target.satellite_id
+    in_slot = {}
+    for slot, sat, station, _ in windows.rows():
+        in_slot.setdefault(slot, set()).add((sat, station))
+    tracks = {}
+    schedules = []
+    for t in sorted(t for t, seen in in_slot.items() if any(s == target_id for s, _ in seen)):
+        seen = {(sat, station) for sat, station in in_slot[t] if sat in low}
+        sats = sorted({sat for sat, _ in seen})
+        antennas = [station for station in sorted({station for _, station in seen})
+                    for _ in range(stations[station].antenna_count)]
+        for sat in sats:
+            if sat not in tracks:
+                tracks[sat] = scheduler.propagate(low[sat], scenario.time)
+        matrix = [[math.dist(tracks[sat][t].tolist(),
+                             scheduler.station_ecef_m(stations[station]))
+                   if (sat, station) in seen else INF for station in antennas]
+                  for sat in sats]
+        pairs, _ = scheduler.hungarian(matrix)
+        used = {}
+        for _, c in pairs:
+            used[antennas[c]] = used.get(antennas[c], 0) + 1
+        serving = next((antennas[c] for r, c in pairs if sats[r] == target_id), None)
+        visible = sorted(station for sat, station in seen if sat == target_id)
+        schedules.append((t, serving, tuple(
+            (station, stations[station].antenna_count - used.get(station, 0))
+            for station in visible)))
+    return schedules
 
 
 MU_M3_S2 = 3.986004418e14

@@ -1,13 +1,17 @@
 """Antenna assignment and the attackability ladder it induces."""
 
+import itertools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bundled import load_bundled
-from oracles import brute_force_assignment, count_ladder
+from oracles import brute_force_assignment, count_ladder, hungarian_schedule
 from orbitsiege import (ContactWindows, OutOfHorizon, ValidationError,
                         attackability_for, compute_contact_windows)
 from orbitsiege import scheduler
@@ -19,6 +23,7 @@ from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
 from orbitsiege.scheduler import (SlotSchedule, attackability, attackability_table,
                                   build_schedule, hungarian)
 from orbitsiege.synth import build_constellation
+from test_cli import GEOMETRY_1440
 
 from datetime import datetime, timezone
 
@@ -70,6 +75,11 @@ def test_hungarian_input_validation():
         hungarian([1.0, 2.0])
     with pytest.raises(ValidationError, match="non-negative"):
         hungarian([[-1.0]])
+    # only +inf forbids a pair
+    with pytest.raises(ValidationError, match="non-negative"):
+        hungarian([[1.0, -INF]])
+    with pytest.raises(ValidationError, match="NaN"):
+        hungarian([[math.nan]])
     assert hungarian(np.empty((0, 3))) == ((), 0.0)
 
 
@@ -239,6 +249,125 @@ def test_build_schedule_covers_only_target_slots(monkeypatch):
     assert sorted(propagated) == sorted(s.id for s in low)
 
 
+def schedule_tuples(schedules):
+    return [(s.slot, s.target_station, s.idle_antennas) for s in schedules]
+
+
+def counting_solves(monkeypatch):
+    """A list that gains an entry per `scheduler.hungarian` call."""
+    solves, real = [], scheduler.hungarian
+    monkeypatch.setattr(scheduler, "hungarian", lambda m: solves.append(m) or real(m))
+    return solves
+
+
+def bisector(a, b):
+    """A point at 1.1 times the radius of stations a and b (at equal
+    altitudes), as far from one as from the other."""
+    mid = a / np.linalg.norm(a) + b / np.linalg.norm(b)
+    return mid * 1.1 * np.linalg.norm(a) / np.linalg.norm(mid)
+
+
+@st.composite
+def crowded_worlds(draw):
+    """A scenario of 2-4 stations with 1-3 antennas each and more low-priority
+    satellites than antennas, sparse or dense window rows over its three
+    slots, and positions per satellite and slot. Positions are right above a
+    station, on the bisector of two stations (a tie), a hair off it (a gap
+    far below the tie tolerance), or anywhere; some satellites share theirs
+    (tied rows)."""
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    n_low = draw(st.integers(sum(counts) + 1, sum(counts) + 3))
+    scenario = two_station_scenario(n_low=n_low, n_high=0, antenna_counts=counts)
+    ecef = [np.array(station_ecef_m(gs)) for gs in scenario.stations]
+    above = [1.1 * p for p in ecef]
+    ties = [bisector(a, b) + nudge * (a - b) / np.linalg.norm(a - b)
+            for a, b in itertools.combinations(ecef, 2) for nudge in (0.0, 1e-5)]
+    anywhere = st.tuples(*[st.floats(-3e6, 3e6)] * 3).map(lambda x: above[0] + x)
+    position = st.one_of(st.sampled_from(ties), st.sampled_from(above), anywhere)
+    horizon = scenario.time.horizon_slots
+    positions = {sat.id: np.array([draw(position) for _ in range(horizon)])
+                 for sat in scenario.low_satellites}
+    shared = draw(st.lists(st.sampled_from(sorted(positions)), max_size=4))
+    for a, b in zip(shared[::2], shared[1::2]):
+        positions[b] = positions[a]
+    contacts = list(itertools.product(range(horizon), scenario.low_satellites,
+                                      scenario.stations))
+    dense = draw(st.integers(1, 3))  # in quarters of the contacts
+    seen = draw(st.lists(st.integers(0, 3), min_size=len(contacts), max_size=len(contacts)))
+    rows = [w(sat.id, gs.id, t, 45.0) for (t, sat, gs), v in zip(contacts, seen) if v < dense]
+    if not any(r.satellite_id == "obs-1" for r in rows):
+        rows.append(w("obs-1", "gs-01", 0, 45.0))
+    return scenario, rows, positions
+
+
+def tied_world():
+    """obs-1 on the bisector of the two stations it sees, with an antenna
+    free on each: only a solve can say which one it takes."""
+    scenario = two_station_scenario(n_low=3, n_high=0, antenna_counts=(1, 1))
+    a, b = (np.array(station_ecef_m(gs)) for gs in scenario.stations)
+    positions = positions_above(scenario, {"obs-2": "gs-01", "obs-3": "gs-02"})
+    positions["obs-1"] = np.tile(bisector(a, b), (3, 1))
+    return scenario, [w("obs-1", "gs-01", 0, 45.0), w("obs-1", "gs-02", 0, 45.0)], positions
+
+
+def test_build_schedule_matches_the_hungarian_oracle(monkeypatch):
+    """Certified slots and solved ones alike equal one Hungarian solve per
+    slot, and the examples reach both."""
+    branches = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(world=crowded_worlds())
+    @example(world=tied_world())
+    def check(world):
+        scenario, rows, positions = world
+        monkeypatch.setattr(scheduler, "propagate", lambda sat, grid: positions[sat.id])
+        windows = windows_of(scenario, rows)
+        expected = hungarian_schedule(scenario, windows)
+        with monkeypatch.context() as patch:
+            solves = counting_solves(patch)
+            assert schedule_tuples(build_schedule(scenario, windows)) == expected
+        branches["solved"] += len(solves)
+        branches["certified"] += len(expected) - len(solves)
+
+    check()
+    assert branches["solved"] > 0 and branches["certified"] > 0
+
+
+def test_build_schedule_solves_a_gap_below_the_tolerance(monkeypatch):
+    # obs-1 alone, a hair off the bisector of its two stations: the nearer
+    # one wins by far less than the tolerance, so the slot is solved
+    scenario = two_station_scenario(n_low=1, antenna_counts=(1, 1))
+    a, b = (np.array(station_ecef_m(gs)) for gs in scenario.stations)
+    rows = [w("obs-1", "gs-01", 0, 45.0), w("obs-1", "gs-02", 0, 45.0)]
+    for nudge, n_solves in ((1e-5, 1), (1e3, 0)):
+        positions = {"obs-1": np.tile(bisector(a, b) + nudge * (a - b) / np.linalg.norm(a - b),
+                                      (3, 1))}
+        solves = counting_solves(monkeypatch)
+        schedule = schedule_at(monkeypatch, scenario, rows, positions)
+        assert len(solves) == n_solves
+        assert schedule.target_station == "gs-01"
+        assert dict(schedule.idle_antennas) == {"gs-01": 0, "gs-02": 1}
+
+
+@pytest.mark.parametrize("build, n_solves, n_slots", [(None, 3, 81), (GEOMETRY_1440, 67, 511)],
+                         ids=["constellation_24h", "geometry_1440"])
+def test_build_schedule_solves_only_uncertified_slots(monkeypatch, build, n_solves, n_slots):
+    scenario = (load_bundled("constellation_24h") if build is None
+                else build_constellation(seed=1, **build))
+    windows = compute_contact_windows(scenario)
+    expected = hungarian_schedule(scenario, windows)
+    solves = counting_solves(monkeypatch)
+    assert schedule_tuples(build_schedule(scenario, windows)) == expected
+    assert (len(solves), len(expected)) == (n_solves, n_slots)
+
+
+def test_build_schedule_refuses_a_station_the_scenario_lacks():
+    scenario = load_bundled("constellation_24h")
+    windows = compute_contact_windows(scenario)
+    with pytest.raises(ValidationError, match="gs-12"):
+        attackability_for(replace(scenario, stations=scenario.stations[:-1]), windows)
+
+
 def attack_rows(visible_high):
     """Windows for one slot: target on gs-01 plus n high birds over it."""
     rows = [w("obs-1", "gs-01", 0, 45.0)]
@@ -332,8 +461,6 @@ def test_attackability_for_honours_inline_table():
 
 
 def test_attackability_for_fills_missing_slots():
-    from dataclasses import replace
-
     scenario = load_bundled("s0")
     sparse = replace(scenario, attackability=scenario.attackability[2:3])
     records = attackability_for(sparse)
