@@ -21,6 +21,15 @@ a pair at the horizon itself.
 
 Contact windows are one `ContactWindows` value of parallel columns, built,
 written, read and grouped by slot without a Python object per window.
+
+The windows CSV is read as byte columns. Cells in the grammar the writer
+uses are parsed in numpy: slots of 1 to 18 ASCII digits; elevations of the
+form `-?D*(.D*)?`, at most 17 bytes, whose digits read at most 2**53, as one
+division of the digits by a power of ten, which is exact (Clinger's fast
+path); and ids of at most 32 bytes of UTF-8, matched as uint64 words. Any
+other cell, such as `+3`, ` 7`, `1e3`, `nan` or a longer id, goes through
+`int()`, `float()` or the id lookup on its own text. So the columns, and
+every error, are those of a row-by-row reader.
 """
 
 from __future__ import annotations
@@ -28,10 +37,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import repeat
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -143,9 +152,10 @@ def station_ecef_m(station: GroundStationSpec) -> tuple[float, float, float]:
             r * math.sin(lat))
 
 
-def propagate(sat: SatelliteSpec, grid: TimeGrid) -> np.ndarray:
+def propagate(sat: SatelliteSpec, grid: TimeGrid, slots: np.ndarray | None = None) -> np.ndarray:
     """The satellite's ECEF positions at every slot midpoint of the grid,
-    shape (horizon, 3).
+    shape (horizon, 3), or at those of `slots` only, shape (len(slots), 3):
+    each position is the same to the bit either way.
 
     Every error names the satellite. Raises ValidationError when it has no
     orbit elements or its orbit leaves the LEO band, and StaleElements when
@@ -166,7 +176,7 @@ def propagate(sat: SatelliteSpec, grid: TimeGrid) -> np.ndarray:
     if not LEO_RADIUS_MIN_M <= a <= LEO_RADIUS_MAX_M:
         raise ValidationError(f"satellite {sat.id}: orbit radius outside the LEO band")
 
-    slots = np.arange(grid.horizon_slots)
+    slots = np.arange(grid.horizon_slots) if slots is None else np.asarray(slots)
     offset = (grid.epoch - elements.epoch).total_seconds()
     dt = offset + (slots + 0.5) * grid.slot_seconds
     u = (math.radians(elements.arg_perigee_deg + elements.mean_anomaly_deg)
@@ -231,6 +241,20 @@ def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]
 HEADER_LINE = ",".join(WINDOW_HEADER)
 CHUNK_ROWS = 1 << 15
+# the reader parses cells in the grammar the writer uses on the bytes, and
+# any other cell by int(), float() or the id lookup on its own text
+SLOT_DIGITS = 18  # any 18 digits fit int64
+ELEVATION_BYTES = 17  # a minus, 15 digits and a point; the digits are checked against 2**53
+ID_BYTES = 32  # an id is matched on the bytes when its UTF-8 fits four uint64 words
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so folding words keeps their bits mixed
+_PAD = b"\xff" * ID_BYTES  # past the data, so that the widest read fits at any cell
+# OR'd onto a word holding n bytes of a cell, it sets the rest to 0xFF
+_PADS = np.array([int.from_bytes(bytes(n) + b"\xff" * (8 - n), sys.byteorder)
+                  for n in range(9)], dtype=np.uint64)
+_TENS = np.array([float(10 ** k) for k in range(ELEVATION_BYTES)])
+# a chunk of rows as the reader checks them: bytes ending in _PAD, and per
+# column the start and end offsets of each row's cell in them
+_Chunk = tuple[bytes, Sequence[np.ndarray], Sequence[np.ndarray]]
 
 
 def _csv_cell(text: str) -> str:
@@ -277,19 +301,13 @@ def _header_error(path: str, text: str) -> ParseError:
     return ParseError(f"{path}: expected header {HEADER_LINE}")
 
 
-def _four_columns(lines: str) -> list[list[str]]:
-    """The cells of lines of four comma-separated cells, column by column."""
-    cells = lines.replace("\n", ",").split(",")
-    return [cells[k::4] for k in range(4)]
-
-
-def _chunks_by_line(path: str, raw: bytes) -> Iterator[list[list[str]]]:
-    """The four cell columns of the rows, CHUNK_ROWS rows at a time, up to
-    the first row that has not four cells, whose error is raised after.
+def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
+    """The rows as chunks of CHUNK_ROWS rows, up to the first row that has
+    not four cells, whose error is raised after.
 
     `raw` is UTF-8 without a quote or carriage return, so a row is a line
     and a cell lies between commas; both are single bytes that no
-    multi-byte character holds, so they are found on the bytes.
+    multi-byte character holds, so the cells are found on the bytes.
     """
     if raw != HEADER_LINE.encode() and not raw.startswith(HEADER_LINE.encode() + b"\n"):
         raise _header_error(path, raw.decode("utf-8"))
@@ -299,22 +317,39 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[list[list[str]]]:
     data = np.frombuffer(raw, dtype=np.uint8)[start:]
     data = data[:-1] if data[-1] == ord("\n") else data
     ends = np.append(np.flatnonzero(data == ord("\n")), len(data)) + start
-    commas = np.searchsorted(np.flatnonzero(data == ord(",")) + start, ends)
-    short = np.flatnonzero(np.diff(commas, prepend=0) != 3)
+    commas = np.flatnonzero(data == ord(",")) + start
+    per_row = np.searchsorted(commas, ends)
+    short = np.flatnonzero(np.diff(per_row, prepend=0) != 3)
     good = int(short[0]) if len(short) else len(ends)
-    del data, commas
+    del data, per_row
+    # each good row holds three of the commas, in order
+    begins = np.append(start, ends[:-1] + 1)
+    commas = commas[:3 * good].reshape(good, 3).T
+    raw += _PAD  # one copy of the file, shared by every chunk
     for first in range(0, good, CHUNK_ROWS):
-        last = min(first + CHUNK_ROWS, good) - 1
-        text = raw[start if first == 0 else int(ends[first - 1]) + 1:int(ends[last])]
-        yield _four_columns(text.decode("utf-8"))
+        rows = slice(first, min(first + CHUNK_ROWS, good))
+        yield (raw, (begins[rows], *(commas[:, rows] + 1)),
+               (*commas[:, rows], ends[rows]))
     if len(short):
         raise ParseError(f"{path}:{good + 2}: expected 4 columns")
 
 
-def _chunks_by_csv(path: str, text: str) -> Iterator[list[list[str]]]:
+def _encoded(cells: list[str]) -> _Chunk:
+    """The chunk of the rows whose cells, row by row, are `cells`: their
+    UTF-8 bytes end to end."""
+    text = "".join(cells)
+    data = text.encode("utf-8")
+    length = np.fromiter(map(len, cells), np.int64, len(cells))
+    if len(data) != len(text):  # not ASCII, so count each cell's bytes
+        length = np.fromiter((len(cell.encode("utf-8")) for cell in cells), np.int64, len(cells))
+    end = np.cumsum(length)
+    return data + _PAD, (end - length).reshape(-1, 4).T, end.reshape(-1, 4).T
+
+
+def _chunks_by_csv(path: str, text: str) -> Iterator[_Chunk]:
     """`_chunks_by_line` for any text, through csv.reader."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    columns: list[list[str]] = [[], [], [], []]
+    cells: list[str] = []
     line_no = 0  # of the last row read
     try:
         if next(reader, None) != WINDOW_HEADER:
@@ -322,53 +357,149 @@ def _chunks_by_csv(path: str, text: str) -> Iterator[list[list[str]]]:
         line_no = 1
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 4:
-                yield columns
+                yield _encoded(cells)
                 raise ParseError(f"{path}:{line_no}: expected 4 columns")
-            for column, cell in zip(columns, row):
-                column.append(cell)
-            if len(columns[0]) == CHUNK_ROWS:
-                yield columns
-                columns = [[], [], [], []]
+            cells += row
+            if len(cells) == 4 * CHUNK_ROWS:
+                yield _encoded(cells)
+                cells = []
     except csv.Error as exc:  # such as a cell past csv.field_size_limit()
-        yield columns
+        yield _encoded(cells)
         raise ParseError(f"{path}:{line_no + 1}: {exc}") from exc
-    yield columns
+    yield _encoded(cells)
 
 
-def _each(convert, cells: list[str], dtype, fill) -> tuple[np.ndarray, np.ndarray]:
-    """`convert` of every cell, `fill` where it raises ValueError, and the
-    mask of those cells."""
-    values, bad = [], np.zeros(len(cells), dtype=bool)
-    for i, cell in enumerate(cells):
+def _words(data: bytes, start: np.ndarray, length: np.ndarray, words: int) -> np.ndarray:
+    """The first 8 * `words` bytes of each cell, 0xFF past its end, as
+    uint64 words, shape (cells, words). 0xFF is in no UTF-8 text, so two
+    cells that fit are equal when their words are."""
+    at = np.ndarray((len(data) - 7,), np.uint64, data, strides=(1,))  # a word at each byte
+    packed = np.empty((len(start), words), dtype=np.uint64)
+    for k in range(words):
+        np.bitwise_or(at[start + 8 * k], _PADS[np.minimum(np.maximum(length - 8 * k, 0), 8)],
+                      out=packed[:, k])
+    return packed
+
+
+def _decimals(data: bytes, start: np.ndarray, end: np.ndarray,
+              width: int) -> tuple[np.ndarray, ...]:
+    """Each cell read on the bytes as `-?D*(.D*)?` of at most `width` bytes:
+    its digits as an int64 mantissa, the count of digits after its point
+    (-1 without one), whether it has the minus, and the mask of the cells
+    of that form with at least one digit."""
+    length = end - start
+    width = int(min(length.max(initial=1), width))
+    cells = np.ascontiguousarray(
+        _words(data, start, length, -(-width // 8)).view(np.uint8)[:, :width].T)
+    digit = cells - np.uint8(ord("0"))
+    is_digit = digit < 10
+    point = cells == ord(".")
+    mantissa = np.zeros(len(start), dtype=np.int64)
+    after = np.zeros(len(start), dtype=np.int64)
+    pointed = np.zeros(len(start), dtype=bool)
+    for column, ok, dot in zip(digit, is_digit, point):  # Horner, a byte column at a time
+        mantissa = np.where(ok, mantissa * 10 + column, mantissa)
+        pointed |= dot
+        after += pointed & ok
+    points = point.sum(axis=0)
+    minus = cells[0] == ord("-")
+    fits = is_digit.any(axis=0) & (points <= 1) & (is_digit.sum(axis=0) + points + minus == length)
+    return mantissa, np.where(pointed, after, -1), minus, fits
+
+
+def _each(convert, values: np.ndarray, fits: np.ndarray, data: bytes, start: np.ndarray,
+          end: np.ndarray, fill=None) -> tuple[np.ndarray, np.ndarray]:
+    """`values`, with `convert` of the text of each cell that does not fit
+    the byte grammar, or `fill` where that raises ValueError; and the mask
+    of those cells."""
+    bad = np.zeros(len(values), dtype=bool)
+    rows = np.flatnonzero(~fits)
+    for row, s, e in zip(rows.tolist(), start[rows].tolist(), end[rows].tolist()):
         try:
-            values.append(convert(cell))
+            values[row] = convert(data[s:e].decode("utf-8"))
         except ValueError:
-            values.append(fill)
-            bad[i] = True
-    return np.array(values, dtype=dtype), bad
+            values[row], bad[row] = fill, True
+    return values, bad
 
 
-def _checked(path: str, scenario: ConstellationScenario, cells: list[list[str]],
+def _slots(data: bytes, start: np.ndarray, end: np.ndarray,
+           last_slot: int) -> tuple[np.ndarray, np.ndarray]:
+    """`int()` of each cell, clipped to [-1, last_slot + 1], as int64, or 0
+    where `int()` raises ValueError; and the mask of those cells. Cells of 1
+    to SLOT_DIGITS ASCII digits are read on the bytes."""
+    mantissa, after, minus, fits = _decimals(data, start, end, SLOT_DIGITS)
+    fits &= ~minus & (after < 0)
+    return _each(lambda cell: min(max(int(cell), -1), last_slot + 1),
+                 np.minimum(mantissa, last_slot + 1), fits, data, start, end, 0)
+
+
+def _elevations(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`float()` of each cell, or NaN where it raises ValueError; and the
+    mask of those cells. Cells `-?D*(.D*)?` whose digits read at most 2**53
+    are read on the bytes, as mantissa / 10**digits after the point: both
+    are doubles exactly, so the one rounding of the division gives the
+    value `float()` rounds to (Clinger's fast path)."""
+    mantissa, after, minus, fits = _decimals(data, start, end, ELEVATION_BYTES)
+    quotient = mantissa / _TENS[np.maximum(after, 0)]
+    return _each(float, np.where(minus, -quotient, quotient), fits & (mantissa <= 2 ** 53),
+                 data, start, end, math.nan)
+
+
+def _folded(words: np.ndarray) -> np.ndarray:
+    """One uint64 per row of uint64 words; equal rows fold equal."""
+    folded = words[:, 0]
+    for k in range(1, words.shape[1]):
+        folded = folded * _MIX + words[:, k]  # modulo 2**64
+    return folded
+
+
+def _indices(data: bytes, start: np.ndarray, end: np.ndarray, ids: list[str]) -> np.ndarray:
+    """Each cell's index in `ids`, -1 where it is none of them. Ids are
+    packed into as many uint64 words as the longest needs, up to ID_BYTES
+    bytes; a cell that fits them is found by the fold of its words and
+    checked word for word. Other cells, and those whose fold two ids
+    share, are looked up by their text."""
+    index = {sid: i for i, sid in enumerate(ids)}
+    encoded = [sid.encode("utf-8") for sid in index]
+    size = 8 * max(1, (min(max(map(len, encoded), default=0), ID_BYTES) + 7) // 8)
+    packed = [(key, i) for key, i in zip(encoded, index.values()) if len(key) <= size]
+    key_length = np.fromiter((len(key) for key, _ in packed), np.int64, len(packed))
+    key_words = _words(b"".join(key for key, _ in packed) + _PAD,
+                       np.cumsum(key_length) - key_length, key_length, size // 8)
+    folds = _folded(key_words)
+    order = np.argsort(folds)
+    # a last row of zero words, index -1, for cells past every fold
+    key_words = np.vstack([key_words[order], np.zeros((1, size // 8), dtype=np.uint64)])
+    folds = folds[order]
+    at = np.append(np.array([i for _, i in packed], dtype=np.intp)[order], -1)
+    shared = np.zeros(len(packed) + 1, dtype=bool)  # folds two ids share
+    twins = folds[1:] == folds[:-1]
+    shared[1:-1] |= twins
+    shared[:-2] |= twins
+
+    length = end - start
+    cells = _words(data, start, length, size // 8)
+    near = np.searchsorted(folds, _folded(cells))
+    found = np.where((key_words[near] == cells).all(axis=1), at[near], -1)
+    return _each(lambda cell: index.get(cell, -1), found, (length <= size) & ~shared[near],
+                 data, start, end)[0]
+
+
+def _checked(path: str, scenario: ConstellationScenario, chunk: _Chunk,
              first_line: int) -> tuple[np.ndarray, ...]:
-    """Slot, satellite index, station index and elevation columns of rows
-    whose cells are `cells` and whose first line is `first_line`. Raises
-    the error a row-by-row reader raises at the first bad row."""
-    slot_cells, sat_cells, station_cells, elev_cells = cells
-    n = len(slot_cells)
+    """Slot, satellite index, station index and elevation columns of the
+    rows of a chunk, whose first line is `first_line`. Raises the error a
+    row-by-row reader raises at the first bad row."""
+    data, start, end = chunk
+
+    def cell(column: int, row: int) -> str:
+        return data[start[column][row]:end[column][row]].decode("utf-8")
+
     last_slot = scenario.time.last_slot
-    try:
-        slot, bad_slot = np.fromiter(map(int, slot_cells), np.int64, n), np.zeros(n, bool)
-    except (ValueError, OverflowError):  # not integers, or past int64 (outside the horizon)
-        slot, bad_slot = _each(lambda cell: min(max(int(cell), -1), last_slot + 1),
-                               slot_cells, np.int64, 0)
-    try:
-        elevation, bad_elev = np.fromiter(map(float, elev_cells), float, n), np.zeros(n, bool)
-    except ValueError:
-        elevation, bad_elev = _each(float, elev_cells, float, math.nan)
-    satellite = np.fromiter(map({s.id: i for i, s in enumerate(scenario.satellites)}.get,
-                                sat_cells, repeat(-1)), np.intp, n)
-    station = np.fromiter(map({st.id: i for i, st in enumerate(scenario.stations)}.get,
-                              station_cells, repeat(-1)), np.intp, n)
+    slot, bad_slot = _slots(data, start[0], end[0], last_slot)
+    satellite = _indices(data, start[1], end[1], [s.id for s in scenario.satellites])
+    station = _indices(data, start[2], end[2], [st.id for st in scenario.stations])
+    elevation, bad_elev = _elevations(data, start[3], end[3])
     # index -1, an unknown station, reads a threshold no elevation is below
     thresholds = np.array([st.min_elevation_deg for st in scenario.stations] + [-math.inf])
 
@@ -376,9 +507,9 @@ def _checked(path: str, scenario: ConstellationScenario, cells: list[list[str]],
         (bad_slot | bad_elev, ParseError, lambda row: "slot or elevation is not a number"),
         (~np.isfinite(elevation), ParseError, lambda row: "elevation is not finite"),
         ((slot < 0) | (slot > last_slot), OutOfHorizon,
-         lambda row: f"slot {int(slot_cells[row])} outside horizon"),
-        (satellite < 0, ValidationError, lambda row: f"unknown satellite {sat_cells[row]}"),
-        (station < 0, ValidationError, lambda row: f"unknown station {station_cells[row]}"),
+         lambda row: f"slot {int(cell(0, row))} outside horizon"),
+        (satellite < 0, ValidationError, lambda row: f"unknown satellite {cell(1, row)}"),
+        (station < 0, ValidationError, lambda row: f"unknown station {cell(2, row)}"),
         (elevation < thresholds[station], ValidationError,
          lambda row: "elevation below station threshold"),
         (elevation > 90.0, ValidationError, lambda row: "elevation above 90 degrees"),
@@ -396,7 +527,11 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
 
     The rows are checked as columns, a chunk of rows at a time; the first
     bad row is reported with its line number and the error a row-by-row
-    reader would raise there.
+    reader would raise there. Cells are parsed on the bytes where they are
+    in the writer's grammar: a slot of 1 to SLOT_DIGITS ASCII digits, an
+    elevation `-?D*(.D*)?` of at most ELEVATION_BYTES bytes whose digits
+    read at most 2**53, an id of at most ID_BYTES bytes. Every other cell is
+    read alone by `int()`, `float()` or the id lookup, to the same values.
     """
     try:
         with open(path, "rb") as fh:
@@ -411,15 +546,15 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
         del raw
         chunks = _chunks_by_csv(path, text)
     else:
-        del text  # the rows are decoded again a chunk at a time
+        del text  # the cells are decoded only where they leave the byte grammar
         chunks = _chunks_by_line(path, raw)
     # an empty part first, so a file without rows concatenates too
     parts = [(np.empty(0, np.int64), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     rows = 0
-    for cells in chunks:
-        parts.append(_checked(path, scenario, cells, 2 + rows))
-        rows += len(cells[0])
-        del cells
+    for chunk in chunks:
+        parts.append(_checked(path, scenario, chunk, 2 + rows))
+        rows += len(chunk[1][0])
+        del chunk
     return ContactWindows.sorted([s.id for s in scenario.satellites],
                                  [st.id for st in scenario.stations],
                                  *map(np.concatenate, zip(*parts)))

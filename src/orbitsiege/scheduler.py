@@ -76,9 +76,10 @@ def build_schedule(scenario: ConstellationScenario,
 
     A slot's assignment has a row per low-priority satellite in contact and
     a column per antenna of each station they see, both in id order, costed
-    by slant range. Each of those satellites is propagated once, so needs
-    orbit elements, windows read from a file included. Every station the
-    windows carry must be one of the scenario's.
+    by slant range. Each of those satellites is propagated once, at the
+    target's window slots only, so needs orbit elements, windows read from a
+    file included. Every station the windows carry must be one of the
+    scenario's.
 
     The slots are first certified all at once. In the target's connected
     component of the slot's satellite-station contact graph, if every
@@ -115,15 +116,15 @@ def build_schedule(scenario: ConstellationScenario,
     ids = sorted(windows.station_ids)
     antennas = np.array([by_id[i].antenna_count for i in ids])
     station_pos = np.array([station_ecef_m(by_id[i]) for i in ids])
+    index = np.searchsorted(slots, slot)
     seen = np.unique(sat)
-    tracks = np.stack([propagate(low[windows.satellite_ids[i]], scenario.time)
+    tracks = np.stack([propagate(low[windows.satellite_ids[i]], scenario.time, slots)
                        for i in seen.tolist()])
-    sat_pos = tracks[np.searchsorted(seen, sat), slot]
+    sat_pos = tracks[np.searchsorted(seen, sat), index]
     cost = np.sqrt(((sat_pos - station_pos[station]) ** 2).sum(axis=1))
 
     # number the (slot, satellite) rows and the (slot, station) columns of
     # all slots' matrices at once
-    index = np.searchsorted(slots, slot)
     past = np.append(slots, slots[-1] + 1)
     bounds = np.searchsorted(slot, past)  # each slot's window rows
     starts = np.flatnonzero(new_row)

@@ -4,6 +4,8 @@ import functools
 import math
 import os
 import random
+import re
+import struct
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -114,6 +116,16 @@ def test_gmst_reference_value():
     for slot, theta in ((0, 280.46061837), (1440, 280.46061837 + 360.98564736629)):
         lon = math.degrees(math.atan2(pos[slot, 1], pos[slot, 0]))
         assert (lon + theta + 180.0) % 360.0 - 180.0 == pytest.approx(0.0, abs=1e-6)
+
+
+def test_propagate_at_some_slots_is_the_track_there():
+    rng = np.random.default_rng(3)
+    grid = TimeGrid(epoch=EPOCH, slot_seconds=60, horizon_slots=1440)
+    sat = satellite(random_elements(rng))
+    slots = np.unique(rng.integers(0, grid.horizon_slots, 300))
+    track = propagate(sat, grid)
+    assert track.shape == (grid.horizon_slots, 3)
+    assert propagate(sat, grid, slots).tobytes() == track[slots].tobytes()
 
 
 def test_stale_elements_rejected():
@@ -481,25 +493,33 @@ def mutated_window_files(draw):
     return text
 
 
-def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS):
+def bits(rows):
+    """Window rows with each elevation as its IEEE bytes, so that -0.0 and
+    0.0, or two doubles an ulp apart, differ."""
+    return [(slot, sat, station, struct.pack("<d", elevation))
+            for slot, sat, station, elevation in rows]
+
+
+def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None):
     """The loader, reading `chunk_rows` rows at a time, and the row-by-row
-    reference give the same windows, or the same error type and message,
-    on this file text."""
-    scenario, _, _ = bundled_windows()
+    reference give the same windows, to the bit, or the same error type and
+    message, on this file text. Returns what both gave."""
+    scenario = scenario or bundled_windows()[0]
     path.write_bytes(text.encode("utf-8"))
     try:
-        expected = ("windows", load_window_rows(
+        expected = ("windows", bits(load_window_rows(
             str(path), {s.id for s in scenario.satellites},
             {st.id: st.min_elevation_deg for st in scenario.stations},
-            scenario.time.last_slot))
+            scenario.time.last_slot)))
     except RowError as exc:
         expected = (exc.kind, str(exc))
     try:
         with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows):
-            got = ("windows", load_contact_windows(str(path), scenario).rows())
+            got = ("windows", bits(load_contact_windows(str(path), scenario).rows()))
     except OrbitSiegeError as exc:
         got = (type(exc).__name__, str(exc))
     assert got == expected
+    return got
 
 
 @settings(max_examples=300, deadline=None)
@@ -518,6 +538,9 @@ def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, chun
 ])
 def test_window_loader_matches_reference_at_the_bounds(tmp_path, column, value):
     scenario, header, rows = bundled_windows()
+    if value == "-0.0":  # stations that take it, so the loaded sign is compared
+        scenario = replace(scenario, stations=tuple(
+            replace(station, min_elevation_deg=0.0) for station in scenario.stations))
     cells = rows[7].split(",")
     threshold = next(st.min_elevation_deg for st in scenario.stations if st.id == cells[2])
     cells[column] = {
@@ -527,4 +550,143 @@ def test_window_loader_matches_reference_at_the_bounds(tmp_path, column, value):
         "below": repr(threshold - 1e-9),
     }.get(value, value)
     text = "\n".join([header, *rows[:7], ",".join(cells), *rows[8:]]) + "\n"
-    assert_loaders_agree(tmp_path / "windows.csv", text)
+    got = assert_loaders_agree(tmp_path / "windows.csv", text, scenario=scenario)
+    if value == "-0.0":
+        assert struct.pack("<d", -0.0) in {row[3] for row in got[1]}
+
+
+def converted(cells, last_slot):
+    """`orbit._slots` and `orbit._elevations` of cells, each read as the
+    first and last cell of a row, and the `_decimals` fit mask of each."""
+    data, start, end = orbit._encoded([c for cell in cells for c in (cell, "a", "b", cell)])
+    slots = orbit._slots(data, start[0], end[0], last_slot)
+    elevations = orbit._elevations(data, start[3], end[3])
+    return slots, elevations, orbit._decimals(data, start[3], end[3], orbit.ELEVATION_BYTES)[3]
+
+
+def python_int(cell, last_slot):
+    try:
+        return min(max(int(cell), -1), last_slot + 1), False
+    except ValueError:
+        return 0, True
+
+
+def python_float(cell):
+    try:
+        return float(cell), False
+    except ValueError:
+        return math.nan, True
+
+
+def point_at(digits, after, negative):
+    """The digits of an integer with a point before the last `after`."""
+    text = str(digits)
+    cut = len(text) - min(after, len(text))
+    return ("-" if negative else "") + text[:cut] + "." + text[cut:]
+
+
+DIGITS = st.text("0123456789", max_size=20)
+NUMBER_CELLS = st.one_of(
+    # the grammar, its near misses and its digit-count boundaries
+    st.builds("".join, st.tuples(st.sampled_from(["", "-", "+", "--", " "]), DIGITS,
+                                 st.sampled_from(["", ".", ".."]), DIGITS)),
+    # 15 to 17 digits, a point among them: past 2**53 the digits are not a
+    # double exactly, and one division rounds twice
+    st.builds(point_at, st.integers(10 ** 14, 10 ** 17 - 1), st.integers(0, 17), st.booleans()),
+    st.integers(0, 10 ** 19).map(str),
+    st.integers(0, 10 ** 19).map(lambda n: "000" + str(n)),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: format(x, ".6g")),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "0", ".5", "5.", "-.5", "-", ".", "-.", "--1", "1.2.3", "+3", " 7",
+                     "7 ", "1_0", "1e3", "1E3", "\u0663", "nan", "-nan", "inf", "-inf", "",
+                     "9" * 18, "9" * 19, "1" + "0" * 17, "0" * 18 + "1", "9007199254740993",
+                     "9007199254740992", "900719925474099.3", "9039.117252045955", "90.0000001"]),
+    # a non-ASCII character inside a number
+    st.builds("".join, st.tuples(DIGITS, st.sampled_from(["\u00e9", "\u0663", "\u00a0"]),
+                                 DIGITS)),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cells=st.lists(NUMBER_CELLS, min_size=1, max_size=12),
+       last_slot=st.sampled_from([0, 287, 10 ** 17]))
+def test_byte_converters_equal_int_and_float(cells, last_slot):
+    """The slot and elevation converters give `int()` and `float()` of each
+    cell, to the bit, and the same cells fail; cells in the written grammar
+    are read on the bytes."""
+    (slots, bad_slots), (elevations, bad_elevations), fits = converted(cells, last_slot)
+    assert list(zip(slots.tolist(), bad_slots.tolist())) == [
+        python_int(cell, last_slot) for cell in cells]
+    assert bad_elevations.tolist() == [python_float(cell)[1] for cell in cells]
+    assert [struct.pack("<d", x) for x in elevations.tolist()] == [
+        struct.pack("<d", python_float(cell)[0]) for cell in cells]
+    written = [re.fullmatch(r"-?[0-9]*\.?[0-9]*", cell) is not None
+               and re.search("[0-9]", cell) is not None
+               and len(cell) <= orbit.ELEVATION_BYTES for cell in cells]
+    assert fits.tolist() == written
+
+
+FILLS_THE_WIDTH = "obs-1-and-more-than-eight-bytes!"  # ID_BYTES of UTF-8
+AWKWARD_SATELLITES = ("obs-1", "obs,1", 'rush "2"', "plain\nline", "\u00e7", "s\u00e4tellite",
+                      "\u536b\u661f-7", "obs-10", FILLS_THE_WIDTH, FILLS_THE_WIDTH + "1")
+AWKWARD_STATIONS = ("gs-1", "gs-10", "gs-100", "gs-10000", "gs-100000", "gs\n02",
+                    "station-north-0001-and-more", "esta\u00e7\u00e3o")
+
+
+def round_trip(path, satellite_ids, station_ids, n=400):
+    """Windows over these ids, saved and loaded back to the same columns,
+    to the bit. Returns the scenario they load under and the columns."""
+    rng = np.random.default_rng(29)
+    stations = [replace(random_station(rng, i), id=sid, min_elevation_deg=0.0)
+                for i, sid in enumerate(station_ids)]
+    scenario = windows_scenario([random_elements(rng) for _ in satellite_ids], stations)
+    scenario = replace(scenario, satellites=tuple(
+        replace(sat, id=sid) for sat, sid in zip(scenario.satellites, satellite_ids)))
+    elevation = np.round(rng.uniform(0.0, 90.0, n), 3)
+    elevation[:2] = 0.0, 90.0
+    columns = (rng.integers(0, scenario.time.horizon_slots, n),
+               rng.integers(0, len(satellite_ids), n), rng.integers(0, len(station_ids), n),
+               elevation)
+    windows = ContactWindows.sorted(satellite_ids, station_ids, *columns)
+    save_contact_windows(path, windows)
+    again = load_contact_windows(path, scenario)
+    assert (again.satellite_ids, again.station_ids) == (satellite_ids, station_ids)
+    for column in ("slot", "satellite", "station", "elevation_deg"):
+        assert getattr(again, column).tobytes() == getattr(windows, column).tobytes()
+    return scenario, columns
+
+
+def test_awkward_ids_round_trip(tmp_path):
+    """Ids that csv.writer quotes, non-ASCII ids, an id that fills the
+    packing width and one that passes it by a byte, and ids that are
+    prefixes of one another load back as the columns saved; an id one byte
+    off is refused by name."""
+    assert len(FILLS_THE_WIDTH.encode()) == orbit.ID_BYTES
+    path = str(tmp_path / "windows.csv")
+    scenario, columns = round_trip(path, AWKWARD_SATELLITES, AWKWARD_STATIONS)
+    # the widest read of the packed ids, at a short id near the end of the file
+    for last in ("0,obs-1,gs-1,5", '0,"obs-1",gs-1,5'):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{orbit.HEADER_LINE}\n{last}")
+        assert load_contact_windows(path, scenario).rows() == [(0, "obs-1", "gs-1", 5.0)]
+    for ids, kind in ((AWKWARD_SATELLITES, "satellite"), (AWKWARD_STATIONS, "station")):
+        for k, sid in enumerate(ids):
+            off = sid[:-1] + chr(ord(sid[-1]) ^ 1)
+            assert off not in ids and len(off.encode()) == len(sid.encode())
+            renamed = dict(satellite_ids=AWKWARD_SATELLITES, station_ids=AWKWARD_STATIONS)
+            renamed[f"{kind}_ids"] = ids[:k] + (off,) + ids[k + 1:]
+            save_contact_windows(path, ContactWindows.sorted(
+                renamed["satellite_ids"], renamed["station_ids"], *columns))
+            with pytest.raises(ValidationError) as error:
+                load_contact_windows(path, scenario)
+            assert str(error.value).endswith(f": unknown {kind} {off}")
+
+
+def test_ids_whose_folds_collide_round_trip(tmp_path):
+    """With a fold that keeps only each id's last word, ids that share it
+    are looked up by their text, and still load back."""
+    with mock.patch.object(orbit, "_MIX", np.uint64(0)):
+        round_trip(str(tmp_path / "windows.csv"),
+                   ("obs-1", "AAAAAAAAgs-1", "BBBBBBBBgs-1", "CCCCCCCCgs-1"),
+                   ("gs-1", "EEEEEEEEst-1", "FFFFFFFFst-1"))

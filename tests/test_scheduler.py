@@ -140,10 +140,16 @@ def positions_above(scenario, station_of):
             for sid, st_id in station_of.items()}
 
 
+def reading(positions):
+    """A stand-in for `propagate` that reads `positions` (satellite id ->
+    positions per slot), at every slot or at the slots asked for."""
+    return lambda sat, grid, slots=slice(None): positions[sat.id][slots]
+
+
 def schedule_at(monkeypatch, scenario, rows, positions):
     """The schedule of the rows' one slot, with `positions` (satellite id ->
     positions per slot) standing in for propagation."""
-    monkeypatch.setattr(scheduler, "propagate", lambda sat, grid: positions[sat.id])
+    monkeypatch.setattr(scheduler, "propagate", reading(positions))
     (schedule,) = build_schedule(scenario, windows_of(scenario, rows))
     return schedule
 
@@ -190,7 +196,8 @@ def test_assign_slot_matches_brute_force_by_station(monkeypatch):
     # be the brute-force optimum's
     rng = np.random.default_rng(5)
     positions = {}
-    monkeypatch.setattr(scheduler, "propagate", lambda sat, grid: positions[sat.id])
+    monkeypatch.setattr(scheduler, "propagate",
+                        lambda sat, grid, slots=slice(None): positions[sat.id][slots])
     for _ in range(60):
         counts = tuple(int(c) for c in rng.integers(1, 3, size=3))
         scenario = two_station_scenario(n_low=int(rng.integers(1, 5)),
@@ -236,9 +243,10 @@ def test_build_schedule_covers_only_target_slots(monkeypatch):
 
     propagated = []
 
-    def counting(sat, grid):
+    def counting(sat, grid, slots):
         propagated.append(sat.id)
-        return propagate(sat, grid)
+        assert slots.tolist() == target_slots  # the only slots the schedule reads
+        return propagate(sat, grid, slots)
 
     monkeypatch.setattr(scheduler, "propagate", counting)
     schedules = build_schedule(scenario, windows)
@@ -320,7 +328,7 @@ def test_build_schedule_matches_the_hungarian_oracle(monkeypatch):
     @example(world=tied_world())
     def check(world):
         scenario, rows, positions = world
-        monkeypatch.setattr(scheduler, "propagate", lambda sat, grid: positions[sat.id])
+        monkeypatch.setattr(scheduler, "propagate", reading(positions))
         windows = windows_of(scenario, rows)
         expected = hungarian_schedule(scenario, windows)
         with monkeypatch.context() as patch:
