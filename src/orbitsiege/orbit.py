@@ -20,7 +20,18 @@ pass; the test is offset by HORIZON_MARGIN_M so that rounding cannot cull
 a pair at the horizon itself.
 
 Contact windows are one `ContactWindows` value of parallel columns, built,
-written, read and grouped by slot without a Python object per window.
+written, read and grouped by slot without a Python object per window. They
+are computed satellite by satellite in id order, each one's rows already in
+slot and station id order, so one stable sort by slot orders them.
+
+The windows CSV is written as byte columns. Each distinct slot and each id
+is rendered once, with its comma; each elevation is rendered in numpy
+(`output.float_words`) where it is in the fixed-point grammar of 6
+significant digits: 1e-4 <= |x| < 1e6, written `-?D+(.D+)?` without
+trailing zeros, at most 12 bytes. Any other elevation, such as 0.0, -0.0,
+1e-07, 1e+06, or one whose rounding is within a hair of a tie or carries
+into the next decade, is rendered alone by `output.fmt_cell`. So the file
+is byte for byte what `csv_text` writes row by row.
 
 The windows CSV is read as byte columns. Cells in the grammar the writer
 uses are parsed in numpy: slots of 1 to 18 ASCII digits; elevations of the
@@ -29,7 +40,9 @@ division of the digits by a power of ten, which is exact (Clinger's fast
 path); and ids of at most 32 bytes of UTF-8, matched as uint64 words. Any
 other cell, such as `+3`, ` 7`, `1e3`, `nan` or a longer id, goes through
 `int()`, `float()` or the id lookup on its own text. So the columns, and
-every error, are those of a row-by-row reader.
+every error, are those of a row-by-row reader. Rows are split on the bytes
+at LF or CRLF line ends; a file with a quote, or a carriage return that
+does not end a line, goes through csv.reader.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import IoError, OutOfHorizon, ParseError, StaleElements, ValidationError
-from .output import fmt_floats, table_text, write_text_atomic
+from .output import cell_words, float_words, table_text, unfilled, write_text_atomic
 from .scenario import (ConstellationScenario, GroundStationSpec, SatelliteSpec, TimeGrid,
                        TleElements)
 
@@ -63,10 +76,15 @@ LEO_RADIUS_MAX_M = 9_000_000.0
 HORIZON_MARGIN_M = 1_000.0
 
 
-def _ranks(ids: tuple[str, ...]) -> np.ndarray:
+def _id_order(ids: Sequence[str]) -> np.ndarray:
+    """The indices of the ids in id order."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+
+
+def _ranks(ids: Sequence[str]) -> np.ndarray:
     """Each id's place in sorted order, so integer order is string order."""
     ranks = np.empty(len(ids), dtype=np.intp)
-    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    ranks[_id_order(ids)] = np.arange(len(ids))
     return ranks
 
 
@@ -210,32 +228,45 @@ def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
     in the projection would put just below. The kept pairs' elevations are
     computed element by element as for the full grid, so the windows are
     the same to the bit.
+
+    Satellites are taken in id order, and each one's pairs come out of the
+    cull in slot order and, with the stations' columns in id order, in
+    station id order; so one stable sort by slot puts the rows in the
+    order `ContactWindows` keeps.
     """
+    satellite_ids = [s.id for s in scenario.satellites]
+    station_ids = [st.id for st in scenario.stations]
     # slot, satellite, station, elevation: each starts with an empty part,
     # so a world without contacts concatenates too
     columns: tuple[list, ...] = ([np.empty(0, np.intp)], [np.empty(0, np.intp)],
                                  [np.empty(0, np.intp)], [np.empty(0)])
     if scenario.stations:
-        station_pos = np.array([station_ecef_m(st) for st in scenario.stations])
+        by_id = _id_order(station_ids)
+        station_pos = np.array([station_ecef_m(scenario.stations[i]) for i in by_id.tolist()])
         station_norm = np.linalg.norm(station_pos, axis=1, keepdims=True)
         zenith = station_pos / station_norm
         horizon = station_norm[:, 0] - HORIZON_MARGIN_M
-        thresholds = np.array([st.min_elevation_deg for st in scenario.stations])
-        for index, sat in enumerate(scenario.satellites):
-            pos = propagate(sat, scenario.time)
-            slot_idx, st_idx = np.nonzero(pos @ zenith.T > horizon)
-            los = pos[slot_idx] - station_pos[st_idx]
+        thresholds = np.array([scenario.stations[i].min_elevation_deg for i in by_id.tolist()])
+        for index in _id_order(satellite_ids).tolist():
+            pos = propagate(scenario.satellites[index], scenario.time)
+            # the kept pairs in slot order, then station id order
+            slot_idx, column = np.divmod(np.flatnonzero(pos @ zenith.T > horizon), len(by_id))
+            los = pos[slot_idx] - station_pos[column]
             los_norm = np.linalg.norm(los, axis=1)
-            sin_elev = np.einsum("pk,pk->p", los, zenith[st_idx]) / los_norm
+            sin_elev = np.einsum("pk,pk->p", los, zenith[column]) / los_norm
             elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
-            seen = elev >= thresholds[st_idx]
-            slot_idx, st_idx = slot_idx[seen], st_idx[seen]
-            for column, part in zip(columns, (slot_idx, np.full(len(slot_idx), index),
-                                              st_idx, elev[seen])):
-                column.append(part)
-    return ContactWindows.sorted(
-        [s.id for s in scenario.satellites], [st.id for st in scenario.stations],
-        *(np.concatenate(column) for column in columns))
+            seen = elev >= thresholds[column]
+            slot_idx, column = slot_idx[seen], column[seen]
+            for parts, part in zip(columns, (slot_idx, np.full(len(slot_idx), index),
+                                             by_id[column], elev[seen])):
+                parts.append(part)
+    slot, satellite, station, elevation = map(np.concatenate, columns)
+    # slots as the narrowest unsigned type that holds them, which numpy
+    # radix-sorts when it is 16 bits or less
+    order = np.argsort(slot.astype(np.min_scalar_type(scenario.time.last_slot)), kind="stable")
+    return ContactWindows(tuple(satellite_ids), tuple(station_ids),
+                          slot[order].astype(np.int64, copy=False), satellite[order],
+                          station[order], elevation[order])
 
 
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]
@@ -266,20 +297,28 @@ def _csv_cell(text: str) -> str:
 
 def windows_csv_text(windows: ContactWindows) -> str:
     """The windows CSV, byte for byte what `csv_text` writes for `rows()`,
-    built CHUNK_ROWS rows at a time."""
-    satellites = [_csv_cell(sid) for sid in windows.satellite_ids]
-    stations = [_csv_cell(sid) for sid in windows.station_ids]
-    # each distinct slot is formatted once
+    built CHUNK_ROWS rows at a time in numpy.
+
+    Each distinct slot and each id is rendered once, with its comma, as a
+    row of words (`output.cell_words`). Each elevation is rendered by
+    `output.float_words`: in numpy when 1e-4 <= |x| < 1e6, as `-?D+(.D+)?`
+    of 6 significant digits without trailing zeros, and alone by `fmt_cell`
+    when it is outside that grammar or its rounding is within a hair of a
+    tie or carries into the next decade. A chunk's rows are those words
+    side by side, and its text their bytes without the fill between cells.
+    """
+    satellites = cell_words([_csv_cell(sid) + "," for sid in windows.satellite_ids])
+    stations = cell_words([_csv_cell(sid) + "," for sid in windows.station_ids])
     slots, slot_of_row = np.unique(windows.slot, return_inverse=True)
-    slot_texts = list(map(str, slots.tolist()))
+    slot_cells = cell_words([f"{slot}," for slot in slots.tolist()])
     pieces = [HEADER_LINE + "\n"]
     for first in range(0, len(windows), CHUNK_ROWS):
         part = windows[first:first + CHUNK_ROWS]
-        pieces.append("\n".join(map(",".join, zip(
-            map(slot_texts.__getitem__, slot_of_row[first:first + CHUNK_ROWS].tolist()),
-            map(satellites.__getitem__, part.satellite.tolist()),
-            map(stations.__getitem__, part.station.tolist()),
-            fmt_floats(part.elevation_deg)))) + "\n")
+        pieces.append(unfilled(np.hstack([
+            np.take(slot_cells, slot_of_row[first:first + CHUNK_ROWS], axis=0),
+            np.take(satellites, part.satellite, axis=0),
+            np.take(stations, part.station, axis=0),
+            float_words(part.elevation_deg, "\n")[0]])).decode("utf-8"))
     return "".join(pieces)
 
 
@@ -305,13 +344,15 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
     """The rows as chunks of CHUNK_ROWS rows, up to the first row that has
     not four cells, whose error is raised after.
 
-    `raw` is UTF-8 without a quote or carriage return, so a row is a line
-    and a cell lies between commas; both are single bytes that no
-    multi-byte character holds, so the cells are found on the bytes.
+    `raw` is UTF-8 without a quote, whose every carriage return is followed
+    by a line feed, so a row is a line, ended by LF or CRLF, and a cell lies
+    between commas; these are single bytes that no multi-byte character
+    holds, so the cells are found on the bytes.
     """
-    if raw != HEADER_LINE.encode() and not raw.startswith(HEADER_LINE.encode() + b"\n"):
+    header = HEADER_LINE.encode()
+    if raw != header and not raw.startswith((header + b"\n", header + b"\r\n")):
         raise _header_error(path, raw.decode("utf-8"))
-    start = len(HEADER_LINE) + 1
+    start = raw.find(b"\n") + 1 or len(raw)
     if start >= len(raw):
         return
     data = np.frombuffer(raw, dtype=np.uint8)[start:]
@@ -325,6 +366,8 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
     # each good row holds three of the commas, in order
     begins = np.append(start, ends[:-1] + 1)
     commas = commas[:3 * good].reshape(good, 3).T
+    if b"\r" in raw:  # a row's last cell ends before the CR of its CRLF
+        ends = ends - (np.frombuffer(raw, dtype=np.uint8)[ends - 1] == ord("\r"))
     raw += _PAD  # one copy of the file, shared by every chunk
     for first in range(0, good, CHUNK_ROWS):
         rows = slice(first, min(first + CHUNK_ROWS, good))
@@ -532,6 +575,8 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
     elevation `-?D*(.D*)?` of at most ELEVATION_BYTES bytes whose digits
     read at most 2**53, an id of at most ID_BYTES bytes. Every other cell is
     read alone by `int()`, `float()` or the id lookup, to the same values.
+    A file with a quote, or a carriage return not followed by a line feed,
+    is split into rows by csv.reader; any other on the bytes, at LF or CRLF.
     """
     try:
         with open(path, "rb") as fh:
@@ -542,7 +587,7 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    if '"' in text or "\r" in text:
+    if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         del raw
         chunks = _chunks_by_csv(path, text)
     else:

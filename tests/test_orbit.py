@@ -34,7 +34,7 @@ from orbitsiege.orbit import (EARTH_RADIUS_M, J2000, LEO_RADIUS_MAX_M, LEO_RADIU
 from orbitsiege.scenario import (STATION_ALTITUDE_RANGE_M, ConstellationScenario,
                                  CostModel, DataUnit, GroundStationSpec, SatelliteSpec, TargetSpec,
                                  TimeGrid, TleElements)
-from orbitsiege.output import csv_text, fmt_cell, fmt_floats
+from orbitsiege.output import csv_text, fmt_cell, float_words, unfilled
 
 EPOCH = datetime(2026, 3, 20, tzinfo=timezone.utc)
 
@@ -242,7 +242,8 @@ def mean_motion_at(radius_m):
 def culled_worlds(draw):
     """Small worlds whose pairs sit near the cull's edges: stations at the
     altitude bounds, at the poles and on the equator, thresholds of 0, and
-    orbits just inside either edge of the LEO band."""
+    orbits just inside either edge of the LEO band. Satellites and stations
+    are listed out of id order (gs-10 sorts before gs-9)."""
     angle = st.floats(0.0, 360.0)
     radius = st.one_of(st.sampled_from([LEO_RADIUS_MIN_M + 1.0, LEO_RADIUS_MAX_M - 1.0]),
                        st.floats(LEO_RADIUS_MIN_M + 1.0, LEO_RADIUS_MAX_M - 1.0))
@@ -251,8 +252,10 @@ def culled_worlds(draw):
         arg_perigee_deg=draw(angle), mean_anomaly_deg=draw(angle),
         mean_motion_rev_per_day=mean_motion_at(draw(radius)), epoch=EPOCH)
         for _ in range(draw(st.integers(1, 3)))]
+    satellite_ids = draw(st.permutations(["obs-1", "obs-10", "obs-9"]))
+    station_ids = draw(st.permutations(["gs-9", "gs-10", "gs-1", "gs-100"]))
     stations = [GroundStationSpec(
-        id=f"gs-{i}",
+        id=station_ids[i],
         latitude_deg=draw(st.one_of(st.sampled_from([-90.0, 0.0, 90.0]),
                                     st.floats(-90.0, 90.0))),
         longitude_deg=draw(st.floats(-180.0, 180.0)),
@@ -261,14 +264,17 @@ def culled_worlds(draw):
         antenna_count=1,
         min_elevation_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0))))
         for i in range(draw(st.integers(1, 4)))]
-    return windows_scenario(satellites, stations, horizon=draw(st.integers(1, 200)),
-                            slot_seconds=draw(st.sampled_from([20, 60, 300])))
+    scenario = windows_scenario(satellites, stations, horizon=draw(st.integers(1, 200)),
+                                slot_seconds=draw(st.sampled_from([20, 60, 300])))
+    return replace(scenario, satellites=tuple(
+        replace(sat, id=sid) for sat, sid in zip(scenario.satellites, satellite_ids)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(scenario=culled_worlds())
 def test_culled_windows_equal_the_dense_grid(scenario):
-    """The horizon cull drops no window and changes no bit of an elevation."""
+    """The horizon cull drops no window and changes no bit of an elevation,
+    and the rows come out in slot, satellite id and station id order."""
     windows = compute_contact_windows(scenario)
     slot, satellite, station, elevation = dense_contact_windows(scenario)
     assert np.array_equal(windows.slot, slot)
@@ -334,13 +340,76 @@ def test_window_save_load_round_trip(tmp_path):
     assert second.read_bytes() == path.read_bytes()
 
 
-def test_fmt_floats_is_fmt_cell():
+def float_cells(values):
+    """`float_words` of floats, each row's bytes without fill as text, and
+    the mask of the cells `fmt_cell` rendered alone."""
+    words, alone = float_words(np.asarray(values, dtype=float))
+    return [unfilled(row).decode("ascii") for row in words], alone.tolist()
+
+
+def test_float_words_is_fmt_cell():
     rng = np.random.default_rng(19)
     values = np.concatenate([
         rng.uniform(-90.0, 90.0, 200), np.round(rng.uniform(-90.0, 90.0, 50)),
         [0.0, -0.0, 90.0, 1e-7, 123456.5, 1e15 - 1.0, 1e15, -1e16, 2.5e20,
          math.inf, -math.inf]])
-    assert fmt_floats(values) == [fmt_cell(v) for v in values.tolist()]
+    cells, alone = float_cells(values)
+    assert cells == [fmt_cell(v) for v in values.tolist()]
+    assert any(alone) and not all(alone)
+
+
+def ulps_away(x, steps):
+    """The float `steps` representable values above x (below, if negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+ULPS = st.integers(-3, 3)
+# the grammar's edges: a 7th significant digit of 5 (a tie of the 6-digit
+# rounding) at every fixed-point exponent and either side, among them the
+# decade carries 9.999995 and 99.99995; powers of ten, 1e-4 among them;
+# each a few ulps either way
+TIES = st.builds(lambda digits, exponent, steps: ulps_away(float(f"{digits}5e{exponent}"), steps),
+                 st.one_of(st.integers(10 ** 5, 10 ** 6 - 1), st.sampled_from([99999, 999999])),
+                 st.integers(-11, 0), ULPS)
+POWERS = st.builds(lambda exponent, steps: ulps_away(10.0 ** exponent, steps),
+                   st.integers(-8, 16), ULPS)
+# values whose 6-digit rounding carries into the next decade
+CARRIES = st.builds(lambda exponent, short: 10.0 ** exponent * (1.0 - short),
+                    st.integers(-5, 7), st.floats(0.0, 5e-7))
+EDGE_FLOATS = st.one_of(
+    TIES, POWERS, CARRIES,
+    st.integers(-10 ** 16, 10 ** 16).map(float),  # integral values
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+                     9.999995, 99.99995, 0.0999999995, 999999.9, 1e-4, 1e15, 1e6]),
+    st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+    st.floats(1e15, 1.7e308),
+    st.floats(-90.0, 90.0),
+    st.floats(allow_nan=False),
+)
+
+
+def test_float_words_equal_fmt_cell_at_the_grammar_edges():
+    """`float_words` renders each float as `fmt_cell` does, at the edges of
+    its grammar, on either sign; a cell it renders in numpy lies in the
+    grammar, and some cells take the per-cell path."""
+    alone_seen = []
+
+    @settings(max_examples=600, deadline=None)
+    @given(values=st.lists(st.builds(math.copysign, EDGE_FLOATS, st.sampled_from([1.0, -1.0])),
+                           min_size=1, max_size=8))
+    def check(values):
+        cells, alone = float_cells(values)
+        assert cells == [fmt_cell(v) for v in values]
+        for value, cell, by_cell in zip(values, cells, alone):
+            if not by_cell:
+                assert 1e-4 <= abs(value) < 1e6
+                assert re.fullmatch(r"-?[0-9]+(\.[0-9]*[1-9])?", cell)
+        alone_seen.extend(alone)
+
+    check()
+    assert any(alone_seen) and not all(alone_seen)
 
 
 @settings(max_examples=100, deadline=None)
@@ -530,6 +599,47 @@ def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, chun
     chunks of several sizes."""
     assert_loaders_agree(tmp_path_factory.mktemp("windows") / "windows.csv", text,
                          chunk_rows)
+
+
+def test_crlf_file_reads_as_its_lf_copy(tmp_path):
+    """A CRLF copy of a windows file is read on the bytes, not through
+    csv.reader, to the same columns, to the bit, with no cell read alone; a
+    bad cell or a short row in it is reported at the same line, in chunks
+    of any size."""
+    scenario, header, rows = bundled_windows()
+    bad_cell, short = list(rows), list(rows)
+    bad_cell[100] = "x" + bad_cell[100]
+    short[30] = short[30].rsplit(",", 1)[0]
+    columns = ("slot", "satellite", "station", "elevation_deg")
+
+    real_each, read_alone = orbit._each, []
+
+    def each(convert, values, fits, *args):
+        read_alone.append(int((~fits).sum()))
+        return real_each(convert, values, fits, *args)
+
+    def load(path):
+        read_alone.clear()
+        try:
+            windows = load_contact_windows(str(path), scenario)
+        except OrbitSiegeError as exc:
+            return type(exc).__name__, str(exc).replace(str(path), "windows.csv")
+        return [getattr(windows, column).tobytes() for column in columns]
+
+    for lines, chunk_rows, end in ((rows, orbit.CHUNK_ROWS, True), (rows, 7, False),
+                                   (bad_cell, 7, True), (short, 1000, False)):
+        got = []
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / f"{len(newline)}.csv"
+            path.write_bytes((newline.join([header, *lines]) + newline * end).encode())
+            with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows), \
+                    mock.patch.object(orbit, "_chunks_by_csv", side_effect=AssertionError), \
+                    mock.patch.object(orbit, "_each", each):
+                got.append(load(path))
+            assert sum(read_alone) == (lines is bad_cell)
+        assert got[0] == got[1]
+        assert isinstance(got[0], list) == (lines is rows)
+    assert got[0] == ("ParseError", "windows.csv:32: expected 4 columns")
 
 
 @pytest.mark.parametrize("column, value", [
