@@ -31,24 +31,22 @@ significant digits: 1e-4 <= |x| < 1e6, written `-?D+(.D+)?` without
 trailing zeros, at most 12 bytes. Any other elevation, such as 0.0, -0.0,
 1e-07, 1e+06, or one whose rounding is within a hair of a tie or carries
 into the next decade, is rendered alone by `output.fmt_cell`. So the file
-is byte for byte what `csv_text` writes row by row.
+is byte for byte what `csv_text` writes row by row. Ids are written as they
+are: a scenario refuses an id holding a comma, a quote, CR or LF.
 
-The windows CSV is read as byte columns. Cells in the grammar the writer
-uses are parsed in numpy: slots of 1 to 18 ASCII digits; elevations of the
-form `-?D*(.D*)?`, at most 17 bytes, whose digits read at most 2**53, as one
-division of the digits by a power of ten, which is exact (Clinger's fast
-path); and ids of at most 32 bytes of UTF-8, matched as uint64 words. Any
-other cell, such as `+3`, ` 7`, `1e3`, `nan` or a longer id, goes through
-`int()`, `float()` or the id lookup on its own text. So the columns, and
-every error, are those of a row-by-row reader. Rows are split on the bytes
-at LF or CRLF line ends; a file with a quote, or a carriage return that
-does not end a line, goes through csv.reader.
+The windows CSV is read in that one grammar, as byte columns. A row is a
+line, ended by LF or CRLF; a cell lies between commas, and a quote or a
+lone CR is a byte in it. A slot is `-?D{1,18}`; an id is matched in full
+as uint64 words; an elevation of the form `-?D*(.D*)?`, at most 17 bytes,
+whose digits read at most 2**53, is one division of the digits by a power
+of ten, which is exact (Clinger's fast path). Any other elevation, such
+as 1e-07, which the writer renders alone, is read alone by `float()`. A
+slot or id cell outside the grammar, such as `+3`, ` 7` or `"obs-1"`, is
+refused, with its line number.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -272,13 +270,10 @@ def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]
 HEADER_LINE = ",".join(WINDOW_HEADER)
 CHUNK_ROWS = 1 << 15
-# the reader parses cells in the grammar the writer uses on the bytes, and
-# any other cell by int(), float() or the id lookup on its own text
 SLOT_DIGITS = 18  # any 18 digits fit int64
 ELEVATION_BYTES = 17  # a minus, 15 digits and a point; the digits are checked against 2**53
-ID_BYTES = 32  # an id is matched on the bytes when its UTF-8 fits four uint64 words
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so folding words keeps their bits mixed
-_PAD = b"\xff" * ID_BYTES  # past the data, so that the widest read fits at any cell
+_PAD = b"\xff" * 8  # past the data, so that a word can be read at any cell's start
 # OR'd onto a word holding n bytes of a cell, it sets the rest to 0xFF
 _PADS = np.array([int.from_bytes(bytes(n) + b"\xff" * (8 - n), sys.byteorder)
                   for n in range(9)], dtype=np.uint64)
@@ -288,27 +283,21 @@ _TENS = np.array([float(10 ** k) for k in range(ELEVATION_BYTES)])
 _Chunk = tuple[bytes, Sequence[np.ndarray], Sequence[np.ndarray]]
 
 
-def _csv_cell(text: str) -> str:
-    """One string as csv.writer renders it in a row of several cells."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
-
-
 def windows_csv_text(windows: ContactWindows) -> str:
     """The windows CSV, byte for byte what `csv_text` writes for `rows()`,
     built CHUNK_ROWS rows at a time in numpy.
 
     Each distinct slot and each id is rendered once, with its comma, as a
-    row of words (`output.cell_words`). Each elevation is rendered by
+    row of words (`output.cell_words`); ids as they are, since no scenario
+    id holds a character csv.writer quotes. Each elevation is rendered by
     `output.float_words`: in numpy when 1e-4 <= |x| < 1e6, as `-?D+(.D+)?`
     of 6 significant digits without trailing zeros, and alone by `fmt_cell`
     when it is outside that grammar or its rounding is within a hair of a
     tie or carries into the next decade. A chunk's rows are those words
     side by side, and its text their bytes without the fill between cells.
     """
-    satellites = cell_words([_csv_cell(sid) + "," for sid in windows.satellite_ids])
-    stations = cell_words([_csv_cell(sid) + "," for sid in windows.station_ids])
+    satellites = cell_words([sid + "," for sid in windows.satellite_ids])
+    stations = cell_words([sid + "," for sid in windows.station_ids])
     slots, slot_of_row = np.unique(windows.slot, return_inverse=True)
     slot_cells = cell_words([f"{slot}," for slot in slots.tolist()])
     pieces = [HEADER_LINE + "\n"]
@@ -344,10 +333,9 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
     """The rows as chunks of CHUNK_ROWS rows, up to the first row that has
     not four cells, whose error is raised after.
 
-    `raw` is UTF-8 without a quote, whose every carriage return is followed
-    by a line feed, so a row is a line, ended by LF or CRLF, and a cell lies
-    between commas; these are single bytes that no multi-byte character
-    holds, so the cells are found on the bytes.
+    A row is a line, ended by LF or by CRLF, whose CR is dropped; a cell
+    lies between commas. These are single bytes that no multi-byte UTF-8
+    character holds, so the cells are found on the bytes.
     """
     header = HEADER_LINE.encode()
     if raw != header and not raw.startswith((header + b"\n", header + b"\r\n")):
@@ -367,7 +355,8 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
     begins = np.append(start, ends[:-1] + 1)
     commas = commas[:3 * good].reshape(good, 3).T
     if b"\r" in raw:  # a row's last cell ends before the CR of its CRLF
-        ends = ends - (np.frombuffer(raw, dtype=np.uint8)[ends - 1] == ord("\r"))
+        crlf = np.frombuffer(raw, dtype=np.uint8)[ends - 1] == ord("\r")
+        ends = ends - (crlf & (ends < len(raw)))
     raw += _PAD  # one copy of the file, shared by every chunk
     for first in range(0, good, CHUNK_ROWS):
         rows = slice(first, min(first + CHUNK_ROWS, good))
@@ -377,50 +366,16 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
         raise ParseError(f"{path}:{good + 2}: expected 4 columns")
 
 
-def _encoded(cells: list[str]) -> _Chunk:
-    """The chunk of the rows whose cells, row by row, are `cells`: their
-    UTF-8 bytes end to end."""
-    text = "".join(cells)
-    data = text.encode("utf-8")
-    length = np.fromiter(map(len, cells), np.int64, len(cells))
-    if len(data) != len(text):  # not ASCII, so count each cell's bytes
-        length = np.fromiter((len(cell.encode("utf-8")) for cell in cells), np.int64, len(cells))
-    end = np.cumsum(length)
-    return data + _PAD, (end - length).reshape(-1, 4).T, end.reshape(-1, 4).T
-
-
-def _chunks_by_csv(path: str, text: str) -> Iterator[_Chunk]:
-    """`_chunks_by_line` for any text, through csv.reader."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    cells: list[str] = []
-    line_no = 0  # of the last row read
-    try:
-        if next(reader, None) != WINDOW_HEADER:
-            raise _header_error(path, text)
-        line_no = 1
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                yield _encoded(cells)
-                raise ParseError(f"{path}:{line_no}: expected 4 columns")
-            cells += row
-            if len(cells) == 4 * CHUNK_ROWS:
-                yield _encoded(cells)
-                cells = []
-    except csv.Error as exc:  # such as a cell past csv.field_size_limit()
-        yield _encoded(cells)
-        raise ParseError(f"{path}:{line_no + 1}: {exc}") from exc
-    yield _encoded(cells)
-
-
 def _words(data: bytes, start: np.ndarray, length: np.ndarray, words: int) -> np.ndarray:
     """The first 8 * `words` bytes of each cell, 0xFF past its end, as
     uint64 words, shape (cells, words). 0xFF is in no UTF-8 text, so two
-    cells that fit are equal when their words are."""
+    cells that fit are equal when their words are. `data` ends in _PAD."""
     at = np.ndarray((len(data) - 7,), np.uint64, data, strides=(1,))  # a word at each byte
     packed = np.empty((len(start), words), dtype=np.uint64)
     for k in range(words):
-        np.bitwise_or(at[start + 8 * k], _PADS[np.minimum(np.maximum(length - 8 * k, 0), 8)],
-                      out=packed[:, k])
+        # a word wholly past a cell's end is all fill, whatever it reads
+        np.bitwise_or(at[np.minimum(start + 8 * k, len(at) - 1)],
+                      _PADS[np.minimum(np.maximum(length - 8 * k, 0), 8)], out=packed[:, k])
     return packed
 
 
@@ -450,30 +405,13 @@ def _decimals(data: bytes, start: np.ndarray, end: np.ndarray,
     return mantissa, np.where(pointed, after, -1), minus, fits
 
 
-def _each(convert, values: np.ndarray, fits: np.ndarray, data: bytes, start: np.ndarray,
-          end: np.ndarray, fill=None) -> tuple[np.ndarray, np.ndarray]:
-    """`values`, with `convert` of the text of each cell that does not fit
-    the byte grammar, or `fill` where that raises ValueError; and the mask
-    of those cells."""
-    bad = np.zeros(len(values), dtype=bool)
-    rows = np.flatnonzero(~fits)
-    for row, s, e in zip(rows.tolist(), start[rows].tolist(), end[rows].tolist()):
-        try:
-            values[row] = convert(data[s:e].decode("utf-8"))
-        except ValueError:
-            values[row], bad[row] = fill, True
-    return values, bad
-
-
 def _slots(data: bytes, start: np.ndarray, end: np.ndarray,
            last_slot: int) -> tuple[np.ndarray, np.ndarray]:
-    """`int()` of each cell, clipped to [-1, last_slot + 1], as int64, or 0
-    where `int()` raises ValueError; and the mask of those cells. Cells of 1
-    to SLOT_DIGITS ASCII digits are read on the bytes."""
-    mantissa, after, minus, fits = _decimals(data, start, end, SLOT_DIGITS)
-    fits &= ~minus & (after < 0)
-    return _each(lambda cell: min(max(int(cell), -1), last_slot + 1),
-                 np.minimum(mantissa, last_slot + 1), fits, data, start, end, 0)
+    """Each cell `-?D{1,SLOT_DIGITS}` as an integer clipped to
+    [-1, last_slot + 1], as int64; and the mask of the other cells."""
+    mantissa, after, minus, fits = _decimals(data, start, end, SLOT_DIGITS + 1)
+    fits &= (after < 0) & (end - start - minus <= SLOT_DIGITS)
+    return np.where(minus & (mantissa > 0), -1, np.minimum(mantissa, last_slot + 1)), ~fits
 
 
 def _elevations(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -481,11 +419,19 @@ def _elevations(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.nda
     mask of those cells. Cells `-?D*(.D*)?` whose digits read at most 2**53
     are read on the bytes, as mantissa / 10**digits after the point: both
     are doubles exactly, so the one rounding of the division gives the
-    value `float()` rounds to (Clinger's fast path)."""
+    value `float()` rounds to (Clinger's fast path). Any other cell, such as
+    one the writer renders alone (`output.float_words`), is read alone."""
     mantissa, after, minus, fits = _decimals(data, start, end, ELEVATION_BYTES)
     quotient = mantissa / _TENS[np.maximum(after, 0)]
-    return _each(float, np.where(minus, -quotient, quotient), fits & (mantissa <= 2 ** 53),
-                 data, start, end, math.nan)
+    elevation = np.where(minus, -quotient, quotient)
+    bad = np.zeros(len(elevation), dtype=bool)
+    rows = np.flatnonzero(~fits | (mantissa > 2 ** 53))
+    for row, s, e in zip(rows.tolist(), start[rows].tolist(), end[rows].tolist()):
+        try:
+            elevation[row] = float(data[s:e].decode("utf-8"))
+        except ValueError:
+            elevation[row], bad[row] = math.nan, True
+    return elevation, bad
 
 
 def _folded(words: np.ndarray) -> np.ndarray:
@@ -497,35 +443,30 @@ def _folded(words: np.ndarray) -> np.ndarray:
 
 
 def _indices(data: bytes, start: np.ndarray, end: np.ndarray, ids: list[str]) -> np.ndarray:
-    """Each cell's index in `ids`, -1 where it is none of them. Ids are
-    packed into as many uint64 words as the longest needs, up to ID_BYTES
-    bytes; a cell that fits them is found by the fold of its words and
-    checked word for word. Other cells, and those whose fold two ids
-    share, are looked up by their text."""
-    index = {sid: i for i, sid in enumerate(ids)}
-    encoded = [sid.encode("utf-8") for sid in index]
-    size = 8 * max(1, (min(max(map(len, encoded), default=0), ID_BYTES) + 7) // 8)
-    packed = [(key, i) for key, i in zip(encoded, index.values()) if len(key) <= size]
-    key_length = np.fromiter((len(key) for key, _ in packed), np.int64, len(packed))
-    key_words = _words(b"".join(key for key, _ in packed) + _PAD,
-                       np.cumsum(key_length) - key_length, key_length, size // 8)
+    """Each cell's index in `ids`, -1 where it is none of them. Ids and
+    cells are packed into as many uint64 words as the longest id needs, so
+    a longer cell is none of them. A cell is found by the fold of its words
+    and checked word for word against each id of that fold."""
+    encoded = [sid.encode("utf-8") for sid in ids]
+    words = max(1, -(-max(map(len, encoded), default=0) // 8))
+    key_length = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    key_words = _words(b"".join(encoded) + _PAD, np.cumsum(key_length) - key_length,
+                       key_length, words)
     folds = _folded(key_words)
     order = np.argsort(folds)
-    # a last row of zero words, index -1, for cells past every fold
-    key_words = np.vstack([key_words[order], np.zeros((1, size // 8), dtype=np.uint64)])
     folds = folds[order]
-    at = np.append(np.array([i for _, i in packed], dtype=np.intp)[order], -1)
-    shared = np.zeros(len(packed) + 1, dtype=bool)  # folds two ids share
-    twins = folds[1:] == folds[:-1]
-    shared[1:-1] |= twins
-    shared[:-2] |= twins
-
+    # a last row of zero words, index -1, for cells past every fold
+    key_words = np.vstack([key_words[order], np.zeros((1, words), dtype=np.uint64)])
+    at = np.append(order, -1)
     length = end - start
-    cells = _words(data, start, length, size // 8)
+    cells = _words(data, start, length, words)
     near = np.searchsorted(folds, _folded(cells))
-    found = np.where((key_words[near] == cells).all(axis=1), at[near], -1)
-    return _each(lambda cell: index.get(cell, -1), found, (length <= size) & ~shared[near],
-                 data, start, end)[0]
+    found = np.full(len(start), -1, dtype=np.intp)
+    # the ids of one fold lie side by side from `near`, one unless folds collide
+    for k in range(np.unique(folds, return_counts=True)[1].max(initial=0)):
+        candidate = np.minimum(near + k, len(folds))
+        found = np.where((key_words[candidate] == cells).all(axis=1), at[candidate], found)
+    return np.where(length <= 8 * words, found, -1)
 
 
 def _checked(path: str, scenario: ConstellationScenario, chunk: _Chunk,
@@ -568,15 +509,14 @@ def _checked(path: str, scenario: ConstellationScenario, chunk: _Chunk,
 def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactWindows:
     """Read a window CSV, validating ids and horizon against the scenario.
 
-    The rows are checked as columns, a chunk of rows at a time; the first
-    bad row is reported with its line number and the error a row-by-row
-    reader would raise there. Cells are parsed on the bytes where they are
-    in the writer's grammar: a slot of 1 to SLOT_DIGITS ASCII digits, an
-    elevation `-?D*(.D*)?` of at most ELEVATION_BYTES bytes whose digits
-    read at most 2**53, an id of at most ID_BYTES bytes. Every other cell is
-    read alone by `int()`, `float()` or the id lookup, to the same values.
-    A file with a quote, or a carriage return not followed by a line feed,
-    is split into rows by csv.reader; any other on the bytes, at LF or CRLF.
+    The file is read in the one grammar `windows_csv_text` writes (see the
+    module docstring), split into rows at LF or CRLF on the bytes. The rows
+    are checked as columns, a chunk of rows at a time; the first bad row is
+    reported with its line number and the error a row-by-row reader of that
+    grammar would raise there. Slots (1 to SLOT_DIGITS ASCII digits, after
+    an optional minus) and ids are read on the bytes only; an elevation is
+    read on the bytes when it is `-?D*(.D*)?` of at most ELEVATION_BYTES
+    bytes whose digits read at most 2**53, and alone by `float()` otherwise.
     """
     try:
         with open(path, "rb") as fh:
@@ -584,19 +524,13 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
     except OSError as exc:
         raise IoError(f"cannot read windows {path}: {exc}") from exc
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
-        del raw
-        chunks = _chunks_by_csv(path, text)
-    else:
-        del text  # the cells are decoded only where they leave the byte grammar
-        chunks = _chunks_by_line(path, raw)
     # an empty part first, so a file without rows concatenates too
     parts = [(np.empty(0, np.int64), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     rows = 0
-    for chunk in chunks:
+    for chunk in _chunks_by_line(path, raw):
         parts.append(_checked(path, scenario, chunk, 2 + rows))
         rows += len(chunk[1][0])
         del chunk

@@ -40,6 +40,13 @@ MAX_QUEUE_UNITS = 65_536
 STATION_ALTITUDE_RANGE_M = (-11_000.0, 9_000.0)
 
 
+def _check_id(kind: str, sid: str) -> None:
+    """The windows CSV writes ids as they are, so an id holds none of its
+    separators, and no quote."""
+    if any(c in sid for c in ',"\r\n'):
+        raise ValidationError(f"{kind} {sid!r}: id must not hold a comma, quote, CR or LF")
+
+
 def _parse_utc(text: str, where: str) -> datetime:
     """Parse an ISO 8601 timestamp; naive values are taken as UTC."""
     try:
@@ -125,6 +132,7 @@ class SatelliteSpec:
     downlink_rate_bps: int
 
     def __post_init__(self) -> None:
+        _check_id("satellite", self.id)
         if self.priority not in ("low", "high"):
             raise ValidationError(f"satellite {self.id}: priority must be low|high")
         if self.priority == "low" and self.capacity_bytes <= 0:
@@ -145,6 +153,7 @@ class GroundStationSpec:
     min_elevation_deg: float
 
     def __post_init__(self) -> None:
+        _check_id("station", self.id)
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValidationError(f"station {self.id}: latitude outside [-90, 90]")
         if not math.isfinite(self.longitude_deg):

@@ -14,6 +14,7 @@ package's scheduler module (``brute_force_assignment`` checks the solver).
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -352,7 +353,10 @@ class RowError(Exception):
 
 
 def load_window_rows(path, satellite_ids, station_min, last_slot):
-    """Read a contact-window CSV one row at a time through csv.reader.
+    """Read a contact-window CSV one row at a time, in the one grammar the
+    writer writes: lines end at LF, with one CR before an LF dropped; cells
+    lie between commas, unquoted; a slot is `-?[0-9]{1,18}`, an elevation
+    is what `float()` reads, and ids are compared as text.
 
     satellite_ids: the ids a row may name; station_min: station id ->
     minimum elevation in degrees; last_slot: the last slot of the horizon.
@@ -360,44 +364,44 @@ def load_window_rows(path, satellite_ids, station_min, last_slot):
     sorted by their first three fields, or raises RowError for the first
     bad row.
     """
-    import csv
-
-    windows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != WINDOW_HEADER:
-                raise RowError("ParseError",
-                               f"{path}: expected header {','.join(WINDOW_HEADER)}")
-            for line_no, row in enumerate(reader, start=2):
-                where = f"{path}:{line_no}"
-                if len(row) != 4:
-                    raise RowError("ParseError", f"{where}: expected 4 columns")
-                try:
-                    slot = int(row[0])
-                    elev = float(row[3])
-                except ValueError:
-                    raise RowError("ParseError",
-                                   f"{where}: slot or elevation is not a number")
-                if not math.isfinite(elev):
-                    raise RowError("ParseError", f"{where}: elevation is not finite")
-                if not 0 <= slot <= last_slot:
-                    raise RowError("OutOfHorizon", f"{where}: slot {slot} outside horizon")
-                if row[1] not in satellite_ids:
-                    raise RowError("ValidationError", f"{where}: unknown satellite {row[1]}")
-                if row[2] not in station_min:
-                    raise RowError("ValidationError", f"{where}: unknown station {row[2]}")
-                if elev < station_min[row[2]]:
-                    raise RowError("ValidationError",
-                                   f"{where}: elevation below station threshold")
-                if elev > 90.0:
-                    raise RowError("ValidationError",
-                                   f"{where}: elevation above 90 degrees")
-                windows.append((slot, row[1], row[2], elev))
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise RowError("IoError", f"cannot read windows {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise RowError("ParseError", f"{path}: not UTF-8 text: {exc}")
+    *ended, last = text.split("\n")  # `last` is the text after the last LF
+    lines = [line[:-1] if line.endswith("\r") else line for line in ended]
+    lines += [last] if last else []
+    if not lines or lines[0] != ",".join(WINDOW_HEADER):
+        raise RowError("ParseError", f"{path}: expected header {','.join(WINDOW_HEADER)}")
+    windows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        where = f"{path}:{line_no}"
+        row = line.split(",")
+        if len(row) != 4:
+            raise RowError("ParseError", f"{where}: expected 4 columns")
+        try:
+            if not re.fullmatch("-?[0-9]{1,18}", row[0]):
+                raise ValueError(row[0])
+            slot = int(row[0])
+            elev = float(row[3])
+        except ValueError:
+            raise RowError("ParseError", f"{where}: slot or elevation is not a number")
+        if not math.isfinite(elev):
+            raise RowError("ParseError", f"{where}: elevation is not finite")
+        if not 0 <= slot <= last_slot:
+            raise RowError("OutOfHorizon", f"{where}: slot {slot} outside horizon")
+        if row[1] not in satellite_ids:
+            raise RowError("ValidationError", f"{where}: unknown satellite {row[1]}")
+        if row[2] not in station_min:
+            raise RowError("ValidationError", f"{where}: unknown station {row[2]}")
+        if elev < station_min[row[2]]:
+            raise RowError("ValidationError", f"{where}: elevation below station threshold")
+        if elev > 90.0:
+            raise RowError("ValidationError", f"{where}: elevation above 90 degrees")
+        windows.append((slot, row[1], row[2], elev))
     windows.sort(key=lambda w: w[:3])
     return windows
 

@@ -365,20 +365,20 @@ def test_json_windows_file_exits_two(capsys, tmp_path):
     assert err.startswith("error:") and "--windows reads only the CSV form" in err
 
 
-def test_window_cell_past_the_csv_field_limit_exits_two(capsys, tmp_path):
-    # csv.reader refuses a cell longer than its field limit (128 KiB)
+def test_window_id_cell_of_200_000_bytes_exits_two(capsys, tmp_path):
+    # longer than any scenario id, so it is none of them
     scn = bundled("constellation_24h")
     windows = tmp_path / "windows.csv"
     assert run_cli(capsys, "windows", "--scenario", scn, "--out", str(windows))[0] == 0
     lines = windows.read_text().splitlines()
     row = lines[3].split(",")
-    row[1] = '"' + "x" * 200_000 + '"'
+    row[1] = "x" * 200_000
     lines[3] = ",".join(row)
     windows.write_text("\n".join(lines) + "\n")
     code, out, err = run_cli(capsys, "schedule", "--scenario", scn,
                              "--windows", str(windows))
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "windows.csv:4: field larger than field limit" in err
+    assert err.startswith("error:") and "windows.csv:4: unknown satellite xxx" in err
 
 
 def test_windows_that_are_not_utf8_exit_two(capsys, tmp_path):
@@ -651,6 +651,21 @@ def test_mutated_scenario_fields_keep_the_exit_code_contract(tmp_path_factory, c
     path = tmp_path_factory.mktemp("scenario") / "scenario.json"
     path.write_text(json.dumps(mutated(*case)), encoding="utf-8")
     assert_exit_code_contract([command, "--scenario", str(path), *FUZZED_COMMANDS[command]])
+
+
+def test_scenario_id_the_windows_csv_cannot_hold_exits_two(capsys, tmp_path):
+    """An id with a comma, which the windows CSV would write as it is, is
+    refused by name with exit code 2 (test_scenario checks the quote, CR
+    and LF)."""
+    doc = bundled_doc("constellation_24h")
+    sid = doc["satellites"][1]["id"] = "obs,1"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["windows", "--scenario", str(path)]
+    assert_exit_code_contract(argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(sid) in err
 
 
 # the rows of constellation_24h's windows CSV, as `windows --out` writes them

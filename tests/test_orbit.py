@@ -438,11 +438,12 @@ def test_sorted_orders_rows_by_slot_and_ids(rows, presort):
 
 
 def test_windows_csv_text_is_csv_text():
-    # ids that csv.writer must quote, more rows than one chunk, a negative
-    # slot, the last slot a grid may hold, and slots 0 and 1 repeated across
-    # chunk boundaries; the rows reversed are out of slot order
+    # plain and non-ASCII ids (no scenario id holds a character csv.writer
+    # quotes), more rows than one chunk, a negative slot, the last slot a
+    # grid may hold, and slots 0 and 1 repeated across chunk boundaries; the
+    # rows reversed are out of slot order
     windows = ContactWindows.sorted(
-        ["obs,1", 'rush "2"', "plain"], ["gs-01", "gs\n02"],
+        ["obs-1", "s\u00e4tellite 2", "plain"], ["gs-01", "esta\u00e7\u00e3o"],
         [3, 1, 2, 1, 0] * 3 + [-7, 32_767, 32_767, -7],
         [0, 1, 2, 0, 1] * 3 + [2, 0, 1, 1], [1, 0, 1, 1, 0] * 3 + [0, 1, 0, 1],
         [45.0, 12.345678, -0.0, 90.0, 7.25] * 3 + [3.5, 0.0, 89.999999, 1e-7])
@@ -602,29 +603,30 @@ def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, chun
 
 
 def test_crlf_file_reads_as_its_lf_copy(tmp_path):
-    """A CRLF copy of a windows file is read on the bytes, not through
-    csv.reader, to the same columns, to the bit, with no cell read alone; a
-    bad cell or a short row in it is reported at the same line, in chunks
-    of any size."""
+    """A CRLF copy of a windows file is split into the same cells, without
+    the CRs, and read to the same columns, to the bit; a bad cell or a short
+    row in it is reported at the same line, in chunks of any size."""
     scenario, header, rows = bundled_windows()
     bad_cell, short = list(rows), list(rows)
     bad_cell[100] = "x" + bad_cell[100]
     short[30] = short[30].rsplit(",", 1)[0]
     columns = ("slot", "satellite", "station", "elevation_deg")
 
-    real_each, read_alone = orbit._each, []
-
-    def each(convert, values, fits, *args):
-        read_alone.append(int((~fits).sum()))
-        return real_each(convert, values, fits, *args)
-
     def load(path):
-        read_alone.clear()
         try:
             windows = load_contact_windows(str(path), scenario)
         except OrbitSiegeError as exc:
             return type(exc).__name__, str(exc).replace(str(path), "windows.csv")
         return [getattr(windows, column).tobytes() for column in columns]
+
+    def cells(raw):
+        return [data[s:e] for data, start, end in orbit._chunks_by_line("windows.csv", raw)
+                for column in range(4)
+                for s, e in zip(start[column].tolist(), end[column].tolist())]
+
+    for end in (True, False):
+        assert len({tuple(cells((newline.join([header, *rows]) + newline * end).encode()))
+                    for newline in ("\n", "\r\n")}) == 1
 
     for lines, chunk_rows, end in ((rows, orbit.CHUNK_ROWS, True), (rows, 7, False),
                                    (bad_cell, 7, True), (short, 1000, False)):
@@ -632,11 +634,8 @@ def test_crlf_file_reads_as_its_lf_copy(tmp_path):
         for newline in ("\n", "\r\n"):
             path = tmp_path / f"{len(newline)}.csv"
             path.write_bytes((newline.join([header, *lines]) + newline * end).encode())
-            with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows), \
-                    mock.patch.object(orbit, "_chunks_by_csv", side_effect=AssertionError), \
-                    mock.patch.object(orbit, "_each", each):
+            with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows):
                 got.append(load(path))
-            assert sum(read_alone) == (lines is bad_cell)
         assert got[0] == got[1]
         assert isinstance(got[0], list) == (lines is rows)
     assert got[0] == ("ParseError", "windows.csv:32: expected 4 columns")
@@ -667,18 +666,21 @@ def test_window_loader_matches_reference_at_the_bounds(tmp_path, column, value):
 
 def converted(cells, last_slot):
     """`orbit._slots` and `orbit._elevations` of cells, each read as the
-    first and last cell of a row, and the `_decimals` fit mask of each."""
-    data, start, end = orbit._encoded([c for cell in cells for c in (cell, "a", "b", cell)])
+    first and last cell of a row of a windows file, and the `_decimals` fit
+    mask of each."""
+    raw = "".join(f"\n{cell},a,b,{cell}" for cell in cells)
+    (data, start, end), = orbit._chunks_by_line("windows.csv", (orbit.HEADER_LINE + raw).encode())
     slots = orbit._slots(data, start[0], end[0], last_slot)
     elevations = orbit._elevations(data, start[3], end[3])
     return slots, elevations, orbit._decimals(data, start[3], end[3], orbit.ELEVATION_BYTES)[3]
 
 
-def python_int(cell, last_slot):
-    try:
-        return min(max(int(cell), -1), last_slot + 1), False
-    except ValueError:
-        return 0, True
+def python_slot(cell, last_slot):
+    """A slot cell of the written grammar as `int()` reads it, clipped to
+    [-1, last_slot + 1], or None for any other cell."""
+    if re.fullmatch("-?[0-9]{1,18}", cell) is None:
+        return None
+    return min(max(int(cell), -1), last_slot + 1)
 
 
 def python_float(cell):
@@ -696,6 +698,8 @@ def point_at(digits, after, negative):
 
 
 DIGITS = st.text("0123456789", max_size=20)
+# cells that each stay one cell of a row, also as its last, whose CR before
+# the LF would be dropped
 NUMBER_CELLS = st.one_of(
     # the grammar, its near misses and its digit-count boundaries
     st.builds("".join, st.tuples(st.sampled_from(["", "-", "+", "--", " "]), DIGITS,
@@ -711,23 +715,24 @@ NUMBER_CELLS = st.one_of(
                      "7 ", "1_0", "1e3", "1E3", "\u0663", "nan", "-nan", "inf", "-inf", "",
                      "9" * 18, "9" * 19, "1" + "0" * 17, "0" * 18 + "1", "9007199254740993",
                      "9007199254740992", "900719925474099.3", "9039.117252045955", "90.0000001"]),
-    # a non-ASCII character inside a number
-    st.builds("".join, st.tuples(DIGITS, st.sampled_from(["\u00e9", "\u0663", "\u00a0"]),
-                                 DIGITS)),
+    # a non-ASCII character, a quote or a CR inside a number
+    st.builds("".join, st.tuples(DIGITS, st.sampled_from(["\u00e9", "\u0663", "\u00a0", '"',
+                                                          "\r"]), DIGITS)),
     st.text(max_size=6),
-)
+).filter(lambda cell: "," not in cell and "\n" not in cell and not cell.endswith("\r"))
 
 
 @settings(max_examples=500, deadline=None)
 @given(cells=st.lists(NUMBER_CELLS, min_size=1, max_size=12),
        last_slot=st.sampled_from([0, 287, 10 ** 17]))
 def test_byte_converters_equal_int_and_float(cells, last_slot):
-    """The slot and elevation converters give `int()` and `float()` of each
-    cell, to the bit, and the same cells fail; cells in the written grammar
-    are read on the bytes."""
+    """The slot converter reads the cells `-?D{1,18}` as `int()` does and
+    refuses every other; the elevation converter gives `float()` of each
+    cell, to the bit, and the same cells fail; elevations in the written
+    grammar are read on the bytes."""
     (slots, bad_slots), (elevations, bad_elevations), fits = converted(cells, last_slot)
-    assert list(zip(slots.tolist(), bad_slots.tolist())) == [
-        python_int(cell, last_slot) for cell in cells]
+    assert [None if bad else slot for slot, bad in zip(slots.tolist(), bad_slots.tolist())] == [
+        python_slot(cell, last_slot) for cell in cells]
     assert bad_elevations.tolist() == [python_float(cell)[1] for cell in cells]
     assert [struct.pack("<d", x) for x in elevations.tolist()] == [
         struct.pack("<d", python_float(cell)[0]) for cell in cells]
@@ -737,11 +742,11 @@ def test_byte_converters_equal_int_and_float(cells, last_slot):
     assert fits.tolist() == written
 
 
-FILLS_THE_WIDTH = "obs-1-and-more-than-eight-bytes!"  # ID_BYTES of UTF-8
-AWKWARD_SATELLITES = ("obs-1", "obs,1", 'rush "2"', "plain\nline", "\u00e7", "s\u00e4tellite",
-                      "\u536b\u661f-7", "obs-10", FILLS_THE_WIDTH, FILLS_THE_WIDTH + "1")
-AWKWARD_STATIONS = ("gs-1", "gs-10", "gs-100", "gs-10000", "gs-100000", "gs\n02",
-                    "station-north-0001-and-more", "esta\u00e7\u00e3o")
+FOUR_WORDS = "obs-1-and-more-than-eight-bytes!"  # 32 bytes of UTF-8
+AWKWARD_SATELLITES = ("obs-1", "plain line", "\u00e7", "s\u00e4tellite", "\u536b\u661f-7",
+                      "obs-10", FOUR_WORDS, FOUR_WORDS + "1", "obs-" + "0123456789" * 9 + "-long!")
+AWKWARD_STATIONS = ("gs-1", "gs-10", "gs-100", "gs-10000", "gs-100000", "gs 02",
+                    "station-north-0001-and-more-0001", "esta\u00e7\u00e3o")
 
 
 def round_trip(path, satellite_ids, station_ids, n=400):
@@ -768,18 +773,30 @@ def round_trip(path, satellite_ids, station_ids, n=400):
 
 
 def test_awkward_ids_round_trip(tmp_path):
-    """Ids that csv.writer quotes, non-ASCII ids, an id that fills the
-    packing width and one that passes it by a byte, and ids that are
-    prefixes of one another load back as the columns saved; an id one byte
-    off is refused by name."""
-    assert len(FILLS_THE_WIDTH.encode()) == orbit.ID_BYTES
+    """Ids with spaces, non-ASCII ids, ids of 32, 33 and 100 bytes, and ids
+    that are prefixes of one another load back as the columns saved; an id
+    one byte off, a quoted id and an id with a byte more are refused by
+    name."""
+    assert [len(sid.encode()) for sid in AWKWARD_SATELLITES[-3:]] == [32, 33, 100]
     path = str(tmp_path / "windows.csv")
     scenario, columns = round_trip(path, AWKWARD_SATELLITES, AWKWARD_STATIONS)
-    # the widest read of the packed ids, at a short id near the end of the file
-    for last in ("0,obs-1,gs-1,5", '0,"obs-1",gs-1,5'):
+    # the widest read of the packed ids, at a short id at the end of the file
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{orbit.HEADER_LINE}\n0,obs-1,gs-1,5")
+    assert load_contact_windows(path, scenario).rows() == [(0, "obs-1", "gs-1", 5.0)]
+    # a quoted id, and cells that start with the longest id, one of them
+    # past every id's words
+    long_station = max(AWKWARD_STATIONS, key=len)
+    assert len(long_station.encode()) == 32
+    for row, kind, cell in (('0,"obs-1",gs-1,5', "satellite", '"obs-1"'),
+                            (f"0,{AWKWARD_SATELLITES[-1]}!,gs-1,5", "satellite",
+                             AWKWARD_SATELLITES[-1] + "!"),
+                            (f"0,obs-1,{long_station}x,5", "station", long_station + "x")):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{orbit.HEADER_LINE}\n{last}")
-        assert load_contact_windows(path, scenario).rows() == [(0, "obs-1", "gs-1", 5.0)]
+            fh.write(f"{orbit.HEADER_LINE}\n0,obs-1,gs-1,5\n{row}")
+        with pytest.raises(ValidationError) as error:
+            load_contact_windows(path, scenario)
+        assert str(error.value) == f"{path}:3: unknown {kind} {cell}"
     for ids, kind in ((AWKWARD_SATELLITES, "satellite"), (AWKWARD_STATIONS, "station")):
         for k, sid in enumerate(ids):
             off = sid[:-1] + chr(ord(sid[-1]) ^ 1)
@@ -795,8 +812,16 @@ def test_awkward_ids_round_trip(tmp_path):
 
 def test_ids_whose_folds_collide_round_trip(tmp_path):
     """With a fold that keeps only each id's last word, ids that share it
-    are looked up by their text, and still load back."""
+    are told apart by their words, and still load back; a cell of that
+    fold that is none of them is refused by name."""
+    path = str(tmp_path / "windows.csv")
     with mock.patch.object(orbit, "_MIX", np.uint64(0)):
-        round_trip(str(tmp_path / "windows.csv"),
-                   ("obs-1", "AAAAAAAAgs-1", "BBBBBBBBgs-1", "CCCCCCCCgs-1"),
-                   ("gs-1", "EEEEEEEEst-1", "FFFFFFFFst-1"))
+        scenario, _ = round_trip(path, ("obs-1", "AAAAAAAAgs-1", "BBBBBBBBgs-1", "CCCCCCCCgs-1"),
+                                 ("gs-1", "EEEEEEEEst-1", "FFFFFFFFst-1"))
+        for row, kind, cell in (("0,ZZZZZZZZgs-1,gs-1,5", "satellite", "ZZZZZZZZgs-1"),
+                                ("0,obs-1,GGGGGGGGst-1,5", "station", "GGGGGGGGst-1")):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"{orbit.HEADER_LINE}\n0,BBBBBBBBgs-1,FFFFFFFFst-1,5\n{row}\n")
+            with pytest.raises(ValidationError) as error:
+                load_contact_windows(path, scenario)
+            assert str(error.value) == f"{path}:3: unknown {kind} {cell}"

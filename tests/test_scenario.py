@@ -1,6 +1,7 @@
 """Scenario schema: parsing, validation, accessors, round trips."""
 
 import json
+import re
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -115,6 +116,17 @@ def test_satellite_priority_rules():
     with pytest.raises(ValidationError):
         SatelliteSpec(id="x", priority="low", orbit=None,
                       capacity_bytes=1, downlink_rate_bps=0)
+
+
+@pytest.mark.parametrize("sid", ["obs,1", 'obs"1', "obs\r1", "obs\n1"])
+def test_ids_the_windows_csv_cannot_hold_are_refused(sid):
+    # the windows CSV writes ids as they are, unquoted
+    with pytest.raises(ValidationError, match=re.escape(f"satellite {sid!r}: id must not")):
+        SatelliteSpec(id=sid, priority="high", orbit=None, capacity_bytes=0,
+                      downlink_rate_bps=1)
+    with pytest.raises(ValidationError, match=re.escape(f"station {sid!r}: id must not")):
+        GroundStationSpec(id=sid, latitude_deg=0.0, longitude_deg=0.0,
+                          altitude_m=0.0, antenna_count=1, min_elevation_deg=5.0)
 
 
 def test_station_bounds():
