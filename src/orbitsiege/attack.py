@@ -76,11 +76,10 @@ class AttackContext:
         return self.trace(frozenset())
 
     def trace(self, strategy) -> QueueTrace:
-        """The trace under strategy, stopped once every target unit has
-        left. The planners, the verifiers and the strategy summary read only
-        the targets' landmarks, which equal the whole run's; `onboard.evolve`
-        without until_gone gives the curves to the horizon."""
-        return evolve(self.world, frozenset(strategy), self.targets, until_gone=True)
+        """The trace under strategy that tracks the target units, so it
+        stops once every one of them has left. The planners, the verifiers
+        and the strategy summary read only their landmarks."""
+        return evolve(self.world, frozenset(strategy), self.targets)
 
     def cost_of(self, slots) -> float:
         return sum(self.price[t] for t in slots)
@@ -164,14 +163,8 @@ class AttackStrategy:
 def unit_outcomes(trace: QueueTrace) -> dict[str, dict]:
     """{unit id: {"evacuation_slot", "dropped", "drop_slot"}} for every unit
     the trace tracks, in tracking order."""
-    return {
-        uid: {
-            "evacuation_slot": te,
-            "dropped": trace.dropped[uid],
-            "drop_slot": trace.drop_slot[uid],
-        }
-        for uid, te in trace.evacuation.items()
-    }
+    return {uid: {"evacuation_slot": trace.t_e(uid), "dropped": trace.dropped(uid),
+                  "drop_slot": trace.drop_slot(uid)} for uid in trace.tracked}
 
 
 def strategy_table(strategy: AttackStrategy) -> tuple[list[str], list[list]]:

@@ -99,10 +99,10 @@ def _cmd_schedule(args) -> int:
 def _cmd_simulate(args) -> int:
     _, ctx = _context(args)
     slots = ctx.require_subset(_parse_slots(args.slots)) if args.slots else frozenset()
-    trace = evolve(ctx.world, slots, ctx.targets)
+    trace = evolve(ctx.world, slots, tuple(ctx.world.byte_ranges))
     for uid in ctx.targets:
         te = trace.t_e(uid)
-        state = (f"dropped at slot {trace.drop_slot[uid]}" if trace.dropped[uid]
+        state = (f"dropped at slot {trace.drop_slot(uid)}" if trace.dropped(uid)
                  else f"evacuates at slot {te:.0f}" if te != math.inf
                  else "still aboard at horizon")
         print(f"{uid}: {state}")
@@ -140,7 +140,8 @@ def _cmd_plan_overflow(args) -> int:
     _, ctx = _context(args)
     strategy = plan_attack(ctx, "overflow", args.extra_m, None)
     slots = ",".join(str(s) for s in sorted(strategy.slots))
-    drops = [slot for slot in strategy.trace.drop_slot.values() if slot is not None]
+    trace = strategy.trace
+    drops = [trace.drop_slot(uid) for uid in trace.tracked if trace.dropped(uid)]
     drop_note = f", drop slot {min(drops)}" if drops else ""
     print(f"strategy {{{slots}}}, cost {strategy.cost:g}{drop_note}")
     _write_strategy(args, strategy)

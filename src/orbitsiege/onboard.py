@@ -21,15 +21,13 @@ masks, and reads the fates of a few units per row as it goes without storing
 any curve; the Monte-Carlo sweep judges a batch of trials, without and with
 the attack, in one call.
 
-Once the removals reach the last end byte among the units a run tracks,
-every one of them has left, so nothing later can change its fate.
-`evolve_rows` always stops there, and `evolve` does when asked
-(`until_gone`). `AttackContext.trace` asks for every trace the planners,
-the verifiers and the strategy summary read, as they read only landmarks;
-only `simulate`, which writes the per-slot curves and every unit's event,
-runs `evolve` to the horizon, and the artifact tables refuse a stopped
-run. A run in which some tracked unit stays aboard still runs to the
-horizon.
+Both engines follow one run rule. Once the removals reach the last end byte
+among the units a run tracks, every one of them has left, so nothing later
+can change its fate: the run stops there, or at the horizon if some tracked
+unit stays aboard. A trace reads each tracked unit's fate off its curves.
+`simulate` tracks every unit, so after its last slot nothing is aboard and
+nothing arrives, and the artifact tables fill the slots up to the horizon
+with zeros; they refuse any other trace that stops early.
 """
 
 from __future__ import annotations
@@ -109,48 +107,31 @@ class QueueWorld:
         return inflow
 
 
-def _departure(tx_end: list[int], removed: list[int], drops: list[int],
-               start: int, end: int) -> tuple[int, bool]:
-    """Slot index at which the unit holding stream bytes [start, end) leaves,
-    and whether it is dropped there; len(tx_end) if it is still aboard."""
-    a = bisect_right(removed, start)
-    b = bisect_left(tx_end, end)
-    j = bisect_left(drops, a)
-    if j < len(drops) and drops[j] < b:
-        return drops[j], True
-    return b, False
-
-
 @dataclass(frozen=True)
 class QueueTrace:
-    """Evolution over [t0, horizon] plus the tracked units' landmarks.
-
-    A trace evolved with until_gone, as `AttackContext.trace` gives every
-    trace, may end earlier, at the slot where the last tracked unit's end
-    byte has left: its landmarks are the whole trace's, and its curves and
-    events a prefix of the whole trace's. `trace_table` and
-    `trace_events_table` refuse such a trace.
+    """The curves of one run from t0, and the units it tracks.
 
     Slot t0 + i ends with queue_bytes[i] aboard. tx_end[i] and removed[i]
     count the stream bytes gone after that slot's transmission and after its
-    drop; drops lists the indices of the slots that dropped bytes.
+    drop; drops and full list the indices of the slots that dropped bytes
+    and that ended exactly at capacity. The run stops once every tracked
+    unit has left, so its curves are a prefix of the whole run's, and each
+    tracked unit's fate read off them is the whole run's.
 
-    evacuation maps a tracked unit to the slot its last byte was transmitted,
-    or infinity if it was dropped or is still aboard at the horizon.
-    drop_slot is the slot its first byte was dropped. last_full is the latest
-    slot before the unit leaves, by evacuation or drop, at which the queue sat
-    exactly at capacity, defaulting to t0.
+    For a tracked unit, and raising KeyError for any other: t_e is the slot
+    its last byte was transmitted, or infinity if it was dropped or is still
+    aboard at the horizon; dropped and drop_slot tell whether and where its
+    first byte was dropped; t_lb is the latest slot before it leaves, by
+    evacuation or drop, at which the queue sat exactly at capacity, or t0.
     """
 
     world: QueueWorld
+    tracked: tuple[str, ...]
     queue_bytes: list[int]
     tx_end: list[int]
     removed: list[int]
     drops: list[int]
-    evacuation: dict[str, float]
-    last_full: dict[str, int]
-    dropped: dict[str, bool]
-    drop_slot: dict[str, int | None]
+    full: list[int]
 
     @property
     def tx_bytes(self) -> list[int]:
@@ -160,11 +141,36 @@ class QueueTrace:
     def drop_bytes(self) -> list[int]:
         return [gone - end for end, gone in zip(self.tx_end, self.removed)]
 
+    def _departure(self, start: int, end: int) -> tuple[int, bool]:
+        """Slot index at which the unit holding stream bytes [start, end)
+        leaves, and whether it is dropped there; len(queue_bytes) if it is
+        still aboard."""
+        a = bisect_right(self.removed, start)
+        b = bisect_left(self.tx_end, end)
+        j = bisect_left(self.drops, a)
+        if j < len(self.drops) and self.drops[j] < b:
+            return self.drops[j], True
+        return b, False
+
+    def _fate(self, unit_id: str) -> tuple[int, bool]:
+        if unit_id not in self.tracked:
+            raise KeyError(unit_id)
+        return self._departure(*self.world.byte_ranges[unit_id][1:])
+
     def t_e(self, unit_id: str) -> float:
-        return self.evacuation[unit_id]
+        i, lost = self._fate(unit_id)
+        return INF if lost or i == len(self.queue_bytes) else self.world.t0 + i
 
     def t_lb(self, unit_id: str) -> int:
-        return self.last_full[unit_id]
+        j = bisect_left(self.full, self._fate(unit_id)[0])
+        return self.world.t0 + (self.full[j - 1] if j else 0)
+
+    def dropped(self, unit_id: str) -> bool:
+        return self._fate(unit_id)[1]
+
+    def drop_slot(self, unit_id: str) -> int | None:
+        i, lost = self._fate(unit_id)
+        return self.world.t0 + i if lost else None
 
     def subqueue(self, unit_id: str) -> list[int]:
         """Bytes at or ahead of the unit at the end of each slot, from the
@@ -172,17 +178,17 @@ class QueueTrace:
         unit's sub-queue is void even if some of its bytes stay aboard."""
         joins, start, end = self.world.byte_ranges[unit_id]
         first = joins - self.world.t0
-        leaves, _ = _departure(self.tx_end, self.removed, self.drops, start, end)
+        leaves, _ = self._departure(start, end)
         return ([0] * first + [end - self.removed[i] for i in range(first, leaves)]
                 + [0] * (len(self.queue_bytes) - leaves))
 
     def events(self) -> list[tuple[int, str, str]]:
         """(slot, "transmitted" or "dropped", unit id) for every unit that
-        leaves by the horizon. Units leave in stream order, so the list is
+        leaves within the trace. Units leave in stream order, so the list is
         ordered by slot, transmissions before drops within a slot."""
         rows = []
         for uid, (_, start, end) in self.world.byte_ranges.items():
-            i, lost = _departure(self.tx_end, self.removed, self.drops, start, end)
+            i, lost = self._departure(start, end)
             if i == len(self.queue_bytes):
                 break
             rows.append((self.world.t0 + i, "dropped" if lost else "transmitted", uid))
@@ -190,16 +196,15 @@ class QueueTrace:
 
 
 def evolve(world: QueueWorld, attacked: frozenset[int] | set[int],
-           tracked: tuple[str, ...], *, until_gone: bool = False) -> QueueTrace:
-    """Evolve the queue over [t0, horizon]; attacked slots transmit nothing.
+           tracked: tuple[str, ...]) -> QueueTrace:
+    """Evolve the queue from t0; attacked slots transmit nothing.
 
-    With until_gone, stop after the first slot whose removals reach every
-    tracked unit's end byte: each of them has left by then.
+    Stop after the first slot whose removals reach every tracked unit's end
+    byte, as each of them has left by then, or at the horizon.
     """
     inflow, transmissible = world.inflow, world.transmissible
     capacity, volume = world.capacity_bytes, world.volume_bytes
-    stop = (max((world.byte_ranges[uid][2] for uid in tracked), default=0)
-            if until_gone else INF)
+    stop = max((world.byte_ranges[uid][2] for uid in tracked), default=0)
     q = gone = 0
     queue_bytes: list[int] = []
     tx_end: list[int] = []
@@ -224,22 +229,7 @@ def evolve(world: QueueWorld, attacked: frozenset[int] | set[int],
         queue_bytes.append(q)
         if gone >= stop:
             break
-
-    evacuation: dict[str, float] = {}
-    last_full: dict[str, int] = {}
-    dropped: dict[str, bool] = {}
-    drop_slot: dict[str, int | None] = {}
-    for uid in tracked:
-        _, start, end = world.byte_ranges[uid]
-        i, lost = _departure(tx_end, removed, drops, start, end)
-        evacuation[uid] = INF if lost or i == len(queue_bytes) else world.t0 + i
-        dropped[uid] = lost
-        drop_slot[uid] = world.t0 + i if lost else None
-        j = bisect_left(full, i)
-        last_full[uid] = world.t0 + (full[j - 1] if j else 0)
-
-    return QueueTrace(world, queue_bytes, tx_end, removed, drops,
-                      evacuation, last_full, dropped, drop_slot)
+    return QueueTrace(world, tuple(tracked), queue_bytes, tx_end, removed, drops, full)
 
 
 def evolve_rows(inflow, open_slots, volume, capacity: int, start, end
@@ -258,10 +248,8 @@ def evolve_rows(inflow, open_slots, volume, capacity: int, start, end
     of the slot its first byte was dropped; any other unit's is the index of
     the slot its last byte was transmitted, or T if it is still aboard. Only
     slots that receive bytes or may transmit in some run can change
-    anything, so the others are skipped, and the loop stops once every
-    run's row has removed its last unit's end byte: every slot and lost
-    flag is set by then. A row whose unit stays aboard keeps it running to
-    slot T - 1.
+    anything, so the others are skipped; by the run rule, the loop stops
+    once every row under every mask has removed its last unit's end byte.
     """
     inflow = np.asarray(inflow, dtype=np.int64)
     rows, slots = inflow.shape
@@ -301,26 +289,29 @@ def evolve_rows(inflow, open_slots, volume, capacity: int, start, end
     return slot, lost
 
 
-def _require_whole(trace: QueueTrace) -> None:
-    """Refuse a trace stopped before the horizon: its curves and events are
-    a prefix of the run's."""
-    if len(trace.queue_bytes) != trace.world.horizon - trace.world.t0 + 1:
+def _padding(trace: QueueTrace) -> list[int]:
+    """Zeros for the slots after the trace's last one, up to the horizon: a
+    trace that tracks every unit stops once the queue is empty for good. Any
+    other trace that stops early is refused."""
+    missing = trace.world.horizon - trace.world.t0 + 1 - len(trace.queue_bytes)
+    if missing and not trace.world.byte_ranges.keys() <= set(trace.tracked):
         raise ValueError("the trace stops before the horizon; "
-                         "evolve without until_gone for the artifacts")
+                         "track every unit for the artifacts")
+    return [0] * missing
 
 
 def trace_table(trace: QueueTrace, tracked: tuple[str, ...]) -> tuple[list[str], list[list]]:
-    """The trace artifact: per slot, the bytes aboard, transmitted and
-    dropped, and each tracked unit's sub-queue."""
-    _require_whole(trace)
+    """The trace artifact: per slot up to the horizon, the bytes aboard,
+    transmitted and dropped, and the sub-queue of each unit in tracked."""
+    zeros = _padding(trace)
     header = (["slot", "queue_bytes", "tx_bytes", "drop_bytes"]
               + [f"subq_{uid}_bytes" for uid in tracked])
-    columns = [range(trace.world.t0, trace.world.horizon + 1), trace.queue_bytes,
-               trace.tx_bytes, trace.drop_bytes, *(trace.subqueue(uid) for uid in tracked)]
-    return header, [list(row) for row in zip(*columns)]
+    curves = (trace.queue_bytes, trace.tx_bytes, trace.drop_bytes, *map(trace.subqueue, tracked))
+    rows = zip(range(trace.world.t0, trace.world.horizon + 1), *(c + zeros for c in curves))
+    return header, [list(row) for row in rows]
 
 
 def trace_events_table(trace: QueueTrace) -> tuple[list[str], list[list]]:
     """The events artifact: one row per unit that leaves by the horizon."""
-    _require_whole(trace)
+    _padding(trace)
     return ["slot", "event", "unit_id"], [list(row) for row in trace.events()]

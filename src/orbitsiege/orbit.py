@@ -32,7 +32,7 @@ trailing zeros, at most 12 bytes. Any other elevation, such as 0.0, -0.0,
 1e-07, 1e+06, or one whose rounding is within a hair of a tie or carries
 into the next decade, is rendered alone by `output.fmt_cell`. So the file
 is byte for byte what `csv_text` writes row by row. Ids are written as they
-are: a scenario refuses an id holding a comma, a quote, CR or LF.
+are, so the writer, like a scenario, refuses one holding `,`, `"`, CR or LF.
 
 The windows CSV is read in that one grammar, as byte columns. A row is a
 line, ended by LF or CRLF; a cell lies between commas, and a quote or a
@@ -47,6 +47,7 @@ refused, with its line number.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ import numpy as np
 from .errors import IoError, OutOfHorizon, ParseError, StaleElements, ValidationError
 from .output import cell_words, float_words, table_text, unfilled, write_text_atomic
 from .scenario import (ConstellationScenario, GroundStationSpec, SatelliteSpec, TimeGrid,
-                       TleElements)
+                       TleElements, _check_id)
 
 MU_EARTH_M3_S2 = 3.986004418e14
 EARTH_RADIUS_M = 6_371_000.0
@@ -168,6 +169,19 @@ def station_ecef_m(station: GroundStationSpec) -> tuple[float, float, float]:
             r * math.sin(lat))
 
 
+@functools.lru_cache(maxsize=1)
+def _earth_rotation(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine of the Greenwich sidereal angle at each slot midpoint
+    of the grid, read-only, as every satellite on the grid shares them."""
+    seconds = ((grid.epoch - J2000).total_seconds()
+               + (np.arange(grid.horizon_slots) + 0.5) * grid.slot_seconds)
+    theta = np.radians(GMST_AT_J2000_DEG + GMST_RATE_DEG_PER_DAY * seconds / 86400.0)
+    rotation = np.cos(theta), np.sin(theta)
+    for part in rotation:
+        part.flags.writeable = False
+    return rotation
+
+
 def propagate(sat: SatelliteSpec, grid: TimeGrid, slots: np.ndarray | None = None) -> np.ndarray:
     """The satellite's ECEF positions at every slot midpoint of the grid,
     shape (horizon, 3), or at those of `slots` only, shape (len(slots), 3):
@@ -207,11 +221,7 @@ def propagate(sat: SatelliteSpec, grid: TimeGrid, slots: np.ndarray | None = Non
     zi = yp * math.sin(inc)
 
     # rotate inertial into Earth-fixed by the Greenwich sidereal angle: Rz(-theta)
-    j2000_offset = (grid.epoch - J2000).total_seconds()
-    theta = np.radians(
-        GMST_AT_J2000_DEG
-        + GMST_RATE_DEG_PER_DAY * (j2000_offset + (slots + 0.5) * grid.slot_seconds) / 86400.0)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cos_t, sin_t = (part[slots] for part in _earth_rotation(grid))
     return np.stack([xi * cos_t + yi * sin_t, -xi * sin_t + yi * cos_t, zi], axis=1)
 
 
@@ -288,14 +298,17 @@ def windows_csv_text(windows: ContactWindows) -> str:
     built CHUNK_ROWS rows at a time in numpy.
 
     Each distinct slot and each id is rendered once, with its comma, as a
-    row of words (`output.cell_words`); ids as they are, since no scenario
-    id holds a character csv.writer quotes. Each elevation is rendered by
+    row of words (`output.cell_words`); ids as they are, so one holding a
+    character csv.writer quotes is refused. Each elevation is rendered by
     `output.float_words`: in numpy when 1e-4 <= |x| < 1e6, as `-?D+(.D+)?`
     of 6 significant digits without trailing zeros, and alone by `fmt_cell`
     when it is outside that grammar or its rounding is within a hair of a
     tie or carries into the next decade. A chunk's rows are those words
     side by side, and its text their bytes without the fill between cells.
     """
+    for kind, ids in (("satellite", windows.satellite_ids), ("station", windows.station_ids)):
+        for sid in ids:
+            _check_id(kind, sid)
     satellites = cell_words([sid + "," for sid in windows.satellite_ids])
     stations = cell_words([sid + "," for sid in windows.station_ids])
     slots, slot_of_row = np.unique(windows.slot, return_inverse=True)

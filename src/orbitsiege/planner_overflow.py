@@ -41,7 +41,7 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
         fwd_i = 0
         back_i = 0
 
-        while not trace.dropped[tau]:
+        while not trace.dropped(tau):
             t_n = forward[fwd_i] if fwd_i < len(forward) else None
             t_p = backward[back_i] if back_i < len(backward) else None
             if t_n is not None and t_n <= te:
@@ -54,7 +54,7 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
             elif t_p is not None and t_p > tlb:
                 members.add(t_p)
                 candidate = ctx.trace(members)
-                if candidate.dropped[tau]:
+                if candidate.dropped(tau):
                     chosen.append(t_p)
                     motivating.append(tau)
                     trace = candidate
@@ -90,7 +90,7 @@ def verify_overflow(ctx: AttackContext, slots) -> tuple[bool, dict]:
     """Replay a strategy and check every target unit's bytes left via drops."""
     strategy = ctx.require_subset(slots)
     trace = ctx.trace(strategy)
-    ok = all(trace.dropped[uid] for uid in ctx.targets)
+    ok = all(trace.dropped(uid) for uid in ctx.targets)
     report = {
         "ok": ok,
         "total_cost": ctx.cost_of(strategy),

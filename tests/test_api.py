@@ -1,12 +1,17 @@
 """The package's public surface: what `orbitsiege` exports, where the rest
-lives, and the README's Library example run as written."""
+lives, and the README's Library example and Pipeline commands run as
+written."""
 
 import os
 import re
+import shlex
+import shutil
 
 import pytest
 
 import orbitsiege
+from bundled import bundled_path
+from orbitsiege.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -66,3 +71,19 @@ def test_readme_library_example_runs(monkeypatch):
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["strategy"].slots
     assert len(namespace["result"].points) == 2
+
+
+def test_readme_pipeline_commands_run(monkeypatch, tmp_path):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    pipeline = readme.split("\n## Pipeline\n", 1)[1].split("\n## ", 1)[0]
+    block = re.findall(r"^    orbitsiege (?:.*\\\n)*.*", pipeline, re.M)
+    commands = [shlex.split(command.replace("\\\n", " ")) for command in block]
+    assert [argv[1] for argv in commands] == ["windows", "schedule", "plan-delay", "sweep"]
+    os.mkdir(tmp_path / "scenarios")
+    shutil.copy(bundled_path("constellation_24h"), tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "orbitsiege"
+        assert main(argv[1:]) == 0, argv
+        assert os.path.getsize(argv[argv.index("--out") + 1]) > 0, argv

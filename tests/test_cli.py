@@ -203,7 +203,7 @@ def test_simulate_writes_whole_curves_and_every_event(capsys, tmp_path, name, sl
     code, _, err = run_cli(capsys, "simulate", "--scenario", bundled(name),
                            *(["--slots", slots] if slots else []), "--out", str(out))
     assert code == 0 and err == ""
-    whole = evolve(ctx.world, attacked, ctx.targets)
+    whole = evolve(ctx.world, attacked, tuple(ctx.world.byte_ranges))
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert [int(row.split(",")[0]) for row in rows] == list(
         range(ctx.world.t0, ctx.world.horizon + 1))

@@ -368,7 +368,7 @@ def judge_one(scenario, kind, attacked, draw):
     def hit(trace):
         if kind == "delay":
             return trace.t_e(ctx.final_target) > scenario.target.target_downlink_slot
-        return all(trace.dropped[uid] for uid in ctx.targets)
+        return all(trace.dropped(uid) for uid in ctx.targets)
 
     success = attacked is not None and hit(true_ctx.trace(attacked))
     return success, hit(true_ctx.baseline)
@@ -775,9 +775,9 @@ def test_duration_sweep_traces_the_no_attack_queue_once(monkeypatch):
     sizes = []
     evolve = attack.evolve
 
-    def counted(world, strategy, targets, **stop):
+    def counted(world, strategy, targets):
         sizes.append(len(strategy))
-        return evolve(world, strategy, targets, **stop)
+        return evolve(world, strategy, targets)
 
     monkeypatch.setattr(attack, "evolve", counted)
     scenario = load_bundled("constellation_24h")

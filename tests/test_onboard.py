@@ -71,8 +71,16 @@ def test_desk_baseline_landmarks():
     assert trace.queue_bytes[0] == 5
     assert trace.queue_bytes[2] == 5 and trace.queue_bytes[3] == 6
     assert sum(trace.drop_bytes) == 0
-    assert not trace.dropped[TAU]
-    assert trace.drop_slot[TAU] is None
+    assert not trace.dropped(TAU)
+    assert trace.drop_slot(TAU) is None
+
+
+def test_landmarks_answer_only_for_tracked_units():
+    trace = evolve(desk_world(), frozenset(), (TAU,))
+    assert trace.tracked == (TAU,)
+    for landmark in (trace.t_e, trace.t_lb, trace.dropped, trace.drop_slot):
+        with pytest.raises(KeyError, match="init-001"):
+            landmark("init-001")
 
 
 def test_single_block_adds_two_slots():
@@ -86,7 +94,7 @@ def test_conservation():
     aboard = sum(size for _, size in world.initial_units)
     arrived = sum(size for _, units in world.arrivals for _, size in units)
     for attacked in (frozenset(), frozenset({2, 4}), frozenset({2, 4, 6, 8})):
-        trace = evolve(world, attacked, (TAU,))
+        trace = evolve(world, attacked, tuple(world.byte_ranges))
         moved = sum(trace.tx_bytes) + sum(trace.drop_bytes) + trace.queue_bytes[-1]
         assert moved == aboard + arrived
 
@@ -131,9 +139,9 @@ def test_attacked_slot_transmits_nothing():
 def test_drop_voids_evacuation():
     # capacity 8 with two blocked slots pushes the head units into the drop
     trace = evolve(desk_world(capacity=8), frozenset({4, 6}), (TAU,))
-    assert trace.dropped[TAU]
+    assert trace.dropped(TAU)
     assert trace.t_e(TAU) == INF
-    assert trace.drop_slot[TAU] == 6
+    assert trace.drop_slot(TAU) == 6
     assert trace.subqueue(TAU)[6] == 0
 
 
@@ -166,33 +174,49 @@ def test_last_full_slot_tracks_capacity_touches():
 
 
 def assert_matches_replay(world, attacked, trace):
-    """Every per-slot count, every tracked unit's landmarks and sub-queue, and
-    every unit's event agree with the naive unit-level FIFO replay."""
+    """Every per-slot count the trace ran, every tracked unit's landmarks and
+    sub-queue, and every unit's event within it agree with the naive
+    unit-level FIFO replay; a trace that tracks every unit also gives the
+    replay's whole curves and events up to the horizon in its tables."""
     oracle = fifo_replay(
         list(world.initial_units),
         {t: list(units) for t, units in world.arrivals},
         world.transmissible, attacked,
         world.capacity_bytes, world.volume_bytes, world.t0, world.horizon)
-    slots = range(world.t0, world.horizon + 1)
+    end = world.t0 + len(trace.queue_bytes)
+    slots = range(world.t0, end)
     assert trace.queue_bytes == [oracle["queue"][t] for t in slots]
     assert trace.tx_bytes == [oracle["o"][t] for t in slots]
     assert trace.drop_bytes == [oracle["d"][t] for t in slots]
-    for uid in trace.evacuation:
+
+    def subqueue(uid, slots):
         # a dropped unit's sub-queue is void from its drop slot on, even
         # while the replay still holds the rest of its bytes
         gone = oracle["dropped"].get(uid, INF)
         subq = oracle["subq"].get(uid, {})
-        assert trace.subqueue(uid) == [subq.get(t, 0) if t < gone else 0
-                                       for t in slots]
+        return [subq.get(t, 0) if t < gone else 0 for t in slots]
+
+    for uid in trace.tracked:
+        assert trace.subqueue(uid) == subqueue(uid, slots)
         assert trace.t_e(uid) == evacuation_slot(oracle, uid)
         assert trace.t_lb(uid) == last_full_slot(
             oracle, uid, world.capacity_bytes, world.t0)
-        assert trace.dropped[uid] == (uid in oracle["dropped"])
-        assert trace.drop_slot[uid] == oracle["dropped"].get(uid)
+        assert trace.dropped(uid) == (uid in oracle["dropped"])
+        assert trace.drop_slot(uid) == oracle["dropped"].get(uid)
     events = trace.events()
     assert len({uid for _, _, uid in events}) == len(events)
-    assert {uid: t for t, kind, uid in events if kind == "transmitted"} == oracle["done"]
-    assert {uid: t for t, kind, uid in events if kind == "dropped"} == oracle["dropped"]
+    for kind, left in (("transmitted", oracle["done"]), ("dropped", oracle["dropped"])):
+        assert ({uid: t for t, k, uid in events if k == kind}
+                == {uid: t for uid, t in left.items() if t < end})
+    if not world.byte_ranges.keys() <= set(trace.tracked):
+        return
+    whole = range(world.t0, world.horizon + 1)
+    _, rows = trace_table(trace, trace.tracked)
+    assert rows == [[t, oracle["queue"][t], oracle["o"][t], oracle["d"][t]]
+                    + [subqueue(uid, [t])[0] for uid in trace.tracked] for t in whole]
+    _, rows = trace_events_table(trace)
+    assert {uid: t for t, k, uid in rows if k == "transmitted"} == oracle["done"]
+    assert {uid: t for t, k, uid in rows if k == "dropped"} == oracle["dropped"]
 
 
 @st.composite
@@ -223,27 +247,50 @@ def random_world(draw):
     return world, attacked
 
 
+def assert_stopped_matches_whole(world, attacked, tracked):
+    """A run that tracks some units gives them the landmarks of the run that
+    tracks every unit, its curves are a prefix of that run's, and it ends at
+    the first slot whose removals reach every tracked end byte, or at the
+    horizon if none does. Returns both traces."""
+    whole = evolve(world, attacked, tuple(world.byte_ranges))
+    stopped = evolve(world, attacked, tracked)
+    assert stopped.tracked == tracked
+    for uid in tracked:
+        assert stopped.t_e(uid) == whole.t_e(uid)
+        assert stopped.t_lb(uid) == whole.t_lb(uid)
+        assert stopped.dropped(uid) == whole.dropped(uid)
+        assert stopped.drop_slot(uid) == whole.drop_slot(uid)
+    ran = len(stopped.queue_bytes)
+    assert stopped.queue_bytes == whole.queue_bytes[:ran]
+    assert stopped.tx_end == whole.tx_end[:ran]
+    assert stopped.removed == whole.removed[:ran]
+    assert stopped.drops == [i for i in whole.drops if i < ran]
+    assert stopped.full == [i for i in whole.full if i < ran]
+    last = max((world.byte_ranges[uid][2] for uid in tracked), default=0)
+    reached = [i for i, gone in enumerate(whole.removed) if gone >= last]
+    assert ran == (reached[0] + 1 if reached else len(whole.queue_bytes))
+    if any(whole.t_e(uid) == INF and not whole.dropped(uid) for uid in tracked):
+        # a unit still aboard at the horizon keeps the run whole
+        assert ran == world.horizon - world.t0 + 1
+    return whole, stopped
+
+
 @settings(max_examples=120, deadline=None)
 @given(random_world(), st.data())
 def test_engines_agree(world_attacked, data):
-    """The engine's answers do not depend on which units it tracks: a random
-    subset sees the same slots, landmarks, sub-queues and events as all."""
+    """Which units the engine tracks changes only where it stops: a random
+    subset sees the landmarks of the run that tracks every unit, and its
+    curves, sub-queues and events are that run's up to its last slot."""
     world, attacked = world_attacked
-    order = list(world.byte_ranges)
-    subset = tuple(uid for uid in order if data.draw(st.booleans()))
-    full = evolve(world, attacked, tuple(order))
-    part = evolve(world, attacked, subset)
-    assert part.queue_bytes == full.queue_bytes
-    assert part.tx_bytes == full.tx_bytes
-    assert part.drop_bytes == full.drop_bytes
-    assert set(part.evacuation) == set(subset)
+    subset = tuple(uid for uid in world.byte_ranges if data.draw(st.booleans()))
+    whole, part = assert_stopped_matches_whole(world, attacked, subset)
+    ran = len(part.queue_bytes)
+    assert part.tx_bytes == whole.tx_bytes[:ran]
+    assert part.drop_bytes == whole.drop_bytes[:ran]
     for uid in subset:
-        assert part.t_e(uid) == full.t_e(uid)
-        assert part.t_lb(uid) == full.t_lb(uid)
-        assert part.dropped[uid] == full.dropped[uid]
-        assert part.drop_slot[uid] == full.drop_slot[uid]
-        assert part.subqueue(uid) == full.subqueue(uid)
-    assert part.events() == full.events()
+        assert part.subqueue(uid) == whole.subqueue(uid)[:ran]
+    assert part.events() == [event for event in whole.events()
+                             if event[0] < world.t0 + ran]
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,29 +304,32 @@ def test_per_unit_engine_matches_reference(world_attacked, data):
     assert_matches_replay(world, attacked, evolve(world, attacked, tracked))
 
 
-def assert_stopped_matches_whole(world, attacked, tracked):
-    """A run stopped once its tracked units have left gives them the whole
-    run's landmarks, its curves are a prefix of the whole run's, and it
-    ends at the first slot whose removals reach every tracked end byte, or
-    at the horizon if none does."""
-    whole = evolve(world, attacked, tracked)
-    stopped = evolve(world, attacked, tracked, until_gone=True)
-    for uid in tracked:
-        assert stopped.t_e(uid) == whole.t_e(uid)
-        assert stopped.t_lb(uid) == whole.t_lb(uid)
-        assert stopped.dropped[uid] == whole.dropped[uid]
-        assert stopped.drop_slot[uid] == whole.drop_slot[uid]
-    ran = len(stopped.queue_bytes)
-    assert stopped.queue_bytes == whole.queue_bytes[:ran]
-    assert stopped.tx_end == whole.tx_end[:ran]
-    assert stopped.removed == whole.removed[:ran]
-    assert stopped.drops == [i for i in whole.drops if i < ran]
-    last = max((world.byte_ranges[uid][2] for uid in tracked), default=0)
-    reached = [i for i, gone in enumerate(whole.removed) if gone >= last]
-    assert ran == (reached[0] + 1 if reached else len(whole.queue_bytes))
-    if any(whole.t_e(uid) == INF and not whole.dropped[uid] for uid in tracked):
-        # a unit still aboard at the horizon keeps the run whole
-        assert ran == len(whole.queue_bytes)
+@settings(max_examples=200, deadline=None)
+@given(random_world(), st.integers(0, 8))
+def test_tables_of_a_run_that_tracks_every_unit_match_reference(world_attacked, extra):
+    """A run that tracks every unit stops once the queue is empty for good;
+    its tables still give the replay's curves and events up to the horizon.
+    Up to eight more transmissible slots without arrivals let many queues
+    empty before it."""
+    world, attacked = world_attacked
+    world = replace(world, horizon=world.horizon + extra, transmissible=world.transmissible
+                    | frozenset(range(world.horizon + 1, world.horizon + extra + 1)))
+    assert_matches_replay(world, attacked,
+                          evolve(world, attacked, tuple(world.byte_ranges)))
+
+
+def test_tables_fill_the_slots_after_every_unit_left():
+    # every byte has left by the end of slot 2; slots 3-7 hold nothing
+    world = QueueWorld((("a", 3), ("b", 1)), ((1, (("c", 2),)),),
+                       frozenset(range(8)), 10, 2, 0, 7)
+    trace = evolve(world, frozenset(), ("a", "b", "c"))
+    assert trace.queue_bytes == [2, 2, 0]
+    header, rows = trace_table(trace, ("c",))
+    assert rows == [[0, 2, 2, 0, 0], [1, 2, 2, 0, 2], [2, 0, 2, 0, 0]] + [
+        [t, 0, 0, 0, 0] for t in range(3, 8)]
+    assert trace_events_table(trace)[1] == [
+        [1, "transmitted", "a"], [1, "transmitted", "b"], [2, "transmitted", "c"]]
+    assert_matches_replay(world, frozenset(), trace)
 
 
 @settings(max_examples=200, deadline=None)
@@ -347,9 +397,9 @@ def test_batched_rows_match_evolve_and_reference(rows_attacks, data):
                 world.t0, world.horizon)
             for k, uid in enumerate(tracked):
                 at = world.t0 + int(slot[a, r, k])
-                assert bool(lost[a, r, k]) == trace.dropped[uid] == (uid in oracle["dropped"])
+                assert bool(lost[a, r, k]) == trace.dropped(uid) == (uid in oracle["dropped"])
                 if lost[a, r, k]:
-                    assert at == trace.drop_slot[uid] == oracle["dropped"][uid]
+                    assert at == trace.drop_slot(uid) == oracle["dropped"][uid]
                 else:
                     left = at if at <= world.horizon else INF
                     assert left == trace.t_e(uid) == evacuation_slot(oracle, uid)
@@ -384,8 +434,8 @@ def test_batched_rows_keep_running_for_unresolved_rows(attacks):
         assert lost[a, :, 0].tolist() == expected[attacked][1]
         for r, world in enumerate(rows):
             trace = evolve(world, attacked, ("a",))
-            assert bool(lost[a, r, 0]) == trace.dropped["a"]
-            left = trace.drop_slot["a"] if trace.dropped["a"] else trace.t_e("a")
+            assert bool(lost[a, r, 0]) == trace.dropped("a")
+            left = trace.drop_slot("a") if trace.dropped("a") else trace.t_e("a")
             assert (int(slot[a, r, 0]) if slot[a, r, 0] < len(slots) else INF) == left
 
 
@@ -396,8 +446,9 @@ def test_bundled_scenario_plan_matches_reference(name, kind):
     ctx = AttackContext.from_scenario(scenario, attackability_for(scenario))
     strategy = plan_attack(ctx, kind, 0, scenario.target.target_downlink_slot)
     assert strategy.slots
-    assert_matches_replay(ctx.world, strategy.slot_set,
-                          evolve(ctx.world, strategy.slot_set, ctx.targets))
+    for tracked in (ctx.targets, tuple(ctx.world.byte_ranges)):
+        assert_matches_replay(ctx.world, strategy.slot_set,
+                              evolve(ctx.world, strategy.slot_set, tracked))
 
 
 def test_per_slot_capacity_floor():
@@ -407,7 +458,8 @@ def test_per_slot_capacity_floor():
 
 
 def test_trace_outputs(tmp_path):
-    trace = evolve(desk_world(capacity=8), frozenset({4, 6}), (TAU,))
+    world = desk_world(capacity=8)
+    trace = evolve(world, frozenset({4, 6}), tuple(world.byte_ranges))
     path = str(tmp_path / "trace.csv")
     emit(path, *trace_table(trace, (TAU,)))
     with open(path, encoding="utf-8") as fh:
@@ -424,8 +476,9 @@ def test_trace_outputs(tmp_path):
 
 
 def test_trace_outputs_refuse_a_stopped_trace():
-    # the stopped run's curves and events are a prefix of the whole run's
-    trace = evolve(desk_world(capacity=8), frozenset({4, 6}), (TAU,), until_gone=True)
+    # a run that tracks some units stops once they have left, and its
+    # curves and events are a prefix of the whole run's
+    trace = evolve(desk_world(capacity=8), frozenset({4, 6}), (TAU,))
     assert len(trace.queue_bytes) < HORIZON + 1
     for table in (lambda: trace_table(trace, (TAU,)), lambda: trace_events_table(trace)):
         with pytest.raises(ValueError, match="stops before the horizon"):

@@ -453,6 +453,23 @@ def test_windows_csv_text_is_csv_text():
         assert text == csv_text(orbit.WINDOW_HEADER, rows.rows())
 
 
+@pytest.mark.parametrize("satellite_ids, station_ids, named", [
+    (["obs,1", "plain"], ["gs-01"], "satellite 'obs,1'"),
+    (["obs-1", 'rush "2"'], ["gs-01"], "satellite 'rush \"2\"'"),
+    (["obs-1", "plain"], ["gs-01", "gs\n02"], "station 'gs\\n02'"),
+    (["obs-1", "plain"], ["gs\r01"], "station 'gs\\r01'"),
+], ids=["comma", "quote", "line-feed", "carriage-return"])
+def test_windows_csv_text_refuses_ids_it_cannot_write(satellite_ids, station_ids, named):
+    # windows built in code may carry any id; the writer writes ids as they
+    # are, so one that would not read back is refused, naming it, even on a
+    # row-less value
+    for rows in ([0], []):
+        windows = ContactWindows.sorted(satellite_ids, station_ids, rows, rows, rows,
+                                        [45.0] * len(rows))
+        with pytest.raises(ValidationError, match=f"^{re.escape(named)}: id must not hold"):
+            windows_csv_text(windows)
+
+
 def test_window_load_validates(tmp_path):
     scenario = windows_scenario(
         [random_elements(np.random.default_rng(17))],

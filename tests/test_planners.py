@@ -62,8 +62,8 @@ def test_overflow_on_the_desk_scenario():
     ctx = context(scenario)
     strategy = plan_overflow(ctx)
     assert strategy.slot_set == frozenset({4, 6})
-    assert strategy.trace.dropped["init-003"]
-    assert strategy.trace.drop_slot["init-003"] == 6
+    assert strategy.trace.dropped("init-003")
+    assert strategy.trace.drop_slot("init-003") == 6
     ok, report = verify_overflow(ctx, strategy.slots)
     assert ok
     assert report["targets"]["init-003"]["dropped"]
@@ -140,6 +140,13 @@ def oracle_replay(ctx, attacked):
         ctx.world.t0, ctx.world.horizon)
 
 
+def whole_run_outcomes(ctx, strategy):
+    """The targets' outcomes in the run of the strategy that tracks every
+    unit, so that it stops only once the queue is empty for good."""
+    outcomes = unit_outcomes(evolve(ctx.world, strategy.slot_set, tuple(ctx.world.byte_ranges)))
+    return {uid: outcomes[uid] for uid in ctx.targets}
+
+
 def test_delay_matches_exhaustive_cost():
     """Greedy cost equals the exhaustive minimum on single-target scenarios
     whose queue never overflows (the regime the plan shape is optimal in)."""
@@ -152,7 +159,7 @@ def test_delay_matches_exhaustive_cost():
         if base.t_e(tau) == INF:
             continue
         # keep to the no-overflow regime
-        worst = evolve(ctx.world, frozenset(ctx.attackable), ctx.targets)
+        worst = evolve(ctx.world, frozenset(ctx.attackable), tuple(ctx.world.byte_ranges))
         if sum(worst.drop_bytes) > 0:
             continue
         te0 = base.t_e(tau)
@@ -184,7 +191,8 @@ def closed_form_cost(ctx, deadline):
 def drops_nothing(ctx):
     """No blocking set drops bytes: blocking every attackable slot holds the
     most bytes aboard in every slot, and it drops none."""
-    return sum(evolve(ctx.world, frozenset(ctx.attackable), ctx.targets).drop_bytes) == 0
+    every = tuple(ctx.world.byte_ranges)
+    return sum(evolve(ctx.world, frozenset(ctx.attackable), every).drop_bytes) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,11 +280,10 @@ def test_overflow_matches_exhaustive_reachability():
                 plan_overflow(ctx)
         else:
             strategy = plan_overflow(ctx)
-            assert strategy.trace.dropped[tau]
+            assert strategy.trace.dropped(tau)
             rep = oracle_replay(ctx, strategy.slot_set)
             assert evacuation_slot(rep, tau) == INF
-            assert strategy.summary()["targets"] == unit_outcomes(
-                evolve(ctx.world, strategy.slot_set, ctx.targets))
+            assert strategy.summary()["targets"] == whole_run_outcomes(ctx, strategy)
         checked += 1
 
 
@@ -311,8 +318,7 @@ def test_delay_plan_meets_its_goal_on_multi_target_worlds(seed, data):
         return
     assert meets_goal(strategy.slots)
     assert per_unit or verify_delay(ctx, strategy.slots, deadline)[0]
-    assert strategy.summary()["targets"] == unit_outcomes(
-        evolve(ctx.world, strategy.slot_set, ctx.targets))
+    assert strategy.summary()["targets"] == whole_run_outcomes(ctx, strategy)
 
 
 def test_verify_rejects_non_attackable_slots():
