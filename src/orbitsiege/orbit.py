@@ -20,9 +20,12 @@ pass; the test is offset by HORIZON_MARGIN_M so that rounding cannot cull
 a pair at the horizon itself.
 
 Contact windows are one `ContactWindows` value of parallel columns, built,
-written, read and grouped by slot without a Python object per window. They
-are computed satellite by satellite in id order, each one's rows already in
-slot and station id order, so one stable sort by slot orders them.
+written, read and grouped by slot without a Python object per window. Its
+ids are in id order, so an index is an id's rank, and its rows are in
+strict (slot, satellite id, station id) order, each contact once; the
+value refuses anything else. They are computed satellite by satellite in
+id order, each one's rows already in slot and station id order, so one
+stable sort by slot orders them.
 
 The windows CSV is written as byte columns. Each distinct slot and each id
 is rendered once, with its comma; each elevation is rendered in numpy
@@ -42,7 +45,8 @@ whose digits read at most 2**53, is one division of the digits by a power
 of ten, which is exact (Clinger's fast path). Any other elevation, such
 as 1e-07, which the writer renders alone, is read alone by `float()`. A
 slot or id cell outside the grammar, such as `+3`, ` 7` or `"obs-1"`, is
-refused, with its line number.
+refused, with its line number, and so is a row that is not after the row
+before it in the order the writer writes, a repeated row included.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from datetime import datetime, timezone
 from typing import Iterator, Sequence
 
@@ -75,37 +79,27 @@ LEO_RADIUS_MAX_M = 9_000_000.0
 HORIZON_MARGIN_M = 1_000.0
 
 
-def _id_order(ids: Sequence[str]) -> np.ndarray:
-    """The indices of the ids in id order."""
-    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-
-
-def _ranks(ids: Sequence[str]) -> np.ndarray:
-    """Each id's place in sorted order, so integer order is string order."""
-    ranks = np.empty(len(ids), dtype=np.intp)
-    ranks[_id_order(ids)] = np.arange(len(ids))
-    return ranks
-
-
-def _non_decreasing(keys: tuple[np.ndarray, ...]) -> bool:
-    """Whether the rows of these key columns, most significant first, are
-    in lexicographic order, ties allowed."""
-    before = np.zeros(max(len(keys[0]) - 1, 0), dtype=bool)
-    tied = np.ones_like(before)
-    for key in keys:
-        before |= tied & (key[:-1] < key[1:])
-        tied &= key[:-1] == key[1:]
-    return bool((before | tied).all())
+def _out_of_order(slot: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Whether each row after the first is not after the row before it in
+    (slot, key) order, where key = satellite * len(station_ids) + station:
+    with ids in id order, the rows that break strict (slot, satellite id,
+    station id) order, a repeated contact included."""
+    step = np.diff(slot)
+    return (step < 0) | ((step == 0) & (np.diff(key) <= 0))
 
 
 @dataclass(frozen=True, eq=False)
 class ContactWindows:
     """Contact windows as parallel columns, one row per satellite, station
-    and slot in contact, sorted by slot, then satellite id, then station id.
+    and slot in contact, in strict (slot, satellite id, station id) order:
+    each contact once, as the windows CSV holds them.
 
     `satellite` and `station` index into `satellite_ids` and `station_ids`,
-    which the value carries: a scenario that keeps only some satellites
-    (the n_high sweep axis) still reads the right ids.
+    which the value carries, distinct and in id order, so an index is an
+    id's rank: a scenario that keeps only some satellites (the n_high sweep
+    axis) still reads the right ids. Ids out of order, repeated ids and
+    rows out of order are refused with ValidationError, unless
+    `rows_checked` says the caller has checked the rows already.
     """
 
     satellite_ids: tuple[str, ...]
@@ -114,32 +108,19 @@ class ContactWindows:
     satellite: np.ndarray  # intp
     station: np.ndarray  # intp
     elevation_deg: np.ndarray  # float64
+    rows_checked: InitVar[bool] = False
 
-    @classmethod
-    def sorted(cls, satellite_ids, station_ids, slot, satellite, station,
-               elevation_deg) -> ContactWindows:
-        """Columns in any order, stably sorted by (slot, satellite id, station id);
-        columns already in that order are taken as they are."""
-        satellite_ids, station_ids = tuple(satellite_ids), tuple(station_ids)
-        slot = np.asarray(slot, dtype=np.int64)
-        satellite = np.asarray(satellite, dtype=np.intp)
-        station = np.asarray(station, dtype=np.intp)
-        elevation_deg = np.asarray(elevation_deg, dtype=float)
-        keys = (slot, _ranks(satellite_ids)[satellite], _ranks(station_ids)[station])
-        if _non_decreasing(keys):  # as a file this module wrote reads back
-            return cls(satellite_ids, station_ids, slot, satellite, station, elevation_deg)
-        order = np.lexsort(keys[::-1])
-        return cls(satellite_ids, station_ids, slot[order], satellite[order], station[order],
-                   elevation_deg[order])
+    def __post_init__(self, rows_checked: bool) -> None:
+        for kind, ids in (("satellite", self.satellite_ids), ("station", self.station_ids)):
+            if any(a >= b for a, b in zip(ids, ids[1:])):
+                raise ValidationError(f"{kind} ids must be distinct and in id order")
+        if not rows_checked and _out_of_order(
+                self.slot, self.satellite * len(self.station_ids) + self.station).any():
+            raise ValidationError("rows must be in strict (slot, satellite id, station id) "
+                                  "order")
 
     def __len__(self) -> int:
         return len(self.slot)
-
-    def __getitem__(self, rows) -> ContactWindows:
-        """The rows a slice, mask or index array selects, under the same ids."""
-        return ContactWindows(self.satellite_ids, self.station_ids, self.slot[rows],
-                              self.satellite[rows], self.station[rows],
-                              self.elevation_deg[rows])
 
     def of_satellite(self, satellite_id: str) -> np.ndarray:
         """Mask of the rows of one satellite (none if the id is not carried)."""
@@ -237,42 +218,42 @@ def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
     computed element by element as for the full grid, so the windows are
     the same to the bit.
 
-    Satellites are taken in id order, and each one's pairs come out of the
-    cull in slot order and, with the stations' columns in id order, in
-    station id order; so one stable sort by slot puts the rows in the
-    order `ContactWindows` keeps.
+    Satellites and stations are taken in id order, so their indices are
+    their ranks, and each satellite's pairs come out of the cull in slot
+    order, then station order; so one stable sort by slot puts the rows in
+    the order `ContactWindows` keeps.
     """
-    satellite_ids = [s.id for s in scenario.satellites]
-    station_ids = [st.id for st in scenario.stations]
+    satellites = sorted(scenario.satellites, key=lambda sat: sat.id)
+    stations = sorted(scenario.stations, key=lambda st: st.id)
     # slot, satellite, station, elevation: each starts with an empty part,
     # so a world without contacts concatenates too
     columns: tuple[list, ...] = ([np.empty(0, np.intp)], [np.empty(0, np.intp)],
                                  [np.empty(0, np.intp)], [np.empty(0)])
-    if scenario.stations:
-        by_id = _id_order(station_ids)
-        station_pos = np.array([station_ecef_m(scenario.stations[i]) for i in by_id.tolist()])
+    if stations:
+        station_pos = np.array([station_ecef_m(st) for st in stations])
         station_norm = np.linalg.norm(station_pos, axis=1, keepdims=True)
         zenith = station_pos / station_norm
         horizon = station_norm[:, 0] - HORIZON_MARGIN_M
-        thresholds = np.array([scenario.stations[i].min_elevation_deg for i in by_id.tolist()])
-        for index in _id_order(satellite_ids).tolist():
-            pos = propagate(scenario.satellites[index], scenario.time)
-            # the kept pairs in slot order, then station id order
-            slot_idx, column = np.divmod(np.flatnonzero(pos @ zenith.T > horizon), len(by_id))
-            los = pos[slot_idx] - station_pos[column]
+        thresholds = np.array([st.min_elevation_deg for st in stations])
+        for index, sat in enumerate(satellites):
+            pos = propagate(sat, scenario.time)
+            # the kept pairs in slot order, then station order
+            slot_idx, station = np.divmod(np.flatnonzero(pos @ zenith.T > horizon),
+                                          len(stations))
+            los = pos[slot_idx] - station_pos[station]
             los_norm = np.linalg.norm(los, axis=1)
-            sin_elev = np.einsum("pk,pk->p", los, zenith[column]) / los_norm
+            sin_elev = np.einsum("pk,pk->p", los, zenith[station]) / los_norm
             elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
-            seen = elev >= thresholds[column]
-            slot_idx, column = slot_idx[seen], column[seen]
+            seen = elev >= thresholds[station]
+            slot_idx, station = slot_idx[seen], station[seen]
             for parts, part in zip(columns, (slot_idx, np.full(len(slot_idx), index),
-                                             by_id[column], elev[seen])):
+                                             station, elev[seen])):
                 parts.append(part)
     slot, satellite, station, elevation = map(np.concatenate, columns)
     # slots as the narrowest unsigned type that holds them, which numpy
     # radix-sorts when it is 16 bits or less
     order = np.argsort(slot.astype(np.min_scalar_type(scenario.time.last_slot)), kind="stable")
-    return ContactWindows(tuple(satellite_ids), tuple(station_ids),
+    return ContactWindows(tuple(sat.id for sat in satellites), tuple(st.id for st in stations),
                           slot[order].astype(np.int64, copy=False), satellite[order],
                           station[order], elevation[order])
 
@@ -315,12 +296,12 @@ def windows_csv_text(windows: ContactWindows) -> str:
     slot_cells = cell_words([f"{slot}," for slot in slots.tolist()])
     pieces = [HEADER_LINE + "\n"]
     for first in range(0, len(windows), CHUNK_ROWS):
-        part = windows[first:first + CHUNK_ROWS]
+        rows = slice(first, first + CHUNK_ROWS)
         pieces.append(unfilled(np.hstack([
-            np.take(slot_cells, slot_of_row[first:first + CHUNK_ROWS], axis=0),
-            np.take(satellites, part.satellite, axis=0),
-            np.take(stations, part.station, axis=0),
-            float_words(part.elevation_deg, "\n")[0]])).decode("utf-8"))
+            np.take(slot_cells, slot_of_row[rows], axis=0),
+            np.take(satellites, windows.satellite[rows], axis=0),
+            np.take(stations, windows.station[rows], axis=0),
+            float_words(windows.elevation_deg[rows], "\n")[0]])).decode("utf-8"))
     return "".join(pieces)
 
 
@@ -482,23 +463,26 @@ def _indices(data: bytes, start: np.ndarray, end: np.ndarray, ids: list[str]) ->
     return np.where(length <= 8 * words, found, -1)
 
 
-def _checked(path: str, scenario: ConstellationScenario, chunk: _Chunk,
-             first_line: int) -> tuple[np.ndarray, ...]:
+def _checked(path: str, chunk: _Chunk, first_line: int, last_slot: int,
+             satellite_ids: list[str], stations: list[GroundStationSpec],
+             before: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """Slot, satellite index, station index and elevation columns of the
-    rows of a chunk, whose first line is `first_line`. Raises the error a
-    row-by-row reader raises at the first bad row."""
+    rows of a chunk, whose first line is `first_line`, under ids in id
+    order; `before` is the (slot, order key) of the row before the chunk's
+    first, as `_out_of_order` keys it. Raises the error a row-by-row reader
+    raises at the first bad row."""
     data, start, end = chunk
 
     def cell(column: int, row: int) -> str:
         return data[start[column][row]:end[column][row]].decode("utf-8")
 
-    last_slot = scenario.time.last_slot
     slot, bad_slot = _slots(data, start[0], end[0], last_slot)
-    satellite = _indices(data, start[1], end[1], [s.id for s in scenario.satellites])
-    station = _indices(data, start[2], end[2], [st.id for st in scenario.stations])
+    satellite = _indices(data, start[1], end[1], satellite_ids)
+    station = _indices(data, start[2], end[2], [st.id for st in stations])
     elevation, bad_elev = _elevations(data, start[3], end[3])
     # index -1, an unknown station, reads a threshold no elevation is below
-    thresholds = np.array([st.min_elevation_deg for st in scenario.stations] + [-math.inf])
+    thresholds = np.array([st.min_elevation_deg for st in stations] + [-math.inf])
+    key = satellite * len(stations) + station
 
     checks = (  # in the order a row-by-row reader applies them
         (bad_slot | bad_elev, ParseError, lambda row: "slot or elevation is not a number"),
@@ -510,6 +494,8 @@ def _checked(path: str, scenario: ConstellationScenario, chunk: _Chunk,
         (elevation < thresholds[station], ValidationError,
          lambda row: "elevation below station threshold"),
         (elevation > 90.0, ValidationError, lambda row: "elevation above 90 degrees"),
+        (_out_of_order(np.append(before[0], slot), np.append(before[1], key)), ParseError,
+         lambda row: "row not after the row before it"),
     )
     bad = np.logical_or.reduce([mask for mask, _, _ in checks])
     if bad.any():
@@ -530,6 +516,9 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
     an optional minus) and ids are read on the bytes only; an elevation is
     read on the bytes when it is `-?D*(.D*)?` of at most ELEVATION_BYTES
     bytes whose digits read at most 2**53, and alone by `float()` otherwise.
+    A row whose cells pass but that is not after the row before it in
+    (slot, satellite id, station id) order, a repeated row included, is a
+    ParseError.
     """
     try:
         with open(path, "rb") as fh:
@@ -540,13 +529,17 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    satellite_ids = sorted(s.id for s in scenario.satellites)
+    stations = sorted(scenario.stations, key=lambda st: st.id)
     # an empty part first, so a file without rows concatenates too
     parts = [(np.empty(0, np.int64), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    rows = 0
+    rows, before = 0, (-1, 0)  # a slot before every slot
     for chunk in _chunks_by_line(path, raw):
-        parts.append(_checked(path, scenario, chunk, 2 + rows))
-        rows += len(chunk[1][0])
+        parts.append(_checked(path, chunk, 2 + rows, scenario.time.last_slot, satellite_ids,
+                              stations, before))
+        slot, satellite, station, _ = parts[-1]
+        rows += len(slot)
+        before = slot[-1], satellite[-1] * len(stations) + station[-1]
         del chunk
-    return ContactWindows.sorted([s.id for s in scenario.satellites],
-                                 [st.id for st in scenario.stations],
-                                 *map(np.concatenate, zip(*parts)))
+    return ContactWindows(tuple(satellite_ids), tuple(st.id for st in stations),
+                          *map(np.concatenate, zip(*parts)), rows_checked=True)

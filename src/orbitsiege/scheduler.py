@@ -27,8 +27,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfHorizon, ValidationError
-from .orbit import (ContactWindows, _ranks, compute_contact_windows, propagate,
-                    station_ecef_m)
+from .orbit import ContactWindows, compute_contact_windows, propagate, station_ecef_m
 from .scenario import AttackabilityRecord, ConstellationScenario
 
 
@@ -92,6 +91,11 @@ def build_schedule(scenario: ConstellationScenario,
     which is what every optimum of the whole slot does there: the components
     share no rows or columns, so optima split into theirs. Every other slot
     is one `hungarian` solve over its whole matrix.
+
+    Every slot's schedule is read off one mask of the contacts its
+    assignment uses, the nearest ones in a certified slot's component and
+    the solved pairs elsewhere: the station serving the target, and the
+    antennas each station the target sees has left idle.
     """
     by_id = {st.id: st for st in scenario.stations}
     missing = sorted(set(windows.station_ids) - by_id.keys())
@@ -105,15 +109,11 @@ def build_schedule(scenario: ConstellationScenario,
     costed = np.isin(windows.slot, slots) & np.isin(
         windows.satellite, [i for i, sid in enumerate(windows.satellite_ids) if sid in low])
     slot, sat, target = windows.slot[costed], windows.satellite[costed], target[costed]
-    station = _ranks(windows.station_ids)[windows.station[costed]]  # into `ids`
-    # rows come sorted by slot, then satellite id, then station id, so each
-    # (slot, satellite) matrix row is a run of them; a repeated row is one
-    # contact
+    station = windows.station[costed]
+    ids = windows.station_ids
+    # rows come in strict (slot, satellite id, station id) order, and ids
+    # are ranks, so each (slot, satellite) matrix row is a run of them
     new_row = np.diff(slot * len(windows.satellite_ids) + sat, prepend=-1) != 0
-    once = new_row | (np.diff(station, prepend=-1) != 0)
-    slot, sat, station, target, new_row = (x[once] for x in (slot, sat, station, target,
-                                                             new_row))
-    ids = sorted(windows.station_ids)
     antennas = np.array([by_id[i].antenna_count for i in ids])
     station_pos = np.array([station_ecef_m(by_id[i]) for i in ids])
     index = np.searchsorted(slots, slot)
@@ -139,40 +139,35 @@ def build_schedule(scenario: ConstellationScenario,
     nearest = cost <= (np.minimum.reduceat(cost, starts)[row]
                        + TIE_TOLERANCE * np.add.reduceat(cost, bounds[:-1])[index])
     tied = np.add.reduceat(nearest, starts, dtype=np.intp) != 1
-    load = np.bincount(col[nearest & reached[col]], minlength=len(keys))
+    used = nearest & reached[col]  # the contacts each slot's assignment uses
+    load = np.bincount(col[used], minlength=len(keys))
     solve = np.zeros(len(slots), dtype=bool)
     solve[index[starts[member & tied]]] = True
     solve[np.searchsorted(slots, keys // len(ids))[load > antennas[col_station]]] = True
 
-    idle = (antennas[col_station] - load)[col[target]].tolist()
-    visible = dict.fromkeys(slots.tolist(), ())
-    serving = {}
-    for t, j, n, near in zip(slot[target].tolist(), station[target].tolist(), idle,
-                             nearest[target].tolist()):
-        visible[t] += ((ids[j], n),)
-        if near:
-            serving[t] = ids[j]
-    schedules = [SlotSchedule(t, serving.get(t), visible[t]) for t in slots.tolist()]
     for i in np.flatnonzero(solve).tolist():
         e = slice(bounds[i], bounds[i + 1])
         r, c = row[e] - row[e][0], col[e] - col_bounds[i]
-        cols = col_station[col_bounds[i]:col_bounds[i + 1]]
-        counts = antennas[cols]
-        matrix = np.full((r[-1] + 1, len(cols)), math.inf)
+        counts = antennas[col_station[col_bounds[i]:col_bounds[i + 1]]]
+        matrix = np.full((r[-1] + 1, len(counts)), math.inf)
         matrix[r, c] = [math.dist(p, q) for p, q in zip(
             sat_pos[e].tolist(), station_pos[station[e]].tolist())]
         pairs, _ = hungarian(np.repeat(matrix, counts, axis=1))
-        owner = np.repeat(np.arange(len(cols)), counts).tolist()
-        used = counts.tolist()
-        target_row = r[target[e]][0]
-        serves = None
+        owner = np.repeat(np.arange(len(counts)), counts)
+        matched = np.zeros(matrix.shape, dtype=bool)
         for k, j in pairs:
-            used[owner[j]] -= 1
-            serves = ids[cols[owner[j]]] if k == target_row else serves
-        sees = np.isfinite(matrix[target_row]).tolist()
-        schedules[i] = SlotSchedule(schedules[i].slot, serves, tuple(
-            (ids[j], n) for j, n, v in zip(cols.tolist(), used, sees) if v))
-    return schedules
+            matched[k, owner[j]] = True
+        used[e] = matched[r, c]
+
+    idle = (antennas[col_station] - np.bincount(col[used], minlength=len(keys)))[col[target]]
+    visible = dict.fromkeys(slots.tolist(), ())
+    serving = {}
+    for t, j, n, serves in zip(slot[target].tolist(), station[target].tolist(), idle.tolist(),
+                               used[target].tolist()):
+        visible[t] += ((ids[j], n),)
+        if serves:
+            serving[t] = ids[j]
+    return [SlotSchedule(t, serving.get(t), visible[t]) for t in slots.tolist()]
 
 
 def _component(row: np.ndarray, col: np.ndarray, seeds: np.ndarray, n_rows: int,

@@ -310,8 +310,8 @@ def scan_contact_slots(inclination_deg, raan_deg, arg_perigee_deg,
 
 def dense_contact_windows(scenario):
     """Contact windows from the elevation of every (slot, station) pair of
-    every satellite, none culled: the slot, satellite index, station index
-    and elevation columns, sorted by slot, satellite id and station id.
+    every satellite, none culled: the slot, satellite id rank, station id
+    rank and elevation columns, sorted by slot, satellite id and station id.
     """
     from orbitsiege.orbit import propagate, station_ecef_m
 
@@ -334,10 +334,31 @@ def dense_contact_windows(scenario):
     slot, satellite, station, elevation = map(np.concatenate, columns)
     sat_ids = [s.id for s in scenario.satellites]
     st_ids = [st.id for st in scenario.stations]
-    sat_rank = np.array([sorted(sat_ids).index(sid) for sid in sat_ids], dtype=np.intp)
-    st_rank = np.array([sorted(st_ids).index(sid) for sid in st_ids], dtype=np.intp)
-    order = np.lexsort((st_rank[station], sat_rank[satellite], slot))
+    satellite = np.array([sorted(sat_ids).index(sid) for sid in sat_ids], dtype=np.intp)[satellite]
+    station = np.array([sorted(st_ids).index(sid) for sid in st_ids], dtype=np.intp)[station]
+    order = np.lexsort((station, satellite, slot))
     return slot[order], satellite[order], station[order], elevation[order]
+
+
+def contact_windows(satellite_ids, station_ids, slot, satellite, station, elevation_deg):
+    """ContactWindows of columns in any order, whose `satellite` and
+    `station` index these ids: the ids put in id order, and the rows sorted
+    by (slot, satellite id, station id), the first of a repeated contact
+    kept."""
+    from orbitsiege import ContactWindows
+
+    rows = {}
+    for t, i, j, elevation in zip(np.asarray(slot).tolist(), np.asarray(satellite).tolist(),
+                                  np.asarray(station).tolist(),
+                                  np.asarray(elevation_deg, dtype=float).tolist()):
+        rows.setdefault((t, satellite_ids[i], station_ids[j]), elevation)
+    satellite_ids, station_ids = sorted(satellite_ids), sorted(station_ids)
+    keys = sorted(rows)
+    return ContactWindows(
+        tuple(satellite_ids), tuple(station_ids), np.array([t for t, _, _ in keys], np.int64),
+        np.array([satellite_ids.index(sid) for _, sid, _ in keys], np.intp),
+        np.array([station_ids.index(sid) for _, _, sid in keys], np.intp),
+        np.array([rows[key] for key in keys], float))
 
 
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]
@@ -358,11 +379,14 @@ def load_window_rows(path, satellite_ids, station_min, last_slot):
     lie between commas, unquoted; a slot is `-?[0-9]{1,18}`, an elevation
     is what `float()` reads, and ids are compared as text.
 
+    A row whose cells pass must come after the row before it in (slot,
+    satellite id, station id) order, ids compared as Python strings, which
+    is their UTF-8 byte order: so each contact is one row.
+
     satellite_ids: the ids a row may name; station_min: station id ->
     minimum elevation in degrees; last_slot: the last slot of the horizon.
-    Returns (slot, satellite_id, station_id, elevation_deg) tuples stably
-    sorted by their first three fields, or raises RowError for the first
-    bad row.
+    Returns (slot, satellite_id, station_id, elevation_deg) tuples in file
+    order, or raises RowError for the first bad row.
     """
     try:
         with open(path, "rb") as fh:
@@ -401,8 +425,9 @@ def load_window_rows(path, satellite_ids, station_min, last_slot):
             raise RowError("ValidationError", f"{where}: elevation below station threshold")
         if elev > 90.0:
             raise RowError("ValidationError", f"{where}: elevation above 90 degrees")
+        if windows and (slot, row[1], row[2]) <= windows[-1][:3]:
+            raise RowError("ParseError", f"{where}: row not after the row before it")
         windows.append((slot, row[1], row[2], elev))
-    windows.sort(key=lambda w: w[:3])
     return windows
 
 

@@ -353,6 +353,23 @@ def test_bad_window_numbers_exit_two(capsys, tmp_path, column, value):
     assert err.startswith("error:") and "windows.csv:2:" in err
 
 
+@pytest.mark.parametrize("edit", ["swap", "repeat"])
+def test_window_rows_out_of_order_exit_two(capsys, tmp_path, edit):
+    scn = bundled("constellation_24h")
+    windows = tmp_path / "windows.csv"
+    assert run_cli(capsys, "windows", "--scenario", scn, "--out", str(windows))[0] == 0
+    lines = windows.read_text().splitlines()
+    if edit == "repeat":
+        lines.insert(4, lines[3])  # line 5 is line 4 again
+    else:
+        lines[3], lines[4] = lines[4], lines[3]  # lines 4 and 5 swapped
+    windows.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "schedule", "--scenario", scn,
+                             "--windows", str(windows))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "windows.csv:5: row not after the row before it" in err
+
+
 def test_json_windows_file_exits_two(capsys, tmp_path):
     # `windows --format json` writes a file `--windows` cannot read
     scn = bundled("constellation_24h")

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RowError, dense_contact_windows, load_window_rows, scan_contact_slots
+from oracles import (RowError, contact_windows, dense_contact_windows, load_window_rows,
+                     scan_contact_slots)
 from orbitsiege import (
     ContactWindows,
     OrbitSiegeError,
@@ -152,7 +153,7 @@ def test_leo_band_enforced():
         compute_contact_windows(scenario)
     # windows read from a file skip that computation, but the schedule still
     # propagates the satellites it costs, and names the one at fault
-    hand_written = ContactWindows.sorted(["obs-1"], [station.id], [0], [0], [0], [45.0])
+    hand_written = contact_windows(["obs-1"], [station.id], [0], [0], [0], [45.0])
     with pytest.raises(ValidationError, match="obs-1: orbit radius outside the LEO band"):
         attackability_for(scenario, hand_written)
 
@@ -412,45 +413,19 @@ def test_float_words_equal_fmt_cell_at_the_grammar_edges():
     assert any(alone_seen) and not all(alone_seen)
 
 
-@settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(-2, 3), st.integers(0, 2), st.integers(0, 2),
-                               st.sampled_from([0.0, 5.5, 45.0])), max_size=12),
-       presort=st.sampled_from(["none", "slot", "index", "ids"]))
-def test_sorted_orders_rows_by_slot_and_ids(rows, presort):
-    """Rows already in order, in slot order only, in index order (which is
-    not id order here) or in no order all come out stably sorted by
-    (slot, satellite id, station id)."""
-    satellite_ids, station_ids = ("obs-b", "obs-c", "obs-a"), ("gs-2", "gs-1", "gs-3")
-
-    def ids(row):
-        return row[0], satellite_ids[row[1]], station_ids[row[2]]
-
-    key = {"none": None, "slot": lambda row: row[0], "index": lambda row: row[:3],
-           "ids": ids}[presort]
-    if key is not None:
-        rows = sorted(rows, key=key)
-    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
-    windows = ContactWindows.sorted(satellite_ids, station_ids, *columns)
-    expected = [(*ids(row), row[3]) for row in sorted(rows, key=ids)]
-    assert windows.rows() == expected
-    assert (windows.slot.dtype, windows.satellite.dtype, windows.station.dtype,
-            windows.elevation_deg.dtype) == (np.int64, np.intp, np.intp, np.float64)
-
-
 def test_windows_csv_text_is_csv_text():
     # plain and non-ASCII ids (no scenario id holds a character csv.writer
     # quotes), more rows than one chunk, a negative slot, the last slot a
-    # grid may hold, and slots 0 and 1 repeated across chunk boundaries; the
-    # rows reversed are out of slot order
-    windows = ContactWindows.sorted(
-        ["obs-1", "s\u00e4tellite 2", "plain"], ["gs-01", "esta\u00e7\u00e3o"],
-        [3, 1, 2, 1, 0] * 3 + [-7, 32_767, 32_767, -7],
-        [0, 1, 2, 0, 1] * 3 + [2, 0, 1, 1], [1, 0, 1, 1, 0] * 3 + [0, 1, 0, 1],
-        [45.0, 12.345678, -0.0, 90.0, 7.25] * 3 + [3.5, 0.0, 89.999999, 1e-7])
-    for rows in (windows, windows[::-1]):
-        with mock.patch.object(orbit, "CHUNK_ROWS", 4):
-            text = windows_csv_text(rows)
-        assert text == csv_text(orbit.WINDOW_HEADER, rows.rows())
+    # grid may hold, and slots 0 and 1 each split across a chunk boundary
+    contacts = [(t, i, j) for t in (-7, 0, 1, 2, 3, 32_767) for i in range(3)
+                for j in range(2)][::2]
+    windows = contact_windows(
+        ["obs-1", "s\u00e4tellite 2", "plain"], ["gs-01", "esta\u00e7\u00e3o"], *zip(*contacts),
+        [45.0, 12.345678, -0.0, 90.0, 7.25, 3.5, 0.0, 89.999999, 1e-7] * 2)
+    assert len(windows) == 18
+    with mock.patch.object(orbit, "CHUNK_ROWS", 4):
+        text = windows_csv_text(windows)
+    assert text == csv_text(orbit.WINDOW_HEADER, windows.rows())
 
 
 @pytest.mark.parametrize("satellite_ids, station_ids, named", [
@@ -464,10 +439,34 @@ def test_windows_csv_text_refuses_ids_it_cannot_write(satellite_ids, station_ids
     # are, so one that would not read back is refused, naming it, even on a
     # row-less value
     for rows in ([0], []):
-        windows = ContactWindows.sorted(satellite_ids, station_ids, rows, rows, rows,
-                                        [45.0] * len(rows))
+        windows = contact_windows(satellite_ids, station_ids, rows, rows, rows,
+                                  [45.0] * len(rows))
         with pytest.raises(ValidationError, match=f"^{re.escape(named)}: id must not hold"):
             windows_csv_text(windows)
+
+
+def test_contact_windows_refuse_ids_or_rows_out_of_order():
+    """Ids are distinct and in id order, and rows strictly in (slot,
+    satellite id, station id) order, so each contact is one row."""
+    satellite_ids, station_ids = ("obs-1", "obs-2"), ("gs-01", "gs-02")
+
+    def windows(rows, satellite_ids=satellite_ids, station_ids=station_ids):
+        slot, satellite, station = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+        return ContactWindows(satellite_ids, station_ids, slot.astype(np.int64), satellite,
+                              station, np.full(len(rows), 45.0))
+
+    ordered = [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)]
+    assert windows(ordered).rows() == [(0, "obs-1", "gs-02", 45.0), (0, "obs-2", "gs-01", 45.0),
+                                       (0, "obs-2", "gs-02", 45.0), (1, "obs-1", "gs-01", 45.0)]
+    for ids in ({"satellite_ids": ("obs-2", "obs-1")}, {"satellite_ids": ("obs-1", "obs-1")},
+                {"station_ids": ("gs-02", "gs-01")}, {"station_ids": ("gs-01", "gs-01")}):
+        with pytest.raises(ValidationError, match="ids must be distinct and in id order"):
+            windows([], **ids)
+    for k in range(1, len(ordered)):  # a pair swapped, then a row repeated
+        for rows in (ordered[:k - 1] + [ordered[k], ordered[k - 1]] + ordered[k + 1:],
+                     ordered[:k] + ordered[k - 1:]):
+            with pytest.raises(ValidationError, match="rows must be in strict"):
+                windows(rows)
 
 
 def test_window_load_validates(tmp_path):
@@ -612,9 +611,10 @@ def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None)
 @settings(max_examples=300, deadline=None)
 @given(text=mutated_window_files(), chunk_rows=st.sampled_from([7, 1000, orbit.CHUNK_ROWS]))
 def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, chunk_rows):
-    """Bad cells, short, long, blank, quoted, duplicate and shuffled rows,
-    CR, LF and CRLF line ends, with and without a final newline, read in
-    chunks of several sizes."""
+    """Bad cells, short, long, blank, quoted, repeated and shuffled rows
+    (both refuse a row not after the row before it alike), CR, LF and CRLF
+    line ends, with and without a final newline, read in chunks of several
+    sizes."""
     assert_loaders_agree(tmp_path_factory.mktemp("windows") / "windows.csv", text,
                          chunk_rows)
 
@@ -656,6 +656,41 @@ def test_crlf_file_reads_as_its_lf_copy(tmp_path):
         assert got[0] == got[1]
         assert isinstance(got[0], list) == (lines is rows)
     assert got[0] == ("ParseError", "windows.csv:32: expected 4 columns")
+
+
+@pytest.mark.parametrize("chunk_rows", [7, orbit.CHUNK_ROWS])
+def test_window_loader_refuses_rows_out_of_order(tmp_path, chunk_rows):
+    """A swapped pair and a repeated row are each reported at their line,
+    within a chunk and across a chunk boundary (rows 6 and 7 at 7 rows a
+    chunk); a row's cells are checked before its order, and a bad cell on
+    an earlier line is reported before a later order fault."""
+    scenario, header, rows = bundled_windows()
+    rows = list(rows)
+    path = tmp_path / "windows.csv"
+
+    def load(lines):
+        return assert_loaders_agree(path, "\n".join([header, *lines]) + "\n", chunk_rows)
+
+    def swap(lines, k):  # rows k - 1 and k swapped, so row k is out of order
+        return lines[:k - 1] + [lines[k], lines[k - 1]] + lines[k + 1:]
+
+    def repeat(lines, k):  # row k - 1 again as row k
+        return lines[:k] + lines[k - 1:]
+
+    def bad_slot(lines, k):
+        return lines[:k] + ["x" + lines[k]] + lines[k + 1:]
+
+    assert [row.split(",")[0] for row in rows[6:11]] == ["0", "0", "0", "0", "1"]
+    # within a slot, across the chunk boundary, and where the slot steps back
+    for k in (4, 7, 10):
+        for lines in (swap(rows, k), repeat(rows, k)):
+            assert load(lines) == ("ParseError",
+                                   f"{path}:{k + 2}: row not after the row before it")
+    # the faulty row's own bad cell, an earlier bad cell, and a later one
+    for k, line, message in ((7, 9, "slot or elevation is not a number"),
+                             (2, 4, "slot or elevation is not a number"),
+                             (20, 9, "row not after the row before it")):
+        assert load(bad_slot(swap(rows, 7), k)) == ("ParseError", f"{path}:{line}: {message}")
 
 
 @pytest.mark.parametrize("column, value", [
@@ -780,10 +815,11 @@ def round_trip(path, satellite_ids, station_ids, n=400):
     columns = (rng.integers(0, scenario.time.horizon_slots, n),
                rng.integers(0, len(satellite_ids), n), rng.integers(0, len(station_ids), n),
                elevation)
-    windows = ContactWindows.sorted(satellite_ids, station_ids, *columns)
+    windows = contact_windows(satellite_ids, station_ids, *columns)
     save_contact_windows(path, windows)
     again = load_contact_windows(path, scenario)
-    assert (again.satellite_ids, again.station_ids) == (satellite_ids, station_ids)
+    assert (again.satellite_ids, again.station_ids) == (tuple(sorted(satellite_ids)),
+                                                        tuple(sorted(station_ids)))
     for column in ("slot", "satellite", "station", "elevation_deg"):
         assert getattr(again, column).tobytes() == getattr(windows, column).tobytes()
     return scenario, columns
@@ -820,7 +856,7 @@ def test_awkward_ids_round_trip(tmp_path):
             assert off not in ids and len(off.encode()) == len(sid.encode())
             renamed = dict(satellite_ids=AWKWARD_SATELLITES, station_ids=AWKWARD_STATIONS)
             renamed[f"{kind}_ids"] = ids[:k] + (off,) + ids[k + 1:]
-            save_contact_windows(path, ContactWindows.sorted(
+            save_contact_windows(path, contact_windows(
                 renamed["satellite_ids"], renamed["station_ids"], *columns))
             with pytest.raises(ValidationError) as error:
                 load_contact_windows(path, scenario)
