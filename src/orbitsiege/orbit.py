@@ -27,26 +27,31 @@ value refuses anything else. They are computed satellite by satellite in
 id order, each one's rows already in slot and station id order, so one
 stable sort by slot orders them.
 
-The windows CSV is written as byte columns. Each distinct slot and each id
-is rendered once, with its comma; each elevation is rendered in numpy
-(`output.float_words`) where it is in the fixed-point grammar of 6
-significant digits: 1e-4 <= |x| < 1e6, written `-?D+(.D+)?` without
-trailing zeros, at most 12 bytes. Any other elevation, such as 0.0, -0.0,
-1e-07, 1e+06, or one whose rounding is within a hair of a tie or carries
-into the next decade, is rendered alone by `output.fmt_cell`. So the file
-is byte for byte what `csv_text` writes row by row. Ids are written as they
-are, so the writer, like a scenario, refuses one holding `,`, `"`, CR or LF.
+The windows CSV is written as byte columns. Each distinct slot (one per
+run of the slot-ordered rows) and each id is rendered once, with its
+comma; each elevation is rendered in numpy (`output.float_words`) where it
+is in the fixed-point grammar of 6 significant digits: 1e-4 <= |x| < 1e6,
+written `-?D+(.D+)?` without trailing zeros, at most 12 bytes. Any other
+elevation, such as 0.0, -0.0, 1e-07, 1e+06, or one whose rounding is
+within a hair of a tie or carries into the next decade, is rendered alone
+by `output.fmt_cell`. So the file is byte for byte what `csv_text` writes
+row by row. Ids are written as they are, so the writer, like a scenario,
+refuses one holding `,`, `"`, CR or LF.
 
 The windows CSV is read in that one grammar, as byte columns. A row is a
 line, ended by LF or CRLF; a cell lies between commas, and a quote or a
-lone CR is a byte in it. A slot is `-?D{1,18}`; an id is matched in full
-as uint64 words; an elevation of the form `-?D*(.D*)?`, at most 17 bytes,
-whose digits read at most 2**53, is one division of the digits by a power
-of ten, which is exact (Clinger's fast path). Any other elevation, such
-as 1e-07, which the writer renders alone, is read alone by `float()`. A
-slot or id cell outside the grammar, such as `+3`, ` 7` or `"obs-1"`, is
-refused, with its line number, and so is a row that is not after the row
-before it in the order the writer writes, a repeated row included.
+lone CR is a byte in it. Commas and line ends are found in one scan, and
+the split is accepted at once when they run three commas, then a line end,
+row after row. A slot is `-?D{1,18}`, read once per run of byte-identical
+slot cells, as slot order makes them; an id is matched in full as uint64
+words, found through a table of buckets; an elevation of the form
+`-?D*(.D*)?`, at most 17 bytes, whose digits read at most 2**53, is one
+division of the digits by a power of ten, which is exact (Clinger's fast
+path). Any other elevation, such as 1e-07, which the writer renders alone,
+is read alone by `float()`. A slot or id cell outside the grammar, such as
+`+3`, ` 7` or `"obs-1"`, is refused, with its line number, and so is a row
+that is not after the row before it in the order the writer writes, a
+repeated row included.
 """
 
 from __future__ import annotations
@@ -168,10 +173,18 @@ def propagate(sat: SatelliteSpec, grid: TimeGrid, slots: np.ndarray | None = Non
     shape (horizon, 3), or at those of `slots` only, shape (len(slots), 3):
     each position is the same to the bit either way.
 
-    Every error names the satellite. Raises ValidationError when it has no
-    orbit elements or its orbit leaves the LEO band, and StaleElements when
-    the grid reaches further than 31 days from the element epoch.
+    Every error names the satellite. Raises OutOfHorizon when a slot is
+    outside [0, horizon), ValidationError when it has no orbit elements or
+    its orbit leaves the LEO band, and StaleElements when the grid reaches
+    further than 31 days from the element epoch.
     """
+    if slots is None:
+        slots = np.arange(grid.horizon_slots)
+    else:
+        slots = np.asarray(slots)
+        outside = slots[(slots < 0) | (slots >= grid.horizon_slots)]
+        if len(outside):
+            raise OutOfHorizon(f"satellite {sat.id}: slot {outside[0]} outside horizon")
     elements = sat.orbit
     if elements is None:
         raise ValidationError(f"satellite {sat.id}: orbit elements required")
@@ -187,7 +200,6 @@ def propagate(sat: SatelliteSpec, grid: TimeGrid, slots: np.ndarray | None = Non
     if not LEO_RADIUS_MIN_M <= a <= LEO_RADIUS_MAX_M:
         raise ValidationError(f"satellite {sat.id}: orbit radius outside the LEO band")
 
-    slots = np.arange(grid.horizon_slots) if slots is None else np.asarray(slots)
     offset = (grid.epoch - elements.epoch).total_seconds()
     dt = offset + (slots + 0.5) * grid.slot_seconds
     u = (math.radians(elements.arg_perigee_deg + elements.mean_anomaly_deg)
@@ -278,22 +290,25 @@ def windows_csv_text(windows: ContactWindows) -> str:
     """The windows CSV, byte for byte what `csv_text` writes for `rows()`,
     built CHUNK_ROWS rows at a time in numpy.
 
-    Each distinct slot and each id is rendered once, with its comma, as a
-    row of words (`output.cell_words`); ids as they are, so one holding a
-    character csv.writer quotes is refused. Each elevation is rendered by
-    `output.float_words`: in numpy when 1e-4 <= |x| < 1e6, as `-?D+(.D+)?`
-    of 6 significant digits without trailing zeros, and alone by `fmt_cell`
-    when it is outside that grammar or its rounding is within a hair of a
-    tie or carries into the next decade. A chunk's rows are those words
-    side by side, and its text their bytes without the fill between cells.
+    Each distinct slot, found as a run of the slot-ordered rows, and each id
+    is rendered once, with its comma, as a row of words (`output.cell_words`);
+    ids as they are, so one holding a character csv.writer quotes is refused.
+    Each elevation is rendered by `output.float_words`: in numpy when 1e-4 <=
+    |x| < 1e6, as `-?D+(.D+)?` of 6 significant digits without trailing zeros,
+    and alone by `fmt_cell` when it is outside that grammar or its rounding is
+    within a hair of a tie or carries into the next decade. A chunk's rows are
+    those words side by side, and its text their bytes without the fill
+    between cells.
     """
     for kind, ids in (("satellite", windows.satellite_ids), ("station", windows.station_ids)):
         for sid in ids:
             _check_id(kind, sid)
     satellites = cell_words([sid + "," for sid in windows.satellite_ids])
     stations = cell_words([sid + "," for sid in windows.station_ids])
-    slots, slot_of_row = np.unique(windows.slot, return_inverse=True)
-    slot_cells = cell_words([f"{slot}," for slot in slots.tolist()])
+    # rows are in slot order, so each run of equal slots is one distinct slot
+    new_slot = np.diff(windows.slot, prepend=windows.slot[:1] - 1) != 0
+    slot_of_row = np.cumsum(new_slot) - 1
+    slot_cells = cell_words([f"{slot}," for slot in windows.slot[new_slot].tolist()])
     pieces = [HEADER_LINE + "\n"]
     for first in range(0, len(windows), CHUNK_ROWS):
         rows = slice(first, first + CHUNK_ROWS)
@@ -329,7 +344,11 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
 
     A row is a line, ended by LF or by CRLF, whose CR is dropped; a cell
     lies between commas. These are single bytes that no multi-byte UTF-8
-    character holds, so the cells are found on the bytes.
+    character holds, so the cells are found on the bytes, in one scan for
+    both. Every row holds exactly three commas when the separators run
+    comma, comma, comma, line end from the first row to the last, which
+    two counts check; only otherwise are the commas counted row by row,
+    to find the first row that has not three.
     """
     header = HEADER_LINE.encode()
     if raw != header and not raw.startswith((header + b"\n", header + b"\r\n")):
@@ -337,26 +356,31 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
     start = raw.find(b"\n") + 1 or len(raw)
     if start >= len(raw):
         return
-    data = np.frombuffer(raw, dtype=np.uint8)[start:]
-    data = data[:-1] if data[-1] == ord("\n") else data
-    ends = np.append(np.flatnonzero(data == ord("\n")), len(data)) + start
-    commas = np.flatnonzero(data == ord(",")) + start
-    per_row = np.searchsorted(commas, ends)
-    short = np.flatnonzero(np.diff(per_row, prepend=0) != 3)
-    good = int(short[0]) if len(short) else len(ends)
-    del data, per_row
-    # each good row holds three of the commas, in order
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # past the header's three commas and line end; the last row ends at
+    # the end of the file when no line end does
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))[4:]
+    comma = data[seps] == ord(",")
+    if raw[-1] != ord("\n"):
+        seps, comma = np.append(seps, len(raw)), np.append(comma, False)
+    good = len(seps) // 4
+    if len(seps) == 4 * good and not comma[3::4].any() and np.count_nonzero(comma) == 3 * good:
+        commas, ends = seps.reshape(good, 4).T[:3], seps[3::4]
+    else:  # some row has not three commas
+        ends, commas = seps[~comma], seps[comma]
+        good = int(np.flatnonzero(np.diff(np.searchsorted(commas, ends), prepend=0) != 3)[0])
+        # each good row holds three of the commas, in order
+        commas = commas[:3 * good].reshape(good, 3).T
     begins = np.append(start, ends[:-1] + 1)
-    commas = commas[:3 * good].reshape(good, 3).T
     if b"\r" in raw:  # a row's last cell ends before the CR of its CRLF
-        crlf = np.frombuffer(raw, dtype=np.uint8)[ends - 1] == ord("\r")
-        ends = ends - (crlf & (ends < len(raw)))
+        ends = ends - ((data[ends - 1] == ord("\r")) & (ends < len(raw)))
+    del data, seps, comma
     raw += _PAD  # one copy of the file, shared by every chunk
     for first in range(0, good, CHUNK_ROWS):
         rows = slice(first, min(first + CHUNK_ROWS, good))
         yield (raw, (begins[rows], *(commas[:, rows] + 1)),
                (*commas[:, rows], ends[rows]))
-    if len(short):
+    if good < len(ends):
         raise ParseError(f"{path}:{good + 2}: expected 4 columns")
 
 
@@ -366,7 +390,9 @@ def _words(data: bytes, start: np.ndarray, length: np.ndarray, words: int) -> np
     cells that fit are equal when their words are. `data` ends in _PAD."""
     at = np.ndarray((len(data) - 7,), np.uint64, data, strides=(1,))  # a word at each byte
     packed = np.empty((len(start), words), dtype=np.uint64)
-    for k in range(words):
+    # every cell starts within the data, so its first word needs no clamps
+    np.bitwise_or(at[start], _PADS[np.minimum(length, 8)], out=packed[:, 0])
+    for k in range(1, words):
         # a word wholly past a cell's end is all fill, whatever it reads
         np.bitwise_or(at[np.minimum(start + 8 * k, len(at) - 1)],
                       _PADS[np.minimum(np.maximum(length - 8 * k, 0), 8)], out=packed[:, k])
@@ -402,10 +428,23 @@ def _decimals(data: bytes, start: np.ndarray, end: np.ndarray,
 def _slots(data: bytes, start: np.ndarray, end: np.ndarray,
            last_slot: int) -> tuple[np.ndarray, np.ndarray]:
     """Each cell `-?D{1,SLOT_DIGITS}` as an integer clipped to
-    [-1, last_slot + 1], as int64; and the mask of the other cells."""
-    mantissa, after, minus, fits = _decimals(data, start, end, SLOT_DIGITS + 1)
-    fits &= (after < 0) & (end - start - minus <= SLOT_DIGITS)
-    return np.where(minus & (mantissa > 0), -1, np.minimum(mantissa, last_slot + 1)), ~fits
+    [-1, last_slot + 1], as int64; and the mask of the other cells.
+
+    A file's rows are in slot order, so its slot cells come in runs of
+    byte-identical cells, and each run is read once. Two neighbours are
+    the same cell when their words are equal: the words hold every cell,
+    or at least SLOT_DIGITS + 2 bytes, and two cells that agree there but
+    not after are both longer than the grammar allows."""
+    length = end - start
+    words = _words(data, start, length, -(-min(length.max(initial=1), SLOT_DIGITS + 1) // 8))
+    new_run = np.ones(len(start), dtype=bool)
+    new_run[1:] = (words[1:] != words[:-1]).any(axis=1)
+    first = np.flatnonzero(new_run)
+    runs = np.diff(first, append=len(start))
+    mantissa, after, minus, fits = _decimals(data, start[first], end[first], SLOT_DIGITS + 1)
+    fits &= (after < 0) & (length[first] - minus <= SLOT_DIGITS)
+    slot = np.where(minus & (mantissa > 0), -1, np.minimum(mantissa, last_slot + 1))
+    return np.repeat(slot, runs), np.repeat(~fits, runs)
 
 
 def _elevations(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -439,27 +478,33 @@ def _folded(words: np.ndarray) -> np.ndarray:
 def _indices(data: bytes, start: np.ndarray, end: np.ndarray, ids: list[str]) -> np.ndarray:
     """Each cell's index in `ids`, -1 where it is none of them. Ids and
     cells are packed into as many uint64 words as the longest id needs, so
-    a longer cell is none of them. A cell is found by the fold of its words
-    and checked word for word against each id of that fold."""
+    a longer cell is none of them. A cell is looked up in a table of 16 to
+    32 buckets per id, numbered by the top bits of the fold of its words
+    times _MIX, and checked word for word against each id from the first
+    of its bucket on, as many as the fullest bucket holds."""
     encoded = [sid.encode("utf-8") for sid in ids]
     words = max(1, -(-max(map(len, encoded), default=0) // 8))
     key_length = np.fromiter(map(len, encoded), np.int64, len(encoded))
     key_words = _words(b"".join(encoded) + _PAD, np.cumsum(key_length) - key_length,
                        key_length, words)
-    folds = _folded(key_words)
-    order = np.argsort(folds)
-    folds = folds[order]
-    # a last row of zero words, index -1, for cells past every fold
-    key_words = np.vstack([key_words[order], np.zeros((1, words), dtype=np.uint64)])
+    shift = np.uint64(60 - len(ids).bit_length())
+    bucket = (_folded(key_words) * _MIX >> shift).astype(np.intp)
+    order = np.argsort(bucket, kind="stable")
+    first_in = np.searchsorted(bucket[order], np.arange(1 << (64 - int(shift))))
+    # per word, a column of the ids' words in bucket order, and a last zero
+    # word, at index -1, for cells past the last id
+    key_columns = np.append(key_words[order], np.zeros((1, words), np.uint64), axis=0).T.copy()
     at = np.append(order, -1)
     length = end - start
     cells = _words(data, start, length, words)
-    near = np.searchsorted(folds, _folded(cells))
+    near = first_in[(_folded(cells) * _MIX >> shift).astype(np.intp)]
     found = np.full(len(start), -1, dtype=np.intp)
-    # the ids of one fold lie side by side from `near`, one unless folds collide
-    for k in range(np.unique(folds, return_counts=True)[1].max(initial=0)):
-        candidate = np.minimum(near + k, len(folds))
-        found = np.where((key_words[candidate] == cells).all(axis=1), at[candidate], found)
+    for k in range(np.bincount(bucket).max(initial=0)):
+        candidate = np.minimum(near + k, len(ids))
+        match = key_columns[0][candidate] == cells[:, 0]
+        for column, cell in zip(key_columns[1:], cells.T[1:]):
+            match &= column[candidate] == cell
+        found = np.where(match, at[candidate], found)
     return np.where(length <= 8 * words, found, -1)
 
 
@@ -509,16 +554,19 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
     """Read a window CSV, validating ids and horizon against the scenario.
 
     The file is read in the one grammar `windows_csv_text` writes (see the
-    module docstring), split into rows at LF or CRLF on the bytes. The rows
-    are checked as columns, a chunk of rows at a time; the first bad row is
-    reported with its line number and the error a row-by-row reader of that
-    grammar would raise there. Slots (1 to SLOT_DIGITS ASCII digits, after
-    an optional minus) and ids are read on the bytes only; an elevation is
-    read on the bytes when it is `-?D*(.D*)?` of at most ELEVATION_BYTES
-    bytes whose digits read at most 2**53, and alone by `float()` otherwise.
-    A row whose cells pass but that is not after the row before it in
-    (slot, satellite id, station id) order, a repeated row included, is a
-    ParseError.
+    module docstring), split into rows at LF or CRLF and into cells at commas
+    on the bytes; a file whose separators run three commas and a line end, row
+    after row, is split without counting each row's commas, and any other has
+    its first row of not four cells reported. The rows are checked as columns,
+    a chunk of rows at a time; the first bad row is reported with its line
+    number and the error a row-by-row reader of that grammar would raise
+    there. Slots (1 to SLOT_DIGITS ASCII digits, after an optional minus) and
+    ids are read on the bytes only, a slot once per run of byte-identical
+    neighbouring cells, so once per slot of a file in slot order; an elevation
+    is read on the bytes when it is `-?D*(.D*)?` of at most ELEVATION_BYTES
+    bytes whose digits read at most 2**53, and alone by `float()` otherwise. A
+    row whose cells pass but that is not after the row before it in (slot,
+    satellite id, station id) order, a repeated row included, is a ParseError.
     """
     try:
         with open(path, "rb") as fh:

@@ -64,8 +64,9 @@ def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     forbidden = np.isinf(matrix)
     big = float(matrix[~forbidden].sum()) + 1.0
     rows, cols = linear_sum_assignment(np.where(forbidden, big, matrix))
-    pairs = tuple((int(r), int(c)) for r, c in zip(rows, cols) if not forbidden[r, c])
-    return pairs, float(sum(matrix[r, c] for r, c in pairs))
+    allowed = ~forbidden[rows, cols]
+    rows, cols = rows[allowed], cols[allowed]
+    return tuple(zip(rows.tolist(), cols.tolist())), float(sum(matrix[rows, cols]))
 
 
 def build_schedule(scenario: ConstellationScenario,
@@ -106,8 +107,14 @@ def build_schedule(scenario: ConstellationScenario,
     if not len(slots):
         return []
     low = {s.id: s for s in scenario.low_satellites}
-    costed = np.isin(windows.slot, slots) & np.isin(
-        windows.satellite, [i for i, sid in enumerate(windows.satellite_ids) if sid in low])
+    # lookup tables by slot and by satellite, over the rows from the
+    # target's first slot to its last, which slot order puts in one range
+    span = _span(windows.slot, slots)
+    is_slot = np.zeros(slots[-1] - slots[0] + 1, dtype=bool)
+    is_slot[slots - slots[0]] = True
+    costed = np.zeros(len(windows), dtype=bool)
+    costed[span] = is_slot[windows.slot[span] - slots[0]] & _table(
+        windows.satellite_ids, low)[windows.satellite[span]]
     slot, sat, target = windows.slot[costed], windows.satellite[costed], target[costed]
     station = windows.station[costed]
     ids = windows.station_ids
@@ -145,9 +152,10 @@ def build_schedule(scenario: ConstellationScenario,
     solve[index[starts[member & tied]]] = True
     solve[np.searchsorted(slots, keys // len(ids))[load > antennas[col_station]]] = True
 
+    bounds, col_bounds = bounds.tolist(), col_bounds.tolist()
     for i in np.flatnonzero(solve).tolist():
         e = slice(bounds[i], bounds[i + 1])
-        r, c = row[e] - row[e][0], col[e] - col_bounds[i]
+        r, c = row[e] - row[bounds[i]], col[e] - col_bounds[i]
         counts = antennas[col_station[col_bounds[i]:col_bounds[i + 1]]]
         matrix = np.full((r[-1] + 1, len(counts)), math.inf)
         matrix[r, c] = [math.dist(p, q) for p, q in zip(
@@ -168,6 +176,18 @@ def build_schedule(scenario: ConstellationScenario,
         if serves:
             serving[t] = ids[j]
     return [SlotSchedule(t, serving.get(t), visible[t]) for t in slots.tolist()]
+
+
+def _span(slot: np.ndarray, slots: np.ndarray) -> slice:
+    """The rows of a slot-ordered column from the first of the ordered
+    `slots` to the last."""
+    return slice(int(np.searchsorted(slot, slots[0])),
+                 int(np.searchsorted(slot, slots[-1], side="right")))
+
+
+def _table(satellite_ids: tuple[str, ...], chosen) -> np.ndarray:
+    """Whether each satellite index's id is one of `chosen`."""
+    return np.array([sid in chosen for sid in satellite_ids], dtype=bool)
 
 
 def _component(row: np.ndarray, col: np.ndarray, seeds: np.ndarray, n_rows: int,
@@ -201,14 +221,23 @@ def attackability(scenario: ConstellationScenario, schedules: list[SlotSchedule]
         raise OutOfHorizon("schedules reach outside the horizon")
     high_ids = {s.id for s in scenario.high_satellites}
 
-    # the distinct high-priority satellites over a target-visible station, per slot
+    # the distinct high-priority satellites over a target-visible station,
+    # per slot, from lookup tables by satellite and by (slot, station)
     target = windows.of_satellite(scenario.target.satellite_id)
-    pair = windows.slot * len(windows.station_ids) + windows.station  # (slot, station)
-    high = np.isin(windows.satellite, [i for i, sid in enumerate(windows.satellite_ids)
-                                       if sid in high_ids]) & np.isin(pair, pair[target])
-    n_sat = len(windows.satellite_ids)
-    distinct = np.unique(windows.slot[high] * n_sat + windows.satellite[high])
-    highs = np.bincount(distinct // n_sat, minlength=horizon).tolist()
+    slots = windows.slot[target]
+    highs = np.zeros(horizon, dtype=np.intp)
+    if len(slots):
+        span = _span(windows.slot, slots)
+        slot, sat = windows.slot[span] - slots[0], windows.satellite[span]
+        seen = np.zeros((slots[-1] - slots[0] + 1, len(windows.station_ids)), dtype=bool)
+        seen[slots - slots[0], windows.station[target]] = True
+        high = _table(windows.satellite_ids, high_ids)[sat] & seen[slot, windows.station[span]]
+        # rows are in (slot, satellite id) order, so each run of equal keys
+        # is one satellite in one slot
+        key = slot[high] * len(windows.satellite_ids) + sat[high]
+        highs = np.bincount(slot[high][np.diff(key, prepend=-1) != 0] + slots[0],
+                            minlength=horizon)
+    highs = highs.tolist()
 
     records = []
     for t in range(horizon):

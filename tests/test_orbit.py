@@ -20,6 +20,7 @@ from oracles import (RowError, contact_windows, dense_contact_windows, load_wind
 from orbitsiege import (
     ContactWindows,
     OrbitSiegeError,
+    OutOfHorizon,
     ParseError,
     StaleElements,
     ValidationError,
@@ -127,6 +128,25 @@ def test_propagate_at_some_slots_is_the_track_there():
     track = propagate(sat, grid)
     assert track.shape == (grid.horizon_slots, 3)
     assert propagate(sat, grid, slots).tobytes() == track[slots].tobytes()
+
+
+def test_propagate_refuses_slots_outside_the_horizon():
+    """A slot before the first or past the last is refused by name, not
+    paired with another slot's Earth rotation or left to an IndexError;
+    so are the target slots of windows longer than the scenario."""
+    grid = TimeGrid(epoch=EPOCH, slot_seconds=60, horizon_slots=100)
+    sat = satellite(random_elements(np.random.default_rng(4)))
+    for slots, bad in (([-1], -1), ([0, 99, 100], 100), ([5, 107, -3], 107)):
+        with pytest.raises(OutOfHorizon, match=f"^satellite obs-1: slot {bad} outside horizon$"):
+            propagate(sat, grid, np.array(slots))
+    track = propagate(sat, grid)
+    assert propagate(sat, grid, np.array([0, 99])).tobytes() == track[[0, 99]].tobytes()
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                                          "constellation_24h.json"))
+    windows = compute_contact_windows(scenario)
+    short = replace(scenario, time=replace(scenario.time, horizon_slots=100))
+    with pytest.raises(OutOfHorizon, match=r"^satellite \S+: slot 1\d\d outside horizon$"):
+        attackability_for(short, windows)
 
 
 def test_stale_elements_rejected():
@@ -547,7 +567,8 @@ def mutated_window_files(draw):
     scenario, header, rows = bundled_windows()
     rows = list(rows)
     values = cell_values(scenario)
-    edits = ["cell"] * 4 + ["row"] * 2 + ["short", "long", "blank", "quote", "duplicate"]
+    edits = ["cell"] * 4 + ["row"] * 2 + ["short", "long", "shift", "blank", "quote",
+                                          "duplicate"]
     for edit in draw(st.lists(st.sampled_from(edits), max_size=3)):
         i = draw(st.integers(0, len(rows) - 1))
         cells = rows[i].split(",")
@@ -561,6 +582,10 @@ def mutated_window_files(draw):
             rows[i] = ",".join(cells[:3])
         elif edit == "long":
             rows[i] = ",".join(cells + ["x"])
+        elif edit == "shift":  # a cell more in this row and one less in another
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i] = ",".join(cells + ["x"])
+            rows[j] = rows[j].rsplit(",", 1)[0]
         elif edit == "blank":
             rows.insert(i, "")
         elif edit == "quote":
@@ -611,7 +636,8 @@ def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None)
 @settings(max_examples=300, deadline=None)
 @given(text=mutated_window_files(), chunk_rows=st.sampled_from([7, 1000, orbit.CHUNK_ROWS]))
 def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, chunk_rows):
-    """Bad cells, short, long, blank, quoted, repeated and shuffled rows
+    """Bad cells, short, long, blank, quoted, repeated and shuffled rows,
+    a row with a cell more and another with a cell less
     (both refuse a row not after the row before it alike), CR, LF and CRLF
     line ends, with and without a final newline, read in chunks of several
     sizes."""
@@ -656,6 +682,61 @@ def test_crlf_file_reads_as_its_lf_copy(tmp_path):
         assert got[0] == got[1]
         assert isinstance(got[0], list) == (lines is rows)
     assert got[0] == ("ParseError", "windows.csv:32: expected 4 columns")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("chunk_rows", [7, orbit.CHUNK_ROWS])
+def test_window_loader_counts_the_cells_of_each_row(tmp_path, chunk_rows, newline):
+    """A row with five cells and another with three hold three commas per
+    row between them, yet the first of the two is reported, in either
+    order, adjacent or in different chunks."""
+    scenario, header, rows = bundled_windows()
+    for five, three in ((3, 20), (10, 11), (20, 3), (11, 10)):
+        lines = list(rows)
+        lines[five] += ",x"
+        lines[three] = lines[three].rsplit(",", 1)[0]
+        assert newline.join(lines).count(",") == 3 * len(lines)
+        got = assert_loaders_agree(tmp_path / "windows.csv",
+                                   newline.join([header, *lines]) + newline, chunk_rows)
+        assert got == ("ParseError",
+                       f"{tmp_path / 'windows.csv'}:{min(five, three) + 2}: expected 4 columns")
+
+
+@pytest.mark.parametrize("chunk_rows", [7, orbit.CHUNK_ROWS])
+def test_window_loader_reads_runs_of_slot_cells(tmp_path, chunk_rows):
+    """Each run of equal slot cells is read once: neighbours equal in their
+    first 8 or 16 bytes but not after, a bad cell repeated across a chunk
+    boundary (rows 6 and 7 at 7 rows a chunk), cells past the grammar's
+    width that differ only after it, and an out-of-horizon cell inside a
+    run and a run of them are read as the row-by-row reference reads
+    them."""
+    scenario, header, rows = bundled_windows()
+    path = tmp_path / "windows.csv"
+    last = scenario.time.last_slot
+
+    def load(slot_cells):  # row index -> slot cell
+        lines = [",".join([slot_cells.get(k, row.split(",", 1)[0]), row.split(",", 1)[1]])
+                 for k, row in enumerate(rows)]
+        return assert_loaders_agree(path, "\n".join([header, *lines]) + "\n", chunk_rows)
+
+    plain = load({})
+    assert plain[0] == "windows"
+    # slots 0, 1 and 2 as 12 digits (000000000000, 000000000001, 000000000002),
+    # equal in their first word, and as 18, equal in their first two
+    for digits in (12, 18):
+        padded = {k: f"{int(row.split(',')[0]):0{digits}d}" for k, row in enumerate(rows[:23])}
+        assert [padded[k][-2:] for k in (9, 10, 17, 18)] == ["00", "01", "01", "02"]
+        assert load(padded) == plain
+    for bad in ("1.5", "x", "1" * 20 + "23"):
+        for run in (range(5, 9), range(7, 9), range(6, 8)):
+            assert load(dict.fromkeys(run, bad)) == (
+                "ParseError", f"{path}:{run[0] + 2}: slot or elevation is not a number")
+    assert load({6: "1" * 20 + "23", 7: "1" * 20 + "24"})[1] == (
+        f"{path}:8: slot or elevation is not a number")
+    for cells, line in (({4: str(last + 1)}, 6), (dict.fromkeys(range(3, 12), "-1"), 5),
+                        ({7: "-0", 8: str(last + 1), 9: str(last + 1)}, 10)):
+        got = load(cells)
+        assert got[0] == "OutOfHorizon" and got[1].startswith(f"{path}:{line}: slot ")
 
 
 @pytest.mark.parametrize("chunk_rows", [7, orbit.CHUNK_ROWS])
