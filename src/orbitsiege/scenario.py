@@ -4,7 +4,18 @@ A scenario file is a JSON object with top-level keys `time`, `satellites`,
 `stations`, `trace`, `target`, `costs`, `seed`, and optionally `attackability`
 (per-slot transmissibility and attack costs given directly, bypassing orbit
 propagation and antenna scheduling). The capture trace may be inline or a path
-to a CSV with header `unit_id,satellite_id,capture_iso8601,size_bytes`.
+to a CSV with header `unit_id,satellite_id,capture_iso8601,size_bytes`, whose
+sizes are ASCII decimal integers.
+
+A scenario is read in one typed pass. A trace row, an initial queue, a
+satellite, its orbit elements or a station whose fields all hold their
+plain JSON types (a `str` id, an `int` below 2**1023 in magnitude, a finite
+`float`) is built straight from them. Anything else goes through the field
+helpers (`_obj`, `_require`, `_int`, `_float`, `_str`, `_parse_utc`), which
+take the wider grammar (an integral float such as `3.0` where an integer
+belongs, an int where a float belongs, a `capture_iso8601` row) and alone
+raise the parse errors, naming the field. Every parse error comes before
+every validation error of `_validate`, which walks the trace once.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -39,11 +51,18 @@ MAX_QUEUE_UNITS = 65_536
 # summit; far outside, its position overflows in the elevation geometry
 STATION_ALTITUDE_RANGE_M = (-11_000.0, 9_000.0)
 
+# an int below this in magnitude is finite as a float, so `_int` takes it as
+# it is
+_FLOAT_SAFE = 2**1023
+# a trace CSV size cell: an ASCII decimal integer, as `int()` alone would
+# also take padded, signed, underscored and non-ASCII digits
+_CSV_INT = re.compile(r"-?[0-9]+")
+
 
 def _check_id(kind: str, sid: str) -> None:
     """The windows CSV writes ids as they are, so an id holds none of its
     separators, and no quote."""
-    if any(c in sid for c in ',"\r\n'):
+    if "," in sid or '"' in sid or "\r" in sid or "\n" in sid:
         raise ValidationError(f"{kind} {sid!r}: id must not hold a comma, quote, CR or LF")
 
 
@@ -60,7 +79,9 @@ def _parse_utc(text: str, where: str) -> datetime:
 
 
 def _iso(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """A UTC timestamp with a four-digit year, and its microseconds only when
+    it has some."""
+    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
 @dataclass(frozen=True)
@@ -168,7 +189,7 @@ class GroundStationSpec:
             raise ValidationError(f"station {self.id}: min_elevation_deg outside [0, 90)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataUnit:
     unit_id: str
     satellite_id: str
@@ -332,29 +353,72 @@ def _int(value, where: str) -> int:
     return int(number)
 
 
+def _finite_floats(values) -> bool:
+    """Whether every value is a finite float, which `_float` takes as it is."""
+    return all(type(x) is float and -math.inf < x < math.inf for x in values)
+
+
+def _plain_int(value) -> bool:
+    """Whether `_int` takes value as it is: an int, not a bool, finite as a float."""
+    return type(value) is int and -_FLOAT_SAFE < value < _FLOAT_SAFE
+
+
+# the orbit's numbers in TleElements order, each with its default (None if required)
+_ORBIT_NUMBERS = (("inclination_deg", None), ("raan_deg", None), ("eccentricity", 0.0),
+                  ("arg_perigee_deg", 0.0), ("mean_anomaly_deg", None),
+                  ("mean_motion_rev_per_day", None))
+
+
 def _parse_orbit(obj: dict | None, where: str) -> TleElements | None:
     if obj is None:
         return None
     obj = _obj(obj, where)
+    numbers = [obj.get(key, default) for key, default in _ORBIT_NUMBERS]
+    if not _finite_floats(numbers):
+        numbers = [_float(_require(obj, key, where) if default is None else obj.get(key, default),
+                          f"{where}.{key}")
+                   for key, default in _ORBIT_NUMBERS]
+    return TleElements(*numbers, epoch=_parse_utc(_require(obj, "epoch", where), where))
 
-    def number(key, default=None):
-        value = _require(obj, key, where) if default is None else obj.get(key, default)
-        return _float(value, f"{where}.{key}")
 
-    return TleElements(
-        inclination_deg=number("inclination_deg"),
-        raan_deg=number("raan_deg"),
-        eccentricity=number("eccentricity", 0.0),
-        arg_perigee_deg=number("arg_perigee_deg", 0.0),
-        mean_anomaly_deg=number("mean_anomaly_deg"),
-        mean_motion_rev_per_day=number("mean_motion_rev_per_day"),
-        epoch=_parse_utc(_require(obj, "epoch", where), where),
+def _parse_satellite(obj, i: int) -> tuple[SatelliteSpec, tuple[DataUnit, ...]]:
+    """satellites[i] and its initial queue."""
+    if type(obj) is dict:
+        sat_id = obj.get("id")
+        priority = obj.get("priority", "low")
+        capacity = obj.get("capacity_bytes", DEFAULT_CAPACITY_BYTES if priority == "low" else 0)
+        rate = obj.get("downlink_rate_bps", DEFAULT_DOWNLINK_RATE_BPS)
+        if (type(sat_id) is str and type(priority) is str
+                and _plain_int(capacity) and _plain_int(rate)):
+            orbit = _parse_orbit(obj.get("orbit"), f"satellites[{i}].orbit")
+            return (SatelliteSpec(sat_id, priority, orbit, capacity, rate),
+                    _parse_initial_queue(obj.get("initial_queue"), sat_id))
+    where = f"satellites[{i}]"
+    obj = _obj(obj, where)
+    sat_id = _str(_require(obj, "id", where), f"{where}.id")
+    priority = _str(obj.get("priority", "low"), f"{where}.priority")
+    default_capacity = DEFAULT_CAPACITY_BYTES if priority == "low" else 0
+    satellite = SatelliteSpec(
+        id=sat_id,
+        priority=priority,
+        orbit=_parse_orbit(obj.get("orbit"), f"{where}.orbit"),
+        capacity_bytes=_int(obj.get("capacity_bytes", default_capacity),
+                            f"{where}.capacity_bytes"),
+        downlink_rate_bps=_int(obj.get("downlink_rate_bps", DEFAULT_DOWNLINK_RATE_BPS),
+                               f"{where}.downlink_rate_bps"),
     )
+    return satellite, _parse_initial_queue(obj.get("initial_queue"), sat_id)
 
 
 def _parse_initial_queue(obj: dict | None, sat_id: str) -> tuple[DataUnit, ...]:
     if obj is None:
         return ()
+    if type(obj) is dict:
+        sizes = obj.get("unit_sizes")
+        if (type(sizes) is list and len(sizes) <= MAX_QUEUE_UNITS
+                and all(type(s) is int and 0 < s < _FLOAT_SAFE for s in sizes)):
+            return tuple(DataUnit(f"init-{i:03d}", sat_id, 0, size)
+                         for i, size in enumerate(sizes, start=1))
     where = f"satellite {sat_id}.initial_queue"
     obj = _obj(obj, where)
     if "unit_sizes" in obj:
@@ -374,22 +438,77 @@ def _parse_initial_queue(obj: dict | None, sat_id: str) -> tuple[DataUnit, ...]:
     )
 
 
+def _parse_station(obj, i: int) -> GroundStationSpec:
+    """stations[i]."""
+    if type(obj) is dict:
+        st_id = obj.get("id")
+        lat, lon = obj.get("latitude_deg"), obj.get("longitude_deg")
+        alt = obj.get("altitude_m", 0.0)
+        antennas = obj.get("antenna_count", DEFAULT_ANTENNA_COUNT)
+        elevation = obj.get("min_elevation_deg", DEFAULT_MIN_ELEVATION_DEG)
+        if (type(st_id) is str and _finite_floats((lat, lon, alt, elevation))
+                and _plain_int(antennas)):
+            return GroundStationSpec(st_id, lat, lon, alt, antennas, elevation)
+    where = f"stations[{i}]"
+    obj = _obj(obj, where)
+    return GroundStationSpec(
+        id=_str(_require(obj, "id", where), f"{where}.id"),
+        latitude_deg=_float(_require(obj, "latitude_deg", where), f"{where}.latitude_deg"),
+        longitude_deg=_float(_require(obj, "longitude_deg", where), f"{where}.longitude_deg"),
+        altitude_m=_float(obj.get("altitude_m", 0.0), f"{where}.altitude_m"),
+        antenna_count=_int(obj.get("antenna_count", DEFAULT_ANTENNA_COUNT),
+                           f"{where}.antenna_count"),
+        min_elevation_deg=_float(obj.get("min_elevation_deg", DEFAULT_MIN_ELEVATION_DEG),
+                                 f"{where}.min_elevation_deg"),
+    )
+
+
 def _parse_trace_rows(rows: list, grid: TimeGrid) -> list[DataUnit]:
+    """The inline trace. A row with an int capture_slot, a positive int
+    size_bytes and str ids is built as it is; any other row goes through
+    `_parse_trace_row`."""
     units = []
-    for i, row in enumerate(_list(rows, "trace")):
-        where = f"trace[{i}]"
-        row = _obj(row, where)
-        if "capture_slot" in row:
-            slot = _int(row["capture_slot"], where)
-        else:
-            slot = grid.slot_of(_parse_utc(_require(row, "capture_iso8601", where), where))
-        units.append(DataUnit(
-            unit_id=_str(_require(row, "unit_id", where), f"{where}.unit_id"),
-            satellite_id=_str(_require(row, "satellite_id", where), f"{where}.satellite_id"),
-            capture_slot=slot,
-            size_bytes=_int(_require(row, "size_bytes", where), where),
-        ))
+    for row in _list(rows, "trace"):
+        if type(row) is dict:
+            try:
+                uid, sid = row["unit_id"], row["satellite_id"]
+                slot, size = row["capture_slot"], row["size_bytes"]
+            except KeyError:
+                pass
+            else:
+                if (type(uid) is str and type(sid) is str and type(slot) is int
+                        and type(size) is int and -_FLOAT_SAFE < slot < _FLOAT_SAFE
+                        and 0 < size < _FLOAT_SAFE):
+                    units.append(DataUnit(uid, sid, slot, size))
+                    continue
+        units.append(_parse_trace_row(row, len(units), grid))
     return units
+
+
+def _parse_trace_row(row, i: int, grid: TimeGrid) -> DataUnit:
+    """trace[i], field by field through the helpers."""
+    where = f"trace[{i}]"
+    row = _obj(row, where)
+    if "capture_slot" in row:
+        slot = _int(row["capture_slot"], where)
+    else:
+        slot = grid.slot_of(_parse_utc(_require(row, "capture_iso8601", where), where))
+    return DataUnit(
+        unit_id=_str(_require(row, "unit_id", where), f"{where}.unit_id"),
+        satellite_id=_str(_require(row, "satellite_id", where), f"{where}.satellite_id"),
+        capture_slot=slot,
+        size_bytes=_int(_require(row, "size_bytes", where), where),
+    )
+
+
+def _csv_int(cell: str) -> int | None:
+    """An ASCII decimal integer cell as an int, or None for any other cell."""
+    if _CSV_INT.fullmatch(cell):
+        try:
+            return int(cell)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
 
 
 def _load_trace_csv(path: str, grid: TimeGrid) -> list[DataUnit]:
@@ -405,10 +524,9 @@ def _load_trace_csv(path: str, grid: TimeGrid) -> list[DataUnit]:
                 if len(row) != 4:
                     raise ParseError(f"{path}:{line_no}: expected 4 columns")
                 slot = grid.slot_of(_parse_utc(row[2], f"{path}:{line_no}"))
-                try:
-                    size = int(row[3])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{line_no}: size_bytes is not an integer") from exc
+                size = _csv_int(row[3])
+                if size is None:
+                    raise ParseError(f"{path}:{line_no}: size_bytes is not an integer")
                 units.append(DataUnit(row[0], row[1], slot, size))
     except OSError as exc:
         raise IoError(f"cannot read trace file {path}: {exc}") from exc
@@ -446,43 +564,50 @@ def _validate(scenario: ConstellationScenario) -> None:
     if len(set(st.id for st in scenario.stations)) != len(scenario.stations):
         raise ValidationError("stations: duplicate id")
 
-    known = set(ids)
-    per_sat_last_slot: dict[str, int] = {}
-    per_sat_seen: dict[str, set] = {}
+    # one pass over the trace; per satellite, the unit ids seen and the
+    # latest capture slot (slots are checked >= 0 before they are compared)
+    target = scenario.target
+    target_id = target.satellite_id
+    last_slot = grid.last_slot
+    seen: dict[str, set] = {sid: set() for sid in ids}
+    latest = dict.fromkeys(ids, 0)
+    target_trace = []
     for unit in scenario.trace:
-        if unit.satellite_id not in known:
-            raise ValidationError(f"unit {unit.unit_id}: unknown satellite {unit.satellite_id}")
-        if not 0 <= unit.capture_slot <= grid.last_slot:
+        sid = unit.satellite_id
+        unit_ids = seen.get(sid)
+        if unit_ids is None:
+            raise ValidationError(f"unit {unit.unit_id}: unknown satellite {sid}")
+        slot = unit.capture_slot
+        if not 0 <= slot <= last_slot:
             raise ValidationError(f"unit {unit.unit_id}: capture_slot outside horizon")
-        seen = per_sat_seen.setdefault(unit.satellite_id, set())
-        if unit.unit_id in seen:
-            raise ValidationError(f"unit {unit.unit_id}: duplicate id on {unit.satellite_id}")
-        seen.add(unit.unit_id)
-        last = per_sat_last_slot.get(unit.satellite_id)
-        if last is not None and unit.capture_slot < last:
-            raise ValidationError(
-                f"unit {unit.unit_id}: capture order regresses on {unit.satellite_id}")
-        per_sat_last_slot[unit.satellite_id] = unit.capture_slot
+        if unit.unit_id in unit_ids:
+            raise ValidationError(f"unit {unit.unit_id}: duplicate id on {sid}")
+        unit_ids.add(unit.unit_id)
+        if slot < latest[sid]:
+            raise ValidationError(f"unit {unit.unit_id}: capture order regresses on {sid}")
+        latest[sid] = slot
+        if sid == target_id:
+            target_trace.append(unit)
 
     for sid, units in scenario.initial_queue:
-        if sid not in known:
+        if sid not in seen:
             raise ValidationError(f"initial_queue: unknown satellite {sid}")
         for unit in units:
-            if unit.unit_id in per_sat_seen.get(sid, set()):
+            if unit.unit_id in seen[sid]:
                 raise ValidationError(f"unit {unit.unit_id}: clashes with trace id on {sid}")
 
-    target = scenario.target
-    sat = scenario.satellite(target.satellite_id)
+    sat = scenario.satellite(target_id)
     if sat.priority != "low":
         raise ValidationError("target.satellite_id: must be a low-priority satellite")
     if not 0 <= target.attack_start_slot <= grid.last_slot:
         raise ValidationError("target.attack_start_slot: outside horizon")
-    order = {u.unit_id: i for i, u in enumerate(scenario.fifo_units(target.satellite_id))}
+    fifo = scenario.initial_units(target_id) + tuple(target_trace)
+    order = {u.unit_id: i for i, u in enumerate(fifo)}
     for uid in target.target_unit_ids:
         if uid not in order:
-            raise ValidationError(f"target unit {uid}: not in trace of {target.satellite_id}")
+            raise ValidationError(f"target unit {uid}: not in trace of {target_id}")
     # pre-start captures on the target satellite belong to the initial queue
-    for unit in scenario.trace_for(target.satellite_id):
+    for unit in target_trace:
         if unit.capture_slot < target.attack_start_slot:
             raise ValidationError(
                 f"unit {unit.unit_id}: captured before attack_start_slot on target satellite")
@@ -518,39 +643,13 @@ def scenario_from_dict(obj: dict, base_dir: str = ".") -> ConstellationScenario:
     satellites = []
     initial_queue = []
     for i, sat_obj in enumerate(_list(_require(obj, "satellites", "scenario"), "satellites")):
-        where = f"satellites[{i}]"
-        sat_obj = _obj(sat_obj, where)
-        sat_id = _str(_require(sat_obj, "id", where), f"{where}.id")
-        priority = _str(sat_obj.get("priority", "low"), f"{where}.priority")
-        default_capacity = DEFAULT_CAPACITY_BYTES if priority == "low" else 0
-        satellites.append(SatelliteSpec(
-            id=sat_id,
-            priority=priority,
-            orbit=_parse_orbit(sat_obj.get("orbit"), f"{where}.orbit"),
-            capacity_bytes=_int(sat_obj.get("capacity_bytes", default_capacity),
-                                f"{where}.capacity_bytes"),
-            downlink_rate_bps=_int(sat_obj.get("downlink_rate_bps", DEFAULT_DOWNLINK_RATE_BPS),
-                                   f"{where}.downlink_rate_bps"),
-        ))
-        units = _parse_initial_queue(sat_obj.get("initial_queue"), sat_id)
+        satellite, units = _parse_satellite(sat_obj, i)
+        satellites.append(satellite)
         if units:
-            initial_queue.append((sat_id, units))
+            initial_queue.append((satellite.id, units))
 
-    stations = []
-    for i, st_obj in enumerate(_list(obj.get("stations", []), "stations")):
-        where = f"stations[{i}]"
-        st_obj = _obj(st_obj, where)
-        stations.append(GroundStationSpec(
-            id=_str(_require(st_obj, "id", where), f"{where}.id"),
-            latitude_deg=_float(_require(st_obj, "latitude_deg", where), f"{where}.latitude_deg"),
-            longitude_deg=_float(_require(st_obj, "longitude_deg", where),
-                                 f"{where}.longitude_deg"),
-            altitude_m=_float(st_obj.get("altitude_m", 0.0), f"{where}.altitude_m"),
-            antenna_count=_int(st_obj.get("antenna_count", DEFAULT_ANTENNA_COUNT),
-                               f"{where}.antenna_count"),
-            min_elevation_deg=_float(st_obj.get("min_elevation_deg", DEFAULT_MIN_ELEVATION_DEG),
-                                     f"{where}.min_elevation_deg"),
-        ))
+    stations = [_parse_station(st_obj, i)
+                for i, st_obj in enumerate(_list(obj.get("stations", []), "stations"))]
 
     trace_obj = _require(obj, "trace", "scenario")
     if isinstance(trace_obj, str):
@@ -597,12 +696,12 @@ def load_scenario(path: str) -> ConstellationScenario:
             obj = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(obj, base_dir=os.path.dirname(path) or ".")
 
 

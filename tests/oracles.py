@@ -3,20 +3,34 @@
 Everything here is deliberately naive: unit-level FIFO replay, exhaustive
 subset search, the delay cost read off cumulative curves, permutation
 brute force, dense-grid geometry, a row-by-row window CSV reader, one
-Hungarian solve per schedule slot, one Monte-Carlo trial drawn on its own.
+Hungarian solve per schedule slot, one Monte-Carlo trial drawn on its own,
+a scenario parser that checks each field with a helper call.
 These trade speed for obviousness and serve as ground truth for the fast
 paths in ``orbitsiege``. None of them import the package, except
 ``dense_contact_windows``, which takes its positions from the package's
-propagation (``scan_contact_slots`` checks that on its own), and
+propagation (``scan_contact_slots`` checks that on its own),
 ``hungarian_schedule``, which takes its positions and its solver from the
-package's scheduler module (``brute_force_assignment`` checks the solver).
+package's scheduler module (``brute_force_assignment`` checks the solver),
+and ``reference_scenario_from_dict``, which builds the package's scenario
+types and raises its errors.
 """
 
 import itertools
 import math
+import os
 import re
+from datetime import datetime, timezone
 
 import numpy as np
+
+from orbitsiege.errors import ParseError, ValidationError
+from orbitsiege.scenario import (DEFAULT_ANTENNA_COUNT, DEFAULT_CAPACITY_BYTES,
+                                 DEFAULT_DOWNLINK_RATE_BPS, DEFAULT_MIN_ELEVATION_DEG,
+                                 DEFAULT_SLOT_SECONDS, DEFAULT_UNIT_TASK_PRICE,
+                                 MAX_QUEUE_UNITS, AttackabilityRecord,
+                                 ConstellationScenario, CostModel, DataUnit,
+                                 GroundStationSpec, SatelliteSpec, TargetSpec, TimeGrid,
+                                 TleElements, _load_trace_csv)
 
 INF = math.inf
 
@@ -522,3 +536,307 @@ def trial_row(layout, draw, judged):
     # a volume beyond every byte aboard moves the same bytes as that total
     return (inflow, min(volume, int(stream[-1])), stream[judged + shift],
             stream[judged + shift + 1])
+
+
+# The scenario parser as it stood before its one-pass rewrite: one helper
+# call per field, each building its own `where` text, then a validation
+# pass that walks the trace once for its own checks and again for the
+# target's. A trace given as a CSV path is read by the package's own
+# `_load_trace_csv`, which has its own tests.
+
+def _parse_utc(text: str, where: str) -> datetime:
+    """Parse an ISO 8601 timestamp; naive values are taken as UTC."""
+    try:
+        ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        # an offset can carry a date such as 0001-01-01 out of range in UTC
+        return ts.astimezone(timezone.utc)
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"{where}: bad timestamp {text!r}") from exc
+
+
+def _require(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ValidationError(f"{where}.{key}: missing")
+    return obj[key]
+
+
+def _obj(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{where}: expected true or false, got {type(value).__name__}")
+    return value
+
+
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def _float(value, where: str) -> float:
+    """A JSON number as a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: must be finite")
+    return number
+
+
+def _int(value, where: str) -> int:
+    """A JSON integer that is finite as a float; a float must have no fraction."""
+    if type(value) is int:  # not a bool, which is an int subclass
+        if value.bit_length() > 1023:  # from 2**1023 on, it may overflow a float
+            _float(value, where)
+        return value
+    number = _float(value, where)
+    if not number.is_integer():
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return int(number)
+
+
+def _parse_orbit(obj: dict | None, where: str) -> TleElements | None:
+    if obj is None:
+        return None
+    obj = _obj(obj, where)
+
+    def number(key, default=None):
+        value = _require(obj, key, where) if default is None else obj.get(key, default)
+        return _float(value, f"{where}.{key}")
+
+    return TleElements(
+        inclination_deg=number("inclination_deg"),
+        raan_deg=number("raan_deg"),
+        eccentricity=number("eccentricity", 0.0),
+        arg_perigee_deg=number("arg_perigee_deg", 0.0),
+        mean_anomaly_deg=number("mean_anomaly_deg"),
+        mean_motion_rev_per_day=number("mean_motion_rev_per_day"),
+        epoch=_parse_utc(_require(obj, "epoch", where), where),
+    )
+
+
+def _parse_initial_queue(obj: dict | None, sat_id: str) -> tuple[DataUnit, ...]:
+    if obj is None:
+        return ()
+    where = f"satellite {sat_id}.initial_queue"
+    obj = _obj(obj, where)
+    if "unit_sizes" in obj:
+        label = f"{where}.unit_sizes"
+        cells = _list(obj["unit_sizes"], label)
+        count = len(cells)
+    else:
+        label = f"{where}.count"
+        count = _int(_require(obj, "count", where), label)
+        size = _int(_require(obj, "unit_size_bytes", where), f"{where}.unit_size_bytes")
+    if not 0 <= count <= MAX_QUEUE_UNITS:
+        raise ValidationError(f"{label}: {count} units, outside [0, {MAX_QUEUE_UNITS}]")
+    sizes = [_int(s, label) for s in cells] if "unit_sizes" in obj else [size] * count
+    return tuple(
+        DataUnit(f"init-{i:03d}", sat_id, 0, size)
+        for i, size in enumerate(sizes, start=1)
+    )
+
+
+def _parse_trace_rows(rows: list, grid: TimeGrid) -> list[DataUnit]:
+    units = []
+    for i, row in enumerate(_list(rows, "trace")):
+        where = f"trace[{i}]"
+        row = _obj(row, where)
+        if "capture_slot" in row:
+            slot = _int(row["capture_slot"], where)
+        else:
+            slot = grid.slot_of(_parse_utc(_require(row, "capture_iso8601", where), where))
+        units.append(DataUnit(
+            unit_id=_str(_require(row, "unit_id", where), f"{where}.unit_id"),
+            satellite_id=_str(_require(row, "satellite_id", where), f"{where}.satellite_id"),
+            capture_slot=slot,
+            size_bytes=_int(_require(row, "size_bytes", where), where),
+        ))
+    return units
+
+
+def _parse_attackability(rows: list | None) -> tuple[AttackabilityRecord, ...] | None:
+    if rows is None:
+        return None
+    records = []
+    for i, row in enumerate(_list(rows, "attackability")):
+        where = f"attackability[{i}]"
+        row = _obj(row, where)
+        cost = row.get("cost")
+        records.append(AttackabilityRecord(
+            slot=_int(_require(row, "slot", where), f"{where}.slot"),
+            transmissible=_bool(row.get("transmissible", False), f"{where}.transmissible"),
+            attackable=_bool(row.get("attackable", False), f"{where}.attackable"),
+            required_high_priority=_int(row.get("required_high", 0), f"{where}.required_high"),
+            cost=_float(cost, f"{where}.cost") if cost is not None else math.inf,
+        ))
+    records.sort(key=lambda r: r.slot)
+    return tuple(records)
+
+
+def _validate(scenario: ConstellationScenario) -> None:
+    grid = scenario.time
+    ids = [s.id for s in scenario.satellites]
+    if len(set(ids)) != len(ids):
+        raise ValidationError("satellites: duplicate id")
+    if len(set(st.id for st in scenario.stations)) != len(scenario.stations):
+        raise ValidationError("stations: duplicate id")
+
+    known = set(ids)
+    per_sat_last_slot: dict[str, int] = {}
+    per_sat_seen: dict[str, set] = {}
+    for unit in scenario.trace:
+        if unit.satellite_id not in known:
+            raise ValidationError(f"unit {unit.unit_id}: unknown satellite {unit.satellite_id}")
+        if not 0 <= unit.capture_slot <= grid.last_slot:
+            raise ValidationError(f"unit {unit.unit_id}: capture_slot outside horizon")
+        seen = per_sat_seen.setdefault(unit.satellite_id, set())
+        if unit.unit_id in seen:
+            raise ValidationError(f"unit {unit.unit_id}: duplicate id on {unit.satellite_id}")
+        seen.add(unit.unit_id)
+        last = per_sat_last_slot.get(unit.satellite_id)
+        if last is not None and unit.capture_slot < last:
+            raise ValidationError(
+                f"unit {unit.unit_id}: capture order regresses on {unit.satellite_id}")
+        per_sat_last_slot[unit.satellite_id] = unit.capture_slot
+
+    for sid, units in scenario.initial_queue:
+        if sid not in known:
+            raise ValidationError(f"initial_queue: unknown satellite {sid}")
+        for unit in units:
+            if unit.unit_id in per_sat_seen.get(sid, set()):
+                raise ValidationError(f"unit {unit.unit_id}: clashes with trace id on {sid}")
+
+    target = scenario.target
+    sat = scenario.satellite(target.satellite_id)
+    if sat.priority != "low":
+        raise ValidationError("target.satellite_id: must be a low-priority satellite")
+    if not 0 <= target.attack_start_slot <= grid.last_slot:
+        raise ValidationError("target.attack_start_slot: outside horizon")
+    order = {u.unit_id: i for i, u in enumerate(scenario.fifo_units(target.satellite_id))}
+    for uid in target.target_unit_ids:
+        if uid not in order:
+            raise ValidationError(f"target unit {uid}: not in trace of {target.satellite_id}")
+    # pre-start captures on the target satellite belong to the initial queue
+    for unit in scenario.trace_for(target.satellite_id):
+        if unit.capture_slot < target.attack_start_slot:
+            raise ValidationError(
+                f"unit {unit.unit_id}: captured before attack_start_slot on target satellite")
+    positions = [order[uid] for uid in target.target_unit_ids]
+    if positions != sorted(positions):
+        raise ValidationError("target.target_unit_ids: not in capture order")
+    if target.target_downlink_slot is not None:
+        if not target.attack_start_slot < target.target_downlink_slot <= grid.last_slot:
+            raise ValidationError("target.target_downlink_slot: outside (attack start, horizon]")
+
+    if scenario.attackability is not None:
+        seen_slots = set()
+        for rec in scenario.attackability:
+            if not 0 <= rec.slot <= grid.last_slot:
+                raise ValidationError(f"attackability slot {rec.slot}: outside horizon")
+            if rec.slot in seen_slots:
+                raise ValidationError(f"attackability slot {rec.slot}: duplicate")
+            seen_slots.add(rec.slot)
+
+
+def reference_scenario_from_dict(obj: dict, base_dir: str = ".") -> ConstellationScenario:
+    """Build and validate a scenario from a parsed JSON object."""
+    if not isinstance(obj, dict):
+        raise ParseError("scenario: top level must be an object")
+    time_obj = _obj(_require(obj, "time", "scenario"), "time")
+    grid = TimeGrid(
+        epoch=_parse_utc(_require(time_obj, "epoch", "time"), "time.epoch"),
+        slot_seconds=_int(time_obj.get("slot_seconds", DEFAULT_SLOT_SECONDS),
+                          "time.slot_seconds"),
+        horizon_slots=_int(_require(time_obj, "horizon_slots", "time"), "time.horizon_slots"),
+    )
+
+    satellites = []
+    initial_queue = []
+    for i, sat_obj in enumerate(_list(_require(obj, "satellites", "scenario"), "satellites")):
+        where = f"satellites[{i}]"
+        sat_obj = _obj(sat_obj, where)
+        sat_id = _str(_require(sat_obj, "id", where), f"{where}.id")
+        priority = _str(sat_obj.get("priority", "low"), f"{where}.priority")
+        default_capacity = DEFAULT_CAPACITY_BYTES if priority == "low" else 0
+        satellites.append(SatelliteSpec(
+            id=sat_id,
+            priority=priority,
+            orbit=_parse_orbit(sat_obj.get("orbit"), f"{where}.orbit"),
+            capacity_bytes=_int(sat_obj.get("capacity_bytes", default_capacity),
+                                f"{where}.capacity_bytes"),
+            downlink_rate_bps=_int(sat_obj.get("downlink_rate_bps", DEFAULT_DOWNLINK_RATE_BPS),
+                                   f"{where}.downlink_rate_bps"),
+        ))
+        units = _parse_initial_queue(sat_obj.get("initial_queue"), sat_id)
+        if units:
+            initial_queue.append((sat_id, units))
+
+    stations = []
+    for i, st_obj in enumerate(_list(obj.get("stations", []), "stations")):
+        where = f"stations[{i}]"
+        st_obj = _obj(st_obj, where)
+        stations.append(GroundStationSpec(
+            id=_str(_require(st_obj, "id", where), f"{where}.id"),
+            latitude_deg=_float(_require(st_obj, "latitude_deg", where), f"{where}.latitude_deg"),
+            longitude_deg=_float(_require(st_obj, "longitude_deg", where),
+                                 f"{where}.longitude_deg"),
+            altitude_m=_float(st_obj.get("altitude_m", 0.0), f"{where}.altitude_m"),
+            antenna_count=_int(st_obj.get("antenna_count", DEFAULT_ANTENNA_COUNT),
+                               f"{where}.antenna_count"),
+            min_elevation_deg=_float(st_obj.get("min_elevation_deg", DEFAULT_MIN_ELEVATION_DEG),
+                                     f"{where}.min_elevation_deg"),
+        ))
+
+    trace_obj = _require(obj, "trace", "scenario")
+    if isinstance(trace_obj, str):
+        trace = _load_trace_csv(os.path.join(base_dir, trace_obj), grid)
+    else:
+        trace = _parse_trace_rows(trace_obj, grid)
+
+    target_obj = _obj(_require(obj, "target", "scenario"), "target")
+    budget = target_obj.get("cost_budget")
+    deadline = target_obj.get("target_downlink_slot")
+    target = TargetSpec(
+        satellite_id=_str(_require(target_obj, "satellite_id", "target"), "target.satellite_id"),
+        target_unit_ids=tuple(_str(u, "target.target_unit_ids") for u in _list(
+            _require(target_obj, "target_unit_ids", "target"), "target.target_unit_ids")),
+        attack_start_slot=_int(target_obj.get("attack_start_slot", 0), "target.attack_start_slot"),
+        target_downlink_slot=(_int(deadline, "target.target_downlink_slot")
+                              if deadline is not None else None),
+        cost_budget=_float(budget, "target.cost_budget") if budget is not None else None,
+    )
+
+    costs_obj = _obj(obj.get("costs", {}), "costs")
+    costs = CostModel(unit_task_price=_float(
+        costs_obj.get("unit_task_price", DEFAULT_UNIT_TASK_PRICE), "costs.unit_task_price"))
+
+    scenario = ConstellationScenario(
+        time=grid,
+        satellites=tuple(satellites),
+        stations=tuple(stations),
+        trace=tuple(trace),
+        target=target,
+        costs=costs,
+        seed=_int(obj.get("seed", 0), "seed"),
+        initial_queue=tuple(initial_queue),
+        attackability=_parse_attackability(obj.get("attackability")),
+    )
+    _validate(scenario)
+    return scenario

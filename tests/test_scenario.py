@@ -1,12 +1,17 @@
 """Scenario schema: parsing, validation, accessors, round trips."""
 
+import copy
 import json
+import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from bundled import bundled_path, load_bundled
 from orbitsiege import OutOfHorizon, ParseError, ValidationError, load_scenario
 from orbitsiege.scenario import (MAX_ANTENNA_COUNT, MAX_HORIZON_SLOTS, MAX_QUEUE_UNITS,
@@ -49,6 +54,12 @@ def desk_dict():
             for t in range(2, 10, 2)
         ],
     }
+
+
+def bundled_dict(name):
+    """A bundled scenario as parsed JSON."""
+    with open(bundled_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def test_time_grid_slots():
@@ -166,6 +177,16 @@ def test_record_consistency():
         CostModel(unit_task_price=-1.0)
 
 
+def test_data_unit_is_a_frozen_value():
+    unit = DataUnit("u", "s", 3, 5)
+    assert unit == DataUnit("u", "s", 3, 5) and hash(unit) == hash(DataUnit("u", "s", 3, 5))
+    assert replace(unit, size_bytes=7) == DataUnit("u", "s", 3, 7) != unit
+    with pytest.raises(ValidationError, match="unit u: size_bytes must be positive"):
+        replace(unit, size_bytes=0)
+    with pytest.raises(FrozenInstanceError):
+        unit.size_bytes = 7
+
+
 def test_parse_minimal():
     scenario = scenario_from_dict(desk_dict())
     assert scenario.time.horizon_slots == 10
@@ -272,6 +293,18 @@ def test_missing_keys_and_bad_timestamp():
         scenario_from_dict([1, 2])
 
 
+def test_integer_of_five_thousand_digits_is_refused(tmp_path):
+    """Past int()'s digit limit, json raises a bare ValueError; it is refused
+    as any other malformed scenario (or, where int() has no such limit, as
+    a number that is not finite)."""
+    with open(bundled_path("s0"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "scenario.json"
+    path.write_text(text.replace('"seed": 0', '"seed": ' + "1" * 5000), encoding="utf-8")
+    with pytest.raises((ParseError, ValidationError), match="digits|seed: must be finite"):
+        load_scenario(str(path))
+
+
 def test_attackability_rows_sorted_and_defaulted():
     obj = desk_dict()
     obj["attackability"] = list(reversed(obj["attackability"]))
@@ -309,6 +342,36 @@ def test_round_trip_with_orbits(tmp_path):
     assert again == scenario
 
 
+def test_round_trip_keeps_sub_second_and_early_epochs(tmp_path):
+    """A fractional time or orbit epoch is saved with its microseconds, and
+    a year before 1000 with four digits, and both load back equal; a
+    whole-second one is saved as before, without microseconds."""
+    obj = bundled_dict("constellation_24h")
+    obj["time"]["epoch"] = "2026-03-20T00:00:00.500000Z"
+    obj["satellites"][1]["orbit"]["epoch"] = "2026-03-19T23:59:59.25+00:00"
+    obj["satellites"][2]["orbit"]["epoch"] = "0999-12-31T23:00:00Z"
+    scenario = scenario_from_dict(obj)
+    path = str(tmp_path / "scenario.json")
+    save_scenario(scenario, path)
+    again = load_scenario(path)
+    assert again == scenario
+    saved = scenario_to_dict(again)
+    assert saved["time"]["epoch"] == "2026-03-20T00:00:00.500000Z"
+    assert saved["satellites"][1]["orbit"]["epoch"] == "2026-03-19T23:59:59.250000Z"
+    assert saved["satellites"][2]["orbit"]["epoch"] == "0999-12-31T23:00:00Z"
+    assert saved["satellites"][0]["orbit"]["epoch"] == "2026-03-20T00:00:00Z"
+    # the grid names a timestamp outside it with its fraction too
+    with pytest.raises(OutOfHorizon, match=re.escape("timestamp 2026-03-20T00:00:00.250000Z ")):
+        again.time.slot_of(again.time.epoch - timedelta(seconds=0.25))
+
+
+def test_bundled_scenario_saves_byte_for_byte(tmp_path):
+    path = tmp_path / "scenario.json"
+    save_scenario(load_bundled("constellation_24h"), str(path))
+    with open(bundled_path("constellation_24h"), "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
 def test_trace_csv_form(tmp_path):
     trace_path = tmp_path / "trace.csv"
     trace_path.write_text(
@@ -328,9 +391,226 @@ def test_trace_csv_form(tmp_path):
         load_scenario(str(path))
 
 
+def load_with_csv_size(tmp_path, cell):
+    """The desk scenario with a one-row trace CSV whose size cell, quoted,
+    is cell."""
+    (tmp_path / "trace.csv").write_text(
+        "unit_id,satellite_id,capture_iso8601,size_bytes\n"
+        f'arr-001,obs-1,2026-01-01T00:00:03Z,"{cell}"\n', encoding="utf-8")
+    obj = desk_dict()
+    obj["trace"] = "trace.csv"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return load_scenario(str(path))
+
+
+@pytest.mark.parametrize("cell", [" 7", "7 ", "+3", "1_000", "\u0663", "3.0", "1e3", "0x10",
+                                  "", "-", "\u22121", "7\n", "1" * 5000],
+                         ids=lambda cell: repr(cell[:8]))
+def test_trace_csv_size_is_an_ascii_decimal_integer(tmp_path, cell):
+    """A size cell is read in the grammar of JSON integers: padded, signed,
+    underscored and non-ASCII digits are refused as not an integer."""
+    message = f"{tmp_path / 'trace.csv'}:2: size_bytes is not an integer"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_with_csv_size(tmp_path, cell)
+
+
+@pytest.mark.parametrize("cell", ["-1", "-0", "0"])
+def test_trace_csv_size_must_be_positive(tmp_path, cell):
+    with pytest.raises(ValidationError, match="unit arr-001: size_bytes must be positive"):
+        load_with_csv_size(tmp_path, cell)
+
+
 def test_replace_keeps_validation_separate():
     """dataclasses.replace skips scenario-level checks; loaders are the gate."""
     scenario = load_bundled("s0")
     broken = replace(scenario, target=replace(scenario.target,
                                               target_unit_ids=("init-003",)))
     assert isinstance(broken, ConstellationScenario)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass parser against the helper-per-field reference parser
+
+
+def orbital_dict():
+    """The bundled 24 h scenario cut down to two low-priority satellites and a
+    high-priority one, two stations, and a trace of three units on the
+    target and one on the other low-priority satellite."""
+    doc = bundled_dict("constellation_24h")
+    doc["satellites"] = [doc["satellites"][i] for i in (0, 1, 4)]
+    doc["stations"] = doc["stations"][:2]
+    doc["trace"] = doc["trace"][:3] + [dict(doc["trace"][0], unit_id="other-1",
+                                            satellite_id=doc["satellites"][1]["id"],
+                                            capture_slot=2)]
+    return doc
+
+
+CROSS_CHECKED = {"desk": desk_dict(), "orbital": orbital_dict(),
+                 "constellation_24h": bundled_dict("constellation_24h")}
+
+
+def every_field(node, path=()):
+    """The key and index paths of every field below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield (*path, key)
+        yield from every_field(child, (*path, key))
+
+
+CROSS_CHECKED_FIELDS = {name: list(every_field(doc)) for name, doc in CROSS_CHECKED.items()}
+REMOVED = object()  # the key or list member is taken out
+# wrong types, integral and fractional floats, numbers at and past the edge
+# of a float, zero, negative and non-finite numbers
+FIELD_VALUES = [REMOVED, True, False, 3.0, 3.5, "7", None, 2**1023, -2**1023, 2**1024,
+                0, -1, math.inf, math.nan, [], {}]
+
+
+def iso_row(doc, row, offset):
+    """A capture_slot row turned into a capture_iso8601 row, offset seconds
+    past its slot's start."""
+    time = CROSS_CHECKED[doc]["time"]
+    epoch = datetime.fromisoformat(time["epoch"].replace("Z", "+00:00"))
+    seconds = row["capture_slot"] * time["slot_seconds"] + offset
+    row = {k: v for k, v in row.items() if k != "capture_slot"}
+    row["capture_iso8601"] = (epoch + timedelta(seconds=seconds)).isoformat()
+    return row
+
+
+def added_unit(doc, satellite, unit_id, slot):
+    """A trace row after the trace's last: on the first row's satellite or
+    an unknown one, with a fresh id or the first row's, at the horizon's
+    last slot, an earlier one than the first row's, past the horizon or
+    before slot 0."""
+    first = CROSS_CHECKED[doc]["trace"][0]
+    horizon = CROSS_CHECKED[doc]["time"]["horizon_slots"]
+    return {
+        "unit_id": {"fresh": "added-1", "duplicate": first["unit_id"]}[unit_id],
+        "satellite_id": {"known": first["satellite_id"], "unknown": "ghost"}[satellite],
+        "capture_slot": {"last": horizon - 1, "regress": first["capture_slot"] - 1,
+                         "past": horizon, "negative": -1}[slot],
+        "size_bytes": 1,
+    }
+
+
+UNIT_EDITS = [(s, u, t) for s in ("known", "unknown") for u in ("fresh", "duplicate")
+              for t in ("last", "regress", "past", "negative")]
+
+
+def edited(doc, edits):
+    """The cross-checked document with each edit applied in turn; an edit
+    whose place an earlier edit took away is skipped.
+
+    ("field", path, value) removes or replaces one field, ("iso", i, offset)
+    turns trace row i into a capture_iso8601 row, ("unit", how) appends
+    an added_unit row, ("queue", i, form, n, size) gives satellite i an
+    initial queue of n units of that size as a count or a list, and
+    ("target", i, start) targets trace row i's unit (or, if i is negative,
+    initial unit -i) from slot start.
+    """
+    obj = copy.deepcopy(CROSS_CHECKED[doc])
+    for kind, *args in edits:
+        try:
+            if kind == "field":
+                path, value = args
+                node = obj
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]]
+                if value is REMOVED:
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = value
+            elif kind == "iso":
+                i, offset = args
+                obj["trace"][i] = iso_row(doc, CROSS_CHECKED[doc]["trace"][i], offset)
+            elif kind == "unit":
+                obj["trace"].append(added_unit(doc, *args[0]))
+            elif kind == "queue":
+                i, form, n, size = args
+                obj["satellites"][i]["initial_queue"] = (
+                    {"count": n, "unit_size_bytes": size} if form == "count"
+                    else {"unit_sizes": [size] * n})
+            else:
+                i, start = args
+                uid = f"init-{-i:03d}" if i < 0 else CROSS_CHECKED[doc]["trace"][i]["unit_id"]
+                obj["target"].update(target_unit_ids=[uid], attack_start_slot=start)
+        except (KeyError, IndexError, TypeError, AttributeError):
+            continue
+    return obj
+
+
+def parsed(parse, obj):
+    """The scenario's repr, which tells 3 from 3.0, or the error's class and
+    message."""
+    try:
+        return repr(parse(obj))
+    except Exception as exc:  # noqa: BLE001 -- any error must match the reference's
+        return type(exc), str(exc)
+
+
+def assert_parsers_agree(obj):
+    assert parsed(scenario_from_dict, obj) == parsed(oracles.reference_scenario_from_dict, obj)
+
+
+@pytest.mark.parametrize("doc,path", [(doc, path) for doc in ("desk", "orbital")
+                                      for path in CROSS_CHECKED_FIELDS[doc]], ids=repr)
+def test_each_field_edit_parses_as_the_reference_does(doc, path):
+    """Every field of the desk and orbital scenarios, removed or replaced by
+    each value in turn, gives the reference parser's scenario or its error."""
+    for value in FIELD_VALUES:
+        assert_parsers_agree(edited(doc, [("field", path, value)]))
+
+
+@pytest.mark.parametrize("doc", sorted(CROSS_CHECKED))
+@pytest.mark.parametrize("unit", UNIT_EDITS, ids="-".join)
+def test_each_added_unit_is_refused_as_the_reference_refuses_it(doc, unit):
+    """A unit on an unknown satellite, with a duplicate id, a regressing or
+    out-of-horizon slot, in every combination: the first failed check in
+    the reference's order names the error."""
+    assert_parsers_agree(edited(doc, [("unit", unit)]))
+
+
+def doc_edits(doc):
+    trace = CROSS_CHECKED[doc]["trace"]
+    time = CROSS_CHECKED[doc]["time"]
+    rows = st.integers(0, len(trace) - 1)
+    return st.one_of(
+        st.tuples(st.just("field"), st.sampled_from(CROSS_CHECKED_FIELDS[doc]),
+                  st.sampled_from(FIELD_VALUES)),
+        st.tuples(st.just("iso"), rows,
+                  st.sampled_from([0, 0.5, time["slot_seconds"] - 1, time["slot_seconds"], -1,
+                                   -time["slot_seconds"] * 10**6])),
+        st.tuples(st.just("unit"), st.sampled_from(UNIT_EDITS)),
+        st.tuples(st.just("queue"), st.integers(0, len(CROSS_CHECKED[doc]["satellites"]) - 1),
+                  st.sampled_from(["count", "unit_sizes"]), st.sampled_from([0, 1, 30]),
+                  st.sampled_from([1, 0, -1, True, 3.0, 3.5, 2**1023, 2**1024])),
+        st.tuples(st.just("target"), st.one_of(rows, st.sampled_from([-1, -3, -30])),
+                  st.sampled_from([0, 1, 2, 3, time["horizon_slots"] - 1])),
+    )
+
+
+@st.composite
+def edited_docs(draw):
+    doc = draw(st.sampled_from(sorted(CROSS_CHECKED)))
+    return doc, draw(st.lists(doc_edits(doc), min_size=1, max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=edited_docs())
+@example(case=("constellation_24h", [("field", ("trace", 40, "capture_slot"), True)]))
+@example(case=("constellation_24h", [("unit", ("unknown", "fresh", "past"))]))
+@example(case=("constellation_24h", [("iso", 3, 0.5), ("field", ("trace", 3, "size_bytes"), 0)]))
+@example(case=("orbital", [("target", 2, 0)]))
+@example(case=("orbital", [("target", 1, 3)]))
+@example(case=("orbital", [("target", 3, 0)]))
+def test_edited_scenarios_parse_as_the_reference_does(case):
+    """Random edits of the desk, orbital and bundled 24 h scenarios: the
+    one-pass parser returns the reference parser's scenario, or raises its
+    error class with its message."""
+    assert_parsers_agree(edited(*case))
