@@ -162,8 +162,13 @@ class QueueTrace:
         return INF if lost or i == len(self.queue_bytes) else self.world.t0 + i
 
     def t_lb(self, unit_id: str) -> int:
+        return max(self.world.t0, self.absorbed_through(unit_id))
+
+    def absorbed_through(self, unit_id: str) -> int:
+        """The last slot at which blocking cannot hold the unit back: t_lb
+        if the queue sat full there, else t0 - 1, so that t0 itself counts."""
         j = bisect_left(self.full, self._fate(unit_id)[0])
-        return self.world.t0 + (self.full[j - 1] if j else 0)
+        return self.world.t0 + (self.full[j - 1] if j else -1)
 
     def dropped(self, unit_id: str) -> bool:
         return self._fate(unit_id)[1]

@@ -88,7 +88,7 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
     trace = base
     for tau in ctx.targets:
         te = trace.t_e(tau)
-        tlb = trace.t_lb(tau)
+        tlb = trace.absorbed_through(tau)
         while te != INF and needs_more(te, base.t_e(tau)):
             window = [t for t in ctx.attackable
                       if tlb < t <= te and t not in members]
@@ -101,7 +101,7 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
             members.add(best)
             trace = ctx.trace(members)
             te = trace.t_e(tau)
-            tlb = trace.t_lb(tau)
+            tlb = trace.absorbed_through(tau)
     return AttackStrategy.from_trace(ctx, chosen, motivating, trace)
 
 

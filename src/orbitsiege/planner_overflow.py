@@ -34,7 +34,7 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
     trace = ctx.baseline
     for tau in ctx.targets:
         te = trace.t_e(tau)
-        tlb = trace.t_lb(tau)
+        tlb = trace.absorbed_through(tau)
         forward = [t for t in ctx.attackable if t >= te and t not in members]
         backward = [t for t in ctx.attackable if t < te and t not in members]
         backward.reverse()
@@ -77,7 +77,7 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
                 motivating.append(tau)
                 trace = candidate
                 te = new_te
-                tlb = trace.t_lb(tau)
+                tlb = trace.absorbed_through(tau)
                 back_i += 1
             else:
                 raise AttackFail(

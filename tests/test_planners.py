@@ -84,6 +84,20 @@ def test_delay_deadline_validation():
         plan_delay(ctx, 14)
 
 
+def test_planners_may_block_the_attack_start_slot():
+    # the target leaves at slot 0, the attack start, and the queue never
+    # fills: blocking slot 0 holds it to slot 2, and drops it once the
+    # captures behind it overflow the store
+    world = QueueWorld(initial_units=(("u-1", 2), ("u-2", 1)),
+                       arrivals=((1, (("a-1", 2),)), (2, (("a-2", 2),))),
+                       transmissible=frozenset({0, 2}), capacity_bytes=6, volume_bytes=3,
+                       t0=0, horizon=2)
+    ctx = AttackContext(world=world, price={0: 1.0, 2: 2.0}, targets=("u-1",))
+    assert ctx.baseline.t_e("u-1") == 0 and ctx.baseline.t_lb("u-1") == 0
+    assert plan_delay(ctx, 1).slots == (0,)
+    assert plan_overflow(ctx).slot_set == {0, 2}
+
+
 def test_delay_fails_when_ladder_is_too_short():
     scenario = load_bundled("s0")
     # deadline at the horizon needs more blocked slots than the ladder has
