@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .onboard import QueueTrace, QueueWorld, evolve, per_slot_capacity
 from .scenario import ConstellationScenario
+from .scheduler import Ladder
 
 INF = math.inf
 
@@ -85,10 +86,9 @@ class AttackContext:
         return sum(self.price[t] for t in slots)
 
     @classmethod
-    def from_scenario(cls, scenario: ConstellationScenario,
-                      records) -> "AttackContext":
-        """Build from a scenario and its attackability records, as
-        `scheduler.attackability_for` gives them."""
+    def from_scenario(cls, scenario: ConstellationScenario, ladder: Ladder) -> "AttackContext":
+        """Build from a scenario and its attackability ladder, as
+        `scheduler.attackability_for` gives it."""
         target = scenario.target
         sat_id = target.satellite_id
         t0 = target.attack_start_slot
@@ -106,13 +106,14 @@ class AttackContext:
                                 for u in scenario.initial_units(sat_id)),
             arrivals=tuple((t, tuple(units))
                            for t, units in sorted(arrivals.items())),
-            transmissible=frozenset(r.slot for r in records if r.transmissible),
+            transmissible=frozenset(ladder.transmissible.nonzero()[0].tolist()),
             capacity_bytes=scenario.satellite(sat_id).capacity_bytes,
             volume_bytes=per_slot_capacity(scenario),
             t0=t0,
             horizon=horizon,
         )
-        price = {r.slot: r.cost for r in records if r.attackable and t0 <= r.slot <= horizon}
+        attackable = t0 + ladder.attackable[t0:horizon + 1].nonzero()[0]
+        price = dict(zip(attackable.tolist(), ladder.cost[attackable].tolist()))
         return cls(world=world, price=price, targets=target.target_unit_ids)
 
 

@@ -84,15 +84,13 @@ def _cmd_windows(args) -> int:
 
 def _cmd_schedule(args) -> int:
     scenario, windows = _load(args)
-    records = attackability_for(scenario, windows)
-    transmissible = sum(r.transmissible for r in records)
-    attackable = sum(r.attackable for r in records)
+    ladder = attackability_for(scenario, windows)
     if args.out:
-        emit(args.out, *attackability_table(records), args.format)
-        print(f"{transmissible} transmissible / {attackable} attackable slots "
-              f"-> {args.out}")
+        emit(args.out, *attackability_table(ladder), args.format)
+        print(f"{ladder.transmissible.sum()} transmissible / {ladder.attackable.sum()} "
+              f"attackable slots -> {args.out}")
     else:
-        sys.stdout.write(table_text(*attackability_table(records), args.format))
+        sys.stdout.write(table_text(*attackability_table(ladder), args.format))
     return 0
 
 

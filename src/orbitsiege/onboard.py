@@ -165,8 +165,7 @@ class QueueTrace:
         return max(self.world.t0, self.absorbed_through(unit_id))
 
     def absorbed_through(self, unit_id: str) -> int:
-        """The last slot at which blocking cannot hold the unit back: t_lb
-        if the queue sat full there, else t0 - 1, so that t0 itself counts."""
+        """t_lb if the queue sat full then, else t0 - 1: blocking after it counts."""
         j = bisect_left(self.full, self._fate(unit_id)[0])
         return self.world.t0 + (self.full[j - 1] if j else -1)
 

@@ -246,6 +246,8 @@ class AttackabilityRecord:
             raise ValidationError(f"slot {self.slot}: attackable requires transmissible")
         if self.attackable and self.required_high_priority < 1:
             raise ValidationError(f"slot {self.slot}: attackable requires required_high >= 1")
+        if not -2**63 <= self.required_high_priority < 2**63:
+            raise ValidationError(f"slot {self.slot}: required_high outside 64 bits")
         if self.attackable != math.isfinite(self.cost):
             raise ValidationError(f"slot {self.slot}: cost must be finite iff attackable")
         if math.isfinite(self.cost) and self.cost < 0:

@@ -2,14 +2,14 @@
 
 High-priority tasking preempts: to block the target satellite in a slot, it
 must fill the antenna serving the target and every idle antenna on the
-stations the target sees. So the schedule records, per slot where the target
-has a contact window, the station serving the target and the idle antennas
-it could use, from the assignment that serves as many low-priority
-satellites as possible at the least total slant range (from `orbit.propagate`,
-so they need orbit elements). Optima that differ only in antenna numbering
-record the same. The distinct high-priority satellites over the target's
-stations bound which slots are attackable and at what cost; every other slot
-is non-transmissible.
+stations the target sees. So the schedule's columns record, per contact
+window of the target, whether that station's antenna serves the target and
+how many it has left idle, from the assignment that serves as many
+low-priority satellites as possible at the least total slant range (from
+`orbit.propagate`, so they need orbit elements). Optima that differ only in
+antenna numbering record the same. The distinct high-priority satellites
+over the target's stations bound which slots are attackable and at what
+cost, in the ladder's columns over the horizon.
 
 Most slots need no solve. Where, in the target's part of the slot's contact
 graph, every satellite has one clearly nearest station and no station is
@@ -20,13 +20,14 @@ such slots at once. Only the other slots are one Hungarian solve each.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import OutOfHorizon, ValidationError
+from .errors import ValidationError
 from .orbit import ContactWindows, compute_contact_windows, propagate, station_ecef_m
 from .scenario import AttackabilityRecord, ConstellationScenario
 
@@ -36,11 +37,39 @@ from .scenario import AttackabilityRecord, ConstellationScenario
 TIE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class SlotSchedule:
-    slot: int
-    target_station: str | None  # the station whose antenna serves the target
-    idle_antennas: tuple[tuple[str, int], ...]  # (station_id, idle count), target's stations
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """One row per contact window of the target, in (slot, station id) order:
+    the station (an index into `station_ids`), the antennas it left idle and
+    whether one serves the target. Its length is the slots scheduled."""
+
+    station_ids: tuple[str, ...]
+    slot: np.ndarray
+    station: np.ndarray
+    idle: np.ndarray
+    serves: np.ndarray
+
+    def __len__(self) -> int:
+        return len(np.unique(self.slot))
+
+
+@dataclass(frozen=True, eq=False)
+class Ladder:
+    """The target's attackability, one row per slot of the horizon, the slot
+    being the row index; `cost` is inf where the slot is not attackable."""
+
+    transmissible: np.ndarray
+    attackable: np.ndarray
+    required_high: np.ndarray
+    cost: np.ndarray
+
+    def rows(self):
+        """(slot, transmissible, attackable, required_high, cost) per slot."""
+        return zip(range(len(self.cost)), self.transmissible.tolist(), self.attackable.tolist(),
+                   self.required_high.tolist(), self.cost.tolist())
+
+    def __iter__(self):
+        return itertools.starmap(AttackabilityRecord, self.rows())
 
 
 def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -69,10 +98,9 @@ def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     return tuple(zip(rows.tolist(), cols.tolist())), float(sum(matrix[rows, cols]))
 
 
-def build_schedule(scenario: ConstellationScenario,
-                   windows: ContactWindows) -> list[SlotSchedule]:
-    """Per target window slot, the station serving the target and the idle
-    antennas on the stations it sees.
+def build_schedule(scenario: ConstellationScenario, windows: ContactWindows) -> Schedule:
+    """Per contact window of the target, whether the station's antenna
+    serves the target and the antennas it has left idle.
 
     A slot's assignment has a row per low-priority satellite in contact and
     a column per antenna of each station they see, both in id order, costed
@@ -95,8 +123,7 @@ def build_schedule(scenario: ConstellationScenario,
 
     Every slot's schedule is read off one mask of the contacts its
     assignment uses, the nearest ones in a certified slot's component and
-    the solved pairs elsewhere: the station serving the target, and the
-    antennas each station the target sees has left idle.
+    the solved pairs elsewhere.
     """
     by_id = {st.id: st for st in scenario.stations}
     missing = sorted(set(windows.station_ids) - by_id.keys())
@@ -105,7 +132,7 @@ def build_schedule(scenario: ConstellationScenario,
     target = windows.of_satellite(scenario.target.satellite_id)
     slots = np.unique(windows.slot[target])
     if not len(slots):
-        return []
+        return Schedule(windows.station_ids, *[np.zeros(0, np.int64)] * 3, np.zeros(0, bool))
     low = {s.id: s for s in scenario.low_satellites}
     # lookup tables by slot and by satellite, over the rows from the
     # target's first slot to its last, which slot order puts in one range
@@ -158,8 +185,7 @@ def build_schedule(scenario: ConstellationScenario,
         r, c = row[e] - row[bounds[i]], col[e] - col_bounds[i]
         counts = antennas[col_station[col_bounds[i]:col_bounds[i + 1]]]
         matrix = np.full((r[-1] + 1, len(counts)), math.inf)
-        matrix[r, c] = [math.dist(p, q) for p, q in zip(
-            sat_pos[e].tolist(), station_pos[station[e]].tolist())]
+        matrix[r, c] = cost[e]
         pairs, _ = hungarian(np.repeat(matrix, counts, axis=1))
         owner = np.repeat(np.arange(len(counts)), counts)
         matched = np.zeros(matrix.shape, dtype=bool)
@@ -167,15 +193,8 @@ def build_schedule(scenario: ConstellationScenario,
             matched[k, owner[j]] = True
         used[e] = matched[r, c]
 
-    idle = (antennas[col_station] - np.bincount(col[used], minlength=len(keys)))[col[target]]
-    visible = dict.fromkeys(slots.tolist(), ())
-    serving = {}
-    for t, j, n, serves in zip(slot[target].tolist(), station[target].tolist(), idle.tolist(),
-                               used[target].tolist()):
-        visible[t] += ((ids[j], n),)
-        if serves:
-            serving[t] = ids[j]
-    return [SlotSchedule(t, serving.get(t), visible[t]) for t in slots.tolist()]
+    idle = antennas[col_station] - np.bincount(col[used], minlength=len(keys))
+    return Schedule(ids, slot[target], station[target], idle[col[target]], used[target])
 
 
 def _span(slot: np.ndarray, slots: np.ndarray) -> slice:
@@ -206,66 +225,63 @@ def _component(row: np.ndarray, col: np.ndarray, seeds: np.ndarray, n_rows: int,
         cols = grown
 
 
-def attackability(scenario: ConstellationScenario, schedules: list[SlotSchedule],
-                  windows: ContactWindows) -> list[AttackabilityRecord]:
+def attackability(scenario: ConstellationScenario, schedule: Schedule,
+                  windows: ContactWindows) -> Ladder:
     """Transmissible/attackable flags and attack costs for the target satellite.
 
     A slot is transmissible when its schedule has an antenna serving the
     target, and attackable when enough distinct high-priority satellites see
     the target's stations to fill that antenna and every idle one there."""
-    by_slot = {schedule.slot: schedule for schedule in schedules}
-    if len(by_slot) != len(schedules):
-        raise ValidationError("schedules repeat a slot")
     horizon = scenario.time.horizon_slots
-    if not by_slot.keys() <= set(range(horizon)):
-        raise OutOfHorizon("schedules reach outside the horizon")
-    high_ids = {s.id for s in scenario.high_satellites}
+    slot = schedule.slot
+    transmissible = np.zeros(horizon, dtype=bool)
+    transmissible[slot[schedule.serves]] = True
+    idle = np.bincount(slot, schedule.idle, minlength=horizon).astype(np.int64)
+    required = np.where(transmissible, 1 + idle, 0)
 
     # the distinct high-priority satellites over a target-visible station,
     # per slot, from lookup tables by satellite and by (slot, station)
-    target = windows.of_satellite(scenario.target.satellite_id)
-    slots = windows.slot[target]
     highs = np.zeros(horizon, dtype=np.intp)
-    if len(slots):
-        span = _span(windows.slot, slots)
-        slot, sat = windows.slot[span] - slots[0], windows.satellite[span]
-        seen = np.zeros((slots[-1] - slots[0] + 1, len(windows.station_ids)), dtype=bool)
-        seen[slots - slots[0], windows.station[target]] = True
-        high = _table(windows.satellite_ids, high_ids)[sat] & seen[slot, windows.station[span]]
-        # rows are in (slot, satellite id) order, so each run of equal keys
-        # is one satellite in one slot
-        key = slot[high] * len(windows.satellite_ids) + sat[high]
-        highs = np.bincount(slot[high][np.diff(key, prepend=-1) != 0] + slots[0],
-                            minlength=horizon)
-    highs = highs.tolist()
+    if len(slot):
+        span = _span(windows.slot, slot)
+        rows, sat = windows.slot[span] - slot[0], windows.satellite[span]
+        seen = np.zeros((slot[-1] - slot[0] + 1, len(windows.station_ids)), dtype=bool)
+        seen[slot - slot[0], schedule.station] = True
+        high_ids = {s.id for s in scenario.high_satellites}
+        high = _table(windows.satellite_ids, high_ids)[sat] & seen[rows, windows.station[span]]
+        # each distinct key is one satellite in one slot
+        key = np.unique((rows * len(windows.satellite_ids) + sat)[high])
+        highs = np.bincount(key // len(windows.satellite_ids) + slot[0], minlength=horizon)
 
-    records = []
-    for t in range(horizon):
-        schedule = by_slot.get(t)
-        if schedule is None or schedule.target_station is None:
-            records.append(AttackabilityRecord(t, False, False, 0, math.inf))
-            continue
-        required = 1 + sum(idle for _, idle in schedule.idle_antennas)
-        attackable = highs[t] >= required
-        cost = scenario.costs.unit_task_price * required if attackable else math.inf
-        records.append(AttackabilityRecord(t, True, attackable, required, cost))
-    return records
+    attackable = transmissible & (highs >= required)
+    with np.errstate(over="ignore"):  # a price near the float range
+        cost = np.where(attackable, scenario.costs.unit_task_price * required, math.inf)
+    overflow = np.flatnonzero(attackable & np.isinf(cost))
+    if len(overflow):
+        raise ValidationError(f"slot {overflow[0]}: cost must be finite iff attackable")
+    return Ladder(transmissible, attackable, required, cost)
 
 
 def attackability_for(scenario: ConstellationScenario,
-                      windows: ContactWindows | None = None) -> list[AttackabilityRecord]:
-    """Full per-slot attackability, honoring a scenario's inline override."""
+                      windows: ContactWindows | None = None) -> Ladder:
+    """Full per-slot attackability, honoring a scenario's inline override;
+    slots the inline table leaves out are neither transmissible nor
+    attackable."""
     if scenario.attackability is not None:
-        by_slot = {r.slot: r for r in scenario.attackability}
-        return [by_slot.get(t, AttackabilityRecord(t, False, False, 0, math.inf))
-                for t in range(scenario.time.horizon_slots)]
+        horizon = scenario.time.horizon_slots
+        columns = (np.zeros(horizon, bool), np.zeros(horizon, bool),
+                   np.zeros(horizon, np.int64), np.full(horizon, math.inf))
+        # the table's rows, field by field, scattered into the columns
+        slot, *values = list(zip(*map(astuple, scenario.attackability))) or [()] * 5
+        for column, value in zip(columns, values):
+            column[list(slot)] = value
+        return Ladder(*columns)
     if windows is None:
         windows = compute_contact_windows(scenario)
     return attackability(scenario, build_schedule(scenario, windows), windows)
 
 
-def attackability_table(records: list[AttackabilityRecord]) -> tuple[list[str], list[list]]:
+def attackability_table(ladder: Ladder) -> tuple[list[str], list[list]]:
     """The schedule artifact: one row per slot of the ladder."""
     return (["slot", "transmissible", "attackable", "required_high", "cost"],
-            [[r.slot, r.transmissible, r.attackable, r.required_high_priority, r.cost]
-             for r in records])
+            list(map(list, ladder.rows())))

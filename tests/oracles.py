@@ -219,8 +219,10 @@ def hungarian_schedule(scenario, windows):
 
     For each slot where the target has a contact window: a row per
     low-priority satellite in contact, a column per antenna of each station
-    they see, both in id order, costed by `math.dist` slant range, and
-    `inf` where a satellite does not see a station. Positions come from
+    they see, both in id order, costed by slant range, and `inf` where a
+    satellite does not see a station. The range is the square root of the
+    summed squared differences, each rounded in turn, as the scheduler
+    rounds it, so that slots tied there are tied here too. Positions come from
     `scheduler.propagate` and the solve from `scheduler.hungarian`, read at
     call time, so a monkeypatch of either reaches this too.
     Returns (slot, station serving the target or None,
@@ -244,8 +246,8 @@ def hungarian_schedule(scenario, windows):
         for sat in sats:
             if sat not in tracks:
                 tracks[sat] = scheduler.propagate(low[sat], scenario.time)
-        matrix = [[math.dist(tracks[sat][t].tolist(),
-                             scheduler.station_ecef_m(stations[station]))
+        matrix = [[slant_range(tracks[sat][t].tolist(),
+                               scheduler.station_ecef_m(stations[station]))
                    if (sat, station) in seen else INF for station in antennas]
                   for sat in sats]
         pairs, _ = scheduler.hungarian(matrix)
@@ -258,6 +260,11 @@ def hungarian_schedule(scenario, windows):
             (station, stations[station].antenna_count - used.get(station, 0))
             for station in visible)))
     return schedules
+
+
+def slant_range(p, q):
+    """The distance between two points, summed in coordinate order."""
+    return math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, q)))
 
 
 MU_M3_S2 = 3.986004418e14

@@ -35,7 +35,7 @@ SUBMODULE_ONLY = {
                  "DataUnit", "GroundStationSpec", "SatelliteSpec", "TargetSpec",
                  "TimeGrid", "TleElements", "save_scenario", "scenario_from_dict",
                  "scenario_to_dict"),
-    "scheduler": ("SlotSchedule", "attackability", "build_schedule", "hungarian"),
+    "scheduler": ("Ladder", "Schedule", "attackability", "build_schedule", "hungarian"),
     "synth": ("build_constellation",),
 }
 

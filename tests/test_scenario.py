@@ -166,6 +166,12 @@ def test_record_consistency():
         AttackabilityRecord(0, True, True, 1, float("inf"))
     with pytest.raises(ValidationError, match="finite"):
         AttackabilityRecord(0, True, False, 0, 1.0)
+    # the ladder holds required_high in an int64 column
+    AttackabilityRecord(0, True, False, 2**63 - 1, float("inf"))
+    AttackabilityRecord(0, False, False, -2**63, float("inf"))
+    for required in (2**63, -2**63 - 1):
+        with pytest.raises(ValidationError, match="required_high outside 64 bits"):
+            AttackabilityRecord(0, True, False, required, float("inf"))
     with pytest.raises(ValidationError):
         DataUnit("u", "s", 0, 0)
     with pytest.raises(ValidationError):

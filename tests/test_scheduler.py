@@ -3,7 +3,7 @@
 import itertools
 import math
 from collections import Counter, namedtuple
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from bundled import load_bundled
 from oracles import brute_force_assignment, contact_windows, count_ladder, hungarian_schedule
-from orbitsiege import OutOfHorizon, ValidationError, attackability_for, compute_contact_windows
+from orbitsiege import ValidationError, attackability_for, compute_contact_windows
 from orbitsiege import scheduler
 from orbitsiege.orbit import propagate, station_ecef_m
 from orbitsiege.output import csv_text
 from orbitsiege.scenario import (AttackabilityRecord, ConstellationScenario,
                                  CostModel, DataUnit, GroundStationSpec,
                                  SatelliteSpec, TargetSpec, TimeGrid, TleElements)
-from orbitsiege.scheduler import (SlotSchedule, attackability, attackability_table,
+from orbitsiege.scheduler import (Ladder, attackability, attackability_table,
                                   build_schedule, hungarian)
 from orbitsiege.synth import build_constellation
 from test_cli import GEOMETRY_1440
@@ -149,7 +149,7 @@ def schedule_at(monkeypatch, scenario, rows, positions):
     """The schedule of the rows' one slot, with `positions` (satellite id ->
     positions per slot) standing in for propagation."""
     monkeypatch.setattr(scheduler, "propagate", reading(positions))
-    (schedule,) = build_schedule(scenario, windows_of(scenario, rows))
+    (schedule,) = schedule_tuples(build_schedule(scenario, windows_of(scenario, rows)))
     return schedule
 
 
@@ -208,7 +208,7 @@ def test_assign_slot_matches_brute_force_by_station(monkeypatch):
         rows = [w(sid, st_id, 1, float(rng.uniform(5.0, 90.0))) for sid, st_id in seen]
         positions = {sid: rng.normal(size=(scenario.time.horizon_slots, 3)) * 7e6
                      for sid in sats}
-        (schedule,) = build_schedule(scenario, windows_of(scenario, rows))
+        (schedule,) = schedule_tuples(build_schedule(scenario, windows_of(scenario, rows)))
 
         owner = [st for st in stations for _ in range(st.antenna_count)]
         cost = [[math.dist(positions[sid][1], station_ecef_m(st))
@@ -227,7 +227,7 @@ def test_assign_slot_ignores_high_priority_rows():
     scenario = two_station_scenario(n_low=1, n_high=1)
     rows = [w("obs-1", "gs-01", 0, 45.0), w("rush-1", "gs-01", 0, 80.0)]
     # rush-1 has no orbit, and needs none: only low-priority rows are costed
-    (schedule,) = build_schedule(scenario, windows_of(scenario, rows))
+    (schedule,) = schedule_tuples(build_schedule(scenario, windows_of(scenario, rows)))
     assert schedule.target_station == "gs-01"
     assert dict(schedule.idle_antennas) == {"gs-01": 0}
 
@@ -248,16 +248,29 @@ def test_build_schedule_covers_only_target_slots(monkeypatch):
         return propagate(sat, grid, slots)
 
     monkeypatch.setattr(scheduler, "propagate", counting)
-    schedules = build_schedule(scenario, windows)
-    assert [s.slot for s in schedules] == target_slots
+    schedule = build_schedule(scenario, windows)
+    assert [s.slot for s in schedule_tuples(schedule)] == target_slots
+    assert len(schedule) == len(target_slots)
     # each low-priority satellite seen in those slots is propagated once
     seen = {x.satellite_id for x in rows if x.slot in set(target_slots)}
     low = [s for s in scenario.low_satellites if s.id in seen]
     assert sorted(propagated) == sorted(s.id for s in low)
 
 
-def schedule_tuples(schedules):
-    return [(s.slot, s.target_station, s.idle_antennas) for s in schedules]
+SlotRow = namedtuple("SlotRow", "slot target_station idle_antennas")
+
+
+def schedule_tuples(schedule):
+    """The schedule's columns as the oracle's rows: per slot, the station
+    serving the target or None, and (station id, idle antennas) for each
+    station the target sees."""
+    visible, serving = {}, {}
+    for t, j, idle, serves in zip(schedule.slot.tolist(), schedule.station.tolist(),
+                                  schedule.idle.tolist(), schedule.serves.tolist()):
+        visible[t] = visible.get(t, ()) + ((schedule.station_ids[j], idle),)
+        if serves:
+            serving[t] = schedule.station_ids[j]
+    return [SlotRow(t, serving.get(t), stations) for t, stations in visible.items()]
 
 
 def counting_solves(monkeypatch):
@@ -387,8 +400,7 @@ def test_attackability_counts_idle_antennas():
     # so blocking needs two high birds
     scenario = two_station_scenario(n_low=1, n_high=2, antenna_counts=(2, 1))
     windows = windows_of(scenario, attack_rows(2) + [w("obs-1", "gs-01", 1, 45.0)])
-    schedules = build_schedule(scenario, windows)
-    records = attackability(scenario, schedules, windows)
+    records = list(attackability(scenario, build_schedule(scenario, windows), windows))
     assert records[0].transmissible and records[0].attackable
     assert records[0].required_high_priority == 2
     assert records[0].cost == pytest.approx(200.0)
@@ -399,10 +411,19 @@ def test_attackability_counts_idle_antennas():
     assert not records[2].transmissible
 
 
+def test_attackability_refuses_a_cost_past_the_float_range():
+    # two antennas to fill at a price of 1e308 each cost more than a float holds
+    scenario = two_station_scenario(n_low=1, n_high=2, antenna_counts=(2, 1))
+    scenario = replace(scenario, costs=CostModel(unit_task_price=1e308))
+    windows = windows_of(scenario, attack_rows(2))
+    with pytest.raises(ValidationError, match="^slot 0: cost must be finite iff attackable$"):
+        attackability(scenario, build_schedule(scenario, windows), windows)
+
+
 def test_attackability_requires_enough_high_birds():
     scenario = two_station_scenario(n_low=1, n_high=2, antenna_counts=(2, 1))
     windows = windows_of(scenario, attack_rows(1))
-    records = attackability(scenario, build_schedule(scenario, windows), windows)
+    records = list(attackability(scenario, build_schedule(scenario, windows), windows))
     assert records[0].transmissible and not records[0].attackable
 
 
@@ -410,7 +431,7 @@ def test_attackability_only_counts_stations_seeing_the_target():
     scenario = two_station_scenario(n_low=1, n_high=1, antenna_counts=(1, 3))
     # the idle antennas on gs-02 are irrelevant: the target cannot use them
     windows = windows_of(scenario, attack_rows(1) + [w("rush-1", "gs-02", 0, 70.0)])
-    records = attackability(scenario, build_schedule(scenario, windows), windows)
+    records = list(attackability(scenario, build_schedule(scenario, windows), windows))
     assert records[0].attackable
     assert records[0].required_high_priority == 1
     assert records[0].cost == pytest.approx(100.0)
@@ -427,39 +448,31 @@ def test_attackability_matches_the_slot_by_slot_count():
                 for sat in scenario.satellites for st in scenario.stations
                 for t in range(scenario.time.horizon_slots) if rng.random() < 0.4]
         windows = windows_of(scenario, rows)
-        schedules = build_schedule(scenario, windows)
-        records = attackability(scenario, schedules, windows)
+        schedule = build_schedule(scenario, windows)
+        ladder = attackability(scenario, schedule, windows)
         expected = count_ladder(
             [(r.slot, r.satellite_id, r.station_id, r.elevation_deg) for r in rows],
-            [(s.slot, s.target_station, s.idle_antennas) for s in schedules], "obs-1",
+            schedule_tuples(schedule), "obs-1",
             {s.id for s in scenario.high_satellites}, scenario.time.horizon_slots, 100.0)
-        assert [(r.slot, r.transmissible, r.attackable, r.required_high_priority, r.cost)
-                for r in records] == expected
+        assert [astuple(r) for r in ladder] == expected
 
 
-def test_attackability_rejects_bad_schedule_slots():
-    scenario = two_station_scenario()
-    outside = SlotSchedule(3, "gs-01", (("gs-01", 0),))
-    with pytest.raises(OutOfHorizon, match="outside the horizon"):
-        attackability(scenario, [outside], windows_of(scenario, []))
-    twice = SlotSchedule(1, "gs-01", (("gs-01", 0),))
-    with pytest.raises(ValidationError, match="repeat a slot"):
-        attackability(scenario, [twice, twice], windows_of(scenario, []))
-
-
-def test_unscheduled_slot_is_not_transmissible():
-    # the target sees gs-01 in both slots, but only slot 1 has a schedule
-    scenario = two_station_scenario(n_low=1, n_high=0)
-    windows = windows_of(scenario, [w("obs-1", "gs-01", 0, 45.0), w("obs-1", "gs-01", 1, 45.0)])
-    schedules = [s for s in build_schedule(scenario, windows) if s.slot == 1]
-    records = attackability(scenario, schedules, windows)
-    assert records[0] == AttackabilityRecord(0, False, False, 0, INF)
-    assert records[1].transmissible
+def test_target_without_a_station_has_an_empty_schedule_and_ladder():
+    # obs-1 is the only low-priority satellite with windows, yet never the
+    # target's: the schedule is empty and no slot is transmissible
+    scenario = two_station_scenario(n_low=2, n_high=1)
+    scenario = replace(scenario, target=replace(scenario.target, satellite_id="obs-2"))
+    windows = windows_of(scenario, attack_rows(1))
+    schedule = build_schedule(scenario, windows)
+    assert len(schedule) == 0 and schedule_tuples(schedule) == []
+    ladder = attackability(scenario, schedule, windows)
+    assert [astuple(r) for r in ladder] == [(t, False, False, 0, INF) for t in range(3)]
+    assert attackability_table(ladder)[1] == [[t, False, False, 0, INF] for t in range(3)]
 
 
 def test_attackability_for_honours_inline_table():
     scenario = load_bundled("s0")
-    records = attackability_for(scenario)
+    records = list(attackability_for(scenario))
     assert len(records) == scenario.time.horizon_slots
     attackable = [r.slot for r in records if r.attackable]
     assert attackable == [2, 4, 6, 8, 10, 12]
@@ -469,16 +482,19 @@ def test_attackability_for_honours_inline_table():
 def test_attackability_for_fills_missing_slots():
     scenario = load_bundled("s0")
     sparse = replace(scenario, attackability=scenario.attackability[2:3])
-    records = attackability_for(sparse)
-    assert len(records) == sparse.time.horizon_slots
-    assert records[2].attackable
-    assert not records[0].transmissible and not records[11].transmissible
+    ladder = attackability_for(sparse)
+    assert len(list(ladder)) == len(ladder.cost) == sparse.time.horizon_slots
+    assert list(ladder)[2] == scenario.attackability[2]
+    assert np.flatnonzero(ladder.attackable).tolist() == [2]
+    assert not ladder.transmissible[0] and not ladder.transmissible[11]
 
 
 def test_attackability_table():
-    records = [AttackabilityRecord(0, False, False, 0, INF),
-               AttackabilityRecord(1, True, True, 2, 200.0)]
-    text = csv_text(*attackability_table(records))
+    ladder = Ladder(np.array([False, True]), np.array([False, True]), np.array([0, 2]),
+                    np.array([INF, 200.0]))
+    assert list(ladder) == [AttackabilityRecord(0, False, False, 0, INF),
+                            AttackabilityRecord(1, True, True, 2, 200.0)]
+    text = csv_text(*attackability_table(ladder))
     assert text.splitlines()[0] == "slot,transmissible,attackable,required_high,cost"
     assert text.splitlines()[1] == "0,0,0,0,inf"
     assert text.splitlines()[2] == "1,1,1,2,200"
