@@ -165,7 +165,8 @@ class QueueTrace:
         return max(self.world.t0, self.absorbed_through(unit_id))
 
     def absorbed_through(self, unit_id: str) -> int:
-        """t_lb if the queue sat full then, else t0 - 1: blocking after it counts."""
+        """The last slot before the unit leaves at which the queue sat full,
+        else t0 - 1: blocking at or before it cannot hold the unit back."""
         j = bisect_left(self.full, self._fate(unit_id)[0])
         return self.world.t0 + (self.full[j - 1] if j else -1)
 

@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ValidationError
+from .errors import OutOfHorizon, ValidationError
 from .orbit import ContactWindows, compute_contact_windows, propagate, station_ecef_m
 from .scenario import AttackabilityRecord, ConstellationScenario
 
@@ -254,7 +254,7 @@ def attackability(scenario: ConstellationScenario, schedule: Schedule,
         highs = np.bincount(key // len(windows.satellite_ids) + slot[0], minlength=horizon)
 
     attackable = transmissible & (highs >= required)
-    with np.errstate(over="ignore"):  # a price near the float range
+    with np.errstate(over="ignore"):  # a price near the float range: refused below
         cost = np.where(attackable, scenario.costs.unit_task_price * required, math.inf)
     overflow = np.flatnonzero(attackable & np.isinf(cost))
     if len(overflow):
@@ -273,6 +273,8 @@ def attackability_for(scenario: ConstellationScenario,
                    np.zeros(horizon, np.int64), np.full(horizon, math.inf))
         # the table's rows, field by field, scattered into the columns
         slot, *values = list(zip(*map(astuple, scenario.attackability))) or [()] * 5
+        if not all(0 <= t < horizon for t in slot):  # a scenario built in code
+            raise OutOfHorizon("attackability slots reach outside the horizon")
         for column, value in zip(columns, values):
             column[list(slot)] = value
         return Ladder(*columns)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bundled import load_bundled
 from oracles import brute_force_assignment, contact_windows, count_ladder, hungarian_schedule
-from orbitsiege import ValidationError, attackability_for, compute_contact_windows
+from orbitsiege import OutOfHorizon, ValidationError, attackability_for, compute_contact_windows
 from orbitsiege import scheduler
 from orbitsiege.orbit import propagate, station_ecef_m
 from orbitsiege.output import csv_text
@@ -487,6 +487,16 @@ def test_attackability_for_fills_missing_slots():
     assert list(ladder)[2] == scenario.attackability[2]
     assert np.flatnonzero(ladder.attackable).tolist() == [2]
     assert not ladder.transmissible[0] and not ladder.transmissible[11]
+
+
+def test_attackability_for_refuses_inline_slots_outside_the_horizon():
+    # loading refuses them; a scenario built in code is checked here, so
+    # that slot -1 does not land on the last slot
+    scenario = load_bundled("s0")
+    for slot in (-1, scenario.time.horizon_slots):
+        row = AttackabilityRecord(slot, True, True, 1, 1.0)
+        with pytest.raises(OutOfHorizon, match="outside the horizon"):
+            attackability_for(replace(scenario, attackability=(row,)))
 
 
 def test_attackability_table():
