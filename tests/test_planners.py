@@ -86,8 +86,8 @@ def test_delay_deadline_validation():
 
 def test_planners_may_block_the_attack_start_slot():
     # the target leaves at slot 0, the attack start, and the queue never
-    # fills: blocking slot 0 holds it to slot 2, and drops it once the
-    # captures behind it overflow the store
+    # fills: blocking slot 0 holds it to slot 2, and blocking slot 2 too
+    # drops it when the captures behind it overflow the store
     world = QueueWorld(initial_units=(("u-1", 2), ("u-2", 1)),
                        arrivals=((1, (("a-1", 2),)), (2, (("a-2", 2),))),
                        transmissible=frozenset({0, 2}), capacity_bytes=6, volume_bytes=3,

@@ -467,7 +467,8 @@ def test_target_without_a_station_has_an_empty_schedule_and_ladder():
     assert len(schedule) == 0 and schedule_tuples(schedule) == []
     ladder = attackability(scenario, schedule, windows)
     assert [astuple(r) for r in ladder] == [(t, False, False, 0, INF) for t in range(3)]
-    assert attackability_table(ladder)[1] == [[t, False, False, 0, INF] for t in range(3)]
+    assert csv_text(*attackability_table(ladder)).splitlines()[1:] == [
+        f"{t},0,0,0,inf" for t in range(3)]
 
 
 def test_attackability_for_honours_inline_table():
