@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,31 +102,23 @@ class EvalConfig:
             raise ValidationError(f"axis must be one of {AXES}")
         if not self.values:
             raise ValidationError("values must be non-empty")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        if self.trials > MAX_TRIALS:
+        if _count(self.trials, "trials", 1) > MAX_TRIALS:
             raise ValidationError(f"trials must be <= {MAX_TRIALS}")
-        if self.extra_m < 0:
-            raise ValidationError("extra_m must be >= 0")
+        _count(self.extra_m, "extra_m")
         if self.cost_budget is not None:
             _budget(self.cost_budget, "cost_budget")
         _noise(self.noise, "noise")
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    success: bool
-    natural: bool
-
-
-@dataclass(frozen=True)
 class PointResult:
     """All trials at one axis value, and the plan they replayed: its cost
     and slots in choice order, or infinity and no slots if planning failed.
-    error is set when the point never ran."""
+    records holds one (success, natural) pair of bools per trial, in trial
+    order. error is set when the point never ran."""
 
     value: object
-    records: tuple[TrialRecord, ...]
+    records: tuple[tuple[bool, bool], ...]
     group_ratios: tuple[float, ...]
     cost: float = INF
     planned_slots: tuple[int, ...] = ()
@@ -133,9 +126,7 @@ class PointResult:
 
     @property
     def success_ratio(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.success for r in self.records) / len(self.records)
+        return sum(s for s, _ in self.records) / len(self.records) if self.records else 0.0
 
 
 @dataclass(frozen=True)
@@ -146,6 +137,19 @@ class SweepResult:
     @property
     def errors(self) -> tuple[tuple[object, str], ...]:
         return tuple((p.value, p.error) for p in self.points if p.error)
+
+
+def _count(value, where: str, least: int = 0) -> int:
+    """A count: anything `operator.index` takes but a bool, and >= least."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{where} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValidationError(f"{where} must be >= {least}")
+    return count
 
 
 def _budget(value, where: str) -> float:
@@ -310,8 +314,7 @@ def _trial_rows(layout: TrialLayout, draws, judged: np.ndarray):
 def extend_targets(targets: tuple[str, ...], ids, m: int) -> tuple[str, ...]:
     """Widen the target set by m units on each side, clipped at the ends;
     ids lists every unit id in stream order."""
-    if m < 0:
-        raise ValidationError("m must be >= 0")
+    m = _count(m, "m")
     ids = list(ids)
     positions = {uid: i for i, uid in enumerate(ids)}
     missing = [uid for uid in targets if uid not in positions]
@@ -325,8 +328,9 @@ def extend_targets(targets: tuple[str, ...], ids, m: int) -> tuple[str, ...]:
 def plan_attack(ctx: AttackContext, kind: str, extra_m: int,
                 deadline: int | None) -> AttackStrategy:
     """Plan on the nominal context, optionally with a widened target set."""
-    if extra_m < 0:
-        raise ValidationError("extra_m must be >= 0")
+    if kind not in KINDS:
+        raise ValidationError(f"kind must be one of {KINDS}")
+    extra_m = _count(extra_m, "extra_m")
     if extra_m > 0:
         ctx = replace(ctx, targets=extend_targets(ctx.targets, ctx.world.byte_ranges, extra_m))
     if kind == "delay":
@@ -501,9 +505,7 @@ def _apply_axis(scenario: ConstellationScenario, config: EvalConfig, value,
     elif axis == "noise_ratio":
         noise = _noise(value, axis)
     elif axis == "extra_M":
-        extra_m = _int(value, axis)
-        if extra_m < 0:
-            raise ValidationError("extra_M must be >= 0")
+        extra_m = _count(_int(value, axis), "extra_M")
     return scenario, budget, extra_m, noise, hours
 
 
@@ -564,11 +566,12 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
 
         return nominal, TrialLayout.from_context(point_scenario, nominal), plan
 
+    # seed groups of sizes differing by at most one, the larger first
     group_count = min(SEED_GROUPS, config.trials)
-    group_sizes = [config.trials // group_count
-                   + (1 if group < config.trials % group_count else 0)
-                   for group in range(group_count)]
-    keys = [(group, trial) for group, size in enumerate(group_sizes)
+    group_sizes = (config.trials // group_count
+                   + (np.arange(group_count) < config.trials % group_count))
+    group_starts = np.cumsum(group_sizes) - group_sizes
+    keys = [(group, trial) for group, size in enumerate(group_sizes.tolist())
             for trial in range(size)]
     points = []
     for value in config.values:
@@ -600,14 +603,10 @@ def sweep(scenario: ConstellationScenario, config: EvalConfig,
             outcomes = np.concatenate(batches, axis=1)
             natural = outcomes[0]
             success = outcomes[1] if attacks else np.zeros_like(natural)
-            records_out = tuple(
-                TrialRecord(bool(success[k]), bool(natural[k])) for k in range(len(keys)))
-            ratios, first = [], 0
-            for size in group_sizes:
-                ratios.append(sum(r.success for r in records_out[first:first + size]) / size)
-                first += size
+            ratios = np.add.reduceat(success, group_starts, dtype=np.int64) / group_sizes
             cost, slots = (INF, ()) if strategy is None else (strategy.cost, strategy.slots)
-            points.append(PointResult(value, records_out, tuple(ratios), cost, slots))
+            points.append(PointResult(value, tuple(zip(success.tolist(), natural.tolist())),
+                                      tuple(ratios.tolist()), cost, slots))
         except OrbitSiegeError as exc:
             points.append(PointResult(value, (), (), error=str(exc)))
     return SweepResult(config=config, points=tuple(points))
@@ -618,9 +617,9 @@ def report_table(result: SweepResult) -> tuple[list[str], list[list]]:
     rows = []
     for point in result.points:
         slots = " ".join(str(s) for s in point.planned_slots)
-        for i, record in enumerate(point.records):
-            rows.append([result.config.axis, point.value, i, record.success,
-                         record.natural, point.cost, slots])
+        for i, (success, natural) in enumerate(point.records):
+            rows.append([result.config.axis, point.value, i, success, natural,
+                         point.cost, slots])
     return ["axis", "value", "trial", "success", "natural", "cost", "planned_slots"], rows
 
 

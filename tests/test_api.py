@@ -27,8 +27,8 @@ PUBLIC = {
 # names the package exported before its surface was cut, by defining module
 SUBMODULE_ONLY = {
     "attack": ("AttackStrategy",),
-    "evaluation": ("AXES", "KINDS", "PointResult", "SweepResult",
-                   "TrialRecord", "derive_rng", "extend_targets", "perturb"),
+    "evaluation": ("AXES", "KINDS", "PointResult", "SweepResult", "derive_rng",
+                   "extend_targets", "perturb"),
     "onboard": ("QueueTrace", "QueueWorld", "evolve", "per_slot_capacity"),
     "orbit": ("propagate", "save_contact_windows"),
     "scenario": ("AttackabilityRecord", "ConstellationScenario", "CostModel",

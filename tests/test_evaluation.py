@@ -1,5 +1,6 @@
 """Monte-Carlo harness: noise statistics, trial judging, sweep plumbing."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -46,14 +47,27 @@ def test_eval_config_validation():
     EvalConfig(**good, trials=evaluation.MAX_TRIALS)
     with pytest.raises(ValidationError, match=f"trials must be <= {evaluation.MAX_TRIALS}"):
         EvalConfig(**good, trials=evaluation.MAX_TRIALS + 1)
-    with pytest.raises(ValidationError, match="extra_m"):
+    with pytest.raises(ValidationError, match="extra_m must be >= 0"):
         EvalConfig(**good, extra_m=-1)
+    # a fraction, a whole float or a bool is no trial count or band width
+    for field in ("trials", "extra_m"):
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
+                EvalConfig(**good, **{field: value})
     # a budget is read as the loader reads target.cost_budget
     EvalConfig(**good, cost_budget=0.0)
     for budget, error in ((-1.0, "must be >= 0"), (float("nan"), "must be finite"),
                           (float("inf"), "must be finite")):
         with pytest.raises(ValidationError, match=f"cost_budget: {error}"):
             EvalConfig(**good, cost_budget=budget)
+
+
+def test_eval_config_takes_numpy_integers():
+    config = EvalConfig(kind="delay", axis="budget", values=(1.0,), trials=np.int64(3),
+                        extra_m=np.int64(1))
+    [point] = sweep(load_bundled("s0"), config).points
+    assert point.error is None
+    assert len(point.records) == 3
 
 
 def resampled(seed, nominal, ratio):
@@ -390,10 +404,9 @@ def test_batched_trials_match_per_trial_evolve(name, kind, noise):
             for k in range(40)]
     draws = trials_of(layout, perturb(layout, noise, rngs))
     outcomes = set()
-    for record, draw in zip(point.records, draws, strict=True):
-        assert (record.success, record.natural) == judge_one(scenario, kind,
-                                                             strategy.slot_set, draw)
-        outcomes.add(record.success)
+    for (success, natural), draw in zip(point.records, draws, strict=True):
+        assert (success, natural) == judge_one(scenario, kind, strategy.slot_set, draw)
+        outcomes.add(success)
     assert outcomes == {True, False}
 
 
@@ -474,7 +487,7 @@ def test_sweep_points_match_the_per_trial_oracle(monkeypatch, name, kind, noise,
     expected = reference_point(scenario, config)
     if shows == "records":
         assert point.error is None
-        assert [(r.success, r.natural) for r in point.records] == expected
+        assert list(point.records) == expected
     else:
         assert point.error == expected == shows
         assert point.records == ()
@@ -493,8 +506,10 @@ def test_extend_targets_clips_at_the_ends():
     assert wide[0] == "init-001" and wide[-1] == ids[-1]
     with pytest.raises(ValidationError, match="not aboard"):
         extend_targets(("ghost",), ids, 1)
-    with pytest.raises(ValidationError, match="m must be"):
+    with pytest.raises(ValidationError, match="m must be >= 0"):
         extend_targets(("init-003",), ids, -1)
+    with pytest.raises(ValidationError, match="m must be an integer, got 1.5"):
+        extend_targets(("init-003",), ids, 1.5)
 
 
 def test_plan_attack_widened_band_holds_every_member():
@@ -506,6 +521,25 @@ def test_plan_attack_widened_band_holds_every_member():
     trace = context(widened).trace(strategy.slot_set)
     for uid in band:
         assert trace.t_e(uid) > 5
+
+
+@pytest.mark.parametrize("kind, extra_m, error", [
+    ("Delay", 0, "kind must be one of"),
+    ("bogus", 0, "kind must be one of"),
+    ("delay", 1.5, "extra_m must be an integer, got 1.5"),
+    ("overflow", 2.0, "extra_m must be an integer, got 2.0"),
+    ("delay", True, "extra_m must be an integer, got True"),
+])
+def test_plan_attack_refuses_what_it_cannot_plan(kind, extra_m, error):
+    # an unknown kind used to plan the overflow attack, and a bool widened
+    # the band by one
+    with pytest.raises(ValidationError, match=error):
+        plan_attack(context(load_bundled("s0")), kind, extra_m, 5)
+
+
+def test_plan_attack_takes_numpy_integers():
+    ctx = context(load_bundled("s0"))
+    assert plan_attack(ctx, "delay", np.int64(1), 5) == plan_attack(ctx, "delay", 1, 5)
 
 
 def one_trial(scenario, kind, **kw):
@@ -522,14 +556,16 @@ def one_trial(scenario, kind, **kw):
 def test_zero_noise_trial_agrees_with_verify():
     scenario = load_bundled("s0")
     point = one_trial(scenario, "delay")
-    assert point.records[0].success
+    [(success, _)] = point.records
+    assert success
     assert point.cost == 1.0
     ok, report = verify_delay(context(scenario), point.planned_slots, 5)
     assert ok and report["evacuation_slot"] > 5
 
     ovf = load_bundled("s0_ovf")
     point = one_trial(ovf, "overflow")
-    assert point.records[0].success
+    [(success, _)] = point.records
+    assert success
     ok, report = verify_overflow(context(ovf), point.planned_slots)
     assert ok and report["targets"]["init-003"]["dropped"]
 
@@ -537,7 +573,8 @@ def test_zero_noise_trial_agrees_with_verify():
 def test_budget_starves_the_planned_strategy():
     scenario = load_bundled("s0")
     point = one_trial(scenario, "delay", cost_budget=0.5)
-    assert not point.records[0].success
+    [(success, _)] = point.records
+    assert not success
     assert point.cost == 1.0
     assert point.planned_slots  # the plan existed, the budget killed it
 
@@ -547,7 +584,8 @@ def test_natural_outcome_is_tracked_separately():
     # with zero noise the unit downlinks at 4, deadline 5 is never natural
     scenario = load_bundled("s0")
     point = one_trial(scenario, "delay", master_seed=1)
-    assert not point.records[0].natural
+    [(_, natural)] = point.records
+    assert not natural
 
 
 def test_derive_rng_streams_are_stable_and_distinct():
@@ -718,7 +756,7 @@ def test_sweep_batches_do_not_change_the_records(monkeypatch):
     batched = sweep(scenario, config)
     assert report_table(batched) == report_table(whole)
     assert batched.points[0].group_ratios == whole.points[0].group_ratios
-    assert {r.success for r in whole.points[0].records} == {True, False}
+    assert {success for success, _ in whole.points[0].records} == {True, False}
 
 
 @pytest.mark.parametrize("axis, values", [("noise_ratio", (0.0, 0.2)),
@@ -819,13 +857,32 @@ def test_n_high_that_drops_satellites_is_refused_on_an_inline_ladder():
                                  "inline attackability ladder does not depend on"),)
 
 
-def test_sweep_group_sizes_split_the_trials():
-    # SEED_GROUPS groups, or one per trial when there are fewer trials
-    scenario = load_bundled("s0")
-    for trials, groups in ((23, evaluation.SEED_GROUPS), (7, 7)):
-        point = sweep(scenario, make_config(values=(0.2,), trials=trials)).points[0]
+def test_sweep_group_sizes_split_the_trials(monkeypatch):
+    # SEED_GROUPS groups, or one per trial when there are fewer trials,
+    # split the trials in order as np.array_split does: sizes differing by
+    # at most one, the larger first. Each ratio is its group's mean success;
+    # batches of three split the groups.
+    monkeypatch.setattr(evaluation, "BATCH_TRIALS", 3)
+    scenario = load_bundled("s0_ovf")
+    mixed = False
+    for groups, trials in itertools.product((1, 4, 10), range(1, 31)):
+        monkeypatch.setattr(evaluation, "SEED_GROUPS", groups)
+        config = EvalConfig(kind="overflow", axis="noise_ratio", values=(0.15,),
+                            trials=trials, master_seed=2)
+        result = sweep(scenario, config)
+        [point] = result.points
+        assert point.error is None
         assert len(point.records) == trials
-        assert len(point.group_ratios) == groups
+        assert all(type(flag) is bool for pair in point.records for flag in pair)
+        success = [s for s, _ in point.records]
+        split = np.array_split(success, min(groups, trials))
+        assert point.group_ratios == tuple(sum(group) / len(group) for group in split)
+        assert point.success_ratio == sum(success) / trials
+        rows = report_table(result)[1]
+        assert [row[2] for row in rows] == list(range(trials))
+        assert [tuple(row[3:5]) for row in rows] == list(point.records)
+        mixed |= any(0 < ratio < 1 for ratio in point.group_ratios)
+    assert mixed
 
 
 def test_duration_axis_needs_room_before_the_horizon():
