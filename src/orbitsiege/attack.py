@@ -10,7 +10,9 @@ transmissible set.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -94,18 +96,17 @@ class AttackContext:
         t0 = target.attack_start_slot
         horizon = scenario.time.last_slot
 
-        arrivals: dict[int, list[tuple[str, int]]] = {}
-        for unit in scenario.trace_for(sat_id):
-            # the queue starts at t0; scenario validation rejects earlier
-            # captures, and an unvalidated scenario's are left out
-            if unit.capture_slot >= t0:
-                arrivals.setdefault(unit.capture_slot, []).append(
-                    (unit.unit_id, unit.size_bytes))
+        # the queue starts at t0; scenario validation rejects earlier
+        # captures, and an unvalidated scenario's are left out. The sort is
+        # stable, so units captured in one slot keep their trace order.
+        slot_of = operator.attrgetter("capture_slot")
+        unit = operator.attrgetter("unit_id", "size_bytes")
+        units = sorted([u for u in scenario.trace_for(sat_id) if u.capture_slot >= t0],
+                       key=slot_of)
         world = QueueWorld(
-            initial_units=tuple((u.unit_id, u.size_bytes)
-                                for u in scenario.initial_units(sat_id)),
-            arrivals=tuple((t, tuple(units))
-                           for t, units in sorted(arrivals.items())),
+            initial_units=tuple(map(unit, scenario.initial_units(sat_id))),
+            arrivals=tuple([(t, tuple(map(unit, group)))
+                            for t, group in itertools.groupby(units, key=slot_of)]),
             transmissible=frozenset(ladder.transmissible.nonzero()[0].tolist()),
             capacity_bytes=scenario.satellite(sat_id).capacity_bytes,
             volume_bytes=per_slot_capacity(scenario),

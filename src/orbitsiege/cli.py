@@ -52,8 +52,11 @@ def _parse_values(text: str) -> tuple:
 
 
 def _parse_slots(text: str) -> tuple[int, ...]:
+    """The attacked slots; a blank text is the empty strategy."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(p.strip()) for p in text.split(",") if p.strip())
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(f"--slots must be comma-separated integers: {text!r}")
 
@@ -125,22 +128,14 @@ def _write_strategy(args, strategy) -> None:
         print(f"strategy -> {args.out}, summary -> {summary_path}")
 
 
-def _cmd_plan_delay(args) -> int:
+def _cmd_plan(args) -> int:
     scenario, ctx = _context(args)
-    strategy = plan_attack(ctx, "delay", args.extra_m, _deadline(args, scenario))
-    slots = ",".join(str(s) for s in sorted(strategy.slots))
-    print(f"strategy {{{slots}}}, cost {strategy.cost:g}")
-    _write_strategy(args, strategy)
-    return 0
-
-
-def _cmd_plan_overflow(args) -> int:
-    _, ctx = _context(args)
-    strategy = plan_attack(ctx, "overflow", args.extra_m, None)
+    deadline = _deadline(args, scenario) if args.kind == "delay" else None
+    strategy = plan_attack(ctx, args.kind, args.extra_m, deadline)
     slots = ",".join(str(s) for s in sorted(strategy.slots))
     trace = strategy.trace
     drops = [trace.drop_slot(uid) for uid in trace.tracked if trace.dropped(uid)]
-    drop_note = f", drop slot {min(drops)}" if drops else ""
+    drop_note = f", drop slot {min(drops)}" if drops and args.kind == "overflow" else ""
     print(f"strategy {{{slots}}}, cost {strategy.cost:g}{drop_note}")
     _write_strategy(args, strategy)
     return 0
@@ -212,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--target-slot", type=int, default=None, dest="target_slot")
     p.add_argument("--extra-m", type=int, default=0, dest="extra_m")
-    p.set_defaults(func=_cmd_plan_delay)
+    p.set_defaults(func=_cmd_plan, kind="delay")
 
     p = sub.add_parser("plan-overflow", help="plan forcing the target to be dropped")
     _add_common(p)
     p.add_argument("--extra-m", type=int, default=0, dest="extra_m")
-    p.set_defaults(func=_cmd_plan_overflow)
+    p.set_defaults(func=_cmd_plan, kind="overflow")
 
     p = sub.add_parser("verify", help="replay a strategy and judge the outcome")
     _add_common(p)

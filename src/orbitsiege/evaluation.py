@@ -214,6 +214,10 @@ class TrialLayout:
         for k, (t, _, _) in enumerate(ranges.values()):
             ends[t - world.t0] = k + 1
         initial = len(world.initial_units)
+        # transmissible also holds slots outside [t0, horizon]
+        open_slots = np.zeros(world.horizon - world.t0 + 1, dtype=bool)
+        open_slots[[t - world.t0 for t in world.transmissible
+                    if world.t0 <= t <= world.horizon]] = True
         return cls(
             rate_bps=scenario.target_satellite.downlink_rate_bps,
             slot_seconds=scenario.time.slot_seconds,
@@ -221,8 +225,7 @@ class TrialLayout:
             initial=initial,
             # targets follow stream order, so the first one is the shallowest
             removable=min(index[nominal.targets[0]], initial),
-            open_slots=np.array([t in world.transmissible
-                                 for t in range(world.t0, world.horizon + 1)]),
+            open_slots=open_slots,
             join_slots=np.fromiter(ends, dtype=np.int64, count=len(ends)),
             slot_ends=np.fromiter(ends.values(), dtype=np.int64, count=len(ends)),
             positions=np.array([index[uid] for uid in nominal.targets], dtype=np.int64),

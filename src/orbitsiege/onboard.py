@@ -121,8 +121,9 @@ class QueueTrace:
     For a tracked unit, and raising KeyError for any other: t_e is the slot
     its last byte was transmitted, or infinity if it was dropped or is still
     aboard at the horizon; dropped and drop_slot tell whether and where its
-    first byte was dropped; t_lb is the latest slot before it leaves, by
-    evacuation or drop, at which the queue sat exactly at capacity, or t0.
+    first byte was dropped; absorbed_through is the latest slot before it
+    leaves, by evacuation or drop, at which the queue sat exactly at
+    capacity, or t0 - 1 if there is none.
     """
 
     world: QueueWorld
@@ -160,9 +161,6 @@ class QueueTrace:
     def t_e(self, unit_id: str) -> float:
         i, lost = self._fate(unit_id)
         return INF if lost or i == len(self.queue_bytes) else self.world.t0 + i
-
-    def t_lb(self, unit_id: str) -> int:
-        return max(self.world.t0, self.absorbed_through(unit_id))
 
     def absorbed_through(self, unit_id: str) -> int:
         """The last slot before the unit leaves at which the queue sat full,

@@ -54,15 +54,7 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
             elif t_p is not None and t_p > tlb:
                 members.add(t_p)
                 candidate = ctx.trace(members)
-                if candidate.dropped(tau):
-                    chosen.append(t_p)
-                    motivating.append(tau)
-                    trace = candidate
-                    te = trace.t_e(tau)
-                    continue
-                new_te = candidate.t_e(tau)
-                if not new_te > te:
-                    members.discard(t_p)
+                if not (candidate.dropped(tau) or candidate.t_e(tau) > te):
                     if te == INF:
                         # evacuation already pushed past the horizon and the
                         # queue still cannot reach capacity
@@ -76,7 +68,7 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
                 chosen.append(t_p)
                 motivating.append(tau)
                 trace = candidate
-                te = new_te
+                te = trace.t_e(tau)
                 tlb = trace.absorbed_through(tau)
                 back_i += 1
             else:

@@ -72,8 +72,9 @@ class Ladder:
         return itertools.starmap(AttackabilityRecord, self.rows())
 
 
-def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
-    """Minimum-cost maximum-cardinality assignment, one SciPy solve.
+def hungarian(cost_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost maximum-cardinality assignment, one SciPy solve: the
+    matched pairs as (rows, cols) index arrays, rows ascending.
 
     `inf` entries mark forbidden pairs; rows or columns left unmatched by
     them are simply absent. NaN and `-inf` are refused. Forbidden pairs are
@@ -84,8 +85,6 @@ def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     matrix = np.asarray(cost_matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValidationError("cost matrix must be two-dimensional")
-    if matrix.size == 0:
-        return (), 0.0
     if np.isnan(matrix).any():
         raise ValidationError("cost matrix entries must not be NaN")
     if (matrix < 0).any():
@@ -94,8 +93,7 @@ def hungarian(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     big = float(matrix[~forbidden].sum()) + 1.0
     rows, cols = linear_sum_assignment(np.where(forbidden, big, matrix))
     allowed = ~forbidden[rows, cols]
-    rows, cols = rows[allowed], cols[allowed]
-    return tuple(zip(rows.tolist(), cols.tolist())), float(sum(matrix[rows, cols]))
+    return rows[allowed], cols[allowed]
 
 
 def build_schedule(scenario: ConstellationScenario, windows: ContactWindows) -> Schedule:
@@ -186,11 +184,10 @@ def build_schedule(scenario: ConstellationScenario, windows: ContactWindows) -> 
         counts = antennas[col_station[col_bounds[i]:col_bounds[i + 1]]]
         matrix = np.full((r[-1] + 1, len(counts)), math.inf)
         matrix[r, c] = cost[e]
-        pairs, _ = hungarian(np.repeat(matrix, counts, axis=1))
-        owner = np.repeat(np.arange(len(counts)), counts)
+        owner = np.repeat(np.arange(len(counts)), counts)  # each antenna's station
+        rows, cols = hungarian(matrix[:, owner])
         matched = np.zeros(matrix.shape, dtype=bool)
-        for k, j in pairs:
-            matched[k, owner[j]] = True
+        matched[rows, owner[cols]] = True
         used[e] = matched[r, c]
 
     idle = antennas[col_station] - np.bincount(col[used], minlength=len(keys))

@@ -250,7 +250,7 @@ def hungarian_schedule(scenario, windows):
                                scheduler.station_ecef_m(stations[station]))
                    if (sat, station) in seen else INF for station in antennas]
                   for sat in sats]
-        pairs, _ = scheduler.hungarian(matrix)
+        pairs = list(zip(*scheduler.hungarian(matrix)))
         used = {}
         for _, c in pairs:
             used[antennas[c]] = used.get(antennas[c], 0) + 1

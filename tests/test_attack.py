@@ -90,6 +90,27 @@ def test_from_scenario_clips_to_attack_window():
     assert ctx.world.transmissible == frozenset({2, 4, 6, 8, 10, 12})
 
 
+def test_from_scenario_groups_an_unordered_trace_by_capture_slot():
+    # a scenario built in code may list its trace out of capture order;
+    # units captured in one slot keep their trace order, other satellites'
+    # units and captures before the attack start are left out
+    from dataclasses import replace
+
+    from orbitsiege.scenario import DataUnit
+
+    scenario = load_bundled("s0")
+    sat = scenario.target.satellite_id
+    trace = tuple(DataUnit(uid, sid, t, 1) for uid, sid, t in (
+        ("arr-003", sat, 3), ("other", "elsewhere", 1), ("arr-001b", sat, 1),
+        ("arr-002", sat, 2), ("arr-001a", sat, 1), ("early", sat, 0)))
+    late = replace(scenario, trace=trace,
+                   target=replace(scenario.target, attack_start_slot=1))
+    ctx = AttackContext.from_scenario(late, attackability_for(late))
+    assert ctx.world.arrivals == (
+        (1, (("arr-001b", 1), ("arr-001a", 1))), (2, (("arr-002", 1),)),
+        (3, (("arr-003", 1),)))
+
+
 def test_from_scenario_baseline_matches_desk_numbers():
     scenario = load_bundled("s0")
     ctx = AttackContext.from_scenario(scenario, attackability_for(scenario))

@@ -107,9 +107,10 @@ def test_missing_scenario_exits_two(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_malformed_slots_exit_two(capsys, s0_path):
+@pytest.mark.parametrize("slots", ["2,x", "2,,4", "2,"])
+def test_malformed_slots_exit_two(capsys, s0_path, slots):
     code, _, err = run_cli(capsys, "verify", "--scenario", s0_path,
-                           "--slots", "2,x")
+                           "--slots", slots)
     assert code == 2
     assert "comma-separated integers" in err
 

@@ -197,6 +197,20 @@ def layout_of(scenario):
     return ctx, TrialLayout.from_context(scenario, ctx)
 
 
+def test_layout_opens_the_transmissible_slots_from_t0_to_the_horizon():
+    # s0's slot 2 is transmissible but lies before t0 = 3; add one past the
+    # horizon too, which the mask must leave out as well
+    scenario = load_bundled("s0")
+    late = replace(scenario, target=replace(scenario.target, attack_start_slot=3))
+    ctx = context(late)
+    world = replace(ctx.world, transmissible=ctx.world.transmissible | {ctx.world.horizon + 2})
+    layout = TrialLayout.from_context(late, replace(ctx, world=world))
+    assert world.t0 == 3 and 2 in world.transmissible
+    assert layout.open_slots.dtype == bool
+    assert layout.open_slots.tolist() == [t in world.transmissible
+                                          for t in range(world.t0, world.horizon + 1)]
+
+
 def nominal_sizes(ctx):
     return [end - start for _, start, end in ctx.world.byte_ranges.values()]
 

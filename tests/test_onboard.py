@@ -66,7 +66,7 @@ def test_world_rejects_units_the_engine_cannot_place(initial, arrivals, match):
 def test_desk_baseline_landmarks():
     trace = evolve(desk_world(), frozenset(), (TAU,))
     assert trace.t_e(TAU) == 4
-    assert trace.t_lb(TAU) == 0
+    assert trace.absorbed_through(TAU) == -1
     # t0 is 0, so queue_bytes[i] is the queue at the end of slot i
     assert trace.queue_bytes[0] == 5
     assert trace.queue_bytes[2] == 5 and trace.queue_bytes[3] == 6
@@ -75,10 +75,24 @@ def test_desk_baseline_landmarks():
     assert trace.drop_slot(TAU) is None
 
 
+@pytest.mark.parametrize("capacity, attacked, full, absorbed", [
+    (10, frozenset(), [], -1),
+    (5, frozenset(), [0], 0),
+    (6, frozenset({2}), [1, 3], 3),
+], ids=["never-full", "full-at-t0", "full-later"])
+def test_absorbed_through_is_the_last_full_slot_before_leaving(capacity, attacked, full,
+                                                               absorbed):
+    # t0 - 1 when the queue never sat full before the target left, so that
+    # a queue full at t0 itself reads t0
+    trace = evolve(desk_world(capacity), attacked, (TAU,))
+    assert trace.full == full
+    assert trace.absorbed_through(TAU) == absorbed
+
+
 def test_landmarks_answer_only_for_tracked_units():
     trace = evolve(desk_world(), frozenset(), (TAU,))
     assert trace.tracked == (TAU,)
-    for landmark in (trace.t_e, trace.t_lb, trace.dropped, trace.drop_slot):
+    for landmark in (trace.t_e, trace.absorbed_through, trace.dropped, trace.drop_slot):
         with pytest.raises(KeyError, match="init-001"):
             landmark("init-001")
 
@@ -162,15 +176,15 @@ def test_partial_transmission_is_not_evacuation():
 
 
 def test_last_full_slot_tracks_capacity_touches():
-    # capacity 6 is touched at slot 3 while the target leaves at slot 6
+    # capacity 6 is touched at slots 1 and 3 while the target leaves at slot 4
     trace = evolve(desk_world(capacity=6), frozenset({2}), (TAU,))
     oracle = fifo_replay(
         [(f"init-{i:03d}", 1) for i in range(1, 6)],
         {t: [(f"arr-{t:03d}", 1)] for t in range(1, HORIZON + 1)},
         EVEN, frozenset({2}), 6, 2, 0, HORIZON)
     assert trace.t_e(TAU) == evacuation_slot(oracle, TAU)
-    assert trace.t_lb(TAU) == last_full_slot(oracle, TAU, 6, 0)
-    assert trace.t_lb(TAU) > 0
+    assert max(0, trace.absorbed_through(TAU)) == last_full_slot(oracle, TAU, 6, 0)
+    assert trace.absorbed_through(TAU) > 0
 
 
 def assert_matches_replay(world, attacked, trace):
@@ -199,7 +213,7 @@ def assert_matches_replay(world, attacked, trace):
     for uid in trace.tracked:
         assert trace.subqueue(uid) == subqueue(uid, slots)
         assert trace.t_e(uid) == evacuation_slot(oracle, uid)
-        assert trace.t_lb(uid) == last_full_slot(
+        assert max(world.t0, trace.absorbed_through(uid)) == last_full_slot(
             oracle, uid, world.capacity_bytes, world.t0)
         assert trace.dropped(uid) == (uid in oracle["dropped"])
         assert trace.drop_slot(uid) == oracle["dropped"].get(uid)
@@ -257,7 +271,7 @@ def assert_stopped_matches_whole(world, attacked, tracked):
     assert stopped.tracked == tracked
     for uid in tracked:
         assert stopped.t_e(uid) == whole.t_e(uid)
-        assert stopped.t_lb(uid) == whole.t_lb(uid)
+        assert stopped.absorbed_through(uid) == whole.absorbed_through(uid)
         assert stopped.dropped(uid) == whole.dropped(uid)
         assert stopped.drop_slot(uid) == whole.drop_slot(uid)
     ran = len(stopped.queue_bytes)

@@ -93,7 +93,7 @@ def test_planners_may_block_the_attack_start_slot():
                        transmissible=frozenset({0, 2}), capacity_bytes=6, volume_bytes=3,
                        t0=0, horizon=2)
     ctx = AttackContext(world=world, price={0: 1.0, 2: 2.0}, targets=("u-1",))
-    assert ctx.baseline.t_e("u-1") == 0 and ctx.baseline.t_lb("u-1") == 0
+    assert ctx.baseline.t_e("u-1") == 0 and ctx.baseline.absorbed_through("u-1") == -1
     assert plan_delay(ctx, 1).slots == (0,)
     assert plan_overflow(ctx).slot_set == {0, 2}
 
