@@ -10,9 +10,7 @@ transmissible set.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -47,14 +45,14 @@ class AttackContext:
                 raise ValidationError(f"attackable slot {t} is not transmissible")
             if not math.isfinite(cost) or cost < 0:
                 raise ValidationError(f"attackable slot {t} needs a finite cost >= 0")
-        positions = {uid: i for i, uid in enumerate(self.world.byte_ranges)}
+        ranges = self.world.byte_ranges
         last = -1
         for uid in self.targets:
-            if uid not in positions:
+            if uid not in ranges:
                 raise ValidationError(f"target unit {uid} not aboard")
-            if positions[uid] < last:
-                raise ValidationError("targets must follow arrival order")
-            last = positions[uid]
+            if ranges[uid][1] <= last:
+                raise ValidationError("targets must follow arrival order, each once")
+            last = ranges[uid][1]
 
     @property
     def attackable(self) -> tuple[int, ...]:
@@ -99,14 +97,13 @@ class AttackContext:
         # the queue starts at t0; scenario validation rejects earlier
         # captures, and an unvalidated scenario's are left out. The sort is
         # stable, so units captured in one slot keep their trace order.
-        slot_of = operator.attrgetter("capture_slot")
-        unit = operator.attrgetter("unit_id", "size_bytes")
-        units = sorted([u for u in scenario.trace_for(sat_id) if u.capture_slot >= t0],
-                       key=slot_of)
+        arrivals = sorted([(u.capture_slot, u.unit_id, u.size_bytes)
+                           for u in scenario.trace_for(sat_id) if u.capture_slot >= t0],
+                          key=lambda arrival: arrival[0])
         world = QueueWorld(
-            initial_units=tuple(map(unit, scenario.initial_units(sat_id))),
-            arrivals=tuple([(t, tuple(map(unit, group)))
-                            for t, group in itertools.groupby(units, key=slot_of)]),
+            initial_units=tuple([(u.unit_id, u.size_bytes)
+                                 for u in scenario.initial_units(sat_id)]),
+            arrivals=tuple(arrivals),
             transmissible=frozenset(ladder.transmissible.nonzero()[0].tolist()),
             capacity_bytes=scenario.satellite(sat_id).capacity_bytes,
             volume_bytes=per_slot_capacity(scenario),
@@ -120,46 +117,37 @@ class AttackContext:
 
 @dataclass(frozen=True)
 class AttackStrategy:
-    """Attacked slots in the order they were chosen, with their costs, and
-    the queue trace under the full strategy.
+    """A plan on a context and the queue trace under it.
 
-    motivating aligns with slots: the target unit being worked on when the
-    slot was added. The trace tracks the context's target units and, as
-    `AttackContext.trace` gives it, stops once they have all left.
+    plan maps each attacked slot, in the order the planner chose it, to the
+    target unit it was chosen for. The trace tracks the context's target
+    units and, as `AttackContext.trace` gives it, stops once they have all
+    left.
     """
 
-    slots: tuple[int, ...]
-    slot_costs: tuple[float, ...]
-    motivating: tuple[str, ...]
+    context: AttackContext
+    plan: dict[int, str]
     trace: QueueTrace
 
-    def __post_init__(self) -> None:
-        if len(set(self.slots)) != len(self.slots):
-            raise ValidationError("strategy slots must be unique")
-        if not len(self.slots) == len(self.slot_costs) == len(self.motivating):
-            raise ValidationError("slots, slot_costs, motivating must align")
+    @property
+    def slots(self) -> tuple[int, ...]:
+        """The attacked slots in choice order."""
+        return tuple(self.plan)
 
     @property
     def slot_set(self) -> frozenset[int]:
-        return frozenset(self.slots)
+        return frozenset(self.plan)
 
     @property
     def cost(self) -> float:
-        return sum(self.slot_costs)
+        return self.context.cost_of(self.plan)
 
     def summary(self) -> dict:
         return {
-            "slots": list(self.slots),
+            "slots": list(self.plan),
             "total_cost": self.cost,
             "targets": unit_outcomes(self.trace),
         }
-
-    @classmethod
-    def from_trace(cls, context: AttackContext, slots, motivating,
-                   trace: QueueTrace) -> "AttackStrategy":
-        return cls(slots=tuple(slots),
-                   slot_costs=tuple(context.price[t] for t in slots),
-                   motivating=tuple(motivating), trace=trace)
 
 
 def unit_outcomes(trace: QueueTrace) -> dict[str, dict]:
@@ -171,6 +159,6 @@ def unit_outcomes(trace: QueueTrace) -> dict[str, dict]:
 
 def strategy_table(strategy: AttackStrategy) -> tuple[list[str], list[list]]:
     """The strategy artifact: one row per attacked slot, in choice order."""
+    price = strategy.context.price
     return (["slot", "cost", "motivating_unit"],
-            [list(row) for row in zip(strategy.slots, strategy.slot_costs,
-                                      strategy.motivating)])
+            [[t, price[t], uid] for t, uid in strategy.plan.items()])

@@ -120,14 +120,6 @@ def _deadline(args, scenario) -> int | None:
         else scenario.target.target_downlink_slot
 
 
-def _write_strategy(args, strategy) -> None:
-    if args.out:
-        emit(args.out, *strategy_table(strategy), args.format)
-        summary_path = _derived_path(args.out, "summary", ".json")
-        write_text_atomic(summary_path, json_text(strategy.summary()))
-        print(f"strategy -> {args.out}, summary -> {summary_path}")
-
-
 def _cmd_plan(args) -> int:
     scenario, ctx = _context(args)
     deadline = _deadline(args, scenario) if args.kind == "delay" else None
@@ -137,7 +129,11 @@ def _cmd_plan(args) -> int:
     drops = [trace.drop_slot(uid) for uid in trace.tracked if trace.dropped(uid)]
     drop_note = f", drop slot {min(drops)}" if drops and args.kind == "overflow" else ""
     print(f"strategy {{{slots}}}, cost {strategy.cost:g}{drop_note}")
-    _write_strategy(args, strategy)
+    if args.out:
+        emit(args.out, *strategy_table(strategy), args.format)
+        summary_path = _derived_path(args.out, "summary", ".json")
+        write_text_atomic(summary_path, json_text(strategy.summary()))
+        print(f"strategy -> {args.out}, summary -> {summary_path}")
     return 0
 
 

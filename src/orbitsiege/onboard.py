@@ -57,10 +57,15 @@ def per_slot_capacity(scenario: ConstellationScenario) -> int:
 
 @dataclass(frozen=True)
 class QueueWorld:
-    """Everything the queue evolution depends on besides the attack strategy."""
+    """Everything the queue evolution depends on besides the attack strategy.
+
+    initial_units holds the (unit id, size) pairs aboard at t0, head first.
+    arrivals is the stream of (slot, unit id, size) captures that join
+    behind them, in stream order, so its slots never decrease.
+    """
 
     initial_units: tuple[tuple[str, int], ...]
-    arrivals: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]
+    arrivals: tuple[tuple[int, str, int], ...]
     transmissible: frozenset[int]
     capacity_bytes: int
     volume_bytes: int
@@ -74,12 +79,12 @@ class QueueWorld:
             raise ValidationError("volume_bytes must be positive")
         if not 0 <= self.t0 <= self.horizon:
             raise ValidationError("t0 must lie within [0, horizon]")
-        slots = [t for t, _ in self.arrivals]
-        if slots != sorted(set(slots)):
-            raise ValidationError("arrival slots must be strictly increasing")
+        slots = [t for t, _, _ in self.arrivals]
+        if slots != sorted(slots):
+            raise ValidationError("arrival slots must not decrease")
         if slots and not self.t0 <= slots[0] <= slots[-1] <= self.horizon:
             raise ValidationError("arrival slots must lie within [t0, horizon]")
-        units = [*self.initial_units, *(u for _, group in self.arrivals for u in group)]
+        units = [*self.initial_units, *((uid, size) for _, uid, size in self.arrivals)]
         if any(size <= 0 for _, size in units):
             raise ValidationError("unit sizes must be positive")
         if len({uid for uid, _ in units}) != len(units):
@@ -92,10 +97,10 @@ class QueueWorld:
         slot's arrivals."""
         ranges = {}
         end = 0
-        for t, group in ((self.t0, self.initial_units), *self.arrivals):
-            for uid, size in group:
-                ranges[uid] = (t, end, end + size)
-                end += size
+        for t, uid, size in [*((self.t0, *unit) for unit in self.initial_units),
+                             *self.arrivals]:
+            ranges[uid] = (t, end, end + size)
+            end += size
         return ranges
 
     @cached_property

@@ -82,27 +82,22 @@ def plan_delay(ctx: AttackContext, target_slot: int | None,
         def needs_more(te: float, te0: float) -> bool:
             return _delay_achieved(te, te0) <= demanded
 
-    chosen: list[int] = []
-    motivating: list[str] = []
-    members: set[int] = set()
+    plan: dict[int, str] = {}
     trace = base
     for tau in ctx.targets:
         te = trace.t_e(tau)
         tlb = trace.absorbed_through(tau)
         while te != INF and needs_more(te, base.t_e(tau)):
             window = [t for t in ctx.attackable
-                      if tlb < t <= te and t not in members]
+                      if tlb < t <= te and t not in plan]
             if not window:
                 raise AttackFail(
                     f"no attackable slot left in ({tlb}, {te}] for {tau}")
-            best = min(window, key=lambda t: (ctx.price[t], t))
-            chosen.append(best)
-            motivating.append(tau)
-            members.add(best)
-            trace = ctx.trace(members)
+            plan[min(window, key=lambda t: (ctx.price[t], t))] = tau
+            trace = ctx.trace(plan)
             te = trace.t_e(tau)
             tlb = trace.absorbed_through(tau)
-    return AttackStrategy.from_trace(ctx, chosen, motivating, trace)
+    return AttackStrategy(ctx, plan, trace)
 
 
 def verify_delay(ctx: AttackContext, slots,

@@ -27,33 +27,27 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
     Raises AttackFail when both ladders are exhausted or blocked while the
     unit still downlinks. Success leaves every target unit dropped.
     """
-    chosen: list[int] = []
-    motivating: list[str] = []
-    members: set[int] = set()
-
+    plan: dict[int, str] = {}
     trace = ctx.baseline
     for tau in ctx.targets:
         te = trace.t_e(tau)
         tlb = trace.absorbed_through(tau)
-        forward = [t for t in ctx.attackable if t >= te and t not in members]
-        backward = [t for t in ctx.attackable if t < te and t not in members]
-        backward.reverse()
-        fwd_i = 0
-        back_i = 0
+        # forward slots lie at or after the evacuation slot the unit's turn
+        # starts with, backward slots before it
+        split = te
 
         while not trace.dropped(tau):
-            t_n = forward[fwd_i] if fwd_i < len(forward) else None
-            t_p = backward[back_i] if back_i < len(backward) else None
-            if t_n is not None and t_n <= te:
-                members.add(t_n)
-                chosen.append(t_n)
-                motivating.append(tau)
-                trace = ctx.trace(members)
+            t_n = next((t for t in ctx.attackable
+                        if split <= t <= te and t not in plan), None)
+            t_p = next((t for t in reversed(ctx.attackable)
+                        if tlb < t < split and t not in plan), None)
+            if t_n is not None:
+                plan[t_n] = tau
+                trace = ctx.trace(plan)
                 te = trace.t_e(tau)
-                fwd_i += 1
-            elif t_p is not None and t_p > tlb:
-                members.add(t_p)
-                candidate = ctx.trace(members)
+            elif t_p is not None:
+                plan[t_p] = tau
+                candidate = ctx.trace(plan)
                 if not (candidate.dropped(tau) or candidate.t_e(tau) > te):
                     if te == INF:
                         # evacuation already pushed past the horizon and the
@@ -65,17 +59,14 @@ def plan_overflow(ctx: AttackContext) -> AttackStrategy:
                     raise AttackFail(
                         f"attack on slot {t_p} absorbed by the overflow it "
                         f"caused; {tau} still downlinks")
-                chosen.append(t_p)
-                motivating.append(tau)
                 trace = candidate
                 te = trace.t_e(tau)
                 tlb = trace.absorbed_through(tau)
-                back_i += 1
             else:
                 raise AttackFail(
                     f"no slot can keep {tau} aboard past slot {te}")
 
-    return AttackStrategy.from_trace(ctx, chosen, motivating, trace)
+    return AttackStrategy(ctx, plan, trace)
 
 
 def verify_overflow(ctx: AttackContext, slots) -> tuple[bool, dict]:

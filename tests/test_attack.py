@@ -17,7 +17,7 @@ INF = math.inf
 def small_world(**overrides):
     kw = dict(
         initial_units=(("u-1", 1), ("u-2", 1)),
-        arrivals=((3, (("u-3", 1),)),),
+        arrivals=((3, "u-3", 1),),
         transmissible=frozenset({2, 4, 6}),
         capacity_bytes=5,
         volume_bytes=1,
@@ -65,6 +65,12 @@ def test_context_rejects_bad_targets():
         make_context(targets=("ghost",))
     with pytest.raises(ValidationError, match="arrival order"):
         make_context(targets=("u-3", "u-1"))
+    # a context built in code gets no TargetSpec check, so it refuses a
+    # unit listed twice itself
+    with pytest.raises(ValidationError, match="follow arrival order"):
+        make_context(targets=("u-2", "u-2"))
+    with pytest.raises(ValidationError, match="follow arrival order"):
+        make_context(targets=("u-1", "u-3", "u-3"))
 
 
 def test_require_subset():
@@ -107,8 +113,8 @@ def test_from_scenario_groups_an_unordered_trace_by_capture_slot():
                    target=replace(scenario.target, attack_start_slot=1))
     ctx = AttackContext.from_scenario(late, attackability_for(late))
     assert ctx.world.arrivals == (
-        (1, (("arr-001b", 1), ("arr-001a", 1))), (2, (("arr-002", 1),)),
-        (3, (("arr-003", 1),)))
+        (1, "arr-001b", 1), (1, "arr-001a", 1), (2, "arr-002", 1),
+        (3, "arr-003", 1))
 
 
 def test_from_scenario_baseline_matches_desk_numbers():
@@ -119,20 +125,11 @@ def test_from_scenario_baseline_matches_desk_numbers():
     assert ctx.attackable == (2, 4, 6, 8, 10, 12)
 
 
-def test_strategy_invariants():
-    trace = make_context().baseline
-    with pytest.raises(ValidationError, match="unique"):
-        AttackStrategy(slots=(2, 2), slot_costs=(1.0, 1.0),
-                       motivating=("a", "a"), trace=trace)
-    with pytest.raises(ValidationError, match="align"):
-        AttackStrategy(slots=(2,), slot_costs=(), motivating=("a",), trace=trace)
-
-
 def test_strategy_summary_and_outputs():
     # a one-byte store: with slot 2 blocked, the unit arriving at slot 3
     # pushes u-2 out
     ctx = make_context(capacity_bytes=1)
-    strategy = AttackStrategy.from_trace(ctx, [4, 2], ["u-2", "u-2"], ctx.trace({2, 4}))
+    strategy = AttackStrategy(ctx, {4: "u-2", 2: "u-2"}, ctx.trace({2, 4}))
     assert strategy.slot_set == frozenset({2, 4})
     assert strategy.cost == pytest.approx(2.0)
     summary = strategy.summary()
@@ -150,7 +147,7 @@ def test_strategy_summary_and_outputs():
 def test_strategy_from_trace():
     ctx = make_context()
     trace = ctx.trace({2})
-    strategy = AttackStrategy.from_trace(ctx, [2], ["u-2"], trace)
+    strategy = AttackStrategy(ctx, {2: "u-2"}, trace)
     assert strategy.slots == (2,)
-    assert strategy.slot_costs == (1.0,)
+    assert strategy.cost == 1.0
     assert strategy.trace is trace

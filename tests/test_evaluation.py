@@ -388,8 +388,7 @@ def judge_one(scenario, kind, attacked, draw):
     world = replace(
         ctx.world,
         initial_units=tuple((uid, next(resized)) for uid, _ in head),
-        arrivals=tuple((t, tuple((uid, next(resized)) for uid, _ in group))
-                       for t, group in ctx.world.arrivals),
+        arrivals=tuple((t, uid, next(resized)) for t, uid, _ in ctx.world.arrivals),
         volume_bytes=volume)
     true_ctx = replace(ctx, world=world)
 

@@ -14,7 +14,7 @@ from orbitsiege import AttackContext, ValidationError, attackability_for, plan_a
 from orbitsiege.onboard import (QueueWorld, evolve, evolve_rows, per_slot_capacity,
                                 trace_events_table, trace_table)
 from orbitsiege.output import emit
-from test_planners import random_ladder_context
+from test_planners import arrivals_by_slot, random_ladder_context
 
 INF = math.inf
 
@@ -26,8 +26,7 @@ def desk_world(capacity=10):
     """The same world the frozen oracle expectations were computed on."""
     return QueueWorld(
         initial_units=tuple((f"init-{i:03d}", 1) for i in range(1, 6)),
-        arrivals=tuple((t, ((f"arr-{t:03d}", 1),))
-                       for t in range(1, HORIZON + 1)),
+        arrivals=tuple((t, f"arr-{t:03d}", 1) for t in range(1, HORIZON + 1)),
         transmissible=EVEN,
         capacity_bytes=capacity,
         volume_bytes=2,
@@ -50,13 +49,12 @@ def test_world_validation():
 
 @pytest.mark.parametrize("initial, arrivals, match", [
     ((("a", 0),), (), "sizes must be positive"),
-    ((), ((1, (("a", -1),)),), "sizes must be positive"),
-    ((("a", 1),), ((1, (("a", 1),)),), "ids must be unique"),
-    ((), ((1, (("a", 1),)), (1, (("b", 1),))), "strictly increasing"),
-    ((), ((2, (("a", 1),)), (1, (("b", 1),))), "strictly increasing"),
-    ((), ((0, (("a", 1),)),), "within"),
-    ((), ((6, (("a", 1),)),), "within"),
-], ids=["zero-size", "negative-size", "duplicate-id", "repeated-slot",
+    ((), ((1, "a", -1),), "sizes must be positive"),
+    ((("a", 1),), ((1, "a", 1),), "ids must be unique"),
+    ((), ((2, "a", 1), (1, "b", 1)), "must not decrease"),
+    ((), ((0, "a", 1),), "within"),
+    ((), ((6, "a", 1),), "within"),
+], ids=["zero-size", "negative-size", "duplicate-id",
         "unordered-slots", "before-t0", "after-horizon"])
 def test_world_rejects_units_the_engine_cannot_place(initial, arrivals, match):
     with pytest.raises(ValidationError, match=match):
@@ -106,7 +104,7 @@ def test_single_block_adds_two_slots():
 def test_conservation():
     world = desk_world(capacity=8)
     aboard = sum(size for _, size in world.initial_units)
-    arrived = sum(size for _, units in world.arrivals for _, size in units)
+    arrived = sum(size for _, _, size in world.arrivals)
     for attacked in (frozenset(), frozenset({2, 4}), frozenset({2, 4, 6, 8})):
         trace = evolve(world, attacked, tuple(world.byte_ranges))
         moved = sum(trace.tx_bytes) + sum(trace.drop_bytes) + trace.queue_bytes[-1]
@@ -123,7 +121,7 @@ def test_rounding_rule_pads_small_drops():
 
 
 def test_rounding_rule_capped_by_queue():
-    world = QueueWorld((("a", 1),), ((1, (("b", 1),)),), frozenset(), 1, 5, 1, 1)
+    world = QueueWorld((("a", 1),), ((1, "b", 1),), frozenset(), 1, 5, 1, 1)
     trace = evolve(world, frozenset(), ())
     # raw overflow 1 rounds up to the 5-byte volume but only 2 are aboard
     assert trace.drop_bytes == [2]
@@ -134,7 +132,7 @@ def test_rounding_rule_capped_by_queue():
 def test_slot_order_arrivals_then_tx_then_drop():
     # the arrival fills the queue to 3; transmission drains 2 before the
     # capacity check, so nothing is dropped
-    world = QueueWorld((("a", 2),), ((2, (("b", 1),)),), frozenset({2}), 2, 2, 2, 2)
+    world = QueueWorld((("a", 2),), ((2, "b", 1),), frozenset({2}), 2, 2, 2, 2)
     trace = evolve(world, frozenset(), ("b",))
     assert trace.tx_bytes == [2]
     assert trace.drop_bytes == [0]
@@ -193,8 +191,7 @@ def assert_matches_replay(world, attacked, trace):
     unit-level FIFO replay; a trace that tracks every unit also gives the
     replay's whole curves and events up to the horizon in its tables."""
     oracle = fifo_replay(
-        list(world.initial_units),
-        {t: list(units) for t, units in world.arrivals},
+        list(world.initial_units), arrivals_by_slot(world),
         world.transmissible, attacked,
         world.capacity_bytes, world.volume_bytes, world.t0, world.horizon)
     end = world.t0 + len(trace.queue_bytes)
@@ -242,10 +239,8 @@ def random_world(draw):
                     for i in range(1, n_initial + 1))
     arrivals = []
     for t in range(t0, horizon + 1):
-        units = tuple((f"arr-{t:03d}-{k}", draw(st.integers(1, 4)))
-                      for k in range(draw(st.integers(0, 2))))
-        if units:
-            arrivals.append((t, units))
+        for k in range(draw(st.integers(0, 2))):
+            arrivals.append((t, f"arr-{t:03d}-{k}", draw(st.integers(1, 4))))
     transmissible = frozenset(
         t for t in range(horizon + 1) if draw(st.booleans()))
     attacked = frozenset(t for t in transmissible if draw(st.booleans()))
@@ -334,7 +329,7 @@ def test_tables_of_a_run_that_tracks_every_unit_match_reference(world_attacked, 
 
 def test_tables_fill_the_slots_after_every_unit_left():
     # every byte has left by the end of slot 2; slots 3-7 hold nothing
-    world = QueueWorld((("a", 3), ("b", 1)), ((1, (("c", 2),)),),
+    world = QueueWorld((("a", 3), ("b", 1)), ((1, "c", 2),),
                        frozenset(range(8)), 10, 2, 0, 7)
     trace = evolve(world, frozenset(), ("a", "b", "c"))
     assert trace.queue_bytes == [2, 2, 0]
@@ -376,7 +371,8 @@ def random_rows(draw):
             return tuple((uid, draw(st.integers(1, 4))) for uid, _ in units)
 
         rows.append(replace(world, initial_units=resize(world.initial_units),
-                            arrivals=tuple((t, resize(group)) for t, group in world.arrivals),
+                            arrivals=tuple((t, uid, draw(st.integers(1, 4)))
+                                           for t, uid, _ in world.arrivals),
                             volume_bytes=draw(st.integers(1, 5))))
     attacks = [frozenset(t for t in world.transmissible if draw(st.booleans()))
                for _ in range(draw(st.integers(1, 3)))]
@@ -406,7 +402,7 @@ def test_batched_rows_match_evolve_and_reference(rows_attacks, data):
         for r, world in enumerate(rows):
             trace = evolve(world, attacked, tracked)
             oracle = fifo_replay(
-                list(world.initial_units), {t: list(units) for t, units in world.arrivals},
+                list(world.initial_units), arrivals_by_slot(world),
                 world.transmissible, attacked, world.capacity_bytes, world.volume_bytes,
                 world.t0, world.horizon)
             for k, uid in enumerate(tracked):
@@ -424,7 +420,7 @@ def test_batched_rows_match_evolve_and_reference(rows_attacks, data):
 # drops it at slot 0 and row 1 at slot 2, while row 2 keeps it to the end.
 UNRESOLVED_ROWS = [
     QueueWorld((("a", 4), ("b", 8)), (), frozenset({0}), 10, 12, 0, 7),
-    QueueWorld((("a", 4),), ((2, (("b", 20),)),), frozenset({0}), 10, 5, 0, 7),
+    QueueWorld((("a", 4),), ((2, "b", 20),), frozenset({0}), 10, 5, 0, 7),
     QueueWorld((("a", 3),), (), frozenset({0}), 10, 3, 0, 7),
 ]
 

@@ -48,7 +48,7 @@ def test_delay_on_the_desk_scenario():
     strategy = plan_delay(ctx, scenario.target.target_downlink_slot)
     assert strategy.slot_set == frozenset({2})
     assert strategy.cost == pytest.approx(1.0)
-    assert strategy.motivating == ("init-003",)
+    assert strategy.plan == {2: "init-003"}
     assert strategy.trace.t_e("init-003") == 6
     ok, report = verify_delay(ctx, strategy.slots, scenario.target.target_downlink_slot)
     assert ok
@@ -89,7 +89,7 @@ def test_planners_may_block_the_attack_start_slot():
     # fills: blocking slot 0 holds it to slot 2, and blocking slot 2 too
     # drops it when the captures behind it overflow the store
     world = QueueWorld(initial_units=(("u-1", 2), ("u-2", 1)),
-                       arrivals=((1, (("a-1", 2),)), (2, (("a-2", 2),))),
+                       arrivals=((1, "a-1", 2), (2, "a-2", 2)),
                        transmissible=frozenset({0, 2}), capacity_bytes=6, volume_bytes=3,
                        t0=0, horizon=2)
     ctx = AttackContext(world=world, price={0: 1.0, 2: 2.0}, targets=("u-1",))
@@ -126,7 +126,7 @@ def random_ladder_context(rng, horizon=14):
     arrivals = []
     for t in range(1, horizon + 1):
         if rng.random() < 0.7:
-            arrivals.append((t, ((f"arr-{t:03d}", int(rng.integers(1, 3))),)))
+            arrivals.append((t, f"arr-{t:03d}", int(rng.integers(1, 3))))
     transmissible = frozenset(
         int(t) for t in range(1, horizon + 1) if rng.random() < 0.6)
     if not transmissible:
@@ -145,10 +145,17 @@ def random_ladder_context(rng, horizon=14):
     return AttackContext(world=world, price=price, targets=(tau,))
 
 
+def arrivals_by_slot(world):
+    """The world's arrival stream grouped by slot, as the oracles take it."""
+    groups = {}
+    for t, uid, size in world.arrivals:
+        groups.setdefault(t, []).append((uid, size))
+    return groups
+
+
 def oracle_replay(ctx, attacked):
     return fifo_replay(
-        list(ctx.world.initial_units),
-        {t: list(units) for t, units in ctx.world.arrivals},
+        list(ctx.world.initial_units), arrivals_by_slot(ctx.world),
         ctx.world.transmissible, frozenset(attacked),
         ctx.world.capacity_bytes, ctx.world.volume_bytes,
         ctx.world.t0, ctx.world.horizon)
@@ -397,3 +404,17 @@ def test_plan_returns_early_when_target_drops():
     assert ok
     assert report["targets"]["init-003"]["dropped"] or \
         report["evacuation_slot"] > 12
+
+
+@pytest.mark.parametrize("build, expected, cost", [
+    # the only backward slot, 1, is chosen after every forward one
+    (lambda: plan_overflow(random_ladder_context(np.random.default_rng(69))),
+     [(2, "init-002"), (3, "init-002"), (7, "init-002"), (8, "init-002"),
+      (9, "init-002"), (10, "init-002"), (12, "init-002"), (1, "init-002")], 16.0),
+    (lambda: plan_attack(context(load_bundled("s0_ovf")), "overflow", 2, None),
+     [(2, "init-001"), (4, "init-001"), (6, "init-003"), (8, "init-005")], 4.0),
+], ids=["backward_slot_last", "s0_ovf_band"])
+def test_plan_keeps_choice_order(build, expected, cost):
+    strategy = build()
+    assert list(strategy.plan.items()) == expected
+    assert strategy.cost == cost
