@@ -16,6 +16,10 @@ graph, every satellite has one clearly nearest station and no station is
 nearest to more satellites than it has antennas, that nearest-station
 assignment is the optimum there, and the schedule is read off it for all
 such slots at once. Only the other slots are one Hungarian solve each.
+
+The solver is `linear_sum_assignment`, SciPy's solver of the same name
+ported step for step (Crouse's shortest augmenting path), so it returns the
+pairs SciPy returns, ties included, with numpy as the only dependency.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfHorizon, ValidationError
 from .orbit import ContactWindows, compute_contact_windows, propagate, station_ecef_m
@@ -72,25 +75,106 @@ class Ladder:
         return itertools.starmap(AttackabilityRecord, self.rows())
 
 
+def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of every row of a wide cost matrix, or every
+    column of a tall one: the pairs as (rows, cols) index arrays, rows
+    ascending. Entries must be finite or `inf`; `hungarian`, the caller,
+    refuses NaN and `-inf`. Raises `ValueError` if no such assignment avoids
+    every `inf`.
+
+    A step-for-step port of SciPy's `linear_sum_assignment`, Crouse's
+    shortest augmenting path algorithm (D. F. Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4), 2016) as SciPy's
+    `rectangular_lsap.cpp` runs it, so it returns the same pairs, ties
+    included. Rows are augmented in order. Each path search scans the
+    unvisited columns from the last one back, each visited column giving its
+    place to the last one in the scan; it takes the least path cost, a tie
+    going to the last unassigned column scanned, or to the first one scanned
+    if every tied column is assigned. Path costs are summed left to right,
+    as SciPy sums them. A tall matrix is solved transposed and its pairs put
+    back in row order.
+    """
+    matrix = np.asarray(cost, dtype=float)
+    nr, nc = matrix.shape
+    transpose = nc < nr
+    if transpose:
+        matrix, nr, nc = matrix.T, nc, nr
+    cost = matrix.tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        # shortest augmenting path from row `cur` to an unassigned column
+        min_val, i, sink = 0.0, cur, -1
+        remaining = list(range(nc - 1, -1, -1))
+        path_cost = [math.inf] * nc
+        rows_seen, cols_seen = [], []
+        while sink < 0:
+            rows_seen.append(i)
+            row, u_i, lowest = cost[i], u[i], math.inf
+            for j in remaining:
+                r = min_val + row[j] - u_i - v[j]
+                s = path_cost[j]
+                if r < s:
+                    path[j] = i
+                    path_cost[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, best = s, j
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            index = remaining.index(best)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            cols_seen.append(best)
+            if row4col[best] < 0:
+                sink = best
+            else:
+                i = row4col[best]
+        # update the dual variables, then flip the path's pairs
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - path_cost[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - path_cost[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return (np.array([col4row[j] for j in order], dtype=np.intp),
+                np.array(order, dtype=np.intp))
+    return np.arange(nr, dtype=np.intp), np.array(col4row, dtype=np.intp)
+
+
 def hungarian(cost_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-cost maximum-cardinality assignment, one SciPy solve: the
-    matched pairs as (rows, cols) index arrays, rows ascending.
+    """Minimum-cost maximum-cardinality assignment, one
+    `linear_sum_assignment` solve: the matched pairs as (rows, cols) index
+    arrays, rows ascending.
 
     `inf` entries mark forbidden pairs; rows or columns left unmatched by
-    them are simply absent. NaN and `-inf` are refused. Forbidden pairs are
-    solved at a cost above any sum of allowed ones, so a larger matching
-    always wins. Among tied optima the one SciPy's solver gives is returned,
-    which is the same for the same matrix.
+    them are simply absent. NaN and `-inf` are refused, and so are allowed
+    entries whose sum overflows. Forbidden pairs are solved at a cost above
+    that sum, so a larger matching always wins. Among tied optima the one
+    SciPy's solver gives is returned, which `linear_sum_assignment` ports:
+    a tie goes to the last unassigned column its path search scans.
     """
     matrix = np.asarray(cost_matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValidationError("cost matrix must be two-dimensional")
-    if np.isnan(matrix).any():
+    lowest = matrix.min(initial=0.0)  # NaN if any entry is
+    if math.isnan(lowest):
         raise ValidationError("cost matrix entries must not be NaN")
-    if (matrix < 0).any():
+    if lowest < 0:
         raise ValidationError("cost matrix entries must be non-negative")
-    forbidden = np.isinf(matrix)
-    big = float(matrix[~forbidden].sum()) + 1.0
+    forbidden = matrix == math.inf
+    try:
+        big = math.fsum(matrix[~forbidden].tolist()) + 1.0
+    except OverflowError:
+        raise ValidationError("cost matrix's allowed entries must sum to a finite value") from None
     rows, cols = linear_sum_assignment(np.where(forbidden, big, matrix))
     allowed = ~forbidden[rows, cols]
     return rows[allowed], cols[allowed]

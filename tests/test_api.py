@@ -6,6 +6,8 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +16,7 @@ from bundled import bundled_path
 from orbitsiege.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src")
 
 PUBLIC = {
     "AttackContext", "ContactWindows", "EvalConfig", "attackability_for",
@@ -73,17 +76,64 @@ def test_readme_library_example_runs(monkeypatch):
     assert len(namespace["result"].points) == 2
 
 
-def test_readme_pipeline_commands_run(monkeypatch, tmp_path):
+def readme_pipeline(workdir):
+    """README's Pipeline commands as argv lists, and `workdir` set up to run
+    them: a `scenarios` folder holding the bundled scenario."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     pipeline = readme.split("\n## Pipeline\n", 1)[1].split("\n## ", 1)[0]
     block = re.findall(r"^    orbitsiege (?:.*\\\n)*.*", pipeline, re.M)
     commands = [shlex.split(command.replace("\\\n", " ")) for command in block]
     assert [argv[1] for argv in commands] == ["windows", "schedule", "plan-delay", "sweep"]
-    os.mkdir(tmp_path / "scenarios")
-    shutil.copy(bundled_path("constellation_24h"), tmp_path / "scenarios")
+    assert all(argv[0] == "orbitsiege" for argv in commands)
+    os.makedirs(workdir / "scenarios")
+    shutil.copy(bundled_path("constellation_24h"), workdir / "scenarios")
+    return commands
+
+
+def test_readme_pipeline_commands_run(monkeypatch, tmp_path):
+    commands = readme_pipeline(tmp_path)
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        assert argv[0] == "orbitsiege"
         assert main(argv[1:]) == 0, argv
         assert os.path.getsize(argv[argv.index("--out") + 1]) > 0, argv
+
+
+# one CLI step in a fresh process, SciPy made unimportable when asked; the
+# last line out names the SciPy modules loaded
+CLI_STEP = """\
+import sys
+if sys.argv.pop(1) == "block":
+    sys.modules["scipy"] = None  # importing SciPy or a submodule now fails
+from orbitsiege.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(m for m, module in sys.modules.items()
+                      if m.split(".")[0] == "scipy" and module is not None)))
+sys.exit(code)
+"""
+
+
+def run_cli_step(mode, argv, cwd):
+    path = os.pathsep.join(filter(None, (os.path.abspath(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", CLI_STEP, mode, *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_readme_pipeline_runs_without_scipy(monkeypatch, tmp_path):
+    """The runtime needs only numpy: each README step, run where SciPy cannot
+    be imported, exits as an ordinary run does and writes the same bytes, and
+    an ordinary `schedule` step loads no SciPy module."""
+    plain, blocked = tmp_path / "plain", tmp_path / "blocked"
+    commands = readme_pipeline(plain)
+    readme_pipeline(blocked)
+    monkeypatch.chdir(plain)
+    for argv in commands:
+        out = argv[argv.index("--out") + 1]
+        step = run_cli_step("block", argv[1:], blocked)
+        assert step.returncode == main(argv[1:]), step.stderr
+        assert (blocked / out).read_bytes() == (plain / out).read_bytes(), argv
+        if argv[1] == "schedule":
+            step = run_cli_step("allow", argv[1:], plain)
+            assert step.returncode == 0, step.stderr
+            assert step.stdout.splitlines()[-1] == ""

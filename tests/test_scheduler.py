@@ -80,8 +80,62 @@ def test_hungarian_input_validation():
         hungarian([[1.0, -INF]])
     with pytest.raises(ValidationError, match="NaN"):
         hungarian([[math.nan]])
+    # no cost lies above allowed entries whose sum overflows
+    with pytest.raises(ValidationError, match="sum to a finite value"):
+        hungarian([[1e308, 1e308], [INF, INF]])
+    rows, cols = hungarian([[1e308, INF], [INF, INF]])
+    assert rows.tolist() == cols.tolist() == [0]
     rows, cols = hungarian(np.empty((0, 3)))
     assert rows.tolist() == cols.tolist() == []
+
+
+@st.composite
+def assignment_matrices(draw):
+    """A cost matrix of 0-6 rows and 0-6 columns, or columns per antenna, of
+    one kind: small integers (heavy ties), continuous costs, a station
+    matrix with each station's column repeated per antenna as
+    `build_schedule` solves it, or `hungarian`'s big-M stand-ins for
+    forbidden pairs. All but the last may hold `inf`, which can leave no
+    assignment."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("ties", "continuous", "antennas", "big_m")))
+    cell = st.floats(0.0, 1e7) if kind == "continuous" else st.integers(0, 3).map(float)
+    size = n_rows * n_cols
+    matrix = np.reshape(draw(st.lists(cell, min_size=size, max_size=size)), (n_rows, n_cols))
+    marked = np.reshape(draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                        (n_rows, n_cols)).astype(bool)
+    matrix[marked] = matrix.sum() + 1.0 if kind == "big_m" else INF
+    if kind == "antennas":
+        counts = draw(st.lists(st.integers(1, 3), min_size=n_cols, max_size=n_cols))
+        matrix = matrix[:, np.repeat(np.arange(n_cols), counts)]
+    return matrix
+
+
+@pytest.fixture(scope="module")
+def scipy_solver():
+    return pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrix=assignment_matrices())
+@example(matrix=np.zeros((3, 3)))
+@example(matrix=np.zeros((4, 2)))
+@example(matrix=np.empty((0, 3)))
+@example(matrix=np.empty((3, 0)))
+@example(matrix=np.array([[INF, INF], [1.0, 2.0]]))
+# row 1 ties an assigned and an unassigned column, and takes the unassigned
+@example(matrix=np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+def test_linear_sum_assignment_is_scipys(scipy_solver, matrix):
+    """The port returns SciPy's index arrays exactly, ties included, and
+    refuses what SciPy refuses."""
+    try:
+        expected = scipy_solver(matrix)
+    except ValueError:
+        with pytest.raises(ValueError, match="infeasible"):
+            scheduler.linear_sum_assignment(matrix)
+        return
+    rows, cols = scheduler.linear_sum_assignment(matrix)
+    assert (rows.tolist(), cols.tolist()) == (expected[0].tolist(), expected[1].tolist())
 
 
 # a valid LEO orbit, so the schedule can propagate the low-priority satellites
