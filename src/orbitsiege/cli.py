@@ -22,7 +22,7 @@ from .evaluation import (AXES, KINDS, EvalConfig, aggregate_table, plan_attack,
                          report_table, sweep)
 from .onboard import evolve, trace_events_table, trace_table
 from .orbit import (compute_contact_windows, load_contact_windows,
-                    save_contact_windows, windows_text)
+                    save_contact_windows, windows_chunks)
 from .output import emit, json_text, table_text, write_text_atomic
 from .planner_delay import verify_delay
 from .planner_overflow import verify_overflow
@@ -81,7 +81,7 @@ def _cmd_windows(args) -> int:
         save_contact_windows(args.out, windows, args.format)
         print(f"{len(windows)} contact windows -> {args.out}")
     else:
-        sys.stdout.write(windows_text(windows, args.format))
+        sys.stdout.writelines(windows_chunks(windows, args.format))
     return 0
 
 

@@ -24,11 +24,15 @@ written, read and grouped by slot without a Python object per window. Its
 ids are in id order, so an index is an id's rank, and its rows are in
 strict (slot, satellite id, station id) order, each contact once; the
 value refuses anything else. They are computed satellite by satellite in
-id order, each one's rows already in slot and station id order, so one
-stable sort by slot orders them.
+id order, each one's rows already in slot and station id order, so a
+counting sort by slot places them: each satellite's rows go, behind those
+of the satellites before it, into the rows a bincount of slots gives each
+slot, in columns allocated once.
 
-The windows CSV is written as byte columns. Each distinct slot (one per
-run of the slot-ordered rows) and each id is rendered once, with its
+The windows CSV is written as byte columns, CHUNK_ROWS rows at a time, and
+streamed to its file or to standard output chunk by chunk, so the text is
+never whole in memory. Each distinct slot of a chunk (one per run of the
+slot-ordered rows) and each id is rendered once, with its
 comma; each elevation is rendered in numpy (`output.float_words`) where it
 is in the fixed-point grammar of 6 significant digits: 1e-4 <= |x| < 1e6,
 written `-?D+(.D+)?` without trailing zeros, at most 12 bytes. Any other
@@ -38,7 +42,13 @@ by `output.fmt_cell`. So the file is byte for byte what `csv_text` writes
 row by row. Ids are written as they are, so the writer, like a scenario,
 refuses one holding `,`, `"`, CR or LF.
 
-The windows CSV is read in that one grammar, as byte columns. A row is a
+The windows CSV is read in that one grammar, as byte columns, in bounded
+memory: one pass BLOCK_BYTES at a time checks that the file is UTF-8 and
+counts its lines, so the columns are allocated once and a UTF-8 error is
+reported, at its position in the file, before any row error; then the rows
+are split and checked one block of whole lines at a time, straight into
+those columns. A file of one block is read once, and a pipe, which cannot
+be read twice, is held whole. A row is a
 line, ended by LF or CRLF; a cell lies between commas, and a quote or a
 lone CR is a byte in it. Commas and line ends are found in one scan, and
 the split is accepted at once when they run three commas, then a line end,
@@ -56,7 +66,10 @@ repeated row included.
 
 from __future__ import annotations
 
+import codecs
 import functools
+import io
+import itertools
 import math
 import sys
 from dataclasses import InitVar, dataclass
@@ -66,7 +79,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import IoError, OutOfHorizon, ParseError, StaleElements, ValidationError
-from .output import cell_words, float_words, table_text, unfilled, write_text_atomic
+from .output import cell_words, float_words, table_text, unfilled, write_chunks_atomic
 from .scenario import (ConstellationScenario, GroundStationSpec, SatelliteSpec, TimeGrid,
                        TleElements, _check_id)
 
@@ -232,22 +245,26 @@ def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
 
     Satellites and stations are taken in id order, so their indices are
     their ranks, and each satellite's pairs come out of the cull in slot
-    order, then station order; so one stable sort by slot puts the rows in
-    the order `ContactWindows` keeps.
+    order, then station order. Each satellite's part is kept narrow (slots
+    and stations as the narrowest unsigned types that hold them), and the
+    rows are placed by a counting sort: the bincount of all parts' slots
+    gives each slot's first row, and each part, in id order, is scattered
+    there behind the parts before it, so the rows land in the order
+    `ContactWindows` keeps without a sort or a concatenation.
     """
     satellites = sorted(scenario.satellites, key=lambda sat: sat.id)
     stations = sorted(scenario.stations, key=lambda st: st.id)
-    # slot, satellite, station, elevation: each starts with an empty part,
-    # so a world without contacts concatenates too
-    columns: tuple[list, ...] = ([np.empty(0, np.intp)], [np.empty(0, np.intp)],
-                                 [np.empty(0, np.intp)], [np.empty(0)])
+    horizon_slots = scenario.time.horizon_slots
+    slot_type = np.min_scalar_type(scenario.time.last_slot)
+    station_type = np.min_scalar_type(len(stations))
+    parts = []  # per satellite: slot, station and elevation of each contact
     if stations:
         station_pos = np.array([station_ecef_m(st) for st in stations])
         station_norm = np.linalg.norm(station_pos, axis=1, keepdims=True)
         zenith = station_pos / station_norm
         horizon = station_norm[:, 0] - HORIZON_MARGIN_M
         thresholds = np.array([st.min_elevation_deg for st in stations])
-        for index, sat in enumerate(satellites):
+        for sat in satellites:
             pos = propagate(sat, scenario.time)
             # the kept pairs in slot order, then station order
             slot_idx, station = np.divmod(np.flatnonzero(pos @ zenith.T > horizon),
@@ -257,22 +274,35 @@ def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
             sin_elev = np.einsum("pk,pk->p", los, zenith[station]) / los_norm
             elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
             seen = elev >= thresholds[station]
-            slot_idx, station = slot_idx[seen], station[seen]
-            for parts, part in zip(columns, (slot_idx, np.full(len(slot_idx), index),
-                                             station, elev[seen])):
-                parts.append(part)
-    slot, satellite, station, elevation = map(np.concatenate, columns)
-    # slots as the narrowest unsigned type that holds them, which numpy
-    # radix-sorts when it is 16 bits or less
-    order = np.argsort(slot.astype(np.min_scalar_type(scenario.time.last_slot)), kind="stable")
+            parts.append((slot_idx[seen].astype(slot_type), station[seen].astype(station_type),
+                          elev[seen]))
+    per_slot = np.zeros(horizon_slots, dtype=np.intp)
+    for slot, _, _ in parts:
+        per_slot += np.bincount(slot, minlength=horizon_slots)
+    rows = int(per_slot.sum())
+    satellite = np.empty(rows, dtype=np.intp)
+    station = np.empty(rows, dtype=np.intp)
+    elevation = np.empty(rows)
+    free = np.cumsum(per_slot) - per_slot  # each slot's first row not yet placed
+    for index, (slot, part_station, part_elevation) in enumerate(parts):
+        count = np.bincount(slot, minlength=horizon_slots)
+        # the part is in slot order: its row k is row k - (its first row of
+        # that slot) among its rows of that slot
+        at = np.arange(len(slot)) + (free - (np.cumsum(count) - count))[slot]
+        satellite[at] = index
+        station[at] = part_station
+        elevation[at] = part_elevation
+        free += count
+    del parts  # so that they and the order check's scratch never peak together
     return ContactWindows(tuple(sat.id for sat in satellites), tuple(st.id for st in stations),
-                          slot[order].astype(np.int64, copy=False), satellite[order],
-                          station[order], elevation[order])
+                          np.repeat(np.arange(horizon_slots, dtype=np.int64), per_slot),
+                          satellite, station, elevation)
 
 
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]
 HEADER_LINE = ",".join(WINDOW_HEADER)
-CHUNK_ROWS = 1 << 15
+CHUNK_ROWS = 1 << 13
+BLOCK_BYTES = 1 << 18  # the reader's block, extended to a line end
 SLOT_DIGITS = 18  # any 18 digits fit int64
 ELEVATION_BYTES = 17  # a minus, 15 digits and a point; the digits are checked against 2**53
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so folding words keeps their bits mixed
@@ -286,61 +316,132 @@ _TENS = np.array([float(10 ** k) for k in range(ELEVATION_BYTES)])
 _Chunk = tuple[bytes, Sequence[np.ndarray], Sequence[np.ndarray]]
 
 
-def windows_csv_text(windows: ContactWindows) -> str:
+def windows_csv_chunks(windows: ContactWindows) -> Iterator[str]:
     """The windows CSV, byte for byte what `csv_text` writes for `rows()`,
-    built CHUNK_ROWS rows at a time in numpy.
+    as the header line and then text chunks of CHUNK_ROWS rows, each built
+    in numpy when it is asked for. The ids are checked at the call, before
+    any chunk.
 
-    Each distinct slot, found as a run of the slot-ordered rows, and each id
-    is rendered once, with its comma, as a row of words (`output.cell_words`);
-    ids as they are, so one holding a character csv.writer quotes is refused.
-    Each elevation is rendered by `output.float_words`: in numpy when 1e-4 <=
-    |x| < 1e6, as `-?D+(.D+)?` of 6 significant digits without trailing zeros,
-    and alone by `fmt_cell` when it is outside that grammar or its rounding is
-    within a hair of a tie or carries into the next decade. A chunk's rows are
-    those words side by side, and its text their bytes without the fill
-    between cells.
+    Each distinct slot of a chunk, found as a run of the slot-ordered rows,
+    and each id is rendered once, with its comma, as a row of words
+    (`output.cell_words`); ids as they are, so one holding a character
+    csv.writer quotes is refused. Each elevation is rendered by
+    `output.float_words`: in numpy when 1e-4 <= |x| < 1e6, as `-?D+(.D+)?`
+    of 6 significant digits without trailing zeros, and alone by `fmt_cell`
+    when it is outside that grammar or its rounding is within a hair of a
+    tie or carries into the next decade. A chunk's rows are those words
+    side by side, and its text their bytes without the fill between cells.
     """
     for kind, ids in (("satellite", windows.satellite_ids), ("station", windows.station_ids)):
         for sid in ids:
             _check_id(kind, sid)
     satellites = cell_words([sid + "," for sid in windows.satellite_ids])
     stations = cell_words([sid + "," for sid in windows.station_ids])
-    # rows are in slot order, so each run of equal slots is one distinct slot
-    new_slot = np.diff(windows.slot, prepend=windows.slot[:1] - 1) != 0
-    slot_of_row = np.cumsum(new_slot) - 1
-    slot_cells = cell_words([f"{slot}," for slot in windows.slot[new_slot].tolist()])
-    pieces = [HEADER_LINE + "\n"]
-    for first in range(0, len(windows), CHUNK_ROWS):
+
+    def chunk(first: int) -> str:
         rows = slice(first, first + CHUNK_ROWS)
-        pieces.append(unfilled(np.hstack([
-            np.take(slot_cells, slot_of_row[rows], axis=0),
+        slot = windows.slot[rows]
+        # rows are in slot order, so each run of equal slots is one distinct slot
+        new_slot = np.diff(slot, prepend=slot[:1] - 1) != 0
+        slot_cells = cell_words([f"{value}," for value in slot[new_slot].tolist()])
+        return unfilled(np.hstack([
+            np.take(slot_cells, np.cumsum(new_slot) - 1, axis=0),
             np.take(satellites, windows.satellite[rows], axis=0),
             np.take(stations, windows.station[rows], axis=0),
-            float_words(windows.elevation_deg[rows], "\n")[0]])).decode("utf-8"))
-    return "".join(pieces)
+            float_words(windows.elevation_deg[rows], "\n")[0]])).decode("utf-8")
+
+    return itertools.chain([HEADER_LINE + "\n"], map(chunk, range(0, len(windows), CHUNK_ROWS)))
 
 
-def windows_text(windows: ContactWindows, fmt: str = "csv") -> str:
-    """The windows table as CSV (`windows_csv_text`) or JSON."""
+def windows_csv_text(windows: ContactWindows) -> str:
+    """The windows CSV as one text: `windows_csv_chunks` joined."""
+    return "".join(windows_csv_chunks(windows))
+
+
+def windows_chunks(windows: ContactWindows, fmt: str = "csv") -> Iterator[str]:
+    """The windows table as CSV chunks (`windows_csv_chunks`), or as one
+    JSON text."""
     if fmt == "csv":
-        return windows_csv_text(windows)
-    return table_text(WINDOW_HEADER, windows.rows(), fmt)
+        return windows_csv_chunks(windows)
+    return iter([table_text(WINDOW_HEADER, windows.rows(), fmt)])
 
 
 def save_contact_windows(path: str, windows: ContactWindows, fmt: str = "csv") -> None:
-    write_text_atomic(path, windows_text(windows, fmt))
+    """Write the windows table to path chunk by chunk, atomically."""
+    write_chunks_atomic(path, windows_chunks(windows, fmt))
 
 
-def _header_error(path: str, text: str) -> ParseError:
-    if text.lstrip().startswith("["):
+def _header_error(path: str, lead: str) -> ParseError:
+    """The error for a file whose first line is not the header; `lead` is
+    its first character that is not whitespace."""
+    if lead == "[":
         return ParseError(f"{path}: this is a JSON windows file; --windows reads only "
                           f"the CSV form (windows --format csv)")
     return ParseError(f"{path}: expected header {HEADER_LINE}")
 
 
-def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
-    """The rows as chunks of CHUNK_ROWS rows, up to the first row that has
-    not four cells, whose error is raised after.
+def _not_utf8(path: str, exc: UnicodeDecodeError, offset: int) -> ParseError:
+    """The error for bytes that are not UTF-8, found by decoding the bytes
+    from file position `offset` on: it gives their position in the file,
+    as decoding the whole file would."""
+    start, end = exc.start + offset, exc.end + offset
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+             if exc.end == exc.start + 1 and exc.start < len(exc.object)
+             else f"bytes in position {start}-{end - 1}")
+    return ParseError(f"{path}: not UTF-8 text: '{exc.encoding}' codec can't decode "
+                      f"{where}: {exc.reason}")
+
+
+def _utf8_lines(path: str, fh) -> tuple[bytes | None, int, str]:
+    """Read the file once, BLOCK_BYTES at a time, and refuse it unless it
+    is UTF-8 text. Returns its bytes when it is one block (None when it is
+    more), its count of lines, a last one without a line end included, and
+    its first character that is not whitespace ("" when it has none)."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lines, lead, position, last = 0, "", 0, b"\n"
+    whole = block = fh.read(BLOCK_BYTES)
+    while block:
+        held = len(decoder.getstate()[0])  # bytes of a character the last block cut
+        try:
+            text = decoder.decode(block)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, position - held) from exc
+        lead = lead or text.lstrip()[:1]
+        lines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+        position += len(block)
+        last = block[-1:]
+        block = fh.read(BLOCK_BYTES)
+        if block:
+            whole = None
+    held = len(decoder.getstate()[0])
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc, position - held) from exc
+    return whole, lines + (last != b"\n"), lead
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The file from where `fh` stands, as blocks that each end at a line
+    end, read BLOCK_BYTES at a time: a block ends at the last line end of
+    what is read, which is read on until it holds one. The last block ends
+    where the file does."""
+    carry = b""
+    while block := fh.read(BLOCK_BYTES):
+        block = carry + block
+        end = block.rfind(b"\n") + 1
+        carry = block[end:]
+        if end:
+            yield block[:end]
+    if carry:
+        yield carry
+
+
+def _chunks_by_line(path: str, raw: bytes, line: int = 1) -> Iterator[_Chunk]:
+    """The rows of `raw`, whole lines of the file from line `line` on, as
+    chunks of CHUNK_ROWS rows, up to the first row that has not four cells,
+    whose error is raised after. Line 1 is the header, which the caller has
+    checked, and is skipped.
 
     A row is a line, ended by LF or by CRLF, whose CR is dropped; a cell
     lies between commas. These are single bytes that no multi-byte UTF-8
@@ -350,16 +451,15 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
     two counts check; only otherwise are the commas counted row by row,
     to find the first row that has not three.
     """
-    header = HEADER_LINE.encode()
-    if raw != header and not raw.startswith((header + b"\n", header + b"\r\n")):
-        raise _header_error(path, raw.decode("utf-8"))
-    start = raw.find(b"\n") + 1 or len(raw)
+    start = 0
+    if line == 1:
+        start, line = raw.find(b"\n") + 1 or len(raw), 2
     if start >= len(raw):
         return
     data = np.frombuffer(raw, dtype=np.uint8)
-    # past the header's three commas and line end; the last row ends at
-    # the end of the file when no line end does
-    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))[4:]
+    # past the header's three commas and line end, if it is here; the last
+    # row ends at the end of the file when no line end does
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))[4 if start else 0:]
     comma = data[seps] == ord(",")
     if raw[-1] != ord("\n"):
         seps, comma = np.append(seps, len(raw)), np.append(comma, False)
@@ -375,13 +475,13 @@ def _chunks_by_line(path: str, raw: bytes) -> Iterator[_Chunk]:
     if b"\r" in raw:  # a row's last cell ends before the CR of its CRLF
         ends = ends - ((data[ends - 1] == ord("\r")) & (ends < len(raw)))
     del data, seps, comma
-    raw += _PAD  # one copy of the file, shared by every chunk
+    raw += _PAD  # one copy of the block, shared by its chunks
     for first in range(0, good, CHUNK_ROWS):
         rows = slice(first, min(first + CHUNK_ROWS, good))
         yield (raw, (begins[rows], *(commas[:, rows] + 1)),
                (*commas[:, rows], ends[rows]))
     if good < len(ends):
-        raise ParseError(f"{path}:{good + 2}: expected 4 columns")
+        raise ParseError(f"{path}:{line + good}: expected 4 columns")
 
 
 def _words(data: bytes, start: np.ndarray, length: np.ndarray, words: int) -> np.ndarray:
@@ -475,13 +575,13 @@ def _folded(words: np.ndarray) -> np.ndarray:
     return folded
 
 
-def _indices(data: bytes, start: np.ndarray, end: np.ndarray, ids: list[str]) -> np.ndarray:
-    """Each cell's index in `ids`, -1 where it is none of them. Ids and
-    cells are packed into as many uint64 words as the longest id needs, so
-    a longer cell is none of them. A cell is looked up in a table of 16 to
-    32 buckets per id, numbered by the top bits of the fold of its words
-    times _MIX, and checked word for word against each id from the first
-    of its bucket on, as many as the fullest bucket holds."""
+@functools.lru_cache(maxsize=2)  # a file's satellite ids and its station ids
+def _id_table(ids: tuple[str, ...]) -> tuple:
+    """The lookup table of `_indices` for ids, built once per id list and
+    shared by every chunk of a file, read-only: the count of words an id
+    takes, the bucket shift, each bucket's first id, per word a column of
+    the ids' words in bucket order, each of their indices, and the size of
+    the fullest bucket."""
     encoded = [sid.encode("utf-8") for sid in ids]
     words = max(1, -(-max(map(len, encoded), default=0) // 8))
     key_length = np.fromiter(map(len, encoded), np.int64, len(encoded))
@@ -491,15 +591,28 @@ def _indices(data: bytes, start: np.ndarray, end: np.ndarray, ids: list[str]) ->
     bucket = (_folded(key_words) * _MIX >> shift).astype(np.intp)
     order = np.argsort(bucket, kind="stable")
     first_in = np.searchsorted(bucket[order], np.arange(1 << (64 - int(shift))))
-    # per word, a column of the ids' words in bucket order, and a last zero
-    # word, at index -1, for cells past the last id
+    # a last zero word, at index -1, for cells past the last id
     key_columns = np.append(key_words[order], np.zeros((1, words), np.uint64), axis=0).T.copy()
     at = np.append(order, -1)
+    for table in (first_in, key_columns, at):
+        table.flags.writeable = False
+    return words, shift, first_in, key_columns, at, int(np.bincount(bucket).max(initial=0))
+
+
+def _indices(data: bytes, start: np.ndarray, end: np.ndarray,
+             ids: tuple[str, ...]) -> np.ndarray:
+    """Each cell's index in `ids`, -1 where it is none of them. Ids and
+    cells are packed into as many uint64 words as the longest id needs, so
+    a longer cell is none of them. A cell is looked up in a table of 16 to
+    32 buckets per id, numbered by the top bits of the fold of its words
+    times _MIX, and checked word for word against each id from the first
+    of its bucket on, as many as the fullest bucket holds."""
+    words, shift, first_in, key_columns, at, depth = _id_table(ids)
     length = end - start
     cells = _words(data, start, length, words)
     near = first_in[(_folded(cells) * _MIX >> shift).astype(np.intp)]
     found = np.full(len(start), -1, dtype=np.intp)
-    for k in range(np.bincount(bucket).max(initial=0)):
+    for k in range(depth):
         candidate = np.minimum(near + k, len(ids))
         match = key_columns[0][candidate] == cells[:, 0]
         for column, cell in zip(key_columns[1:], cells.T[1:]):
@@ -509,7 +622,7 @@ def _indices(data: bytes, start: np.ndarray, end: np.ndarray, ids: list[str]) ->
 
 
 def _checked(path: str, chunk: _Chunk, first_line: int, last_slot: int,
-             satellite_ids: list[str], stations: list[GroundStationSpec],
+             satellite_ids: tuple[str, ...], stations: list[GroundStationSpec],
              before: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """Slot, satellite index, station index and elevation columns of the
     rows of a chunk, whose first line is `first_line`, under ids in id
@@ -523,7 +636,7 @@ def _checked(path: str, chunk: _Chunk, first_line: int, last_slot: int,
 
     slot, bad_slot = _slots(data, start[0], end[0], last_slot)
     satellite = _indices(data, start[1], end[1], satellite_ids)
-    station = _indices(data, start[2], end[2], [st.id for st in stations])
+    station = _indices(data, start[2], end[2], tuple(st.id for st in stations))
     elevation, bad_elev = _elevations(data, start[3], end[3])
     # index -1, an unknown station, reads a threshold no elevation is below
     thresholds = np.array([st.min_elevation_deg for st in stations] + [-math.inf])
@@ -554,13 +667,16 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
     """Read a window CSV, validating ids and horizon against the scenario.
 
     The file is read in the one grammar `windows_csv_text` writes (see the
-    module docstring), split into rows at LF or CRLF and into cells at commas
-    on the bytes; a file whose separators run three commas and a line end, row
-    after row, is split without counting each row's commas, and any other has
-    its first row of not four cells reported. The rows are checked as columns,
-    a chunk of rows at a time; the first bad row is reported with its line
-    number and the error a row-by-row reader of that grammar would raise
-    there. Slots (1 to SLOT_DIGITS ASCII digits, after an optional minus) and
+    module docstring): first checked to be UTF-8 and its lines counted, a
+    block of BLOCK_BYTES at a time, then read again, unless it is one block,
+    in blocks of whole lines, each split into rows at LF or CRLF and into
+    cells at commas on the bytes; a block whose separators run three commas
+    and a line end, row after row, is split without counting each row's
+    commas, and any other has its first row of not four cells reported. The
+    rows are checked as columns, a chunk of rows at a time, and placed in
+    columns allocated for every line but the header; the first bad row is
+    reported with its line number and the error a row-by-row reader of that
+    grammar would raise there. Slots (1 to SLOT_DIGITS ASCII digits, after an optional minus) and
     ids are read on the bytes only, a slot once per run of byte-identical
     neighbouring cells, so once per slot of a file in slot order; an elevation
     is read on the bytes when it is `-?D*(.D*)?` of at most ELEVATION_BYTES
@@ -568,26 +684,34 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
     row whose cells pass but that is not after the row before it in (slot,
     satellite id, station id) order, a repeated row included, is a ParseError.
     """
+    satellite_ids = tuple(sorted(s.id for s in scenario.satellites))
+    stations = sorted(scenario.stations, key=lambda st: st.id)
+    header = HEADER_LINE.encode()
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        with open(path, "rb") as opened:
+            # a pipe cannot be read twice, so it is held whole
+            fh = opened if opened.seekable() else io.BytesIO(opened.read())
+            whole, lines, lead = _utf8_lines(path, fh)
+            if whole is None:
+                fh.seek(0)
+            blocks = iter([whole] if whole is not None else _line_blocks(fh))
+            first = next(blocks)
+            if first != header and not first.startswith((header + b"\n", header + b"\r\n")):
+                raise _header_error(path, lead)
+            # every line but the header is a row, or the file is refused
+            columns = tuple(np.empty(lines - 1, dtype)
+                            for dtype in (np.int64, np.intp, np.intp, np.float64))
+            rows, before, line = 0, (-1, 0), 1  # a slot before every slot
+            for block in itertools.chain([first], blocks):
+                for chunk in _chunks_by_line(path, block, line):
+                    part = _checked(path, chunk, 2 + rows, scenario.time.last_slot,
+                                    satellite_ids, stations, before)
+                    for column, values in zip(columns, part):
+                        column[rows:rows + len(values)] = values
+                    rows += len(part[0])
+                    before = part[0][-1], part[1][-1] * len(stations) + part[2][-1]
+                line = 2 + rows
     except OSError as exc:
         raise IoError(f"cannot read windows {path}: {exc}") from exc
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    satellite_ids = sorted(s.id for s in scenario.satellites)
-    stations = sorted(scenario.stations, key=lambda st: st.id)
-    # an empty part first, so a file without rows concatenates too
-    parts = [(np.empty(0, np.int64), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    rows, before = 0, (-1, 0)  # a slot before every slot
-    for chunk in _chunks_by_line(path, raw):
-        parts.append(_checked(path, chunk, 2 + rows, scenario.time.last_slot, satellite_ids,
-                              stations, before))
-        slot, satellite, station, _ = parts[-1]
-        rows += len(slot)
-        before = slot[-1], satellite[-1] * len(stations) + station[-1]
-        del chunk
-    return ContactWindows(tuple(satellite_ids), tuple(st.id for st in stations),
-                          *map(np.concatenate, zip(*parts)), rows_checked=True)
+    return ContactWindows(satellite_ids, tuple(st.id for st in stations), *columns,
+                          rows_checked=True)

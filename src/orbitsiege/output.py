@@ -2,7 +2,8 @@
 
 All floats are rendered with 6 significant digits; bytes, slots, and counts
 stay exact integers. Files are written to a temporary sibling and renamed, so
-readers never observe a partial file.
+readers never observe a partial file; a large text is written chunk by
+chunk, so it is never whole in memory.
 
 Large columns are rendered as rows of uint64 words, whose bytes are each
 cell's UTF-8 followed by FILL bytes; FILL is in no UTF-8 text, so dropping
@@ -25,26 +26,38 @@ import json
 import math
 import os
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
 from .errors import IoError
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text to path via a temporary sibling file and rename."""
+def write_chunks_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks of a text to path, one after another, via a temporary
+    sibling file and rename. The file gets the mode a plain open() gives,
+    0o666 less the umask; an error names path and the OS's reason only."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                for chunk in chunks:
+                    fh.write(chunk)
+            umask = os.umask(0)  # the one portable way to read it; set back at once
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text to path via a temporary sibling file and rename."""
+    write_chunks_atomic(path, (text,))
 
 
 def fmt_cell(value) -> str:

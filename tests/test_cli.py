@@ -2,11 +2,14 @@
 
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import stat
 import subprocess
 from dataclasses import replace
 
@@ -226,6 +229,58 @@ def test_strategy_artifacts(capsys, s0_ovf_path, tmp_path):
     summary = json.loads((tmp_path / "plan.summary.json").read_text())
     assert summary["slots"] == [4, 6]
     assert summary["total_cost"] == 2
+
+
+@contextlib.contextmanager
+def umask(mask):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def test_artifacts_honour_the_umask(capsys, tmp_path):
+    """Every artifact the CLI writes, and a saved scenario, gets the mode a
+    plain open() gives: 0644 under umask 022, 0640 under 027."""
+    for mask, mode in ((0o022, 0o644), (0o027, 0o640)):
+        out = tmp_path / f"{mask:o}"
+        out.mkdir()
+        scn, windows = str(out / "scenario.json"), str(out / "windows.csv")
+        with umask(mask):
+            save_scenario(load_scenario(bundled("constellation_24h")), scn)
+            for argv in (["windows", "--out", windows],
+                         ["schedule", "--windows", windows, "--out", str(out / "schedule.csv")],
+                         ["plan-delay", "--windows", windows, "--out", str(out / "plan.csv")],
+                         ["sweep", "--windows", windows, "--axis", "noise_ratio",
+                          "--values", "0.1", "--trials", "2", "--out", str(out / "sweep.csv")],
+                         ["simulate", "--out", str(out / "trace.csv")],
+                         ["verify", "--slots", "", "--out", str(out / "verify.json")]):
+                assert run_cli(capsys, argv[0], "--scenario", scn, *argv[1:])[0] in (0, 1)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+        assert modes == dict.fromkeys(
+            ["scenario.json", "windows.csv", "schedule.csv", "plan.csv", "plan.summary.json",
+             "sweep.csv", "sweep.aggregate.csv", "trace.csv", "trace.events.csv",
+             "verify.json"], mode)
+
+
+@pytest.mark.parametrize("command", ["windows", "schedule"])
+@pytest.mark.parametrize("target, error", [("missing/out.csv", errno.ENOENT),
+                                           ("", errno.EISDIR)], ids=["no-directory", "directory"])
+def test_write_errors_name_the_destination_and_reason_only(capsys, tmp_path, command, target,
+                                                           error):
+    """A write that fails reports the path asked for and the OS's reason,
+    the same on every run, without the temporary file's random name, and
+    leaves no temporary file behind."""
+    out = str(tmp_path / target) if target else str(tmp_path)
+    errs = []
+    for _ in range(2):
+        code, printed, err = run_cli(capsys, command, "--scenario", bundled("constellation_24h"),
+                                     "--out", out)
+        assert code == 2 and printed == ""
+        errs.append(err)
+    assert errs == [f"error: cannot write {out}: {os.strerror(error)}\n"] * 2
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_windows_without_stations_is_empty(capsys, s0_path):

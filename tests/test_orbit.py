@@ -6,6 +6,8 @@ import os
 import random
 import re
 import struct
+import threading
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -37,8 +39,11 @@ from orbitsiege.scenario import (STATION_ALTITUDE_RANGE_M, ConstellationScenario
                                  CostModel, DataUnit, GroundStationSpec, SatelliteSpec, TargetSpec,
                                  TimeGrid, TleElements)
 from orbitsiege.output import csv_text, fmt_cell, float_words, unfilled
+from orbitsiege.synth import build_constellation
 
 EPOCH = datetime(2026, 3, 20, tzinfo=timezone.utc)
+# reader block sizes: reads that end inside a line or a character, and the default
+BLOCK_SIZES = [1, 7, 64, orbit.BLOCK_BYTES]
 
 
 def random_elements(rng):
@@ -433,19 +438,36 @@ def test_float_words_equal_fmt_cell_at_the_grammar_edges():
     assert any(alone_seen) and not all(alone_seen)
 
 
-def test_windows_csv_text_is_csv_text():
-    # plain and non-ASCII ids (no scenario id holds a character csv.writer
-    # quotes), more rows than one chunk, a negative slot, the last slot a
-    # grid may hold, and slots 0 and 1 each split across a chunk boundary
+def awkward_windows():
+    """Plain and non-ASCII ids (no scenario id holds a character csv.writer
+    quotes), a negative slot, the last slot a grid may hold, and elevations
+    rendered in numpy and alone, in 18 rows."""
     contacts = [(t, i, j) for t in (-7, 0, 1, 2, 3, 32_767) for i in range(3)
                 for j in range(2)][::2]
-    windows = contact_windows(
+    return contact_windows(
         ["obs-1", "s\u00e4tellite 2", "plain"], ["gs-01", "esta\u00e7\u00e3o"], *zip(*contacts),
         [45.0, 12.345678, -0.0, 90.0, 7.25, 3.5, 0.0, 89.999999, 1e-7] * 2)
+
+
+def test_windows_csv_text_is_csv_text():
+    # more rows than one chunk, and slots 0 and 1 each split across a chunk
+    # boundary
+    windows = awkward_windows()
     assert len(windows) == 18
     with mock.patch.object(orbit, "CHUNK_ROWS", 4):
         text = windows_csv_text(windows)
     assert text == csv_text(orbit.WINDOW_HEADER, windows.rows())
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 4, 7, 1000, orbit.CHUNK_ROWS])
+def test_saved_windows_are_csv_text(tmp_path, chunk_rows):
+    """The writer streams its chunks to the file, and at any chunk size
+    they make the bytes `csv_text` writes row by row."""
+    path = tmp_path / "windows.csv"
+    for windows in (awkward_windows(), compute_contact_windows(bundled_windows()[0])):
+        with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows):
+            save_contact_windows(str(path), windows)
+        assert path.read_bytes() == csv_text(orbit.WINDOW_HEADER, windows.rows()).encode()
 
 
 @pytest.mark.parametrize("satellite_ids, station_ids, named", [
@@ -529,13 +551,22 @@ def test_window_load_rejects_bad_numbers(tmp_path, row, error, message):
         load_contact_windows(str(path), scenario)
 
 
-def test_window_load_names_a_json_file(tmp_path):
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+def test_window_load_names_a_json_file(tmp_path, block_bytes):
+    # also after blank lines, which fill the first blocks when they are small
     rng = np.random.default_rng(13)
     scenario = windows_scenario([random_elements(rng) for _ in range(3)],
                                 [random_station(rng, i) for i in range(3)])
     path = tmp_path / "windows.json"
     save_contact_windows(str(path), compute_contact_windows(scenario), "json")
-    with pytest.raises(ParseError, match="--windows reads only the CSV form"):
+    for lead in ("", " \n\n\t\r\n"):
+        path.write_text(lead + path.read_text().lstrip())
+        with mock.patch.object(orbit, "BLOCK_BYTES", block_bytes), \
+                pytest.raises(ParseError, match="--windows reads only the CSV form"):
+            load_contact_windows(str(path), scenario)
+    path.write_text("\n\nslot\n[]\n")
+    with mock.patch.object(orbit, "BLOCK_BYTES", block_bytes), \
+            pytest.raises(ParseError, match="expected header"):
         load_contact_windows(str(path), scenario)
 
 
@@ -611,10 +642,12 @@ def bits(rows):
             for slot, sat, station, elevation in rows]
 
 
-def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None):
-    """The loader, reading `chunk_rows` rows at a time, and the row-by-row
-    reference give the same windows, to the bit, or the same error type and
-    message, on this file text. Returns what both gave."""
+def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None,
+                         block_bytes=orbit.BLOCK_BYTES):
+    """The loader, reading `chunk_rows` rows at a time in blocks of at
+    least `block_bytes` bytes, and the row-by-row reference give the same
+    windows, to the bit, or the same error type and message, on this file
+    text. Returns what both gave."""
     scenario = scenario or bundled_windows()[0]
     path.write_bytes(text.encode("utf-8"))
     try:
@@ -625,7 +658,8 @@ def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None)
     except RowError as exc:
         expected = (exc.kind, str(exc))
     try:
-        with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(orbit, "BLOCK_BYTES", block_bytes):
             got = ("windows", bits(load_contact_windows(str(path), scenario).rows()))
     except OrbitSiegeError as exc:
         got = (type(exc).__name__, str(exc))
@@ -634,21 +668,25 @@ def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None)
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=mutated_window_files(), chunk_rows=st.sampled_from([7, 1000, orbit.CHUNK_ROWS]))
-def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, chunk_rows):
+@given(text=mutated_window_files(), chunk_rows=st.sampled_from([7, 1000, orbit.CHUNK_ROWS]),
+       block_bytes=st.sampled_from(BLOCK_SIZES))
+def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, chunk_rows,
+                                                    block_bytes):
     """Bad cells, short, long, blank, quoted, repeated and shuffled rows,
     a row with a cell more and another with a cell less
     (both refuse a row not after the row before it alike), CR, LF and CRLF
     line ends, with and without a final newline, read in chunks of several
-    sizes."""
+    sizes and in blocks of several sizes."""
     assert_loaders_agree(tmp_path_factory.mktemp("windows") / "windows.csv", text,
-                         chunk_rows)
+                         chunk_rows, block_bytes=block_bytes)
 
 
-def test_crlf_file_reads_as_its_lf_copy(tmp_path):
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+def test_crlf_file_reads_as_its_lf_copy(tmp_path, block_bytes):
     """A CRLF copy of a windows file is split into the same cells, without
     the CRs, and read to the same columns, to the bit; a bad cell or a short
-    row in it is reported at the same line, in chunks of any size."""
+    row in it is reported at the same line, in chunks and blocks of any
+    size."""
     scenario, header, rows = bundled_windows()
     bad_cell, short = list(rows), list(rows)
     bad_cell[100] = "x" + bad_cell[100]
@@ -677,19 +715,84 @@ def test_crlf_file_reads_as_its_lf_copy(tmp_path):
         for newline in ("\n", "\r\n"):
             path = tmp_path / f"{len(newline)}.csv"
             path.write_bytes((newline.join([header, *lines]) + newline * end).encode())
-            with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows):
+            with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows), \
+                    mock.patch.object(orbit, "BLOCK_BYTES", block_bytes):
                 got.append(load(path))
         assert got[0] == got[1]
         assert isinstance(got[0], list) == (lines is rows)
     assert got[0] == ("ParseError", "windows.csv:32: expected 4 columns")
 
 
+def test_window_loader_reads_across_block_edges(tmp_path):
+    """Reads that end inside the header, between the CR and LF of its CRLF
+    or just after its line end, and the same around the first row's line
+    end, read an LF or CRLF file, with or without a final line end, as one
+    block reads it. The edges are near the start, so 200 rows show them."""
+    scenario, header, rows = bundled_windows()
+    rows = rows[:200]
+    path = tmp_path / "windows.csv"
+    for newline in ("\n", "\r\n"):
+        text = newline.join([header, *rows])
+        expected = assert_loaders_agree(path, text + newline)
+        assert expected[0] == "windows"
+        first_row_end = len(header) + len(newline) + len(rows[0])
+        for block_bytes in sorted({len(header) - 1, len(header), len(header) + 1,
+                                   len(header) + len(newline), first_row_end,
+                                   first_row_end + 1, first_row_end + len(newline)}):
+            for end in ("", newline):
+                assert assert_loaders_agree(path, text + end, block_bytes=block_bytes) == expected
+
+
+def test_window_loader_reads_a_pipe(tmp_path):
+    """A file that cannot be read twice, such as a named pipe, is read as a
+    regular file of the same bytes is, in blocks of any size."""
+    scenario, header, rows = bundled_windows()
+    text = ("\n".join([header, *rows]) + "\n").encode()
+    plain, pipe = tmp_path / "windows.csv", tmp_path / "pipe.csv"
+    plain.write_bytes(text)
+    os.mkfifo(pipe)
+    for block_bytes in (64, orbit.BLOCK_BYTES):
+        writer = threading.Thread(target=pipe.write_bytes, args=(text,), daemon=True)
+        writer.start()
+        with mock.patch.object(orbit, "BLOCK_BYTES", block_bytes):
+            got = load_contact_windows(str(pipe), scenario)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert bits(got.rows()) == bits(load_contact_windows(str(plain), scenario).rows())
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+def test_window_loader_reports_bytes_that_are_not_utf8_at_their_file_position(tmp_path,
+                                                                              block_bytes):
+    """Bytes that are not UTF-8 near the end of the file, in its last block
+    at every block size below the file's, a character cut off by the end of
+    the file and one whose bytes a block edge may split, are reported at
+    their position in the whole file, as decoding it whole reports them,
+    and before a bad header or a bad row earlier in the file."""
+    scenario, header, rows = bundled_windows()
+    text = ("\n".join([header, *rows]) + "\n").encode()
+    bad_row = text.replace(rows[3].encode(), b"x" + rows[3].encode(), 1)
+    path = tmp_path / "windows.csv"
+    at = len(text) - 100
+    for bad in (b"\xff", b"\xe2\x82x", b"caf\xc3\xa9\xa9", b"\xc3"):
+        for raw in (text, bad_row, b"x" + text):
+            for edited in (raw[:at] + bad + raw[at:], raw + bad):
+                with pytest.raises(UnicodeDecodeError) as expected:
+                    edited.decode("utf-8")
+                path.write_bytes(edited)
+                with mock.patch.object(orbit, "BLOCK_BYTES", block_bytes), \
+                        pytest.raises(ParseError) as got:
+                    load_contact_windows(str(path), scenario)
+                assert str(got.value) == f"{path}: not UTF-8 text: {expected.value}"
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("chunk_rows", [7, orbit.CHUNK_ROWS])
-def test_window_loader_counts_the_cells_of_each_row(tmp_path, chunk_rows, newline):
+def test_window_loader_counts_the_cells_of_each_row(tmp_path, chunk_rows, newline, block_bytes):
     """A row with five cells and another with three hold three commas per
     row between them, yet the first of the two is reported, in either
-    order, adjacent or in different chunks."""
+    order, adjacent or in different chunks or blocks."""
     scenario, header, rows = bundled_windows()
     for five, three in ((3, 20), (10, 11), (20, 3), (11, 10)):
         lines = list(rows)
@@ -697,13 +800,15 @@ def test_window_loader_counts_the_cells_of_each_row(tmp_path, chunk_rows, newlin
         lines[three] = lines[three].rsplit(",", 1)[0]
         assert newline.join(lines).count(",") == 3 * len(lines)
         got = assert_loaders_agree(tmp_path / "windows.csv",
-                                   newline.join([header, *lines]) + newline, chunk_rows)
+                                   newline.join([header, *lines]) + newline, chunk_rows,
+                                   block_bytes=block_bytes)
         assert got == ("ParseError",
                        f"{tmp_path / 'windows.csv'}:{min(five, three) + 2}: expected 4 columns")
 
 
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
 @pytest.mark.parametrize("chunk_rows", [7, orbit.CHUNK_ROWS])
-def test_window_loader_reads_runs_of_slot_cells(tmp_path, chunk_rows):
+def test_window_loader_reads_runs_of_slot_cells(tmp_path, chunk_rows, block_bytes):
     """Each run of equal slot cells is read once: neighbours equal in their
     first 8 or 16 bytes but not after, a bad cell repeated across a chunk
     boundary (rows 6 and 7 at 7 rows a chunk), cells past the grammar's
@@ -717,7 +822,8 @@ def test_window_loader_reads_runs_of_slot_cells(tmp_path, chunk_rows):
     def load(slot_cells):  # row index -> slot cell
         lines = [",".join([slot_cells.get(k, row.split(",", 1)[0]), row.split(",", 1)[1]])
                  for k, row in enumerate(rows)]
-        return assert_loaders_agree(path, "\n".join([header, *lines]) + "\n", chunk_rows)
+        return assert_loaders_agree(path, "\n".join([header, *lines]) + "\n", chunk_rows,
+                                    block_bytes=block_bytes)
 
     plain = load({})
     assert plain[0] == "windows"
@@ -959,3 +1065,29 @@ def test_ids_whose_folds_collide_round_trip(tmp_path):
             with pytest.raises(ValidationError) as error:
                 load_contact_windows(path, scenario)
             assert str(error.value) == f"{path}:3: unknown {kind} {cell}"
+
+
+def test_window_passes_stay_within_their_memory_bounds(tmp_path):
+    """On a world of the geometry_1440 benchmark's size (seed 1, about 123k
+    windows), computing the windows and loading them each hold at most 2.5
+    times the result columns' bytes at their peak, and saving them at most
+    once: by tracemalloc, which sees numpy's buffers."""
+    scenario = build_constellation(n_low=20, n_high=60, n_stations=40, slot_seconds=60,
+                                   target_downlink_slot=300, seed=1)
+    path = str(tmp_path / "windows.csv")
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    windows, computed = peak(lambda: compute_contact_windows(scenario))
+    assert len(windows) > 100_000
+    result = sum(column.nbytes for column in (windows.slot, windows.satellite, windows.station,
+                                              windows.elevation_deg))
+    saved = peak(lambda: save_contact_windows(path, windows))[1]
+    loaded = peak(lambda: load_contact_windows(path, scenario))[1]
+    ratios = {"compute": computed / result, "load": loaded / result, "save": saved / result}
+    assert ratios["compute"] <= 2.5 and ratios["load"] <= 2.5 and ratios["save"] <= 1.0, ratios
