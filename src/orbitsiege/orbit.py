@@ -23,11 +23,11 @@ Contact windows are one `ContactWindows` value of parallel columns, built,
 written, read and grouped by slot without a Python object per window. Its
 ids are in id order, so an index is an id's rank, and its rows are in
 strict (slot, satellite id, station id) order, each contact once; the
-value refuses anything else. They are computed satellite by satellite in
-id order, each one's rows already in slot and station id order, so a
-counting sort by slot places them: each satellite's rows go, behind those
-of the satellites before it, into the rows a bincount of slots gives each
-slot, in columns allocated once.
+value refuses anything else. They are computed slot-major: every
+satellite's positions, propagated in id order, go into one (slot,
+satellite) array, and each block of slots is culled in one matrix product
+over its (slot, satellite, station) pairs, whose C order is that row
+order, so the kept rows need no sort and no check.
 
 The windows CSV is written as byte columns, CHUNK_ROWS rows at a time, and
 streamed to its file or to standard output chunk by chunk, so the text is
@@ -95,6 +95,7 @@ LEO_RADIUS_MAX_M = 9_000_000.0
 # how far below a station's horizon plane a satellite may lie and still have
 # its elevation computed; rounding in the plane test is nanometres at LEO radii
 HORIZON_MARGIN_M = 1_000.0
+CULL_PAIRS = 1 << 16  # (slot, satellite, station) pairs culled at once, in whole slots
 
 
 def _out_of_order(slot: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -234,69 +235,65 @@ def propagate(sat: SatelliteSpec, grid: TimeGrid, slots: np.ndarray | None = Non
 def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
     """Per-slot visibility for every satellite/station pair, at slot midpoints.
 
-    Pairs below the station's horizon plane are culled first: a pair is
-    kept when the satellite's position, projected on the station's zenith,
-    exceeds the station's radius less HORIZON_MARGIN_M. Every station's
-    `min_elevation_deg` is at least 0, so no culled pair could pass its
-    threshold; the margin keeps a pair at the horizon itself that rounding
-    in the projection would put just below. The kept pairs' elevations are
-    computed element by element as for the full grid, so the windows are
-    the same to the bit.
-
     Satellites and stations are taken in id order, so their indices are
-    their ranks, and each satellite's pairs come out of the cull in slot
-    order, then station order. Each satellite's part is kept narrow (slots
-    and stations as the narrowest unsigned types that hold them), and the
-    rows are placed by a counting sort: the bincount of all parts' slots
-    gives each slot's first row, and each part, in id order, is scattered
-    there behind the parts before it, so the rows land in the order
-    `ContactWindows` keeps without a sort or a concatenation.
+    their ranks; each satellite is propagated once, in id order, so an
+    error names the first satellite that cannot be propagated. Then, for
+    each block of whole slots of about CULL_PAIRS (slot, satellite,
+    station) pairs, pairs below the station's horizon plane are culled: a
+    pair is kept when the satellite's position, projected on the station's
+    zenith, exceeds the station's radius less HORIZON_MARGIN_M. Every
+    station's `min_elevation_deg` is at least 0, so no culled pair could
+    pass its threshold; the margin keeps a pair at the horizon itself that
+    rounding in the projection would put just below. The kept pairs'
+    elevations are computed element by element as for the full grid, so
+    the windows are the same to the bit.
+
+    The block's pairs are in C order, so its kept rows come out in strict
+    (slot, satellite id, station id) order, behind the blocks before it,
+    and `ContactWindows` need not check them. Each block keeps its rows
+    narrow (the narrowest unsigned types that hold a position row and a
+    station) until the columns are built, one at a time. With no stations
+    nothing is propagated.
     """
     satellites = sorted(scenario.satellites, key=lambda sat: sat.id)
     stations = sorted(scenario.stations, key=lambda st: st.id)
-    horizon_slots = scenario.time.horizon_slots
-    slot_type = np.min_scalar_type(scenario.time.last_slot)
-    station_type = np.min_scalar_type(len(stations))
-    parts = []  # per satellite: slot, station and elevation of each contact
-    if stations:
-        station_pos = np.array([station_ecef_m(st) for st in stations])
-        station_norm = np.linalg.norm(station_pos, axis=1, keepdims=True)
-        zenith = station_pos / station_norm
-        horizon = station_norm[:, 0] - HORIZON_MARGIN_M
-        thresholds = np.array([st.min_elevation_deg for st in stations])
-        for sat in satellites:
-            pos = propagate(sat, scenario.time)
-            # the kept pairs in slot order, then station order
-            slot_idx, station = np.divmod(np.flatnonzero(pos @ zenith.T > horizon),
-                                          len(stations))
-            los = pos[slot_idx] - station_pos[station]
-            los_norm = np.linalg.norm(los, axis=1)
-            sin_elev = np.einsum("pk,pk->p", los, zenith[station]) / los_norm
-            elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
-            seen = elev >= thresholds[station]
-            parts.append((slot_idx[seen].astype(slot_type), station[seen].astype(station_type),
-                          elev[seen]))
-    per_slot = np.zeros(horizon_slots, dtype=np.intp)
-    for slot, _, _ in parts:
-        per_slot += np.bincount(slot, minlength=horizon_slots)
-    rows = int(per_slot.sum())
-    satellite = np.empty(rows, dtype=np.intp)
-    station = np.empty(rows, dtype=np.intp)
-    elevation = np.empty(rows)
-    free = np.cumsum(per_slot) - per_slot  # each slot's first row not yet placed
-    for index, (slot, part_station, part_elevation) in enumerate(parts):
-        count = np.bincount(slot, minlength=horizon_slots)
-        # the part is in slot order: its row k is row k - (its first row of
-        # that slot) among its rows of that slot
-        at = np.arange(len(slot)) + (free - (np.cumsum(count) - count))[slot]
-        satellite[at] = index
-        station[at] = part_station
-        elevation[at] = part_elevation
-        free += count
-    del parts  # so that they and the order check's scratch never peak together
-    return ContactWindows(tuple(sat.id for sat in satellites), tuple(st.id for st in stations),
-                          np.repeat(np.arange(horizon_slots, dtype=np.int64), per_slot),
-                          satellite, station, elevation)
+    ids = tuple(sat.id for sat in satellites), tuple(st.id for st in stations)
+    if not stations or not satellites:
+        return ContactWindows(*ids, np.empty(0, np.int64), np.empty(0, np.intp),
+                              np.empty(0, np.intp), np.empty(0), rows_checked=True)
+    pos = np.empty((scenario.time.horizon_slots, len(satellites), 3))
+    for index, sat in enumerate(satellites):
+        pos[:, index] = propagate(sat, scenario.time)
+    pos = pos.reshape(-1, 3)  # row slot * len(satellites) + satellite
+    station_pos = np.array([station_ecef_m(st) for st in stations])
+    station_norm = np.linalg.norm(station_pos, axis=1, keepdims=True)
+    zenith = station_pos / station_norm
+    horizon = station_norm[:, 0] - HORIZON_MARGIN_M
+    thresholds = np.array([st.min_elevation_deg for st in stations])
+    row_type, station_type = np.min_scalar_type(len(pos)), np.min_scalar_type(len(stations))
+    step = len(satellites) * max(1, CULL_PAIRS // (len(satellites) * len(stations)))
+    row_parts, station_parts, elevation_parts = [], [], []  # per block, its contacts
+    for start in range(0, len(pos), step):
+        row, station = np.divmod(np.flatnonzero(pos[start:start + step] @ zenith.T > horizon),
+                                 len(stations))
+        row += start
+        los = pos[row] - station_pos[station]
+        sin_elev = np.einsum("pk,pk->p", los, zenith[station]) / np.linalg.norm(los, axis=1)
+        elev = np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
+        seen = elev >= thresholds[station]
+        row_parts.append(row[seen].astype(row_type))
+        station_parts.append(station[seen].astype(station_type))
+        elevation_parts.append(elev[seen])
+    del pos
+    elevation = np.concatenate(elevation_parts)
+    del elevation_parts
+    station = np.concatenate(station_parts, dtype=np.intp)
+    del station_parts
+    slot = np.concatenate(row_parts, dtype=np.int64)  # position rows, until divided below
+    del row_parts
+    satellite = (slot % len(satellites)).astype(np.intp, copy=False)
+    slot //= len(satellites)
+    return ContactWindows(*ids, slot, satellite, station, elevation, rows_checked=True)
 
 
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]

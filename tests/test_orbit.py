@@ -309,6 +309,66 @@ def test_culled_windows_equal_the_dense_grid(scenario):
     assert np.array_equal(windows.elevation_deg.view(np.int64), elevation.view(np.int64))
 
 
+def assert_dense_windows(windows, scenario):
+    """The windows are the dense grid's to the bit, in the column dtypes,
+    and in strict (slot, satellite id, station id) order, which the
+    constructor does not check on rows that compute returns."""
+    slot, satellite, station, elevation = dense_contact_windows(scenario)
+    columns = (windows.slot, windows.satellite, windows.station, windows.elevation_deg)
+    assert [column.dtype for column in columns] == [np.int64, np.intp, np.intp, np.float64]
+    assert np.array_equal(windows.slot, slot)
+    assert np.array_equal(windows.satellite, satellite)
+    assert np.array_equal(windows.station, station)
+    assert np.array_equal(windows.elevation_deg.view(np.int64), elevation.view(np.int64))
+    key = windows.satellite * len(windows.station_ids) + windows.station
+    assert not orbit._out_of_order(windows.slot, key).any()
+
+
+# cull blocks of one pair and of a few, so that every block is one slot, and
+# blocks of several slots
+CULL_SIZES = [1, 7, 64, orbit.CULL_PAIRS]
+
+
+@pytest.mark.parametrize("cull_pairs", CULL_SIZES)
+@settings(max_examples=100, deadline=None)
+@given(scenario=culled_worlds())
+def test_windows_are_the_dense_grid_at_every_cull_block(scenario, cull_pairs):
+    with mock.patch.object(orbit, "CULL_PAIRS", cull_pairs):
+        assert_dense_windows(compute_contact_windows(scenario), scenario)
+
+
+@pytest.mark.parametrize("cull_pairs", CULL_SIZES)
+def test_windows_of_edge_worlds(cull_pairs):
+    """No stations, no satellites, one slot, and two satellites that cannot
+    be propagated."""
+    rng = np.random.default_rng(23)
+    scenario = windows_scenario([random_elements(rng) for _ in range(3)],
+                                [random_station(rng, i) for i in range(3)])
+    orbitless = tuple(replace(sat, orbit=None) for sat in scenario.satellites)
+    with mock.patch.object(orbit, "CULL_PAIRS", cull_pairs):
+        for world in (replace(scenario, satellites=orbitless, stations=()),
+                      replace(scenario, satellites=())):
+            windows = compute_contact_windows(world)
+            assert len(windows) == 0
+            assert windows.satellite_ids == tuple(sat.id for sat in world.satellites)
+            assert windows.station_ids == tuple(st.id for st in world.stations)
+            assert_dense_windows(windows, world)
+        # one-slot grids at slots with contacts, and at slot 0, which has none
+        seen = 0
+        for start in [0] + np.unique(compute_contact_windows(scenario).slot)[::4].tolist():
+            one_slot = replace(scenario, time=replace(
+                scenario.time, epoch=EPOCH + timedelta(seconds=300 * start), horizon_slots=1))
+            windows = compute_contact_windows(one_slot)
+            assert_dense_windows(windows, one_slot)
+            seen += len(windows)
+        assert seen > 5
+        # obs-10 sorts before obs-9, though it is listed after it
+        pair = replace(scenario, satellites=(replace(orbitless[0], id="obs-9"),
+                                             replace(orbitless[1], id="obs-10")))
+        with pytest.raises(ValidationError, match="^satellite obs-10: orbit elements required$"):
+            compute_contact_windows(pair)
+
+
 def test_windows_sorted_and_thresholded():
     rng = np.random.default_rng(9)
     sats = [random_elements(rng) for _ in range(3)]
