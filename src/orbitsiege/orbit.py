@@ -43,25 +43,26 @@ row by row. Ids are written as they are, so the writer, like a scenario,
 refuses one holding `,`, `"`, CR or LF.
 
 The windows CSV is read in that one grammar, as byte columns, in bounded
-memory: one pass BLOCK_BYTES at a time checks that the file is UTF-8 and
-counts its lines, so the columns are allocated once and a UTF-8 error is
-reported, at its position in the file, before any row error; then the rows
-are split and checked one block of whole lines at a time, straight into
-those columns. A file of one block is read once, and a pipe, which cannot
-be read twice, is held whole. A row is a
-line, ended by LF or CRLF; a cell lies between commas, and a quote or a
-lone CR is a byte in it. Commas and line ends are found in one scan, and
-the split is accepted at once when they run three commas, then a line end,
-row after row. A slot is `-?D{1,18}`, read once per run of byte-identical
-slot cells, as slot order makes them; an id is matched in full as uint64
-words, found through a table of buckets; an elevation of the form
-`-?D*(.D*)?`, at most 17 bytes, whose digits read at most 2**53, is one
-division of the digits by a power of ten, which is exact (Clinger's fast
-path). Any other elevation, such as 1e-07, which the writer renders alone,
-is read alone by `float()`. A slot or id cell outside the grammar, such as
-`+3`, ` 7` or `"obs-1"`, is refused, with its line number, and so is a row
-that is not after the row before it in the order the writer writes, a
-repeated row included.
+memory, in two passes over one block shape. The first reads BLOCK_BYTES at
+a time, checks that the file is UTF-8 and counts its lines, so the columns
+are allocated once and a UTF-8 error is reported, at its position in the
+file, before any row error; it also notes where each read's last line end
+falls, which cuts the file into blocks of whole lines. The second reads
+each block once, splits it into one chunk of rows, checks them and places
+them straight into those columns. So every file is read twice, and a pipe,
+which cannot be, is held whole. A row is a line, ended by LF or CRLF; a
+cell lies between commas, and a quote or a lone CR is a byte in it. Commas
+and line ends are found in one scan, and the split is accepted at once
+when they run three commas, then a line end, row after row. A slot is
+`-?D{1,18}`, read once per run of byte-identical slot cells, as slot order
+makes them; an id is matched in full as uint64 words, found through a
+table of buckets; an elevation of the form `-?D*(.D*)?`, at most 17 bytes,
+whose digits read at most 2**53, is one division of the digits by a power
+of ten, which is exact (Clinger's fast path). Any other elevation, such as
+1e-07, which the writer renders alone, is read alone by `float()`. A slot
+or id cell outside the grammar, such as `+3`, ` 7` or `"obs-1"`, is
+refused, with its line number, and so is a row that is not after the row
+before it in the order the writer writes, a repeated row included.
 """
 
 from __future__ import annotations
@@ -298,8 +299,9 @@ def compute_contact_windows(scenario: ConstellationScenario) -> ContactWindows:
 
 WINDOW_HEADER = ["slot", "satellite_id", "station_id", "elevation_deg"]
 HEADER_LINE = ",".join(WINDOW_HEADER)
-CHUNK_ROWS = 1 << 13
-BLOCK_BYTES = 1 << 18  # the reader's block, extended to a line end
+CHUNK_ROWS = 1 << 13  # rows the writer renders at once
+# bytes the reader reads at once; a block runs to the last line end of a read
+BLOCK_BYTES = 3 << 16
 SLOT_DIGITS = 18  # any 18 digits fit int64
 ELEVATION_BYTES = 17  # a minus, 15 digits and a point; the digits are checked against 2**53
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so folding words keeps their bits mixed
@@ -308,7 +310,7 @@ _PAD = b"\xff" * 8  # past the data, so that a word can be read at any cell's st
 _PADS = np.array([int.from_bytes(bytes(n) + b"\xff" * (8 - n), sys.byteorder)
                   for n in range(9)], dtype=np.uint64)
 _TENS = np.array([float(10 ** k) for k in range(ELEVATION_BYTES)])
-# a chunk of rows as the reader checks them: bytes ending in _PAD, and per
+# a block's rows as the reader checks them: bytes ending in _PAD, and per
 # column the start and end offsets of each row's cell in them
 _Chunk = tuple[bytes, Sequence[np.ndarray], Sequence[np.ndarray]]
 
@@ -389,56 +391,43 @@ def _not_utf8(path: str, exc: UnicodeDecodeError, offset: int) -> ParseError:
                       f"{where}: {exc.reason}")
 
 
-def _utf8_lines(path: str, fh) -> tuple[bytes | None, int, str]:
+def _utf8_lines(path: str, fh) -> tuple[list[int], int, str]:
     """Read the file once, BLOCK_BYTES at a time, and refuse it unless it
-    is UTF-8 text. Returns its bytes when it is one block (None when it is
-    more), its count of lines, a last one without a line end included, and
-    its first character that is not whitespace ("" when it has none)."""
+    is UTF-8 text. Returns the file positions that cut it into blocks of
+    whole lines (just after the last line end of each read that holds one,
+    and at the end of the file, in strictly increasing order), its count
+    of lines, a last one without a line end included, and its first
+    character that is not whitespace ("" when it has none)."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    lines, lead, position, last = 0, "", 0, b"\n"
-    whole = block = fh.read(BLOCK_BYTES)
-    while block:
-        held = len(decoder.getstate()[0])  # bytes of a character the last block cut
+    cuts, lines, lead, position = [], 0, "", 0
+    while block := fh.read(BLOCK_BYTES):
+        held = len(decoder.getstate()[0])  # bytes of a character the last read cut
         try:
             text = decoder.decode(block)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc, position - held) from exc
         lead = lead or text.lstrip()[:1]
         lines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+        if end := block.rfind(b"\n") + 1:
+            cuts.append(position + end)
         position += len(block)
-        last = block[-1:]
-        block = fh.read(BLOCK_BYTES)
-        if block:
-            whole = None
     held = len(decoder.getstate()[0])
     try:
         decoder.decode(b"", final=True)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc, position - held) from exc
-    return whole, lines + (last != b"\n"), lead
+    if position > (cuts[-1] if cuts else 0):  # a last line without a line end
+        cuts.append(position)
+        lines += 1
+    return cuts, lines, lead
 
 
-def _line_blocks(fh) -> Iterator[bytes]:
-    """The file from where `fh` stands, as blocks that each end at a line
-    end, read BLOCK_BYTES at a time: a block ends at the last line end of
-    what is read, which is read on until it holds one. The last block ends
-    where the file does."""
-    carry = b""
-    while block := fh.read(BLOCK_BYTES):
-        block = carry + block
-        end = block.rfind(b"\n") + 1
-        carry = block[end:]
-        if end:
-            yield block[:end]
-    if carry:
-        yield carry
-
-
-def _chunks_by_line(path: str, raw: bytes, line: int = 1) -> Iterator[_Chunk]:
-    """The rows of `raw`, whole lines of the file from line `line` on, as
-    chunks of CHUNK_ROWS rows, up to the first row that has not four cells,
-    whose error is raised after. Line 1 is the header, which the caller has
-    checked, and is skipped.
+def _split(path: str, raw: bytes, start: int, line: int) -> tuple[_Chunk, ParseError | None]:
+    """The rows of `raw`, a block of whole lines, from offset `start` on
+    (past the header in the first block), the first of them line `line` of
+    the file, as one chunk, up to the first row that has not four cells;
+    and that row's error, to be raised after the rows before it are checked
+    (None when every row has four). `raw` holds a row past `start`.
 
     A row is a line, ended by LF or by CRLF, whose CR is dropped; a cell
     lies between commas. These are single bytes that no multi-byte UTF-8
@@ -448,37 +437,25 @@ def _chunks_by_line(path: str, raw: bytes, line: int = 1) -> Iterator[_Chunk]:
     two counts check; only otherwise are the commas counted row by row,
     to find the first row that has not three.
     """
-    start = 0
-    if line == 1:
-        start, line = raw.find(b"\n") + 1 or len(raw), 2
-    if start >= len(raw):
-        return
     data = np.frombuffer(raw, dtype=np.uint8)
-    # past the header's three commas and line end, if it is here; the last
-    # row ends at the end of the file when no line end does
-    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))[4 if start else 0:]
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    seps = seps[np.searchsorted(seps, start):]
     comma = data[seps] == ord(",")
-    if raw[-1] != ord("\n"):
+    if raw[-1] != ord("\n"):  # the last row ends at the end of the file
         seps, comma = np.append(seps, len(raw)), np.append(comma, False)
-    good = len(seps) // 4
+    good, short = len(seps) // 4, None
     if len(seps) == 4 * good and not comma[3::4].any() and np.count_nonzero(comma) == 3 * good:
         commas, ends = seps.reshape(good, 4).T[:3], seps[3::4]
     else:  # some row has not three commas
         ends, commas = seps[~comma], seps[comma]
         good = int(np.flatnonzero(np.diff(np.searchsorted(commas, ends), prepend=0) != 3)[0])
         # each good row holds three of the commas, in order
-        commas = commas[:3 * good].reshape(good, 3).T
-    begins = np.append(start, ends[:-1] + 1)
+        commas, ends = commas[:3 * good].reshape(good, 3).T, ends[:good]
+        short = ParseError(f"{path}:{line + good}: expected 4 columns")
+    begins = np.append(start, ends + 1)[:-1]
     if b"\r" in raw:  # a row's last cell ends before the CR of its CRLF
         ends = ends - ((data[ends - 1] == ord("\r")) & (ends < len(raw)))
-    del data, seps, comma
-    raw += _PAD  # one copy of the block, shared by its chunks
-    for first in range(0, good, CHUNK_ROWS):
-        rows = slice(first, min(first + CHUNK_ROWS, good))
-        yield (raw, (begins[rows], *(commas[:, rows] + 1)),
-               (*commas[:, rows], ends[rows]))
-    if good < len(ends):
-        raise ParseError(f"{path}:{line + good}: expected 4 columns")
+    return (raw + _PAD, (begins, *(commas + 1)), (*commas, ends)), short
 
 
 def _words(data: bytes, start: np.ndarray, length: np.ndarray, words: int) -> np.ndarray:
@@ -575,7 +552,7 @@ def _folded(words: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=2)  # a file's satellite ids and its station ids
 def _id_table(ids: tuple[str, ...]) -> tuple:
     """The lookup table of `_indices` for ids, built once per id list and
-    shared by every chunk of a file, read-only: the count of words an id
+    shared by every block of a file, read-only: the count of words an id
     takes, the bucket shift, each bucket's first id, per word a column of
     the ids' words in bucket order, each of their indices, and the size of
     the fullest bucket."""
@@ -664,22 +641,25 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
     """Read a window CSV, validating ids and horizon against the scenario.
 
     The file is read in the one grammar `windows_csv_text` writes (see the
-    module docstring): first checked to be UTF-8 and its lines counted, a
-    block of BLOCK_BYTES at a time, then read again, unless it is one block,
-    in blocks of whole lines, each split into rows at LF or CRLF and into
-    cells at commas on the bytes; a block whose separators run three commas
-    and a line end, row after row, is split without counting each row's
-    commas, and any other has its first row of not four cells reported. The
-    rows are checked as columns, a chunk of rows at a time, and placed in
+    module docstring), in two passes. The first reads it BLOCK_BYTES at a
+    time, checks that it is UTF-8, counts its lines and cuts it after the
+    last line end of each read. The second reads each block cut so, of
+    whole lines, once: the header is checked and skipped by offset, and the
+    rest of the block is split into rows at LF or CRLF and into cells at
+    commas on the bytes, as one chunk. A block whose separators run three
+    commas and a line end, row after row, is split without counting each
+    row's commas; any other has its first row of not four cells reported,
+    after the rows before it. The rows are checked as columns and placed in
     columns allocated for every line but the header; the first bad row is
     reported with its line number and the error a row-by-row reader of that
-    grammar would raise there. Slots (1 to SLOT_DIGITS ASCII digits, after an optional minus) and
-    ids are read on the bytes only, a slot once per run of byte-identical
-    neighbouring cells, so once per slot of a file in slot order; an elevation
-    is read on the bytes when it is `-?D*(.D*)?` of at most ELEVATION_BYTES
-    bytes whose digits read at most 2**53, and alone by `float()` otherwise. A
-    row whose cells pass but that is not after the row before it in (slot,
-    satellite id, station id) order, a repeated row included, is a ParseError.
+    grammar would raise there. Slots (1 to SLOT_DIGITS ASCII digits, after
+    an optional minus) and ids are read on the bytes only, a slot once per
+    run of byte-identical neighbouring cells, so once per slot of a file in
+    slot order; an elevation is read on the bytes when it is `-?D*(.D*)?`
+    of at most ELEVATION_BYTES bytes whose digits read at most 2**53, and
+    alone by `float()` otherwise. A row whose cells pass but that is not
+    after the row before it in (slot, satellite id, station id) order, a
+    repeated row included, is a ParseError.
     """
     satellite_ids = tuple(sorted(s.id for s in scenario.satellites))
     stations = sorted(scenario.stations, key=lambda st: st.id)
@@ -688,26 +668,29 @@ def load_contact_windows(path: str, scenario: ConstellationScenario) -> ContactW
         with open(path, "rb") as opened:
             # a pipe cannot be read twice, so it is held whole
             fh = opened if opened.seekable() else io.BytesIO(opened.read())
-            whole, lines, lead = _utf8_lines(path, fh)
-            if whole is None:
-                fh.seek(0)
-            blocks = iter([whole] if whole is not None else _line_blocks(fh))
-            first = next(blocks)
-            if first != header and not first.startswith((header + b"\n", header + b"\r\n")):
+            cuts, lines, lead = _utf8_lines(path, fh)
+            fh.seek(0)
+            blocks = (fh.read(end - begin) for begin, end in zip([0, *cuts], cuts))
+            block = next(blocks, b"")
+            if block != header and not block.startswith((header + b"\n", header + b"\r\n")):
                 raise _header_error(path, lead)
             # every line but the header is a row, or the file is refused
             columns = tuple(np.empty(lines - 1, dtype)
                             for dtype in (np.int64, np.intp, np.intp, np.float64))
-            rows, before, line = 0, (-1, 0), 1  # a slot before every slot
-            for block in itertools.chain([first], blocks):
-                for chunk in _chunks_by_line(path, block, line):
+            rows, before = 0, (-1, 0)  # a slot before every slot
+            start = block.find(b"\n") + 1 or len(block)  # past the header
+            for block in itertools.chain([block], blocks):
+                if start < len(block):  # not a first block of the header alone
+                    chunk, short = _split(path, block, start, 2 + rows)
                     part = _checked(path, chunk, 2 + rows, scenario.time.last_slot,
                                     satellite_ids, stations, before)
+                    if short is not None:
+                        raise short
                     for column, values in zip(columns, part):
                         column[rows:rows + len(values)] = values
                     rows += len(part[0])
                     before = part[0][-1], part[1][-1] * len(stations) + part[2][-1]
-                line = 2 + rows
+                start = 0
     except OSError as exc:
         raise IoError(f"cannot read windows {path}: {exc}") from exc
     return ContactWindows(satellite_ids, tuple(st.id for st in stations), *columns,

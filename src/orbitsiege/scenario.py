@@ -591,9 +591,8 @@ def _validate(scenario: ConstellationScenario) -> None:
         if sid == target_id:
             target_trace.append(unit)
 
+    # initial_queue holds only parsed satellites, whose ids are distinct
     for sid, units in scenario.initial_queue:
-        if sid not in seen:
-            raise ValidationError(f"initial_queue: unknown satellite {sid}")
         for unit in units:
             if unit.unit_id in seen[sid]:
                 raise ValidationError(f"unit {unit.unit_id}: clashes with trace id on {sid}")

@@ -1012,6 +1012,37 @@ def test_sweep_with_no_point_run_exits_two(capsys, s0_path, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("values, error", [("0.1,,0.2", "--values has an empty entry"),
+                                           ("0.1,x", "--values entry is not a number: 'x'")])
+def test_malformed_values_exit_two(capsys, s0_path, values, error):
+    code, out, err = run_cli(capsys, "sweep", "--scenario", s0_path, "--axis", "noise_ratio",
+                             "--values", values, "--trials", "2")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("world, axis, values, error", [
+    ("s0", "image_size", "0,-1", "image_size must be >= 1 byte"),
+    ("s0", "data_rate", "0", "data_rate must be >= 1 bit/s"),
+    ("s0", "target_duration", "0,-0.5", "target_duration must be positive hours"),
+    ("silent", "target_duration", "0.001,1",
+     "target never downlinks naturally; no deadline anchor"),
+])
+def test_sweep_whose_every_point_is_refused_exits_two(capsys, tmp_path, world, axis, values,
+                                                      error):
+    # "silent" is s0 without a transmissible slot, so the target never
+    # leaves and a duration has no natural evacuation to count from
+    doc = bundled_doc("s0")
+    if world == "silent":
+        for row in doc["attackability"]:
+            row.update(transmissible=False, attackable=False, cost=None)
+    path, out = tmp_path / "scenario.json", tmp_path / "r.csv"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, printed, err = run_cli(capsys, "sweep", "--scenario", str(path), "--axis", axis,
+                                 "--values", values, "--trials", "4", "--out", str(out))
+    assert (code, printed, err) == (2, "", f"error: {error}\n")
+    assert not out.exists()
+
+
 def test_n_high_that_drops_satellites_on_an_inline_ladder_is_skipped(capsys, tmp_path):
     scenario = load_scenario(bundled("constellation_24h"))
     inline = tmp_path / "inline.json"

@@ -1,6 +1,7 @@
 """Monte-Carlo harness: noise statistics, trial judging, sweep plumbing."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -159,7 +160,12 @@ BAD_AXIS_VALUES = [
         + [("noise_ratio", ratio, "noise_ratio: outside [0, 1]") for ratio in (-0.1, 1.5)]
         # finite durations whose seconds overflow, or whose slot count has 300 digits
         + [("target_duration", hours, f"target_duration {hours:g} h: deadline beyond horizon")
-           for hours in (1e308, 1e300)])]
+           for hours in (1e308, 1e300)]
+        # values out of each axis's range
+        + [("image_size", size, "image_size must be >= 1 byte") for size in (0, -3)]
+        + [("data_rate", rate, "data_rate must be >= 1 bit/s") for rate in (0, -16)]
+        + [("target_duration", hours, "target_duration must be positive hours")
+           for hours in (0, -0.0, -0.5)])]
 
 
 @pytest.mark.parametrize("axis, value, error", BAD_AXIS_VALUES)
@@ -171,6 +177,19 @@ def test_sweep_reads_axis_values_as_the_loader_reads_fields(axis, value, error):
     point = sweep(load_bundled("s0"), config).points[0]
     assert point.error == error
     assert point.records == ()
+
+
+def test_sweep_refuses_a_duration_when_the_target_never_downlinks():
+    # without a transmissible slot the target never leaves, so a duration
+    # has no natural evacuation slot to count from
+    s0 = load_bundled("s0")
+    silent = replace(s0, attackability=tuple(
+        replace(record, transmissible=False, attackable=False, cost=math.inf)
+        for record in s0.attackability))
+    config = EvalConfig(kind="delay", axis="target_duration", values=(0.001, 1.0), trials=4)
+    points = sweep(silent, config).points
+    assert [(point.error, point.records) for point in points] == [
+        ("target never downlinks naturally; no deadline anchor", ())] * 2
 
 
 def with_sizes(scenario, sizes):
@@ -504,6 +523,26 @@ def test_sweep_points_match_the_per_trial_oracle(monkeypatch, name, kind, noise,
     else:
         assert point.error == expected == shows
         assert point.records == ()
+
+
+def test_sweep_point_without_a_plan_keeps_its_natural_outcomes():
+    # slot 2 is s0's only attackable slot here, so no delay plan keeps the
+    # target aboard past deadline 6: the point runs its trials unattacked
+    s0 = load_bundled("s0")
+    scenario = replace(
+        s0, target=replace(s0.target, target_downlink_slot=6),
+        attackability=tuple(record if record.slot == 2
+                            else replace(record, attackable=False, cost=math.inf)
+                            for record in s0.attackability))
+    with pytest.raises(AttackFail):
+        plan_attack(context(scenario), "delay", 0, 6)
+    config = EvalConfig(kind="delay", axis="noise_ratio", values=(0.3,), trials=12,
+                        master_seed=1)
+    point = sweep(scenario, config).points[0]
+    assert (point.error, point.cost, point.planned_slots) == (None, math.inf, ())
+    assert list(point.records) == reference_point(scenario, config)
+    success, natural = zip(*point.records)
+    assert not any(success) and any(natural)
 
 
 def test_extend_targets_clips_at_the_ends():

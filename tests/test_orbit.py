@@ -1,6 +1,7 @@
 """Two-body propagation and contact-window derivation, storage and loading."""
 
 import functools
+import io
 import math
 import os
 import random
@@ -571,6 +572,17 @@ def test_contact_windows_refuse_ids_or_rows_out_of_order():
                 windows(rows)
 
 
+def test_contact_windows_mask_the_rows_of_one_satellite():
+    """A satellite's mask marks its rows; an id the windows do not carry,
+    such as a satellite a sweep point dropped, marks none."""
+    windows = ContactWindows(("obs-1", "obs-2"), ("gs-01",), np.array([0, 0, 1]),
+                             np.array([0, 1, 1]), np.array([0, 0, 0]), np.full(3, 45.0))
+    assert windows.of_satellite("obs-2").tolist() == [False, True, True]
+    for unknown in ("ghost", "obs-"):
+        mask = windows.of_satellite(unknown)
+        assert mask.dtype == bool and mask.tolist() == [False] * 3
+
+
 def test_window_load_validates(tmp_path):
     scenario = windows_scenario(
         [random_elements(np.random.default_rng(17))],
@@ -702,12 +714,10 @@ def bits(rows):
             for slot, sat, station, elevation in rows]
 
 
-def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None,
-                         block_bytes=orbit.BLOCK_BYTES):
-    """The loader, reading `chunk_rows` rows at a time in blocks of at
-    least `block_bytes` bytes, and the row-by-row reference give the same
-    windows, to the bit, or the same error type and message, on this file
-    text. Returns what both gave."""
+def assert_loaders_agree(path, text, scenario=None, block_bytes=orbit.BLOCK_BYTES):
+    """The loader, reading `block_bytes` bytes at a time, and the
+    row-by-row reference give the same windows, to the bit, or the same
+    error type and message, on this file text. Returns what both gave."""
     scenario = scenario or bundled_windows()[0]
     path.write_bytes(text.encode("utf-8"))
     try:
@@ -718,8 +728,7 @@ def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None,
     except RowError as exc:
         expected = (exc.kind, str(exc))
     try:
-        with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows), \
-                mock.patch.object(orbit, "BLOCK_BYTES", block_bytes):
+        with mock.patch.object(orbit, "BLOCK_BYTES", block_bytes):
             got = ("windows", bits(load_contact_windows(str(path), scenario).rows()))
     except OrbitSiegeError as exc:
         got = (type(exc).__name__, str(exc))
@@ -728,25 +737,22 @@ def assert_loaders_agree(path, text, chunk_rows=orbit.CHUNK_ROWS, scenario=None,
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=mutated_window_files(), chunk_rows=st.sampled_from([7, 1000, orbit.CHUNK_ROWS]),
-       block_bytes=st.sampled_from(BLOCK_SIZES))
-def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, chunk_rows,
-                                                    block_bytes):
+@given(text=mutated_window_files(), block_bytes=st.sampled_from(BLOCK_SIZES))
+def test_window_loader_matches_row_by_row_reference(tmp_path_factory, text, block_bytes):
     """Bad cells, short, long, blank, quoted, repeated and shuffled rows,
     a row with a cell more and another with a cell less
     (both refuse a row not after the row before it alike), CR, LF and CRLF
-    line ends, with and without a final newline, read in chunks of several
-    sizes and in blocks of several sizes."""
+    line ends, with and without a final newline, read in blocks of several
+    sizes."""
     assert_loaders_agree(tmp_path_factory.mktemp("windows") / "windows.csv", text,
-                         chunk_rows, block_bytes=block_bytes)
+                         block_bytes=block_bytes)
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
 def test_crlf_file_reads_as_its_lf_copy(tmp_path, block_bytes):
     """A CRLF copy of a windows file is split into the same cells, without
     the CRs, and read to the same columns, to the bit; a bad cell or a short
-    row in it is reported at the same line, in chunks and blocks of any
-    size."""
+    row in it is reported at the same line, in blocks of any size."""
     scenario, header, rows = bundled_windows()
     bad_cell, short = list(rows), list(rows)
     bad_cell[100] = "x" + bad_cell[100]
@@ -761,22 +767,21 @@ def test_crlf_file_reads_as_its_lf_copy(tmp_path, block_bytes):
         return [getattr(windows, column).tobytes() for column in columns]
 
     def cells(raw):
-        return [data[s:e] for data, start, end in orbit._chunks_by_line("windows.csv", raw)
-                for column in range(4)
+        (data, start, end), short = orbit._split("windows.csv", raw, raw.index(b"\n") + 1, 2)
+        assert short is None
+        return [data[s:e] for column in range(4)
                 for s, e in zip(start[column].tolist(), end[column].tolist())]
 
     for end in (True, False):
         assert len({tuple(cells((newline.join([header, *rows]) + newline * end).encode()))
                     for newline in ("\n", "\r\n")}) == 1
 
-    for lines, chunk_rows, end in ((rows, orbit.CHUNK_ROWS, True), (rows, 7, False),
-                                   (bad_cell, 7, True), (short, 1000, False)):
+    for lines, end in ((rows, True), (rows, False), (bad_cell, True), (short, False)):
         got = []
         for newline in ("\n", "\r\n"):
             path = tmp_path / f"{len(newline)}.csv"
             path.write_bytes((newline.join([header, *lines]) + newline * end).encode())
-            with mock.patch.object(orbit, "CHUNK_ROWS", chunk_rows), \
-                    mock.patch.object(orbit, "BLOCK_BYTES", block_bytes):
+            with mock.patch.object(orbit, "BLOCK_BYTES", block_bytes):
                 got.append(load(path))
         assert got[0] == got[1]
         assert isinstance(got[0], list) == (lines is rows)
@@ -822,6 +827,24 @@ def test_window_loader_reads_a_pipe(tmp_path):
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_first_pass_cuts_the_file_into_blocks_of_whole_lines(newline, block_bytes):
+    """The first pass cuts the file, LF or CRLF, with or without a final
+    line end, at strictly increasing positions: each cut but the last just
+    after an LF, the last at the end of the file, and the blocks between
+    them, joined, are the file."""
+    scenario, header, rows = bundled_windows()
+    for end in ("", newline):
+        raw = (newline.join([header, *rows]) + end).encode()
+        with mock.patch.object(orbit, "BLOCK_BYTES", block_bytes):
+            cuts, lines, lead = orbit._utf8_lines("windows.csv", io.BytesIO(raw))
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        assert all(raw[cut - 1] == ord("\n") for cut in cuts[:-1]) and cuts[-1] == len(raw)
+        assert b"".join(raw[a:b] for a, b in zip([0, *cuts], cuts)) == raw
+        assert (lines, lead) == (1 + len(rows), "s")
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
 def test_window_loader_reports_bytes_that_are_not_utf8_at_their_file_position(tmp_path,
                                                                               block_bytes):
     """Bytes that are not UTF-8 near the end of the file, in its last block
@@ -848,11 +871,10 @@ def test_window_loader_reports_bytes_that_are_not_utf8_at_their_file_position(tm
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-@pytest.mark.parametrize("chunk_rows", [7, orbit.CHUNK_ROWS])
-def test_window_loader_counts_the_cells_of_each_row(tmp_path, chunk_rows, newline, block_bytes):
+def test_window_loader_counts_the_cells_of_each_row(tmp_path, newline, block_bytes):
     """A row with five cells and another with three hold three commas per
     row between them, yet the first of the two is reported, in either
-    order, adjacent or in different chunks or blocks."""
+    order, adjacent or in different blocks."""
     scenario, header, rows = bundled_windows()
     for five, three in ((3, 20), (10, 11), (20, 3), (11, 10)):
         lines = list(rows)
@@ -860,18 +882,18 @@ def test_window_loader_counts_the_cells_of_each_row(tmp_path, chunk_rows, newlin
         lines[three] = lines[three].rsplit(",", 1)[0]
         assert newline.join(lines).count(",") == 3 * len(lines)
         got = assert_loaders_agree(tmp_path / "windows.csv",
-                                   newline.join([header, *lines]) + newline, chunk_rows,
+                                   newline.join([header, *lines]) + newline,
                                    block_bytes=block_bytes)
         assert got == ("ParseError",
                        f"{tmp_path / 'windows.csv'}:{min(five, three) + 2}: expected 4 columns")
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
-@pytest.mark.parametrize("chunk_rows", [7, orbit.CHUNK_ROWS])
-def test_window_loader_reads_runs_of_slot_cells(tmp_path, chunk_rows, block_bytes):
+def test_window_loader_reads_runs_of_slot_cells(tmp_path, block_bytes):
     """Each run of equal slot cells is read once: neighbours equal in their
-    first 8 or 16 bytes but not after, a bad cell repeated across a chunk
-    boundary (rows 6 and 7 at 7 rows a chunk), cells past the grammar's
+    first 8 or 16 bytes but not after, a bad cell repeated across a block
+    boundary (rows 6 and 7 at 1 or 7 bytes a read, where each line is a
+    block), cells past the grammar's
     width that differ only after it, and an out-of-horizon cell inside a
     run and a run of them are read as the row-by-row reference reads
     them."""
@@ -882,7 +904,7 @@ def test_window_loader_reads_runs_of_slot_cells(tmp_path, chunk_rows, block_byte
     def load(slot_cells):  # row index -> slot cell
         lines = [",".join([slot_cells.get(k, row.split(",", 1)[0]), row.split(",", 1)[1]])
                  for k, row in enumerate(rows)]
-        return assert_loaders_agree(path, "\n".join([header, *lines]) + "\n", chunk_rows,
+        return assert_loaders_agree(path, "\n".join([header, *lines]) + "\n",
                                     block_bytes=block_bytes)
 
     plain = load({})
@@ -905,18 +927,19 @@ def test_window_loader_reads_runs_of_slot_cells(tmp_path, chunk_rows, block_byte
         assert got[0] == "OutOfHorizon" and got[1].startswith(f"{path}:{line}: slot ")
 
 
-@pytest.mark.parametrize("chunk_rows", [7, orbit.CHUNK_ROWS])
-def test_window_loader_refuses_rows_out_of_order(tmp_path, chunk_rows):
+@pytest.mark.parametrize("block_bytes", [7, orbit.BLOCK_BYTES])
+def test_window_loader_refuses_rows_out_of_order(tmp_path, block_bytes):
     """A swapped pair and a repeated row are each reported at their line,
-    within a chunk and across a chunk boundary (rows 6 and 7 at 7 rows a
-    chunk); a row's cells are checked before its order, and a bad cell on
-    an earlier line is reported before a later order fault."""
+    within a block and across a block boundary (at 7 bytes a read each
+    line is a block); a row's cells are checked before its order, and a
+    bad cell on an earlier line is reported before a later order fault."""
     scenario, header, rows = bundled_windows()
     rows = list(rows)
     path = tmp_path / "windows.csv"
 
     def load(lines):
-        return assert_loaders_agree(path, "\n".join([header, *lines]) + "\n", chunk_rows)
+        return assert_loaders_agree(path, "\n".join([header, *lines]) + "\n",
+                                    block_bytes=block_bytes)
 
     def swap(lines, k):  # rows k - 1 and k swapped, so row k is out of order
         return lines[:k - 1] + [lines[k], lines[k - 1]] + lines[k + 1:]
@@ -968,7 +991,8 @@ def converted(cells, last_slot):
     first and last cell of a row of a windows file, and the `_decimals` fit
     mask of each."""
     raw = "".join(f"\n{cell},a,b,{cell}" for cell in cells)
-    (data, start, end), = orbit._chunks_by_line("windows.csv", (orbit.HEADER_LINE + raw).encode())
+    (data, start, end), _ = orbit._split("windows.csv", (orbit.HEADER_LINE + raw).encode(),
+                                         len(orbit.HEADER_LINE) + 1, 2)
     slots = orbit._slots(data, start[0], end[0], last_slot)
     elevations = orbit._elevations(data, start[3], end[3])
     return slots, elevations, orbit._decimals(data, start[3], end[3], orbit.ELEVATION_BYTES)[3]

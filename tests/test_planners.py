@@ -118,6 +118,26 @@ def test_overflow_fails_without_capacity_pressure():
         plan_overflow(context(roomy))
 
 
+def test_overflow_fails_when_the_overflow_it_causes_absorbs_its_attack():
+    """Blocking a slot before the target's turn overfills the queue, whose
+    head drop frees the room the attack took: the target still leaves at
+    its turn, slot 6, which is transmissible but not attackable. A ladder
+    of every transmissible slot never gets here (the slot the target
+    leaves at is then always the next forward attack), so slot 6 is left
+    out of it."""
+    world = QueueWorld(initial_units=(("a", 1), ("b", 2), ("tau", 1)),
+                       arrivals=((1, "x", 2), (2, "y", 1), (4, "z", 2)),
+                       transmissible=frozenset({2, 6}), capacity_bytes=8, volume_bytes=3,
+                       t0=0, horizon=8)
+    ctx = AttackContext(world=world, price={2: 1.0}, targets=("tau",))
+    baseline, blocked = oracle_replay(ctx, ()), oracle_replay(ctx, {2})
+    assert baseline["done"]["tau"] == blocked["done"]["tau"] == 6
+    assert "a" not in baseline["dropped"] and blocked["dropped"]["a"] == 4
+    with pytest.raises(AttackFail, match="^attack on slot 2 absorbed by the overflow it "
+                                         "caused; tau still downlinks$"):
+        plan_overflow(ctx)
+
+
 def random_ladder_context(rng, horizon=14):
     """Small random queue world with an attackable ladder and random prices."""
     n_initial = int(rng.integers(2, 5))

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+import time
 from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timedelta, timezone
 
@@ -236,6 +237,9 @@ def test_accessors():
 
 @pytest.mark.parametrize("mutate,message", [
     (lambda o: o["satellites"].append(dict(o["satellites"][0])), "duplicate id"),
+    (lambda o: o["stations"].extend(
+        [{"id": "gs-01", "latitude_deg": 10.0, "longitude_deg": 20.0}] * 2),
+     "stations: duplicate id"),
     (lambda o: o["trace"].append(
         {"unit_id": "x", "satellite_id": "ghost", "capture_slot": 1,
          "size_bytes": 1}), "unknown satellite"),
@@ -395,6 +399,28 @@ def test_trace_csv_form(tmp_path):
     trace_path.write_text("unit,sat\nx,y\n", encoding="utf-8")
     with pytest.raises(ParseError, match="expected header"):
         load_scenario(str(path))
+
+
+def test_trace_csv_timestamp_without_an_offset_is_utc(tmp_path, monkeypatch):
+    """A capture time without an offset is read as UTC, not as local time
+    (here five hours behind UTC), as one with Z or an offset is read at
+    that offset."""
+    (tmp_path / "trace.csv").write_text(
+        "unit_id,satellite_id,capture_iso8601,size_bytes\n"
+        "arr-001,obs-1,2026-01-01T00:00:03,1\n"
+        "arr-002,obs-1,2026-01-01T01:00:05+01:00,1\n"
+        "arr-003,obs-1,2026-01-01T00:00:07Z,1\n", encoding="utf-8")
+    obj = desk_dict()
+    obj["trace"] = "trace.csv"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    monkeypatch.setenv("TZ", "EST5")
+    time.tzset()
+    try:
+        assert [u.capture_slot for u in load_scenario(str(path)).trace] == [3, 5, 7]
+    finally:
+        monkeypatch.undo()
+        time.tzset()
 
 
 def load_with_csv_size(tmp_path, cell):
